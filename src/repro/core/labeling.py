@@ -31,6 +31,12 @@ from repro.core.goodness import default_f
 from repro.core.similarity import JaccardSimilarity, SimilarityFunction
 
 
+# Byte budget for the widest per-block temporary of LabelingIndex.assign
+# (``rows x max(vocab, total_reps)`` float64): a few hundred rows on a
+# basket-sized vocabulary, fewer on a large one.
+ASSIGN_BLOCK_BYTES = 2 << 20
+
+
 def labels_from_clusters(
     clusters: Sequence[Sequence[int]], n: int
 ) -> np.ndarray:
@@ -159,14 +165,27 @@ class LabelingIndex:
         """Normalised assignment scores ``N_i / (|L_i| + 1)^f`` per point."""
         return self.neighbor_counts(points) / self.normalisers
 
-    def assign(self, points: Sequence[Any], block_size: int = 8192) -> np.ndarray:
+    def default_block_size(self) -> int:
+        """Rows per block keeping the widest block temporary -- ``rows x
+        max(vocab, total_reps)`` float64 -- within :data:`ASSIGN_BLOCK_BYTES`."""
+        width = max(self.rep_matrix.shape[0], self.rep_matrix.shape[1])
+        return max(1, ASSIGN_BLOCK_BYTES // (8 * width))
+
+    def assign(
+        self, points: Iterable[Any], block_size: int | None = None
+    ) -> np.ndarray:
         """Batch-assign; -1 for points with no neighbors in any ``L_i``.
 
-        Work proceeds in blocks so that a disk-scale batch never
-        materialises a ``(B, vocab)`` matrix larger than
-        ``block_size`` rows.
+        Work proceeds in blocks of ``block_size`` rows (default:
+        :meth:`default_block_size`), so a disk-scale batch never
+        materialises more than one block's ``(rows, vocab)`` encoding
+        and ``(rows, total_reps)`` scores.  Every row is scored
+        independently with exact integer counts, so the labels do not
+        depend on the block size.
         """
         points = list(points)
+        if block_size is None:
+            block_size = self.default_block_size()
         labels = np.empty(len(points), dtype=np.int64)
         for start in range(0, len(points), max(block_size, 1)):
             block = points[start : start + block_size]
@@ -254,7 +273,14 @@ class ClusterLabeler:
         return int(np.argmax(counts / self._normalisers))
 
     def assign_all(self, points: Iterable[Any]) -> np.ndarray:
-        """Label a stream of points (the sequential disk scan of §4.6)."""
+        """Label a stream of points (the sequential disk scan of §4.6).
+
+        With an index the scan runs as :meth:`LabelingIndex.assign` row
+        blocks; other similarities call :meth:`assign` per point.  Both
+        give exactly the labels of :meth:`assign` (property-tested).
+        """
+        if self._index is not None:
+            return self._index.assign(points)
         return np.array([self.assign(p) for p in points], dtype=np.int64)
 
 

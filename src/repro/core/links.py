@@ -7,7 +7,9 @@ strategies:
 
 * view the problem as squaring the boolean adjacency matrix ``A``
   (Section 4.4, first paragraph) -- implemented by
-  :func:`dense_link_matrix` with one numpy integer matrix product;
+  :func:`dense_link_matrix` with one numpy matrix product (the oracle),
+  and by :func:`blocked_link_table`, which squares ``A`` one float32
+  row block at a time straight into a :class:`LinkTable`;
 * the sparse neighbor-list algorithm of Figure 4, which for every point
   increments the link count of every pair of its neighbors -- cost
   ``O(sum_i m_i^2)`` -- implemented by :func:`sparse_link_table`.
@@ -27,7 +29,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.neighbors import NeighborGraph
+from repro.core.neighbors import DENSE_BLOCK_ROWS, NeighborGraph
 
 
 class LinkTable:
@@ -194,6 +196,36 @@ def dense_link_matrix(graph: NeighborGraph) -> np.ndarray:
     return links
 
 
+def blocked_link_table(
+    graph: NeighborGraph, block_rows: int = DENSE_BLOCK_ROWS
+) -> LinkTable:
+    """``LinkTable.from_dense(dense_link_matrix(graph))`` by row blocks.
+
+    Each block is one float32 BLAS product ``A[rows] @ A``; a count is
+    at most ``n - 2 < 2**24``, so float32 holds it exactly and the
+    table -- Python ``int`` counts, partners in ascending order --
+    equals the oracle's row for row (property-tested).  Besides the
+    adjacency, only its ``4 n^2``-byte float32 copy and one block of
+    counts exist at a time.
+    """
+    n = graph.n
+    a = graph.adjacency.astype(np.float32)
+    table = LinkTable(n)
+    rows = table._rows
+    for start in range(0, n, block_rows):
+        stop = min(start + block_rows, n)
+        block = (a[start:stop] @ a).astype(np.int64)
+        offsets = np.arange(stop - start)
+        block[offsets, start + offsets] = 0
+        for offset, row in enumerate(block):
+            partners = np.flatnonzero(row)
+            if partners.size:
+                rows[start + offset] = dict(
+                    zip(partners.tolist(), row[partners].tolist())
+                )
+    return table
+
+
 def sparse_link_table(graph: NeighborGraph) -> LinkTable:
     """The Figure 4 algorithm: every point links each pair of its neighbors.
 
@@ -231,7 +263,8 @@ def compute_links(
     ``auto`` uses the Figure 4 sparse algorithm when the pair-increment
     work ``sum_i m_i^2`` is small relative to the ``n^2`` (scaled by a
     constant reflecting numpy's matmul advantage) of the dense product,
-    and the dense matrix square otherwise.  A sparse-backed graph (the
+    and the row-blocked matrix square (:func:`blocked_link_table`)
+    otherwise.  A sparse-backed graph (the
     blocked fit path) always stays sparse unless ``dense`` is forced --
     the whole point of that path is that no ``n x n`` array ever
     exists.  ``dense`` / ``sparse`` / ``parallel`` force a path;
@@ -266,7 +299,7 @@ def compute_links(
     if method == "sparse":
         table = sparse_link_table(graph)
     else:
-        table = LinkTable.from_dense(dense_link_matrix(graph))
+        table = blocked_link_table(graph)
     if registry is not None:
         registry.inc("fit.links.pairs", table.nnz_pairs())
     return table

@@ -16,8 +16,10 @@ Three computation paths are provided:
 
 * a **vectorised** path for datasets whose similarity exposes a
   ``pairwise`` bulk method (Jaccard over transactions, missing-aware
-  Jaccard over records) -- set intersections become one integer matrix
-  product, mirroring the adjacency-matrix view of Section 4.4;
+  Jaccard over records) -- set intersections become matrix products,
+  mirroring the adjacency-matrix view of Section 4.4, run one row block
+  at a time (:func:`blocked_adjacency`) into a dense boolean adjacency,
+  so no ``n x n`` float64 similarity matrix is held;
 * a **blocked** path (:func:`blocked_neighbor_graph`) computing the
   same similarity one row-block at a time and emitting sparse neighbor
   lists, so the dense ``n x n`` similarity matrix never exists -- the
@@ -66,9 +68,20 @@ DEFAULT_MEMORY_BUDGET = 1 << 30
 # scale should not exist on the blocked path.
 DENSIFY_LIMIT = 1 << 30
 
+# Rows per BLAS block on the dense path (adjacency fill and link
+# counting): small enough that a block's float64 temporaries stay a few
+# MB at the sample sizes the dense path serves, large enough for BLAS.
+DENSE_BLOCK_ROWS = 256
+
 
 def dense_similarity_bytes(n: int) -> int:
-    """Bytes of the dense ``n x n`` float64 similarity matrix."""
+    """Bytes of the dense ``n x n`` float64 similarity matrix.
+
+    The ``auto`` switch-over still prices the dense path by this figure,
+    although that path now holds an ``n^2``-byte boolean adjacency plus
+    row blocks: keeping the figure keeps every ``memory_budget``
+    choosing the path it chose before.
+    """
     return 8 * n * n
 
 
@@ -356,16 +369,16 @@ def compute_neighbor_graph(
             block_size=block_size, memory_budget=budget, registry=registry,
         )
 
-    sim_matrix = None
     if method in ("auto", "vectorized"):
-        sim_matrix = _bulk_similarity(points, similarity)
-        if sim_matrix is None and method == "vectorized":
+        if supports_blocked(points, similarity):
+            scorer = build_block_scorer(points, similarity)
+            return NeighborGraph(blocked_adjacency(scorer, theta), theta=theta)
+        if method == "vectorized":
             raise ValueError(
                 "vectorized method requested but the similarity/dataset "
                 "combination has no bulk path"
             )
-    if sim_matrix is None:
-        sim_matrix = _bruteforce_similarity(points, similarity)
+    sim_matrix = _bruteforce_similarity(points, similarity)
     return NeighborGraph(adjacency_from_similarity_matrix(sim_matrix, theta), theta=theta)
 
 
@@ -712,6 +725,25 @@ def build_block_scorer(
     if prefer_sparse and _scipy_sparse_available():
         return SparseTransactionScorer(points, overlap)
     return DenseTransactionScorer(points, overlap)
+
+
+def blocked_adjacency(
+    scorer: BlockScorer, theta: float, block_rows: int = DENSE_BLOCK_ROWS
+) -> np.ndarray:
+    """Hollow boolean adjacency filled from ``block_rows``-row score blocks.
+
+    Equals thresholding the similarity's full ``pairwise`` matrix
+    (property-tested for Jaccard, overlap and missing-aware Jaccard)
+    while holding one row block of scores at a time next to the
+    ``n^2``-byte result.
+    """
+    n = scorer.n
+    adjacency = np.empty((n, n), dtype=bool)
+    for start in range(0, n, block_rows):
+        stop = min(start + block_rows, n)
+        np.greater_equal(scorer.score_rows(start, stop), theta, out=adjacency[start:stop])
+    np.fill_diagonal(adjacency, False)
+    return adjacency
 
 
 def _bulk_similarity(points: Any, similarity: SimilarityFunction) -> np.ndarray | None:

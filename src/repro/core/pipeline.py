@@ -660,11 +660,9 @@ class RockPipeline:
                     f=self.f,
                 )
                 in_sample = set(sampled)
-                for index in range(n_total):
-                    if index in in_sample:
-                        continue
-                    labels[index] = labeler.assign(point_list[index])
-                registry.inc("fit.labeled_points", n_total - len(sampled))
+                rest = [i for i in range(n_total) if i not in in_sample]
+                labels[rest] = labeler.assign_all(point_list[i] for i in rest)
+                registry.inc("fit.labeled_points", len(rest))
         timings["label"] = span.wall_seconds
 
         full_clusters: list[list[int]] = [[] for _ in clusters_original]
