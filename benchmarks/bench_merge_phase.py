@@ -92,8 +92,8 @@ def run_engines(links, k: int, tracer=None):
     ))
     import repro.native as native_mod
 
-    # warm the backend outside the timed region: the probe (numba JIT /
-    # C compile + dlopen) is a one-time per-process cost, not part of
+    # warm the backend outside the timed region: the probe (C compile +
+    # dlopen) is a one-time per-process cost, not part of
     # the steady-state merge loop
     warm_start = time.perf_counter()
     backend = native_mod.available_backend()

@@ -13,7 +13,7 @@ other on the same clustered-basket generator as ``bench_blocked_fit``:
 * ``native:W`` -- ``native_neighbor_links`` with W workers: the fused
   pass with the block kernel and pair reduction run natively
   (:mod:`repro.native`).  Skipped when no backend probes; the one-time
-  backend warmup (numba JIT / C compile + probe) is timed separately
+  backend warmup (C compile + probe) is timed separately
   and excluded from the steady-state numbers.
 
 On hosts exposing a single effective core the worker curve is flat and
@@ -103,7 +103,7 @@ def run_variant(variant: str, n_clusters: int) -> dict:
         import repro.native as native_mod
         from repro.native.links import native_neighbor_links
 
-        # one-time backend warmup (numba JIT / C compile + probe) is a
+        # one-time backend warmup (C compile + probe) is a
         # per-process cost, not a per-fit one: report it separately
         warm_start = time.perf_counter()
         backend = native_mod.available_backend()

@@ -275,13 +275,25 @@ class ClusterLabeler:
     def assign_all(self, points: Iterable[Any]) -> np.ndarray:
         """Label a stream of points (the sequential disk scan of §4.6).
 
-        With an index the scan runs as :meth:`LabelingIndex.assign` row
-        blocks; other similarities call :meth:`assign` per point.  Both
-        give exactly the labels of :meth:`assign` (property-tested).
+        With an index and ``theta > 0`` the scan runs on the native
+        ``assign_block`` kernel over an
+        :class:`~repro.serve.index.AssignmentIndex` when the
+        :mod:`repro.native` C tier probed clean; otherwise as
+        :meth:`LabelingIndex.assign` row blocks.  Other similarities
+        call :meth:`assign` per point.  All give exactly the labels of
+        :meth:`assign` (property-tested).
         """
-        if self._index is not None:
-            return self._index.assign(points)
-        return np.array([self.assign(p) for p in points], dtype=np.int64)
+        if self._index is None:
+            return np.array([self.assign(p) for p in points], dtype=np.int64)
+        if self.theta > 0.0:
+            from repro.native import get_kernels
+
+            kernels = get_kernels()
+            if kernels is not None:
+                from repro.serve.index import AssignmentIndex
+
+                return AssignmentIndex(self._index).assign(points, kernels=kernels)
+        return self._index.assign(points)
 
 
 def draw_labeling_sets(

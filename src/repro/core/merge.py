@@ -106,9 +106,9 @@ __all__ = [
 # The merge-engine switch threaded through cluster_with_links, rock(),
 # RockPipeline and the CLI.  "heap" is the Figure 3 reference loop;
 # "fast" is this module; "native" is this module with the component
-# inner loop handed to a repro.native backend kernel; "auto" picks
-# native when repro.native opts in (numba installed or REPRO_NATIVE=1),
-# else fast whenever the goodness measure has a vectorized kernel (both
+# inner loop handed to the repro.native C kernel; "auto" picks native
+# whenever that kernel probed clean (and REPRO_NATIVE is not off), else
+# fast, as long as the goodness measure has a vectorized kernel (both
 # built-ins do), and falls back to the reference for custom callables,
 # whose evaluation order the engines cannot promise to reproduce.  All
 # methods produce identical results for the built-in measures.
@@ -128,8 +128,8 @@ def resolve_merge_method(
     no working backend) degrades with a single :class:`RuntimeWarning`
     -- to ``"heap"`` for callables (matching ``"auto"``'s routing, the
     engines cannot reproduce a callable's evaluation order) and to
-    ``"fast"`` otherwise.  ``"auto"`` never warns: it only promotes to
-    native when :func:`repro.native.auto_native` opts in.
+    ``"fast"`` otherwise.  ``"auto"`` never warns: it promotes to native
+    when :func:`repro.native.auto_native` holds, else picks ``"fast"``.
     """
     if merge_method not in MERGE_METHODS:
         raise ValueError(
@@ -138,9 +138,9 @@ def resolve_merge_method(
     if merge_method == "auto":
         if merge_kernel_for(goodness_fn, 0.0) is None:
             return "heap"
-        from repro.native import auto_native, native_available
+        from repro.native import auto_native
 
-        if auto_native() and native_available():
+        if auto_native():
             return "native"
         return "fast"
     if merge_method == "native":

@@ -171,10 +171,10 @@ class RockPipeline:
         loop), ``"fast"`` (the component-partitioned array-backed
         engine of :mod:`repro.core.merge`), ``"native"`` (that engine
         with :mod:`repro.native` component kernels, degrading with one
-        warning when unavailable), or ``"auto"`` (default: fast -- or
-        native when :mod:`repro.native` opts in -- for built-in
-        goodness measures, heap for custom callables).  Byte-identical
-        results either way (property-tested).
+        warning when unavailable), or ``"auto"`` (default: native when
+        the :mod:`repro.native` C tier probed clean, else fast, for
+        built-in goodness measures; heap for custom callables).
+        Byte-identical results either way (property-tested).
     shard_block_rows / spill_dir / max_retries:
         Sharded-fit knobs (``fit_mode="sharded"``): rows per scoring
         block (default: the parallel kernels' budget-aware block
@@ -402,11 +402,10 @@ class RockPipeline:
                 and self.neighbor_method == "auto"
                 and self.link_method == "auto"
             ):
-                # auto promotion: only when repro.native opts in (numba
-                # installed or REPRO_NATIVE=1) and only where auto
+                # auto promotion: whenever the C tier probed clean
+                # (and REPRO_NATIVE is not off), but only where auto
                 # would leave the dense path anyway -- small inputs
-                # keep the dense kernel, and a checkout without the
-                # [native] extra changes nothing.
+                # keep the dense kernel.
                 from repro.core.neighbors import (
                     dense_similarity_bytes,
                     resolve_memory_budget,

@@ -315,10 +315,11 @@ def rock(
     ``"heap"`` forces the Figure 3 reference loop, ``"fast"`` the
     component-partitioned engine of :mod:`repro.core.merge`,
     ``"native"`` that engine with :mod:`repro.native` component
-    kernels, and ``"auto"`` (default) picks fast (or native when
-    :mod:`repro.native` opts in) whenever the goodness measure is a
-    built-in.  All produce byte-identical results; the fast engine
-    additionally fans components out across ``workers``.
+    kernels, and ``"auto"`` (default) picks native (or fast when the
+    :mod:`repro.native` C tier did not probe clean) whenever the
+    goodness measure is a built-in.  All produce byte-identical
+    results; the fast engine additionally fans components out across
+    ``workers``.
 
     ``tracer`` is an optional :class:`~repro.obs.trace.Tracer`:
     ``neighbors`` / ``links`` / ``cluster`` spans are recorded and the

@@ -1,4 +1,4 @@
-"""Native-speed kernels for the two remaining fit hot loops.
+"""Native-speed kernels for the fit, merge and assignment hot loops.
 
 ``repro.native`` provides drop-in native implementations of
 
@@ -10,51 +10,45 @@
 * the component merge inner loop (the lazy-heap agglomeration of
   :func:`repro.core.merge.component_merge_stream`) on flat typed
   arrays with binary heaps instead of ``heapq`` tuples; and
-* the serving assignment hot loop (``assign_block``): candidate
-  gather over the :class:`repro.serve.index.AssignmentIndex` inverted
-  index, Jaccard threshold test and best-cluster argmax fused into
-  one pass per query point.
+* the §4.6 assignment hot loop (``assign_block``): candidate gather
+  over the :class:`repro.serve.index.AssignmentIndex` inverted index,
+  Jaccard threshold test and best-cluster argmax fused into one pass
+  per query point.  It serves both the engine's ``assign_backend``
+  and the pipeline's labeling scan
+  (:meth:`repro.core.labeling.ClusterLabeler.assign_all`).
 
 All are selected through the existing switches -- ``fit_mode="native"``,
-``merge_method="native"`` and ``assign_backend="native"`` -- and all
-are **bit-identical** to the reference paths: same survivor sets, same
-merge history with bitwise equal goodness floats, same ``heap_ops``
-accounting, same assignment labels and scores
-(property-tested in ``tests/test_native_kernels.py``).
+``merge_method="native"`` and ``assign_backend="native"``, or their
+``auto`` defaults -- and all are **bit-identical** to the reference
+paths: same survivor sets, same merge history with bitwise equal
+goodness floats, same ``heap_ops`` accounting, same assignment labels
+and scores (property-tested in ``tests/test_native_kernels.py``).
 
-Two backend tiers implement the same kernel interface:
+The kernels live in one small C file (``kernels.c``) compiled on
+demand with the system C compiler and bound through :mod:`ctypes`
+(:mod:`repro.native.cext`).  There is no build-time dependency: the
+shared object is built once into a user cache directory keyed by the
+source hash, so steady-state runs pay one ``dlopen``.
 
-``numba``
-    ``@njit`` kernels (:mod:`repro.native.numba_backend`), used when
-    numba is importable (``pip install repro[native]``).
-``cext``
-    A small C file (``kernels.c``) compiled on demand with the system
-    C compiler and bound through :mod:`ctypes`
-    (:mod:`repro.native.cext`).  No build-time dependency: the shared
-    object is built once into a user cache directory keyed by the
-    source hash, so steady-state runs pay nothing.
-
-Backend selection (:func:`available_backend`) prefers numba, falls
-back to the C extension, and degrades to ``None`` -- callers then run
-the existing pure-Python/numpy paths -- when neither tier works.  A
-probe *runs* every kernel on a tiny smoke problem before a tier is
+A probe *runs* every kernel on a tiny smoke problem before the tier is
 declared available, so a broken toolchain can never take down a fit.
+When the probe passes, the ``auto`` resolvers promote to native
+silently; when it fails -- no compiler, a failed build, a smoke-test
+mismatch -- every caller runs the existing pure-Python/numpy paths and
+:func:`backend_info` records why under ``"reason"``.
 
 Environment overrides:
 
 ``REPRO_NATIVE=0`` (or ``off``/``false``/``no``)
-    Disable native kernels entirely (forced ``native`` modes then fall
-    back with a warning; ``auto`` stays silent).
-``REPRO_NATIVE=1`` (or ``on``/``true``/``yes``)
-    Let the ``auto`` resolvers promote to native even on the C tier.
-    By default ``auto`` only promotes when *numba* imports -- a plain
-    checkout without the ``[native]`` extra keeps running the existing
-    paths -- while forced ``fit_mode="native"`` / ``merge_method=
-    "native"`` use whichever tier is available.
-``REPRO_NATIVE_BACKEND=numba|cext``
-    Restrict the probe to one tier.
+    The kill switch: disable the native kernels entirely (forced
+    ``native`` modes then fall back with a warning; ``auto`` stays
+    silent).  Any other value, ``REPRO_NATIVE=1`` included, leaves the
+    default on.
+``CC``
+    The C compiler to build with (default: the first of ``cc``,
+    ``gcc``, ``clang`` on ``PATH``).
 ``REPRO_NATIVE_CACHE=<dir>``
-    Where the C tier caches compiled shared objects
+    Where compiled shared objects are cached
     (default ``$XDG_CACHE_HOME/repro-native``).
 """
 
@@ -71,34 +65,22 @@ __all__ = [
     "native_available",
 ]
 
-_BACKEND_NAMES = ("numba", "cext")
-
-# probe results, cached per tier: missing = not yet probed,
-# None = probed and unusable, object = the kernel namespace
-_KERNELS: dict[str, Any | None] = {}
-
-
-def _env_flag(name: str) -> str | None:
-    value = os.environ.get(name)
-    if value is None:
-        return None
-    return value.strip().lower()
+# the probe result, cached per process: empty = not yet probed, else
+# "kernels" (the namespace, or None when unusable) and "reason" (why
+# not, or None)
+_PROBE: dict[str, Any] = {}
 
 
 def _disabled() -> bool:
-    return _env_flag("REPRO_NATIVE") in ("0", "off", "false", "no")
-
-
-def _forced_backend() -> str | None:
-    value = _env_flag("REPRO_NATIVE_BACKEND")
-    return value if value in _BACKEND_NAMES else None
+    value = os.environ.get("REPRO_NATIVE", "").strip().lower()
+    return value in ("0", "off", "false", "no")
 
 
 def _smoke_test(kernels: Any) -> None:
     """Run every kernel on a tiny problem; raises when the tier is broken.
 
-    This is what makes the probe trustworthy: a tier is advertised only
-    after it has actually compiled and produced sane output, so JIT or
+    This is what makes the probe trustworthy: the tier is advertised
+    only after it has actually compiled and produced sane output, so
     toolchain failures degrade to the Python paths instead of erroring
     mid-fit.
     """
@@ -164,48 +146,28 @@ def _smoke_test(kernels: Any) -> None:
         raise RuntimeError("assign_block smoke test mismatch")
 
 
-def _probe(name: str) -> Any | None:
-    if name in _KERNELS:
-        return _KERNELS[name]
-    kernels: Any | None = None
-    try:
-        if name == "numba":
-            from repro.native import numba_backend
-
-            kernels = numba_backend.load_kernels()
-        else:
+def _probe() -> Any | None:
+    if not _PROBE:
+        kernels: Any | None = None
+        reason: str | None = None
+        try:
             from repro.native import cext
 
             kernels = cext.load_kernels()
-        if kernels is not None:
             _smoke_test(kernels)
-    except Exception:
-        kernels = None
-    _KERNELS[name] = kernels
-    return kernels
+        except Exception as exc:
+            kernels = None
+            reason = str(exc) or type(exc).__name__
+        _PROBE.update(kernels=kernels, reason=reason)
+    return _PROBE["kernels"]
 
 
-def get_kernels(name: str | None = None) -> Any | None:
-    """The kernel namespace of a working backend, or ``None``.
-
-    With ``name=None`` the tiers are probed in preference order
-    (numba, then the C extension) honouring the environment overrides;
-    a specific ``name`` probes only that tier (the test suite uses this
-    to exercise every available backend).
-    """
+def get_kernels() -> Any | None:
+    """The probed C kernel namespace, or ``None`` when it is unusable
+    or ``REPRO_NATIVE`` is off."""
     if _disabled():
         return None
-    if name is not None:
-        if name not in _BACKEND_NAMES:
-            raise ValueError(f"unknown native backend {name!r}")
-        return _probe(name)
-    forced = _forced_backend()
-    order = (forced,) if forced else _BACKEND_NAMES
-    for candidate in order:
-        kernels = _probe(candidate)
-        if kernels is not None:
-            return kernels
-    return None
+    return _probe()
 
 
 def available_backend() -> str | None:
@@ -215,44 +177,39 @@ def available_backend() -> str | None:
 
 
 def native_available() -> bool:
-    """Whether a forced ``native`` mode has a backend to run on."""
+    """Whether the C tier probed clean and ``REPRO_NATIVE`` is not off.
+
+    Forced ``native`` modes run when this holds, and the ``auto``
+    resolvers promote to native on it (:func:`auto_native`).
+    """
     return get_kernels() is not None
 
 
-def auto_native() -> bool:
-    """Whether the ``auto`` resolvers should promote to native kernels.
-
-    True when a backend is available *and* either numba itself imports
-    (the ``[native]`` extra is installed) or ``REPRO_NATIVE`` opts in
-    explicitly.  A checkout without the extra therefore keeps its
-    ``auto`` behaviour byte-for-byte unless the user asks -- forced
-    ``native`` modes still use the C tier.
-    """
-    if _disabled():
-        return False
-    if _env_flag("REPRO_NATIVE") in ("1", "on", "true", "yes"):
-        return native_available()
-    kernels = get_kernels()
-    return kernels is not None and kernels.name == "numba"
+# the auto resolvers' promotion test: with one native tier, "auto goes
+# native" and "a native backend exists" are the same question
+auto_native = native_available
 
 
 def backend_info() -> dict[str, Any]:
-    """Probe state for benches and manifests (never raises)."""
-    if _disabled():
-        return {"backend": None, "disabled": True}
+    """Probe state for benches and manifests (never raises).
+
+    ``"reason"`` says why no backend runs: the kill switch, or the
+    exception text of the failed build or smoke test.
+    """
     kernels = get_kernels()
     info: dict[str, Any] = {
         "backend": None if kernels is None else kernels.name,
-        "disabled": False,
-        "auto": auto_native(),
+        "disabled": _disabled(),
     }
     if kernels is not None:
-        detail = getattr(kernels, "info", None)
-        if detail:
-            info.update(detail)
+        info.update(kernels.info)
+    elif _disabled():
+        info["reason"] = f"disabled by REPRO_NATIVE={os.environ['REPRO_NATIVE']}"
+    else:
+        info["reason"] = _PROBE["reason"]
     return info
 
 
 def _reset_for_tests() -> None:
-    """Forget probe results (the fallback tests flip env vars)."""
-    _KERNELS.clear()
+    """Forget the probe result (the fallback tests flip env vars)."""
+    _PROBE.clear()

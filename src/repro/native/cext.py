@@ -10,7 +10,8 @@ later import is a single ``dlopen``.  The build is atomic (tmp file +
 
 Any failure -- no compiler, sandboxed cache dir, bad toolchain --
 raises out of :func:`load_kernels` and is absorbed by the probe in
-:mod:`repro.native`, which simply marks the tier unavailable.
+:mod:`repro.native`, which marks the tier unavailable and keeps the
+exception text as the reason.
 """
 
 from __future__ import annotations
@@ -23,14 +24,13 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Any
 
 import numpy as np
 
 _SOURCE = Path(__file__).with_name("kernels.c")
 
-# -O2 keeps IEEE semantics; -ffast-math would break bit-identicality
+# -O3 keeps IEEE semantics; -ffast-math would break bit-identicality
 # with the numpy reference paths and must never appear here.
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-std=c99")
 
@@ -49,8 +49,15 @@ def _cache_dir() -> Path:
 
 
 def _compiler() -> str:
-    for name in (os.environ.get("CC"), "cc", "gcc", "clang"):
-        if name and shutil.which(name):
+    # an explicit CC is the only candidate: a missing one fails the
+    # probe rather than silently building with another compiler
+    cc = os.environ.get("CC")
+    if cc:
+        if shutil.which(cc):
+            return cc
+        raise RuntimeError(f"C compiler {cc!r} from CC not found")
+    for name in ("cc", "gcc", "clang"):
+        if shutil.which(name):
             return name
     raise RuntimeError("no C compiler found")
 
@@ -68,12 +75,14 @@ def _build(source: Path, cc: str) -> Path:
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
     os.close(fd)
     try:
-        subprocess.run(
+        build = subprocess.run(
             [cc, *_CFLAGS, "-o", tmp, str(source), "-lm"],
-            check=True,
             capture_output=True,
             timeout=120,
         )
+        if build.returncode != 0:
+            stderr = build.stderr.decode(errors="replace").strip()
+            raise RuntimeError(f"C build failed: {stderr[-300:]}")
         os.replace(tmp, out)
     except BaseException:
         try:
@@ -294,8 +303,8 @@ class _CextKernels:
 def load_kernels() -> Any:
     """Compile (or reuse) the shared object and bind the kernels.
 
-    Raises on any failure; the caller (:func:`repro.native.get_kernels`)
-    treats that as "tier unavailable".
+    Raises on any failure; the probe in :mod:`repro.native` treats that
+    as "tier unavailable" and records the message.
     """
     if sys.platform == "win32":  # ctypes build path is POSIX-only
         raise RuntimeError("cext tier not supported on Windows")
@@ -304,7 +313,3 @@ def load_kernels() -> Any:
     lib = ctypes.CDLL(str(so_path))
     _bind(lib)
     return _CextKernels(lib, so_path, cc)
-
-
-def kernels_namespace(**kwargs: Any) -> SimpleNamespace:  # pragma: no cover
-    return SimpleNamespace(**kwargs)

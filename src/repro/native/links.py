@@ -193,18 +193,15 @@ def native_fit_supported(
 _NATIVE_STATE: dict[str, Any] = {}
 
 
-def _init_native_worker(
-    csr: TransactionCSR, theta: float, backend: str | None
-) -> None:
+def _init_native_worker(csr: TransactionCSR, theta: float) -> None:
     from repro.native import get_kernels
 
     _NATIVE_STATE["csr"] = csr
     _NATIVE_STATE["theta"] = theta
     # On fork-start platforms the parent's probed kernels (and loaded
     # shared object) are inherited; on spawn this re-probes in the
-    # child.  The parent probes before fan-out either way, so the cache
-    # is warm and the probe cannot flip to a different tier mid-fit.
-    _NATIVE_STATE["kernels"] = get_kernels(backend)
+    # child against the on-disk cache the parent's probe warmed.
+    _NATIVE_STATE["kernels"] = get_kernels()
 
 
 def _native_block(
@@ -250,7 +247,7 @@ def native_neighbor_links(
     expected to consult :func:`native_fit_supported` first and fall
     back to :func:`repro.parallel.links.fused_neighbor_links`.
     """
-    from repro.native import available_backend, get_kernels
+    from repro.native import get_kernels
 
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must be in [0, 1], got {theta}")
@@ -259,11 +256,10 @@ def native_neighbor_links(
     ok, reason = native_fit_supported(points, theta, similarity)
     if not ok:
         raise ValueError(f"native fit unsupported: {reason}")
-    # probe (and for the C tier, compile + dlopen) in the parent before
-    # fan-out: forked workers inherit the loaded library, spawned ones
-    # hit a warm on-disk cache
-    backend = available_backend()
-    get_kernels(backend)
+    # native_fit_supported probed (compiled + dlopen'd) in the parent
+    # before fan-out: forked workers inherit the loaded library,
+    # spawned ones hit a warm on-disk cache
+    kernels = get_kernels()
     csr = native_transaction_csr(points, similarity)
     assert csr is not None  # native_fit_supported vouched for this
     count = resolve_workers(workers)
@@ -280,7 +276,7 @@ def native_neighbor_links(
         block_tasks(n, block_size),
         workers=count,
         initializer=_init_native_worker,
-        initargs=(csr, theta, backend),
+        initargs=(csr, theta),
     ):
         if registry is not None:
             registry.merge(delta)
@@ -296,7 +292,6 @@ def native_neighbor_links(
         else np.empty(0, dtype=np.int32)
     )
 
-    kernels = get_kernels(backend)
     full_indptr, full_indices = kernels.mirror_neighbors(
         upper_indptr, upper_indices, n
     )

@@ -38,7 +38,10 @@ def host_metadata() -> dict[str, Any]:
     The single source of the host block embedded in manifests and in
     checked-in benchmark results (``benchmarks/machine.py`` renders its
     text summary from this) -- absolute numbers are hardware-bound, so
-    every artifact says where it came from.
+    every artifact says where it came from.  ``native`` is the
+    :func:`repro.native.backend_info` probe state: which kernel tier
+    the run could use, or the reason it fell back to the reference
+    paths.
     """
     meta: dict[str, Any] = {
         "platform": platform.platform(),
@@ -59,6 +62,9 @@ def host_metadata() -> dict[str, Any]:
         meta["scipy"] = scipy_version
     except ImportError:  # pragma: no cover - scipy present in dev envs
         meta["scipy"] = None
+    from repro.native import backend_info
+
+    meta["native"] = backend_info()
     return meta
 
 

@@ -61,8 +61,8 @@ class AssignmentEngine:
     block_size:
         Rows per scoring block, bounding peak memory for huge batches.
     assign_backend:
-        ``"auto"`` (default: native when the probe opts in, else
-        pruned), ``"dense"``, ``"pruned"`` or ``"native"``.  Ignored
+        ``"auto"`` (default: native when the C tier probed clean,
+        else pruned), ``"dense"``, ``"pruned"`` or ``"native"``.  Ignored
         (scalar fallback) when the model's similarity admits no index.
     prebuilt_index:
         An :class:`AssignmentIndex` built elsewhere for this model --

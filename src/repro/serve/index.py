@@ -31,10 +31,12 @@ Three scoring tiers share this index:
     CSR x CSR intersection counts, ``searchsorted`` row recovery), or
     a pure-numpy posting-list gather when scipy is unavailable.
 ``native``
-    The ``assign_block`` kernel of :mod:`repro.native` (numba or C
-    tier) fusing candidate gather, threshold test and best-cluster
-    argmax in one pass over the CSR arrays; pass the probed kernel
-    namespace into :meth:`assign`.
+    The ``assign_block`` C kernel of :mod:`repro.native` fusing
+    candidate gather, threshold test and best-cluster argmax in one
+    pass over the CSR arrays; pass the probed kernel namespace into
+    :meth:`assign`.  The default wherever the C tier probes clean, and
+    the route of the pipeline's §4.6 labeling scan
+    (:meth:`~repro.core.labeling.ClusterLabeler.assign_all`).
 ``dense``
     Not in this module -- callers keep using ``LabelingIndex.assign``
     (the engine's ``assign_backend="dense"``).
@@ -74,19 +76,19 @@ from repro.core.neighbors import _scipy_sparse_available
 
 # engine-facing backend names: "auto" resolves to the best available
 # tier, the rest force one (forced "native" degrades to "pruned" with
-# a warning when no probed kernel offers assign_block)
+# a warning when the C tier did not probe clean)
 ASSIGN_BACKENDS = ("auto", "dense", "pruned", "native")
 
 
 def resolve_assign_backend(requested: str = "auto") -> tuple[str, Any | None]:
     """Resolve a requested assignment backend to ``(tier, kernels)``.
 
-    ``auto`` promotes to ``native`` only when
-    :func:`repro.native.auto_native` opts in (numba importable or
-    ``REPRO_NATIVE=1``) *and* the probed kernel namespace provides
-    ``assign_block``; otherwise it picks ``pruned``.  ``dense`` and
-    ``pruned`` never touch the native probe.  The returned ``kernels``
-    is ``None`` except for the ``native`` tier.
+    ``auto`` promotes to ``native`` when the C tier probed clean and
+    ``REPRO_NATIVE`` is not off (:func:`repro.native.auto_native`), and
+    otherwise picks ``pruned`` silently; a forced ``native`` degrades to
+    ``pruned`` with one warning.  ``dense`` and ``pruned`` never touch
+    the native probe.
+    The returned ``kernels`` is ``None`` except for the ``native`` tier.
     """
     if requested not in ASSIGN_BACKENDS:
         raise ValueError(
@@ -95,24 +97,19 @@ def resolve_assign_backend(requested: str = "auto") -> tuple[str, Any | None]:
         )
     if requested in ("dense", "pruned"):
         return requested, None
-    from repro.native import auto_native, get_kernels
+    from repro.native import get_kernels
 
+    # the probe smoke-tests assign_block: a probed namespace carries it
+    kernels = get_kernels()
+    if kernels is not None:
+        return "native", kernels
     if requested == "native":
-        kernels = get_kernels()
-        if kernels is not None and hasattr(kernels, "assign_block"):
-            return "native", kernels
         warnings.warn(
             "assign_backend='native' requested but no native backend "
             "provides the assign kernel; falling back to 'pruned'",
             RuntimeWarning,
             stacklevel=2,
         )
-        return "pruned", None
-    # auto: silent best-available choice
-    if auto_native():
-        kernels = get_kernels()
-        if kernels is not None and hasattr(kernels, "assign_block"):
-            return "native", kernels
     return "pruned", None
 
 
@@ -293,8 +290,8 @@ class AssignmentIndex:
         """Batch-assign; ``-1`` for points with no neighbors anywhere.
 
         ``kernels`` is a probed :mod:`repro.native` namespace; when it
-        provides ``assign_block`` (and ``theta > 0``) the fused native
-        kernel runs, otherwise the numpy/scipy pruned path.
+        is given (and ``theta > 0``) the fused native kernel runs,
+        otherwise the numpy/scipy pruned path.
         """
         return self.assign_with_scores(points, block_size=block_size, kernels=kernels)[0]
 
@@ -315,11 +312,7 @@ class AssignmentIndex:
         n = len(points)
         labels = np.empty(n, dtype=np.int64)
         best = np.empty(n, dtype=np.float64)
-        use_kernel = (
-            kernels is not None
-            and getattr(kernels, "assign_block", None) is not None
-            and self.theta > 0.0
-        )
+        use_kernel = kernels is not None and self.theta > 0.0
         for start in range(0, n, max(block_size, 1)):
             block = points[start : start + block_size]
             q_indptr, q_items, q_sizes = self.encode_sparse(block)

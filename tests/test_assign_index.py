@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.core.labeling import ClusterLabeler, LabelingIndex
 from repro.data.records import MISSING, CategoricalRecord, CategoricalSchema
 from repro.data.transactions import Transaction
-from repro.native import _BACKEND_NAMES, get_kernels
+from repro.native import get_kernels
 from repro.serve import (
     AssignmentEngine,
     AssignmentIndex,
@@ -32,13 +32,9 @@ from repro.serve import (
     resolve_assign_backend,
 )
 
-# every probed kernel namespace that offers the assign kernel; tests
-# loop over whatever works on this machine (numba and/or the C tier)
-ASSIGN_KERNELS = [
-    kernels
-    for kernels in (get_kernels(name) for name in _BACKEND_NAMES)
-    if kernels is not None and hasattr(kernels, "assign_block")
-]
+# the probed C tier, when it works on this machine; tests loop over
+# this (empty or one-element) list
+ASSIGN_KERNELS = [kernels for kernels in (get_kernels(),) if kernels is not None]
 
 THETAS = [0.0, 0.2, 0.4, 0.5, 0.75, 1.0]
 
@@ -221,13 +217,17 @@ class TestBackendResolution:
         assert resolve_assign_backend("dense") == ("dense", None)
         assert resolve_assign_backend("pruned") == ("pruned", None)
 
-    def test_auto_resolves_to_fast_tier(self):
-        backend, kernels = resolve_assign_backend("auto")
-        assert backend in ("pruned", "native")
-        if backend == "native":
-            assert hasattr(kernels, "assign_block")
-        else:
-            assert kernels is None
+    def test_auto_resolves_to_fast_tier(self, monkeypatch):
+        """native wherever the C tier probed clean, pruned under the
+        ``REPRO_NATIVE=0`` kill switch -- silently either way."""
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
+        kernels = get_kernels()
+        expected = ("pruned", None) if kernels is None else ("native", kernels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resolve_assign_backend("auto") == expected
+            monkeypatch.setenv("REPRO_NATIVE", "0")
+            assert resolve_assign_backend("auto") == ("pruned", None)
 
     def test_native_degrades_with_warning_when_unavailable(self, monkeypatch):
         import repro.native

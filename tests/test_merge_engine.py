@@ -165,9 +165,22 @@ class TestMergeHistoryEquivalence:
 
 
 class TestMergeMethodDispatch:
-    def test_resolve(self):
-        assert resolve_merge_method("auto", goodness) == "fast"
-        assert resolve_merge_method("auto", naive_goodness) == "fast"
+    def test_resolve(self, monkeypatch):
+        import warnings
+
+        import repro.native
+
+        # auto: native wherever the C tier probed clean, fast under the
+        # REPRO_NATIVE=0 kill switch -- silently either way
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
+        promoted = "native" if repro.native.native_available() else "fast"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resolve_merge_method("auto", goodness) == promoted
+            assert resolve_merge_method("auto", naive_goodness) == promoted
+            monkeypatch.setenv("REPRO_NATIVE", "0")
+            assert resolve_merge_method("auto", goodness) == "fast"
+            assert resolve_merge_method("auto", naive_goodness) == "fast"
         assert resolve_merge_method("heap", goodness) == "heap"
         assert resolve_merge_method("fast", goodness) == "fast"
         # custom callables stay on the reference loop under auto

@@ -1,20 +1,18 @@
-"""Backend fallback: native modes degrade, never crash.
+"""Backend fallback: native is the default, and it degrades, never crashes.
 
-The native kernels are an acceleration, not a requirement: a checkout
-without numba (or without any working backend at all) must keep every
-existing behaviour byte for byte.  Forced ``native`` modes that cannot
-run fall back to the reference paths with exactly one warning; ``auto``
-modes stay silent.  These tests simulate the failure modes -- numba
-missing (an import hook, which is also the true state of a machine
-without the ``[native]`` extra), every backend disabled via
-``REPRO_NATIVE=0``, custom goodness callables, and ``min_neighbors > 1``
--- and pin the warning counts, the fallback targets, and the recorded
+The C kernels are an acceleration, not a requirement.  Where the probe
+passes, every ``auto`` switch -- merge engine, assignment backend, the
+pipeline's labeling scan -- promotes to native silently.  Where it
+fails (no compiler, a failed build, a smoke-test mismatch, or the
+``REPRO_NATIVE=0`` kill switch) every behaviour stays byte for byte
+on the reference paths: forced ``native`` modes fall back with exactly
+one warning, ``auto`` modes stay silent, and :func:`backend_info`
+records why.  These tests simulate each failure mode and pin the
+warning counts, the fallback targets, the recorded reason, and the
 backend observability (``PipelineResult.backends``, model metadata,
 ``fit.backend.*`` gauges).
 """
 
-import builtins
-import sys
 import warnings
 
 import numpy as np
@@ -22,11 +20,14 @@ import pytest
 
 import repro.native as native
 from repro.core.goodness import naive_goodness
+from repro.core.labeling import LabelingIndex
 from repro.core.merge import resolve_merge_method
 from repro.core.pipeline import RockPipeline
 from repro.core.rock import rock
 from repro.data.transactions import Transaction, TransactionDataset
+from repro.native import cext
 from repro.obs.trace import Tracer
+from repro.serve.index import resolve_assign_backend
 
 
 @pytest.fixture(autouse=True)
@@ -39,25 +40,29 @@ def reset_probe_cache():
 
 @pytest.fixture
 def no_backends(monkeypatch):
-    """Disable every native tier, as on a machine with no toolchain."""
+    """Disable the native tier with the kill switch."""
     monkeypatch.setenv("REPRO_NATIVE", "0")
     native._reset_for_tests()
 
 
 @pytest.fixture
-def no_numba(monkeypatch):
-    """Make ``import numba`` fail even if the extra is installed."""
-    real_import = builtins.__import__
-
-    def blocked(name, *args, **kwargs):
-        if name == "numba" or name.startswith("numba."):
-            raise ImportError("numba blocked by test")
-        return real_import(name, *args, **kwargs)
-
-    monkeypatch.delitem(sys.modules, "numba", raising=False)
-    monkeypatch.delitem(sys.modules, "repro.native.numba_backend", raising=False)
-    monkeypatch.setattr(builtins, "__import__", blocked)
+def missing_compiler(monkeypatch, tmp_path):
+    """A machine whose only C compiler is missing, with a cold cache."""
+    monkeypatch.delenv("REPRO_NATIVE", raising=False)
+    monkeypatch.setenv("CC", str(tmp_path / "no-such-cc"))
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))
     native._reset_for_tests()
+    return tmp_path / "cache"
+
+
+@pytest.fixture
+def c_tier(monkeypatch):
+    """The C tier with the kill switch off; skips where it cannot build."""
+    monkeypatch.delenv("REPRO_NATIVE", raising=False)
+    native._reset_for_tests()
+    if native.get_kernels() is None:
+        pytest.skip(f"C tier unavailable: {native.backend_info()['reason']}")
+    return native.get_kernels()
 
 
 def baskets(n_clusters: int = 3, per: int = 8, seed: int = 3):
@@ -70,16 +75,41 @@ def baskets(n_clusters: int = 3, per: int = 8, seed: int = 3):
     return TransactionDataset(txns)
 
 
-class TestProbe:
-    def test_numba_absent_probe_returns_none(self, no_numba):
-        assert native.get_kernels("numba") is None
-        # auto never promotes without numba unless REPRO_NATIVE opts in
-        assert not native.auto_native() or native.available_backend() == "numba"
+def count_dense_labeling(monkeypatch) -> list[int]:
+    """Count the dense ``LabelingIndex.assign`` scans of the next fits."""
+    calls: list[int] = []
+    dense_assign = LabelingIndex.assign
 
-    def test_numba_absent_is_not_fatal(self, no_numba):
-        """The full fit still runs (C tier or pure-Python fallback)."""
-        data = baskets()
-        result = rock(data, k=3, theta=0.5)
+    def counted(self, points, block_size=None):
+        calls.append(1)
+        return dense_assign(self, points, block_size)
+
+    monkeypatch.setattr(LabelingIndex, "assign", counted)
+    return calls
+
+
+class TestProbe:
+    def test_missing_compiler_probe_records_reason(self, missing_compiler):
+        assert native.get_kernels() is None
+        assert native.available_backend() is None
+        assert not native.native_available()
+        assert not native.auto_native()
+        info = native.backend_info()
+        assert info["backend"] is None and info["disabled"] is False
+        assert "no-such-cc" in info["reason"] and "not found" in info["reason"]
+        # nothing was built: the failure happened before the compile
+        assert not missing_compiler.exists()
+
+    def test_missing_compiler_fit_is_quiet(self, missing_compiler, monkeypatch):
+        """A default sampled fit runs on fast + dense, without a warning."""
+        dense_scans = count_dense_labeling(monkeypatch)
+        data = baskets(per=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # any warning fails the test
+            result = RockPipeline(k=3, theta=0.5, sample_size=30, seed=1).fit(data)
+            assert resolve_assign_backend("auto") == ("pruned", None)
+        assert result.backends == {"fit": "auto", "merge": "fast"}
+        assert dense_scans == [1]
         assert len(result.clusters) >= 1
 
     def test_disabled_env_kills_every_tier(self, no_backends):
@@ -87,45 +117,52 @@ class TestProbe:
         assert native.available_backend() is None
         assert not native.native_available()
         assert not native.auto_native()
-        assert native.backend_info() == {"backend": None, "disabled": True}
+        assert native.backend_info() == {
+            "backend": None,
+            "disabled": True,
+            "reason": "disabled by REPRO_NATIVE=0",
+        }
 
-    def test_backend_env_restricts_probe(self, monkeypatch):
-        cext = native.get_kernels("cext")
-        if cext is None:
-            pytest.skip("C tier unavailable")
-        monkeypatch.setenv("REPRO_NATIVE_BACKEND", "cext")
+    def test_enabled_env_changes_nothing(self, c_tier, monkeypatch):
+        """``REPRO_NATIVE=1`` is accepted and is the default anyway."""
+        default = native.backend_info()
+        monkeypatch.setenv("REPRO_NATIVE", "1")
         native._reset_for_tests()
-        assert native.available_backend() == "cext"
+        assert native.backend_info() == default
+        assert native.auto_native()
 
-    def test_unknown_backend_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown native backend"):
-            native.get_kernels("turbo")
+    def test_broken_kernels_degrade_silently(self, c_tier, monkeypatch):
+        """A loader that raises, or kernels that fail the smoke test,
+        leave the tier absent with the failure as the reason, and the
+        default fit stays on the reference engines without a warning."""
 
-    def test_broken_kernels_degrade_silently(self, monkeypatch):
-        """A tier whose probe blows up is treated as absent."""
-
-        def boom(name):
+        def boom():
             raise RuntimeError("toolchain on fire")
 
-        monkeypatch.setattr(native, "_probe", boom, raising=True)
-        # get_kernels propagates nothing: _probe is wrapped per-tier, so
-        # patching the whole probe simulates total breakage
-        with pytest.raises(RuntimeError):
-            native.get_kernels()
-        # the real guard lives inside _probe: a backend loader that
-        # raises is recorded as None
-        monkeypatch.undo()
-        native._reset_for_tests()
+        class WrongScores:
+            """The real kernels with a miscompiled ``score_block``."""
 
-        class BrokenLoader:
-            @staticmethod
-            def load_kernels():
-                raise RuntimeError("jit exploded")
+            name, info = "cext", {}
 
-        monkeypatch.setitem(
-            sys.modules, "repro.native.numba_backend", BrokenLoader
-        )
-        assert native.get_kernels("numba") is None
+            def __getattr__(self, attr):
+                return getattr(c_tier, attr)
+
+            def score_block(self, *args):
+                indptr, indices = c_tier.score_block(*args)
+                return indptr, indices[:0]
+
+        for loader, reason in (
+            (boom, "toolchain on fire"),
+            (WrongScores, "score_block smoke test mismatch"),
+        ):
+            monkeypatch.setattr(cext, "load_kernels", loader)
+            native._reset_for_tests()
+            assert native.get_kernels() is None
+            assert native.backend_info()["reason"] == reason
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = RockPipeline(k=3, theta=0.5, seed=1).fit(baskets())
+        assert result.backends == {"fit": "auto", "merge": "fast"}
 
 
 class TestForcedNativeFallsBack:
@@ -182,14 +219,29 @@ class TestForcedNativeFallsBack:
 
 
 class TestAutoStaysSilent:
-    def test_auto_without_opt_in_is_quiet(self, no_numba):
-        """Plain checkout: auto modes never warn, never go native."""
-        data = baskets()
+    def test_auto_without_opt_in_is_quiet(self, c_tier, monkeypatch):
+        """No ``REPRO_NATIVE`` set: auto goes native for merge, assign
+        and labeling; under ``REPRO_NATIVE=0`` it stays on fast, pruned
+        and the dense labeling scan.  Neither side warns."""
+        dense_scans = count_dense_labeling(monkeypatch)
+        data = baskets(per=20)
+        pipeline = RockPipeline(k=3, theta=0.5, sample_size=30, seed=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # any warning fails the test
-            result = RockPipeline(k=3, theta=0.5, seed=1).fit(data)
-        assert not result.backends["fit"].startswith("native")
-        assert not result.backends["merge"].startswith("native")
+            assert resolve_merge_method("auto") == "native"
+            assert resolve_assign_backend("auto") == ("native", c_tier)
+            promoted = pipeline.fit(data)
+            assert promoted.backends["merge"] == "native:cext"
+            assert dense_scans == []
+
+            monkeypatch.setenv("REPRO_NATIVE", "0")
+            assert resolve_merge_method("auto") == "fast"
+            assert resolve_assign_backend("auto") == ("pruned", None)
+            reference = pipeline.fit(data)
+            assert reference.backends == {"fit": "auto", "merge": "fast"}
+            assert dense_scans == [1]
+        assert np.array_equal(promoted.labels, reference.labels)
+        assert promoted.clusters == reference.clusters
 
     def test_auto_disabled_env_is_quiet(self, no_backends):
         data = baskets()

@@ -8,15 +8,12 @@ engine must replay the same merge history -- bitwise-equal goodness
 floats and identical ``heap_ops`` accounting -- as both the Figure 3
 reference loop and the fast Python engine.  The hypothesis properties
 mirror ``tests/test_merge_engine.py`` and ``tests/test_parallel_fit.py``
-and run against every backend tier that probes successfully on this
-machine (numba where the ``[native]`` extra is installed, the C
-extension wherever a system compiler exists); unavailable tiers skip.
+and run against the C tier wherever it probes clean (a system compiler
+exists and ``REPRO_NATIVE`` is not off); elsewhere the module skips.
 """
 
 import math
-import os
 import random
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -39,7 +36,7 @@ from repro.core.pipeline import RockPipeline
 from repro.core.rock import cluster_with_links, rock
 from repro.core.similarity import JaccardSimilarity, OverlapSimilarity
 from repro.data.transactions import Transaction, TransactionDataset
-from repro.native import _BACKEND_NAMES, _reset_for_tests, get_kernels
+from repro.native import get_kernels
 from repro.native.links import (
     native_fit_supported,
     native_neighbor_links,
@@ -49,28 +46,13 @@ from repro.native.merge import native_component_streams, native_merge_supported
 from repro.obs.registry import MetricsRegistry
 from repro.parallel.links import fused_neighbor_links
 
-# probe once per tier; tests loop over whatever works on this machine
-AVAILABLE = [name for name in _BACKEND_NAMES if get_kernels(name) is not None]
+# the probed tier; parametrized tests carry its name ("cext") as their id
+KERNELS = get_kernels()
+AVAILABLE = [] if KERNELS is None else [KERNELS.name]
 
 pytestmark = pytest.mark.skipif(
-    not AVAILABLE, reason="no native backend available on this machine"
+    KERNELS is None, reason="no native backend available on this machine"
 )
-
-
-@contextmanager
-def forced_backend(name: str):
-    """Pin ``get_kernels()`` (no-arg form) to one tier for a block."""
-    old = os.environ.get("REPRO_NATIVE_BACKEND")
-    os.environ["REPRO_NATIVE_BACKEND"] = name
-    _reset_for_tests()
-    try:
-        yield get_kernels(name)
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_NATIVE_BACKEND", None)
-        else:
-            os.environ["REPRO_NATIVE_BACKEND"] = old
-        _reset_for_tests()
 
 
 item_sets = st.lists(
@@ -116,18 +98,16 @@ class TestNativeFusedPass:
             dataset, theta, similarity=similarity, workers=1,
             block_size=block_size, keep_graph=True,
         )
-        for name in AVAILABLE:
-            with forced_backend(name):
-                native = native_neighbor_links(
-                    dataset, theta, similarity=similarity, workers=1,
-                    block_size=block_size, keep_graph=True,
-                )
-            assert tables_equal(native.links, reference.links)
-            assert np.array_equal(native.degrees, reference.degrees)
-            for a, b in zip(
-                native.graph.neighbor_lists(), reference.graph.neighbor_lists()
-            ):
-                assert np.array_equal(a, b)
+        native = native_neighbor_links(
+            dataset, theta, similarity=similarity, workers=1,
+            block_size=block_size, keep_graph=True,
+        )
+        assert tables_equal(native.links, reference.links)
+        assert np.array_equal(native.degrees, reference.degrees)
+        for a, b in zip(
+            native.graph.neighbor_lists(), reference.graph.neighbor_lists()
+        ):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("backend", AVAILABLE)
     def test_worker_count_invariance(self, backend):
@@ -138,13 +118,8 @@ class TestNativeFusedPass:
             ))
             for _ in range(120)
         ])
-        with forced_backend(backend):
-            serial = native_neighbor_links(
-                dataset, 0.4, workers=1, block_size=16
-            )
-            fanned = native_neighbor_links(
-                dataset, 0.4, workers=3, block_size=16
-            )
+        serial = native_neighbor_links(dataset, 0.4, workers=1, block_size=16)
+        fanned = native_neighbor_links(dataset, 0.4, workers=3, block_size=16)
         assert tables_equal(serial.links, fanned.links)
         assert np.array_equal(serial.degrees, fanned.degrees)
         reference = fused_neighbor_links(dataset, 0.4, workers=1, block_size=16)
@@ -160,8 +135,7 @@ class TestNativeFusedPass:
         assert np.array_equal(np.diff(csr.indptr), csr.sizes)
         assert csr.t_indices.size == csr.indices.size
         registry = MetricsRegistry()
-        with forced_backend(backend):
-            native_neighbor_links(dataset, 0.5, workers=1, registry=registry)
+        native_neighbor_links(dataset, 0.5, workers=1, registry=registry)
         counters = registry.snapshot()["counters"]
         assert counters["fit.native.blocks"] >= 1
         assert counters["fit.native.rows"] == 3
@@ -228,12 +202,8 @@ class TestNativeMergeEngine:
         ref = cluster_with_links(links, merge_method="heap", **kwargs)
         fast = cluster_with_links(links, merge_method="fast", **kwargs)
         assert_identical(ref, fast)
-        for name in AVAILABLE:
-            with forced_backend(name):
-                native = cluster_with_links(
-                    links, merge_method="native", **kwargs
-                )
-            assert_identical(ref, native)
+        native = cluster_with_links(links, merge_method="native", **kwargs)
+        assert_identical(ref, native)
 
     @pytest.mark.parametrize("backend", AVAILABLE)
     def test_streams_and_heap_ops_identical(self, backend):
@@ -250,10 +220,9 @@ class TestNativeMergeEngine:
         kernel = merge_kernel_for(goodness, default_f(0.5), n_max=90)
         serial = [component_merge_stream(p, kernel) for p in problems]
         registry = MetricsRegistry()
-        with forced_backend(backend) as kernels:
-            native = native_component_streams(
-                problems, kernel, kernels, registry=registry
-            )
+        native = native_component_streams(
+            problems, kernel, KERNELS, registry=registry
+        )
         assert len(native) == len(serial)
         for a, b in zip(serial, native):
             assert np.array_equal(a.left, b.left)
@@ -273,10 +242,9 @@ class TestNativeMergeEngine:
         ref = cluster_with_links(
             links, k=1, f_theta=default_f(0.5), merge_method="heap"
         )
-        with forced_backend(backend):
-            native = cluster_with_links(
-                links, k=1, f_theta=default_f(0.5), merge_method="native"
-            )
+        native = cluster_with_links(
+            links, k=1, f_theta=default_f(0.5), merge_method="native"
+        )
         assert ref.stopped_early and native.stopped_early
         assert_identical(ref, native)
 
@@ -294,15 +262,18 @@ class TestNativeMergeEngine:
 
 class TestNativeAssignKernel:
     def test_probe_advertises_assign_block(self):
-        """Every advertised tier carries the serving assign kernel.
+        """The probed tier carries the serving assign kernel.
 
-        The probe's smoke test exercises ``assign_block`` before a tier
-        is offered at all, so a namespace without it (or with a broken
-        one) must never reach ``AVAILABLE``.
+        The probe's smoke test exercises ``assign_block`` before the
+        tier is offered at all, so a namespace without it (or with a
+        broken one) must never come out of :func:`get_kernels`.
         """
-        for name in AVAILABLE:
-            kernels = get_kernels(name)
-            assert hasattr(kernels, "assign_block"), name
+        assert KERNELS.name == "cext"
+        for fn in (
+            "score_block", "mirror_neighbors", "pair_count_reduce",
+            "merge_component", "assign_block",
+        ):
+            assert callable(getattr(KERNELS, fn)), fn
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -333,13 +304,11 @@ class TestNativeAssignKernel:
             batch, block_size=block_size
         )
         assert np.array_equal(dense.assign(batch), ref_labels)
-        for name in AVAILABLE:
-            kernels = get_kernels(name)
-            labels, best = fast.assign_with_scores(
-                batch, block_size=block_size, kernels=kernels
-            )
-            assert np.array_equal(labels, ref_labels), name
-            assert best.tobytes() == ref_best.tobytes(), name
+        labels, best = fast.assign_with_scores(
+            batch, block_size=block_size, kernels=KERNELS
+        )
+        assert np.array_equal(labels, ref_labels)
+        assert best.tobytes() == ref_best.tobytes()
 
 
 # -- end to end ---------------------------------------------------------------
@@ -361,10 +330,9 @@ class TestNativeEndToEnd:
     def test_rock_native_modes(self, backend):
         data = self._baskets()
         ref = rock(data, k=4, theta=0.5, fit_mode="fused", merge_method="heap")
-        with forced_backend(backend):
-            native = rock(
-                data, k=4, theta=0.5, fit_mode="native", merge_method="native"
-            )
+        native = rock(
+            data, k=4, theta=0.5, fit_mode="native", merge_method="native"
+        )
         assert_identical(ref, native)
 
     @pytest.mark.parametrize("backend", AVAILABLE)
@@ -376,10 +344,9 @@ class TestNativeEndToEnd:
         ref = RockPipeline(
             fit_mode="fused", merge_method="heap", **kwargs
         ).fit(data)
-        with forced_backend(backend):
-            native = RockPipeline(
-                fit_mode="native", merge_method="native", **kwargs
-            ).fit(data)
+        native = RockPipeline(
+            fit_mode="native", merge_method="native", **kwargs
+        ).fit(data)
         assert ref.clusters == native.clusters
         assert np.array_equal(ref.labels, native.labels)
         assert ref.outlier_indices == native.outlier_indices

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.native import backend_info
 from repro.obs import (
     MANIFEST_FORMAT,
     MANIFEST_VERSION,
@@ -21,9 +22,10 @@ class TestHostMetadata:
         meta = host_metadata()
         assert set(meta) == {
             "platform", "python", "machine", "cpu_count", "numpy", "scipy",
-            "mem_total_bytes", "mem_available_bytes",
+            "mem_total_bytes", "mem_available_bytes", "native",
         }
         assert isinstance(meta["cpu_count"], int)
+        assert meta["native"] == backend_info()
         json.dumps(meta)  # JSON-plain
 
 

@@ -2,7 +2,8 @@
 
 The dense fit path fills its boolean adjacency from row blocks of
 scores, squares it into a :class:`LinkTable` block by block, and labels
-the unsampled points in :class:`LabelingIndex` row blocks.  Each must
+the unsampled points on the native ``assign_block`` kernel, or in
+:class:`LabelingIndex` row blocks under ``REPRO_NATIVE=0``.  Each must
 reproduce its oracle exactly -- thresholded ``pairwise`` similarity,
 ``LinkTable.from_dense(dense_link_matrix(g))``, and the per-point
 ``ClusterLabeler.assign`` loop -- for every block size, including the
@@ -41,6 +42,8 @@ from repro.core.similarity import (
 )
 from repro.data.records import CategoricalDataset, CategoricalRecord, CategoricalSchema
 from repro.data.transactions import Transaction, TransactionDataset
+from repro.native import get_kernels
+from repro.serve.index import AssignmentIndex
 
 SIMILARITIES = [JaccardSimilarity(), OverlapSimilarity()]
 
@@ -201,6 +204,38 @@ def per_point(labeler, points):
     return [labeler.assign(p) for p in points]
 
 
+def _per_point_assign_all(self, points):
+    return np.array([self.assign(p) for p in points], dtype=np.int64)
+
+
+def route_labels(make_labels, theta):
+    """Labels of ``make_labels()`` after checking that the native route,
+    the ``REPRO_NATIVE=0`` dense route and the per-point loop agree, and
+    that only the native run scanned through the kernel -- once, and
+    only when ``theta > 0`` and the C tier probed clean."""
+    labels, scans = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        native_assign = AssignmentIndex.assign
+
+        def counted(self, *args, **kwargs):
+            scans[-1] += 1
+            return native_assign(self, *args, **kwargs)
+
+        mp.setattr(AssignmentIndex, "assign", counted)
+        mp.delenv("REPRO_NATIVE", raising=False)
+        kernel_runs = int(get_kernels() is not None and theta > 0.0)
+        for route in ("native", "dense", "per-point"):
+            if route == "dense":
+                mp.setenv("REPRO_NATIVE", "0")
+            if route == "per-point":
+                mp.setattr(ClusterLabeler, "assign_all", _per_point_assign_all)
+            scans.append(0)
+            labels.append(np.asarray(make_labels()).tolist())
+    assert labels[0] == labels[1] == labels[2]
+    assert scans == [kernel_runs, 0, 0]
+    return labels[0]
+
+
 class TestAssignAll:
     def test_accepts_a_generator(self):
         labeler = ClusterLabeler([CLUSTER_A, CLUSTER_B], theta=0.4)
@@ -233,11 +268,13 @@ class TestAssignAll:
         st.integers(1, 7),
     )
     def test_index_blocks_equal_per_point(self, reps, points, theta, block_size):
+        """Every route, fed a generator; empty ``L_i``, empty points and
+        items outside the representative vocabulary are all drawn."""
         labeler = ClusterLabeler(
             [[Transaction(s) for s in li] for li in reps], theta=theta
         )
         expected = per_point(labeler, points)
-        assert labeler.assign_all(points).tolist() == expected
+        assert route_labels(lambda: labeler.assign_all(iter(points)), theta) == expected
         assert labeler.index.assign(points, block_size=block_size).tolist() == expected
 
 
@@ -271,7 +308,7 @@ class TestAssignBlockBudget:
         assert seen == [3, 2]
 
 
-def _basket_data(seed, n_clusters=4, per_cluster=60, noise=20):
+def _basket_data(seed, n_clusters=4, per_cluster=60, noise=20, empty=0):
     rng = np.random.default_rng(seed)
     rows = []
     for c in range(n_clusters):
@@ -280,12 +317,9 @@ def _basket_data(seed, n_clusters=4, per_cluster=60, noise=20):
                  for _ in range(per_cluster)]
     rows += [frozenset(rng.choice(200, size=4, replace=False).tolist())
              for _ in range(noise)]
+    rows += [frozenset()] * empty
     order = rng.permutation(len(rows))
     return TransactionDataset([Transaction(rows[i]) for i in order])
-
-
-def _per_point_assign_all(self, points):
-    return np.array([self.assign(p) for p in points], dtype=np.int64)
 
 
 class TestPipelineLabeling:
@@ -308,3 +342,24 @@ class TestPipelineLabeling:
         assert batched.labels.tolist() == looped.labels.tolist()
         assert batched.clusters == looped.clusters
         assert (batched.labels >= 0).sum() > len(ds) // 2
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        theta=thetas(),
+        sample_size=st.integers(10, 80),
+        empty=st.integers(0, 3),
+    )
+    def test_sampled_fit_labels_agree_on_every_route(
+        self, seed, theta, sample_size, empty
+    ):
+        """Native, dense and per-point labeling of a sampled fit, with
+        empty and out-of-vocabulary transactions among the rest."""
+        ds = _basket_data(seed, per_cluster=20, noise=10, empty=empty)
+
+        def labels():
+            return RockPipeline(
+                k=4, theta=theta, sample_size=sample_size, min_neighbors=0, seed=seed
+            ).fit(ds).labels
+
+        route_labels(labels, theta)
