@@ -4,7 +4,8 @@ Benches the three neighbor+link kernel configurations against each
 other on the same clustered-basket generator as ``bench_blocked_fit``:
 
 * ``blocked`` -- the PR 2 serial row-block kernel (dense matmul scorer)
-  followed by the Figure 4 sparse link counter: the baseline.
+  followed by Figure 4 pair-code counting (``compute_links(method=
+  "sparse")``, in C when the native tier probes): the baseline.
 * ``parallel:W`` -- ``parallel_neighbor_graph`` + ``parallel_link_table``
   with W workers (CSR intersection scorer with integer prefilter,
   vectorised pair counting).

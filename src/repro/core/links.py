@@ -8,13 +8,16 @@ strategies:
 * view the problem as squaring the boolean adjacency matrix ``A``
   (Section 4.4, first paragraph) -- implemented by
   :func:`dense_link_matrix` with one numpy matrix product (the oracle),
-  and by :func:`blocked_link_table`, which squares ``A`` one float32
-  row block at a time straight into a :class:`LinkTable`;
+  and by :func:`blocked_link_table`, which squares the upper triangle
+  of ``A`` one float32 row block at a time;
 * the sparse neighbor-list algorithm of Figure 4, which for every point
   increments the link count of every pair of its neighbors -- cost
-  ``O(sum_i m_i^2)`` -- implemented by :func:`sparse_link_table`.
+  ``O(sum_i m_i^2)`` -- implemented by :func:`sparse_link_table` as
+  pair-code counting (C ``pair_count_reduce`` or numpy).
 
-Both return the same counts; the equivalence is property-tested.
+Every producer emits the same sorted upper-triangle pair codes
+``i * n + j`` and counts, which :class:`LinkTable` holds as two arrays;
+the equivalence is property-tested.
 
 As an extension (the paper's Section 3.2 sketches "alternative
 definitions for links, based on paths of length 3 or more"),
@@ -31,109 +34,125 @@ import numpy as np
 
 from repro.core.neighbors import DENSE_BLOCK_ROWS, NeighborGraph
 
+_EMPTY_CODES = np.empty(0, dtype=np.int64)
+
+# ``auto`` counts pair codes while sum_i m_i^2 < SPARSE_LINK_RATIO * n^2
+# and squares the adjacency in row blocks above: the measured crossover
+# (ablation A4) is 1.2-1.5 n^2 for the C count and about n^2 for numpy,
+# and below it the count's ~10 bytes per pair increment stay within
+# twice the dense path's 5 n^2 bytes.
+SPARSE_LINK_RATIO = 1
+
+
+def _as_counts(counts: np.ndarray) -> np.ndarray:
+    """int64 for integer counts, float64 for weighted ones."""
+    kind = np.int64 if counts.dtype.kind in "biu" else np.float64
+    return counts.astype(kind, copy=False)
+
 
 class LinkTable:
-    """Sparse symmetric table of positive link counts.
+    """Sparse symmetric table of positive link counts, held as arrays.
 
-    Stores, for every point ``i``, a dict of ``j -> link(i, j)`` for the
-    points ``j`` with at least one common neighbor.  Pairs absent from
-    the table have zero links.  Both directions are stored so lookups
-    and row iteration are O(1)/O(row).
-
-    Counts are integers for the paper's binary links and floats for the
-    similarity-weighted variant (:func:`weighted_link_matrix`); the
-    merge loop consumes either.
+    ``codes`` lists every linked pair once as the int64 code
+    ``i * n + j`` with ``i < j``, sorted and unique; ``counts[k]`` is
+    the link count of pair ``codes[k]`` (int64 for the paper's binary
+    links, float64 for the weighted variant of
+    :func:`weighted_link_matrix`).  Absent pairs have zero links.  The
+    arrays are read-only and taken on trust; :meth:`from_pair_counts`
+    validates.  ``producer`` names the kernel that counted the pairs.
+    ``row`` and ``get`` read a symmetric CSR index built on first use,
+    for the oracles and tests only (:mod:`repro.core.reference`,
+    :func:`repro.core.goodness.intra_cluster_links`).
     """
 
-    def __init__(self, n: int) -> None:
+    def __init__(
+        self, n: int, codes: np.ndarray = _EMPTY_CODES,
+        counts: np.ndarray = _EMPTY_CODES, producer: str | None = None,
+    ) -> None:
         self.n = n
-        self._rows: list[dict[int, float]] = [dict() for _ in range(n)]
+        self.codes = codes
+        self.counts = counts
+        self.producer = producer
+        self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    def increment(self, i: int, j: int, amount: float = 1) -> None:
-        if i == j:
-            raise ValueError("links are defined between distinct points")
-        self._rows[i][j] = self._rows[i].get(j, 0) + amount
-        self._rows[j][i] = self._rows[j].get(i, 0) + amount
+    def _ends(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.divmod(self.codes, max(self.n, 1))
 
     def get(self, i: int, j: int) -> float:
         if i == j:
             raise ValueError("links are defined between distinct points")
-        return self._rows[i].get(j, 0)
+        return self.row(i).get(j, 0)
 
     def row(self, i: int) -> dict[int, float]:
-        """Positive-link partners of point ``i`` (do not mutate)."""
-        return self._rows[i]
+        """Positive-link partners of point ``i``, ascending."""
+        if self._csr is None:
+            lo, hi = self._ends()
+            rows = np.concatenate([lo, hi])
+            cols = np.concatenate([hi, lo])
+            order = np.argsort(rows * self.n + cols, kind="stable")
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
+            values = np.concatenate([self.counts, self.counts])
+            self._csr = (indptr, cols[order], values[order])
+        indptr, cols, values = self._csr
+        start, stop = indptr[i], indptr[i + 1]
+        return dict(zip(cols[start:stop].tolist(), values[start:stop].tolist()))
 
     def pairs(self) -> Iterator[tuple[int, int, float]]:
-        """Yield each linked pair once as ``(i, j, count)`` with ``i < j``."""
-        for i, row in enumerate(self._rows):
-            for j, count in row.items():
-                if i < j:
-                    yield i, j, count
+        """Yield each linked pair once as ``(i, j, count)``, in code order."""
+        lo, hi = self._ends()
+        return zip(lo.tolist(), hi.tolist(), self.counts.tolist())
 
     def nnz_pairs(self) -> int:
         """Number of unordered pairs with a positive link count."""
-        return sum(len(row) for row in self._rows) // 2
+        return int(self.codes.size)
 
     def pair_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every linked pair as ``(i, j, counts)`` arrays with ``i < j``.
 
-        Pairs appear in the same order :meth:`pairs` yields them (row
-        by row); one O(pairs) pass, no ``n x n`` intermediate.  The
-        vectorized entry point for the fast merge engine.
+        In code order (the order :meth:`pairs` yields), counts as
+        float64 -- the vectorized entry point for the fast merge engine.
         """
-        total = self.nnz_pairs()
-        i_arr = np.empty(total, dtype=np.int64)
-        j_arr = np.empty(total, dtype=np.int64)
-        counts = np.empty(total, dtype=np.float64)
-        pos = 0
-        for i, row in enumerate(self._rows):
-            for j, count in row.items():
-                if i < j:
-                    i_arr[pos] = i
-                    j_arr[pos] = j
-                    counts[pos] = count
-                    pos += 1
-        return i_arr, j_arr, counts
+        lo, hi = self._ends()
+        return lo, hi, self.counts.astype(np.float64)
 
     def to_dense(self) -> np.ndarray:
-        integral = all(
-            float(count).is_integer() for _, _, count in self.pairs()
-        )
-        dtype = np.int64 if integral else np.float64
-        dense = np.zeros((self.n, self.n), dtype=dtype)
-        for i, j, count in self.pairs():
-            dense[i, j] = dense[j, i] = count
+        counts = self.counts
+        integral = counts.dtype.kind != "f" or np.all(counts == np.floor(counts))
+        dense = np.zeros((self.n, self.n), np.int64 if integral else np.float64)
+        lo, hi = self._ends()
+        dense[lo, hi] = dense[hi, lo] = counts
         return dense
 
     @classmethod
     def from_pair_counts(
-        cls, n: int, codes: np.ndarray, counts: np.ndarray
+        cls, n: int, codes: np.ndarray, counts: np.ndarray,
+        producer: str | None = None,
     ) -> "LinkTable":
-        """Build a table from packed pair codes ``i * n + j`` (``i < j``).
+        """Wrap packed pair codes ``i * n + j`` (``i < j``) and counts.
 
-        The inverse of :func:`repro.parallel.links.pair_link_counts` /
-        ``merge_pair_counts``: one dict store per linked pair instead of
-        one per increment.
+        The output format of :func:`repro.parallel.links.pair_link_counts`
+        and the C ``pair_count_reduce``.  Unsorted input is sorted;
+        duplicate codes and counts ``<= 0`` are rejected, since either
+        would silently misstate the links.
         """
         codes = np.asarray(codes, dtype=np.int64)
-        counts = np.asarray(counts)
+        counts = _as_counts(np.asarray(counts))
         if codes.shape != counts.shape or codes.ndim != 1:
             raise ValueError("codes and counts must be matching 1-d arrays")
         if codes.size and (codes.min() < 0 or codes.max() >= n * n):
             raise ValueError("pair codes out of range")
-        table = cls(n)
-        rows = table._rows
-        i_indices = codes // n
-        j_indices = codes % n
-        if np.any(i_indices >= j_indices):
+        if np.any(codes[1:] <= codes[:-1]):
+            order = np.argsort(codes, kind="stable")
+            codes, counts = codes[order], counts[order]
+            if np.any(codes[1:] == codes[:-1]):
+                raise ValueError("duplicate pair codes")
+        if not np.all(counts > 0):
+            raise ValueError("link counts must be positive")
+        lo, hi = np.divmod(codes, max(n, 1))
+        if np.any(lo >= hi):
             raise ValueError("pair codes must encode i < j")
-        for i, j, count in zip(
-            i_indices.tolist(), j_indices.tolist(), counts.tolist()
-        ):
-            rows[i][j] = count
-            rows[j][i] = count
-        return table
+        return cls(n, codes, counts, producer)
 
     def subset(self, indices: "np.ndarray | list[int]") -> "LinkTable":
         """Restrict to ``indices``, reindexed to their positions.
@@ -143,19 +162,20 @@ class LinkTable:
         degree-0*: an isolated point appears in no neighbor list, so it
         participates in no pair increment on either side.
         """
-        index_list = [int(i) for i in indices]
-        remap = {old: new for new, old in enumerate(index_list)}
-        if len(remap) != len(index_list):
+        index = np.asarray(indices, dtype=np.int64).reshape(-1)
+        m = index.size
+        if np.unique(index).size != m:
             raise ValueError("subset indices must be unique")
-        table = LinkTable(len(index_list))
-        for new_i, old_i in enumerate(index_list):
-            row: dict[int, float] = {}
-            for old_j, count in self._rows[old_i].items():
-                new_j = remap.get(old_j)
-                if new_j is not None:
-                    row[new_j] = count
-            table._rows[new_i] = row
-        return table
+        remap = np.full(self.n, -1, dtype=np.int64)
+        remap[index] = np.arange(m, dtype=np.int64)
+        lo, hi = self._ends()
+        a, b = remap[lo], remap[hi]
+        keep = (a >= 0) & (b >= 0)
+        a, b = a[keep], b[keep]
+        return LinkTable.from_pair_counts(
+            m, np.minimum(a, b) * m + np.maximum(a, b), self.counts[keep],
+            self.producer,
+        )
 
     @classmethod
     def from_dense(cls, matrix: np.ndarray) -> "LinkTable":
@@ -166,15 +186,9 @@ class LinkTable:
             raise ValueError("link matrix must be symmetric")
         if matrix.size and np.diagonal(matrix).any():
             raise ValueError("link matrix must have an empty diagonal")
-        table = cls(matrix.shape[0])
-        for i in range(matrix.shape[0]):
-            row = matrix[i]
-            partners = np.flatnonzero(row)
-            if partners.size:
-                table._rows[i] = dict(
-                    zip(partners.tolist(), row[partners].tolist())
-                )
-        return table
+        upper = np.triu(matrix, 1).reshape(-1)
+        codes = np.flatnonzero(upper)
+        return cls(matrix.shape[0], codes, _as_counts(upper[codes]))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LinkTable(n={self.n}, linked_pairs={self.nnz_pairs()})"
@@ -196,60 +210,74 @@ def dense_link_matrix(graph: NeighborGraph) -> np.ndarray:
     return links
 
 
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(parts) if parts else _EMPTY_CODES
+
+
 def blocked_link_table(
     graph: NeighborGraph, block_rows: int = DENSE_BLOCK_ROWS
 ) -> LinkTable:
     """``LinkTable.from_dense(dense_link_matrix(graph))`` by row blocks.
 
-    Each block is one float32 BLAS product ``A[rows] @ A``; a count is
-    at most ``n - 2 < 2**24``, so float32 holds it exactly and the
-    table -- Python ``int`` counts, partners in ascending order --
-    equals the oracle's row for row (property-tested).  Besides the
+    Each block is one float32 BLAS product ``A[rows] @ A[:, start:]``;
+    zeroing its diagonal and lower triangle leaves the pairs ``i < j``,
+    whose codes ``np.flatnonzero`` returns already sorted.  A count is
+    at most ``n - 2 < 2**24``, so float32 holds it exactly.  Besides the
     adjacency, only its ``4 n^2``-byte float32 copy and one block of
     counts exist at a time.
     """
     n = graph.n
     a = graph.adjacency.astype(np.float32)
-    table = LinkTable(n)
-    rows = table._rows
+    codes: list[np.ndarray] = []
+    counts: list[np.ndarray] = []
     for start in range(0, n, block_rows):
         stop = min(start + block_rows, n)
-        block = (a[start:stop] @ a).astype(np.int64)
-        offsets = np.arange(stop - start)
-        block[offsets, start + offsets] = 0
-        for offset, row in enumerate(block):
-            partners = np.flatnonzero(row)
-            if partners.size:
-                rows[start + offset] = dict(
-                    zip(partners.tolist(), row[partners].tolist())
-                )
-    return table
+        # A is symmetric, so A[:, start:] is the transposed view A[start:].T
+        block = np.triu(a[start:stop] @ a[start:].T, 1)
+        flat = np.flatnonzero(block)
+        rows, cols = np.divmod(flat, n - start)
+        codes.append((rows + start) * n + (cols + start))
+        counts.append(block.reshape(-1)[flat].astype(np.int64))
+    return LinkTable(n, _concat(codes), _concat(counts), "dense-blocks")
+
+
+def _neighbor_csr(graph: NeighborGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The neighbor lists as one ``(indptr, indices)`` CSR pair."""
+    if graph.has_dense:
+        rows, indices = np.divmod(np.flatnonzero(graph.adjacency), graph.n)
+        lengths = np.bincount(rows, minlength=graph.n)
+    else:
+        lists = graph.neighbor_lists()
+        lengths = np.fromiter((lst.size for lst in lists), np.int64, len(lists))
+        indices = _concat(lists)
+    indptr = np.zeros(graph.n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return indptr, indices
 
 
 def sparse_link_table(graph: NeighborGraph) -> LinkTable:
     """The Figure 4 algorithm: every point links each pair of its neighbors.
 
     Cost is ``O(sum_i m_i^2)`` where ``m_i`` is point ``i``'s neighbor
-    count -- the paper's ``O(n * m_m * m_a)`` bound.  The inner pair loop
-    is vectorised per point: the contribution of point ``i`` is +1 to
-    every unordered pair drawn from ``nbrlist[i]``.
+    count -- the paper's ``O(n * m_m * m_a)`` bound.  Point ``i``
+    contributes +1 to every unordered pair drawn from ``nbrlist[i]``;
+    the pairs are emitted as codes ``a * n + b`` (``a < b``, lists are
+    ascending) and counted by sort + run-length reduction, in C when
+    the native tier probed clean and in numpy otherwise.
     """
-    table = LinkTable(graph.n)
-    rows = table._rows
-    for neighbors in graph.neighbor_lists():
-        m = len(neighbors)
-        if m < 2:
-            continue
-        nbr = [int(x) for x in neighbors]
-        for a_pos in range(m - 1):
-            a = nbr[a_pos]
-            row_a = rows[a]
-            for b_pos in range(a_pos + 1, m):
-                b = nbr[b_pos]
-                row_a[b] = row_a.get(b, 0) + 1
-                row_b = rows[b]
-                row_b[a] = row_b.get(a, 0) + 1
-    return table
+    from repro.native import get_kernels
+
+    n = graph.n
+    kernels = get_kernels()
+    if kernels is not None:
+        codes, counts = kernels.pair_count_reduce(*_neighbor_csr(graph), n)
+        producer = f"pair-count:{kernels.name}"
+    else:
+        from repro.parallel.links import pair_link_counts
+
+        codes, counts = pair_link_counts(graph.neighbor_lists(), n)
+        producer = "pair-count:numpy"
+    return LinkTable(n, codes, counts, producer)
 
 
 def compute_links(
@@ -260,43 +288,39 @@ def compute_links(
 ) -> LinkTable:
     """Compute the link table, picking dense vs sparse by expected cost.
 
-    ``auto`` uses the Figure 4 sparse algorithm when the pair-increment
-    work ``sum_i m_i^2`` is small relative to the ``n^2`` (scaled by a
-    constant reflecting numpy's matmul advantage) of the dense product,
-    and the row-blocked matrix square (:func:`blocked_link_table`)
-    otherwise.  A sparse-backed graph (the
-    blocked fit path) always stays sparse unless ``dense`` is forced --
-    the whole point of that path is that no ``n x n`` array ever
-    exists.  ``dense`` / ``sparse`` / ``parallel`` force a path;
-    ``parallel`` is the multi-worker vectorised Figure 4 counter
+    ``auto`` counts pair codes (:func:`sparse_link_table`) while the
+    Figure 4 pair work ``sum_i m_i^2`` stays below
+    ``SPARSE_LINK_RATIO * n^2``, and squares the adjacency in row
+    blocks (:func:`blocked_link_table`) above it.  A sparse-backed
+    graph (the blocked fit path) always stays sparse unless ``dense``
+    is forced -- the whole point of that path is that no ``n x n``
+    array ever exists.  ``dense`` / ``sparse`` / ``parallel`` force a
+    path; ``parallel`` is the multi-worker numpy pair counter
     (:func:`repro.parallel.links.parallel_link_table`), which ``auto``
     also selects whenever ``workers`` resolves to more than one
-    process.  Every path returns identical counts.  A ``registry``
-    (:class:`~repro.obs.registry.MetricsRegistry`) receives the linked
-    pair count, plus per-chunk worker deltas on the parallel path.
+    process.  Every path returns identical counts; the table's
+    ``producer`` names the kernel that ran.  A ``registry`` receives
+    the linked pair count, plus per-chunk worker deltas on the
+    parallel path.
     """
     if method not in ("auto", "dense", "sparse", "parallel"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "parallel" or (method == "auto" and workers is not None):
-        from repro.parallel.links import parallel_link_table
+    if method == "auto":
         from repro.parallel.pool import resolve_workers
 
-        if method == "parallel" or resolve_workers(workers) > 1:
-            table = parallel_link_table(graph, workers=workers, registry=registry)
-            if registry is not None:
-                registry.inc("fit.links.pairs", table.nnz_pairs())
-            return table
-    if method == "auto":
-        if not graph.has_dense:
+        if workers is not None and resolve_workers(workers) > 1:
+            method = "parallel"
+        elif not graph.has_dense:
             method = "sparse"
         else:
-            degrees = graph.degrees()
-            pair_work = int(np.sum(degrees.astype(np.float64) ** 2))
-            # the dense path is one BLAS matrix square (cheap until the
-            # n x n product itself dominates memory); the sparse path
-            # costs one Python dict increment per neighbor pair
-            method = "sparse" if pair_work < 4 * graph.n * graph.n else "dense"
-    if method == "sparse":
+            degrees = graph.degrees().astype(np.float64)
+            pair_work = degrees @ degrees
+            method = "sparse" if pair_work < SPARSE_LINK_RATIO * graph.n**2 else "dense"
+    if method == "parallel":
+        from repro.parallel.links import parallel_link_table
+
+        table = parallel_link_table(graph, workers=workers, registry=registry)
+    elif method == "sparse":
         table = sparse_link_table(graph)
     else:
         table = blocked_link_table(graph)

@@ -80,8 +80,9 @@ class PipelineResult:
         configuration.
     backends:
         Which implementation actually ran each phase, e.g.
-        ``{"fit": "native:cext", "merge": "native:cext"}`` or
-        ``{"fit": "fused", "merge": "fast"}`` -- the resolved backends,
+        ``{"fit": "native:cext", "links": "native:cext", "merge":
+        "native:cext"}`` or ``{"fit": "dense", "links": "dense-blocks",
+        "merge": "fast"}`` -- the resolved backends,
         not the requested modes, so benchmarks and model metadata can
         tell a silent fallback from the real thing.
     """
@@ -462,6 +463,7 @@ class RockPipeline:
                 )
             result = sharded.result
             backends["fit"] = "sharded"
+            backends["links"] = "pair-count:numpy"  # in the shard workers
             # the coordinator's workers run the PR 5 component streams;
             # the stitch is the fast engine's k-way replay
             backends["merge"] = "fast"
@@ -511,7 +513,9 @@ class RockPipeline:
                     )
             timings["neighbors"] = span.wall_seconds
 
-            with tracer.span("links", fused=True) as span:
+            with tracer.span(
+                "links", fused=True, producer=fused.links.producer
+            ) as span:
                 links = (
                     fused.links if len(kept) == fused.n
                     else fused.links.subset(kept)
@@ -554,11 +558,13 @@ class RockPipeline:
                     pruned_graph, method=link_method, workers=self.workers,
                     registry=registry,
                 )
+                span.attrs["producer"] = links.producer
             timings["links"] = span.wall_seconds
 
         # -- 4. cluster (with optional pause-and-weed) ----------------------
         # (a sharded fit already clustered inside the coordinator)
         if not sharded_fit:
+            backends["links"] = links.producer
             starting_partition = (
                 None
                 if initial_clusters is None

@@ -411,7 +411,7 @@ def rock(
                     points, theta, similarity=similarity, workers=workers,
                     memory_budget=memory_budget, registry=registry,
                 )
-        with tracer.span("links", fused=True):
+        with tracer.span("links", fused=True, producer=fused.links.producer):
             links = fused.links
             registry.inc("fit.links.pairs", links.nnz_pairs())
     else:
@@ -423,10 +423,11 @@ def rock(
                 memory_budget=memory_budget, workers=workers,
                 registry=registry,
             )
-        with tracer.span("links", method=link_method):
+        with tracer.span("links", method=link_method) as span:
             links = compute_links(
                 graph, method=link_method, workers=workers, registry=registry
             )
+            span.attrs["producer"] = links.producer
     with tracer.span("cluster", k=k, merge_method=merge_method):
         result = cluster_with_links(
             links, k=k, f_theta=f(theta), goodness_fn=goodness_fn,

@@ -299,7 +299,9 @@ def native_neighbor_links(
     codes, counts = kernels.pair_count_reduce(full_indptr, full_indices, n)
     if registry is not None:
         registry.inc("fit.native.pair_increments", int(counts.sum()))
-    links = LinkTable.from_pair_counts(n, codes, counts)
+    links = LinkTable.from_pair_counts(
+        n, codes, counts, producer=f"native:{kernels.name}"
+    )
     graph = None
     if keep_graph:
         kept_rows = [

@@ -89,13 +89,7 @@ def pair_link_counts(
         chunks.append(nbr[a] * n + nbr[b])
     if not chunks:
         return _EMPTY, _EMPTY
-    codes = np.concatenate(chunks) if len(chunks) > 1 else chunks[0].copy()
-    codes.sort()
-    starts = np.concatenate(
-        [[0], np.flatnonzero(np.diff(codes)) + 1]
-    )
-    counts = np.diff(np.concatenate([starts, [codes.size]]))
-    return codes[starts], counts
+    return np.unique(np.concatenate(chunks), return_counts=True)
 
 
 def merge_pair_counts(
@@ -115,8 +109,7 @@ def merge_pair_counts(
     codes = np.concatenate([codes for codes, _ in parts])
     counts = np.concatenate([counts for _, counts in parts])
     order = np.argsort(codes, kind="stable")
-    codes = codes[order]
-    counts = counts[order]
+    codes, counts = codes[order], counts[order]
     starts = np.concatenate([[0], np.flatnonzero(np.diff(codes)) + 1])
     return codes[starts], np.add.reduceat(counts, starts)
 
@@ -156,9 +149,7 @@ def parallel_link_table(
     """Figure 4 over chunks of neighbor lists, merged order-preservingly.
 
     Exactly equals :func:`repro.core.links.sparse_link_table` for any
-    worker count or chunking (integer pair sums commute).  With
-    ``workers <= 1`` this is still the vectorised pair-code counter, a
-    large constant-factor win over the per-pair dict loop.  With a
+    worker count or chunking (integer pair sums commute).  With a
     ``registry``, worker-side metrics deltas are merged in per chunk.
     """
     count = resolve_workers(workers)
@@ -177,7 +168,9 @@ def parallel_link_table(
         parts.append((codes, counts))
         if registry is not None:
             registry.merge(delta)
-    return LinkTable.from_pair_counts(n, *merge_pair_counts(parts))
+    return LinkTable.from_pair_counts(
+        n, *merge_pair_counts(parts), producer="pair-count:numpy"
+    )
 
 
 # -- the fused neighbor+link kernel -------------------------------------------
@@ -288,7 +281,9 @@ def fused_neighbor_links(
             pending = [merge_pair_counts(pending)]
             pending_codes = pending[0][0].size
 
-    links = LinkTable.from_pair_counts(n, *merge_pair_counts(pending))
+    links = LinkTable.from_pair_counts(
+        n, *merge_pair_counts(pending), producer="fused"
+    )
     degrees = (
         np.concatenate(degree_blocks)
         if degree_blocks

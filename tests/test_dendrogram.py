@@ -3,15 +3,12 @@
 import pytest
 
 from repro.core.dendrogram import Dendrogram
-from repro.core.links import LinkTable
 from repro.core.rock import MergeStep, cluster_with_links
+from tests.linktables import link_table
 
 
 def links_from_pairs(n, pairs):
-    table = LinkTable(n)
-    for i, j, count in pairs:
-        table.increment(i, j, count)
-    return table
+    return link_table(n, pairs)
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ from repro.core import (
 from repro.core.links import LinkTable
 from repro.data.records import CategoricalDataset, CategoricalSchema, MISSING
 from repro.data.transactions import Transaction, TransactionDataset
+from tests.linktables import link_table
 
 
 class TestDegenerateInputs:
@@ -99,10 +100,9 @@ class TestLinkTableEdges:
         assert result.stopped_early
 
     def test_saturated_links(self):
-        table = LinkTable(4)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                table.increment(i, j, 100)
+        table = link_table(
+            4, [(i, j, 100) for i in range(4) for j in range(i + 1, 4)]
+        )
         result = cluster_with_links(table, k=1, f_theta=0.5)
         assert result.clusters == [[0, 1, 2, 3]]
         assert not result.stopped_early
@@ -146,9 +146,7 @@ class TestSampleBoundaries:
 
 class TestNumericalExtremes:
     def test_huge_link_counts_do_not_overflow(self):
-        table = LinkTable(3)
-        table.increment(0, 1, 10**12)
-        table.increment(1, 2, 10**12)
+        table = link_table(3, [(0, 1, 10**12), (1, 2, 10**12)])
         result = cluster_with_links(table, k=1, f_theta=1.0)
         assert result.clusters == [[0, 1, 2]]
 

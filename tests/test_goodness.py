@@ -16,7 +16,7 @@ from repro.core.goodness import (
     intra_cluster_links,
     naive_goodness,
 )
-from repro.core.links import LinkTable
+from tests.linktables import link_table
 
 
 class TestDefaultF:
@@ -119,14 +119,9 @@ class TestGoodness:
 
 class TestCriterion:
     def make_links(self):
-        table = LinkTable(6)
-        # cluster {0,1,2}: links 0-1: 2, 1-2: 1; cluster {3,4,5}: 3-4: 3
-        table.increment(0, 1, 2)
-        table.increment(1, 2, 1)
-        table.increment(3, 4, 3)
-        # a weak cross link that should NOT count intra
-        table.increment(2, 3, 5)
-        return table
+        # cluster {0,1,2}: links 0-1: 2, 1-2: 1; cluster {3,4,5}: 3-4: 3;
+        # 2-3 is a weak cross link that should NOT count intra
+        return link_table(6, [(0, 1, 2), (1, 2, 1), (3, 4, 3), (2, 3, 5)])
 
     def test_intra_cluster_links(self):
         links = self.make_links()
@@ -147,19 +142,16 @@ class TestCriterion:
     def test_separating_unlinked_points_beats_lumping(self):
         """The Section 3.3 argument: E_l must penalise assigning points
         with few links between them to one big cluster."""
-        table = LinkTable(4)
-        table.increment(0, 1, 4)
-        table.increment(2, 3, 4)
+        table = link_table(4, [(0, 1, 4), (2, 3, 4)])
         f = 1 / 3
         split = criterion_value([[0, 1], [2, 3]], table, f)
         lumped = criterion_value([[0, 1, 2, 3]], table, f)
         assert split > lumped
 
     def test_all_pairs_linked_prefers_one_cluster(self):
-        table = LinkTable(4)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                table.increment(i, j, 2)
+        table = link_table(
+            4, [(i, j, 2) for i in range(4) for j in range(i + 1, 4)]
+        )
         f = 1 / 3
         lumped = criterion_value([[0, 1, 2, 3]], table, f)
         split = criterion_value([[0, 1], [2, 3]], table, f)

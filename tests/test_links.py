@@ -9,13 +9,20 @@ from hypothesis import strategies as st
 
 from repro.core.links import (
     LinkTable,
+    blocked_link_table,
     compute_links,
     dense_link_matrix,
     path_link_matrix,
     sparse_link_table,
 )
 from repro.core.neighbors import NeighborGraph, compute_neighbor_graph
+from repro.core.pipeline import RockPipeline
 from repro.data.transactions import Transaction, TransactionDataset
+from repro.native import get_kernels
+from repro.native.links import native_neighbor_links
+from repro.obs.trace import Tracer
+from repro.parallel.links import fused_neighbor_links
+from tests.linktables import link_table
 
 
 def graph_from_edges(n, edges):
@@ -44,34 +51,56 @@ def random_graph_strategy(max_n=12):
 
 class TestLinkTable:
     def test_increment_and_get_symmetric(self):
-        table = LinkTable(3)
-        table.increment(0, 2)
-        table.increment(2, 0, amount=4)
+        table = link_table(3, [(0, 2, 1), (2, 0, 4)])
         assert table.get(0, 2) == 5
         assert table.get(2, 0) == 5
         assert table.get(0, 1) == 0
 
     def test_self_link_rejected(self):
-        table = LinkTable(2)
         with pytest.raises(ValueError):
-            table.increment(1, 1)
+            link_table(2, [(1, 1, 1)])
         with pytest.raises(ValueError):
-            table.get(0, 0)
+            LinkTable(2).get(0, 0)
 
     def test_pairs_each_once(self):
-        table = LinkTable(3)
-        table.increment(0, 1, 2)
-        table.increment(1, 2, 3)
+        table = link_table(3, [(0, 1, 2), (1, 2, 3)])
         assert sorted(table.pairs()) == [(0, 1, 2), (1, 2, 3)]
         assert table.nnz_pairs() == 2
 
     def test_dense_round_trip(self):
-        table = LinkTable(4)
-        table.increment(0, 3, 7)
-        table.increment(1, 2, 1)
+        table = link_table(4, [(0, 3, 7), (1, 2, 1)])
         dense = table.to_dense()
         back = LinkTable.from_dense(dense)
         assert sorted(back.pairs()) == sorted(table.pairs())
+
+    def test_holds_arrays_not_dicts(self):
+        table = link_table(4, [(0, 3, 7), (1, 2, 1)])
+        table.row(0)  # builds the lazy row index
+        assert table.codes.tolist() == [3, 6]
+        assert table.counts.tolist() == [7, 1]
+        assert not any(
+            isinstance(value, (dict, list)) for value in vars(table).values()
+        )
+
+    def test_unsorted_pair_codes_are_sorted(self):
+        table = LinkTable.from_pair_counts(3, np.array([5, 1]), np.array([2, 3]))
+        assert table.codes.tolist() == [1, 5]
+        assert table.counts.tolist() == [3, 2]
+        assert table.get(0, 1) == 3
+        assert table.get(2, 1) == 2
+
+    def test_duplicate_pair_codes_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            LinkTable.from_pair_counts(3, np.array([1, 1]), np.array([2, 5]))
+
+    @pytest.mark.parametrize("count", [0, -1, 0.0])
+    def test_non_positive_counts_rejected(self, count):
+        with pytest.raises(ValueError, match="positive"):
+            LinkTable.from_pair_counts(3, np.array([1, 2]), np.array([3, count]))
+
+    def test_lower_triangle_code_rejected(self):
+        with pytest.raises(ValueError, match="i < j"):
+            LinkTable.from_pair_counts(3, np.array([3]), np.array([1]))  # (1, 0)
 
     def test_from_dense_validation(self):
         with pytest.raises(ValueError, match="square"):
@@ -178,6 +207,128 @@ class TestSparseDenseEquivalence:
         assert table.nnz_pairs() <= min(
             graph.n * graph.n, mm * int(degrees.sum())
         )
+
+
+def transaction_sets():
+    """Random baskets, plus the degenerate graphs: n = 0, n = 1, every
+    point isolated (disjoint baskets), and complete (identical ones)."""
+    basket = st.frozensets(st.integers(0, 7), min_size=1, max_size=4)
+    return st.one_of(
+        st.just([]),
+        basket.map(lambda b: [b]),
+        st.lists(basket, max_size=14),
+        st.integers(0, 10).map(lambda k: [frozenset({i}) for i in range(k)]),
+        st.integers(0, 10).map(lambda k: [frozenset({0, 1})] * k),
+    )
+
+
+class TestProducerIdentity:
+    @settings(max_examples=60, deadline=None)
+    @given(transaction_sets(), st.sampled_from([0.3, 0.5, 0.75]))
+    def test_every_producer_emits_the_oracle_table(self, baskets, theta):
+        points = TransactionDataset([Transaction(b) for b in baskets])
+        graph = compute_neighbor_graph(points, theta, method="vectorized")
+        oracle = dense_link_matrix(graph)
+        n = graph.n
+        listed = NeighborGraph.from_neighbor_lists(graph.neighbor_lists())
+        tables = {
+            f"blocked:{rows}": blocked_link_table(graph, block_rows=rows)
+            for rows in (1, 7, max(n, 1))
+        }
+        tables["from_dense"] = LinkTable.from_dense(oracle)
+        tables["fused"] = fused_neighbor_links(points, theta, workers=1).links
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("REPRO_NATIVE", "0")
+            tables["pair-count:numpy"] = sparse_link_table(graph)
+            tables["pair-count:numpy:lists"] = sparse_link_table(listed)
+            mp.delenv("REPRO_NATIVE")
+            if get_kernels() is not None:
+                tables["pair-count:cext"] = sparse_link_table(graph)
+                tables["pair-count:cext:lists"] = sparse_link_table(listed)
+                tables["native"] = native_neighbor_links(
+                    points, theta, workers=1
+                ).links
+        for name, table in tables.items():
+            assert table.n == n, name
+            assert table.codes.dtype == np.int64, name
+            assert np.all(np.diff(table.codes) > 0), name
+            lo, hi = np.divmod(table.codes, max(n, 1))
+            assert np.all(lo < hi), name
+            assert np.array_equal(table.to_dense(), oracle), name
+            if name.startswith("pair-count"):
+                assert name.startswith(table.producer), name
+
+        table = tables["blocked:7"]
+        for i in range(n):
+            partners = np.flatnonzero(oracle[i])
+            assert list(table.row(i).items()) == list(
+                zip(partners.tolist(), oracle[i, partners].tolist())
+            )
+            for j in range(n):
+                if i != j:
+                    assert table.get(i, j) == oracle[i, j]
+        kept = np.flatnonzero(graph.degrees() > 0)
+        assert np.array_equal(
+            table.subset(kept).to_dense(),
+            dense_link_matrix(graph.subgraph(kept)),
+        )
+
+
+def producer_of(tracer):
+    (links_span,) = [
+        span for root in tracer.spans() for span in root.iter_spans()
+        if span.name == "links"
+    ]
+    return links_span.attrs["producer"]
+
+
+class TestLinkProducerRecorded:
+    """The links span and ``backends["links"]`` name the kernel that ran."""
+
+    def baskets(self, per, seed=3):
+        rng = np.random.default_rng(seed)
+        return TransactionDataset([
+            Transaction(rng.choice(np.arange(c * 12, c * 12 + 12), 6, replace=False).tolist())
+            for c in range(3)
+            for _ in range(per)
+        ])
+
+    @pytest.mark.parametrize("tier", ["cext", "numpy"])
+    def test_pair_count_tier(self, monkeypatch, tier):
+        if tier == "numpy":
+            monkeypatch.setenv("REPRO_NATIVE", "0")
+        else:
+            monkeypatch.delenv("REPRO_NATIVE", raising=False)
+            if get_kernels() is None:
+                pytest.skip("C tier unavailable")
+        # 8 baskets per cluster: sum m^2 stays under n^2
+        tracer = Tracer()
+        result = RockPipeline(k=3, theta=0.5, seed=1).fit(
+            self.baskets(per=8), tracer=tracer
+        )
+        assert result.backends["links"] == f"pair-count:{tier}"
+        assert producer_of(tracer) == f"pair-count:{tier}"
+
+    def test_dense_blocks(self):
+        # identical baskets: a complete graph, sum m^2 = n (n - 1)^2
+        points = TransactionDataset([Transaction([0, 1, 2])] * 12)
+        tracer = Tracer()
+        result = RockPipeline(k=1, theta=0.5, seed=1).fit(points, tracer=tracer)
+        assert result.backends["links"] == "dense-blocks"
+        assert producer_of(tracer) == "dense-blocks"
+
+    @pytest.mark.parametrize("fit_mode", ["fused", "native"])
+    def test_fused_and_native(self, monkeypatch, fit_mode):
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
+        if fit_mode == "native" and get_kernels() is None:
+            pytest.skip("C tier unavailable")
+        expected = "fused" if fit_mode == "fused" else "native:cext"
+        tracer = Tracer()
+        result = RockPipeline(k=3, theta=0.5, fit_mode=fit_mode, seed=1).fit(
+            self.baskets(per=8), tracer=tracer
+        )
+        assert result.backends["links"] == expected
+        assert producer_of(tracer) == expected
 
 
 class TestPathLinks:

@@ -43,15 +43,13 @@ from repro.core.pipeline import RockPipeline
 from repro.core.rock import cluster_with_links, rock
 from repro.data.transactions import Transaction, TransactionDataset
 from repro.obs.registry import MetricsRegistry
+from tests.linktables import link_table
 
 F_THETAS = [0.0, default_f(0.5)]
 
 
 def make_links(n: int, edges: dict[tuple[int, int], float]) -> LinkTable:
-    links = LinkTable(n)
-    for (i, j), count in edges.items():
-        links.increment(i, j, count)
-    return links
+    return link_table(n, [(i, j, count) for (i, j), count in edges.items()])
 
 
 def assert_identical(ref, fast) -> None:
@@ -146,10 +144,9 @@ class TestMergeHistoryEquivalence:
     def test_initial_clusters_resume(self):
         """Resuming from a partial partition replays identically."""
         rng = random.Random(7)
-        links = LinkTable(20)
-        for _ in range(60):
-            i, j = rng.sample(range(20), 2)
-            links.increment(i, j, rng.randint(1, 4))
+        links = link_table(20, [
+            (*rng.sample(range(20), 2), rng.randint(1, 4)) for _ in range(60)
+        ])
         initial = [[0, 5, 7], [1, 2], [3], [4, 6, 8, 9], [10, 11],
                    [12, 13, 14], [15], [16, 17], [18, 19]]
         for f_theta in F_THETAS:
@@ -260,13 +257,13 @@ class TestKernelsBitwise:
 class TestParallelDeterminism:
     def _problem_set(self):
         rng = random.Random(11)
-        links = LinkTable(90)
         # 15 components of 6 points each, fully linked inside
-        for base in range(0, 90, 6):
-            for i in range(base, base + 6):
-                for j in range(i + 1, base + 6):
-                    links.increment(i, j, rng.randint(1, 5))
-        return links
+        return link_table(90, [
+            (i, j, rng.randint(1, 5))
+            for base in range(0, 90, 6)
+            for i in range(base, base + 6)
+            for j in range(i + 1, base + 6)
+        ])
 
     def test_worker_count_invariance(self):
         from repro.parallel.merge import parallel_component_streams

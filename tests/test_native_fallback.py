@@ -108,7 +108,9 @@ class TestProbe:
             warnings.simplefilter("error")  # any warning fails the test
             result = RockPipeline(k=3, theta=0.5, sample_size=30, seed=1).fit(data)
             assert resolve_assign_backend("auto") == ("pruned", None)
-        assert result.backends == {"fit": "auto", "merge": "fast"}
+        assert result.backends == {
+            "fit": "auto", "links": "pair-count:numpy", "merge": "fast"
+        }
         assert dense_scans == [1]
         assert len(result.clusters) >= 1
 
@@ -162,7 +164,9 @@ class TestProbe:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = RockPipeline(k=3, theta=0.5, seed=1).fit(baskets())
-        assert result.backends == {"fit": "auto", "merge": "fast"}
+        assert result.backends == {
+            "fit": "auto", "links": "pair-count:numpy", "merge": "fast"
+        }
 
 
 class TestForcedNativeFallsBack:
@@ -232,13 +236,16 @@ class TestAutoStaysSilent:
             assert resolve_assign_backend("auto") == ("native", c_tier)
             promoted = pipeline.fit(data)
             assert promoted.backends["merge"] == "native:cext"
+            assert promoted.backends["links"] == "pair-count:cext"
             assert dense_scans == []
 
             monkeypatch.setenv("REPRO_NATIVE", "0")
             assert resolve_merge_method("auto") == "fast"
             assert resolve_assign_backend("auto") == ("pruned", None)
             reference = pipeline.fit(data)
-            assert reference.backends == {"fit": "auto", "merge": "fast"}
+            assert reference.backends == {
+                "fit": "auto", "links": "pair-count:numpy", "merge": "fast"
+            }
             assert dense_scans == [1]
         assert np.array_equal(promoted.labels, reference.labels)
         assert promoted.clusters == reference.clusters
@@ -248,7 +255,9 @@ class TestAutoStaysSilent:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = RockPipeline(k=3, theta=0.5, seed=1).fit(data)
-        assert result.backends == {"fit": "auto", "merge": "fast"}
+        assert result.backends == {
+            "fit": "auto", "links": "pair-count:numpy", "merge": "fast"
+        }
 
 
 class TestObservability:

@@ -45,6 +45,7 @@ from repro.native.links import (
 from repro.native.merge import native_component_streams, native_merge_supported
 from repro.obs.registry import MetricsRegistry
 from repro.parallel.links import fused_neighbor_links
+from tests.linktables import link_table
 
 # the probed tier; parametrized tests carry its name ("cext") as their id
 KERNELS = get_kernels()
@@ -182,10 +183,7 @@ def link_problems(draw):
 
 
 def make_links(n: int, edges: dict) -> LinkTable:
-    links = LinkTable(n)
-    for (i, j), count in edges.items():
-        links.increment(i, j, count)
-    return links
+    return link_table(n, [(i, j, count) for (i, j), count in edges.items()])
 
 
 class TestNativeMergeEngine:
@@ -209,11 +207,12 @@ class TestNativeMergeEngine:
     def test_streams_and_heap_ops_identical(self, backend):
         """The native streams match the Python ones field for field."""
         rng = random.Random(11)
-        links = LinkTable(90)
-        for base in range(0, 90, 6):
-            for i in range(base, base + 6):
-                for j in range(i + 1, base + 6):
-                    links.increment(i, j, rng.randint(1, 5))
+        links = link_table(90, [
+            (i, j, rng.randint(1, 5))
+            for base in range(0, 90, 6)
+            for i in range(base, base + 6)
+            for j in range(i + 1, base + 6)
+        ])
         sizes = np.ones(90, dtype=np.int64)
         lo, hi, counts = links.pair_arrays()
         problems = partition_components(90, sizes, lo, hi, counts)

@@ -29,9 +29,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.goodness import default_f
-from repro.core.links import LinkTable
 from repro.core.pipeline import RockPipeline
 from repro.core.rock import cluster_with_links
+from tests.linktables import link_table
 
 F_THETA = default_f(0.5)
 
@@ -82,10 +82,7 @@ def resume_problems(draw):
 
 
 def make_links(n, edges):
-    links = LinkTable(n)
-    for (i, j), count in edges.items():
-        links.increment(i, j, count)
-    return links
+    return link_table(n, [(i, j, count) for (i, j), count in edges.items()])
 
 
 class TestClusterWithLinksResume:

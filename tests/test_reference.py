@@ -14,14 +14,11 @@ from repro.core.goodness import naive_goodness
 from repro.core.links import LinkTable
 from repro.core.reference import naive_cluster_with_links
 from repro.core.rock import cluster_with_links
+from tests.linktables import link_table
 
 
 def table_from_pairs(n, pairs):
-    table = LinkTable(n)
-    for i, j, count in pairs:
-        if i != j:
-            table.increment(i, j, count)
-    return table
+    return link_table(n, [(i, j, count) for i, j, count in pairs if i != j])
 
 
 @st.composite

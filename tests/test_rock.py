@@ -10,13 +10,11 @@ from repro.core.links import LinkTable, compute_links
 from repro.core.neighbors import compute_neighbor_graph
 from repro.core.rock import cluster_with_links, rock
 from repro.data.transactions import Transaction, TransactionDataset
+from tests.linktables import link_table
 
 
 def links_from_pairs(n, pairs):
-    table = LinkTable(n)
-    for i, j, count in pairs:
-        table.increment(i, j, count)
-    return table
+    return link_table(n, pairs)
 
 
 class TestClusterWithLinks:

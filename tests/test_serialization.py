@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro.core.dendrogram import Dendrogram
-from repro.core.links import LinkTable
 from repro.core.pipeline import RockPipeline
 from repro.core.rock import cluster_with_links
 from repro.core.serialization import (
@@ -29,13 +28,12 @@ from repro.core.similarity import (
     similarity_to_dict,
 )
 from repro.data.transactions import Transaction, TransactionDataset
+from tests.linktables import link_table
 
 
 @pytest.fixture
 def rock_result():
-    table = LinkTable(5)
-    for i, j, c in [(0, 1, 4), (1, 2, 3), (3, 4, 5)]:
-        table.increment(i, j, c)
+    table = link_table(5, [(0, 1, 4), (1, 2, 3), (3, 4, 5)])
     return cluster_with_links(table, k=2, f_theta=1 / 3)
 
 

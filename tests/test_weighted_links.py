@@ -14,6 +14,7 @@ from repro.core.neighbors import (
 )
 from repro.core.rock import cluster_with_links, rock
 from repro.data.transactions import Transaction, TransactionDataset
+from tests.linktables import link_table
 
 
 def graph_and_sim(sets, theta):
@@ -102,9 +103,6 @@ class TestWeightedClustering:
         assert weighted[1, 3] < weighted[0, 1]
 
     def test_merge_loop_accepts_float_links(self):
-        table = LinkTable(4)
-        table.increment(0, 1, 2.5)
-        table.increment(2, 3, 2.5)
-        table.increment(1, 2, 0.3)
+        table = link_table(4, [(0, 1, 2.5), (2, 3, 2.5), (1, 2, 0.3)])
         result = cluster_with_links(table, k=2, f_theta=1 / 3)
         assert sorted(map(sorted, result.clusters)) == [[0, 1], [2, 3]]
