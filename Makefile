@@ -15,8 +15,8 @@ lint:
 bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
-# tiny-n proofs that the blocked and parallel (workers=2) fit paths
-# work and equal the dense path, that the fast merge engine matches
+# tiny-n proofs that the fit planner's one-pass routes (fused and
+# native, workers=2) equal the dense route, that the fast merge engine matches
 # the reference loop byte for byte, that a traced fit leaves a
 # complete RunManifest, that the HTTP server answers + coalesces
 # under concurrent load, that stream mode's warmup -> drift refit
@@ -25,7 +25,7 @@ bench:
 # tiers equal the dense matmul -- fast enough for CI
 bench-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest \
-		benchmarks/bench_blocked_fit.py benchmarks/bench_parallel_fit.py \
+		benchmarks/bench_parallel_fit.py \
 		benchmarks/bench_merge_phase.py benchmarks/bench_trace_fit.py \
 		benchmarks/bench_serve_http.py benchmarks/bench_stream.py \
 		benchmarks/bench_shard_fit.py benchmarks/bench_serve_throughput.py \

@@ -5,7 +5,7 @@ link graph into connected components, agglomerates each to exhaustion
 with lazy local heaps and a memoized power table, and k-way replays the
 per-component streams -- reproducing the reference loop's result byte
 for byte.  Two benches over the well-separated clustered baskets of
-:mod:`benchmarks.bench_blocked_fit` (24-point clusters, so the merge
+:mod:`benchmarks.baskets` (24-point clusters, so the merge
 phase is many small independent components -- the regime the component
 partition targets):
 
@@ -54,7 +54,7 @@ SPEEDUP_FLOOR = 3.0
 
 
 def build_links(n_clusters: int):
-    from benchmarks.bench_blocked_fit import make_clustered_baskets
+    from benchmarks.baskets import make_clustered_baskets
 
     dataset = make_clustered_baskets(n_clusters)
     graph = compute_neighbor_graph(dataset, THETA)

@@ -1,38 +1,39 @@
-"""Parallel fit path: speedup-vs-workers and peak RSS vs the PR 2 baseline.
+"""The fit past the memory wall: the one-pass kernels, per worker count.
 
-Benches the three neighbor+link kernel configurations against each
-other on the same clustered-basket generator as ``bench_blocked_fit``:
+When the dense ``n x n`` similarity matrix would overflow the memory
+budget, the fit planner (:func:`repro.core.pipeline.plan_fit`) runs one
+of two one-pass neighbor+link kernels on the clustered-basket generator
+of :mod:`benchmarks.baskets`:
 
-* ``blocked`` -- the PR 2 serial row-block kernel (dense matmul scorer)
-  followed by Figure 4 pair-code counting (``compute_links(method=
-  "sparse")``, in C when the native tier probes): the baseline.
-* ``parallel:W`` -- ``parallel_neighbor_graph`` + ``parallel_link_table``
-  with W workers (CSR intersection scorer with integer prefilter,
-  vectorised pair counting).
-* ``fused:W`` -- ``fused_neighbor_links`` with W workers: one pass,
-  neighbor graph never materialised.
+* ``fused:W`` -- ``fused_neighbor_links`` with W workers (CSR
+  intersection scorer with integer prefilter, numpy pair counting);
+  the route under ``REPRO_NATIVE=0`` or where the C tier is missing.
 * ``native:W`` -- ``native_neighbor_links`` with W workers: the fused
-  pass with the block kernel and pair reduction run natively
+  pass with the block kernel and pair reduction run in C
   (:mod:`repro.native`).  Skipped when no backend probes; the one-time
-  backend warmup (C compile + probe) is timed separately
-  and excluded from the steady-state numbers.
+  backend warmup (C compile + probe) is timed separately and excluded
+  from the steady-state numbers.
 
-On hosts exposing a single effective core the worker curve is flat and
-the speedup over the baseline is carried by the scorer and the
-vectorised link counter; the machine block in the saved results records
-the core count so the numbers read honestly either way.
+On hosts exposing a single effective core the worker curve is flat;
+the machine block in the saved results records the core count so the
+numbers read honestly either way.
 
 Each variant runs in a **fresh subprocess** (this file doubles as the
 runner: ``python bench_parallel_fit.py --variant fused:4 --n-clusters
 1260``) so ``ru_maxrss`` is a true per-variant high-water mark; worker
-processes are folded in via ``RUSAGE_CHILDREN``.  The smoke test
-(``make bench-smoke``, workers=2) also proves label-identity of all
-three paths end to end; the slow test runs at n >= 30k and asserts the
-acceptance bar: >= 2.5x speedup at 4 workers over the serial blocked
-kernel and fused peak RSS <= the blocked path's.
+processes are folded in via ``RUSAGE_CHILDREN``.  Three benches:
 
-All timings are wall-clock over the neighbor+link stage only -- the
-merge loop is identical across variants.
+* the **smoke** test (``make bench-smoke``, workers=2) proves both
+  routes label-identical to the dense route end to end;
+* ``test_parallel_fit_scale`` (slow, n >= 30k) records the worker curve
+  and asserts native:1 >= 3x fused:1;
+* ``test_fit_past_the_memory_wall`` (slow, n = 33,600) fits on the
+  planner's own route where the dense matrix would take ~9 GB, and
+  asserts that nothing densifies, that peak RSS stays under half the
+  dense matrix, and that every planted cluster comes back pure.
+
+The variant timings cover the neighbor+link stage only -- the merge
+loop is identical across variants.
 """
 
 import json
@@ -52,12 +53,18 @@ for path in (SRC, str(ROOT)):  # direct `-m` runner invocation
     if path not in sys.path:
         sys.path.insert(0, path)
 
+from benchmarks.baskets import (  # noqa: E402
+    impure_clusters,
+    make_clustered_baskets,
+    mean_purity,
+)
 from benchmarks.machine import machine_summary  # noqa: E402
 from repro.core import RockPipeline  # noqa: E402
 
 THETA = 0.5
 WORKER_CURVE = (1, 2, 4)
 SLOW_N_CLUSTERS = 1260  # x24 points/cluster = 30,240 points
+WALL_N_CLUSTERS = 1400  # x24 points/cluster = 33,600 points
 SMOKE_N_CLUSTERS = 30
 
 
@@ -70,36 +77,16 @@ def peak_rss_bytes() -> int:
 
 def run_variant(variant: str, n_clusters: int) -> dict:
     """Time one neighbor+link kernel configuration; meant for a fresh process."""
-    from benchmarks.bench_blocked_fit import make_clustered_baskets
-    from repro.core.links import compute_links
-    from repro.core.neighbors import blocked_neighbor_graph
-    from repro.parallel import fused_neighbor_links, parallel_neighbor_graph
+    from repro.parallel import fused_neighbor_links
 
     dataset = make_clustered_baskets(n_clusters)
-    n = len(dataset)
     name, _, arg = variant.partition(":")
     workers = int(arg) if arg else 1
     backend = None
     warmup_s = 0.0
 
-    start = time.perf_counter()
-    if name == "blocked":
-        graph = blocked_neighbor_graph(dataset, THETA)
-        neighbors_s = time.perf_counter() - start
-        links_start = time.perf_counter()
-        links = compute_links(graph, method="sparse")
-        links_s = time.perf_counter() - links_start
-    elif name == "parallel":
-        graph = parallel_neighbor_graph(dataset, THETA, workers=workers)
-        neighbors_s = time.perf_counter() - start
-        links_start = time.perf_counter()
-        links = compute_links(graph, method="parallel", workers=workers)
-        links_s = time.perf_counter() - links_start
-    elif name == "fused":
-        fused = fused_neighbor_links(dataset, THETA, workers=workers)
-        neighbors_s = time.perf_counter() - start
-        links_s = 0.0
-        links = fused.links
+    if name == "fused":
+        kernel = fused_neighbor_links
     elif name == "native":
         import repro.native as native_mod
         from repro.native.links import native_neighbor_links
@@ -111,20 +98,16 @@ def run_variant(variant: str, n_clusters: int) -> dict:
         warmup_s = time.perf_counter() - warm_start
         if backend is None:
             raise SystemExit("no native backend available")
-        start = time.perf_counter()
-        fused = native_neighbor_links(dataset, THETA, workers=workers)
-        neighbors_s = time.perf_counter() - start
-        links_s = 0.0
-        links = fused.links
+        kernel = native_neighbor_links
     else:
         raise SystemExit(f"unknown variant {variant!r}")
-    total = neighbors_s + links_s
+    start = time.perf_counter()
+    links = kernel(dataset, THETA, workers=workers).links
+    seconds = time.perf_counter() - start
     return {
         "variant": variant,
-        "n": n,
-        "seconds_neighbors": neighbors_s,
-        "seconds_links": links_s,
-        "seconds_total": total,
+        "n": len(dataset),
+        "seconds_total": seconds,
         "seconds_warmup": warmup_s,
         "backend": backend,
         "linked_pairs": links.nnz_pairs(),
@@ -149,33 +132,16 @@ def measure_fresh(variant: str, n_clusters: int) -> dict:
 
 def format_curve(rows: list[dict], baseline: dict) -> list[str]:
     lines = [
-        f"{'variant':<12} {'neighbors_s':>11} {'links_s':>8} "
-        f"{'total_s':>8} {'speedup':>8} {'peak_rss_mb':>12}",
+        f"{'variant':<12} {'total_s':>8} {'vs ' + baseline['variant']:>11} "
+        f"{'peak_rss_mb':>12}",
     ]
     for row in rows:
         speedup = baseline["seconds_total"] / max(row["seconds_total"], 1e-9)
         lines.append(
-            f"{row['variant']:<12} {row['seconds_neighbors']:>11.2f} "
-            f"{row['seconds_links']:>8.2f} {row['seconds_total']:>8.2f} "
-            f"{speedup:>7.2f}x {row['peak_rss'] / 1024**2:>12.1f}"
+            f"{row['variant']:<12} {row['seconds_total']:>8.2f} "
+            f"{speedup:>10.2f}x {row['peak_rss'] / 1024**2:>12.1f}"
         )
     return lines
-
-
-def _run_suite(
-    n_clusters: int, tracer=None
-) -> tuple[dict, list[dict]]:
-    import repro.native as native_mod
-
-    variants = (
-        ["blocked"]
-        + [f"parallel:{w}" for w in WORKER_CURVE]
-        + [f"fused:{w}" for w in WORKER_CURVE]
-    )
-    if native_mod.available_backend() is not None:
-        variants += [f"native:{w}" for w in WORKER_CURVE]
-    rows = [measure_traced(v, n_clusters, tracer) for v in variants]
-    return rows[0], rows
 
 
 def measure_traced(variant: str, n_clusters: int, tracer=None) -> dict:
@@ -184,56 +150,57 @@ def measure_traced(variant: str, n_clusters: int, tracer=None) -> dict:
         return measure_fresh(variant, n_clusters)
     with tracer.span(variant, n_clusters=n_clusters):
         row = measure_fresh(variant, n_clusters)
-    for key in ("seconds_neighbors", "seconds_links", "seconds_total"):
-        tracer.registry.set_gauge(f"bench.{variant}.{key}", row[key])
+    tracer.registry.set_gauge(f"bench.{variant}.seconds_total", row["seconds_total"])
     tracer.registry.set_gauge(f"bench.{variant}.peak_rss", row["peak_rss"])
     return row
 
 
+def kernels_available() -> list[str]:
+    import repro.native as native_mod
+
+    return ["fused"] + (["native"] if native_mod.available_backend() else [])
+
+
 def test_parallel_fit_smoke(benchmark, save_result, save_manifest):
-    """Small-n: all fit modes label-identical; record the workers=2 curve."""
+    """Small-n: both one-pass routes label-identical to the dense route."""
+    from unittest import mock
+
     from repro.obs import RunManifest, Tracer
 
     n_clusters = SMOKE_N_CLUSTERS
-    from benchmarks.bench_blocked_fit import make_clustered_baskets
-
-    import repro.native as native_mod
-
     dataset = make_clustered_baskets(n_clusters)
-    base = RockPipeline(
-        k=n_clusters, theta=THETA, sample_size=None, seed=0
-    ).fit(dataset, label_remaining=False)
-    modes = ["blocked", "parallel", "fused"]
-    if native_mod.available_backend() is not None:
-        modes.append("native")
-    results = {}
-    for mode in modes:
-        results[mode] = RockPipeline(
-            k=n_clusters, theta=THETA, sample_size=None, seed=0,
-            fit_mode=mode, workers=2,
-        ).fit(dataset, label_remaining=False)
-        assert np.array_equal(results[mode].labels, base.labels), mode
-        assert results[mode].clusters == base.clusters, mode
+    base = dict(k=n_clusters, theta=THETA, sample_size=None, seed=0)
+    dense = RockPipeline(**base).fit(dataset, label_remaining=False)
+    assert dense.backends["fit"] == "dense"
+    kernels = kernels_available()
+    for kernel in kernels:
+        with mock.patch.dict(os.environ):
+            if kernel == "fused":
+                os.environ["REPRO_NATIVE"] = "0"
+            result = RockPipeline(**base, memory_budget=1, workers=2).fit(
+                dataset, label_remaining=False
+            )
+        assert result.backends["fit"].startswith(kernel), result.backends
+        assert np.array_equal(result.labels, dense.labels), kernel
+        assert result.clusters == dense.clusters, kernel
 
     tracer = Tracer()
     holder = {}
     benchmark.pedantic(
         lambda: holder.setdefault(
             "rows",
-            [measure_traced("blocked", n_clusters, tracer)]
-            + [
-                measure_traced(f"{v}:2", n_clusters, tracer)
-                for v in modes[1:]
-            ],
+            [measure_traced(f"{k}:2", n_clusters, tracer) for k in kernels],
         ),
         rounds=1,
         iterations=1,
     )
     rows = holder["rows"]
+    assert len({row["linked_pairs"] for row in rows}) == 1
     save_result(
         "parallel_fit_smoke",
         "\n".join([
-            "Parallel fit smoke: all fit modes label-identical (workers=2)",
+            "Parallel fit smoke: the one-pass routes equal the dense "
+            "route (workers=2)",
             f"n={len(dataset)}  theta={THETA}",
             "",
             *format_curve(rows, rows[0]),
@@ -252,48 +219,31 @@ def test_parallel_fit_smoke(benchmark, save_result, save_manifest):
 
 @pytest.mark.slow
 def test_parallel_fit_scale(benchmark, save_result, save_manifest):
-    """n >= 30k: the acceptance bar for the parallel fit path.
-
-    >= 2.5x total speedup at 4 workers over the PR 2 serial blocked
-    kernel, and fused peak RSS no higher than the blocked path's.
-    """
+    """n >= 30k: the worker curve of both kernels, native:1 >= 3x fused:1."""
     from repro.obs import RunManifest, Tracer
 
     tracer = Tracer()
+    variants = [f"{k}:{w}" for k in kernels_available() for w in WORKER_CURVE]
     holder = {}
     benchmark.pedantic(
-        lambda: holder.setdefault("suite", _run_suite(SLOW_N_CLUSTERS, tracer)),
+        lambda: holder.setdefault(
+            "rows", [measure_traced(v, SLOW_N_CLUSTERS, tracer) for v in variants]
+        ),
         rounds=1,
         iterations=1,
     )
-    baseline, rows = holder["suite"]
-    n = baseline["n"]
+    rows = holder["rows"]
+    n = rows[0]["n"]
     assert n >= 30_000
     by_variant = {row["variant"]: row for row in rows}
 
     # every variant counted the same linked pairs -- same graph, same links
     assert len({row["linked_pairs"] for row in rows}) == 1
 
-    speedup4 = (
-        baseline["seconds_total"] / by_variant["parallel:4"]["seconds_total"]
-    )
-    fused_speedup4 = (
-        baseline["seconds_total"] / by_variant["fused:4"]["seconds_total"]
-    )
-    assert speedup4 >= 2.5, (
-        f"parallel:4 speedup {speedup4:.2f}x below the 2.5x bar "
-        f"({baseline['seconds_total']:.1f}s -> "
-        f"{by_variant['parallel:4']['seconds_total']:.1f}s)"
-    )
-    assert by_variant["fused:4"]["peak_rss"] <= baseline["peak_rss"], (
-        "fused peak RSS exceeds the blocked baseline"
-    )
-
     native_lines = []
     if "native:1" in by_variant:
         # workers-matched single-core comparison: same schedule, same
-        # pool (none), only the kernels differ.  The full curve is in
-        # the table above.
+        # pool (none), only the kernels differ
         native_speedup = (
             by_variant["fused:1"]["seconds_total"]
             / max(by_variant["native:1"]["seconds_total"], 1e-9)
@@ -316,18 +266,13 @@ def test_parallel_fit_scale(benchmark, save_result, save_manifest):
     save_result(
         "parallel_fit",
         "\n".join([
-            "Parallel fit at n >= 30k: speedup-vs-workers and peak RSS",
+            "Parallel fit at n >= 30k: the one-pass kernels per worker count",
             "",
             f"points     {n}  ({SLOW_N_CLUSTERS} clusters x 24, theta {THETA})",
-            "baseline   serial blocked kernel (PR 2), fresh process",
+            "each variant in a fresh process; neighbor+link stage only",
             "",
-            *format_curve(rows, baseline),
+            *format_curve(rows, by_variant["fused:1"]),
             "",
-            f"parallel:4 speedup {speedup4:.2f}x, fused:4 speedup "
-            f"{fused_speedup4:.2f}x (bar: >= 2.5x)",
-            "fused peak RSS <= blocked baseline: "
-            f"{by_variant['fused:4']['peak_rss'] / 1024**2:.1f} MB vs "
-            f"{baseline['peak_rss'] / 1024**2:.1f} MB",
             *native_lines,
             "",
             machine_summary(),
@@ -344,6 +289,80 @@ def test_parallel_fit_scale(benchmark, save_result, save_manifest):
                 "worker_curve": list(WORKER_CURVE),
             },
         ),
+    )
+
+
+@pytest.mark.slow
+def test_fit_past_the_memory_wall(benchmark, save_result):
+    """Fit 33,600 points whose dense similarity matrix would be ~9 GB.
+
+    ``dense_similarity_bytes(n)`` exceeds 8 GB, the fit's memory budget
+    and ``DENSIFY_LIMIT``, so the planner must leave the dense route and
+    nothing downstream may densify -- the run would raise if it tried.
+    Peak RSS (``ru_maxrss``, so run this file alone in a fresh process)
+    is asserted under half the dense footprint.
+    """
+    from repro.core.neighbors import DENSIFY_LIMIT, dense_similarity_bytes
+    from repro.core.pipeline import plan_fit
+
+    dataset = make_clustered_baskets(WALL_N_CLUSTERS)
+    n = len(dataset)
+    dense_bytes = dense_similarity_bytes(n)
+    plan = plan_fit(dataset, THETA)
+    assert dense_bytes > 8 * 1024**3
+    assert dense_bytes > plan.memory_budget
+    assert n * n > DENSIFY_LIMIT  # any densification would raise
+    assert plan.route in ("native", "fused")
+
+    holder = {}
+    benchmark.pedantic(
+        lambda: holder.setdefault(
+            "result",
+            RockPipeline(k=WALL_N_CLUSTERS, theta=THETA, seed=0).fit(
+                dataset, label_remaining=False
+            ),
+        ),
+        rounds=1,
+        iterations=1,
+    )
+    result = holder["result"]
+    peak = peak_rss_bytes()
+
+    assert result.backends["fit"] == plan.backend
+    assert peak < dense_bytes / 2, (
+        f"peak RSS {peak / 1024**3:.2f} GB is not memory-bounded vs the "
+        f"{dense_bytes / 1024**3:.2f} GB dense matrix"
+    )
+    assert len(result.labels) == n
+    assert impure_clusters(result.labels) == 0
+    purity = mean_purity(result.labels, WALL_N_CLUSTERS)
+    assert purity > 0.9
+    assert abs(result.n_clusters - WALL_N_CLUSTERS) <= WALL_N_CLUSTERS * 0.05
+
+    save_result(
+        "fit_memory_wall",
+        "\n".join([
+            "Fit at n beyond the dense-similarity memory wall (auto route)",
+            "",
+            f"points                  {n}  ({WALL_N_CLUSTERS} clusters x "
+            f"24, vocab 400, theta {THETA})",
+            f"dense similarity matrix {dense_bytes / 1024**3:.2f} GB "
+            "(never materialised)",
+            f"memory budget           {plan.memory_budget / 1024**3:.2f} GB "
+            "(host-aware default)",
+            f"route                   {result.backends['fit']}",
+            f"peak RSS                {peak / 1024**3:.2f} GB",
+            f"clusters found          {result.n_clusters}, all pure  "
+            f"(mean purity {purity:.3f})",
+            "",
+            "stage seconds:",
+            *(
+                f"  {stage:<10} {seconds:8.2f}"
+                for stage, seconds in result.timings.items()
+            ),
+            "",
+            machine_summary(),
+        ]),
     )
 
 

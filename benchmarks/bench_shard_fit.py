@@ -70,7 +70,7 @@ def make_basket_file(
 ) -> int:
     """Stream well-separated clustered baskets to ``path``.
 
-    Same generative shape as ``bench_blocked_fit.make_clustered_baskets``
+    Same generative shape as ``benchmarks.baskets.make_clustered_baskets``
     (24 size-10 transactions per cluster from a 14-item pool) but
     chunk-written, so the big instances never exist in memory here.
     Cross-cluster pools share ~``POOL_SIZE**2 / vocab_size`` items, far
@@ -115,13 +115,16 @@ def run_variant(
             from repro.core import rock
             from repro.data.io import read_transactions
 
+            # past the budget with the C tier off, the planner's
+            # in-memory route is the fused kernel (a fresh process, so
+            # the switch touches nothing else)
+            os.environ["REPRO_NATIVE"] = "0"
             start = time.perf_counter()
             dataset = read_transactions(data)
             load_s = time.perf_counter() - start
             start = time.perf_counter()
             result = rock(
-                dataset, k=n_clusters, theta=THETA, fit_mode="fused",
-                memory_budget=MEMORY_BUDGET,
+                dataset, k=n_clusters, theta=THETA, memory_budget=MEMORY_BUDGET,
             )
             fit_s = time.perf_counter() - start
             clusters = len(result.clusters)
@@ -217,7 +220,7 @@ def format_rows(rows: list[dict]) -> list[str]:
 
 
 def test_shard_fit_smoke(benchmark, tmp_path, save_result, save_manifest):
-    """Small-n: sharded labels identical to fused; record the curve."""
+    """Small-n: sharded labels identical to the in-memory route; record the curve."""
     from repro.core import rock
     from repro.data.io import read_transactions
     from repro.obs import RunManifest, Tracer
@@ -225,7 +228,7 @@ def test_shard_fit_smoke(benchmark, tmp_path, save_result, save_manifest):
     data = tmp_path / "baskets.txt"
     n = make_basket_file(data, SMOKE_N_CLUSTERS)
     dataset = read_transactions(data)
-    base = rock(dataset, k=SMOKE_N_CLUSTERS, theta=THETA, fit_mode="fused")
+    base = rock(dataset, k=SMOKE_N_CLUSTERS, theta=THETA, memory_budget=1)
     sharded = rock(
         dataset, k=SMOKE_N_CLUSTERS, theta=THETA, fit_mode="sharded",
         workers=2, shard_block_rows=64,

@@ -1,7 +1,8 @@
 """Trace smoke: a small traced fit leaves one complete RunManifest.
 
-CI-fast proof of the observability wiring end to end: a parallel
-(workers=2) fit under a :class:`~repro.obs.trace.Tracer` must produce a
+CI-fast proof of the observability wiring end to end: a fit past its
+memory budget (the native or fused route, workers=2) under a
+:class:`~repro.obs.trace.Tracer` must produce a
 manifest that (a) round-trips through JSON, (b) contains a span for
 every fit phase, and (c) carries worker-side kernel counters merged
 back through the process pool.  Runs under ``make bench-smoke``.
@@ -19,13 +20,13 @@ FIT_PHASES = ("sample", "neighbors", "links", "cluster", "label")
 
 
 def test_trace_fit_smoke(benchmark, save_result, save_manifest, results_dir):
-    from benchmarks.bench_blocked_fit import make_clustered_baskets
+    from benchmarks.baskets import make_clustered_baskets
 
     dataset = make_clustered_baskets(N_CLUSTERS)
     tracer = Tracer()
     pipeline = RockPipeline(
         k=N_CLUSTERS, theta=THETA, sample_size=None, seed=0,
-        fit_mode="parallel", workers=2,
+        memory_budget=1, workers=2,
     )
     holder = {}
     benchmark.pedantic(
@@ -39,7 +40,7 @@ def test_trace_fit_smoke(benchmark, save_result, save_manifest, results_dir):
 
     manifest = RunManifest.from_tracer(
         "bench_trace_fit_smoke", tracer,
-        config={"n": len(dataset), "theta": THETA, "fit_mode": "parallel",
+        config={"n": len(dataset), "theta": THETA, "memory_budget": 1,
                 "workers": 2},
     )
     save_manifest("trace_fit_smoke", manifest)
@@ -54,8 +55,9 @@ def test_trace_fit_smoke(benchmark, save_result, save_manifest, results_dir):
 
     # worker-side kernel counters made it back through the pool
     counters = reloaded.metrics["counters"]
-    assert counters["fit.neighbors.rows"] == len(dataset)
-    assert counters["fit.links.chunks"] >= 1
+    kernel = "native" if result.backends["fit"].startswith("native") else "fused"
+    assert counters[f"fit.{kernel}.rows"] == len(dataset)
+    assert counters[f"fit.{kernel}.blocks"] >= 1
 
     fit_span = reloaded.find_span("fit")
     phase_lines = [
@@ -65,7 +67,7 @@ def test_trace_fit_smoke(benchmark, save_result, save_manifest, results_dir):
     save_result(
         "trace_fit_smoke",
         "\n".join([
-            "Trace smoke: parallel (workers=2) fit under a Tracer",
+            f"Trace smoke: {result.backends['fit']} (workers=2) fit under a Tracer",
             f"n={len(dataset)}  theta={THETA}  "
             f"clusters={result.n_clusters}",
             "",
@@ -75,7 +77,7 @@ def test_trace_fit_smoke(benchmark, save_result, save_manifest, results_dir):
             "merged worker counters: "
             + json.dumps(
                 {k: v for k, v in sorted(counters.items())
-                 if k.startswith(("fit.neighbors", "fit.links"))},
+                 if k.startswith((f"fit.{kernel}", "fit.links"))},
             ),
             "",
             machine_summary(),

@@ -1,14 +1,18 @@
-"""The parallel fit path: fit_mode, workers, and the fused kernel.
+"""The fit planner: one memory budget picks the neighbor+link route.
 
 Per §4.4 of the paper, neighbor and link computation dominate ROCK's
 cost — O(n²·m) set intersections plus O(Σ mᵢ²) link increments.  The
-``repro.parallel`` package makes the blocked kernel's row blocks the
-unit of parallelism and (optionally) fuses link counting into the same
-pass, so the neighbor graph never exists in memory.
+paper computes links in one of two ways: square the adjacency, or run
+the Figure 4 neighbor-list loop.  ``repro.core.pipeline.plan_fit``
+picks the route from the input and one memory budget: while the dense
+n x n similarity matrix fits, the dense route; past it, a one-pass
+kernel that folds link counting into the neighbor scan, so the
+neighbor graph never exists in memory (native C kernels, or the scipy
+``fused`` kernel under ``REPRO_NATIVE=0``).
 
-Every mode produces byte-identical clusters; the only differences are
-wall-time and peak memory.  This example fits the same baskets four
-ways and shows the timings and the agreement.
+Every route produces byte-identical clusters; the only differences are
+wall-time and peak memory.  This example fits the same baskets under
+two budgets and shows the routes, the timings and the agreement.
 
     python examples/parallel_fit.py
 """
@@ -16,8 +20,9 @@ ways and shows the timings and the agreement.
 import numpy as np
 
 from repro import RockPipeline
+from repro.core.pipeline import plan_fit
 from repro.datasets import small_synthetic_basket
-from repro.parallel import fused_neighbor_links, parallel_neighbor_graph
+from repro.parallel import fused_neighbor_links
 
 
 def main() -> None:
@@ -27,35 +32,36 @@ def main() -> None:
     points = basket.transactions
     print(f"{len(points)} baskets, 4 planted clusters\n")
 
-    # --- one pipeline per fit mode; everything else identical -----------
+    # --- the plan: which route, and why ----------------------------------
+    for budget in (None, 1 << 20):
+        plan = plan_fit(points, 0.5, memory_budget=budget)
+        print(f"memory_budget={budget}: route {plan.backend} ({plan.reason})")
+    print()
+
+    # --- one pipeline per budget; everything else identical -------------
     results = {}
-    for mode, workers in [
-        ("dense", None),        # the full n x n similarity matrix
-        ("blocked", None),      # PR 2: one row block at a time, serial
-        ("parallel", "auto"),   # row blocks fanned out across processes
-        ("fused", "auto"),      # one pass: links accumulate per block,
-                                # the neighbor graph is never built
+    for budget, workers in [
+        (None, None),       # host-aware budget: the dense route
+        (1 << 20, "auto"),  # 1 MiB: past the wall, the one-pass kernel
     ]:
         pipeline = RockPipeline(
-            k=4, theta=0.5, seed=0, fit_mode=mode, workers=workers
+            k=4, theta=0.5, seed=0, memory_budget=budget, workers=workers
         )
-        results[mode] = pipeline.fit(points, label_remaining=False)
-        timings = results[mode].timings
-        print(f"fit_mode={mode:<9} neighbors+links "
+        result = pipeline.fit(points, label_remaining=False)
+        results[budget] = result
+        timings = result.timings
+        print(f"fit route {result.backends['fit']:<12} neighbors+links "
               f"{timings['neighbors'] + timings['links']:6.3f}s  "
-              f"-> {results[mode].n_clusters} clusters")
+              f"-> {result.n_clusters} clusters")
 
-    # --- all modes agree exactly ----------------------------------------
-    base = results["dense"]
-    for mode, result in results.items():
-        assert np.array_equal(result.labels, base.labels), mode
-    print("\nall four fit modes produced byte-identical labels")
+    # --- both routes agree exactly ----------------------------------------
+    dense, over_budget = results.values()
+    assert np.array_equal(dense.labels, over_budget.labels)
+    print("\nboth routes produced byte-identical labels")
 
     # --- the kernels are also usable directly ---------------------------
-    graph = parallel_neighbor_graph(points, 0.5, workers=2, min_points=1)
     fused = fused_neighbor_links(points, 0.5, workers=2)
-    print(f"parallel graph: {graph.edge_count()} edges; "
-          f"fused: {fused.links.nnz_pairs()} linked pairs, "
+    print(f"fused: {fused.links.nnz_pairs()} linked pairs, "
           f"degrees via fused.degrees (graph never materialised)")
 
 

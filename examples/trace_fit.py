@@ -3,10 +3,10 @@
 A :class:`~repro.obs.trace.Tracer` wraps every pipeline phase — sample,
 neighbors, links, cluster, label — in a span that records wall clock,
 CPU time, and peak-RSS delta, while the kernels count rows, edges, and
-link increments into the tracer's metrics registry.  With a parallel
-fit the pool workers record into their own local registries and ship
-snapshot deltas back per chunk, so the merged counters cover the whole
-run.  Everything lands in one :class:`~repro.obs.manifest.RunManifest`
+link increments into the tracer's metrics registry.  With a
+multi-worker fit past the memory budget the pool workers record into
+their own local registries and ship snapshot deltas back per block, so
+the merged counters cover the whole run.  Everything lands in one :class:`~repro.obs.manifest.RunManifest`
 JSON artifact.
 
     python examples/trace_fit.py
@@ -23,13 +23,15 @@ def main() -> None:
     )
     points = basket.transactions
 
-    # --- fit under a tracer (parallel mode: 2 worker processes) ---------
+    # --- fit under a tracer (1 MiB budget: the one-pass kernel on 2
+    # worker processes) ---------------------------------------------------
     tracer = Tracer()
     pipeline = RockPipeline(
-        k=4, theta=0.5, seed=0, fit_mode="parallel", workers=2
+        k=4, theta=0.5, seed=0, memory_budget=1 << 20, workers=2
     )
     result = pipeline.fit(points, tracer=tracer)
-    print(f"{len(points)} baskets -> {result.n_clusters} clusters\n")
+    print(f"{len(points)} baskets -> {result.n_clusters} clusters "
+          f"(fit route {result.backends['fit']})\n")
 
     # --- the span tree: one root, one child per phase -------------------
     fit_span = tracer.spans()[0]
@@ -47,7 +49,7 @@ def main() -> None:
     # --- one JSON artifact for the whole run ----------------------------
     manifest = RunManifest.from_tracer(
         "example_trace_fit", tracer,
-        config={"n": len(points), "theta": 0.5, "fit_mode": "parallel",
+        config={"n": len(points), "theta": 0.5, "memory_budget": 1 << 20,
                 "workers": 2},
     )
     manifest.save("trace_fit.manifest.json")

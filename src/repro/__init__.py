@@ -38,7 +38,6 @@ from repro.core import (
     RockPipeline,
     RockResult,
     SimilarityTable,
-    blocked_neighbor_graph,
     cluster_with_links,
     compute_links,
     compute_neighbor_graph,
@@ -90,7 +89,6 @@ __all__ = [
     "TimeSeries",
     "Transaction",
     "TransactionDataset",
-    "blocked_neighbor_graph",
     "cluster_with_links",
     "compute_links",
     "compute_neighbor_graph",

@@ -55,34 +55,34 @@ from repro.eval.metrics import (
 from repro.eval.reporting import format_table
 
 
+# fit modes the planner replaced; parsed for one more release, then run as auto
+_DEPRECATED_FIT_MODES = ("dense", "blocked", "parallel", "fused", "native")
+
+
 def _add_fit_memory_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--neighbor-method",
         choices=["auto", "vectorized", "blocked", "bruteforce"],
-        default="auto",
-        help="neighbor kernel; 'blocked' forces the memory-bounded "
-        "row-block path, 'auto' picks it when the dense similarity "
-        "matrix would exceed the memory budget",
+        default=None,
+        help="deprecated and ignored: the fit planner picks the neighbor "
+        "kernel",
     )
     sub.add_argument(
         "--memory-budget-mb", type=int, default=None,
-        help="dense-intermediate budget in MiB for the auto neighbor-"
-        "method heuristic (default 1024)",
+        help="the fit's memory budget in MiB: the dense route runs while "
+        "its n x n float64 similarity matrix fits, the one-pass native "
+        "or fused kernels past it (default: half the available memory, "
+        "clamped to 256 MiB - 4 GiB)",
     )
     sub.add_argument(
         "--fit-mode",
-        choices=[
-            "auto", "dense", "blocked", "parallel", "fused", "native",
-            "sharded",
-        ],
+        choices=["auto", "sharded", *_DEPRECATED_FIT_MODES],
         default="auto",
-        help="coarse fit-path switch; 'parallel' fans row blocks out "
-        "across --workers processes, 'fused' additionally folds link "
-        "counting into the same pass (lowest peak memory), 'native' "
-        "runs the fused pass with repro.native kernels (falls back to "
-        "fused with a warning when unavailable), 'sharded' runs the "
-        "out-of-core coordinator/worker fit over a memory-mapped store "
-        "(crash-safe, resumable); all modes produce identical clusters",
+        help="'auto' lets the fit planner pick the route from the input "
+        "and the memory budget; 'sharded' runs the out-of-core "
+        "coordinator/worker fit over a memory-mapped store (crash-safe, "
+        "resumable); both produce identical clusters.  The values "
+        f"{', '.join(_DEPRECATED_FIT_MODES)} are deprecated and run 'auto'",
     )
     sub.add_argument(
         "--shard-block-rows", type=int, default=None,
@@ -112,7 +112,7 @@ def _add_fit_memory_args(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--workers", default=None,
-        help="process count for the parallel/fused kernels: an int, "
+        help="process count for the native/fused kernels: an int, "
         "'auto' (CPU count, capped at 8), or omitted for serial",
     )
 
@@ -168,6 +168,38 @@ def _memory_budget_bytes(args: argparse.Namespace) -> int | None:
     if args.memory_budget_mb < 1:
         raise SystemExit("--memory-budget-mb must be positive")
     return args.memory_budget_mb << 20
+
+
+def _fit_kwargs(args: argparse.Namespace) -> dict[str, Any]:
+    """The RockPipeline fit options shared by cluster, fit-model and stream.
+
+    The removed ``--neighbor-method`` and the removed ``--fit-mode``
+    values still parse for one release: they print one deprecation
+    line to stderr and the fit runs ``auto``.
+    """
+    deprecated = []
+    if args.neighbor_method is not None:
+        deprecated.append(f"--neighbor-method {args.neighbor_method}")
+    fit_mode = args.fit_mode
+    if fit_mode in _DEPRECATED_FIT_MODES:
+        deprecated.append(f"--fit-mode {fit_mode}")
+        fit_mode = "auto"
+    if deprecated:
+        print(
+            f"warning: deprecated and ignored: {', '.join(deprecated)}; "
+            "running --fit-mode auto",
+            file=sys.stderr,
+        )
+    return dict(
+        memory_budget=_memory_budget_bytes(args),
+        fit_mode=fit_mode,
+        merge_method=args.merge_method,
+        workers=_fit_workers(args),
+        shard_block_rows=args.shard_block_rows,
+        spill_dir=args.spill_dir,
+        max_retries=args.max_retries,
+        seed=args.seed,
+    )
 
 
 def _fit_workers(args: argparse.Namespace) -> int | str | None:
@@ -533,15 +565,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         similarity=similarity,
         sample_size=args.sample,
         min_cluster_size=args.min_cluster_size,
-        neighbor_method=args.neighbor_method,
-        memory_budget=_memory_budget_bytes(args),
-        fit_mode=args.fit_mode,
-        merge_method=args.merge_method,
-        workers=_fit_workers(args),
-        shard_block_rows=args.shard_block_rows,
-        spill_dir=args.spill_dir,
-        max_retries=args.max_retries,
-        seed=args.seed,
+        **_fit_kwargs(args),
     )
     from repro.obs import Tracer
 
@@ -568,7 +592,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             "k": args.k,
             "theta": args.theta,
             "sample": args.sample,
-            "fit_mode": args.fit_mode,
+            "fit_mode": pipeline.fit_mode,
             "merge_method": args.merge_method,
             "workers": getattr(args, "workers", None),
             "seed": args.seed,
@@ -685,15 +709,7 @@ def cmd_fit_model(args: argparse.Namespace) -> int:
         sample_size=args.sample,
         min_cluster_size=args.min_cluster_size,
         labeling_fraction=args.labeling_fraction,
-        neighbor_method=args.neighbor_method,
-        memory_budget=_memory_budget_bytes(args),
-        fit_mode=args.fit_mode,
-        merge_method=args.merge_method,
-        workers=_fit_workers(args),
-        shard_block_rows=args.shard_block_rows,
-        spill_dir=args.spill_dir,
-        max_retries=args.max_retries,
-        seed=args.seed,
+        **_fit_kwargs(args),
     )
     from repro.obs import Tracer
 
@@ -725,7 +741,7 @@ def cmd_fit_model(args: argparse.Namespace) -> int:
             "theta": args.theta,
             "sample": args.sample,
             "labeling_fraction": args.labeling_fraction,
-            "fit_mode": args.fit_mode,
+            "fit_mode": pipeline.fit_mode,
             "merge_method": args.merge_method,
             "workers": getattr(args, "workers", None),
             "seed": args.seed,
@@ -879,15 +895,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
         k=args.k,
         theta=args.theta,
         min_cluster_size=args.min_cluster_size,
-        neighbor_method=args.neighbor_method,
-        memory_budget=_memory_budget_bytes(args),
-        fit_mode=args.fit_mode,
-        merge_method=args.merge_method,
-        workers=_fit_workers(args),
-        shard_block_rows=args.shard_block_rows,
-        spill_dir=args.spill_dir,
-        max_retries=args.max_retries,
-        seed=args.seed,
+        **_fit_kwargs(args),
     )
     drift = None
     if args.max_outlier_rate is not None or args.min_mean_score is not None:

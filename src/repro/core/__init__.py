@@ -53,22 +53,20 @@ from repro.core.neighbors import (
     DEFAULT_MEMORY_BUDGET,
     NeighborGraph,
     adjacency_from_similarity_matrix,
-    blocked_neighbor_graph,
     compute_neighbor_graph,
     similarity_matrix,
     supports_blocked,
 )
 from repro.core.outliers import prune_sparse_points, weed_small_clusters
-from repro.core.pipeline import PipelineResult, RockPipeline
-from repro.core.reference import naive_cluster_with_links
-from repro.core.rock import (
+from repro.core.pipeline import (
     FIT_MODES,
-    MergeStep,
-    RockResult,
-    cluster_with_links,
-    resolve_fit_mode,
-    rock,
+    FitPlan,
+    PipelineResult,
+    RockPipeline,
+    plan_fit,
 )
+from repro.core.reference import naive_cluster_with_links
+from repro.core.rock import MergeStep, RockResult, cluster_with_links, rock
 from repro.core.serialization import load_result, save_result
 from repro.core.tuning import ThetaSuggestion, similarity_profile, suggest_theta
 from repro.core.sampling import reservoir_sample, reservoir_sample_skip, sample_indices
@@ -109,6 +107,7 @@ __all__ = [
     "MissingAwareJaccard",
     "NeighborGraph",
     "OverlapSimilarity",
+    "FitPlan",
     "PipelineResult",
     "RockPipeline",
     "RockResult",
@@ -118,8 +117,6 @@ __all__ = [
     "FIT_MODES",
     "MERGE_METHODS",
     "attribute_item",
-    "blocked_neighbor_graph",
-    "resolve_fit_mode",
     "cluster_with_links",
     "compute_links",
     "compute_neighbor_graph",
@@ -142,6 +139,7 @@ __all__ = [
     "record_to_transaction",
     "reservoir_sample",
     "reservoir_sample_skip",
+    "plan_fit",
     "rock",
     "sample_indices",
     "sparse_link_table",

@@ -87,7 +87,7 @@ def connected_components(graph: NeighborGraph) -> list[list[int]]:
         for a, b in zip(rows[upper].tolist(), cols[upper].tolist()):
             uf.union(a, b)
     else:
-        # sparse-backed graph (blocked path): walk the neighbor lists
+        # sparse-backed graph: walk the neighbor lists
         for a, neighbors in enumerate(graph.neighbor_lists()):
             for b in neighbors.tolist():
                 if a < b:

@@ -28,7 +28,6 @@ link-order ablation bench.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from typing import Any
 
 import numpy as np
 
@@ -280,53 +279,28 @@ def sparse_link_table(graph: NeighborGraph) -> LinkTable:
     return LinkTable(n, codes, counts, producer)
 
 
-def compute_links(
-    graph: NeighborGraph,
-    method: str = "auto",
-    workers: int | str | None = None,
-    registry: Any | None = None,
-) -> LinkTable:
+def compute_links(graph: NeighborGraph, method: str = "auto") -> LinkTable:
     """Compute the link table, picking dense vs sparse by expected cost.
 
     ``auto`` counts pair codes (:func:`sparse_link_table`) while the
     Figure 4 pair work ``sum_i m_i^2`` stays below
     ``SPARSE_LINK_RATIO * n^2``, and squares the adjacency in row
     blocks (:func:`blocked_link_table`) above it.  A sparse-backed
-    graph (the blocked fit path) always stays sparse unless ``dense``
-    is forced -- the whole point of that path is that no ``n x n``
-    array ever exists.  ``dense`` / ``sparse`` / ``parallel`` force a
-    path; ``parallel`` is the multi-worker numpy pair counter
-    (:func:`repro.parallel.links.parallel_link_table`), which ``auto``
-    also selects whenever ``workers`` resolves to more than one
-    process.  Every path returns identical counts; the table's
-    ``producer`` names the kernel that ran.  A ``registry`` receives
-    the linked pair count, plus per-chunk worker deltas on the
-    parallel path.
+    graph always stays sparse unless ``dense`` is forced, so no
+    ``n x n`` array is built for it.  ``dense`` / ``sparse`` force a
+    path.  Every path returns identical counts; the table's
+    ``producer`` names the kernel that ran.
     """
-    if method not in ("auto", "dense", "sparse", "parallel"):
+    if method not in ("auto", "dense", "sparse"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
-        from repro.parallel.pool import resolve_workers
-
-        if workers is not None and resolve_workers(workers) > 1:
-            method = "parallel"
-        elif not graph.has_dense:
+        if not graph.has_dense:
             method = "sparse"
         else:
             degrees = graph.degrees().astype(np.float64)
             pair_work = degrees @ degrees
             method = "sparse" if pair_work < SPARSE_LINK_RATIO * graph.n**2 else "dense"
-    if method == "parallel":
-        from repro.parallel.links import parallel_link_table
-
-        table = parallel_link_table(graph, workers=workers, registry=registry)
-    elif method == "sparse":
-        table = sparse_link_table(graph)
-    else:
-        table = blocked_link_table(graph)
-    if registry is not None:
-        registry.inc("fit.links.pairs", table.nnz_pairs())
-    return table
+    return sparse_link_table(graph) if method == "sparse" else blocked_link_table(graph)
 
 
 def weighted_link_matrix(

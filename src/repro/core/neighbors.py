@@ -12,43 +12,33 @@ that excludes the two endpoints themselves -- so the operative neighbor
 lists used by link computation must exclude self-loops (otherwise each
 adjacent pair would gain two spurious links from its own endpoints).
 
-Three computation paths are provided:
+Two computation paths are provided:
 
-* a **vectorised** path for datasets whose similarity exposes a
-  ``pairwise`` bulk method (Jaccard over transactions, missing-aware
-  Jaccard over records) -- set intersections become matrix products,
-  mirroring the adjacency-matrix view of Section 4.4, run one row block
-  at a time (:func:`blocked_adjacency`) into a dense boolean adjacency,
-  so no ``n x n`` float64 similarity matrix is held;
-* a **blocked** path (:func:`blocked_neighbor_graph`) computing the
-  same similarity one row-block at a time and emitting sparse neighbor
-  lists, so the dense ``n x n`` similarity matrix never exists -- the
-  only path whose peak memory is ``O(block_size * n)`` instead of
-  ``O(n^2)``;
+* a **vectorised** path for datasets whose similarity has a row-block
+  scorer (:func:`build_block_scorer`: Jaccard/overlap over
+  transactions, missing-aware Jaccard over records) -- set
+  intersections become matrix products, mirroring the adjacency-matrix
+  view of Section 4.4, run one row block at a time
+  (:func:`blocked_adjacency`) into a dense boolean adjacency, so no
+  ``n x n`` float64 similarity matrix is held;
 * a **generic** O(n^2) path calling ``sim(a, b)`` pairwise, which works
   for any :class:`~repro.core.similarity.SimilarityFunction` including
   domain-expert similarity tables.
 
-``compute_neighbor_graph(method="auto")`` picks the blocked path
-automatically whenever the dense similarity matrix would not fit the
-``memory_budget`` (default :data:`DEFAULT_MEMORY_BUDGET`) and the
-similarity/dataset pair supports blocking; the three paths produce
-identical graphs (property-tested).
-
-A fourth path, ``method="parallel"`` (or ``"auto"`` with
-``workers > 1``), fans the same row blocks out across worker processes
--- see :func:`repro.parallel.neighbors.parallel_neighbor_graph`.  The
-per-block math lives in the picklable :class:`BlockScorer` objects
-built by :func:`build_block_scorer`, which every kernel (serial
-blocked, parallel, fused) shares: block scoring is row-independent and
-exact (integer intersections below 2**24, one float64 division), so
-every path produces bit-identical graphs for any block size or worker
-count.
+:func:`compute_neighbor_graph` builds the in-memory graph for the
+fit's dense route, DBSCAN and QROCK.  Fits too large for a dense
+adjacency never build a graph: :func:`repro.core.pipeline.plan_fit`
+sends them to the fused neighbor+link kernels
+(:func:`repro.parallel.links.fused_neighbor_links`,
+:func:`repro.native.links.native_neighbor_links`), which share the
+picklable :class:`BlockScorer` objects built here.  Block scoring is
+row-independent and exact (integer intersections below 2**24, one
+float64 division), so every path produces bit-identical graphs for any
+block size or worker count.
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Sequence
 from typing import Any
 
@@ -58,14 +48,13 @@ from repro.core.similarity import JaccardSimilarity, OverlapSimilarity, Similari
 from repro.data.records import CategoricalDataset, CategoricalRecord
 from repro.data.transactions import TransactionDataset
 
-# Dense-intermediate budget (bytes) used by the ``auto`` method choice
-# and as the default blocked-kernel working-set bound: one n x n float64
-# similarity matrix must fit, or the blocked path takes over.
+# The fit's memory budget (bytes) where /proc/meminfo cannot tell the
+# host-aware default of resolve_memory_budget.
 DEFAULT_MEMORY_BUDGET = 1 << 30
 
 # A sparse-backed graph refuses to synthesize a dense adjacency bigger
 # than this (bytes) -- consumers that truly need the dense view at that
-# scale should not exist on the blocked path.
+# scale should not exist past the memory wall.
 DENSIFY_LIMIT = 1 << 30
 
 # Rows per BLAS block on the dense path (adjacency fill and link
@@ -77,10 +66,10 @@ DENSE_BLOCK_ROWS = 256
 def dense_similarity_bytes(n: int) -> int:
     """Bytes of the dense ``n x n`` float64 similarity matrix.
 
-    The ``auto`` switch-over still prices the dense path by this figure,
-    although that path now holds an ``n^2``-byte boolean adjacency plus
-    row blocks: keeping the figure keeps every ``memory_budget``
-    choosing the path it chose before.
+    The fit planner still prices the dense route by this figure,
+    although that route now holds an ``n^2``-byte boolean adjacency
+    plus row blocks: keeping the figure keeps every ``memory_budget``
+    choosing the route it chose before.
     """
     return 8 * n * n
 
@@ -90,12 +79,12 @@ class NeighborGraph:
 
     Backed either by a dense ``(n, n)`` boolean adjacency (validated
     symmetric and hollow) or by per-point sorted neighbor-index lists
-    (:meth:`from_neighbor_lists`, produced by the blocked kernel).  The
+    (:meth:`from_neighbor_lists`, produced by the fused kernels).  The
     two representations are interchangeable: ``neighbor_lists()`` is
     derived lazily from a dense backing, and ``adjacency`` is
     synthesized lazily from a sparse backing -- but only while
-    ``n^2`` bytes stay under :data:`DENSIFY_LIMIT`, so the blocked fit
-    path can never accidentally materialise the quadratic matrix.
+    ``n^2`` bytes stay under :data:`DENSIFY_LIMIT`, so a graph past the
+    memory wall can never accidentally materialise the quadratic matrix.
 
     Parameters
     ----------
@@ -232,8 +221,8 @@ class NeighborGraph:
         """The induced neighbor graph on a subset of points (reindexed).
 
         Preserves the backing representation: a sparse-backed graph
-        yields a sparse-backed subgraph (the blocked fit path prunes
-        outliers without ever densifying).
+        yields a sparse-backed subgraph (outliers are pruned without
+        ever densifying).
         """
         idx = np.asarray(list(indices), dtype=np.int64)
         if self._adjacency is not None:
@@ -285,10 +274,6 @@ def compute_neighbor_graph(
     theta: float,
     similarity: SimilarityFunction | None = None,
     method: str = "auto",
-    memory_budget: int | None = None,
-    block_size: int | None = None,
-    workers: int | str | None = None,
-    registry: Any | None = None,
 ) -> NeighborGraph:
     """Build the neighbor graph of a point set at threshold ``theta``.
 
@@ -306,70 +291,17 @@ def compute_neighbor_graph(
         :class:`~repro.core.similarity.MissingAwareJaccard` explicitly
         for the per-pair restriction of the time-series variant).
     method:
-        ``"auto"`` (blocked when the dense matrix would exceed the
-        memory budget, else vectorised when possible), ``"vectorized"``
-        (require the bulk path), ``"blocked"`` (require the row-blocked
-        sparse path), ``"parallel"`` (fan row blocks out across
-        ``workers`` processes), or ``"bruteforce"`` (always pairwise
-        calls).
-    memory_budget:
-        Bytes the dense similarity intermediates may occupy before
-        ``auto`` switches to the blocked path (default
-        :data:`DEFAULT_MEMORY_BUDGET`).
-    block_size:
-        Rows per block for the blocked/parallel paths; ``None`` sizes
-        blocks to the memory budget.
-    workers:
-        Worker processes for the parallel path (``"auto"`` = CPU
-        count).  With ``method="auto"`` and ``workers`` resolving to
-        more than one process, the parallel kernel takes over exactly
-        where the blocked kernel would have (dense matrix over budget);
-        otherwise the serial choice is unchanged.
-    registry:
-        Optional :class:`~repro.obs.registry.MetricsRegistry`; the
-        blocked and parallel kernels record per-block metrics into it
-        (worker-side deltas are merged back through the pool).
+        ``"auto"`` (vectorised when a block scorer exists, else
+        pairwise), ``"vectorized"`` (require the block scorer), or
+        ``"bruteforce"`` (always pairwise calls).
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must be in [0, 1], got {theta}")
-    if method not in ("auto", "vectorized", "bruteforce", "blocked", "parallel"):
+    if method not in ("auto", "vectorized", "bruteforce"):
         raise ValueError(f"unknown method {method!r}")
     if similarity is None:
         similarity = JaccardSimilarity()
-    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
-
-    if method == "parallel":
-        from repro.parallel.neighbors import parallel_neighbor_graph
-
-        return parallel_neighbor_graph(
-            points, theta, similarity=similarity, workers=workers,
-            block_size=block_size, memory_budget=budget, registry=registry,
-        )
-    if (
-        method == "auto"
-        and supports_blocked(points, similarity)
-        and dense_similarity_bytes(len(points)) > budget
-    ):
-        from repro.parallel.pool import resolve_workers
-
-        if resolve_workers(workers) > 1:
-            from repro.parallel.neighbors import parallel_neighbor_graph
-
-            return parallel_neighbor_graph(
-                points, theta, similarity=similarity, workers=workers,
-                block_size=block_size, memory_budget=budget, registry=registry,
-            )
-        return blocked_neighbor_graph(
-            points, theta, similarity=similarity,
-            block_size=block_size, memory_budget=budget, registry=registry,
-        )
-    if method == "blocked":
-        return blocked_neighbor_graph(
-            points, theta, similarity=similarity,
-            block_size=block_size, memory_budget=budget, registry=registry,
-        )
-
-    if method in ("auto", "vectorized"):
+    if method != "bruteforce":
         if supports_blocked(points, similarity):
             scorer = build_block_scorer(points, similarity)
             return NeighborGraph(blocked_adjacency(scorer, theta), theta=theta)
@@ -383,13 +315,13 @@ def compute_neighbor_graph(
 
 
 # ---------------------------------------------------------------------------
-# blocked kernel
+# block scoring
 # ---------------------------------------------------------------------------
 
 def supports_blocked(points: Any, similarity: SimilarityFunction | None = None) -> bool:
-    """Whether :func:`blocked_neighbor_graph` has a kernel for this input.
+    """Whether :func:`build_block_scorer` has a scorer for this input.
 
-    Blocking needs a similarity whose row-block can be computed from a
+    Block scoring needs a similarity whose row-block can be computed from a
     compact per-point encoding: Jaccard/overlap over transactions (or
     ``A.v``-encoded categorical records) and the missing-aware Jaccard
     over records.
@@ -414,62 +346,6 @@ def supports_blocked(points: Any, similarity: SimilarityFunction | None = None) 
     return False
 
 
-def blocked_neighbor_graph(
-    points: Any,
-    theta: float,
-    similarity: SimilarityFunction | None = None,
-    block_size: int | None = None,
-    memory_budget: int | None = None,
-    registry: Any | None = None,
-) -> NeighborGraph:
-    """Memory-bounded neighbor graph: threshold similarity block by block.
-
-    Computes the same similarity values as the vectorised bulk path,
-    but one ``(block_size, n)`` row-block at a time: score the block
-    with a single matmul against the full encoding, threshold it, emit
-    each row's sorted neighbor indices, and discard the block.  Peak
-    additional memory is ``O(block_size * n)`` -- the full ``n x n``
-    float similarity matrix never exists, which is what lets the fit
-    path run at sample sizes where the dense matrix would not fit in
-    RAM (the Section 4.4 adjacency view scaled past main memory).
-
-    The emitted graph is sparse-backed
-    (:meth:`NeighborGraph.from_neighbor_lists`) and exactly equals the
-    dense path's thresholded graph (property-tested): block scoring
-    reproduces the bulk similarity's integer intersections and float
-    divisions bit for bit.
-    """
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must be in [0, 1], got {theta}")
-    if similarity is None:
-        similarity = JaccardSimilarity()
-    if block_size is not None and block_size < 1:
-        raise ValueError("block_size must be positive")
-    if not supports_blocked(points, similarity):
-        raise ValueError(
-            "blocked method requested but the similarity/dataset "
-            "combination has no blocked kernel"
-        )
-    n = len(points)
-    if block_size is None:
-        block_size = default_block_size(n, memory_budget)
-
-    scorer = build_block_scorer(points, similarity)
-    lists: list[np.ndarray] = []
-    for start in range(0, n, block_size):
-        block_start = time.perf_counter()
-        rows = scorer.neighbor_rows(start, min(start + block_size, n), theta)
-        lists.extend(rows)
-        if registry is not None:
-            registry.inc("fit.neighbors.blocks")
-            registry.inc("fit.neighbors.rows", len(rows))
-            registry.inc("fit.neighbors.edges", sum(len(r) for r in rows))
-            registry.observe(
-                "fit.neighbors.block_seconds", time.perf_counter() - block_start
-            )
-    return NeighborGraph.from_neighbor_lists(lists, theta=theta, validate=False)
-
-
 def resolve_memory_budget(memory_budget: int | None = None) -> int:
     """An explicit budget verbatim; otherwise a host-aware default.
 
@@ -491,23 +367,11 @@ def resolve_memory_budget(memory_budget: int | None = None) -> int:
     return max(256 << 20, min(available // 2, 4 << 30))
 
 
-def default_block_size(n: int, memory_budget: int | None = None) -> int:
-    """Rows per block keeping a block's working set inside the budget.
-
-    The working set per block row is roughly float32 intersections +
-    float64 similarities + int64 unions + bool adjacency ~= 24
-    bytes/entry, with headroom for temporaries.
-    """
-    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
-    block_size = int(budget // max(32 * n, 1))
-    return max(16, min(block_size, 8192, max(n, 16)))
-
-
 # -- block scorers ------------------------------------------------------------
 #
 # A BlockScorer owns a compact per-point encoding and computes any row
 # range of the pairwise similarity matrix on demand.  Scorers are plain
-# picklable objects (numpy/scipy arrays + flags) so the parallel kernels
+# picklable objects (numpy/scipy arrays + flags) so the fused kernels
 # can ship one to each worker through the pool initializer.
 
 class BlockScorer:
@@ -532,7 +396,7 @@ class BlockScorer:
 class DenseTransactionScorer(BlockScorer):
     """Jaccard/overlap over transactions via one dense matmul per block.
 
-    The PR 2 blocked kernel: float32 keeps the matmul on the BLAS fast
+    The dense route's scorer: float32 keeps the matmul on the BLAS fast
     path; intersection counts are bounded by the vocabulary size, far
     below 2**24, so the products are exact integers.
     """
@@ -696,8 +560,7 @@ def build_block_scorer(
 
     ``prefer_sparse`` opts transactions into
     :class:`SparseTransactionScorer` when scipy is importable (the
-    parallel and fused kernels do); the serial blocked kernel keeps the
-    dense matmul scorer.  Raises for combinations
+    fused kernel does); the dense route keeps the dense matmul scorer.  Raises for combinations
     :func:`supports_blocked` rejects.
     """
     if similarity is None:

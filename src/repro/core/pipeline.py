@@ -13,6 +13,7 @@ small clusters before resuming to ``k``.
 from __future__ import annotations
 
 import random
+import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
@@ -26,21 +27,251 @@ from repro.core.labeling import (
     labels_from_clusters,
 )
 from repro.core.merge import MERGE_METHODS
-from repro.core.links import compute_links
-from repro.core.neighbors import NeighborGraph, compute_neighbor_graph
-from repro.core.outliers import prune_sparse_points, weed_small_clusters, weeding_stop_count
-from repro.core.rock import (
-    FIT_MODES,
-    GoodnessFunction,
-    RockResult,
-    cluster_with_links,
-    resolve_fit_mode,
+from repro.core.links import LinkTable, compute_links, weighted_link_matrix
+from repro.core.neighbors import (
+    NeighborGraph,
+    adjacency_from_similarity_matrix,
+    compute_neighbor_graph,
+    dense_similarity_bytes,
+    resolve_memory_budget,
+    similarity_matrix,
+    supports_blocked,
 )
+from repro.core.outliers import weed_small_clusters, weeding_stop_count
+from repro.core.rock import GoodnessFunction, RockResult, cluster_with_links
 from repro.core.sampling import sample_indices
 from repro.core.similarity import SimilarityFunction
 from repro.data.records import CategoricalDataset
 from repro.data.transactions import TransactionDataset
 from repro.obs.trace import Tracer
+
+
+# The fit-route switch threaded through rock(), RockPipeline, the
+# estimator and the CLI: "auto" lets plan_fit pick the route, "sharded"
+# asks for the out-of-core coordinator of repro.shard.
+FIT_MODES = ("auto", "sharded")
+
+
+@dataclass(frozen=True)
+class FitPlan:
+    """The fit route :func:`plan_fit` chose, and why.
+
+    Attributes
+    ----------
+    route:
+        ``"dense"`` (row-block adjacency, then links by expected cost),
+        ``"bruteforce"`` (pairwise similarity calls, for similarities
+        without a block scorer), ``"native"`` / ``"fused"`` (the
+        one-pass neighbor+link kernels of :mod:`repro.native.links` and
+        :mod:`repro.parallel.links`), ``"sharded"``
+        (:func:`repro.shard.coordinator.shard_fit`) or ``"weighted"``
+        (the similarity-weighted links of ablation A7).
+    backend:
+        The name ``PipelineResult.backends["fit"]`` records: the route,
+        or ``"native:<tier>"`` for the native route.
+    memory_budget:
+        Bytes, resolved once; every kernel of the fit gets this number.
+    reason:
+        Why the route was chosen, in words.
+    """
+
+    route: str
+    backend: str
+    memory_budget: int
+    reason: str
+
+
+def plan_fit(
+    points: Any,
+    theta: float,
+    similarity: SimilarityFunction | None = None,
+    *,
+    min_neighbors: int = 1,
+    memory_budget: int | None = None,
+    fit_mode: str = "auto",
+    goodness_fn: GoodnessFunction = normalized_goodness,
+    weighted_links: bool = False,
+    weeding: bool = False,
+    resume: bool = False,
+) -> FitPlan:
+    """Pick the neighbor+link route of one fit.
+
+    The one place a fit route is chosen, from facts the code can
+    observe: the similarity and point type, ``theta`` and
+    ``min_neighbors``, one memory budget (an explicit ``memory_budget``
+    or the host-aware default of
+    :func:`~repro.core.neighbors.resolve_memory_budget`), whether the
+    :mod:`repro.native` C tier probed clean, and whether
+    ``fit_mode="sharded"`` was requested.  In order:
+
+    1. ``fit_mode="sharded"`` runs the coordinator when it can
+       reproduce the fit bit for bit; otherwise it warns once (the
+       only fallback warning of a fit) and plans as ``"auto"``.
+       ``weeding`` (a ``min_cluster_size`` pause) and ``resume``
+       (``initial_clusters``) rule it out, as does ``min_neighbors > 1``.
+    2. ``weighted_links`` needs the dense similarity matrix.
+    3. A similarity without a block scorer runs the pairwise oracle.
+    4. A dense ``8 n^2``-byte similarity matrix that fits the budget
+       runs the dense route.
+    5. Over budget, the native kernels run where they support the
+       input, the fused kernel otherwise (``REPRO_NATIVE=0``,
+       ``theta = 0``, missing-aware Jaccard, no compiler).
+
+    Every route produces identical clusters (property-tested).
+    """
+    if fit_mode not in FIT_MODES:
+        raise ValueError(f"fit_mode must be one of {FIT_MODES}, got {fit_mode!r}")
+    budget = resolve_memory_budget(memory_budget)
+    weighted = "weighted links need the dense similarity matrix"
+    if fit_mode == "sharded":
+        if weighted_links:
+            blocker = weighted
+        elif min_neighbors > 1:
+            blocker = "min_neighbors <= 1 required"
+        elif weeding:
+            blocker = "outlier weeding pauses the merge loop"
+        elif resume:
+            blocker = "resume from initial_clusters"
+        else:
+            from repro.shard.coordinator import shard_supported
+
+            blocker = shard_supported(points, similarity, goodness_fn)[1]
+        if not blocker:
+            return FitPlan("sharded", "sharded", budget, "fit_mode='sharded' requested")
+        warnings.warn(
+            f"fit_mode='sharded' unavailable ({blocker}); "
+            "falling back to the auto route",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    if weighted_links:
+        return FitPlan("weighted", "weighted", budget, weighted)
+    if not supports_blocked(points, similarity):
+        return FitPlan(
+            "bruteforce", "bruteforce", budget,
+            "no block scorer for this similarity and point type",
+        )
+    n = len(points)
+    size = f"the dense {n}x{n} similarity matrix ({dense_similarity_bytes(n)} B)"
+    if dense_similarity_bytes(n) <= budget:
+        return FitPlan("dense", "dense", budget, f"{size} fits the {budget} B budget")
+    over = f"{size} exceeds the {budget} B budget"
+    from repro.native import available_backend
+    from repro.native.links import native_fit_supported
+
+    supported, why = native_fit_supported(points, theta, similarity)
+    if supported:
+        return FitPlan("native", f"native:{available_backend()}", budget, over)
+    return FitPlan("fused", "fused", budget, f"{over}; native kernels unavailable ({why})")
+
+
+@dataclass
+class FitStages:
+    """The executor's output: what the merge loop needs from a plan.
+
+    ``kept`` / ``discarded`` are positions in the planned points;
+    ``links`` counts links among the kept points, reindexed
+    ``0 .. len(kept) - 1``; ``timings`` holds the ``neighbors`` and
+    ``links`` span seconds.
+    """
+
+    kept: np.ndarray
+    discarded: np.ndarray
+    links: LinkTable
+    timings: dict[str, float]
+
+
+def run_fit_plan(
+    plan: FitPlan,
+    points: Any,
+    theta: float,
+    similarity: SimilarityFunction | None = None,
+    *,
+    min_neighbors: int = 1,
+    workers: int | str | None = None,
+    tracer: Tracer,
+) -> FitStages:
+    """Run a non-sharded plan: neighbors, then prune, then links.
+
+    Points with fewer than ``min_neighbors`` neighbors are discarded
+    (Section 4.6; 0 keeps every point) and links are counted over the
+    rest.  The fused and native kernels never build the graph: when
+    only isolated points are dropped, the full link table is subset
+    exactly (an isolated point is in no neighbor list); when a point
+    with neighbors is dropped, its links change the others', so the
+    kernel runs a second pass over the kept points.
+    """
+    registry = tracer.registry
+    timings: dict[str, float] = {}
+    n = len(points)
+    fused = None
+    with tracer.span("neighbors", route=plan.route, n=n) as span:
+        if plan.route in ("native", "fused"):
+            fused = _fused_pass(plan, points, theta, similarity, workers, registry)
+            degrees = fused.degrees
+        else:
+            if plan.route == "weighted":
+                sim = similarity_matrix(points, similarity)
+                graph = NeighborGraph(
+                    adjacency_from_similarity_matrix(sim, theta), theta=theta
+                )
+            else:
+                method = "vectorized" if plan.route == "dense" else "bruteforce"
+                graph = compute_neighbor_graph(
+                    points, theta, similarity=similarity, method=method
+                )
+            degrees = graph.degrees()
+        kept = np.flatnonzero(degrees >= min_neighbors)
+        discarded = np.flatnonzero(degrees < min_neighbors)
+        if n and not len(kept):
+            raise ValueError(
+                "every sampled point was pruned as an outlier; lower "
+                "theta or min_neighbors"
+            )
+        if fused is not None and degrees[discarded].any():
+            fused = _fused_pass(
+                plan, _subset(points, kept), theta, similarity, workers, registry
+            )
+        elif fused is None and len(kept) < n:
+            graph = graph.subgraph(kept)
+            if plan.route == "weighted":
+                sim = sim[np.ix_(kept, kept)]
+    timings["neighbors"] = span.wall_seconds
+
+    with tracer.span("links", route=plan.route) as span:
+        if fused is not None:
+            links = fused.links if fused.n == len(kept) else fused.links.subset(kept)
+        elif plan.route == "weighted":
+            links = LinkTable.from_dense(weighted_link_matrix(graph, sim))
+        else:
+            links = compute_links(graph)
+        registry.inc("fit.links.pairs", links.nnz_pairs())
+        span.attrs["producer"] = links.producer
+    timings["links"] = span.wall_seconds
+    return FitStages(kept=kept, discarded=discarded, links=links, timings=timings)
+
+
+def _fused_pass(
+    plan: FitPlan,
+    points: Any,
+    theta: float,
+    similarity: SimilarityFunction | None,
+    workers: int | str | None,
+    registry: Any,
+) -> Any:
+    """One native or fused neighbor+link pass (looked up at call time)."""
+    if plan.route == "native":
+        import repro.native.links as kernels
+
+        kernel = kernels.native_neighbor_links
+    else:
+        import repro.parallel.links as kernels
+
+        kernel = kernels.fused_neighbor_links
+    return kernel(
+        points, theta, similarity=similarity, workers=workers,
+        memory_budget=plan.memory_budget, registry=registry,
+    )
 
 
 @dataclass
@@ -82,7 +313,9 @@ class PipelineResult:
         Which implementation actually ran each phase, e.g.
         ``{"fit": "native:cext", "links": "native:cext", "merge":
         "native:cext"}`` or ``{"fit": "dense", "links": "dense-blocks",
-        "merge": "fast"}`` -- the resolved backends,
+        "merge": "fast"}`` -- the resolved backends (``fit`` is the
+        :class:`FitPlan` backend: ``dense``, ``bruteforce``, ``fused``,
+        ``native:cext`` or ``sharded``),
         not the requested modes, so benchmarks and model metadata can
         tell a silent fallback from the real thing.
     """
@@ -136,35 +369,21 @@ class RockPipeline:
         Fraction of each cluster used as the labeling set ``L_i``.
     goodness_fn:
         Merge-goodness strategy (ablation hook).
-    neighbor_method:
-        ``"auto"`` / ``"vectorized"`` / ``"blocked"`` / ``"bruteforce"``
-        -- ``"blocked"`` forces the memory-bounded row-block kernel
-        (sparse neighbor lists, no dense ``n x n`` array); ``"auto"``
-        picks it whenever the dense similarity matrix would exceed
-        ``memory_budget``.
     memory_budget:
-        Bytes of dense intermediates the fit may allocate before the
-        auto heuristic switches to the blocked path (default
-        :data:`repro.core.neighbors.DEFAULT_MEMORY_BUDGET`, 1 GiB).
+        Bytes of dense intermediates the fit may allocate (default: the
+        host-aware :func:`repro.core.neighbors.resolve_memory_budget`).
+        :func:`plan_fit` resolves it once and passes the number to
+        every kernel: within it the fit runs the dense route, past it
+        the native or fused one-pass kernels.
     fit_mode:
-        Coarse switch over the neighbor+link stage: ``"auto"``
-        (default) defers to ``neighbor_method`` / ``link_method``;
-        ``"dense"`` / ``"blocked"`` / ``"parallel"`` force those
-        kernels; ``"fused"`` runs the one-pass fused neighbor+link
-        kernel (the neighbor graph is never materialised -- isolated
-        points are pruned from the fused degree vector and the link
-        table is subset exactly); ``"native"`` is the fused pass with
-        :mod:`repro.native` block kernels, degrading to ``"fused"``
-        with a single warning when no backend or an unsupported
-        configuration rules it out.  ``fused``/``native`` require
-        ``min_neighbors <= 1``; with a stricter pruning threshold the
-        pipeline uses the ``parallel`` kernels instead (silently for
-        ``fused``, with one warning for ``native``), since dropping
-        points of positive degree changes link counts and the exact
-        subset shortcut no longer applies.  All modes produce
-        identical results (property-tested).
+        ``"auto"`` (default) lets :func:`plan_fit` pick the route;
+        ``"sharded"`` runs the out-of-core coordinator of
+        :mod:`repro.shard`, degrading to ``"auto"`` with one warning
+        when it cannot reproduce the fit.  ``backends["fit"]`` records
+        the route that ran.  All routes produce identical results
+        (property-tested).
     workers:
-        Process count for the parallel/fused kernels and the fast
+        Process count for the native/fused kernels and the fast
         merge engine's component fan-out: an int, ``"auto"`` (CPU
         count capped at 8), or ``None`` for serial.
     merge_method:
@@ -178,15 +397,15 @@ class RockPipeline:
         Byte-identical results either way (property-tested).
     shard_block_rows / spill_dir / max_retries:
         Sharded-fit knobs (``fit_mode="sharded"``): rows per scoring
-        block (default: the parallel kernels' budget-aware block
+        block (default: the fused kernels' budget-aware block
         size), the crash-safe run directory (default: a temporary
         directory, no resume), and how many times a died worker pool
         is rebuilt before the remaining units run in the coordinator.
         ``fit_mode="sharded"`` requires ``min_neighbors <= 1``, no
         ``min_cluster_size`` weeding, no ``initial_clusters`` and a
         built-in goodness measure; anything else degrades to the
-        parallel kernels with one warning.  Results are byte-identical
-        to the fused path (property-tested).
+        ``"auto"`` route with one warning.  Results are byte-identical
+        to the other routes (property-tested).
     seed:
         Seed for sampling and labeling-set draws; runs are fully
         deterministic for a fixed seed.
@@ -204,8 +423,6 @@ class RockPipeline:
         min_cluster_size: int | None = None,
         labeling_fraction: float = 0.25,
         goodness_fn: GoodnessFunction = normalized_goodness,
-        link_method: str = "auto",
-        neighbor_method: str = "auto",
         memory_budget: int | None = None,
         fit_mode: str = "auto",
         workers: int | str | None = None,
@@ -244,8 +461,6 @@ class RockPipeline:
         self.min_cluster_size = min_cluster_size
         self.labeling_fraction = labeling_fraction
         self.goodness_fn = goodness_fn
-        self.link_method = link_method
-        self.neighbor_method = neighbor_method
         self.memory_budget = memory_budget
         self.fit_mode = fit_mode
         self.workers = workers
@@ -348,94 +563,16 @@ class RockPipeline:
 
         # -- 2 + 3. neighbors, isolated-point pruning, links ---------------
         min_neighbors = max(self.min_neighbors, 0)
-        sharded_fit = False
-        if self.fit_mode == "sharded":
-            # the coordinator covers phases 2-4 in one go; anything it
-            # cannot run bit-identically falls back to the parallel
-            # kernels with one warning (same taxonomy as "native")
-            shard_reason = None
-            if min_neighbors > 1:
-                shard_reason = "min_neighbors <= 1 required"
-            elif self.min_cluster_size is not None:
-                shard_reason = "outlier weeding pauses the merge loop"
-            elif initial_clusters is not None:
-                shard_reason = "resume from initial_clusters"
-            else:
-                from repro.shard.coordinator import shard_supported
-
-                supported, reason = shard_supported(
-                    sample_points, self.similarity, self.goodness_fn
-                )
-                if not supported:
-                    shard_reason = reason
-            if shard_reason is None:
-                sharded_fit = True
-            else:
-                import warnings
-
-                warnings.warn(
-                    f"fit_mode='sharded' unavailable ({shard_reason}); "
-                    "falling back to the parallel kernels",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-        native_fit = False
-        if sharded_fit:
-            pass
-        elif min_neighbors <= 1:
-            if self.fit_mode == "native":
-                from repro.native.links import native_fit_supported
-
-                native_fit, reason = native_fit_supported(
-                    sample_points, self.theta, self.similarity
-                )
-                if not native_fit:
-                    import warnings
-
-                    warnings.warn(
-                        f"fit_mode='native' unavailable ({reason}); "
-                        "falling back to the fused kernel",
-                        RuntimeWarning,
-                        stacklevel=3,
-                    )
-            elif (
-                self.fit_mode == "auto"
-                and self.neighbor_method == "auto"
-                and self.link_method == "auto"
-            ):
-                # auto promotion: whenever the C tier probed clean
-                # (and REPRO_NATIVE is not off), but only where auto
-                # would leave the dense path anyway -- small inputs
-                # keep the dense kernel.
-                from repro.core.neighbors import (
-                    dense_similarity_bytes,
-                    resolve_memory_budget,
-                )
-                from repro.native import auto_native
-
-                # host-aware default: half the available physical
-                # memory (clamped), so the switch-over tracks the
-                # machine actually running the fit
-                budget = resolve_memory_budget(self.memory_budget)
-                if (
-                    dense_similarity_bytes(len(sample_points)) > budget
-                    and auto_native()
-                ):
-                    from repro.native.links import native_fit_supported
-
-                    native_fit, _ = native_fit_supported(
-                        sample_points, self.theta, self.similarity
-                    )
-        elif self.fit_mode == "native":
-            import warnings
-
-            warnings.warn(
-                "fit_mode='native' requires min_neighbors <= 1; falling "
-                "back to the parallel kernels",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        if sharded_fit:
+        plan = plan_fit(
+            sample_points, self.theta, self.similarity,
+            min_neighbors=min_neighbors, memory_budget=self.memory_budget,
+            fit_mode=self.fit_mode, goodness_fn=self.goodness_fn,
+            weeding=self.min_cluster_size is not None,
+            resume=initial_clusters is not None,
+        )
+        backends["fit"] = plan.backend
+        if plan.route == "sharded":
+            # the coordinator covers phases 2-4 in one go
             from repro.shard.coordinator import shard_fit
 
             sharded = shard_fit(
@@ -450,121 +587,35 @@ class RockPipeline:
                 block_rows=self.shard_block_rows,
                 spill_dir=self.spill_dir,
                 max_retries=self.max_retries,
-                memory_budget=self.memory_budget,
+                memory_budget=plan.memory_budget,
                 tracer=tracer,
             )
             kept = sharded.kept
-            discarded = sharded.discarded
-            outlier_sample_positions = list(discarded)
+            outlier_sample_positions = list(sharded.discarded)
             if len(kept) == 0:
                 raise ValueError(
                     "every sampled point was pruned as an outlier; lower "
                     "theta or min_neighbors"
                 )
             result = sharded.result
-            backends["fit"] = "sharded"
             backends["links"] = "pair-count:numpy"  # in the shard workers
             # the coordinator's workers run the PR 5 component streams;
             # the stitch is the fast engine's k-way replay
             backends["merge"] = "fast"
             for phase in ("neighbors", "links", "cluster"):
                 timings[phase] = sharded.timings.get(phase, 0.0)
-        elif native_fit or (
-            self.fit_mode in ("fused", "native") and min_neighbors <= 1
-        ):
-            # one-pass fused kernel: the neighbor graph never exists.
-            # Isolated points are degree-0, appear in no neighbor list
-            # and therefore in no pair increment, so subsetting the
-            # full link table equals computing links post-pruning.
-            from repro.parallel.links import fused_neighbor_links
-
-            with tracer.span(
-                "neighbors", fused=True, native=native_fit,
-                n=len(sample_points),
-            ) as span:
-                if native_fit:
-                    from repro.native import available_backend
-                    from repro.native.links import native_neighbor_links
-
-                    fused = native_neighbor_links(
-                        sample_points, self.theta,
-                        similarity=self.similarity,
-                        workers=self.workers,
-                        memory_budget=self.memory_budget,
-                        registry=registry,
-                    )
-                    backends["fit"] = f"native:{available_backend()}"
-                else:
-                    fused = fused_neighbor_links(
-                        sample_points, self.theta,
-                        similarity=self.similarity,
-                        workers=self.workers,
-                        memory_budget=self.memory_budget,
-                        registry=registry,
-                    )
-                    backends["fit"] = "fused"
-                kept = np.flatnonzero(fused.degrees >= min_neighbors)
-                discarded = np.flatnonzero(fused.degrees < min_neighbors)
-                outlier_sample_positions = list(discarded)
-                if len(kept) == 0:
-                    raise ValueError(
-                        "every sampled point was pruned as an outlier; lower "
-                        "theta or min_neighbors"
-                    )
-            timings["neighbors"] = span.wall_seconds
-
-            with tracer.span(
-                "links", fused=True, producer=fused.links.producer
-            ) as span:
-                links = (
-                    fused.links if len(kept) == fused.n
-                    else fused.links.subset(kept)
-                )
-                registry.inc("fit.links.pairs", links.nnz_pairs())
-            timings["links"] = span.wall_seconds
         else:
-            if self.fit_mode == "auto":
-                neighbor_method = self.neighbor_method
-                link_method = self.link_method
-            else:
-                # "fused"/"native" with min_neighbors > 1 land here too:
-                # pruning positive-degree points changes link counts, so
-                # the subset shortcut is invalid and the parallel kernels
-                # (identical output, two passes) take over.
-                neighbor_method, link_method = resolve_fit_mode(self.fit_mode)
-            backends["fit"] = neighbor_method
-            with tracer.span(
-                "neighbors", method=neighbor_method, n=len(sample_points)
-            ) as span:
-                graph = compute_neighbor_graph(
-                    sample_points, self.theta, similarity=self.similarity,
-                    method=neighbor_method, memory_budget=self.memory_budget,
-                    workers=self.workers, registry=registry,
-                )
-                kept, discarded = prune_sparse_points(graph, min_neighbors)
-                outlier_sample_positions = list(discarded)
-                if len(kept) == 0:
-                    raise ValueError(
-                        "every sampled point was pruned as an outlier; lower "
-                        "theta or min_neighbors"
-                    )
-                pruned_graph: NeighborGraph = (
-                    graph if len(kept) == len(graph) else graph.subgraph(kept)
-                )
-            timings["neighbors"] = span.wall_seconds
-
-            with tracer.span("links", method=link_method) as span:
-                links = compute_links(
-                    pruned_graph, method=link_method, workers=self.workers,
-                    registry=registry,
-                )
-                span.attrs["producer"] = links.producer
-            timings["links"] = span.wall_seconds
-
-        # -- 4. cluster (with optional pause-and-weed) ----------------------
-        # (a sharded fit already clustered inside the coordinator)
-        if not sharded_fit:
+            stages = run_fit_plan(
+                plan, sample_points, self.theta, self.similarity,
+                min_neighbors=min_neighbors, workers=self.workers,
+                tracer=tracer,
+            )
+            kept, links = stages.kept, stages.links
+            outlier_sample_positions = list(stages.discarded)
+            timings.update(stages.timings)
             backends["links"] = links.producer
+
+            # -- 4. cluster (with optional pause-and-weed) ------------------
             starting_partition = (
                 None
                 if initial_clusters is None
@@ -627,14 +678,15 @@ class RockPipeline:
         # the fit.backend gauges (numeric) and root-span attrs (strings)
         # record which path actually ran, fallbacks included
         registry.set_gauge(
-            "fit.backend.native_fit", int(backends.get("fit", "").startswith("native"))
+            "fit.backend.native_fit", int(plan.route == "native")
         )
         registry.set_gauge(
             "fit.backend.native_merge",
             int(backends["merge"].startswith("native")),
         )
         if root_span is not None:
-            root_span.attrs["fit_backend"] = backends.get("fit")
+            root_span.attrs["fit_backend"] = plan.backend
+            root_span.attrs["fit_reason"] = plan.reason
             root_span.attrs["merge_backend"] = backends["merge"]
 
         # translate pruned-graph indices -> original dataset indices

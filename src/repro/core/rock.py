@@ -30,8 +30,7 @@ import numpy as np
 from repro.core.goodness import default_f, goodness as normalized_goodness
 from repro.core.heaps import AddressableMaxHeap
 from repro.core.labeling import labels_from_clusters
-from repro.core.links import LinkTable, compute_links
-from repro.core.neighbors import compute_neighbor_graph
+from repro.core.links import LinkTable
 from repro.core.similarity import SimilarityFunction
 
 if TYPE_CHECKING:  # deferred: repro.obs must stay import-light here
@@ -225,41 +224,6 @@ def cluster_with_links(
     )
 
 
-# The coarse fit-path switch threaded through rock(), RockPipeline and
-# the CLI.  "auto" defers to the finer neighbor_method / link_method
-# knobs (and the memory-budget heuristic); the explicit modes force one
-# of the kernels end to end ("native" is the fused kernel with
-# repro.native block scoring, "sharded" the out-of-core coordinator of
-# repro.shard).  All modes produce identical results.
-FIT_MODES = ("auto", "dense", "blocked", "parallel", "fused", "native", "sharded")
-
-
-def resolve_fit_mode(fit_mode: str) -> tuple[str, str]:
-    """Map a fit mode to its ``(neighbor_method, link_method)`` pair.
-
-    ``fused``, ``native`` and ``sharded`` are not expressible as method
-    pairs -- callers branch to
-    :func:`repro.parallel.links.fused_neighbor_links` /
-    :func:`repro.native.links.native_neighbor_links` /
-    :func:`repro.shard.coordinator.shard_fit` before consulting this
-    mapping -- but mapping them to the parallel pair keeps a single
-    safe fallback for callers that cannot fuse (e.g. weighted links).
-    """
-    if fit_mode not in FIT_MODES:
-        raise ValueError(
-            f"fit_mode must be one of {FIT_MODES}, got {fit_mode!r}"
-        )
-    return {
-        "auto": ("auto", "auto"),
-        "dense": ("vectorized", "auto"),
-        "blocked": ("blocked", "auto"),
-        "parallel": ("parallel", "parallel"),
-        "fused": ("parallel", "parallel"),
-        "native": ("parallel", "parallel"),
-        "sharded": ("parallel", "parallel"),
-    }[fit_mode]
-
-
 def rock(
     points: Any,
     k: int,
@@ -267,8 +231,6 @@ def rock(
     similarity: SimilarityFunction | None = None,
     f: Callable[[float], float] = default_f,
     goodness_fn: GoodnessFunction = normalized_goodness,
-    link_method: str = "auto",
-    neighbor_method: str = "auto",
     weighted_links: bool = False,
     memory_budget: int | None = None,
     fit_mode: str = "auto",
@@ -282,34 +244,25 @@ def rock(
     """Convenience end-to-end run on in-memory points (no sampling/labeling).
 
     Computes the neighbor graph at threshold ``theta``, the link table,
-    and runs the merge loop to ``k`` clusters.  ``weighted_links``
-    switches to the similarity-weighted link variant of
+    and runs the merge loop to ``k`` clusters.  Every point is
+    clustered: nothing is pruned.  ``weighted_links`` switches to the
+    similarity-weighted link variant of
     :func:`repro.core.links.weighted_link_matrix` (a Section 3.2
     "alternative definition"; see ablation A7).
-    ``neighbor_method="blocked"`` (or ``"auto"`` with a
-    ``memory_budget`` the dense similarity matrix would overflow) runs
-    the memory-bounded blocked kernel: neighbor lists are emitted one
-    row-block at a time and the link table stays sparse, so no
-    ``n x n`` array is ever materialised.
 
-    ``fit_mode`` is the coarse switch over the whole neighbor+link
-    stage: ``"auto"`` (default) defers to ``neighbor_method`` /
-    ``link_method``; ``"dense"`` / ``"blocked"`` / ``"parallel"``
-    force those kernels; ``"fused"`` runs the one-pass fused
-    neighbor+link kernel of
-    :func:`repro.parallel.links.fused_neighbor_links` (never
-    materialising the neighbor graph); ``"native"`` is the fused pass
-    with :mod:`repro.native` block kernels, degrading to ``"fused"``
-    with one warning when unsupported; ``"sharded"`` runs the
-    out-of-core coordinator of :mod:`repro.shard` (memory-mapped
-    store, per-block workers, component-wise merge), honouring
-    ``shard_block_rows`` / ``spill_dir`` / ``max_retries`` and
-    degrading to the parallel kernels with one warning when the
-    input cannot be store-encoded.  ``workers`` (int, ``"auto"``,
-    or ``None`` for serial) sets the process count for the parallel
-    and fused kernels.  Every mode yields identical clusters.  For the
-    full sample -> prune -> cluster -> weed -> label pipeline of
-    Figure 2, use :class:`repro.core.pipeline.RockPipeline`.
+    The neighbor+link route comes from
+    :func:`repro.core.pipeline.plan_fit`, exactly as for
+    :class:`~repro.core.pipeline.RockPipeline`: ``memory_budget``
+    (bytes; default host-aware) decides between the dense route and
+    the one-pass native/fused kernels, and ``fit_mode="sharded"`` runs
+    the out-of-core coordinator of :mod:`repro.shard` (honouring
+    ``shard_block_rows`` / ``spill_dir`` / ``max_retries``), degrading
+    to ``"auto"`` with one warning when the input cannot be
+    store-encoded.  ``workers`` (int, ``"auto"``, or ``None`` for
+    serial) sets the process count for the kernels.  Every route
+    yields identical clusters.  For the full sample -> prune -> cluster
+    -> weed -> label pipeline of Figure 2, use
+    :class:`repro.core.pipeline.RockPipeline`.
 
     ``merge_method`` is the analogous switch over the merge phase:
     ``"heap"`` forces the Figure 3 reference loop, ``"fast"`` the
@@ -326,108 +279,32 @@ def rock(
     kernels record metrics into ``tracer.registry``.  Tracing never
     changes results.
     """
-    if fit_mode not in FIT_MODES:
-        raise ValueError(
-            f"fit_mode must be one of {FIT_MODES}, got {fit_mode!r}"
-        )
+    from repro.core.pipeline import plan_fit, run_fit_plan
+
     if tracer is None:
         from repro.obs.trace import Tracer
 
         tracer = Tracer()
     registry = tracer.registry
-    if fit_mode == "sharded":
-        supported = False
-        if not weighted_links:
-            from repro.shard.coordinator import shard_fit, shard_supported
+    plan = plan_fit(
+        points, theta, similarity, min_neighbors=0,
+        memory_budget=memory_budget, fit_mode=fit_mode,
+        goodness_fn=goodness_fn, weighted_links=weighted_links,
+    )
+    if plan.route == "sharded":
+        from repro.shard.coordinator import shard_fit
 
-            supported, reason = shard_supported(
-                points, similarity, goodness_fn
-            )
-        else:
-            reason = "weighted links need the dense similarity matrix"
-        if supported:
-            return shard_fit(
-                points, k=k, theta=theta, f_theta=f(theta),
-                similarity=similarity, goodness_fn=goodness_fn,
-                workers=workers, block_rows=shard_block_rows,
-                spill_dir=spill_dir, max_retries=max_retries,
-                memory_budget=memory_budget, tracer=tracer,
-            ).result
-        import warnings
-
-        warnings.warn(
-            f"fit_mode='sharded' unavailable ({reason}); "
-            "falling back to the parallel kernels",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        fit_mode = "parallel"
-    if weighted_links:
-        from repro.core.links import LinkTable, weighted_link_matrix
-        from repro.core.neighbors import (
-            NeighborGraph,
-            adjacency_from_similarity_matrix,
-            similarity_matrix,
-        )
-
-        with tracer.span("neighbors", weighted=True, n=len(points)):
-            sim = similarity_matrix(points, similarity)
-            graph = NeighborGraph(
-                adjacency_from_similarity_matrix(sim, theta), theta=theta
-            )
-        with tracer.span("links", weighted=True):
-            links = LinkTable.from_dense(weighted_link_matrix(graph, sim))
-            registry.inc("fit.links.pairs", links.nnz_pairs())
-    elif fit_mode in ("fused", "native"):
-        from repro.parallel.links import fused_neighbor_links
-
-        run_native = False
-        if fit_mode == "native":
-            from repro.native.links import native_fit_supported
-
-            run_native, reason = native_fit_supported(
-                points, theta, similarity
-            )
-            if not run_native:
-                import warnings
-
-                warnings.warn(
-                    f"fit_mode='native' unavailable ({reason}); "
-                    "falling back to the fused kernel",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        with tracer.span("neighbors", fused=True, native=run_native,
-                         n=len(points)):
-            if run_native:
-                from repro.native.links import native_neighbor_links
-
-                fused = native_neighbor_links(
-                    points, theta, similarity=similarity, workers=workers,
-                    memory_budget=memory_budget, registry=registry,
-                )
-            else:
-                fused = fused_neighbor_links(
-                    points, theta, similarity=similarity, workers=workers,
-                    memory_budget=memory_budget, registry=registry,
-                )
-        with tracer.span("links", fused=True, producer=fused.links.producer):
-            links = fused.links
-            registry.inc("fit.links.pairs", links.nnz_pairs())
-    else:
-        if fit_mode != "auto":
-            neighbor_method, link_method = resolve_fit_mode(fit_mode)
-        with tracer.span("neighbors", method=neighbor_method, n=len(points)):
-            graph = compute_neighbor_graph(
-                points, theta, similarity=similarity, method=neighbor_method,
-                memory_budget=memory_budget, workers=workers,
-                registry=registry,
-            )
-        with tracer.span("links", method=link_method) as span:
-            links = compute_links(
-                graph, method=link_method, workers=workers, registry=registry
-            )
-            span.attrs["producer"] = links.producer
+        return shard_fit(
+            points, k=k, theta=theta, f_theta=f(theta),
+            similarity=similarity, goodness_fn=goodness_fn,
+            workers=workers, block_rows=shard_block_rows,
+            spill_dir=spill_dir, max_retries=max_retries,
+            memory_budget=plan.memory_budget, tracer=tracer,
+        ).result
+    links = run_fit_plan(
+        plan, points, theta, similarity, min_neighbors=0,
+        workers=workers, tracer=tracer,
+    ).links
     with tracer.span("cluster", k=k, merge_method=merge_method):
         result = cluster_with_links(
             links, k=k, f_theta=f(theta), goodness_fn=goodness_fn,

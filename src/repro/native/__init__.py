@@ -17,9 +17,11 @@
   and the pipeline's labeling scan
   (:meth:`repro.core.labeling.ClusterLabeler.assign_all`).
 
-All are selected through the existing switches -- ``fit_mode="native"``,
+The fit planner (:func:`repro.core.pipeline.plan_fit`) runs the fused
+kernel for every fit past its memory budget that the kernel supports;
+the merge and assignment kernels are selected through
 ``merge_method="native"`` and ``assign_backend="native"``, or their
-``auto`` defaults -- and all are **bit-identical** to the reference
+``auto`` defaults.  All are **bit-identical** to the reference
 paths: same survivor sets, same merge history with bitwise equal
 goodness floats, same ``heap_ops`` accounting, same assignment labels
 and scores (property-tested in ``tests/test_native_kernels.py``).
@@ -41,8 +43,8 @@ Environment overrides:
 
 ``REPRO_NATIVE=0`` (or ``off``/``false``/``no``)
     The kill switch: disable the native kernels entirely (forced
-    ``native`` modes then fall back with a warning; ``auto`` stays
-    silent).  Any other value, ``REPRO_NATIVE=1`` included, leaves the
+    ``native`` merge and assign backends then fall back with a warning;
+    ``auto`` and the fit planner stay silent).  Any other value, ``REPRO_NATIVE=1`` included, leaves the
     default on.
 ``CC``
     The C compiler to build with (default: the first of ``cc``,
@@ -179,8 +181,9 @@ def available_backend() -> str | None:
 def native_available() -> bool:
     """Whether the C tier probed clean and ``REPRO_NATIVE`` is not off.
 
-    Forced ``native`` modes run when this holds, and the ``auto``
-    resolvers promote to native on it (:func:`auto_native`).
+    Forced ``native`` backends run when this holds, and the ``auto``
+    resolvers and the fit planner promote to native on it
+    (:func:`auto_native`).
     """
     return get_kernels() is not None
 

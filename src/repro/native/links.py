@@ -1,4 +1,4 @@
-"""The native fused neighbor+link pass (``fit_mode="native"``).
+"""The native fused neighbor+link pass (the planner's ``native`` route).
 
 Same shape as :func:`repro.parallel.links.fused_neighbor_links` -- row
 blocks fanned across :mod:`repro.parallel.pool` workers, one
@@ -20,7 +20,8 @@ Only the configurations the kernel understands are supported --
 transaction-shaped points (or categorical records encoded to
 transactions) under builtin Jaccard/overlap similarity with
 ``theta > 0``.  :func:`native_fit_supported` reports the reason a
-configuration is not, so callers can warn once and fall back.
+configuration is not; :func:`repro.core.pipeline.plan_fit` records it
+and routes the fit to the fused kernel instead.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.links import LinkTable
-from repro.core.neighbors import NeighborGraph
+from repro.core.neighbors import NeighborGraph, resolve_memory_budget
 from repro.core.similarity import (
     JaccardSimilarity,
     OverlapSimilarity,
@@ -40,8 +41,12 @@ from repro.core.similarity import (
 )
 from repro.obs.registry import MetricsRegistry
 from repro.parallel.links import FusedFitResult
-from repro.parallel.neighbors import block_tasks, worker_block_size
-from repro.parallel.pool import imap_chunked, resolve_workers
+from repro.parallel.pool import (
+    block_tasks,
+    imap_chunked,
+    resolve_workers,
+    worker_block_size,
+)
 
 __all__ = [
     "TransactionCSR",
@@ -102,7 +107,7 @@ def native_transaction_csr(
 
     Supported: transaction datasets / sequences of set-like points
     under Jaccard or overlap similarity, and categorical datasets under
-    Jaccard (encoded via ``A.v`` items exactly like the blocked
+    Jaccard (encoded via ``A.v`` items exactly like the block
     scorers, so the similarity values match).
     """
     from repro.data.records import CategoricalDataset
@@ -265,7 +270,9 @@ def native_neighbor_links(
     count = resolve_workers(workers)
     n = csr.n
     if block_size is None:
-        block_size = worker_block_size(n, count, memory_budget)
+        block_size = worker_block_size(
+            n, count, resolve_memory_budget(memory_budget)
+        )
 
     # workers emit per-block upper-triangle lists in task order; stitch
     # them into one global upper CSR by offsetting each block's indptr

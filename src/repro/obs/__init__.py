@@ -24,8 +24,8 @@ Quickstart::
     from repro.obs import RunManifest, Tracer
 
     tracer = Tracer()
-    result = RockPipeline(k=4, theta=0.5, fit_mode="parallel",
-                          workers=2, seed=0).fit(points, tracer=tracer)
+    result = RockPipeline(k=4, theta=0.5, workers=2,
+                          seed=0).fit(points, tracer=tracer)
     RunManifest.from_tracer("fit", tracer,
                             config={"k": 4, "theta": 0.5}).save("run.json")
 """

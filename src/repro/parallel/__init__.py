@@ -2,26 +2,27 @@
 
 The ROCK cost profile (paper Section 4.4) is dominated by the neighbor
 and link kernels -- ``O(n^2 m)`` set intersections plus ``O(sum m_i^2)``
-link increments.  PR 2 bounded their memory with a serial row-block
-kernel; this package makes those same row blocks the unit of
-parallelism:
+link increments.  This package runs them as row blocks that fan out
+across a process pool:
 
 * :mod:`repro.parallel.pool` -- the generic chunked-execution layer
   (order-preserving ``imap`` over a worker pool whose one-time payload
   travels through the pool initializer, with a transparent serial
-  fallback).  :mod:`repro.serve.parallel` is a thin consumer of it.
-* :mod:`repro.parallel.neighbors` --
-  :func:`~repro.parallel.neighbors.parallel_neighbor_graph`, the PR 2
-  blocked neighbor kernel with row blocks fanned out across workers.
-* :mod:`repro.parallel.links` -- a vectorised Figure 4 link counter
-  (:func:`~repro.parallel.links.parallel_link_table`) and the **fused**
-  neighbor+link kernel
+  fallback) and the row-block schedule (:func:`block_tasks`,
+  :func:`worker_block_size`).  :mod:`repro.serve.parallel` is a thin
+  consumer of it.
+* :mod:`repro.parallel.links` -- the **fused** neighbor+link kernel
   (:func:`~repro.parallel.links.fused_neighbor_links`) that accumulates
-  link counts block by block without keeping the neighbor graph.
+  link counts block by block without keeping the neighbor graph, and
+  the numpy Figure 4 pair counter it shares with
+  :func:`repro.core.links.sparse_link_table`.
 
-Every kernel here is a pure optimisation: outputs are exactly equal to
-the serial dense/blocked paths (property-tested), and merges preserve
-block order so runs are deterministic for any worker count.
+The fit planner (:func:`repro.core.pipeline.plan_fit`) runs the fused
+kernel when the dense ``n x n`` matrix would overflow the memory budget
+and the C tier of :mod:`repro.native` cannot run.  Every kernel here is
+a pure optimisation: outputs are exactly equal to the dense path
+(property-tested), and merges preserve block order so runs are
+deterministic for any worker count.
 """
 
 from repro.parallel.links import (
@@ -29,25 +30,19 @@ from repro.parallel.links import (
     fused_neighbor_links,
     merge_pair_counts,
     pair_link_counts,
-    parallel_link_table,
-)
-from repro.parallel.neighbors import (
-    PARALLEL_MIN_POINTS,
-    block_tasks,
-    parallel_neighbor_graph,
-    worker_block_size,
 )
 from repro.parallel.pool import (
+    block_tasks,
     default_workers,
     imap_chunked,
     iter_chunks,
     map_chunked,
     resolve_workers,
+    worker_block_size,
 )
 
 __all__ = [
     "FusedFitResult",
-    "PARALLEL_MIN_POINTS",
     "block_tasks",
     "default_workers",
     "fused_neighbor_links",
@@ -56,8 +51,6 @@ __all__ = [
     "map_chunked",
     "merge_pair_counts",
     "pair_link_counts",
-    "parallel_link_table",
-    "parallel_neighbor_graph",
     "resolve_workers",
     "worker_block_size",
 ]

@@ -9,16 +9,10 @@ run-length reduction.  Partial counts from different chunks merge by
 concatenation + ``np.add.reduceat`` -- integer sums, so the totals are
 exactly the serial table's.
 
-Two entry points:
-
-* :func:`parallel_link_table` -- Figure 4 over an existing
-  :class:`~repro.core.neighbors.NeighborGraph`, neighbor-list chunks
-  fanned out across workers.
-* :func:`fused_neighbor_links` -- the fused kernel: each row block's
-  neighbor lists are scored, converted to pair counts, and discarded,
-  so the full neighbor graph never exists in the parent.  Peak memory
-  is one block plus the (compacted) running pair counts, below the
-  blocked path which must hold every neighbor list to build the graph.
+:func:`fused_neighbor_links` is the fused kernel: each row block's
+neighbor lists are scored, converted to pair counts, and discarded, so
+the full neighbor graph never exists in the parent.  Peak memory is one
+block plus the (compacted) running pair counts.
 """
 
 from __future__ import annotations
@@ -34,18 +28,22 @@ from repro.core.neighbors import (
     BlockScorer,
     NeighborGraph,
     build_block_scorer,
+    resolve_memory_budget,
 )
 from repro.core.similarity import SimilarityFunction
 from repro.obs.registry import MetricsRegistry
-from repro.parallel.neighbors import block_tasks, worker_block_size
-from repro.parallel.pool import imap_chunked, resolve_workers
+from repro.parallel.pool import (
+    block_tasks,
+    imap_chunked,
+    resolve_workers,
+    worker_block_size,
+)
 
 __all__ = [
     "FusedFitResult",
     "fused_neighbor_links",
     "merge_pair_counts",
     "pair_link_counts",
-    "parallel_link_table",
 ]
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -112,65 +110,6 @@ def merge_pair_counts(
     codes, counts = codes[order], counts[order]
     starts = np.concatenate([[0], np.flatnonzero(np.diff(codes)) + 1])
     return codes[starts], np.add.reduceat(counts, starts)
-
-
-# -- parallel Figure 4 over an existing graph ---------------------------------
-
-_LINK_STATE: dict[str, Any] = {}
-
-
-def _init_link_worker(lists: list[np.ndarray], n: int) -> None:
-    _LINK_STATE["lists"] = lists
-    _LINK_STATE["n"] = n
-
-
-def _count_link_chunk(
-    task: tuple[int, int],
-) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
-    """Count one chunk's pair links; ship counts plus a metrics delta."""
-    start, stop = task
-    t0 = time.perf_counter()
-    codes, counts = pair_link_counts(
-        _LINK_STATE["lists"][start:stop], _LINK_STATE["n"]
-    )
-    local = MetricsRegistry()
-    local.inc("fit.links.chunks")
-    local.inc("fit.links.pair_increments", int(counts.sum()))
-    local.observe("fit.links.chunk_seconds", time.perf_counter() - t0)
-    return codes, counts, local.snapshot()
-
-
-def parallel_link_table(
-    graph: NeighborGraph,
-    workers: int | str | None = "auto",
-    chunk_size: int | None = None,
-    registry: MetricsRegistry | None = None,
-) -> LinkTable:
-    """Figure 4 over chunks of neighbor lists, merged order-preservingly.
-
-    Exactly equals :func:`repro.core.links.sparse_link_table` for any
-    worker count or chunking (integer pair sums commute).  With a
-    ``registry``, worker-side metrics deltas are merged in per chunk.
-    """
-    count = resolve_workers(workers)
-    lists = graph.neighbor_lists()
-    n = graph.n
-    if chunk_size is None:
-        chunk_size = max(256, -(-n // max(4 * count, 1)))
-    parts: list[tuple[np.ndarray, np.ndarray]] = []
-    for codes, counts, delta in imap_chunked(
-        _count_link_chunk,
-        block_tasks(n, chunk_size),
-        workers=count if n >= 4 * chunk_size else 1,
-        initializer=_init_link_worker,
-        initargs=(lists, n),
-    ):
-        parts.append((codes, counts))
-        if registry is not None:
-            registry.merge(delta)
-    return LinkTable.from_pair_counts(
-        n, *merge_pair_counts(parts), producer="pair-count:numpy"
-    )
 
 
 # -- the fused neighbor+link kernel -------------------------------------------
@@ -240,8 +179,7 @@ def fused_neighbor_links(
 ) -> FusedFitResult:
     """Score, threshold, and link-count each row block in one pass.
 
-    Per block: compute its neighbor rows (same scorer as the parallel
-    neighbor kernel), immediately reduce them to packed pair counts,
+    Per block: compute its neighbor rows, immediately reduce them to packed pair counts,
     record the degrees, and discard the rows.  The parent merges the
     integer pair counts (compacting periodically) and builds one
     :class:`~repro.core.links.LinkTable` at the end -- bit-identical to
@@ -257,7 +195,9 @@ def fused_neighbor_links(
     n = len(points)
     scorer = build_block_scorer(points, similarity, prefer_sparse=prefer_sparse)
     if block_size is None:
-        block_size = worker_block_size(n, count, memory_budget)
+        block_size = worker_block_size(
+            n, count, resolve_memory_budget(memory_budget)
+        )
 
     pending: list[tuple[np.ndarray, np.ndarray]] = []
     pending_codes = 0

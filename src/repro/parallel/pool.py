@@ -23,11 +23,13 @@ from collections.abc import Callable, Iterable, Iterator
 from typing import Any
 
 __all__ = [
+    "block_tasks",
     "default_workers",
     "imap_chunked",
     "iter_chunks",
     "map_chunked",
     "resolve_workers",
+    "worker_block_size",
 ]
 
 
@@ -52,6 +54,24 @@ def resolve_workers(workers: int | str | None) -> int:
     if count < 1:
         raise ValueError(f"workers must be positive, got {workers!r}")
     return count
+
+
+def block_tasks(n: int, block_size: int) -> list[tuple[int, int]]:
+    """The ``(start, stop)`` row ranges of the block schedule, in order."""
+    return [
+        (start, min(start + block_size, n)) for start in range(0, n, block_size)
+    ]
+
+
+def worker_block_size(n: int, workers: int, memory_budget: int) -> int:
+    """Rows per block so ``workers`` concurrent blocks fit the budget.
+
+    A block row's working set is about 24 bytes per column (float32
+    intersections, float64 similarities, int64 unions, bool adjacency);
+    32 leaves headroom for temporaries.  Clamped to [16, 8192].
+    """
+    per_worker = max(memory_budget // max(workers, 1), 1)
+    return max(16, min(int(per_worker // max(32 * n, 1)), 8192, max(n, 16)))
 
 
 def iter_chunks(items: Iterable[Any], chunk_size: int) -> Iterator[list[Any]]:

@@ -19,7 +19,7 @@ Execution plan (every phase checkpointed through
 4. **Replay**: the spilled streams feed the same k-way replay the fast
    engine uses, stitching one :class:`~repro.core.rock.RockResult`.
 
-Byte-identity with ``fit_mode="fused"`` holds link by link: the store
+Byte-identity with the fused kernel holds link by link: the store
 scorer reproduces the sparse adjacency bit for bit, per-component pair
 lists are the (lo, hi)-sorted global pair list restricted to each
 component, component-local ids are order-isomorphic to global ids, and

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.parallel.neighbors import block_tasks, worker_block_size
+from repro.parallel.pool import block_tasks, worker_block_size
 
 __all__ = ["ShardPlan", "component_chunks", "plan_shards"]
 

@@ -1,0 +1,247 @@
+"""The fit planner: one budget, one recorded route, identical results.
+
+:func:`repro.core.pipeline.plan_fit` picks every fit route.  These tests
+pin that it prices the dense route against the one memory budget it
+hands to the kernels, that ``backends["fit"]`` and the root span name
+the route that ran, and -- property-tested -- that every route
+reproduces the dense route's clusters, merge history, kept points and
+outliers.
+"""
+
+import os
+import warnings
+from contextlib import contextmanager
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.parallel.links as parallel_links
+from repro.core.pipeline import RockPipeline, plan_fit
+from repro.core.similarity import (
+    JaccardSimilarity,
+    MissingAwareJaccard,
+    SimilarityTable,
+    similarity_levels,
+)
+from repro.data.records import CategoricalRecord, CategoricalSchema
+from repro.data.transactions import Transaction, TransactionDataset
+from repro.native import get_kernels
+from repro.obs.trace import Tracer
+
+JACCARD = JaccardSimilarity()
+THETAS = sorted(
+    {0.0}
+    | {
+        level
+        for a in range(1, 6)
+        for b in range(1, 6)
+        for level in similarity_levels(a, b)
+    }
+)
+
+
+@contextmanager
+def native(enabled: bool):
+    """Run with the C tier on (``REPRO_NATIVE`` unset) or off (``=0``)."""
+    with mock.patch.dict(os.environ):
+        if enabled:
+            os.environ.pop("REPRO_NATIVE", None)
+        else:
+            os.environ["REPRO_NATIVE"] = "0"
+        yield
+
+
+def fit(points, **kwargs):
+    """A full fit's observable outcome, or the error it raised."""
+    kwargs.setdefault("k", 3)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = RockPipeline(seed=0, **kwargs).fit(points)
+    except ValueError as exc:
+        return str(exc), None
+    kept = sorted(set(result.sample_indices) - set(result.outlier_indices))
+    outcome = (
+        result.clusters,
+        result.rock_result.merges,
+        kept,
+        result.outlier_indices,
+    )
+    return outcome, result.backends["fit"]
+
+
+def expected_backend(memory_budget, enabled, theta, fit_mode, min_neighbors):
+    if fit_mode == "sharded" and min_neighbors <= 1:
+        return "sharded"
+    if memory_budget is None:
+        return "dense"
+    if enabled and theta > 0 and get_kernels() is not None:
+        return "native:cext"
+    return "fused"
+
+
+class TestOneBudget:
+    """The dense route is priced against the number the kernels get."""
+
+    BUDGET = 512 << 20  # 8 n^2 == BUDGET at n == 8192
+
+    @pytest.fixture(autouse=True)
+    def host(self, monkeypatch):
+        import repro.obs.manifest as manifest
+
+        monkeypatch.setattr(
+            manifest, "host_memory", lambda: (8 << 30, 2 * self.BUDGET)
+        )
+
+    def points(self, n):
+        return TransactionDataset([Transaction({i % 97, 100}) for i in range(n)])
+
+    def test_routes_on_either_side_of_the_wall(self):
+        at_wall, past_wall = (
+            plan_fit(self.points(n), 0.5) for n in (8192, 8193)
+        )
+        assert at_wall.memory_budget == past_wall.memory_budget == self.BUDGET
+        assert at_wall.route == "dense"
+        assert past_wall.route in ("native", "fused")
+        assert str(self.BUDGET) in past_wall.reason
+
+    def test_kernel_receives_the_planned_budget(self, monkeypatch):
+        seen = []
+
+        class Stop(Exception):
+            pass
+
+        def record(points, theta, *, memory_budget, **kwargs):
+            seen.append(memory_budget)
+            raise Stop
+
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        monkeypatch.setattr(parallel_links, "fused_neighbor_links", record)
+        with pytest.raises(Stop):
+            RockPipeline(k=2, theta=0.5).fit(self.points(8193))
+        assert seen == [self.BUDGET]
+
+
+class TestRecordedRoute:
+    """``backends["fit"]`` and the root span name the route that ran."""
+
+    def baskets(self):
+        rng = np.random.default_rng(3)
+        return TransactionDataset([
+            Transaction(rng.choice(np.arange(c * 12, c * 12 + 12), 6, replace=False).tolist())
+            for c in range(3)
+            for _ in range(8)
+        ])
+
+    @pytest.mark.parametrize(
+        "kwargs, enabled, backend",
+        [
+            ({}, True, "dense"),
+            ({"similarity": lambda a, b: JACCARD(a, b)}, True, "bruteforce"),
+            ({"memory_budget": 1}, False, "fused"),
+            ({"memory_budget": 1, "min_neighbors": 2}, False, "fused"),
+            ({"memory_budget": 1}, True, "native:cext"),
+            ({"memory_budget": 1, "min_neighbors": 2}, True, "native:cext"),
+            ({"fit_mode": "sharded"}, True, "sharded"),
+        ],
+    )
+    def test_every_route(self, kwargs, enabled, backend):
+        with native(enabled):
+            if backend.startswith("native") and get_kernels() is None:
+                pytest.skip("C tier unavailable")
+            tracer = Tracer()
+            result = RockPipeline(k=3, theta=0.5, seed=1, **kwargs).fit(
+                self.baskets(), tracer=tracer
+            )
+        assert result.backends["fit"] == backend
+        root = next(span for span in tracer.spans() if span.name == "fit")
+        assert root.attrs["fit_backend"] == backend
+        assert root.attrs["fit_reason"]
+
+    def test_sharded_fallback_warns_once_and_plans_auto(self):
+        with pytest.warns(RuntimeWarning, match="min_neighbors") as caught:
+            plan = plan_fit(
+                self.baskets(), 0.5, fit_mode="sharded", min_neighbors=2
+            )
+        assert len(caught) == 1
+        assert plan.route == "dense"
+
+
+# -- the identity property ----------------------------------------------------
+
+baskets = st.lists(
+    st.frozensets(st.integers(min_value=0, max_value=9), min_size=1, max_size=5),
+    min_size=2,
+    max_size=30,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sets=baskets,
+    theta=st.sampled_from(THETAS),
+    min_neighbors=st.sampled_from([0, 1, 2, 3]),
+    memory_budget=st.sampled_from([None, 1]),
+    enabled=st.booleans(),
+    fit_mode=st.sampled_from(["auto", "auto", "sharded"]),
+)
+def test_every_route_reproduces_the_dense_route(
+    sets, theta, min_neighbors, memory_budget, enabled, fit_mode
+):
+    points = TransactionDataset([Transaction(s) for s in sets])
+    common = dict(theta=theta, min_neighbors=min_neighbors)
+    with native(False):
+        reference, reference_backend = fit(points, **common)
+    with native(enabled):
+        outcome, backend = fit(
+            points, memory_budget=memory_budget, fit_mode=fit_mode, **common
+        )
+        expected = expected_backend(
+            memory_budget, enabled, theta, fit_mode, min_neighbors
+        )
+    assert outcome == reference
+    if reference_backend is not None:
+        assert (reference_backend, backend) == ("dense", expected)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b", None]),
+            st.sampled_from(["x", "y", None]),
+            st.sampled_from([0, 1, None]),
+        ),
+        min_size=2,
+        max_size=25,
+    ),
+    theta=st.sampled_from([0.0, 0.25, 0.5, 2 / 3, 1.0]),
+    min_neighbors=st.sampled_from([0, 1, 2]),
+)
+def test_missing_aware_records_route_to_fused(rows, theta, min_neighbors):
+    schema = CategoricalSchema(("f1", "f2", "f3"))
+    points = [CategoricalRecord(schema, row) for row in rows]
+    common = dict(
+        k=2, theta=theta, similarity=MissingAwareJaccard(),
+        min_neighbors=min_neighbors,
+    )
+    reference, reference_backend = fit(points, **common)
+    outcome, backend = fit(points, memory_budget=1, **common)
+    assert outcome == reference
+    if reference_backend is not None:
+        assert (reference_backend, backend) == ("dense", "fused")
+
+
+def test_similarity_table_stays_on_the_oracle():
+    names = ["a", "b", "c", "d", "e"]
+    table = SimilarityTable({
+        ("a", "b"): 0.9, ("b", "c"): 0.8, ("a", "c"): 0.7, ("d", "e"): 0.9,
+    })
+    common = dict(k=2, theta=0.5, similarity=table, min_neighbors=1)
+    reference, reference_backend = fit(names, **common)
+    outcome, backend = fit(names, memory_budget=1, **common)
+    assert outcome == reference
+    assert reference_backend == backend == "bruteforce"

@@ -317,16 +317,21 @@ class TestLinkProducerRecorded:
         assert result.backends["links"] == "dense-blocks"
         assert producer_of(tracer) == "dense-blocks"
 
-    @pytest.mark.parametrize("fit_mode", ["fused", "native"])
-    def test_fused_and_native(self, monkeypatch, fit_mode):
-        monkeypatch.delenv("REPRO_NATIVE", raising=False)
-        if fit_mode == "native" and get_kernels() is None:
-            pytest.skip("C tier unavailable")
-        expected = "fused" if fit_mode == "fused" else "native:cext"
+    @pytest.mark.parametrize("route", ["fused", "native"])
+    def test_fused_and_native(self, monkeypatch, route):
+        # past the memory budget: native, or fused under REPRO_NATIVE=0
+        if route == "fused":
+            monkeypatch.setenv("REPRO_NATIVE", "0")
+        else:
+            monkeypatch.delenv("REPRO_NATIVE", raising=False)
+            if get_kernels() is None:
+                pytest.skip("C tier unavailable")
+        expected = "fused" if route == "fused" else "native:cext"
         tracer = Tracer()
-        result = RockPipeline(k=3, theta=0.5, fit_mode=fit_mode, seed=1).fit(
+        result = RockPipeline(k=3, theta=0.5, memory_budget=1, seed=1).fit(
             self.baskets(per=8), tracer=tracer
         )
+        assert result.backends["fit"] == expected
         assert result.backends["links"] == expected
         assert producer_of(tracer) == expected
 

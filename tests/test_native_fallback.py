@@ -5,9 +5,10 @@ passes, every ``auto`` switch -- merge engine, assignment backend, the
 pipeline's labeling scan -- promotes to native silently.  Where it
 fails (no compiler, a failed build, a smoke-test mismatch, or the
 ``REPRO_NATIVE=0`` kill switch) every behaviour stays byte for byte
-on the reference paths: forced ``native`` modes fall back with exactly
-one warning, ``auto`` modes stay silent, and :func:`backend_info`
-records why.  These tests simulate each failure mode and pin the
+on the reference paths: a forced ``native`` merge falls back with
+exactly one warning, ``auto`` modes stay silent (the fit planner routes
+an over-budget fit to the fused kernel and records why in its plan),
+and :func:`backend_info` records why.  These tests simulate each failure mode and pin the
 warning counts, the fallback targets, the recorded reason, and the
 backend observability (``PipelineResult.backends``, model metadata,
 ``fit.backend.*`` gauges).
@@ -23,7 +24,6 @@ from repro.core.goodness import naive_goodness
 from repro.core.labeling import LabelingIndex
 from repro.core.merge import resolve_merge_method
 from repro.core.pipeline import RockPipeline
-from repro.core.rock import rock
 from repro.data.transactions import Transaction, TransactionDataset
 from repro.native import cext
 from repro.obs.trace import Tracer
@@ -109,7 +109,7 @@ class TestProbe:
             result = RockPipeline(k=3, theta=0.5, sample_size=30, seed=1).fit(data)
             assert resolve_assign_backend("auto") == ("pruned", None)
         assert result.backends == {
-            "fit": "auto", "links": "pair-count:numpy", "merge": "fast"
+            "fit": "dense", "links": "pair-count:numpy", "merge": "fast"
         }
         assert dense_scans == [1]
         assert len(result.clusters) >= 1
@@ -165,7 +165,7 @@ class TestProbe:
             warnings.simplefilter("error")
             result = RockPipeline(k=3, theta=0.5, seed=1).fit(baskets())
         assert result.backends == {
-            "fit": "auto", "links": "pair-count:numpy", "merge": "fast"
+            "fit": "dense", "links": "pair-count:numpy", "merge": "fast"
         }
 
 
@@ -181,42 +181,12 @@ class TestForcedNativeFallsBack:
             resolved = resolve_merge_method("native")
         assert resolved == "fast"
 
-    def test_fit_no_backend_single_warning(self, no_backends):
-        data = baskets()
-        reference = rock(data, k=3, theta=0.5, fit_mode="fused")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = rock(data, k=3, theta=0.5, fit_mode="native")
-        native_warnings = [
-            w for w in caught if "fit_mode='native'" in str(w.message)
-        ]
-        assert len(native_warnings) == 1
-        assert result.clusters == reference.clusters
-
-    def test_fit_min_neighbors_single_warning(self, no_backends):
-        data = baskets()
-        pipeline = RockPipeline(
-            k=3, theta=0.5, min_neighbors=2, fit_mode="native", seed=1
-        )
-        reference = RockPipeline(
-            k=3, theta=0.5, min_neighbors=2, fit_mode="parallel", seed=1
-        ).fit(data)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = pipeline.fit(data)
-        native_warnings = [
-            w for w in caught if "min_neighbors" in str(w.message)
-        ]
-        assert len(native_warnings) == 1
-        assert result.clusters == reference.clusters
-        assert np.array_equal(result.labels, reference.labels)
-
     def test_pipeline_forced_native_no_backend_never_raises(self, no_backends):
         data = baskets()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             result = RockPipeline(
-                k=3, theta=0.5, fit_mode="native", merge_method="native", seed=1
+                k=3, theta=0.5, memory_budget=1, merge_method="native", seed=1
             ).fit(data)
         assert result.backends["fit"] == "fused"
         assert result.backends["merge"] == "fast"
@@ -244,7 +214,7 @@ class TestAutoStaysSilent:
             assert resolve_assign_backend("auto") == ("pruned", None)
             reference = pipeline.fit(data)
             assert reference.backends == {
-                "fit": "auto", "links": "pair-count:numpy", "merge": "fast"
+                "fit": "dense", "links": "pair-count:numpy", "merge": "fast"
             }
             assert dense_scans == [1]
         assert np.array_equal(promoted.labels, reference.labels)
@@ -256,7 +226,7 @@ class TestAutoStaysSilent:
             warnings.simplefilter("error")
             result = RockPipeline(k=3, theta=0.5, seed=1).fit(data)
         assert result.backends == {
-            "fit": "auto", "links": "pair-count:numpy", "merge": "fast"
+            "fit": "dense", "links": "pair-count:numpy", "merge": "fast"
         }
 
 
@@ -269,7 +239,7 @@ class TestObservability:
         assert gauges["fit.backend.native_fit"] == 0
         assert gauges["fit.backend.native_merge"] == 0
         root = next(s for s in tracer.spans() if s.name == "fit")
-        assert root.attrs["fit_backend"] == "auto"
+        assert root.attrs["fit_backend"] == "dense"
         assert root.attrs["merge_backend"] == "fast"
 
     def test_model_metadata_records_backends(self, no_backends):
@@ -289,10 +259,10 @@ class TestObservability:
 
 class TestStreamRunnerRefit:
     def test_stream_clusterer_with_native_pipeline(self, no_backends):
-        """A native-mode pipeline inside the stream runner degrades too."""
+        """An over-budget pipeline inside the stream runner degrades too."""
         from repro.stream.runner import StreamClusterer
 
-        pipeline = RockPipeline(k=2, theta=0.5, fit_mode="native", seed=1)
+        pipeline = RockPipeline(k=2, theta=0.5, memory_budget=1, seed=1)
         clusterer = StreamClusterer(
             pipeline, reservoir_size=24, warmup=12, seed=0
         )

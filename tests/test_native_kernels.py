@@ -326,26 +326,27 @@ class TestNativeEndToEnd:
         return TransactionDataset(txns)
 
     @pytest.mark.parametrize("backend", AVAILABLE)
-    def test_rock_native_modes(self, backend):
+    def test_rock_native_modes(self, backend, monkeypatch):
         data = self._baskets()
-        ref = rock(data, k=4, theta=0.5, fit_mode="fused", merge_method="heap")
         native = rock(
-            data, k=4, theta=0.5, fit_mode="native", merge_method="native"
+            data, k=4, theta=0.5, memory_budget=1, merge_method="native"
         )
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        ref = rock(data, k=4, theta=0.5, memory_budget=1, merge_method="heap")
         assert_identical(ref, native)
 
     @pytest.mark.parametrize("backend", AVAILABLE)
-    def test_pipeline_native_equals_fused(self, backend):
+    def test_pipeline_native_equals_fused(self, backend, monkeypatch):
+        # past the memory budget the planner picks native, and fused
+        # under REPRO_NATIVE=0
         data = self._baskets(n_clusters=5, per=10)
         kwargs = dict(
-            k=5, theta=0.5, sample_size=40, min_cluster_size=3, seed=9
+            k=5, theta=0.5, sample_size=40, min_cluster_size=3, seed=9,
+            memory_budget=1,
         )
-        ref = RockPipeline(
-            fit_mode="fused", merge_method="heap", **kwargs
-        ).fit(data)
-        native = RockPipeline(
-            fit_mode="native", merge_method="native", **kwargs
-        ).fit(data)
+        native = RockPipeline(merge_method="native", **kwargs).fit(data)
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        ref = RockPipeline(merge_method="heap", **kwargs).fit(data)
         assert ref.clusters == native.clusters
         assert np.array_equal(ref.labels, native.labels)
         assert ref.outlier_indices == native.outlier_indices

@@ -1,10 +1,10 @@
 """End-to-end observability tests: traced fits, persisted timings, CLI.
 
-Covers the acceptance criterion of the observability issue: a
-``fit_mode="parallel", workers=2`` fit under a tracer must leave a
-single :class:`~repro.obs.manifest.RunManifest` whose span tree covers
-every fit phase and whose metrics include worker-side counters merged
-back through the process pool.
+A ``workers=2`` fit past its memory budget (the native or fused
+route) under a tracer must leave a single
+:class:`~repro.obs.manifest.RunManifest` whose span tree covers every
+fit phase and whose metrics include worker-side counters merged back
+through the process pool.
 """
 
 import json
@@ -26,7 +26,7 @@ def basket():
 
 
 class TestTracedParallelFit:
-    """The ISSUE acceptance test."""
+    """A traced multi-worker fit leaves one complete manifest."""
 
     @pytest.fixture(scope="class")
     def manifest(self):
@@ -36,11 +36,11 @@ class TestTracedParallelFit:
         tracer = Tracer()
         pipeline = RockPipeline(
             k=4, theta=0.5, sample_size=200, seed=0,
-            fit_mode="parallel", workers=2,
+            memory_budget=1, workers=2,
         )
         pipeline.fit(data, tracer=tracer)
         return RunManifest.from_tracer(
-            "fit", tracer, config={"fit_mode": "parallel", "workers": 2},
+            "fit", tracer, config={"memory_budget": 1, "workers": 2},
         ), len(data)
 
     def test_single_root_span_covers_every_phase(self, manifest):
@@ -58,9 +58,10 @@ class TestTracedParallelFit:
         manifest, n = manifest
         counters = manifest.metrics["counters"]
         # recorded inside pool workers, shipped back as snapshot deltas
-        assert counters["fit.neighbors.rows"] == 200  # the sample size
-        assert counters["fit.links.chunks"] >= 1
-        assert counters["fit.links.pair_increments"] > 0
+        kernel = "native" if "fit.native.rows" in counters else "fused"
+        assert counters[f"fit.{kernel}.rows"] == 200  # the sample size
+        assert counters[f"fit.{kernel}.blocks"] >= 1
+        assert counters[f"fit.{kernel}.pair_increments"] > 0
         gauges = manifest.metrics["gauges"]
         assert gauges["fit.n_points"] == n
         assert gauges["fit.n_sampled"] == 200
@@ -121,7 +122,7 @@ class TestCli:
         code, stdout = run(
             capsys, "cluster", "--input", str(basket_file),
             "--theta", "0.4", "-k", "4", "--min-cluster-size", "5",
-            "--fit-mode", "parallel", "--workers", "2",
+            "--memory-budget-mb", "1", "--workers", "2",
             "--trace-out", str(trace),
         )
         assert code == 0
@@ -131,8 +132,10 @@ class TestCli:
         names = manifest.span_names()
         for phase in ("fit",) + FIT_PHASES:
             assert phase in names
-        assert manifest.metrics["counters"]["fit.links.chunks"] >= 1
-        assert manifest.config["fit_mode"] == "parallel"
+        assert manifest.metrics["counters"]["fit.links.pairs"] >= 1
+        (fit_span,) = [s for s in manifest.spans if s["name"] == "fit"]
+        assert fit_span["attrs"]["fit_backend"] in ("native:cext", "fused")
+        assert manifest.config["fit_mode"] == "auto"
 
     def test_cluster_metrics_format_prom(self, basket_file, capsys):
         code, stdout = run(

@@ -1,6 +1,6 @@
-"""Parallel and fused fit kernels vs the dense and serial-blocked paths.
+"""The fused fit kernel and its worker pool vs the dense path.
 
-The parallel kernels are only admissible as pure optimisations:
+The multi-worker kernels are only admissible as pure optimisations:
 identical :class:`NeighborGraph`, identical :class:`LinkTable`,
 identical final clusters for every input and worker count, with
 order-preserving (hence byte-deterministic) merges.  The hypothesis
@@ -18,12 +18,11 @@ from repro.core.links import LinkTable, compute_links
 from repro.core.neighbors import (
     NeighborGraph,
     SparseTransactionScorer,
-    blocked_neighbor_graph,
     build_block_scorer,
     compute_neighbor_graph,
 )
-from repro.core.pipeline import RockPipeline
-from repro.core.rock import FIT_MODES, resolve_fit_mode, rock
+from repro.core.pipeline import FIT_MODES, RockPipeline
+from repro.core.rock import rock
 from repro.core.similarity import (
     JaccardSimilarity,
     MissingAwareJaccard,
@@ -35,8 +34,6 @@ from repro.parallel import (
     fused_neighbor_links,
     merge_pair_counts,
     pair_link_counts,
-    parallel_link_table,
-    parallel_neighbor_graph,
 )
 from repro.parallel.pool import (
     default_workers,
@@ -93,20 +90,22 @@ def make_baskets(n: int, vocab: int = 40, seed: int = 0) -> TransactionDataset:
 def test_parallel_graph_equals_dense_and_blocked(
     sets, theta, block_size, overlap, workers
 ):
+    # fanned-out blocks equal the dense graph and the serial block loop
     dataset = TransactionDataset([Transaction(s) for s in sets])
     similarity = OverlapSimilarity() if overlap else JaccardSimilarity()
     dense = compute_neighbor_graph(
         dataset, theta, similarity=similarity, method="vectorized"
     )
-    blocked = blocked_neighbor_graph(
-        dataset, theta, similarity=similarity, block_size=block_size
-    )
-    parallel = parallel_neighbor_graph(
-        dataset, theta, similarity=similarity, workers=workers,
-        block_size=block_size, min_points=1,
-    )
+    runs = [
+        fused_neighbor_links(
+            dataset, theta, similarity=similarity, workers=count,
+            block_size=block_size, keep_graph=True,
+        )
+        for count in (1, workers)
+    ]
+    serial, parallel = (run.graph for run in runs)
     assert graphs_equal(parallel, dense)
-    assert graphs_equal(parallel, blocked)
+    assert graphs_equal(parallel, serial)
     assert not parallel.has_dense
 
 
@@ -129,21 +128,6 @@ def test_fused_links_equal_dense_and_sparse_paths(sets, theta, block_size, worke
     assert tables_equal(fused.links, expected_sparse)
     assert graphs_equal(fused.graph, dense)
     assert np.array_equal(fused.degrees, dense.degrees())
-    chunked = parallel_link_table(dense, workers=workers, chunk_size=2)
-    assert tables_equal(chunked, expected_sparse)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    sets=item_sets,
-    theta=st.sampled_from([0.25, 0.5]),
-    mode=st.sampled_from(["dense", "blocked", "parallel", "fused"]),
-)
-def test_rock_clusters_identical_across_fit_modes(sets, theta, mode):
-    dataset = TransactionDataset([Transaction(s) for s in sets])
-    base = rock(dataset, k=2, theta=theta)
-    alt = rock(dataset, k=2, theta=theta, fit_mode=mode, workers=2)
-    assert sorted(map(sorted, alt.clusters)) == sorted(map(sorted, base.clusters))
 
 
 @settings(max_examples=25, deadline=None)
@@ -157,25 +141,23 @@ def test_rock_clusters_identical_across_fit_modes(sets, theta, mode):
         max_size=25,
     ),
     theta=st.sampled_from([0.0, 0.5, 1.0]),
+    missing_aware=st.booleans(),
 )
-def test_parallel_graph_on_missing_aware_records(rows, theta):
+def test_parallel_graph_on_missing_aware_records(rows, theta, missing_aware):
+    # categorical data under missing-aware Jaccard, or plain Jaccard
+    # over the A.v encoding
     schema = CategoricalSchema(("p", "q"))
     dataset = CategoricalDataset(
         schema, [CategoricalRecord(schema, row) for row in rows]
     )
-    similarity = MissingAwareJaccard()
+    similarity = MissingAwareJaccard() if missing_aware else JaccardSimilarity()
     dense = compute_neighbor_graph(
         dataset, theta, similarity=similarity, method="vectorized"
-    )
-    parallel = parallel_neighbor_graph(
-        dataset, theta, similarity=similarity, workers=3,
-        block_size=2, min_points=1,
     )
     fused = fused_neighbor_links(
         dataset, theta, similarity=similarity, workers=3,
         block_size=2, keep_graph=True,
     )
-    assert graphs_equal(parallel, dense)
     assert graphs_equal(fused.graph, dense)
     assert tables_equal(fused.links, compute_links(dense, method="sparse"))
 
@@ -186,9 +168,9 @@ def test_parallel_graph_on_missing_aware_records(rows, theta):
 def test_workers4_runs_are_byte_identical():
     dataset = make_baskets(400)
     graphs = [
-        parallel_neighbor_graph(
-            dataset, 0.4, workers=4, block_size=37, min_points=1
-        )
+        fused_neighbor_links(
+            dataset, 0.4, workers=4, block_size=37, keep_graph=True
+        ).graph
         for _ in range(2)
     ]
     first, second = (
@@ -198,9 +180,9 @@ def test_workers4_runs_are_byte_identical():
 
     fits = [
         RockPipeline(
-            k=5, theta=0.4, seed=3, fit_mode=mode, workers=4
+            k=5, theta=0.4, seed=3, memory_budget=budget, workers=4
         ).fit(dataset, label_remaining=False)
-        for mode in ("parallel", "parallel", "fused", "fused")
+        for budget in (1, 1, None, None)
     ]
     labels = [fit.labels.tobytes() for fit in fits]
     assert labels[0] == labels[1] == labels[2] == labels[3]
@@ -303,15 +285,8 @@ def test_link_table_subset_equals_subgraph_links():
 # -- fallbacks and routing ----------------------------------------------------
 
 
-def test_parallel_falls_back_to_serial_below_min_points():
-    dataset = make_baskets(30)
-    graph = parallel_neighbor_graph(dataset, 0.4, workers=4)  # n < min_points
-    assert graphs_equal(
-        graph, blocked_neighbor_graph(dataset, 0.4)
-    )
-
-
 def test_sparse_scorer_is_opt_in_for_parallel_paths():
+    # the fused kernel opts in; the dense route keeps the matmul scorer
     pytest.importorskip("scipy")
     dataset = make_baskets(30)
     assert isinstance(
@@ -330,67 +305,59 @@ def test_sparse_scorer_is_opt_in_for_parallel_paths():
     overlap=st.booleans(),
 )
 def test_sparse_scorer_matches_dense_scorer(sets, theta, block_size, overlap):
-    # the parallel paths default to the CSR scorer; its prefilter and
+    # the fused kernel defaults to the CSR scorer; its prefilter and
     # unsorted-product handling need their own equivalence property
     # against the forced-dense scorer: same graph and same fused links
     pytest.importorskip("scipy")
     dataset = TransactionDataset([Transaction(s) for s in sets])
     similarity = OverlapSimilarity() if overlap else JaccardSimilarity()
-    dense_graph = parallel_neighbor_graph(
-        dataset, theta, similarity=similarity, workers=2,
-        block_size=block_size, min_points=1, prefer_sparse=False,
+    dense_fused, sparse_fused = (
+        fused_neighbor_links(
+            dataset, theta, similarity=similarity, workers=2,
+            block_size=block_size, prefer_sparse=prefer, keep_graph=True,
+        )
+        for prefer in (False, True)
     )
-    sparse_graph = parallel_neighbor_graph(
-        dataset, theta, similarity=similarity, workers=2,
-        block_size=block_size, min_points=1, prefer_sparse=True,
-    )
-    assert graphs_equal(sparse_graph, dense_graph)
-    dense_fused = fused_neighbor_links(
-        dataset, theta, similarity=similarity, workers=2,
-        block_size=block_size, prefer_sparse=False,
-    )
-    sparse_fused = fused_neighbor_links(
-        dataset, theta, similarity=similarity, workers=2,
-        block_size=block_size, prefer_sparse=True,
-    )
+    assert graphs_equal(sparse_fused.graph, dense_fused.graph)
     assert tables_equal(sparse_fused.links, dense_fused.links)
     assert np.array_equal(sparse_fused.degrees, dense_fused.degrees)
 
 
-def test_fused_pipeline_with_strict_pruning_falls_back():
-    # min_neighbors > 1 invalidates the subset shortcut; the pipeline
-    # must route to the (two-pass) parallel kernels and still agree
+def test_fused_pipeline_with_strict_pruning_falls_back(monkeypatch):
+    # min_neighbors > 1 invalidates the subset shortcut; the fused
+    # route runs a second pass over the kept points and still agrees
+    monkeypatch.setenv("REPRO_NATIVE", "0")
     dataset = make_baskets(200)
     base = RockPipeline(k=4, theta=0.4, seed=1, min_neighbors=3).fit(
         dataset, label_remaining=False
     )
     fused = RockPipeline(
-        k=4, theta=0.4, seed=1, min_neighbors=3, fit_mode="fused", workers=2
+        k=4, theta=0.4, seed=1, min_neighbors=3, memory_budget=1, workers=2
     ).fit(dataset, label_remaining=False)
+    assert fused.backends["fit"] == "fused"
+    assert base.outlier_indices == fused.outlier_indices
     assert np.array_equal(base.labels, fused.labels)
 
 
 def test_fit_mode_validation():
-    assert resolve_fit_mode("parallel") == ("parallel", "parallel")
-    with pytest.raises(ValueError):
-        resolve_fit_mode("warp")
     with pytest.raises(ValueError):
         RockPipeline(k=2, theta=0.5, fit_mode="warp")
     with pytest.raises(ValueError):
         rock(make_baskets(10), k=2, theta=0.5, fit_mode="warp")
-    assert set(FIT_MODES) == {
-        "auto", "dense", "blocked", "parallel", "fused", "native", "sharded",
-    }
+    with pytest.raises(ValueError):
+        RockPipeline(k=2, theta=0.5, fit_mode="fused")
+    assert FIT_MODES == ("auto", "sharded")
 
 
 def test_model_metadata_records_fit_mode_and_workers():
     dataset = make_baskets(120)
     pipeline = RockPipeline(
-        k=4, theta=0.4, seed=0, sample_size=80, fit_mode="fused", workers=2
+        k=4, theta=0.4, seed=0, sample_size=80, memory_budget=1, workers=2
     )
-    _, model = pipeline.fit_model(dataset)
-    assert model.metadata["fit_mode"] == "fused"
+    result, model = pipeline.fit_model(dataset)
+    assert model.metadata["fit_mode"] == "auto"
     assert model.metadata["workers"] == 2
+    assert model.metadata["backends"]["fit"] == result.backends["fit"]
 
 
 def test_cli_fit_mode_and_workers(tmp_path, capsys):
@@ -408,11 +375,14 @@ def test_cli_fit_mode_and_workers(tmp_path, capsys):
         "-k", "3", "--theta", "0.4", "--model", str(model_path),
         "--fit-mode", "fused", "--workers", "2", "--seed", "0",
     ]) == 0
-    capsys.readouterr()
+    # a removed fit mode still parses for one release: one deprecation
+    # line on stderr, then the auto route
+    err = capsys.readouterr().err
+    assert err.count("deprecated") == 1 and "--fit-mode fused" in err
     from repro.serve.model import RockModel
 
     model = RockModel.load(model_path)
-    assert model.metadata["fit_mode"] == "fused"
+    assert model.metadata["fit_mode"] == "auto"
     assert model.metadata["workers"] == 2
     with pytest.raises(SystemExit):
         main([

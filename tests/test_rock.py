@@ -197,6 +197,11 @@ class TestRockEndToEnd:
         ds = TransactionDataset(
             [{1, 2, 3}, {1, 2, 4}, {2, 3, 4}, {8, 9}, {8, 10}, {9, 10}]
         )
-        a = rock(ds, k=2, theta=0.4, link_method="dense")
-        b = rock(ds, k=2, theta=0.4, link_method="sparse")
-        assert a.clusters == b.clusters
+        graph = compute_neighbor_graph(ds, 0.4)
+        a, b = (
+            cluster_with_links(
+                compute_links(graph, method=method), k=2, f_theta=default_f(0.4)
+            )
+            for method in ("dense", "sparse")
+        )
+        assert a.clusters == b.clusters == rock(ds, k=2, theta=0.4).clusters

@@ -1,4 +1,4 @@
-"""repro.shard: store round-trips, sharded == fused identity, fallbacks."""
+"""repro.shard: store round-trips, sharded == auto-route identity, fallbacks."""
 
 import numpy as np
 import pytest
@@ -152,7 +152,7 @@ class TestPlanner:
 
 
 # ---------------------------------------------------------------------------
-# sharded == fused == dense, property-tested
+# sharded == over-budget route (native or fused) == dense, property-tested
 # ---------------------------------------------------------------------------
 
 class TestShardedIdentity:
@@ -165,8 +165,8 @@ class TestShardedIdentity:
     )
     def test_sharded_equals_fused_and_dense(self, sets, theta, k, block_rows):
         ds = _dataset(sets)
-        dense = rock(ds, k=k, theta=theta, fit_mode="dense")
-        fused = rock(ds, k=k, theta=theta, fit_mode="fused")
+        dense = rock(ds, k=k, theta=theta)
+        fused = rock(ds, k=k, theta=theta, memory_budget=1)
         sharded = rock(
             ds, k=k, theta=theta, fit_mode="sharded",
             shard_block_rows=block_rows,
@@ -178,7 +178,7 @@ class TestShardedIdentity:
     @pytest.mark.parametrize("block_rows", [None, 7, 13])
     def test_worker_and_block_invariance(self, basket, workers, block_rows):
         ds = basket.transactions
-        fused = rock(ds, k=4, theta=0.5, fit_mode="fused")
+        fused = rock(ds, k=4, theta=0.5, memory_budget=1)
         sharded = rock(
             ds, k=4, theta=0.5, fit_mode="sharded",
             workers=workers, shard_block_rows=block_rows,
@@ -188,7 +188,7 @@ class TestShardedIdentity:
     def test_fit_from_store_only(self, tmp_path, basket):
         ds = basket.transactions
         store = TransactionStore.write(tmp_path / "store", ds)
-        fused = rock(ds, k=4, theta=0.5, fit_mode="fused")
+        fused = rock(ds, k=4, theta=0.5, memory_budget=1)
         sharded = shard_fit(store=store, k=4, theta=0.5, f_theta=(1 - 0.5) / (1 + 0.5))
         _assert_identical(fused, sharded.result)
         assert sharded.store_path == str(tmp_path / "store")
@@ -196,7 +196,7 @@ class TestShardedIdentity:
     def test_pipeline_identity_with_sampling_and_labeling(self, basket):
         ds = basket.transactions
         kwargs = dict(k=4, theta=0.5, sample_size=90, min_neighbors=1, seed=3)
-        reference = RockPipeline(fit_mode="fused", **kwargs).fit(ds)
+        reference = RockPipeline(memory_budget=1, **kwargs).fit(ds)
         sharded = RockPipeline(fit_mode="sharded", **kwargs).fit(ds)
         np.testing.assert_array_equal(reference.labels, sharded.labels)
         assert sharded.backends["fit"] == "sharded"
@@ -206,7 +206,7 @@ class TestShardedIdentity:
         from repro.core.similarity import OverlapSimilarity
 
         ds = basket.transactions
-        fused = rock(ds, k=4, theta=0.6, similarity=OverlapSimilarity(), fit_mode="fused")
+        fused = rock(ds, k=4, theta=0.6, similarity=OverlapSimilarity(), memory_budget=1)
         sharded = rock(ds, k=4, theta=0.6, similarity=OverlapSimilarity(), fit_mode="sharded")
         _assert_identical(fused, sharded)
 

@@ -64,7 +64,7 @@ class TestRunDirectory:
 class TestWorkerCrash:
     def test_killed_worker_is_retried(self, tmp_path, basket, monkeypatch):
         ds = basket.transactions
-        reference = rock(ds, k=4, theta=0.5, fit_mode="fused")
+        reference = rock(ds, k=4, theta=0.5, memory_budget=1)
         monkeypatch.setenv(KILL_ENV, "block-00002")
         sharded = shard_fit(
             ds, k=4, theta=0.5, f_theta=F_THETA, workers=2,
@@ -79,7 +79,7 @@ class TestWorkerCrash:
         self, tmp_path, basket, monkeypatch
     ):
         ds = basket.transactions
-        reference = rock(ds, k=4, theta=0.5, fit_mode="fused")
+        reference = rock(ds, k=4, theta=0.5, memory_budget=1)
         monkeypatch.setenv(KILL_ENV, "block-00002:2")
         with pytest.warns(RuntimeWarning, match="coordinator process"):
             sharded = shard_fit(
@@ -188,5 +188,5 @@ class TestCoordinatorResume:
             block_rows=16, spill_dir=spill,
         )
         assert changed.resumed_units == 0
-        reference = rock(ds, k=4, theta=0.6, fit_mode="fused")
+        reference = rock(ds, k=4, theta=0.6, memory_budget=1)
         assert changed.result.clusters == reference.clusters
