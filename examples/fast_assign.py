@@ -10,7 +10,9 @@ tier:
 
 * ``"dense"``  — the original blocked matmul;
 * ``"pruned"`` — inverted-index candidate gather + sparse scoring;
-* ``"native"`` — the fused ``assign_block`` kernel from ``repro.native``;
+* ``"native"`` — the prefix-filtered ``assign_block`` kernel from
+  ``repro.native`` (probes only each point's rarest items, verifies
+  only the representatives that can reach theta);
 * ``"auto"``   — native when available, else pruned (the default).
 
 All tiers are bit-identical to ``ClusterLabeler.assign`` (the
@@ -108,7 +110,11 @@ def main() -> None:
             reference = labels
         assert (labels == reference).all(), "tiers must agree bit-for-bit"
 
-        gauges = metrics.registry.snapshot()["gauges"]
+        snapshot = metrics.registry.snapshot()
+        gauges = snapshot["gauges"]
+        # pairs scored by the index tiers (warm-up included); the dense
+        # tier scores all of them and keeps no count
+        candidates = snapshot["counters"].get("serve.assign.candidates")
         active = [
             key.rsplit(".", 1)[1]
             for key, value in gauges.items()
@@ -117,8 +123,10 @@ def main() -> None:
         rate = len(points) / seconds
         if dense_rate is None:
             dense_rate = rate
+        scored = "all pairs" if candidates is None else f"{candidates:,} pairs"
         print(f"{backend:>6}: {rate:>10,.0f} points/sec  "
-              f"({rate / dense_rate:4.1f}x dense)  gauge={active}")
+              f"({rate / dense_rate:4.1f}x dense)  gauge={active}  "
+              f"scored={scored}")
 
     auto_tier, _ = resolve_assign_backend("auto")
     outliers = int((reference == -1).sum())

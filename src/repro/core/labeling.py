@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.core.goodness import default_f
 from repro.core.similarity import JaccardSimilarity, SimilarityFunction
+from repro.obs.registry import Counter
 
 
 # Byte budget for the widest per-block temporary of LabelingIndex.assign
@@ -186,8 +187,10 @@ class LabelingIndex:
         points = list(points)
         if block_size is None:
             block_size = self.default_block_size()
+        elif block_size < 1:
+            raise ValueError("block_size must be positive")
         labels = np.empty(len(points), dtype=np.int64)
-        for start in range(0, len(points), max(block_size, 1)):
+        for start in range(0, len(points), block_size):
             block = points[start : start + block_size]
             counts = self.neighbor_counts(block)
             block_labels = np.argmax(counts / self.normalisers, axis=1)
@@ -232,6 +235,8 @@ class ClusterLabeler:
         self.similarity = similarity if similarity is not None else JaccardSimilarity()
         self.f_theta = f(theta)
         self._normalisers = compute_normalisers(self.labeling_sets, self.f_theta)
+        # point/representative pairs scored by assign_all so far
+        self.candidates = 0
         self._index = (
             self._build_index()
             if isinstance(self.similarity, JaccardSimilarity)
@@ -281,18 +286,28 @@ class ClusterLabeler:
         :mod:`repro.native` C tier probed clean; otherwise as
         :meth:`LabelingIndex.assign` row blocks.  Other similarities
         call :meth:`assign` per point.  All give exactly the labels of
-        :meth:`assign` (property-tested).
+        :meth:`assign` (property-tested).  :attr:`candidates` counts the
+        point/representative pairs scored: the native kernel's verified
+        candidates, every pair on the other routes.
         """
-        if self._index is None:
-            return np.array([self.assign(p) for p in points], dtype=np.int64)
-        if self.theta > 0.0:
+        points = list(points)
+        if self._index is not None and self.theta > 0.0:
             from repro.native import get_kernels
 
             kernels = get_kernels()
             if kernels is not None:
                 from repro.serve.index import AssignmentIndex
 
-                return AssignmentIndex(self._index).assign(points, kernels=kernels)
+                verified = Counter()
+                labels = AssignmentIndex(self._index).assign(
+                    points, kernels=kernels, counter=verified
+                )
+                self.candidates += int(verified.value)
+                return labels
+        n_reps = sum(len(li) for li in self.labeling_sets)
+        self.candidates += len(points) * n_reps
+        if self._index is None:
+            return np.array([self.assign(p) for p in points], dtype=np.int64)
         return self._index.assign(points)
 
 

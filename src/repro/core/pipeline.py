@@ -716,25 +716,38 @@ class RockPipeline:
                     similarity=self.similarity,
                     f=self.f,
                 )
-                in_sample = set(sampled)
-                rest = [i for i in range(n_total) if i not in in_sample]
-                labels[rest] = labeler.assign_all(point_list[i] for i in rest)
+                unsampled = np.ones(n_total, dtype=bool)
+                unsampled[np.asarray(sampled, dtype=np.int64)] = False
+                rest = np.flatnonzero(unsampled)
+                labels[rest] = labeler.assign_all(
+                    point_list[i] for i in rest.tolist()
+                )
+                candidates = labeler.candidates
+                registry.inc("fit.label.candidates", candidates)
+                span.attrs["candidates"] = candidates
                 registry.inc("fit.labeled_points", len(rest))
         timings["label"] = span.wall_seconds
 
-        full_clusters: list[list[int]] = [[] for _ in clusters_original]
-        for index, label in enumerate(labels):
-            if label >= 0:
-                full_clusters[label].append(index)
-        order = sorted(
-            range(len(full_clusters)),
-            key=lambda c: (-len(full_clusters[c]), full_clusters[c][0] if full_clusters[c] else -1),
-        )
-        remap = {old: new for new, old in enumerate(order)}
-        labels = np.array(
-            [remap[l] if l >= 0 else -1 for l in labels], dtype=np.int64
-        )
-        full_clusters = [full_clusters[old] for old in order]
+        # final cluster order: size descending, then first member
+        n_clusters = len(clusters_original)
+        members = np.flatnonzero(labels >= 0)
+        member_labels = labels[members]
+        sizes = np.bincount(member_labels, minlength=n_clusters)
+        # members grouped by cluster, ascending point ids inside each
+        grouped = members[np.argsort(member_labels, kind="stable")]
+        bounds = np.zeros(n_clusters + 1, dtype=np.int64)
+        np.cumsum(sizes, out=bounds[1:])
+        first = np.full(n_clusters, -1, dtype=np.int64)
+        nonempty = sizes > 0
+        first[nonempty] = grouped[bounds[:-1][nonempty]]
+        order = np.lexsort((first, -sizes))
+        new_label = np.empty(n_clusters, dtype=np.int64)
+        new_label[order] = np.arange(n_clusters)
+        labels[members] = new_label[member_labels]
+        order = order.tolist()
+        full_clusters = [
+            grouped[bounds[old] : bounds[old + 1]].tolist() for old in order
+        ]
         if labeling_sets is not None:
             labeling_sets = [labeling_sets[old] for old in order]
 

@@ -11,7 +11,8 @@
   :func:`repro.core.merge.component_merge_stream`) on flat typed
   arrays with binary heaps instead of ``heapq`` tuples; and
 * the §4.6 assignment hot loop (``assign_block``): candidate gather
-  over the :class:`repro.serve.index.AssignmentIndex` inverted index,
+  over the prefix postings of the
+  :class:`repro.serve.index.AssignmentIndex`, exact verification,
   Jaccard threshold test and best-cluster argmax fused into one pass
   per query point.  It serves both the engine's ``assign_backend``
   and the pipeline's labeling scan
@@ -129,22 +130,29 @@ def _smoke_test(kernels: Any) -> None:
         or out_sizes.tolist() != [2]
     ):
         raise RuntimeError("merge_component smoke test mismatch")
-    # two representatives {0,1} (cluster 0) and {1,2} (cluster 1) at
-    # theta 0.5: point {0,1} matches rep 0 exactly, the empty point is
-    # an outlier, point {2} half-overlaps rep 1
-    labels, best = kernels.assign_block(
-        np.array([0, 2, 2, 3], dtype=np.int64),   # q_indptr
-        np.array([0, 1, 2], dtype=np.int32),      # q_items
-        np.array([2, 0, 1], dtype=np.int64),      # q_sizes
-        np.array([0, 1, 3, 4], dtype=np.int64),   # inv_indptr
-        np.array([0, 0, 1, 1], dtype=np.int32),   # inv_reps
-        np.array([2, 2], dtype=np.int32),         # rep_sizes
-        np.array([0, 1], dtype=np.int32),         # rep_cluster
-        np.array([1.0, 1.0], dtype=np.float64),   # normalisers
-        2,
-        0.5,
+    # rank-numbered items e=0 < b=1 < c=2 < d=3 at theta 0.6; rep 0 =
+    # {e,b,c,d} (cluster 0, prefix {e,b}), rep 1 = {c,d} (cluster 1,
+    # prefix {c}).  Point {a,b,c,d} (a out of vocabulary) meets rep 0
+    # at exactly 3/5 == 0.6 through b alone -- the last item of both
+    # prefixes, so a prefix one item short on either side misses it;
+    # the empty point is an outlier; point {c,d} equals rep 1.
+    labels, best, verified = kernels.assign_block(
+        np.array([0, 3, 3, 5], dtype=np.int64),       # q_indptr
+        np.array([3, 1, 2, 3, 2], dtype=np.int32),    # q_items
+        np.array([4, 0, 2], dtype=np.int64),          # q_sizes
+        np.array([0, 1, 2, 3, 3], dtype=np.int64),    # pre_indptr
+        np.array([0, 0, 1], dtype=np.int32),          # pre_reps
+        np.array([0, 4, 6], dtype=np.int64),          # rep_indptr
+        np.array([0, 1, 2, 3, 2, 3], dtype=np.int32), # rep_items
+        np.array([0, 1], dtype=np.int32),             # rep_cluster
+        np.array([1.0, 1.0], dtype=np.float64),       # normalisers
+        0.6,
     )
-    if labels.tolist() != [0, -1, 1] or best.tolist() != [1.0, 0.0, 1.0]:
+    if (
+        labels.tolist() != [0, -1, 1]
+        or best.tolist() != [1.0, 0.0, 1.0]
+        or verified != 2
+    ):
         raise RuntimeError("assign_block smoke test mismatch")
 
 

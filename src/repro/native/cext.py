@@ -37,6 +37,7 @@ _CFLAGS = ("-O3", "-fPIC", "-shared", "-std=c99")
 _i64_p = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
 _i32_p = np.ctypeslib.ndpointer(dtype=np.int32, flags="C_CONTIGUOUS")
 _f64_p = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
+_u8_p = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
 
 
 def _cache_dir() -> Path:
@@ -113,9 +114,9 @@ def _bind(lib: ctypes.CDLL) -> None:
     lib.assign_block.restype = ctypes.c_longlong
     lib.assign_block.argtypes = [
         _i64_p, _i32_p, _i64_p, ctypes.c_int64,
-        _i64_p, _i32_p, _i32_p, _i32_p, _f64_p,
-        ctypes.c_int64, ctypes.c_double,
-        _i32_p, _i32_p, _i64_p, _i32_p,
+        _i64_p, _i32_p, _i64_p, _i32_p,
+        _i32_p, _f64_p, ctypes.c_double,
+        _u8_p, _i32_p, _i32_p, _i64_p, _i32_p,
         _i64_p, _f64_p,
     ]
     lib.merge_component.restype = ctypes.c_longlong
@@ -227,40 +228,48 @@ class _CextKernels:
         q_indptr: np.ndarray,
         q_items: np.ndarray,
         q_sizes: np.ndarray,
-        inv_indptr: np.ndarray,
-        inv_reps: np.ndarray,
-        rep_sizes: np.ndarray,
+        pre_indptr: np.ndarray,
+        pre_reps: np.ndarray,
+        rep_indptr: np.ndarray,
+        rep_items: np.ndarray,
         rep_cluster: np.ndarray,
         normalisers: np.ndarray,
-        n_clusters: int,
         theta: float,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """``(labels, best scores, candidates verified)`` for one block.
+
+        ``q_items`` holds rank-numbered item ids; the kernel sorts each
+        row in place, so it always receives a private copy.
+        """
         q_indptr = _as_i64(q_indptr)
-        q_items = _as_i32(q_items)
+        q_items = np.array(q_items, dtype=np.int32)
         q_sizes = _as_i64(q_sizes)
-        inv_indptr = _as_i64(inv_indptr)
-        inv_reps = _as_i32(inv_reps)
-        rep_sizes = _as_i32(rep_sizes)
+        pre_indptr = _as_i64(pre_indptr)
+        pre_reps = _as_i32(pre_reps)
+        rep_indptr = _as_i64(rep_indptr)
+        rep_items = _as_i32(rep_items)
         rep_cluster = _as_i32(rep_cluster)
         normalisers = _as_f64(normalisers)
         b = int(q_indptr.size) - 1
-        n_reps = int(rep_sizes.size)
-        acc = np.zeros(max(n_reps, 1), dtype=np.int32)
+        n_reps = int(rep_indptr.size) - 1
+        n_clusters = max(int(normalisers.size), 1)
+        mark = np.zeros(max(int(pre_indptr.size) - 1, 1), dtype=np.uint8)
+        seen = np.zeros(max(n_reps, 1), dtype=np.int32)
         # one spare slot: the kernel's branchless first-touch write
         # targets touched[n_touched] even for repeat touches
         touched = np.empty(n_reps + 1, dtype=np.int32)
-        ccounts = np.zeros(max(int(n_clusters), 1), dtype=np.int64)
-        ctouched = np.empty(max(int(n_clusters), 1), dtype=np.int32)
+        ccounts = np.zeros(n_clusters, dtype=np.int64)
+        ctouched = np.empty(n_clusters, dtype=np.int32)
         out_labels = np.empty(max(b, 1), dtype=np.int64)
         out_best = np.empty(max(b, 1), dtype=np.float64)
-        self._lib.assign_block(
+        verified = self._lib.assign_block(
             q_indptr, q_items, q_sizes, b,
-            inv_indptr, inv_reps, rep_sizes, rep_cluster, normalisers,
-            int(n_clusters), float(theta),
-            acc, touched, ccounts, ctouched,
+            pre_indptr, pre_reps, rep_indptr, rep_items,
+            rep_cluster, normalisers, float(theta),
+            mark, seen, touched, ccounts, ctouched,
             out_labels, out_best,
         )
-        return out_labels[:b], out_best[:b]
+        return out_labels[:b], out_best[:b], int(verified)
 
     def merge_component(
         self,

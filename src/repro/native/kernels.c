@@ -21,10 +21,11 @@
  *                         (same lazy-heap selection, same goodness
  *                         arithmetic and association, same heap_ops)
  *   assign_block      <-> repro.serve.index.AssignmentIndex
- *                         .assign_with_scores (same candidate gather
- *                         over the inverted index, same float64
- *                         inter/union >= theta test, same first-max
- *                         argmax over the normalised cluster counts)
+ *                         .assign_with_scores (prefix-filtered
+ *                         candidates, exact intersections, same
+ *                         float64 inter/union >= theta test, same
+ *                         first-max argmax over the normalised
+ *                         cluster counts)
  *
  * Transaction/item ids travel as int32 (halving the bandwidth of the
  * randomly-accessed hot arrays); callers guarantee n < 2^31.
@@ -385,22 +386,73 @@ long long pair_count_reduce(
 }
 
 /* ------------------------------------------------------------------ */
-/* 2b. fused serving assignment over the inverted index                */
+/* 2b. prefix-filtered serving assignment                              */
 /* ------------------------------------------------------------------ */
 
-/* Assign a CSR-encoded query block against the item->representative
- * inverted index: candidate gather, Jaccard threshold test and
- * best-cluster argmax fused into one pass per point.
+/* The smallest overlap o with the float64 test o / s >= theta that
+ * decides a neighbor, or s + 1 when no o <= s passes (s == 0 divides
+ * by 1, giving 1).  Starts at ceil(theta * s) and steps by +-1:
+ * correctly rounded division is monotone in o, so "o passes and o - 1
+ * fails" pins the exact boundary.  Mirrors repro.serve.index
+ * .min_overlap value for value. */
+static i64 min_overlap(i64 s, double theta)
+{
+    double d = s > 0 ? (double)s : 1.0;
+    double start = ceil(theta * (double)s);
+    i64 o = start < 0.0 ? 0 : start > (double)(s + 1) ? s + 1 : (i64)start;
+    while (o <= s && (double)o / d < theta)
+        o++;
+    while (o > 0 && (double)(o - 1) / d >= theta)
+        o--;
+    return o;
+}
+
+/* ascending sort of one short query row: insertion sort for the
+ * typical 10-20 items, qsort (O(m log m)) past that */
+static void sort_row(i32 *row, i64 m)
+{
+    if (m > 32) {
+        qsort(row, (size_t)m, sizeof(i32), i32_cmp);
+        return;
+    }
+    for (i64 i = 1; i < m; i++) {
+        i32 v = row[i];
+        i64 j = i - 1;
+        while (j >= 0 && row[j] > v) {
+            row[j + 1] = row[j];
+            j--;
+        }
+        row[j + 1] = v;
+    }
+}
+
+/* Assign a CSR-encoded query block against the prefix-filtered index:
+ * candidate gather over the prefix postings, exact verification,
+ * Jaccard threshold test and best-cluster argmax, one pass per point.
  *
- * q_indptr/q_items    CSR of query points -> in-vocabulary item codes
+ * Item ids are ranks: columns are numbered by ascending representative
+ * document frequency, so a row sorted by id is sorted rarest first.
+ * By the prefix lemma (AllPairs, PPJoin) two sets with fl(inter /
+ * union) >= theta share an item inside each set's first
+ * |set| - min_overlap(|set|) + 1 items; out-of-vocabulary query items
+ * rank before every indexed item (no representative holds them), so
+ * the in-vocabulary part of a query's prefix is that length minus its
+ * OOV count, and a point left with no prefix item is an outlier.
+ *
+ * q_indptr/q_items    CSR of query points -> in-vocabulary item ids;
+ *                     each row of q_items is sorted in place (the
+ *                     wrapper passes a private copy)
  * q_sizes             true item count per point (OOV items enlarge
  *                     the union without appearing in q_items)
- * inv_indptr/inv_reps CSC of the representative indicator matrix:
- *                     item -> ascending representative ids
- * rep_sizes           |rep| per representative (exact integers)
+ * pre_indptr/pre_reps item -> ascending ids of the representatives
+ *                     whose prefix holds the item
+ * rep_indptr/rep_items representative -> its items (the verification
+ *                     side; |rep| is the row length)
  * rep_cluster         representative -> cluster id
  * normalisers         (|L_c| + 1)^f per cluster
- * acc, touched        int32 workspaces; acc has length n_reps and
+ * mark                vocab-sized byte workspace, arrives zeroed
+ *                     (returned zeroed)
+ * seen, touched       int32 workspaces; seen has length n_reps and
  *                     must arrive zeroed (it is returned zeroed);
  *                     touched has length n_reps + 1 -- the branchless
  *                     first-touch write lands in the spare slot when
@@ -412,9 +464,10 @@ long long pair_count_reduce(
  *
  * theta > 0 is a precondition (theta == 0 makes every representative
  * a neighbor and is answered by the Python path with constant
- * counts).  A candidate has inter >= 1, hence union >= 1, so the
- * float64 quotient matches the reference's guarded division bit for
- * bit.  The argmax scans only the touched clusters: an untouched
+ * counts).  A candidate shares a prefix item, so inter >= 1 and union
+ * >= 1: the float64 quotient matches the reference's guarded division
+ * bit for bit, and every pair the prefixes skip fails the test there
+ * too.  The argmax scans only the touched clusters: an untouched
  * cluster scores exactly 0.0 while any neighbor count >= 1 divided by
  * a positive normaliser scores > 0, so the global first-max winner is
  * always among the touched clusters -- ties break toward the lowest
@@ -422,49 +475,56 @@ long long pair_count_reduce(
  * scores 0.0 -- a degenerate normaliser overflowing to inf -- the
  * global argmax is cluster 0, restored below.)
  *
- * Returns the number of outliers in the block.
+ * Returns the number of candidate pairs verified.
  */
 long long assign_block(
-    const i64 *q_indptr, const i32 *q_items, const i64 *q_sizes, i64 b,
-    const i64 *inv_indptr, const i32 *inv_reps,
-    const i32 *rep_sizes, const i32 *rep_cluster,
-    const double *normalisers,
-    i64 n_clusters, double theta,
-    i32 *acc, i32 *touched,
+    const i64 *q_indptr, i32 *q_items, const i64 *q_sizes, i64 b,
+    const i64 *pre_indptr, const i32 *pre_reps,
+    const i64 *rep_indptr, const i32 *rep_items,
+    const i32 *rep_cluster, const double *normalisers, double theta,
+    unsigned char *mark, i32 *seen, i32 *touched,
     i64 *ccounts, i32 *ctouched,
     i64 *out_labels, double *out_best)
 {
-    i64 n_outliers = 0;
+    long long verified = 0;
     for (i64 i = 0; i < b; i++) {
+        i64 p = q_indptr[i], m = q_indptr[i + 1] - p;
+        i32 *row = q_items + p;
+        i64 qsize = q_sizes[i];
+        /* the prefix length qsize - o + 1 minus the qsize - m OOV items
+         * ranked first (an empty point gets o = 1, hence no probe) */
+        i64 probe = m - min_overlap(qsize, theta) + 1;
+        out_labels[i] = -1;
+        out_best[i] = 0.0;
+        if (probe <= 0)
+            continue;
+        sort_row(row, m);
         i64 n_touched = 0;
-        i64 p = q_indptr[i], p_end = q_indptr[i + 1];
-        if (p < p_end) {
-            /* first item: every posting entry is a fresh touch */
-            i64 item = q_items[p++];
-            for (i64 q = inv_indptr[item]; q < inv_indptr[item + 1]; q++) {
-                i32 r = inv_reps[q];
-                acc[r] = 1;
-                touched[n_touched++] = r;
-            }
-        }
-        for (; p < p_end; p++) {
-            i64 item = q_items[p];
-            for (i64 q = inv_indptr[item]; q < inv_indptr[item + 1]; q++) {
-                i32 r = inv_reps[q];
-                i32 a = acc[r];
+        for (i64 t = 0; t < probe; t++) {
+            i64 item = row[t];
+            for (i64 q = pre_indptr[item]; q < pre_indptr[item + 1]; q++) {
+                i32 r = pre_reps[q];
+                i32 a = seen[r];
                 /* branchless first-touch tracking (see score_block) */
                 touched[n_touched] = r;
                 n_touched += (a == 0);
-                acc[r] = a + 1;
+                seen[r] = 1;
             }
         }
-        i64 qsize = q_sizes[i];
+        if (n_touched == 0)
+            continue;
+        verified += n_touched;
+        for (i64 t = 0; t < m; t++)
+            mark[row[t]] = 1;
         i64 n_clu = 0;
         for (i64 t = 0; t < n_touched; t++) {
             i32 r = touched[t];
-            i64 inter = acc[r];
-            acc[r] = 0;
-            i64 uni = (i64)rep_sizes[r] + qsize - inter;
+            seen[r] = 0;
+            i64 lo = rep_indptr[r], hi = rep_indptr[r + 1];
+            i64 inter = 0;
+            for (i64 j = lo; j < hi; j++)
+                inter += mark[rep_items[j]];
+            i64 uni = (hi - lo) + qsize - inter;
             if ((double)inter / (double)uni >= theta) {
                 i32 c = rep_cluster[r];
                 if (ccounts[c] == 0)
@@ -472,6 +532,8 @@ long long assign_block(
                 ccounts[c]++;
             }
         }
+        for (i64 t = 0; t < m; t++)
+            mark[row[t]] = 0;
         double best = 0.0;
         i64 lab = -1;
         for (i64 t = 0; t < n_clu; t++) {
@@ -485,13 +547,10 @@ long long assign_block(
         }
         if (lab >= 0 && best == 0.0)
             lab = 0; /* all scores 0.0: np.argmax picks index 0 */
-        if (lab < 0)
-            n_outliers++;
         out_labels[i] = lab;
         out_best[i] = best;
     }
-    (void)n_clusters;
-    return n_outliers;
+    return verified;
 }
 
 

@@ -51,8 +51,10 @@ class Counter:
 
     __slots__ = ("_lock", "value")
 
-    def __init__(self, lock: threading.Lock) -> None:
-        self._lock = lock
+    def __init__(self, lock: threading.Lock | None = None) -> None:
+        # registry counters share the registry's lock; a standalone
+        # counter brings its own
+        self._lock = lock if lock is not None else threading.Lock()
         self.value: int | float = 0
 
     def inc(self, amount: int | float = 1) -> None:

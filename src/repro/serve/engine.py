@@ -106,6 +106,12 @@ class AssignmentEngine:
             self._kernels = kernels  # None on the pruned tier
         self._backend = backend
         registry = self.metrics.registry
+        # candidate pairs the index tiers score: the pruning at a glance
+        self._candidates = (
+            registry.counter("serve.assign.candidates")
+            if self._fast_index is not None
+            else None
+        )
         for tier in BACKEND_TIERS:
             registry.set_gauge(
                 f"serve.assign.backend.{tier}", int(tier == backend)
@@ -236,7 +242,10 @@ class AssignmentEngine:
     def _assign_uncached(self, points: list[Any]) -> np.ndarray:
         if self._fast_index is not None:
             return self._fast_index.assign(
-                points, block_size=self.block_size, kernels=self._kernels
+                points,
+                block_size=self.block_size,
+                kernels=self._kernels,
+                counter=self._candidates,
             )
         if self._index is not None:
             return self._index.assign(points, block_size=self.block_size)

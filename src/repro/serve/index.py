@@ -6,36 +6,64 @@ matmul.  That is wasteful in exactly the way serving traffic is shaped:
 at ``theta > 0`` a point can only be a neighbor of representatives it
 shares at least one item with, and real categorical points touch a
 handful of the vocabulary.  :class:`AssignmentIndex` therefore builds,
-once per model load:
+once per model load and with vectorised numpy only:
 
+* a **rank order** of the vocabulary: columns renumbered by ascending
+  representative-side document frequency (how many representatives
+  hold the item), ties broken by the old column id, so sorting a row
+  by column id sorts it rarest first.  The vocabulary dict maps items
+  straight to ranks, so every tier shares one encoding;
+* a **rep -> items CSR** (``rep_indptr`` / ``rep_items``), each row in
+  rank order, plus exact set sizes and cluster ids;
 * an **item -> representatives inverted index** (the CSC view of the
-  representative indicator matrix, stored as ``inv_indptr`` /
-  ``inv_reps`` flat arrays);
-* exact per-representative set sizes and cluster ids, plus the
-  per-cluster ``(|L_i| + 1)^f`` normalisers.
+  representative indicator matrix, ``inv_indptr`` / ``inv_reps``);
+* **prefix postings** (``pre_indptr`` / ``pre_reps``): item -> the
+  representatives whose first ``|r| - o_min(|r|) + 1`` items hold it;
+* the per-cluster ``(|L_i| + 1)^f`` normalisers.
 
 ``assign`` then encodes each query block as a sparse CSR (column
 indices only -- the dense ``(B, vocab)`` 0/1 matrix never exists),
-gathers the candidate representatives per point from the posting
-lists, and scores **only candidates**: the same integer intersections
-and the same float64 division as the dense path, so labels are
-bit-for-bit identical to ``ClusterLabeler.assign`` (property-tested).
-Points with no candidate representative short-circuit straight to the
-outlier label ``-1`` without touching any arithmetic.
+gathers candidate representatives and scores **only candidates**: the
+same integer intersections and the same float64 division as the dense
+path, so labels are bit-for-bit identical to ``ClusterLabeler.assign``
+(property-tested).  Points without a candidate short-circuit straight
+to the outlier label ``-1`` without touching any arithmetic.
+
+The prefix lemma (AllPairs, Bayardo et al. 2007; PPJoin, Xiao et al.
+2008): order every set by one global item order; if ``|q & r| >= o_q``
+and ``|q & r| >= o_r``, the first ``|q| - o_q + 1`` items of ``q`` and
+the first ``|r| - o_r + 1`` items of ``r`` share an item.  Here
+``o_min(s)`` (:func:`min_overlap`) is the smallest ``o`` passing the
+float64 test ``o / s >= theta`` -- the very test that decides a
+neighbor.  It is exact, not a rounded bound: correctly rounded division
+is monotone in numerator and denominator, and ``union >= max(|q|,
+|r|)``, so a pair passing ``inter / union >= theta`` also passes
+``inter / |q| >= theta`` and ``inter / |r| >= theta``, hence ``inter >=
+o_min`` on both sides.  Prefixes therefore never lose a neighbor, and
+verifying each candidate with its full intersection keeps the labels
+exact.  Out-of-vocabulary query items rank before every indexed item:
+no representative holds them (their document frequency is 0) and
+nothing indexes them, so they fill the front of a query's prefix.  The
+in-vocabulary part is the prefix length minus the out-of-vocabulary
+count, and a point whose prefix they fill completely is an outlier
+with no probe at all.
 
 Three scoring tiers share this index:
 
 ``pruned``
-    Candidate gather via a scipy sparse product (the
-    :class:`~repro.core.neighbors.SparseTransactionScorer` machinery:
-    CSR x CSR intersection counts, ``searchsorted`` row recovery), or
-    a pure-numpy posting-list gather when scipy is unavailable.
+    Candidate gather via a scipy sparse product over the full inverted
+    index (the :class:`~repro.core.neighbors.SparseTransactionScorer`
+    machinery: CSR x CSR intersection counts, ``searchsorted`` row
+    recovery), or a pure-numpy posting-list gather when scipy is
+    unavailable.  Every representative sharing an item is a candidate.
 ``native``
-    The ``assign_block`` C kernel of :mod:`repro.native` fusing
-    candidate gather, threshold test and best-cluster argmax in one
-    pass over the CSR arrays; pass the probed kernel namespace into
-    :meth:`assign`.  The default wherever the C tier probes clean, and
-    the route of the pipeline's §4.6 labeling scan
+    The ``assign_block`` C kernel of :mod:`repro.native`: per point it
+    sorts the row by rank, walks only the prefix items' prefix
+    postings, verifies each distinct candidate by counting its items
+    in the query, then runs the threshold test and best-cluster argmax;
+    pass the probed kernel namespace into :meth:`assign`.  The default
+    wherever the C tier probes clean, and the route of the pipeline's
+    §4.6 labeling scan
     (:meth:`~repro.core.labeling.ClusterLabeler.assign_all`).
 ``dense``
     Not in this module -- callers keep using ``LabelingIndex.assign``
@@ -45,15 +73,20 @@ Why the tiers agree bit for bit: intersections are small integers
 (exact in float64), a candidate pair has ``inter >= 1`` and hence
 ``union >= 1``, so the dense path's guarded ``inter / max(union,
 1e-300)`` reduces to the plain ``inter / union`` every tier computes;
-non-candidates have ``sim == 0.0 < theta``.  ``theta == 0`` makes
-*every* representative a neighbor of every point (``sim >= 0`` always
-holds, matching the dense ``np.where``), so that degenerate case is
-answered with constant per-cluster counts instead of candidate
+non-candidates fail the test in the dense path too.  ``theta == 0``
+makes *every* representative a neighbor of every point (``sim >= 0``
+always holds, matching the dense ``np.where``), so that degenerate
+case is answered with constant per-cluster counts instead of candidate
 pruning.  Ties in the final argmax break toward the lowest cluster
 index in every tier (``np.argmax`` semantics); a cluster without
 neighbors scores exactly ``0.0`` while any neighbor count >= 1 scores
 ``> 0``, which is what lets the native kernel scan only the touched
 clusters.
+
+The ``counter`` argument of :meth:`AssignmentIndex.assign` takes a
+:class:`repro.obs.registry.Counter` and adds the number of candidate
+pairs scored: the native kernel's verified candidates, the pruned
+tier's item-sharing pairs (none at ``theta == 0``).
 
 The index is a pure-data object (numpy arrays + the vocabulary dict):
 it pickles cleanly, so :func:`repro.serve.parallel.assign_stream`
@@ -73,6 +106,7 @@ import numpy as np
 
 from repro.core.labeling import LabelingIndex
 from repro.core.neighbors import _scipy_sparse_available
+from repro.obs.registry import Counter
 
 # engine-facing backend names: "auto" resolves to the best available
 # tier, the rest force one (forced "native" degrades to "pruned" with
@@ -113,8 +147,35 @@ def resolve_assign_backend(requested: str = "auto") -> tuple[str, Any | None]:
     return "pruned", None
 
 
+def min_overlap(sizes: Any, theta: float) -> np.ndarray:
+    """Smallest intersection that can reach ``theta``, per set size.
+
+    ``o_min(s)`` is the smallest ``o`` with the float64 test ``o / s >=
+    theta`` -- the very division the neighbor test makes -- or ``s + 1``
+    when no ``o <= s`` passes; an empty set divides by 1 and gets ``1``.
+    It starts at ``ceil(theta * s)`` and steps by +-1 until ``o`` passes
+    and ``o - 1`` fails, which pins the exact boundary because correctly
+    rounded division is monotone in ``o``.  The native kernel computes
+    the query side with the same steps (``kernels.c``).
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    denom = np.maximum(sizes, 1).astype(np.float64)
+    o = np.clip(np.ceil(theta * sizes), 0, sizes + 1).astype(np.int64)
+    while True:
+        up = (o <= sizes) & (o / denom < theta)
+        if not up.any():
+            break
+        o[up] += 1
+    while True:
+        down = (o > 0) & ((o - 1) / denom >= theta)
+        if not down.any():
+            break
+        o[down] -= 1
+    return o
+
+
 class AssignmentIndex:
-    """Item->representative inverted index over a :class:`LabelingIndex`.
+    """Rank-ordered inverted and prefix indexes over a :class:`LabelingIndex`.
 
     Parameters
     ----------
@@ -127,20 +188,50 @@ class AssignmentIndex:
         self.theta = float(index.theta)
         self.f_theta = float(index.f_theta)
         self.normalisers = np.ascontiguousarray(index.normalisers, dtype=np.float64)
-        self.vocabulary = index.vocabulary
         n_reps, vocab = index.rep_matrix.shape
         self.n_reps = n_reps
         self.vocab_size = vocab
-        # CSC of the (total_reps, vocab) indicator matrix: transposing
-        # first makes np.nonzero emit (item, rep) pairs item-major with
-        # ascending rep ids inside each posting list
-        items_of, reps_of = np.nonzero(index.rep_matrix.T)
+        # every step below is a bincount or one sort of packed int64
+        # codes (a plain sort beats a stable argsort severalfold)
+        stride = max(n_reps, 1)
+        reps_of, cols_of = np.divmod(np.flatnonzero(index.rep_matrix != 0), vocab)
+        # renumber the columns by ascending representative document
+        # frequency, ties by the old id: rank order is id order
+        columns = np.arange(vocab)
+        by_rank = np.sort(np.bincount(cols_of, minlength=vocab) * vocab + columns)
+        rank = np.empty(vocab, dtype=np.int64)
+        rank[by_rank % vocab] = columns
+        old_columns = np.fromiter(
+            index.vocabulary.values(), dtype=np.int64, count=len(index.vocabulary)
+        )
+        self.vocabulary = dict(zip(index.vocabulary, rank[old_columns].tolist()))
+        # rep -> items CSR, each row rarest first
+        entry_rep, items = np.divmod(np.sort(reps_of * vocab + rank[cols_of]), vocab)
+        self.rep_items = items.astype(np.int32)
+        rep_sizes = np.bincount(reps_of, minlength=n_reps)
+        self.rep_indptr = np.zeros(n_reps + 1, dtype=np.int64)
+        np.cumsum(rep_sizes, out=self.rep_indptr[1:])
+        self.rep_sizes = rep_sizes.astype(np.int32)
+        # item -> ascending representatives: the CSC of the indicator
+        # matrix, which the pruned tier's product consumes
         self.inv_indptr = np.zeros(vocab + 1, dtype=np.int64)
-        np.cumsum(np.bincount(items_of, minlength=vocab), out=self.inv_indptr[1:])
-        self.inv_reps = np.ascontiguousarray(reps_of, dtype=np.int32)
-        # exact integer set sizes (the dense index stores them as
-        # float64; the values are small integers either way)
-        self.rep_sizes = np.ascontiguousarray(index.rep_sizes, dtype=np.int32)
+        np.cumsum(np.bincount(items, minlength=vocab), out=self.inv_indptr[1:])
+        self.inv_reps = (np.sort(items * stride + entry_rep) % stride).astype(np.int32)
+        # item -> the representatives whose first |r| - o_min(|r|) + 1
+        # items hold it: the native tier's candidate gather
+        prefix = np.clip(
+            rep_sizes - min_overlap(rep_sizes, self.theta) + 1, 0, rep_sizes
+        )
+        position = np.arange(items.size) - np.repeat(self.rep_indptr[:-1], rep_sizes)
+        in_prefix = position < np.repeat(prefix, rep_sizes)
+        prefix_items = items[in_prefix]
+        self.pre_indptr = np.zeros(vocab + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(prefix_items, minlength=vocab), out=self.pre_indptr[1:]
+        )
+        self.pre_reps = (
+            np.sort(prefix_items * stride + entry_rep[in_prefix]) % stride
+        ).astype(np.int32)
         rep_cluster = np.empty(n_reps, dtype=np.int32)
         for c, (a, b) in enumerate(index.slices):
             rep_cluster[a:b] = c
@@ -252,22 +343,24 @@ class AssignmentIndex:
         """``(B, n_clusters)`` neighbor counts, equal to the dense path's."""
         points = list(points)
         q_indptr, q_items, q_sizes = self.encode_sparse(points)
-        return self._block_counts(q_indptr, q_items, q_sizes)
+        return self._block_counts(q_indptr, q_items, q_sizes)[0]
 
     def _block_counts(
         self, q_indptr: np.ndarray, q_items: np.ndarray, q_sizes: np.ndarray
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, int]:
+        """Neighbor counts plus the number of candidate pairs scored."""
         n_points = q_sizes.size
         if self.theta <= 0.0:
             # sim >= 0 always holds, so every representative is a
             # neighbor of every point -- constant per-cluster counts
-            return np.broadcast_to(
+            counts = np.broadcast_to(
                 self.cluster_rep_counts, (n_points, self.n_clusters)
             )
+            return counts, 0
         rows, reps, inter = self._candidates(q_indptr, q_items, n_points)
         counts = np.zeros((n_points, self.n_clusters), dtype=np.int64)
         if rows.size == 0:
-            return counts
+            return counts, 0
         # candidates have inter >= 1 hence union >= 1: the dense path's
         # guarded division reduces to this exact float64 quotient
         union = self.rep_sizes[reps] + q_sizes[rows] - inter
@@ -277,7 +370,7 @@ class AssignmentIndex:
         counts.ravel()[:] = np.bincount(
             flat, minlength=n_points * self.n_clusters
         )
-        return counts
+        return counts, int(rows.size)
 
     # -- assignment ----------------------------------------------------------
 
@@ -286,20 +379,26 @@ class AssignmentIndex:
         points: Sequence[Any],
         block_size: int = 8192,
         kernels: Any | None = None,
+        counter: Counter | None = None,
     ) -> np.ndarray:
         """Batch-assign; ``-1`` for points with no neighbors anywhere.
 
         ``kernels`` is a probed :mod:`repro.native` namespace; when it
         is given (and ``theta > 0``) the fused native kernel runs,
-        otherwise the numpy/scipy pruned path.
+        otherwise the numpy/scipy pruned path.  ``counter``, when
+        given, is incremented by the number of candidate
+        point/representative pairs scored.
         """
-        return self.assign_with_scores(points, block_size=block_size, kernels=kernels)[0]
+        return self.assign_with_scores(
+            points, block_size=block_size, kernels=kernels, counter=counter
+        )[0]
 
     def assign_with_scores(
         self,
         points: Sequence[Any],
         block_size: int = 8192,
         kernels: Any | None = None,
+        counter: Counter | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Labels plus each point's winning normalised score.
 
@@ -308,30 +407,35 @@ class AssignmentIndex:
         the :class:`~repro.stream.runner.StreamClusterer` confidence
         values -- bit for bit.
         """
+        if block_size < 1:
+            raise ValueError("block_size must be positive")
         points = list(points)
         n = len(points)
         labels = np.empty(n, dtype=np.int64)
         best = np.empty(n, dtype=np.float64)
         use_kernel = kernels is not None and self.theta > 0.0
-        for start in range(0, n, max(block_size, 1)):
+        candidates = 0
+        for start in range(0, n, block_size):
             block = points[start : start + block_size]
             q_indptr, q_items, q_sizes = self.encode_sparse(block)
             stop = start + len(block)
             if use_kernel:
-                labels[start:stop], best[start:stop] = kernels.assign_block(
+                labels[start:stop], best[start:stop], verified = kernels.assign_block(
                     q_indptr,
                     q_items,
                     q_sizes,
-                    self.inv_indptr,
-                    self.inv_reps,
-                    self.rep_sizes,
+                    self.pre_indptr,
+                    self.pre_reps,
+                    self.rep_indptr,
+                    self.rep_items,
                     self.rep_cluster,
                     self.normalisers,
-                    self.n_clusters,
                     self.theta,
                 )
+                candidates += verified
                 continue
-            counts = self._block_counts(q_indptr, q_items, q_sizes)
+            counts, scored = self._block_counts(q_indptr, q_items, q_sizes)
+            candidates += scored
             scores = counts / self.normalisers
             block_labels = np.argmax(scores, axis=1)
             block_best = scores[np.arange(len(block)), block_labels]
@@ -340,4 +444,6 @@ class AssignmentIndex:
             block_best[outliers] = 0.0
             labels[start:stop] = block_labels
             best[start:stop] = block_best
+        if counter is not None:
+            counter.inc(candidates)
         return labels, best

@@ -206,6 +206,7 @@ class StreamClusterer:
         self._refits = registry.counter("stream.refits")
         self._fit_hist = registry.histogram("stream.refit.fit_seconds")
         self._publish_hist = registry.histogram("stream.refit.publish_seconds")
+        self._candidates = registry.counter("serve.assign.candidates")
         self._registry = registry
 
         self.model: RockModel | None = None
@@ -304,7 +305,7 @@ class StreamClusterer:
         assert labeler is not None
         if self._fast_index is not None:
             return self._fast_index.assign_with_scores(
-                batch, kernels=self._assign_kernels
+                batch, kernels=self._assign_kernels, counter=self._candidates
             )
         index = labeler.index
         if index is not None:

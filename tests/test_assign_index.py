@@ -13,8 +13,10 @@ points with zero vocabulary overlap), every interesting theta --
 -- and categorical records with missing values through all tiers.
 """
 
+import math
 import pickle
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,15 +24,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.labeling import ClusterLabeler, LabelingIndex
+from repro.core.pipeline import RockPipeline
+from repro.core.similarity import similarity_levels
 from repro.data.records import MISSING, CategoricalRecord, CategoricalSchema
 from repro.data.transactions import Transaction
+from repro.datasets.synthetic_basket import (
+    SyntheticBasketConfig,
+    generate_synthetic_basket,
+)
 from repro.native import get_kernels
+from repro.obs.registry import Counter
+from repro.obs.trace import Tracer
 from repro.serve import (
     AssignmentEngine,
     AssignmentIndex,
     RockModel,
     resolve_assign_backend,
 )
+from repro.serve.index import min_overlap
 
 # the probed C tier, when it works on this machine; tests loop over
 # this (empty or one-element) list
@@ -323,3 +334,221 @@ class TestEngineBackends:
             }
         assert results["pruned"] == results["dense"]
         assert results["native"] == results["dense"]
+
+
+# -- the prefix-filtered native kernel ---------------------------------------
+
+# thresholds some pair of small set sizes meets exactly (inter / union ==
+# theta): the boundary a prefix one item short would cut; 1.0 included
+LEVELS = sorted(
+    {
+        level
+        for a in range(1, 9)
+        for b in range(1, 9)
+        for level in similarity_levels(a, b)
+        if level > 0.0
+    }
+)
+OOV = st.frozensets(st.integers(min_value=100, max_value=140), max_size=8)
+
+
+def brute_min_overlap(size, theta):
+    return next(
+        (o for o in range(size + 1) if o / max(size, 1) >= theta), size + 1
+    )
+
+
+class TestMinOverlap:
+    @pytest.mark.parametrize(
+        "size, theta, expected",
+        [
+            (5, 0.6, 3),  # 3 / 5 == 0.6 exactly
+            (4, 0.75, 3),  # 3 / 4 == 0.75 exactly
+            (6, 1 / 3, 2),  # 2 / 6 rounds to the float 1 / 3
+            (25, 7 / 25, 7),  # ceil(theta * 25) == 8: one step down
+            (75, math.nextafter(9 / 75, 1.0), 10),  # 9 / 75 just misses
+            (7, 1.0, 7),  # theta 1 needs the whole set
+            (0, 0.5, 1),  # an empty set never reaches theta > 0
+            (3, 1.5, 4),  # unreachable theta: s + 1
+        ],
+    )
+    def test_exact_boundaries(self, size, theta, expected):
+        assert brute_min_overlap(size, theta) == expected
+        assert min_overlap([size], theta).tolist() == [expected]
+
+    @pytest.mark.parametrize("theta", LEVELS + [0.0, 0.1 + 0.2, 0.7])
+    def test_matches_brute_force(self, theta):
+        sizes = np.arange(0, 80)
+        assert min_overlap(sizes, theta).tolist() == [
+            brute_min_overlap(int(s), theta) for s in sizes
+        ]
+
+
+@pytest.mark.skipif(not ASSIGN_KERNELS, reason="no native assign kernel")
+class TestPrefixKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sets=st.lists(
+            st.lists(
+                st.frozensets(st.integers(min_value=0, max_value=11), max_size=7),
+                max_size=5,
+            ),
+            min_size=1,
+            max_size=4,
+        ).filter(lambda ls: any(len(li) for li in ls)),
+        tie=st.booleans(),
+        points=st.lists(
+            st.tuples(
+                st.frozensets(st.integers(min_value=0, max_value=11), max_size=9),
+                OOV,
+            ),
+            max_size=30,
+        ),
+        theta=st.sampled_from(LEVELS),
+        block_size=st.sampled_from([1, 4, 8192]),
+    )
+    def test_matches_labeler_and_pruned_tier(
+        self, sets, tie, points, theta, block_size
+    ):
+        """Labels equal the §4.6 labeler's, scores the pruned tier's bit
+        for bit -- at exact-boundary thresholds, with queries made
+        mostly or only of out-of-vocabulary items, queries larger than
+        every representative, empty queries and empty ``L_i`` members,
+        and (``tie``) a duplicated cluster that ties every score."""
+        labeling_sets = [[Transaction(s) for s in li] for li in sets]
+        if tie:
+            labeling_sets.append(list(labeling_sets[0]))
+        batch = [Transaction(inv | oov) for inv, oov in points]
+        f_theta = (1 - theta) / (1 + theta)
+        fast = AssignmentIndex(LabelingIndex(labeling_sets, theta, f_theta))
+        labeler = ClusterLabeler(labeling_sets, theta=theta, f=lambda _t: f_theta)
+        verified, scored = Counter(), Counter()
+        for kernels in ASSIGN_KERNELS:
+            labels, best = fast.assign_with_scores(
+                batch, block_size=block_size, kernels=kernels, counter=verified
+            )
+            assert labels.tolist() == [labeler.assign(p) for p in batch]
+            ref_labels, ref_best = fast.assign_with_scores(
+                batch, block_size=block_size, counter=scored
+            )
+            assert_bitwise_equal(ref_labels, ref_best, labels, best)
+            # every verified candidate shares an item with its point
+            assert verified.value <= scored.value
+
+    def test_long_row_is_sorted_before_probing(self):
+        """A 36-item point, past the kernel's insertion-sort cutoff.
+
+        At theta 0.6 the point C | {b} reaches rep 0 = E | {b} | C at
+        exactly 36/60 through b alone: the last item of rep 0's prefix
+        (the 25 items of frequency 1) and the rarest item of the point,
+        which iterates after every C item.  Rep 1 = C ties rep 0, so
+        the label is 0 only if the row was sorted before probing."""
+        common = list(range(35))
+        b = 200
+        rare = list(range(300, 324))
+        labeling_sets = [
+            [Transaction(rare + [b] + common)],
+            [Transaction(common)],
+        ]
+        point = Transaction(common + [b])
+        theta, f_theta = 0.6, 0.4
+        fast = AssignmentIndex(LabelingIndex(labeling_sets, theta, f_theta))
+        labeler = ClusterLabeler(labeling_sets, theta=theta, f=lambda _t: f_theta)
+        assert labeler.assign(point) == 0
+        ref_labels, ref_best = fast.assign_with_scores([point])
+        for kernels in ASSIGN_KERNELS:
+            labels, best = fast.assign_with_scores([point], kernels=kernels)
+            assert_bitwise_equal(ref_labels, ref_best, labels, best)
+
+    def test_out_of_vocabulary_batch_verifies_nothing(self):
+        fast = AssignmentIndex(LabelingIndex([CLUSTER_A, CLUSTER_B], 0.4, 0.4))
+        batch = [Transaction({90, 91}), Transaction({92}), Transaction(set())]
+        for kernels in ASSIGN_KERNELS:
+            verified = Counter()
+            labels, best = fast.assign_with_scores(
+                batch, kernels=kernels, counter=verified
+            )
+            assert labels.tolist() == [-1, -1, -1]
+            assert best.tolist() == [0.0, 0.0, 0.0]
+            assert verified.value == 0
+
+    def test_no_probe_when_oov_items_fill_the_prefix(self):
+        """{1, 2} plus four OOV items reaches {1, 2, 3} at 2/7 < 0.5: the
+        OOV items rank first and use up the whole prefix, so the point
+        is an outlier without a single candidate."""
+        fast = AssignmentIndex(LabelingIndex([CLUSTER_A], 0.5, 0.4))
+        verified = Counter()
+        for kernels in ASSIGN_KERNELS:
+            labels = fast.assign(
+                [Transaction({1, 2, 90, 91, 92, 93})],
+                kernels=kernels,
+                counter=verified,
+            )
+            assert labels.tolist() == [-1]
+        assert verified.value == 0
+
+
+def table5_fit(tracer):
+    """A Table 5-shaped fit: the paper's item structure, 1/50 of its points."""
+    default = SyntheticBasketConfig()
+    config = replace(
+        default,
+        cluster_sizes=tuple(s // 50 for s in default.cluster_sizes),
+        n_outliers=default.n_outliers // 50,
+    )
+    basket = generate_synthetic_basket(config, seed=5)
+    pipeline = RockPipeline(
+        k=10, theta=0.5, sample_size=500, min_cluster_size=5, seed=5
+    )
+    return pipeline.fit(basket.transactions, tracer=tracer)
+
+
+class TestCandidateCounts:
+    def test_pipeline_records_label_candidates(self):
+        tracer = Tracer()
+        result = table5_fit(tracer)
+        n_reps = sum(len(li) for li in result.labeling_sets)
+        n_labeled = len(result.labels) - len(result.sample_indices)
+        pairs = n_labeled * n_reps
+        candidates = tracer.registry.snapshot()["counters"]["fit.label.candidates"]
+        label_span = next(
+            span
+            for root in tracer.spans()
+            for span in root.iter_spans()
+            if span.name == "label"
+        )
+        assert label_span.attrs["candidates"] == candidates
+        if get_kernels() is not None:
+            assert 0 < candidates < pairs  # the prefix filter prunes
+        else:
+            assert candidates == pairs  # the dense route scores every pair
+
+    def test_engine_records_assign_candidates(self):
+        model = make_model([CLUSTER_A, CLUSTER_B])
+        engines = TestEngineBackends().engine_backends()[1:]  # index tiers
+        for backend in engines:
+            engine = AssignmentEngine(model, assign_backend=backend, cache_size=0)
+            counters = engine.metrics.registry.snapshot
+            engine.assign_batch([Transaction({90, 91}), Transaction({92})])
+            assert counters()["counters"]["serve.assign.candidates"] == 0
+            batch = [Transaction({1, 2}), Transaction({7, 8, 9})]
+            engine.assign_batch(batch)
+            recorded = counters()["counters"]["serve.assign.candidates"]
+            assert 0 < recorded <= len(batch) * 4
+
+
+class TestBlockSize:
+    @pytest.mark.parametrize("block_size", [0, -3])
+    def test_non_positive_block_size_rejected(self, block_size):
+        dense = LabelingIndex([CLUSTER_A, CLUSTER_B], 0.4, 0.4)
+        fast = AssignmentIndex(dense)
+        batch = [Transaction({1, 2}), Transaction({7, 8}), Transaction({42})]
+        with pytest.raises(ValueError, match="block_size"):
+            dense.assign(batch, block_size=block_size)
+        for kernels in [None, *ASSIGN_KERNELS]:
+            with pytest.raises(ValueError, match="block_size"):
+                fast.assign(batch, block_size=block_size, kernels=kernels)
+            with pytest.raises(ValueError, match="block_size"):
+                fast.assign_with_scores(
+                    batch, block_size=block_size, kernels=kernels
+                )

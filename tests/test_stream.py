@@ -274,6 +274,8 @@ class TestStreamClusterer:
             summary.refits
         )
         assert snap["gauges"]["stream.reservoir.seen"] == 250
+        # the index tiers count the candidate pairs they score
+        assert counters["serve.assign.candidates"] > 0
         names = tracer.span_names()
         assert "stream.refit" in names
         assert "fit" in names  # the pipeline's span tree nests underneath
