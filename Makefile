@@ -16,13 +16,14 @@ bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 # tiny-n proofs that the fit planner's one-pass routes (fused and
-# native, workers=2) equal the dense route, that the fast merge engine matches
-# the reference loop byte for byte, that a traced fit leaves a
-# complete RunManifest, that the HTTP server answers + coalesces
-# under concurrent load, that stream mode's warmup -> drift refit
-# -> republish chain runs end to end, that the sharded out-of-core
-# fit is merge-identical to fused, and that the pruned/native assign
-# tiers equal the dense matmul -- fast enough for CI
+# native, workers=2) equal the dense route, that the component merge
+# engine matches the reference loop byte for byte, that a traced fit
+# leaves a complete RunManifest, that the HTTP server answers +
+# coalesces under concurrent load, that stream mode's warmup -> drift
+# refit -> republish chain runs end to end, that the sharded
+# out-of-core fit is merge-identical to fused, and that the
+# pruned/native assign tiers equal the dense matmul -- fast enough for
+# CI.  Their tables land in the git-ignored benchmarks/results/smoke/
 bench-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest \
 		benchmarks/bench_parallel_fit.py \

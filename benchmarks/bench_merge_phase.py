@@ -1,6 +1,6 @@
-"""Merge-phase engines: the Figure 3 reference loop vs the fast engine.
+"""Merge-phase engines: the Figure 3 reference loop vs the component engine.
 
-The fast merge engine (:mod:`repro.core.merge`) decomposes the cluster
+The component merge engine (:mod:`repro.core.merge`) decomposes the cluster
 link graph into connected components, agglomerates each to exhaustion
 with lazy local heaps and a memoized power table, and k-way replays the
 per-component streams -- reproducing the reference loop's result byte
@@ -9,17 +9,19 @@ for byte.  Two benches over the well-separated clustered baskets of
 phase is many small independent components -- the regime the component
 partition targets):
 
-* a **smoke** run at tiny ``n`` proving reference, fast, and fast with
-  ``workers=2`` produce the identical :class:`~repro.core.rock.RockResult`
-  (clusters *and* full merge history) and leaving a RunManifest; this
-  is what ``make bench-smoke`` runs in CI;
+* a **smoke** run at tiny ``n`` proving the reference loop and the
+  component engine's Python inner loop (``fast``, run with
+  ``REPRO_NATIVE=0``) produce the identical
+  :class:`~repro.core.rock.RockResult` (clusters *and* full merge
+  history) and leaving a RunManifest; this is what ``make
+  bench-smoke`` runs in CI;
 * a **full-scale** curve (marked ``slow``) timing the cluster phase
   alone at ``n`` up to 30,240, asserting the fast engine's single-core
   algorithmic win (>= 3x on the cluster phase at the largest ``n``)
   with in-bench identity checks at every size.
 
 When a :mod:`repro.native` backend probes, a ``native`` engine row
-(the fast engine with the component inner loop on the native kernel)
+(the default engine: the component inner loop on the native kernel)
 joins both benches: identity-checked against the reference, timed
 after an explicit backend warmup so JIT/compile cost never pollutes
 the steady-state numbers.  The curve additionally times the component
@@ -39,12 +41,12 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks.machine import machine_summary
+from benchmarks.machine import machine_summary, native_off
 from repro.core.goodness import default_f
 from repro.core.links import sparse_link_table
 from repro.core.merge import fast_cluster_with_links
 from repro.core.neighbors import compute_neighbor_graph
-from repro.core.rock import cluster_with_links
+from repro.core.rock import heap_cluster_with_links
 from repro.obs import RunManifest, Tracer
 
 THETA = 0.5
@@ -81,15 +83,13 @@ def run_engines(links, k: int, tracer=None):
         return result
 
     registry = None if tracer is None else tracer.registry
-    timed("heap", lambda: cluster_with_links(
-        links, k=k, f_theta=f_theta, merge_method="heap"
+    timed("heap", lambda: heap_cluster_with_links(
+        links, k=k, f_theta=f_theta
     ))
-    timed("fast", lambda: fast_cluster_with_links(
-        links, k=k, f_theta=f_theta, registry=registry
-    ))
-    timed("fast_w2", lambda: fast_cluster_with_links(
-        links, k=k, f_theta=f_theta, workers=2, registry=registry
-    ))
+    with native_off():
+        timed("fast", lambda: fast_cluster_with_links(
+            links, k=k, f_theta=f_theta, registry=registry
+        ))
     import repro.native as native_mod
 
     # warm the backend outside the timed region: the probe (C compile +
@@ -104,7 +104,7 @@ def run_engines(links, k: int, tracer=None):
                 time.perf_counter() - warm_start,
             )
         timed("native", lambda: fast_cluster_with_links(
-            links, k=k, f_theta=f_theta, engine="native", registry=registry
+            links, k=k, f_theta=f_theta, registry=registry
         ))
     return rows
 
@@ -112,8 +112,8 @@ def run_engines(links, k: int, tracer=None):
 def time_stream_stage(links, repeats=3):
     """Time just the component inner loop: Python vs native kernel.
 
-    Reproduces the fast engine's singleton preamble, then runs the one
-    stage ``engine="native"`` replaces -- the per-component
+    Reproduces the component engine's singleton preamble, then runs
+    the one stage the native kernel replaces -- the per-component
     agglomeration -- on both implementations, identity-checking every
     stream.  Takes the best of ``repeats`` per side with the cyclic GC
     paused: by the time this runs the curve holds every engine's full
@@ -217,7 +217,7 @@ def test_merge_phase_smoke(benchmark, save_result, save_manifest):
     save_result(
         "merge_phase_smoke",
         "\n".join([
-            "Merge-phase smoke: heap reference vs fast engine (workers 1/2)",
+            "Merge-phase smoke: heap reference vs component engine",
             f"n={n}  theta={THETA}  k={SMOKE_N_CLUSTERS}  "
             "identical clusters+merges: yes",
             "",
@@ -295,7 +295,7 @@ def test_merge_phase_curve(benchmark, save_result, save_manifest):
 
     has_native = any("native" in cell for _, cell in curve)
     header = (
-        f"{'n':>7} {'heap_s':>8} {'fast_s':>8} {'fast_w2_s':>10} "
+        f"{'n':>7} {'heap_s':>8} {'fast_s':>8} "
         + (f"{'native_s':>9} " if has_native else "")
         + f"{'speedup':>8}"
     )
@@ -314,7 +314,6 @@ def test_merge_phase_curve(benchmark, save_result, save_manifest):
         )
         lines.append(
             f"{size:>7} {heap_seconds:>8.3f} {fast_seconds:>8.3f} "
-            f"{cell['fast_w2'][0]:>10.3f} "
             + native_col
             + f"{heap_seconds / max(fast_seconds, 1e-9):>7.2f}x"
         )

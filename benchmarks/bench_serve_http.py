@@ -23,21 +23,23 @@ concurrency level, asserts correctness and that coalescing happened at
 all, skips the throughput comparison (too noisy for shared runners).
 
 ``test_serve_http_assign_backends`` compares whole-server RPS and
-latency across the engine's scoring tiers (``dense`` vs ``pruned`` vs
-``native`` where probed) on a deployment-shaped model -- the
+latency across the engine's scoring tiers (``pruned``, served under
+``REPRO_NATIVE=0``, vs ``native`` where probed) on a deployment-shaped
+model -- the
 end-to-end view of the inverted-index fast path that
 ``bench_serve_throughput.test_assign_tiers`` measures at the engine
 level.  Numbers are reported, not asserted: HTTP adds enough noise
 that the tier bar lives in the engine bench.
 """
 
+import contextlib
 import http.client
 import json
 import statistics
 import threading
 import time
 
-from benchmarks.machine import machine_summary
+from benchmarks.machine import machine_summary, native_off
 from repro.core.pipeline import RockPipeline
 from repro.datasets import small_synthetic_basket
 from repro.eval import format_table
@@ -223,11 +225,8 @@ def test_serve_http_assign_backends(
     tmp_path, benchmark, save_result, save_manifest
 ):
     """Whole-server throughput per engine scoring tier."""
-    from benchmarks.bench_serve_throughput import (
-        available_tiers,
-        tier_model,
-        tier_points,
-    )
+    from benchmarks.bench_serve_throughput import tier_model, tier_points
+    from repro.native import native_available
     from repro.obs import RunManifest, Tracer
 
     n_clusters, vocab = 200, 2_000
@@ -237,14 +236,14 @@ def test_serve_http_assign_backends(
     points = [sorted(t.items) for t in tier_points(pools, vocab, 2_000)]
 
     tracer = Tracer()
-    tiers = available_tiers()
+    # the probe picks each server's tier: pruned with the C tier off
+    tiers = ["pruned", "native"] if native_available() else ["pruned"]
     rows = []
     results = []
     reference_labels = None
     for backend in tiers:
-        with serve_in_thread(
-            model_path, poll_seconds=30.0, assign_backend=backend
-        ) as handle:
+        switch = native_off() if backend == "pruned" else contextlib.nullcontext()
+        with switch, serve_in_thread(model_path, poll_seconds=30.0) as handle:
             served = handle.server.watcher.current
             assert served.engine.assign_backend == backend
             # one deterministic pass first: every tier must answer the
@@ -280,16 +279,14 @@ def test_serve_http_assign_backends(
         ])
 
     # pytest-benchmark stats: one pruned-tier burst
-    with serve_in_thread(
-        model_path, poll_seconds=30.0, assign_backend="pruned"
-    ) as handle:
+    with native_off(), serve_in_thread(model_path, poll_seconds=30.0) as handle:
         benchmark.pedantic(
             lambda: drive(handle.address, points, 8, 8),
             rounds=3, iterations=1,
         )
 
     text = format_table(
-        ["tier", "RPS", "p50 ms", "p99 ms", "vs dense"],
+        ["tier", "RPS", "p50 ms", "p99 ms", "vs pruned"],
         rows,
         title=(
             f"HTTP /assign by engine tier ({n_clusters} clusters, "

@@ -7,7 +7,7 @@ n ∈ {10k, 100k} synthetic market-basket points three ways:
 
 * ``labeler`` -- the sequential :class:`ClusterLabeler` loop (one
   Python-level matvec per point);
-* ``engine`` -- :class:`AssignmentEngine` batch matmuls;
+* ``engine`` -- :class:`AssignmentEngine` batches through its index;
 * ``parallel`` -- :func:`repro.serve.assign_stream` over worker
   processes.
 
@@ -18,22 +18,23 @@ saved table.
 
 ``test_assign_tiers`` is the backend-tier comparison: on models sized
 like real deployments (hundreds of clusters, thousands of vocabulary
-items) it measures the ``dense`` matmul against the ``pruned``
-inverted-index path and the ``native`` fused kernel, reporting RPS and
+items) it measures the ``dense`` ``LabelingIndex.assign`` matmul
+(called directly: it is no engine tier) against the engine's ``pruned``
+inverted-index path (built under ``REPRO_NATIVE=0``) and its ``native``
+fused kernel (the default where the C tier probes), reporting RPS and
 per-call p50/p99 per tier, asserting label equality everywhere and
 pruned > dense throughput at every config.  ``test_assign_tiers_smoke``
-is the CI variant: one small model, correctness + index wiring only.
+is the CI variant: one small model, label equality only.
 """
 
 import json
 import random
 import statistics
 import time
-import warnings
 
 import numpy as np
 
-from benchmarks.machine import machine_summary
+from benchmarks.machine import machine_summary, native_off
 from repro.core.labeling import ClusterLabeler
 from repro.data.transactions import Transaction
 from repro.eval import format_table
@@ -42,7 +43,6 @@ from repro.serve import (
     RockModel,
     ServeMetrics,
     assign_stream,
-    resolve_assign_backend,
 )
 from repro.core.pipeline import RockPipeline
 from repro.datasets import small_synthetic_basket
@@ -217,20 +217,23 @@ def tier_points(pools, vocab, n, seed=1):
     return points
 
 
-def available_tiers():
-    """dense + pruned always; native when a probed kernel provides it."""
-    tiers = ["dense", "pruned"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        backend, _ = resolve_assign_backend("native")
-    if backend == "native":
-        tiers.append("native")
+def tier_assigners(model):
+    """``{tier: batch -> labels}``: ``dense`` is ``LabelingIndex.assign``
+    itself; ``pruned`` is an engine built under ``REPRO_NATIVE=0`` and
+    ``native`` the default engine, present when the C tier probed."""
+    tiers = {"dense": model.labeler().index.assign}
+    with native_off():
+        pruned = AssignmentEngine(model, cache_size=0)
+    assert pruned.assign_backend == "pruned"
+    tiers["pruned"] = pruned.assign_batch
+    default = AssignmentEngine(model, cache_size=0)
+    if default.assign_backend == "native":
+        tiers["native"] = default.assign_batch
     return tiers
 
 
-def _drive_tier(model, points, backend, rounds=TIER_ROUNDS, batch=TIER_BATCH):
+def _drive_tier(assign, points, rounds=TIER_ROUNDS, batch=TIER_BATCH):
     """Per-call latencies + total wall across ``rounds`` full passes."""
-    engine = AssignmentEngine(model, assign_backend=backend, cache_size=0)
     latencies = []
     labels = None
     start = time.perf_counter()
@@ -238,7 +241,7 @@ def _drive_tier(model, points, backend, rounds=TIER_ROUNDS, batch=TIER_BATCH):
         got = []
         for lo in range(0, len(points), batch):
             t0 = time.perf_counter()
-            part = engine.assign_batch(points[lo : lo + batch])
+            part = assign(points[lo : lo + batch])
             latencies.append(time.perf_counter() - t0)
             got.append(part)
         labels = [int(v) for part in got for v in part]
@@ -254,19 +257,21 @@ def test_assign_tiers(benchmark, save_result, save_manifest):
     from repro.obs import RunManifest, Tracer
 
     tracer = Tracer()
-    tiers = available_tiers()
+    tiers: list[str] = []
     rows = []
     results = []
     for n_clusters, vocab in TIER_CONFIGS:
         model, pools = tier_model(n_clusters, vocab)
         points = tier_points(pools, vocab, TIER_POINTS)
+        assigners = tier_assigners(model)
+        tiers = list(assigners)
         per_tier = {}
-        for backend in tiers:
+        for backend, assign in assigners.items():
             with tracer.span(
                 "assign_tier", backend=backend,
                 n_clusters=n_clusters, vocab=vocab,
             ):
-                labels, latencies, wall = _drive_tier(model, points, backend)
+                labels, latencies, wall = _drive_tier(assign, points)
             per_tier[backend] = {
                 "labels": labels,
                 "rps": TIER_ROUNDS * len(points) / wall,
@@ -304,11 +309,9 @@ def test_assign_tiers(benchmark, save_result, save_manifest):
     # pytest-benchmark stats: the pruned tier on the largest config
     model, pools = tier_model(*TIER_CONFIGS[-1])
     points = tier_points(pools, TIER_CONFIGS[-1][1], TIER_POINTS)
-    bench_engine = AssignmentEngine(
-        model, assign_backend="pruned", cache_size=0
-    )
+    bench_assign = tier_assigners(model)["pruned"]
     benchmark.pedantic(
-        lambda: bench_engine.assign_batch(points), rounds=3, iterations=1
+        lambda: bench_assign(points), rounds=3, iterations=1
     )
 
     text = format_table(
@@ -342,17 +345,14 @@ def test_assign_tiers(benchmark, save_result, save_manifest):
 
 def test_assign_tiers_smoke(save_result):
     """CI-sized: pruned (and native where probed) equal dense on a small
-    model and the engine wires the index through -- no throughput bars."""
+    model -- no throughput bars."""
     model, pools = tier_model(20, 200, reps_per_cluster=4, items_per_rep=6)
     points = tier_points(pools, 200, 2_000)
     rows = []
     reference = None
-    for backend in available_tiers():
-        engine = AssignmentEngine(model, assign_backend=backend, cache_size=0)
-        assert engine.assign_backend == backend
-        assert (engine.fast_index is not None) == (backend != "dense")
+    for backend, assign in tier_assigners(model).items():
         start = time.perf_counter()
-        labels = engine.assign_batch(points).tolist()
+        labels = assign(points).tolist()
         seconds = time.perf_counter() - start
         if reference is None:
             reference = labels
@@ -360,6 +360,6 @@ def test_assign_tiers_smoke(save_result):
         rows.append([backend, f"{len(points) / seconds:,.0f}"])
     text = format_table(
         ["tier", "points/sec"], rows,
-        title="Assign tier smoke (correctness + wiring only, 20x200 model)",
+        title="Assign tier smoke (label equality only, 20x200 model)",
     )
     save_result("serve_throughput_tiers_smoke", text)

@@ -10,6 +10,7 @@ back through the process pool.  Runs under ``make bench-smoke``.
 
 import json
 
+from benchmarks.conftest import result_path
 from benchmarks.machine import machine_summary
 from repro.core.pipeline import RockPipeline
 from repro.obs import RunManifest, Tracer
@@ -19,7 +20,7 @@ N_CLUSTERS = 30
 FIT_PHASES = ("sample", "neighbors", "links", "cluster", "label")
 
 
-def test_trace_fit_smoke(benchmark, save_result, save_manifest, results_dir):
+def test_trace_fit_smoke(benchmark, save_result, save_manifest):
     from benchmarks.baskets import make_clustered_baskets
 
     dataset = make_clustered_baskets(N_CLUSTERS)
@@ -46,7 +47,7 @@ def test_trace_fit_smoke(benchmark, save_result, save_manifest, results_dir):
     save_manifest("trace_fit_smoke", manifest)
 
     # the manifest parses back and its span tree covers every phase
-    reloaded = RunManifest.load(results_dir / "trace_fit_smoke.manifest.json")
+    reloaded = RunManifest.load(result_path("trace_fit_smoke", ".manifest.json"))
     assert reloaded.to_dict() == manifest.to_dict()
     names = reloaded.span_names()
     assert "fit" in names

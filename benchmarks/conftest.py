@@ -7,7 +7,10 @@ DESIGN.md's per-experiment index) and:
 * asserts the *shape* the paper reports (who wins, by roughly what
   factor, where trends point) -- absolute numbers are hardware-bound;
 * writes the regenerated table to ``benchmarks/results/<name>.txt`` so
-  the output survives pytest's stdout capture.
+  the output survives pytest's stdout capture.  The CI-sized
+  ``*_smoke`` runs write into ``benchmarks/results/smoke/`` instead,
+  which git ignores: a ``make bench-smoke`` run leaves the checked-in
+  full-run results untouched.
 
 Run with ``pytest benchmarks/ --benchmark-only`` (add ``-s`` to see the
 tables inline).
@@ -20,6 +23,14 @@ from pathlib import Path
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
+SMOKE_DIR = RESULTS_DIR / "smoke"
+
+
+def result_path(name: str, suffix: str) -> Path:
+    """Where result ``name`` lands: smoke runs under ``results/smoke/``."""
+    directory = SMOKE_DIR if name.endswith("_smoke") else RESULTS_DIR
+    directory.mkdir(parents=True, exist_ok=True)
+    return directory / f"{name}{suffix}"
 
 
 @pytest.fixture(scope="session")
@@ -29,11 +40,11 @@ def results_dir() -> Path:
 
 
 @pytest.fixture(scope="session")
-def save_result(results_dir):
+def save_result():
     """Write (and echo) a regenerated table."""
 
     def _save(name: str, text: str) -> None:
-        path = results_dir / f"{name}.txt"
+        path = result_path(name, ".txt")
         path.write_text(text + "\n", encoding="utf-8")
         print(f"\n{text}\n[saved to {path}]")
 
@@ -41,7 +52,7 @@ def save_result(results_dir):
 
 
 @pytest.fixture(scope="session")
-def save_manifest(results_dir):
+def save_manifest():
     """Write a :class:`repro.obs.RunManifest` next to the text results.
 
     The manifest is the machine-readable twin of ``save_result``'s
@@ -50,7 +61,7 @@ def save_manifest(results_dir):
     """
 
     def _save(name: str, manifest) -> None:
-        path = results_dir / f"{name}.manifest.json"
+        path = result_path(name, ".manifest.json")
         manifest.save(path)
         print(f"[manifest saved to {path}]")
 

@@ -10,6 +10,10 @@ and the JSON manifests can never disagree about the host.
 
 from __future__ import annotations
 
+import contextlib
+import os
+from collections.abc import Iterator
+
 from repro.obs import host_metadata
 
 # render order of the host-metadata keys in saved text results
@@ -25,3 +29,18 @@ def machine_summary() -> str:
         rendered = "(not installed)" if value is None else value
         lines.append(f"{key:<13} {rendered}")
     return "\n".join(lines)
+
+
+@contextlib.contextmanager
+def native_off() -> Iterator[None]:
+    """Set ``REPRO_NATIVE=0`` for the block: engines built inside it run
+    their Python/numpy tier (the probe, not a flag, picks the tier)."""
+    saved = os.environ.get("REPRO_NATIVE")
+    os.environ["REPRO_NATIVE"] = "0"
+    try:
+        yield
+    finally:
+        if saved is None:
+            del os.environ["REPRO_NATIVE"]
+        else:
+            os.environ["REPRO_NATIVE"] = saved

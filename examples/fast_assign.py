@@ -1,39 +1,35 @@
 """Fast assignment: dense matmul vs candidate pruning vs native kernel.
 
-The dense serving path scores every point against *every*
-representative with one big indicator matmul.  But a point can only
-neighbor representatives it shares an item with, and real categorical
-points touch a handful of the vocabulary — so on deployment-shaped
-models (hundreds of clusters, thousands of vocabulary items) almost
-all of that work scores exact zeros.  ``assign_backend`` picks the
-tier:
+The dense labeling path (``LabelingIndex.assign``) scores every point
+against *every* representative with one big indicator matmul.  But a
+point can only neighbor representatives it shares an item with, and
+real categorical points touch a handful of the vocabulary — so on
+deployment-shaped models (hundreds of clusters, thousands of
+vocabulary items) almost all of that work scores exact zeros.  The
+serving engine therefore scores through an inverted index, on the tier
+the ``repro.native`` probe picks — no option forces one:
 
-* ``"dense"``  — the original blocked matmul;
-* ``"pruned"`` — inverted-index candidate gather + sparse scoring;
-* ``"native"`` — the prefix-filtered ``assign_block`` kernel from
-  ``repro.native`` (probes only each point's rarest items, verifies
-  only the representatives that can reach theta);
-* ``"auto"``   — native when available, else pruned (the default).
+* ``"native"`` — the prefix-filtered ``assign_block`` kernel (probes
+  only each point's rarest items, verifies only the representatives
+  that can reach theta), wherever the C tier probes clean;
+* ``"pruned"`` — inverted-index candidate gather + sparse scoring in
+  scipy/numpy, with no compiler or under ``REPRO_NATIVE=0``.
 
-All tiers are bit-identical to ``ClusterLabeler.assign`` (the
+Both tiers are bit-identical to ``ClusterLabeler.assign`` (the
 property tests in ``tests/test_assign_index.py`` prove it); this
-example shows the throughput gap and the ``serve.assign.backend``
-gauge that reports which tier a live engine resolved to.
+example shows the throughput gap against the dense matmul and the
+``serve.assign.backend`` gauge that reports which tier a live engine
+runs.
 
     python examples/fast_assign.py
 """
 
+import os
 import random
 import time
-import warnings
 
 from repro.data.transactions import Transaction
-from repro.serve import (
-    AssignmentEngine,
-    RockModel,
-    ServeMetrics,
-    resolve_assign_backend,
-)
+from repro.serve import AssignmentEngine, RockModel, ServeMetrics
 
 N_CLUSTERS = 150
 VOCAB = 2_000
@@ -84,55 +80,56 @@ def main() -> None:
     print(f"model: {model.n_clusters} clusters, {n_reps} representatives, "
           f"{VOCAB}-item vocabulary; stream of {len(points):,} points\n")
 
-    backends = ["dense", "pruned"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        native_tier, _ = resolve_assign_backend("native")
-    if native_tier == "native":
-        backends.append("native")
-    else:
-        print("repro.native has no assign kernel here -- "
-              "comparing dense vs pruned only\n")
+    dense = model.labeler().index
+    dense.assign(points[:256])  # warm-up
+    start = time.perf_counter()
+    reference = dense.assign(points)
+    dense_rate = len(points) / (time.perf_counter() - start)
+    print(f"{'dense':>6}: {dense_rate:>10,.0f} points/sec  "
+          f"(LabelingIndex.assign, every pair scored)")
 
-    reference = None
-    dense_rate = None
-    for backend in backends:
-        metrics = ServeMetrics()
-        engine = AssignmentEngine(
-            model, cache_size=0, metrics=metrics, assign_backend=backend
-        )
+    # the probe picks the tier: the C tier off, then the default
+    engines = []
+    saved = os.environ.get("REPRO_NATIVE")
+    os.environ["REPRO_NATIVE"] = "0"
+    try:
+        engines.append(AssignmentEngine(model, cache_size=0, metrics=ServeMetrics()))
+    finally:
+        if saved is None:
+            del os.environ["REPRO_NATIVE"]
+        else:
+            os.environ["REPRO_NATIVE"] = saved
+    default = AssignmentEngine(model, cache_size=0, metrics=ServeMetrics())
+    if default.assign_backend == "native":
+        engines.append(default)
+    else:
+        print("repro.native did not probe here -- "
+              "comparing dense vs pruned only")
+
+    for engine in engines:
         engine.assign_batch(points[:256])  # warm-up
         start = time.perf_counter()
         labels = engine.assign_batch(points)
         seconds = time.perf_counter() - start
-
-        if reference is None:
-            reference = labels
         assert (labels == reference).all(), "tiers must agree bit-for-bit"
 
-        snapshot = metrics.registry.snapshot()
-        gauges = snapshot["gauges"]
-        # pairs scored by the index tiers (warm-up included); the dense
-        # tier scores all of them and keeps no count
-        candidates = snapshot["counters"].get("serve.assign.candidates")
+        snapshot = engine.metrics.registry.snapshot()
+        # pairs scored by the index tier, warm-up included
+        candidates = snapshot["counters"]["serve.assign.candidates"]
         active = [
             key.rsplit(".", 1)[1]
-            for key, value in gauges.items()
+            for key, value in snapshot["gauges"].items()
             if key.startswith("serve.assign.backend.") and value
         ]
         rate = len(points) / seconds
-        if dense_rate is None:
-            dense_rate = rate
-        scored = "all pairs" if candidates is None else f"{candidates:,} pairs"
-        print(f"{backend:>6}: {rate:>10,.0f} points/sec  "
+        print(f"{engine.assign_backend:>6}: {rate:>10,.0f} points/sec  "
               f"({rate / dense_rate:4.1f}x dense)  gauge={active}  "
-              f"scored={scored}")
+              f"scored={candidates:,} pairs")
 
-    auto_tier, _ = resolve_assign_backend("auto")
     outliers = int((reference == -1).sum())
     print(f"\nall tiers agree; {outliers:,} points (every out-of-vocab "
           f"one included) had no theta-neighbor and landed at outlier -1")
-    print(f'"auto" resolves to "{auto_tier}" on this machine')
+    print(f'the default engine runs "{default.assign_backend}" on this machine')
 
 
 if __name__ == "__main__":

@@ -43,7 +43,7 @@ import time
 from pathlib import Path
 from typing import Any
 
-from repro.core.pipeline import RockPipeline
+from repro.core.pipeline import FIT_MODES, RockPipeline
 from repro.core.similarity import MissingAwareJaccard
 from repro.data.io import read_transactions, read_uci_data, write_transactions, write_uci_data
 from repro.eval.metrics import (
@@ -55,18 +55,7 @@ from repro.eval.metrics import (
 from repro.eval.reporting import format_table
 
 
-# fit modes the planner replaced; parsed for one more release, then run as auto
-_DEPRECATED_FIT_MODES = ("dense", "blocked", "parallel", "fused", "native")
-
-
 def _add_fit_memory_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--neighbor-method",
-        choices=["auto", "vectorized", "blocked", "bruteforce"],
-        default=None,
-        help="deprecated and ignored: the fit planner picks the neighbor "
-        "kernel",
-    )
     sub.add_argument(
         "--memory-budget-mb", type=int, default=None,
         help="the fit's memory budget in MiB: the dense route runs while "
@@ -76,13 +65,12 @@ def _add_fit_memory_args(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--fit-mode",
-        choices=["auto", "sharded", *_DEPRECATED_FIT_MODES],
+        choices=FIT_MODES,
         default="auto",
         help="'auto' lets the fit planner pick the route from the input "
         "and the memory budget; 'sharded' runs the out-of-core "
         "coordinator/worker fit over a memory-mapped store (crash-safe, "
-        "resumable); both produce identical clusters.  The values "
-        f"{', '.join(_DEPRECATED_FIT_MODES)} are deprecated and run 'auto'",
+        "resumable); both produce identical clusters",
     )
     sub.add_argument(
         "--shard-block-rows", type=int, default=None,
@@ -99,16 +87,6 @@ def _add_fit_memory_args(sub: argparse.ArgumentParser) -> None:
         "--max-retries", type=int, default=2,
         help="pool rebuilds tolerated after shard worker crashes before "
         "degrading to in-coordinator execution",
-    )
-    sub.add_argument(
-        "--merge-method",
-        choices=["auto", "heap", "fast", "native"],
-        default="auto",
-        help="merge-loop engine; 'heap' is the Figure 3 reference "
-        "loop, 'fast' the component-partitioned engine, 'native' that "
-        "engine with repro.native component kernels, 'auto' picks "
-        "fast/native for the built-in goodness measures; all engines "
-        "produce byte-identical clusters and merge history",
     )
     sub.add_argument(
         "--workers", default=None,
@@ -171,29 +149,10 @@ def _memory_budget_bytes(args: argparse.Namespace) -> int | None:
 
 
 def _fit_kwargs(args: argparse.Namespace) -> dict[str, Any]:
-    """The RockPipeline fit options shared by cluster, fit-model and stream.
-
-    The removed ``--neighbor-method`` and the removed ``--fit-mode``
-    values still parse for one release: they print one deprecation
-    line to stderr and the fit runs ``auto``.
-    """
-    deprecated = []
-    if args.neighbor_method is not None:
-        deprecated.append(f"--neighbor-method {args.neighbor_method}")
-    fit_mode = args.fit_mode
-    if fit_mode in _DEPRECATED_FIT_MODES:
-        deprecated.append(f"--fit-mode {fit_mode}")
-        fit_mode = "auto"
-    if deprecated:
-        print(
-            f"warning: deprecated and ignored: {', '.join(deprecated)}; "
-            "running --fit-mode auto",
-            file=sys.stderr,
-        )
+    """The RockPipeline fit options shared by cluster, fit-model and stream."""
     return dict(
         memory_budget=_memory_budget_bytes(args),
-        fit_mode=fit_mode,
-        merge_method=args.merge_method,
+        fit_mode=args.fit_mode,
         workers=_fit_workers(args),
         shard_block_rows=args.shard_block_rows,
         spill_dir=args.spill_dir,
@@ -352,12 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     assign.add_argument("--workers", type=int, default=1)
     assign.add_argument("--chunk-size", type=int, default=2048)
     assign.add_argument(
-        "--assign-backend",
-        choices=["auto", "dense", "pruned", "native"], default="auto",
-        help="scoring tier: dense matmul, inverted-index pruning, or the "
-        "native fused kernel (auto probes native, falls back to pruned)",
-    )
-    assign.add_argument(
         "--show-metrics", action="store_true",
         help="print the serving metrics snapshot after assignment",
     )
@@ -387,11 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="pending-point bound before requests are shed with 503",
     )
     serve.add_argument("--cache-size", type=int, default=4096)
-    serve.add_argument(
-        "--assign-backend",
-        choices=["auto", "dense", "pruned", "native"], default="auto",
-        help="scoring tier for each model generation's engine",
-    )
     serve.add_argument(
         "--poll-seconds", type=float, default=1.0,
         help="how often to poll the model artifact for hot reload",
@@ -593,7 +541,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             "theta": args.theta,
             "sample": args.sample,
             "fit_mode": pipeline.fit_mode,
-            "merge_method": args.merge_method,
             "workers": getattr(args, "workers", None),
             "seed": args.seed,
         },
@@ -742,7 +689,6 @@ def cmd_fit_model(args: argparse.Namespace) -> int:
             "sample": args.sample,
             "labeling_fraction": args.labeling_fraction,
             "fit_mode": pipeline.fit_mode,
-            "merge_method": args.merge_method,
             "workers": getattr(args, "workers", None),
             "seed": args.seed,
             "model": str(args.model),
@@ -759,9 +705,7 @@ def cmd_assign(args: argparse.Namespace) -> int:
     # counters and the assign span land in the same manifest
     tracer = Tracer()
     metrics = ServeMetrics(registry=tracer.registry)
-    service = ClusteringService.from_file(
-        args.model, metrics=metrics, assign_backend=args.assign_backend
-    )
+    service = ClusteringService.from_file(args.model, metrics=metrics)
     start = time.perf_counter()
     with tracer.span(
         "assign", input=str(args.input), workers=args.workers
@@ -821,7 +765,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         batch_wait_us=args.batch_wait_us,
         queue_depth=args.queue_depth,
         cache_size=args.cache_size,
-        assign_backend=args.assign_backend,
         poll_seconds=args.poll_seconds,
         tracer=tracer,
     )

@@ -44,11 +44,7 @@ from repro.core.links import (
     sparse_link_table,
     weighted_link_matrix,
 )
-from repro.core.merge import (
-    MERGE_METHODS,
-    fast_cluster_with_links,
-    resolve_merge_method,
-)
+from repro.core.merge import fast_cluster_with_links, merge_engine
 from repro.core.neighbors import (
     DEFAULT_MEMORY_BUDGET,
     NeighborGraph,
@@ -66,7 +62,13 @@ from repro.core.pipeline import (
     plan_fit,
 )
 from repro.core.reference import naive_cluster_with_links
-from repro.core.rock import MergeStep, RockResult, cluster_with_links, rock
+from repro.core.rock import (
+    MergeStep,
+    RockResult,
+    cluster_with_links,
+    heap_cluster_with_links,
+    rock,
+)
 from repro.core.serialization import load_result, save_result
 from repro.core.tuning import ThetaSuggestion, similarity_profile, suggest_theta
 from repro.core.sampling import reservoir_sample, reservoir_sample_skip, sample_indices
@@ -115,7 +117,6 @@ __all__ = [
     "SimilarityTable",
     "DEFAULT_MEMORY_BUDGET",
     "FIT_MODES",
-    "MERGE_METHODS",
     "attribute_item",
     "cluster_with_links",
     "compute_links",
@@ -130,9 +131,10 @@ __all__ = [
     "expected_cross_links",
     "expected_intra_links",
     "fast_cluster_with_links",
+    "heap_cluster_with_links",
     "goodness",
     "labels_from_clusters",
-    "resolve_merge_method",
+    "merge_engine",
     "naive_goodness",
     "path_link_matrix",
     "prune_sparse_points",

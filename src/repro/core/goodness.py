@@ -227,47 +227,7 @@ class NaiveGoodnessKernel:
         return np.asarray(counts, dtype=np.float64).copy()
 
 
-class CallableGoodnessKernel:
-    """Adapter running an arbitrary goodness callable pair-by-pair.
-
-    Used only when ``merge_method="fast"`` is *forced* with a custom
-    goodness function; ``"auto"`` keeps custom callables on the heap
-    reference loop.  The callable must be symmetric in ``(ni, nj)`` --
-    the fast engine evaluates each pair once, while the reference loop
-    evaluates both orientations (built-in measures are bitwise
-    symmetric, so they are unaffected).
-    """
-
-    name = "callable"
-
-    def __init__(self, fn: Callable[[float, int, int, float], float], f_theta: float) -> None:
-        self.fn = fn
-        self.f_theta = f_theta
-
-    def scalar(self, count: float, ni: int, nj: int) -> float:
-        return self.fn(count, int(ni), int(nj), self.f_theta)
-
-    def bind(self, n_max: int) -> Callable[[float, int, int], float]:
-        fn, f_theta = self.fn, self.f_theta
-        return lambda count, ni, nj: fn(count, int(ni), int(nj), f_theta)
-
-    def vector(self, counts: np.ndarray, ni, nj) -> np.ndarray:
-        counts = np.asarray(counts, dtype=np.float64)
-        ni_b = np.broadcast_to(np.asarray(ni), counts.shape)
-        nj_b = np.broadcast_to(np.asarray(nj), counts.shape)
-        fn, f_theta = self.fn, self.f_theta
-        return np.array(
-            [
-                fn(c, a, b, f_theta)
-                for c, a, b in zip(
-                    counts.tolist(), ni_b.tolist(), nj_b.tolist()
-                )
-            ],
-            dtype=np.float64,
-        )
-
-
-# picklable kernel registry: workers rebuild kernels from these names
+# picklable kernel registry: shard workers rebuild kernels from these names
 MERGE_KERNELS = {
     "normalized": NormalizedGoodnessKernel,
     "naive": NaiveGoodnessKernel,
@@ -279,9 +239,9 @@ def merge_kernel_for(
 ):
     """The vectorized kernel matching a goodness callable, or ``None``.
 
-    ``None`` signals an unrecognised (custom) callable: ``auto`` merge
-    dispatch then stays on the reference heap loop, and a forced fast
-    run falls back to :class:`CallableGoodnessKernel`.
+    ``None`` signals an unrecognised (custom) callable, which
+    :func:`repro.core.rock.cluster_with_links` runs on the reference
+    heap loop.
     """
     if goodness_fn is goodness:
         return NormalizedGoodnessKernel(f_theta, n_max)

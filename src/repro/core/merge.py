@@ -1,13 +1,13 @@
-"""The fast merge engine: component-partitioned, array-backed agglomeration.
+"""The component merge engine: component-partitioned, array-backed agglomeration.
 
-A drop-in replacement for the Figure 3 reference loop in
-:mod:`repro.core.rock`, selected via ``merge_method="fast"`` (or
-``"auto"`` with a built-in goodness measure).  It reproduces the
-reference loop's output **byte for byte** -- the same clusters, the
-same :class:`~repro.core.rock.MergeStep` history in the same order with
-bitwise-identical goodness values, the same ``stopped_early`` flag --
-while replacing the dict-of-dicts + addressable-heap bookkeeping with
-two structural ideas:
+The default engine of :func:`repro.core.rock.cluster_with_links` for
+the built-in goodness measures (:func:`merge_engine` says which engine
+runs).  It reproduces the Figure 3 reference loop
+(:func:`repro.core.rock.heap_cluster_with_links`) **byte for byte** --
+the same clusters, the same :class:`~repro.core.rock.MergeStep`
+history in the same order with bitwise-identical goodness values, the
+same ``stopped_early`` flag -- while replacing the dict-of-dicts +
+addressable-heap bookkeeping with two structural ideas:
 
 **1. Component partitioning.**  Links are positive only within a
 connected component of the neighbor graph (the QROCK property already
@@ -16,8 +16,9 @@ is positive only within a component of the *cluster* link graph and
 the greedy loop decomposes exactly: each component is agglomerated
 independently to exhaustion, recording its greedy merge stream, and the
 streams are then k-way **replayed** in descending goodness order until
-``k`` clusters remain.  Components are embarrassingly parallel and fan
-out across :mod:`repro.parallel.pool` workers.
+``k`` clusters remain.  Each component's inner loop runs on the
+:mod:`repro.native` merge kernel when the C tier probed clean, else on
+:func:`component_merge_stream` in Python; both emit the same stream.
 
 *Why the replay equals the global greedy order.*  The reference picks
 ``u`` = the alive cluster with the globally best goodness (ties: the
@@ -64,8 +65,8 @@ no per-merge ``O(degree)`` recomputes.
 
 Bitwise equivalence is property-tested against the reference loop over
 random link tables, both goodness measures, ``f(theta)`` in {0,
-default} and resumed ``initial_clusters`` partitions
-(``tests/test_merge_engine.py``).
+default} and resumed ``initial_clusters`` partitions, on both inner
+loops (``tests/test_merge_engine.py``, ``tests/test_native_kernels.py``).
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ import numpy as np
 
 from repro.core.components import UnionFind
 from repro.core.goodness import (
-    CallableGoodnessKernel,
     goodness as normalized_goodness,
     merge_kernel_for,
 )
@@ -93,77 +93,32 @@ from repro.core.rock import (
 )
 
 __all__ = [
-    "MERGE_METHODS",
     "ComponentProblem",
     "MergeStream",
     "component_merge_stream",
     "fast_cluster_with_links",
+    "merge_engine",
     "partition_components",
-    "resolve_merge_method",
 ]
 
-# The merge-engine switch threaded through cluster_with_links, rock(),
-# RockPipeline and the CLI.  "heap" is the Figure 3 reference loop;
-# "fast" is this module; "native" is this module with the component
-# inner loop handed to the repro.native C kernel; "auto" picks native
-# whenever that kernel probed clean (and REPRO_NATIVE is not off), else
-# fast, as long as the goodness measure has a vectorized kernel (both
-# built-ins do), and falls back to the reference for custom callables,
-# whose evaluation order the engines cannot promise to reproduce.  All
-# methods produce identical results for the built-in measures.
-MERGE_METHODS = ("auto", "heap", "fast", "native")
 
-# don't spin up a process pool for trivially small merge problems
-_PARALLEL_MIN_PAIRS = 2048
+def merge_engine(goodness_fn: GoodnessFunction = normalized_goodness) -> str:
+    """The engine :func:`~repro.core.rock.cluster_with_links` runs for
+    ``goodness_fn``, named as ``PipelineResult.backends["merge"]``
+    records it.
 
-
-def resolve_merge_method(
-    merge_method: str,
-    goodness_fn: GoodnessFunction = normalized_goodness,
-) -> str:
-    """Normalise ``merge_method`` to ``"heap"``, ``"fast"`` or ``"native"``.
-
-    A forced ``"native"`` that cannot run (custom goodness callable, or
-    no working backend) degrades with a single :class:`RuntimeWarning`
-    -- to ``"heap"`` for callables (matching ``"auto"``'s routing, the
-    engines cannot reproduce a callable's evaluation order) and to
-    ``"fast"`` otherwise.  ``"auto"`` never warns: it promotes to native
-    when :func:`repro.native.auto_native` holds, else picks ``"fast"``.
+    ``"heap"`` (the Figure 3 reference loop) for a custom goodness
+    callable, whose evaluation order the component engine cannot
+    promise to reproduce; ``"native:<backend>"`` when the
+    :mod:`repro.native` C tier probed clean and ``REPRO_NATIVE`` is not
+    off; ``"fast"`` (this module's Python inner loop) otherwise.
     """
-    if merge_method not in MERGE_METHODS:
-        raise ValueError(
-            f"merge_method must be one of {MERGE_METHODS}, got {merge_method!r}"
-        )
-    if merge_method == "auto":
-        if merge_kernel_for(goodness_fn, 0.0) is None:
-            return "heap"
-        from repro.native import auto_native
+    if merge_kernel_for(goodness_fn, 0.0) is None:
+        return "heap"
+    from repro.native import available_backend
 
-        if auto_native():
-            return "native"
-        return "fast"
-    if merge_method == "native":
-        import warnings
-
-        if merge_kernel_for(goodness_fn, 0.0) is None:
-            warnings.warn(
-                "merge_method='native' does not support custom goodness "
-                "callables; falling back to the reference heap loop",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return "heap"
-        from repro.native import native_available
-
-        if not native_available():
-            warnings.warn(
-                "merge_method='native' requested but no native backend is "
-                "available; falling back to the fast merge engine",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return "fast"
-    return merge_method
+    backend = available_backend()
+    return "fast" if backend is None else f"native:{backend}"
 
 
 @dataclass
@@ -174,7 +129,7 @@ class ComponentProblem:
     cluster ids (ascending, so local order is order-isomorphic to
     global order -- the tie-breaking invariant).  Pairs are local and
     satisfy ``pair_lo < pair_hi``.  Everything is picklable arrays, so
-    a problem ships to a pool worker as-is.
+    a problem ships to a shard worker as-is.
     """
 
     index: int
@@ -210,29 +165,28 @@ def fast_cluster_with_links(
     f_theta: float,
     initial_clusters: Sequence[Sequence[int]] | None = None,
     goodness_fn: GoodnessFunction = normalized_goodness,
-    workers: int | str | None = None,
     registry: Any | None = None,
-    engine: str = "fast",
 ) -> RockResult:
-    """Component-partitioned fast equivalent of
-    :func:`repro.core.rock.cluster_with_links` (same contract, same
-    byte-for-byte result).
+    """Component-partitioned equivalent of
+    :func:`repro.core.rock.heap_cluster_with_links` (same contract, same
+    byte-for-byte result) for the built-in goodness measures.
 
-    ``workers`` fans the per-component agglomerations across a process
-    pool (built-in goodness measures only -- custom callables are not
-    assumed picklable); ``registry`` receives
-    ``fit.cluster.components`` / ``fit.cluster.heap_ops`` counters,
-    with worker-side deltas merged in on the parallel path.
-
-    ``engine="native"`` runs each component's inner loop on a
-    :mod:`repro.native` backend kernel instead of the Python loop
-    (built-in goodness only; silently reverts to the Python engines
-    when no backend is available -- callers resolve and warn up front
-    via :func:`resolve_merge_method`).
+    Each component's inner loop runs on the :mod:`repro.native` merge
+    kernel when :func:`repro.native.get_kernels` probed clean, else in
+    Python (:func:`component_merge_stream`).  A custom goodness
+    callable raises ``ValueError``: :func:`~repro.core.rock.cluster_with_links`
+    sends those to the reference loop.  ``registry`` receives
+    ``fit.cluster.components`` / ``fit.cluster.heap_ops`` counters.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     n = links.n
+    kernel = merge_kernel_for(goodness_fn, f_theta, n_max=n)
+    if kernel is None:
+        raise ValueError(
+            "the component merge engine runs the built-in goodness "
+            "measures only; custom callables run heap_cluster_with_links"
+        )
     if initial_clusters is None:
         cluster_list: list[list[int]] = [[i] for i in range(n)]
         singletons = True
@@ -248,58 +202,22 @@ def fast_cluster_with_links(
     if registry is not None:
         registry.inc("fit.cluster.components", len(problems))
 
-    kernel = merge_kernel_for(goodness_fn, f_theta, n_max=n)
-    if engine == "native" and kernel is not None:
-        from repro.native import get_kernels
-        from repro.native.merge import (
-            native_component_streams,
-            native_merge_supported,
-        )
+    from repro.native import get_kernels
 
-        backend = get_kernels()
-        if backend is not None and native_merge_supported(kernel):
-            streams = native_component_streams(
-                problems, kernel, backend, registry=registry
-            )
-            return _replay_streams(
-                cluster_list, problems, streams, k, n, registry
-            )
-    if _use_parallel(problems, counts.size, kernel, workers):
-        from repro.parallel.merge import parallel_component_streams
-        from repro.parallel.pool import resolve_workers
+    backend = get_kernels()
+    if backend is not None:
+        from repro.native.merge import native_component_streams
 
-        streams = parallel_component_streams(
-            problems,
-            f_theta=f_theta,
-            kernel_name=kernel.name,
-            n_max=n,
-            workers=resolve_workers(workers),
-            registry=registry,
+        streams = native_component_streams(
+            problems, kernel, backend, registry=registry
         )
     else:
-        if kernel is None:
-            kernel = CallableGoodnessKernel(goodness_fn, f_theta)
         streams = [component_merge_stream(p, kernel) for p in problems]
         if registry is not None:
             registry.inc(
                 "fit.cluster.heap_ops", sum(s.heap_ops for s in streams)
             )
     return _replay_streams(cluster_list, problems, streams, k, n, registry)
-
-
-def _use_parallel(
-    problems: list[ComponentProblem],
-    total_pairs: int,
-    kernel: Any,
-    workers: int | str | None,
-) -> bool:
-    if workers is None or kernel is None or len(problems) < 2:
-        return False
-    if total_pairs < _PARALLEL_MIN_PAIRS:
-        return False
-    from repro.parallel.pool import resolve_workers
-
-    return resolve_workers(workers) > 1
 
 
 def _cross_pair_arrays(

@@ -26,8 +26,8 @@ from repro.core.labeling import (
     draw_labeling_sets,
     labels_from_clusters,
 )
-from repro.core.merge import MERGE_METHODS
 from repro.core.links import LinkTable, compute_links, weighted_link_matrix
+from repro.core.merge import merge_engine
 from repro.core.neighbors import (
     NeighborGraph,
     adjacency_from_similarity_matrix,
@@ -383,18 +383,11 @@ class RockPipeline:
         the route that ran.  All routes produce identical results
         (property-tested).
     workers:
-        Process count for the native/fused kernels and the fast
-        merge engine's component fan-out: an int, ``"auto"`` (CPU
-        count capped at 8), or ``None`` for serial.
-    merge_method:
-        Engine for the Figure 3 merge phase: ``"heap"`` (the reference
-        loop), ``"fast"`` (the component-partitioned array-backed
-        engine of :mod:`repro.core.merge`), ``"native"`` (that engine
-        with :mod:`repro.native` component kernels, degrading with one
-        warning when unavailable), or ``"auto"`` (default: native when
-        the :mod:`repro.native` C tier probed clean, else fast, for
-        built-in goodness measures; heap for custom callables).
-        Byte-identical results either way (property-tested).
+        Process count for the native/fused kernels: an int, ``"auto"``
+        (CPU count capped at 8), or ``None`` for serial.  The merge
+        phase runs :func:`~repro.core.rock.cluster_with_links`, whose
+        engine follows from ``goodness_fn`` and the :mod:`repro.native`
+        probe; ``backends["merge"]`` records the one that ran.
     shard_block_rows / spill_dir / max_retries:
         Sharded-fit knobs (``fit_mode="sharded"``): rows per scoring
         block (default: the fused kernels' budget-aware block
@@ -426,7 +419,6 @@ class RockPipeline:
         memory_budget: int | None = None,
         fit_mode: str = "auto",
         workers: int | str | None = None,
-        merge_method: str = "auto",
         shard_block_rows: int | None = None,
         spill_dir: "str | None" = None,
         max_retries: int = 2,
@@ -441,11 +433,6 @@ class RockPipeline:
         if fit_mode not in FIT_MODES:
             raise ValueError(
                 f"fit_mode must be one of {FIT_MODES}, got {fit_mode!r}"
-            )
-        if merge_method not in MERGE_METHODS:
-            raise ValueError(
-                f"merge_method must be one of {MERGE_METHODS}, "
-                f"got {merge_method!r}"
             )
         if shard_block_rows is not None and shard_block_rows < 1:
             raise ValueError("shard_block_rows must be positive when given")
@@ -464,7 +451,6 @@ class RockPipeline:
         self.memory_budget = memory_budget
         self.fit_mode = fit_mode
         self.workers = workers
-        self.merge_method = merge_method
         self.shard_block_rows = shard_block_rows
         self.spill_dir = spill_dir
         self.max_retries = max_retries
@@ -520,7 +506,6 @@ class RockPipeline:
             k=self.k,
             theta=self.theta,
             workers=workers,
-            merge_method=self.merge_method,
             resumed=initial_clusters is not None,
         ) as root_span:
             return self._fit_phases(
@@ -541,14 +526,6 @@ class RockPipeline:
         registry = tracer.registry
         timings: dict[str, float] = {}
         backends: dict[str, str] = {}
-
-        # Resolve the merge engine once up front: the weeding pause
-        # calls cluster_with_links twice, and resolving here means a
-        # forced-but-unavailable "native" warns exactly once (the
-        # resolved value re-resolves to itself, warning-free).
-        from repro.core.merge import resolve_merge_method
-
-        merge_method = resolve_merge_method(self.merge_method, self.goodness_fn)
 
         # -- 1. draw random sample ----------------------------------------
         with tracer.span("sample") as span:
@@ -623,14 +600,9 @@ class RockPipeline:
                     initial_clusters, sampled, kept, n_total
                 )
             )
-            if merge_method == "native":
-                from repro.native import available_backend
-
-                backends["merge"] = f"native:{available_backend()}"
-            else:
-                backends["merge"] = merge_method
+            backends["merge"] = merge_engine(self.goodness_fn)
             with tracer.span(
-                "cluster", k=self.k, merge_method=merge_method
+                "cluster", k=self.k, merge_backend=backends["merge"]
             ) as span:
                 f_theta = self.f(self.theta)
                 if self.min_cluster_size is not None:
@@ -641,7 +613,6 @@ class RockPipeline:
                         links, k=pause_at, f_theta=f_theta,
                         initial_clusters=starting_partition,
                         goodness_fn=self.goodness_fn,
-                        merge_method=merge_method, workers=self.workers,
                         registry=registry,
                     )
                     survivors, weeded = weed_small_clusters(
@@ -661,7 +632,6 @@ class RockPipeline:
                         f_theta=f_theta,
                         initial_clusters=survivors,
                         goodness_fn=self.goodness_fn,
-                        merge_method=merge_method, workers=self.workers,
                         registry=registry,
                     )
                 else:
@@ -669,7 +639,6 @@ class RockPipeline:
                         links, k=self.k, f_theta=f_theta,
                         initial_clusters=starting_partition,
                         goodness_fn=self.goodness_fn,
-                        merge_method=merge_method, workers=self.workers,
                         registry=registry,
                     )
                 registry.inc("fit.cluster.merges", len(result.merges))

@@ -94,11 +94,9 @@ def cluster_with_links(
     f_theta: float,
     initial_clusters: Sequence[Sequence[int]] | None = None,
     goodness_fn: GoodnessFunction = normalized_goodness,
-    merge_method: str = "auto",
-    workers: int | str | None = None,
     registry: Any | None = None,
 ) -> RockResult:
-    """Run the Figure 3 merge loop over a precomputed link table.
+    """Run the Figure 3 merge phase over a precomputed link table.
 
     Parameters
     ----------
@@ -117,36 +115,46 @@ def cluster_with_links(
         points disjointly; uncovered points are simply not clustered.
     goodness_fn:
         Merge-goodness strategy, ``(cross_links, ni, nj, f_theta) -> float``.
-    merge_method:
-        ``"heap"`` runs this module's Figure 3 reference loop;
-        ``"fast"`` the component-partitioned array-backed engine of
-        :mod:`repro.core.merge` (byte-identical results); ``"auto"``
-        (default) picks fast for the built-in goodness measures and
-        the reference loop for custom callables.
-    workers:
-        Process count for the fast engine's per-component fan-out
-        (int, ``"auto"``, or ``None`` for serial).  The heap reference
-        loop is always serial.
     registry:
         Optional :class:`~repro.obs.registry.MetricsRegistry` receiving
-        ``fit.cluster.*`` counters from the fast engine.
+        ``fit.cluster.*`` counters from the component engine.
+
+    The engine follows from what the code can observe
+    (:func:`repro.core.merge.merge_engine`): a custom goodness callable
+    runs :func:`heap_cluster_with_links`, the reference loop; the
+    built-in measures run the component engine of
+    :mod:`repro.core.merge`, on the :mod:`repro.native` kernel when the
+    C tier probed clean and in Python otherwise.  Every engine returns
+    the reference loop's result byte for byte (property-tested).
+    """
+    from repro.core.merge import fast_cluster_with_links, merge_engine
+
+    if merge_engine(goodness_fn) == "heap":
+        return heap_cluster_with_links(
+            links, k, f_theta, initial_clusters, goodness_fn
+        )
+    return fast_cluster_with_links(
+        links, k, f_theta, initial_clusters, goodness_fn, registry=registry
+    )
+
+
+def heap_cluster_with_links(
+    links: LinkTable,
+    k: int,
+    f_theta: float,
+    initial_clusters: Sequence[Sequence[int]] | None = None,
+    goodness_fn: GoodnessFunction = normalized_goodness,
+) -> RockResult:
+    """The Figure 3 loop itself: the reference the faster engines match.
+
+    Same parameters and result as :func:`cluster_with_links`.  A local
+    heap per cluster and a global heap of clusters, repaired after
+    every merge, exactly as in the paper; it evaluates ``goodness_fn``
+    in both orientations, so it is also the one engine for custom
+    (possibly asymmetric) goodness callables.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    from repro.core.merge import fast_cluster_with_links, resolve_merge_method
-
-    resolved = resolve_merge_method(merge_method, goodness_fn)
-    if resolved in ("fast", "native"):
-        return fast_cluster_with_links(
-            links,
-            k=k,
-            f_theta=f_theta,
-            initial_clusters=initial_clusters,
-            goodness_fn=goodness_fn,
-            workers=workers,
-            registry=registry,
-            engine=resolved,
-        )
     n = links.n
     if initial_clusters is None:
         cluster_list: list[list[int]] = [[i] for i in range(n)]
@@ -235,7 +243,6 @@ def rock(
     memory_budget: int | None = None,
     fit_mode: str = "auto",
     workers: int | str | None = None,
-    merge_method: str = "auto",
     shard_block_rows: int | None = None,
     spill_dir: "str | None" = None,
     max_retries: int = 2,
@@ -264,15 +271,9 @@ def rock(
     -> weed -> label pipeline of Figure 2, use
     :class:`repro.core.pipeline.RockPipeline`.
 
-    ``merge_method`` is the analogous switch over the merge phase:
-    ``"heap"`` forces the Figure 3 reference loop, ``"fast"`` the
-    component-partitioned engine of :mod:`repro.core.merge`,
-    ``"native"`` that engine with :mod:`repro.native` component
-    kernels, and ``"auto"`` (default) picks native (or fast when the
-    :mod:`repro.native` C tier did not probe clean) whenever the
-    goodness measure is a built-in.  All produce byte-identical
-    results; the fast engine additionally fans components out across
-    ``workers``.
+    The merge phase runs :func:`cluster_with_links`, which picks its
+    engine from the goodness measure and the :mod:`repro.native`
+    probe; every engine produces byte-identical results.
 
     ``tracer`` is an optional :class:`~repro.obs.trace.Tracer`:
     ``neighbors`` / ``links`` / ``cluster`` spans are recorded and the
@@ -305,10 +306,12 @@ def rock(
         plan, points, theta, similarity, min_neighbors=0,
         workers=workers, tracer=tracer,
     ).links
-    with tracer.span("cluster", k=k, merge_method=merge_method):
+    from repro.core.merge import merge_engine
+
+    with tracer.span("cluster", k=k, merge_backend=merge_engine(goodness_fn)):
         result = cluster_with_links(
             links, k=k, f_theta=f(theta), goodness_fn=goodness_fn,
-            merge_method=merge_method, workers=workers, registry=registry,
+            registry=registry,
         )
         registry.inc("fit.cluster.merges", len(result.merges))
     return result

@@ -62,7 +62,6 @@ class RockClusterer:
         outlier_multiple: float = 3.0,
         labeling_fraction: float = 0.25,
         fit_mode: str = "auto",
-        merge_method: str = "auto",
         workers: int | str | None = None,
         shard_block_rows: int | None = None,
         spill_dir: "str | None" = None,
@@ -79,7 +78,6 @@ class RockClusterer:
         self.outlier_multiple = outlier_multiple
         self.labeling_fraction = labeling_fraction
         self.fit_mode = fit_mode
-        self.merge_method = merge_method
         self.workers = workers
         self.shard_block_rows = shard_block_rows
         self.spill_dir = spill_dir
@@ -99,7 +97,6 @@ class RockClusterer:
             "outlier_multiple": self.outlier_multiple,
             "labeling_fraction": self.labeling_fraction,
             "fit_mode": self.fit_mode,
-            "merge_method": self.merge_method,
             "workers": self.workers,
             "shard_block_rows": self.shard_block_rows,
             "spill_dir": self.spill_dir,
@@ -132,7 +129,6 @@ class RockClusterer:
             outlier_multiple=self.outlier_multiple,
             labeling_fraction=self.labeling_fraction,
             fit_mode=self.fit_mode,
-            merge_method=self.merge_method,
             workers=self.workers,
             shard_block_rows=self.shard_block_rows,
             spill_dir=self.spill_dir,

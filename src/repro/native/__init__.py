@@ -14,15 +14,17 @@
   over the prefix postings of the
   :class:`repro.serve.index.AssignmentIndex`, exact verification,
   Jaccard threshold test and best-cluster argmax fused into one pass
-  per query point.  It serves both the engine's ``assign_backend``
+  per query point.  It serves the serving engine, the stream labeler
   and the pipeline's labeling scan
   (:meth:`repro.core.labeling.ClusterLabeler.assign_all`).
 
-The fit planner (:func:`repro.core.pipeline.plan_fit`) runs the fused
-kernel for every fit past its memory budget that the kernel supports;
-the merge and assignment kernels are selected through
-``merge_method="native"`` and ``assign_backend="native"``, or their
-``auto`` defaults.  All are **bit-identical** to the reference
+No caller forces a tier.  The fit planner
+(:func:`repro.core.pipeline.plan_fit`) runs the fused kernel for every
+fit past its memory budget that the kernel supports; the merge engine
+(:func:`repro.core.merge.merge_engine`) and the assignment tier
+(:func:`repro.serve.index.resolve_assign_backend`) run native whenever
+:func:`get_kernels` returns the probed namespace.  All are
+**bit-identical** to the reference
 paths: same survivor sets, same merge history with bitwise equal
 goodness floats, same ``heap_ops`` accounting, same assignment labels
 and scores (property-tested in ``tests/test_native_kernels.py``).
@@ -35,18 +37,17 @@ source hash, so steady-state runs pay one ``dlopen``.
 
 A probe *runs* every kernel on a tiny smoke problem before the tier is
 declared available, so a broken toolchain can never take down a fit.
-When the probe passes, the ``auto`` resolvers promote to native
-silently; when it fails -- no compiler, a failed build, a smoke-test
+When the probe passes, every stage runs native silently; when it
+fails -- no compiler, a failed build, a smoke-test
 mismatch -- every caller runs the existing pure-Python/numpy paths and
 :func:`backend_info` records why under ``"reason"``.
 
 Environment overrides:
 
 ``REPRO_NATIVE=0`` (or ``off``/``false``/``no``)
-    The kill switch: disable the native kernels entirely (forced
-    ``native`` merge and assign backends then fall back with a warning;
-    ``auto`` and the fit planner stay silent).  Any other value, ``REPRO_NATIVE=1`` included, leaves the
-    default on.
+    The kill switch: disable the native kernels entirely; every stage
+    then runs its Python/numpy path without a warning.  Any other
+    value, ``REPRO_NATIVE=1`` included, leaves the default on.
 ``CC``
     The C compiler to build with (default: the first of ``cc``,
     ``gcc``, ``clang`` on ``PATH``).
@@ -62,7 +63,6 @@ from typing import Any
 
 __all__ = [
     "available_backend",
-    "auto_native",
     "backend_info",
     "get_kernels",
     "native_available",
@@ -187,18 +187,9 @@ def available_backend() -> str | None:
 
 
 def native_available() -> bool:
-    """Whether the C tier probed clean and ``REPRO_NATIVE`` is not off.
-
-    Forced ``native`` backends run when this holds, and the ``auto``
-    resolvers and the fit planner promote to native on it
-    (:func:`auto_native`).
-    """
+    """Whether the C tier probed clean and ``REPRO_NATIVE`` is not off:
+    the test every stage's engine choice and the fit planner make."""
     return get_kernels() is not None
-
-
-# the auto resolvers' promotion test: with one native tier, "auto goes
-# native" and "a native backend exists" are the same question
-auto_native = native_available
 
 
 def backend_info() -> dict[str, Any]:

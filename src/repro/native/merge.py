@@ -1,4 +1,4 @@
-"""Native component agglomeration (``merge_method="native"``).
+"""Native component agglomeration: the merge kernel of the component engine.
 
 Replaces the per-component Python inner loop
 (:func:`repro.core.merge.component_merge_stream`) with one backend
@@ -13,8 +13,8 @@ scalar ``pow`` of :class:`~repro.core.goodness.PowerTable` and handed
 to the kernel), and the same ``heap_ops`` accounting.
 
 Only the built-in goodness measures are supported; custom callables
-stay on the Python engines (``resolve_merge_method`` never routes them
-here).
+run the reference heap loop (:func:`repro.core.merge.merge_engine`) and
+never reach this module.
 """
 
 from __future__ import annotations
@@ -25,17 +25,9 @@ import numpy as np
 
 from repro.core.merge import ComponentProblem, MergeStream
 
-__all__ = ["native_component_streams", "native_merge_supported"]
+__all__ = ["native_component_streams"]
 
 _DUMMY_TABLE = np.zeros(1, dtype=np.float64)
-
-
-def native_merge_supported(kernel: Any) -> bool:
-    """Whether this goodness kernel has a native merge implementation."""
-    return kernel is not None and getattr(kernel, "name", None) in (
-        "normalized",
-        "naive",
-    )
 
 
 def native_component_streams(
@@ -46,9 +38,9 @@ def native_component_streams(
 ) -> list[MergeStream]:
     """Agglomerate every component with the native backend.
 
-    Streams come back in ``problems`` order, exactly like the serial
-    and pool-parallel Python paths, so ``_replay_streams`` sees the
-    same input regardless of engine.
+    Streams come back in ``problems`` order, exactly like the Python
+    inner loop, so ``_replay_streams`` sees the same input regardless
+    of engine.
     """
     naive = 1 if kernel.name == "naive" else 0
     streams: list[MergeStream] = []

@@ -3,27 +3,26 @@
 The per-point :class:`~repro.core.labeling.ClusterLabeler` pays Python
 overhead for every point: one encode, one matrix-vector product, one
 argmax.  :class:`AssignmentEngine` amortises that over whole batches --
-a ``(B, vocab)`` indicator matrix is scored against all representatives
-with a single matmul per block (the same vectorised-Jaccard trick the
-neighbor computation of :mod:`repro.core.neighbors` uses) -- and adds:
+each block is encoded once and scored through the
+:class:`~repro.serve.index.AssignmentIndex` built at engine
+construction -- and adds:
 
 * an LRU cache keyed on the point's item set, so duplicate and repeated
   points (ubiquitous in categorical data, where the value space is
   small) skip scoring entirely;
-* a tiered fast path: the default ``pruned`` backend scores each point
-  only against candidate representatives gathered from the
-  :class:`~repro.serve.index.AssignmentIndex` inverted index (built
-  once at engine construction), and ``native`` fuses that gather with
-  the argmax in a :mod:`repro.native` kernel -- both bit-identical to
-  the dense matmul (``assign_backend="dense"``);
-* a pure-Python fallback for custom similarities, delegating per point
-  to the scalar :class:`ClusterLabeler` path;
+* one scoring tier, picked by the :mod:`repro.native` probe
+  (:func:`~repro.serve.index.resolve_assign_backend`): ``native``, the
+  prefix-filtered ``assign_block`` kernel, wherever the C tier probed
+  clean; ``pruned``, the index's candidate gather in scipy/numpy,
+  otherwise (no compiler, or ``REPRO_NATIVE=0``);
+* the scalar ``fallback`` for custom similarities, which admit no
+  index: it delegates per point to :meth:`ClusterLabeler.assign`;
 * metrics (requests, outlier rate, cache hit rate, latency) recorded on
   a shared :class:`~repro.serve.metrics.ServeMetrics`, plus one
   ``serve.assign.backend.<tier>`` gauge marking the active tier.
 
 Assignments are bit-for-bit identical to ``ClusterLabeler.assign`` --
-the equivalence is property-tested for every backend tier.
+the equivalence is property-tested for every tier.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from repro.serve.model import RockModel
 
 # every value engine.assign_backend can take; "fallback" marks the
 # scalar custom-similarity path where no index exists at all
-BACKEND_TIERS = ("dense", "pruned", "native", "fallback")
+BACKEND_TIERS = ("pruned", "native", "fallback")
 
 
 class AssignmentEngine:
@@ -60,10 +59,6 @@ class AssignmentEngine:
         Shared metrics sink; a private one is created when omitted.
     block_size:
         Rows per scoring block, bounding peak memory for huge batches.
-    assign_backend:
-        ``"auto"`` (default: native when the C tier probed clean,
-        else pruned), ``"dense"``, ``"pruned"`` or ``"native"``.  Ignored
-        (scalar fallback) when the model's similarity admits no index.
     prebuilt_index:
         An :class:`AssignmentIndex` built elsewhere for this model --
         the stream-worker path ships one through the pool payload so
@@ -76,7 +71,6 @@ class AssignmentEngine:
         cache_size: int = 4096,
         metrics: ServeMetrics | None = None,
         block_size: int = 8192,
-        assign_backend: str = "auto",
         prebuilt_index: AssignmentIndex | None = None,
     ) -> None:
         if cache_size < 0:
@@ -87,23 +81,19 @@ class AssignmentEngine:
         self.metrics = metrics if metrics is not None else ServeMetrics()
         self.block_size = block_size
         self._labeler = model.labeler()
-        # the vectorised index exists exactly when the labeler's own
-        # fast path does (plain Jaccard over item-set-like points)
-        self._index = self._labeler.index
-        backend, kernels = resolve_assign_backend(assign_backend)
+        # the index exists exactly when the labeler's own vectorised
+        # path does (plain Jaccard over item-set-like points)
         self._fast_index: AssignmentIndex | None = None
         self._kernels: Any | None = None
-        if self._index is None:
+        if self._labeler.index is None:
             backend = "fallback"
-        elif backend == "dense":
-            pass
         else:
+            backend, self._kernels = resolve_assign_backend()
             self._fast_index = (
                 prebuilt_index
                 if prebuilt_index is not None
-                else AssignmentIndex(self._index)
+                else AssignmentIndex(self._labeler.index)
             )
-            self._kernels = kernels  # None on the pruned tier
         self._backend = backend
         registry = self.metrics.registry
         # candidate pairs the index tiers score: the pruning at a glance
@@ -125,17 +115,17 @@ class AssignmentEngine:
 
     @property
     def vectorized(self) -> bool:
-        """Whether the batch matmul path is active (vs the scalar fallback)."""
-        return self._index is not None
+        """Whether the batched index path is active (vs the scalar fallback)."""
+        return self._fast_index is not None
 
     @property
     def assign_backend(self) -> str:
-        """The resolved scoring tier: dense / pruned / native / fallback."""
+        """The scoring tier the probe picked: pruned / native / fallback."""
         return self._backend
 
     @property
     def fast_index(self) -> AssignmentIndex | None:
-        """The inverted index (``None`` on the dense and fallback tiers)."""
+        """The inverted index (``None`` on the fallback tier)."""
         return self._fast_index
 
     @property
@@ -247,8 +237,6 @@ class AssignmentEngine:
                 kernels=self._kernels,
                 counter=self._candidates,
             )
-        if self._index is not None:
-            return self._index.assign(points, block_size=self.block_size)
         return np.array(
             [self._labeler.assign(p) for p in points], dtype=np.int64
         )

@@ -121,7 +121,6 @@ class ModelWatcher:
         cache_size: int = 4096,
         poll_seconds: float = 1.0,
         rewrite_window_seconds: float = 2.0,
-        assign_backend: str = "auto",
     ) -> None:
         if poll_seconds <= 0:
             raise ValueError("poll_seconds must be positive")
@@ -130,7 +129,6 @@ class ModelWatcher:
         self.path = Path(path)
         self.registry = registry if registry is not None else MetricsRegistry()
         self.cache_size = cache_size
-        self.assign_backend = assign_backend
         self.poll_seconds = poll_seconds
         self.rewrite_window_seconds = rewrite_window_seconds
         self._reloads = self.registry.counter("http.reload.count")
@@ -154,7 +152,6 @@ class ModelWatcher:
             model,
             cache_size=self.cache_size,
             metrics=ServeMetrics(registry=self.registry),
-            assign_backend=self.assign_backend,
         )
         return ServedModel(
             model=model,

@@ -136,11 +136,8 @@ class RockHttpServer:
         Batcher tuning -- flush size, max queueing delay in
         microseconds, and the bounded-queue depth that triggers 503s.
     cache_size:
-        LRU size for each model generation's engine.
-    assign_backend:
-        Scoring tier for each generation's engine (``"auto"``,
-        ``"dense"``, ``"pruned"`` or ``"native"``); the reload watcher
-        rebuilds the fast index once per model generation.
+        LRU size for each model generation's engine; the reload watcher
+        rebuilds the engine's index once per model generation.
     poll_seconds:
         Artifact poll interval for hot reload.
     registry / tracer:
@@ -161,7 +158,6 @@ class RockHttpServer:
         batch_wait_us: int = 2000,
         queue_depth: int = 1024,
         cache_size: int = 4096,
-        assign_backend: str = "auto",
         poll_seconds: float = 1.0,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
@@ -179,7 +175,6 @@ class RockHttpServer:
             registry=self.registry,
             cache_size=cache_size,
             poll_seconds=poll_seconds,
-            assign_backend=assign_backend,
         )
         self.batcher = RequestBatcher(
             self._flush_assign,

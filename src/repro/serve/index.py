@@ -48,7 +48,8 @@ in-vocabulary part is the prefix length minus the out-of-vocabulary
 count, and a point whose prefix they fill completely is an outlier
 with no probe at all.
 
-Three scoring tiers share this index:
+Two scoring tiers share this index, and the :mod:`repro.native` probe
+picks between them (:func:`resolve_assign_backend`):
 
 ``pruned``
     Candidate gather via a scipy sparse product over the full inverted
@@ -56,6 +57,8 @@ Three scoring tiers share this index:
     machinery: CSR x CSR intersection counts, ``searchsorted`` row
     recovery), or a pure-numpy posting-list gather when scipy is
     unavailable.  Every representative sharing an item is a candidate.
+    The tier wherever the C tier does not probe clean or
+    ``REPRO_NATIVE`` is off.
 ``native``
     The ``assign_block`` C kernel of :mod:`repro.native`: per point it
     sorts the row by rank, walks only the prefix items' prefix
@@ -65,9 +68,10 @@ Three scoring tiers share this index:
     wherever the C tier probes clean, and the route of the pipeline's
     §4.6 labeling scan
     (:meth:`~repro.core.labeling.ClusterLabeler.assign_all`).
-``dense``
-    Not in this module -- callers keep using ``LabelingIndex.assign``
-    (the engine's ``assign_backend="dense"``).
+
+The dense ``LabelingIndex.assign`` matmul is not a tier of this module:
+it backs the oracle ``ClusterLabeler.assign`` and the labeling scan's
+no-compiler route.
 
 Why the tiers agree bit for bit: intersections are small integers
 (exact in float64), a candidate pair has ``inter >= 1`` and hence
@@ -98,7 +102,6 @@ resolved per process and passed into ``assign``.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Sequence
 from typing import Any
 
@@ -108,42 +111,25 @@ from repro.core.labeling import LabelingIndex
 from repro.core.neighbors import _scipy_sparse_available
 from repro.obs.registry import Counter
 
-# engine-facing backend names: "auto" resolves to the best available
-# tier, the rest force one (forced "native" degrades to "pruned" with
-# a warning when the C tier did not probe clean)
-ASSIGN_BACKENDS = ("auto", "dense", "pruned", "native")
-
 
 def resolve_assign_backend(requested: str = "auto") -> tuple[str, Any | None]:
-    """Resolve a requested assignment backend to ``(tier, kernels)``.
+    """The index tier the probe picks, as ``(tier, kernels)``.
 
-    ``auto`` promotes to ``native`` when the C tier probed clean and
-    ``REPRO_NATIVE`` is not off (:func:`repro.native.auto_native`), and
-    otherwise picks ``pruned`` silently; a forced ``native`` degrades to
-    ``pruned`` with one warning.  ``dense`` and ``pruned`` never touch
-    the native probe.
-    The returned ``kernels`` is ``None`` except for the ``native`` tier.
+    ``("native", kernels)`` when :func:`repro.native.get_kernels`
+    returns the probed namespace (the probe smoke-tests
+    ``assign_block``), else ``("pruned", None)``.  ``"auto"`` is the
+    only accepted request: no caller forces a tier.
     """
-    if requested not in ASSIGN_BACKENDS:
+    if requested != "auto":
         raise ValueError(
-            f"unknown assign backend {requested!r}; expected one of "
-            f"{ASSIGN_BACKENDS}"
+            f"unknown assign backend {requested!r}; the tier follows the "
+            "repro.native probe, so only 'auto' is accepted"
         )
-    if requested in ("dense", "pruned"):
-        return requested, None
     from repro.native import get_kernels
 
-    # the probe smoke-tests assign_block: a probed namespace carries it
     kernels = get_kernels()
     if kernels is not None:
         return "native", kernels
-    if requested == "native":
-        warnings.warn(
-            "assign_backend='native' requested but no native backend "
-            "provides the assign kernel; falling back to 'pruned'",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return "pruned", None
 
 

@@ -262,7 +262,6 @@ def model_from_result(
         "n_unassigned": int((result.labels == -1).sum()),
         "uses_default_f": pipeline.f is default_f,
         "fit_mode": getattr(pipeline, "fit_mode", "auto"),
-        "merge_method": getattr(pipeline, "merge_method", "auto"),
         "workers": getattr(pipeline, "workers", None),
         **(
             {

@@ -47,16 +47,14 @@ _WORKER_ENGINE: AssignmentEngine | None = None
 def _init_worker(
     model_dict: dict[str, Any],
     cache_size: int,
-    assign_backend: str = "auto",
     prebuilt_index: Any | None = None,
 ) -> None:
     global _WORKER_ENGINE
     # the index arrives prebuilt through the payload; native kernel
-    # handles are never shipped -- each worker re-resolves its own
+    # handles are never shipped -- each worker probes its own
     _WORKER_ENGINE = AssignmentEngine(
         RockModel.from_dict(model_dict),
         cache_size=cache_size,
-        assign_backend=assign_backend,
         prebuilt_index=prebuilt_index,
     )
 
@@ -82,7 +80,6 @@ def assign_stream(
     chunk_size: int = 2048,
     cache_size: int = 4096,
     metrics: ServeMetrics | None = None,
-    assign_backend: str = "auto",
     prebuilt_index: Any | None = None,
 ) -> np.ndarray:
     """Assign an arbitrarily large stream of points, in input order.
@@ -107,14 +104,11 @@ def assign_stream(
         (cache hits/misses/uncacheable, per-batch latencies, outlier
         counts) merged from worker snapshots, plus one
         ``assign_stream`` latency observation for the whole run.
-    assign_backend:
-        Scoring tier for the per-worker engines (see
-        :class:`AssignmentEngine`).
     prebuilt_index:
         An :class:`~repro.serve.index.AssignmentIndex` already built
         for this model; shipped to every worker through the pool
         payload so none of them rebuilds it.  Built here once when
-        omitted (and the tier needs one).
+        omitted.
 
     Returns
     -------
@@ -138,7 +132,6 @@ def assign_stream(
             model,
             cache_size=cache_size,
             metrics=metrics,
-            assign_backend=assign_backend,
             prebuilt_index=prebuilt_index,
         )
         labels = engine.assign_all(points, batch_size=chunk_size)
@@ -147,11 +140,8 @@ def assign_stream(
         return labels
 
     if prebuilt_index is None:
-        # build the index once here rather than once per worker; a
-        # throwaway engine resolves the tier exactly as workers will
-        prebuilt_index = AssignmentEngine(
-            model, cache_size=0, assign_backend=assign_backend
-        ).fast_index
+        # build the index once here rather than once per worker
+        prebuilt_index = AssignmentEngine(model, cache_size=0).fast_index
 
     # per-chunk label arrays, concatenated once at the end -- a stream
     # of millions of points must not be re-boxed into Python ints
@@ -161,7 +151,7 @@ def assign_stream(
         iter_chunks(points, chunk_size),
         workers=workers,
         initializer=_init_worker,
-        initargs=(model_dict, cache_size, assign_backend, prebuilt_index),
+        initargs=(model_dict, cache_size, prebuilt_index),
     ):
         collected.append(part)
         if metrics is not None:

@@ -36,10 +36,6 @@ class ClusteringService:
         streams).
     metrics:
         Optional shared sink; a private one is created when omitted.
-    assign_backend:
-        Scoring tier for the embedded engine (and for parallel stream
-        workers): ``"auto"``, ``"dense"``, ``"pruned"`` or
-        ``"native"``.
     """
 
     def __init__(
@@ -47,17 +43,12 @@ class ClusteringService:
         model: RockModel,
         cache_size: int = 4096,
         metrics: ServeMetrics | None = None,
-        assign_backend: str = "auto",
     ) -> None:
         self.model = model
         self.metrics = metrics if metrics is not None else ServeMetrics()
         self._cache_size = cache_size
-        self._assign_backend = assign_backend
         self.engine = AssignmentEngine(
-            model,
-            cache_size=cache_size,
-            metrics=self.metrics,
-            assign_backend=assign_backend,
+            model, cache_size=cache_size, metrics=self.metrics
         )
 
     @classmethod
@@ -66,15 +57,9 @@ class ClusteringService:
         path: str | Path,
         cache_size: int = 4096,
         metrics: ServeMetrics | None = None,
-        assign_backend: str = "auto",
     ) -> "ClusteringService":
         """Load a saved model and stand up a service around it."""
-        return cls(
-            RockModel.load(path),
-            cache_size=cache_size,
-            metrics=metrics,
-            assign_backend=assign_backend,
-        )
+        return cls(RockModel.load(path), cache_size=cache_size, metrics=metrics)
 
     @property
     def n_clusters(self) -> int:
@@ -104,7 +89,6 @@ class ClusteringService:
             chunk_size=chunk_size,
             cache_size=self._cache_size,
             metrics=self.metrics,
-            assign_backend=self._assign_backend,
             prebuilt_index=self.engine.fast_index,
         )
 

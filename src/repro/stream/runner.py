@@ -115,6 +115,10 @@ class StreamSummary:
 class StreamClusterer:
     """Incremental ROCK over an unbounded stream of records.
 
+    Arrivals are labeled in batches through an
+    :class:`~repro.serve.index.AssignmentIndex` rebuilt once per refit,
+    on the tier the :mod:`repro.native` probe picks.
+
     Parameters
     ----------
     pipeline:
@@ -145,10 +149,6 @@ class StreamClusterer:
         Arrivals labeled per vectorised batch.
     seed:
         Reservoir rng seed (the pipeline's own seed governs the fits).
-    assign_backend:
-        Scoring tier for the labeling hot loop (``"auto"``,
-        ``"dense"``, ``"pruned"`` or ``"native"``); the fast index is
-        rebuilt once per refit, alongside the labeler.
     tracer:
         Spans + metrics sink; refits record ``stream.refit`` spans and
         the ``stream.*`` counter family lands in ``tracer.registry``.
@@ -170,7 +170,6 @@ class StreamClusterer:
         refit_mode: str = "resume",
         batch_size: int = 256,
         seed: int | None = None,
-        assign_backend: str = "auto",
         tracer: Tracer | None = None,
         on_batch: Callable[[list[Any], np.ndarray, np.ndarray, str], None] | None = None,
         on_refit: Callable[[RefitEvent], None] | None = None,
@@ -213,9 +212,7 @@ class StreamClusterer:
         self.version: str | None = None
         self.last_result: PipelineResult | None = None
         self._labeler: ClusterLabeler | None = None
-        self._assign_backend, self._assign_kernels = resolve_assign_backend(
-            assign_backend
-        )
+        self._assign_backend, self._assign_kernels = resolve_assign_backend()
         self._fast_index: AssignmentIndex | None = None
         self._arrivals_at_last_fit = 0
         self._refit_count = 0
@@ -307,16 +304,6 @@ class StreamClusterer:
             return self._fast_index.assign_with_scores(
                 batch, kernels=self._assign_kernels, counter=self._candidates
             )
-        index = labeler.index
-        if index is not None:
-            counts = index.neighbor_counts(batch)
-            all_scores = counts / index.normalisers
-            labels = np.argmax(all_scores, axis=1)
-            best = all_scores[np.arange(len(batch)), labels]
-            outliers = ~counts.any(axis=1)
-            labels[outliers] = -1
-            best[outliers] = 0.0
-            return labels.astype(np.int64), best
         labels = np.empty(len(batch), dtype=np.int64)
         best = np.zeros(len(batch), dtype=np.float64)
         for i, point in enumerate(batch):
@@ -377,7 +364,6 @@ class StreamClusterer:
         self._fast_index = (
             AssignmentIndex(self._labeler.index)
             if self._labeler.index is not None
-            and self._assign_backend != "dense"
             else None
         )
         self._arrivals_at_last_fit = self.reservoir.seen

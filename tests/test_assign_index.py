@@ -60,10 +60,9 @@ def make_model(labeling_sets, theta=0.4, **kwargs):
 
 
 def dense_assign_with_scores(index: LabelingIndex, points):
-    """The dense reference for ``(labels, best scores)``.
-
-    Mirrors ``StreamClusterer._label_batch``'s dense branch exactly --
-    the contract the fast tiers must reproduce bit for bit.
+    """The dense reference for ``(labels, best scores)``: the
+    ``LabelingIndex`` matmul, argmax and outlier rule -- the contract
+    the index tiers must reproduce bit for bit.
     """
     counts = index.neighbor_counts(points)
     all_scores = counts / index.normalisers
@@ -219,14 +218,34 @@ CLUSTER_A = [Transaction({1, 2, 3}), Transaction({1, 2, 4})]
 CLUSTER_B = [Transaction({7, 8, 9}), Transaction({7, 8, 10})]
 
 
+def engines_per_tier(model, **kwargs):
+    """``{tier: engine}`` for every index tier this machine has: the
+    probe picks the tier, so ``pruned`` is built under ``REPRO_NATIVE=0``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_NATIVE", "0")
+        engines = {"pruned": AssignmentEngine(model, **kwargs)}
+    if ASSIGN_KERNELS:
+        engines["native"] = AssignmentEngine(model, **kwargs)
+    return engines
+
+
 class TestBackendResolution:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown assign backend"):
             resolve_assign_backend("turbo")
 
-    def test_dense_and_pruned_never_probe(self):
-        assert resolve_assign_backend("dense") == ("dense", None)
-        assert resolve_assign_backend("pruned") == ("pruned", None)
+    def test_dense_and_pruned_never_probe(self, monkeypatch):
+        """No caller forces a tier: every request but ``auto`` is
+        rejected before the probe runs."""
+        import repro.native
+
+        def no_probe():
+            raise AssertionError("probed")
+
+        monkeypatch.setattr(repro.native, "get_kernels", no_probe)
+        for forced in ("dense", "pruned", "native"):
+            with pytest.raises(ValueError, match="only 'auto'"):
+                resolve_assign_backend(forced)
 
     def test_auto_resolves_to_fast_tier(self, monkeypatch):
         """native wherever the C tier probed clean, pruned under the
@@ -237,31 +256,18 @@ class TestBackendResolution:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert resolve_assign_backend("auto") == expected
+            assert resolve_assign_backend() == expected
             monkeypatch.setenv("REPRO_NATIVE", "0")
             assert resolve_assign_backend("auto") == ("pruned", None)
 
-    def test_native_degrades_with_warning_when_unavailable(self, monkeypatch):
-        import repro.native
-
-        monkeypatch.setattr(repro.native, "get_kernels", lambda *a: None)
-        with pytest.warns(RuntimeWarning, match="falling back to 'pruned'"):
-            backend, kernels = resolve_assign_backend("native")
-        assert backend == "pruned" and kernels is None
-
     @pytest.mark.skipif(not ASSIGN_KERNELS, reason="no native assign kernel")
     def test_native_resolves_when_available(self):
-        backend, kernels = resolve_assign_backend("native")
+        backend, kernels = resolve_assign_backend("auto")
         assert backend == "native"
         assert hasattr(kernels, "assign_block")
 
 
 class TestEngineBackends:
-    def engine_backends(self):
-        backends = ["dense", "pruned"]
-        if ASSIGN_KERNELS:
-            backends.append("native")
-        return backends
-
     def test_every_backend_matches_the_labeler(self):
         model = make_model([CLUSTER_A, CLUSTER_B])
         labeler = model.labeler()
@@ -269,48 +275,36 @@ class TestEngineBackends:
             Transaction({1, 2}), Transaction({7, 8}), Transaction({42}),
             Transaction({1, 2, 7, 8}), Transaction(set()),
         ]
-        expected = labeler.assign_all(batch).tolist()
-        for backend in self.engine_backends():
-            engine = AssignmentEngine(
-                model, assign_backend=backend, cache_size=0
-            )
+        expected = [labeler.assign(point) for point in batch]
+        for tier, engine in engines_per_tier(model, cache_size=0).items():
             assert engine.assign_batch(batch).tolist() == expected
-            assert engine.assign_backend == backend
+            assert engine.assign_backend == tier
+            assert engine.fast_index is not None
 
-    def test_backend_gauge_marks_the_active_tier(self):
-        engine = AssignmentEngine(
-            make_model([CLUSTER_A, CLUSTER_B]), assign_backend="pruned"
-        )
+    def test_backend_gauge_marks_the_active_tier(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        engine = AssignmentEngine(make_model([CLUSTER_A, CLUSTER_B]))
         gauges = engine.metrics.registry.snapshot()["gauges"]
         assert gauges["serve.assign.backend.pruned"] == 1
-        assert gauges["serve.assign.backend.dense"] == 0
         assert gauges["serve.assign.backend.native"] == 0
         assert gauges["serve.assign.backend.fallback"] == 0
+        assert "serve.assign.backend.dense" not in gauges
 
     def test_fallback_tier_for_custom_similarity(self):
         from repro.core.similarity import SimilarityTable
 
         table = SimilarityTable({("p", "a1"): 0.9})
         model = make_model([["a1"], ["b1"]], theta=0.5, similarity=table)
-        engine = AssignmentEngine(model, assign_backend="auto")
+        engine = AssignmentEngine(model)
         assert engine.assign_backend == "fallback"
         assert engine.fast_index is None
         gauges = engine.metrics.registry.snapshot()["gauges"]
         assert gauges["serve.assign.backend.fallback"] == 1
 
-    def test_dense_backend_builds_no_index(self):
-        engine = AssignmentEngine(
-            make_model([CLUSTER_A, CLUSTER_B]), assign_backend="dense"
-        )
-        assert engine.fast_index is None
-        assert engine.assign_backend == "dense"
-
     def test_prebuilt_index_is_reused(self):
         model = make_model([CLUSTER_A, CLUSTER_B])
-        donor = AssignmentEngine(model, assign_backend="pruned")
-        engine = AssignmentEngine(
-            model, assign_backend="pruned", prebuilt_index=donor.fast_index
-        )
+        donor = AssignmentEngine(model)
+        engine = AssignmentEngine(model, prebuilt_index=donor.fast_index)
         assert engine.fast_index is donor.fast_index
         assert engine.assign(Transaction({1, 2})) == 0
 
@@ -324,16 +318,9 @@ class TestEngineBackends:
         labeling_sets = [[Transaction(s) for s in li] for li in sets]
         model = make_model(labeling_sets, theta=theta)
         batch = [Transaction(p) for p in points]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            results = {
-                backend: AssignmentEngine(
-                    model, assign_backend=backend, cache_size=0
-                ).assign_batch(batch).tolist()
-                for backend in ("dense", "pruned", "native")
-            }
-        assert results["pruned"] == results["dense"]
-        assert results["native"] == results["dense"]
+        dense = model.labeler().index.assign(batch).tolist()
+        for engine in engines_per_tier(model, cache_size=0).values():
+            assert engine.assign_batch(batch).tolist() == dense
 
 
 # -- the prefix-filtered native kernel ---------------------------------------
@@ -525,9 +512,7 @@ class TestCandidateCounts:
 
     def test_engine_records_assign_candidates(self):
         model = make_model([CLUSTER_A, CLUSTER_B])
-        engines = TestEngineBackends().engine_backends()[1:]  # index tiers
-        for backend in engines:
-            engine = AssignmentEngine(model, assign_backend=backend, cache_size=0)
+        for engine in engines_per_tier(model, cache_size=0).values():
             counters = engine.metrics.registry.snapshot
             engine.assign_batch([Transaction({90, 91}), Transaction({92})])
             assert counters()["counters"]["serve.assign.candidates"] == 0

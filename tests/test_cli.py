@@ -267,6 +267,42 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["generate", "galaxy", "--out", "x"])
 
+    @pytest.mark.parametrize("command", ["cluster", "fit-model", "stream"])
+    @pytest.mark.parametrize(
+        "mode", ["dense", "blocked", "parallel", "fused", "native"]
+    )
+    def test_removed_fit_modes_rejected(self, command, mode, capsys):
+        """``--fit-mode`` takes only the planner's ``auto`` and ``sharded``."""
+        argv = [command, "--input", "x.txt", "-k", "2", "--theta", "0.5",
+                "--fit-mode", mode]
+        if command == "fit-model":
+            argv += ["--model", "m.json"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cluster", "--input", "x.txt", "-k", "2", "--theta", "0.5",
+             "--neighbor-method", "auto"],
+            ["cluster", "--input", "x.txt", "-k", "2", "--theta", "0.5",
+             "--merge-method", "heap"],
+            ["assign", "--model", "m.json", "--input", "x.txt",
+             "--assign-backend", "native"],
+            ["serve", "--model", "m.json", "--assign-backend", "dense"],
+        ],
+        ids=["neighbor-method", "merge-method", "assign-backend",
+             "serve-assign-backend"],
+    )
+    def test_removed_engine_flags_rejected(self, argv, capsys):
+        """The engine follows the probe; no flag forces one."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestServe:
     @pytest.fixture

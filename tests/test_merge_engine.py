@@ -1,19 +1,22 @@
-"""The fast merge engine vs the Figure 3 reference loop.
+"""The component merge engine vs the Figure 3 reference loop.
 
-The fast engine (:mod:`repro.core.merge`) is only admissible as a pure
-optimisation: for every link table, goodness measure, ``f(theta)``,
-``k`` and starting partition it must reproduce the reference loop's
-:class:`~repro.core.rock.RockResult` **byte for byte** -- the same
-clusters, the same :class:`~repro.core.rock.MergeStep` history entry
-for entry with bitwise-identical goodness floats, and the same
-``stopped_early`` flag.  The hypothesis property drives randomized
-link tables (integer and similarity-weighted counts) through both
-engines across the goodness measures, ``f(theta)`` in {0, default},
-and random ``initial_clusters`` partitions.
+The component engine (:mod:`repro.core.merge`) is only admissible as a
+pure optimisation: for every link table, goodness measure,
+``f(theta)``, ``k`` and starting partition it must reproduce the
+reference loop (:func:`~repro.core.rock.heap_cluster_with_links`)
+**byte for byte** -- the same clusters, the same
+:class:`~repro.core.rock.MergeStep` history entry for entry with
+bitwise-identical goodness floats, and the same ``stopped_early``
+flag.  The hypothesis property drives randomized link tables (integer
+and similarity-weighted counts) through the default engine (native
+where the C tier probes clean) and the Python inner loop
+(``REPRO_NATIVE=0``) across the goodness measures, ``f(theta)`` in
+{0, default}, and random ``initial_clusters`` partitions.
 """
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -32,15 +35,9 @@ from repro.core.goodness import (
 )
 from repro.core.labeling import labels_from_clusters
 from repro.core.links import LinkTable
-from repro.core.merge import (
-    MERGE_METHODS,
-    component_merge_stream,
-    fast_cluster_with_links,
-    partition_components,
-    resolve_merge_method,
-)
+from repro.core.merge import fast_cluster_with_links, merge_engine
 from repro.core.pipeline import RockPipeline
-from repro.core.rock import cluster_with_links, rock
+from repro.core.rock import cluster_with_links, heap_cluster_with_links, rock
 from repro.data.transactions import Transaction, TransactionDataset
 from repro.obs.registry import MetricsRegistry
 from tests.linktables import link_table
@@ -50,6 +47,25 @@ F_THETAS = [0.0, default_f(0.5)]
 
 def make_links(n: int, edges: dict[tuple[int, int], float]) -> LinkTable:
     return link_table(n, [(i, j, count) for (i, j), count in edges.items()])
+
+
+def reference_goodness(count, ni, nj, f_theta):
+    """The built-in measure behind a custom callable: any fit given it
+    runs the reference heap loop, with bitwise-equal goodness values."""
+    return goodness(count, ni, nj, f_theta)
+
+
+def python_engine(run, *args, **kwargs):
+    """``run(*args, **kwargs)`` with the C tier switched off, so the
+    component engine runs its Python inner loop."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_NATIVE", "0")
+        return run(*args, **kwargs)
+
+
+def engine_results(run, *args, **kwargs):
+    """The default engine's result, then the Python inner loop's."""
+    return [run(*args, **kwargs), python_engine(run, *args, **kwargs)]
 
 
 def assert_identical(ref, fast) -> None:
@@ -103,43 +119,39 @@ class TestMergeHistoryEquivalence:
         n, edges, k, initial = problem
         for f_theta in F_THETAS:
             links = make_links(n, edges)
-            ref = cluster_with_links(
-                links, k=k, f_theta=f_theta, initial_clusters=initial,
-                merge_method="heap",
+            ref = heap_cluster_with_links(
+                links, k=k, f_theta=f_theta, initial_clusters=initial
             )
-            fast = cluster_with_links(
-                links, k=k, f_theta=f_theta, initial_clusters=initial,
-                merge_method="fast",
-            )
-            assert_identical(ref, fast)
+            for fast in engine_results(
+                cluster_with_links, links, k=k, f_theta=f_theta,
+                initial_clusters=initial,
+            ):
+                assert_identical(ref, fast)
 
     @settings(max_examples=60, deadline=None)
     @given(link_problems())
     def test_naive_goodness(self, problem):
         n, edges, k, initial = problem
         links = make_links(n, edges)
-        ref = cluster_with_links(
-            links, k=k, f_theta=default_f(0.5), initial_clusters=initial,
-            goodness_fn=naive_goodness, merge_method="heap",
+        kwargs = dict(
+            k=k, f_theta=default_f(0.5), initial_clusters=initial,
+            goodness_fn=naive_goodness,
         )
-        fast = cluster_with_links(
-            links, k=k, f_theta=default_f(0.5), initial_clusters=initial,
-            goodness_fn=naive_goodness, merge_method="fast",
-        )
-        assert_identical(ref, fast)
+        ref = heap_cluster_with_links(links, **kwargs)
+        for fast in engine_results(cluster_with_links, links, **kwargs):
+            assert_identical(ref, fast)
 
     def test_stopped_early_disconnected(self):
         """Mushroom-style early stop: k below the component count."""
         edges = {(0, 1): 3.0, (1, 2): 2.0, (3, 4): 4.0, (5, 6): 1.0}
         links = make_links(8, edges)  # point 7 fully isolated
-        ref = cluster_with_links(
-            links, k=1, f_theta=default_f(0.5), merge_method="heap"
-        )
-        fast = cluster_with_links(
-            links, k=1, f_theta=default_f(0.5), merge_method="fast"
-        )
-        assert ref.stopped_early and fast.stopped_early
-        assert_identical(ref, fast)
+        ref = heap_cluster_with_links(links, k=1, f_theta=default_f(0.5))
+        assert ref.stopped_early
+        for fast in engine_results(
+            cluster_with_links, links, k=1, f_theta=default_f(0.5)
+        ):
+            assert fast.stopped_early
+            assert_identical(ref, fast)
 
     def test_initial_clusters_resume(self):
         """Resuming from a partial partition replays identically."""
@@ -150,61 +162,77 @@ class TestMergeHistoryEquivalence:
         initial = [[0, 5, 7], [1, 2], [3], [4, 6, 8, 9], [10, 11],
                    [12, 13, 14], [15], [16, 17], [18, 19]]
         for f_theta in F_THETAS:
-            ref = cluster_with_links(
-                links, k=3, f_theta=f_theta, initial_clusters=initial,
-                merge_method="heap",
+            ref = heap_cluster_with_links(
+                links, k=3, f_theta=f_theta, initial_clusters=initial
             )
-            fast = cluster_with_links(
-                links, k=3, f_theta=f_theta, initial_clusters=initial,
-                merge_method="fast",
-            )
-            assert_identical(ref, fast)
+            for fast in engine_results(
+                cluster_with_links, links, k=3, f_theta=f_theta,
+                initial_clusters=initial,
+            ):
+                assert_identical(ref, fast)
+
+    def test_many_components_replay(self):
+        """15 fully linked components: the k-way replay across streams."""
+        rng = random.Random(11)
+        links = link_table(90, [
+            (i, j, rng.randint(1, 5))
+            for base in range(0, 90, 6)
+            for i in range(base, base + 6)
+            for j in range(i + 1, base + 6)
+        ])
+        for k in (1, 15, 40):
+            ref = heap_cluster_with_links(links, k=k, f_theta=default_f(0.5))
+            for fast in engine_results(
+                cluster_with_links, links, k=k, f_theta=default_f(0.5)
+            ):
+                assert_identical(ref, fast)
 
 
 class TestMergeMethodDispatch:
     def test_resolve(self, monkeypatch):
-        import warnings
-
         import repro.native
 
-        # auto: native wherever the C tier probed clean, fast under the
-        # REPRO_NATIVE=0 kill switch -- silently either way
+        # built-in measures: native wherever the C tier probed clean,
+        # the Python inner loop under the REPRO_NATIVE=0 kill switch --
+        # silently either way; custom callables: the reference loop
         monkeypatch.delenv("REPRO_NATIVE", raising=False)
-        promoted = "native" if repro.native.native_available() else "fast"
+        backend = repro.native.available_backend()
+        promoted = "fast" if backend is None else f"native:{backend}"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert resolve_merge_method("auto", goodness) == promoted
-            assert resolve_merge_method("auto", naive_goodness) == promoted
+            assert merge_engine(goodness) == promoted
+            assert merge_engine(naive_goodness) == promoted
+            assert merge_engine(reference_goodness) == "heap"
             monkeypatch.setenv("REPRO_NATIVE", "0")
-            assert resolve_merge_method("auto", goodness) == "fast"
-            assert resolve_merge_method("auto", naive_goodness) == "fast"
-        assert resolve_merge_method("heap", goodness) == "heap"
-        assert resolve_merge_method("fast", goodness) == "fast"
-        # custom callables stay on the reference loop under auto
-        custom = lambda c, ni, nj, f: float(c)  # noqa: E731
-        assert resolve_merge_method("auto", custom) == "heap"
-        assert resolve_merge_method("fast", custom) == "fast"
+            assert merge_engine(goodness) == "fast"
+            assert merge_engine(naive_goodness) == "fast"
+            assert merge_engine(reference_goodness) == "heap"
 
     def test_invalid_method_rejected(self):
-        with pytest.raises(ValueError, match="merge_method"):
-            resolve_merge_method("turbo", goodness)
-        with pytest.raises(ValueError, match="merge_method"):
-            RockPipeline(k=2, theta=0.5, merge_method="turbo")
+        """No caller forces a merge engine: the old switch is gone."""
+        links = make_links(3, {(0, 1): 1.0})
+        with pytest.raises(TypeError, match="merge_method"):
+            cluster_with_links(links, k=1, f_theta=0.5, merge_method="heap")
+        with pytest.raises(TypeError, match="merge_method"):
+            RockPipeline(k=2, theta=0.5, merge_method="heap")
 
     def test_forced_fast_with_custom_callable(self):
-        """A symmetric custom goodness works when fast is forced."""
+        """A custom goodness runs the reference loop; the component
+        engine refuses one rather than reorder its evaluations."""
         links = make_links(6, {(0, 1): 2.0, (1, 2): 1.0, (3, 4): 3.0})
 
         def halved(count, ni, nj, f_theta):
             return count / (ni + nj)
 
-        ref = cluster_with_links(
-            links, k=2, f_theta=0.3, goodness_fn=halved, merge_method="heap"
+        with pytest.raises(ValueError, match="built-in goodness"):
+            fast_cluster_with_links(links, k=2, f_theta=0.3, goodness_fn=halved)
+        registry = MetricsRegistry()
+        routed = cluster_with_links(
+            links, k=2, f_theta=0.3, goodness_fn=halved, registry=registry
         )
-        fast = cluster_with_links(
-            links, k=2, f_theta=0.3, goodness_fn=halved, merge_method="fast"
-        )
-        assert_identical(ref, fast)
+        ref = heap_cluster_with_links(links, k=2, f_theta=0.3, goodness_fn=halved)
+        assert_identical(ref, routed)
+        assert "fit.cluster.components" not in registry.snapshot()["counters"]
 
 
 class TestKernelsBitwise:
@@ -254,56 +282,6 @@ class TestKernelsBitwise:
             merge_kernel_by_name("bogus", 0.5)
 
 
-class TestParallelDeterminism:
-    def _problem_set(self):
-        rng = random.Random(11)
-        # 15 components of 6 points each, fully linked inside
-        return link_table(90, [
-            (i, j, rng.randint(1, 5))
-            for base in range(0, 90, 6)
-            for i in range(base, base + 6)
-            for j in range(i + 1, base + 6)
-        ])
-
-    def test_worker_count_invariance(self):
-        from repro.parallel.merge import parallel_component_streams
-
-        links = self._problem_set()
-        sizes = np.ones(90, dtype=np.int64)
-        lo, hi, counts = links.pair_arrays()
-        problems = partition_components(90, sizes, lo, hi, counts)
-        assert len(problems) == 15
-        kernel = merge_kernel_for(goodness, default_f(0.5), n_max=90)
-        serial = [component_merge_stream(p, kernel) for p in problems]
-        registry = MetricsRegistry()
-        parallel = parallel_component_streams(
-            problems, f_theta=default_f(0.5), kernel_name="normalized",
-            n_max=90, workers=2, registry=registry,
-        )
-        assert len(parallel) == len(serial)
-        for a, b in zip(serial, parallel):
-            assert np.array_equal(a.left, b.left)
-            assert np.array_equal(a.right, b.right)
-            assert a.goodness.tobytes() == b.goodness.tobytes()
-            assert np.array_equal(a.sizes, b.sizes)
-            assert a.heap_ops == b.heap_ops
-        counters = registry.snapshot()["counters"]
-        assert counters["fit.cluster.chunks"] >= 1
-        assert counters["fit.cluster.heap_ops"] == sum(
-            s.heap_ops for s in serial
-        )
-
-    def test_workers_end_to_end(self):
-        links = self._problem_set()
-        ref = cluster_with_links(
-            links, k=15, f_theta=default_f(0.5), merge_method="heap"
-        )
-        fast = fast_cluster_with_links(
-            links, k=15, f_theta=default_f(0.5), workers=2
-        )
-        assert_identical(ref, fast)
-
-
 class TestRegistryCounters:
     def test_component_and_heap_counters(self):
         links = make_links(
@@ -330,43 +308,47 @@ class TestEngineIntegration:
 
     def test_rock_end_to_end(self):
         data = self._baskets()
-        ref = rock(data, k=4, theta=0.5, merge_method="heap")
-        fast = rock(data, k=4, theta=0.5, merge_method="fast")
-        auto = rock(data, k=4, theta=0.5)
-        assert_identical(ref, fast)
-        assert_identical(ref, auto)
+        ref = rock(data, k=4, theta=0.5, goodness_fn=reference_goodness)
+        for fast in engine_results(rock, data, k=4, theta=0.5):
+            assert_identical(ref, fast)
 
     def test_pipeline_with_weeding_resume(self):
-        """The weed-then-resume path goes through the fast engine too."""
+        """The weed-then-resume path goes through every engine too."""
         data = self._baskets(n_clusters=5, per=10)
         kwargs = dict(
             k=5, theta=0.5, sample_size=40, min_cluster_size=3, seed=9
         )
-        ref = RockPipeline(merge_method="heap", **kwargs).fit(data)
-        fast = RockPipeline(merge_method="fast", **kwargs).fit(data)
-        assert ref.clusters == fast.clusters
-        assert np.array_equal(ref.labels, fast.labels)
-        assert ref.outlier_indices == fast.outlier_indices
+        ref = RockPipeline(goodness_fn=reference_goodness, **kwargs).fit(data)
+        assert ref.backends["merge"] == "heap"
+        for fast in engine_results(
+            lambda: RockPipeline(**kwargs).fit(data)
+        ):
+            assert fast.backends["merge"] != "heap"
+            assert ref.clusters == fast.clusters
+            assert np.array_equal(ref.labels, fast.labels)
+            assert ref.outlier_indices == fast.outlier_indices
 
     def test_model_metadata_records_merge_method(self):
+        """The model records the engine that ran, not a requested one."""
         from repro.serve.model import model_from_result
 
         data = self._baskets()
-        pipeline = RockPipeline(k=4, theta=0.5, merge_method="fast", seed=1)
+        pipeline = RockPipeline(k=4, theta=0.5, seed=1)
         result = pipeline.fit(data)
         model = model_from_result(pipeline, result, points=data)
-        assert model.metadata["merge_method"] == "fast"
+        assert "merge_method" not in model.metadata
+        assert model.metadata["backends"]["merge"] == merge_engine(goodness)
 
     def test_estimator_param_roundtrip(self):
         from repro.estimator import RockClusterer
 
-        est = RockClusterer(n_clusters=2, merge_method="fast")
-        assert est.get_params()["merge_method"] == "fast"
-        est.set_params(merge_method="heap")
-        assert est.merge_method == "heap"
-
-    def test_methods_tuple(self):
-        assert MERGE_METHODS == ("auto", "heap", "fast", "native")
+        est = RockClusterer(n_clusters=2, fit_mode="sharded")
+        assert "merge_method" not in est.get_params()
+        assert est.get_params()["fit_mode"] == "sharded"
+        est.set_params(fit_mode="auto")
+        assert est.fit_mode == "auto"
+        with pytest.raises(ValueError, match="merge_method"):
+            est.set_params(merge_method="heap")
 
 
 class TestLabelsFromClusters:

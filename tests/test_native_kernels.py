@@ -4,12 +4,15 @@ The :mod:`repro.native` kernels are only admissible as pure
 optimisations: for every input the native fused pass must produce the
 same survivor sets, neighbor lists, degrees and link counts as
 :func:`repro.parallel.links.fused_neighbor_links`, and the native merge
-engine must replay the same merge history -- bitwise-equal goodness
+kernel must replay the same merge history -- bitwise-equal goodness
 floats and identical ``heap_ops`` accounting -- as both the Figure 3
-reference loop and the fast Python engine.  The hypothesis properties
-mirror ``tests/test_merge_engine.py`` and ``tests/test_parallel_fit.py``
-and run against the C tier wherever it probes clean (a system compiler
-exists and ``REPRO_NATIVE`` is not off); elsewhere the module skips.
+reference loop and the component engine's Python inner loop.  The
+hypothesis properties mirror ``tests/test_merge_engine.py`` and
+``tests/test_parallel_fit.py`` and run against the C tier wherever it
+probes clean (a system compiler exists and ``REPRO_NATIVE`` is not
+off); elsewhere the module skips, and
+``tests/test_native_fallback.py::TestProbe::test_probe_passes_where_a_compiler_exists``
+fails instead where a compiler exists.
 """
 
 import math
@@ -29,11 +32,11 @@ from repro.core.goodness import (
 from repro.core.links import LinkTable
 from repro.core.merge import (
     component_merge_stream,
-    fast_cluster_with_links,
+    merge_engine,
     partition_components,
 )
 from repro.core.pipeline import RockPipeline
-from repro.core.rock import cluster_with_links, rock
+from repro.core.rock import cluster_with_links, heap_cluster_with_links, rock
 from repro.core.similarity import JaccardSimilarity, OverlapSimilarity
 from repro.data.transactions import Transaction, TransactionDataset
 from repro.native import get_kernels
@@ -42,7 +45,7 @@ from repro.native.links import (
     native_neighbor_links,
     native_transaction_csr,
 )
-from repro.native.merge import native_component_streams, native_merge_supported
+from repro.native.merge import native_component_streams
 from repro.obs.registry import MetricsRegistry
 from repro.parallel.links import fused_neighbor_links
 from tests.linktables import link_table
@@ -197,11 +200,13 @@ class TestNativeMergeEngine:
             goodness_fn=goodness_fn,
         )
         links = make_links(n, edges)
-        ref = cluster_with_links(links, merge_method="heap", **kwargs)
-        fast = cluster_with_links(links, merge_method="fast", **kwargs)
-        assert_identical(ref, fast)
-        native = cluster_with_links(links, merge_method="native", **kwargs)
+        ref = heap_cluster_with_links(links, **kwargs)
+        native = cluster_with_links(links, **kwargs)  # the default engine
         assert_identical(ref, native)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("REPRO_NATIVE", "0")
+            fast = cluster_with_links(links, **kwargs)
+        assert_identical(ref, fast)
 
     @pytest.mark.parametrize("backend", AVAILABLE)
     def test_streams_and_heap_ops_identical(self, backend):
@@ -238,22 +243,18 @@ class TestNativeMergeEngine:
     def test_stopped_early_disconnected(self, backend):
         edges = {(0, 1): 3.0, (1, 2): 2.0, (3, 4): 4.0, (5, 6): 1.0}
         links = make_links(8, edges)  # point 7 fully isolated
-        ref = cluster_with_links(
-            links, k=1, f_theta=default_f(0.5), merge_method="heap"
-        )
-        native = cluster_with_links(
-            links, k=1, f_theta=default_f(0.5), merge_method="native"
-        )
+        ref = heap_cluster_with_links(links, k=1, f_theta=default_f(0.5))
+        native = cluster_with_links(links, k=1, f_theta=default_f(0.5))
         assert ref.stopped_early and native.stopped_early
         assert_identical(ref, native)
 
     def test_merge_supported_matrix(self):
-        assert native_merge_supported(merge_kernel_for(goodness, 0.5))
-        assert native_merge_supported(merge_kernel_for(naive_goodness, 0.5))
-        assert not native_merge_supported(None)
-        assert not native_merge_supported(
-            merge_kernel_for(lambda c, ni, nj, f: c, 0.5)
-        )
+        """Both built-in measures run the native kernel; a custom
+        callable runs the reference loop and never reaches it."""
+        native = f"native:{KERNELS.name}"
+        assert merge_engine(goodness) == native
+        assert merge_engine(naive_goodness) == native
+        assert merge_engine(lambda c, ni, nj, f: c) == "heap"
 
 
 # -- the serving assign kernel: fused gather/threshold/argmax ----------------
@@ -328,11 +329,14 @@ class TestNativeEndToEnd:
     @pytest.mark.parametrize("backend", AVAILABLE)
     def test_rock_native_modes(self, backend, monkeypatch):
         data = self._baskets()
-        native = rock(
-            data, k=4, theta=0.5, memory_budget=1, merge_method="native"
-        )
+        native = rock(data, k=4, theta=0.5, memory_budget=1)
         monkeypatch.setenv("REPRO_NATIVE", "0")
-        ref = rock(data, k=4, theta=0.5, memory_budget=1, merge_method="heap")
+        fused = rock(data, k=4, theta=0.5, memory_budget=1)
+        assert_identical(fused, native)
+        ref = rock(
+            data, k=4, theta=0.5, memory_budget=1,
+            goodness_fn=lambda c, ni, nj, f: goodness(c, ni, nj, f),
+        )  # a custom callable: the reference heap loop
         assert_identical(ref, native)
 
     @pytest.mark.parametrize("backend", AVAILABLE)
@@ -344,12 +348,13 @@ class TestNativeEndToEnd:
             k=5, theta=0.5, sample_size=40, min_cluster_size=3, seed=9,
             memory_budget=1,
         )
-        native = RockPipeline(merge_method="native", **kwargs).fit(data)
+        native = RockPipeline(**kwargs).fit(data)
         monkeypatch.setenv("REPRO_NATIVE", "0")
-        ref = RockPipeline(merge_method="heap", **kwargs).fit(data)
+        ref = RockPipeline(**kwargs).fit(data)
         assert ref.clusters == native.clusters
         assert np.array_equal(ref.labels, native.labels)
         assert ref.outlier_indices == native.outlier_indices
         assert native.backends["fit"] == f"native:{backend}"
         assert native.backends["merge"] == f"native:{backend}"
         assert ref.backends["fit"] == "fused"
+        assert ref.backends["merge"] == "fast"

@@ -373,12 +373,9 @@ def test_cli_fit_mode_and_workers(tmp_path, capsys):
     assert main([
         "fit-model", "--input", str(data), "--format", "transactions",
         "-k", "3", "--theta", "0.4", "--model", str(model_path),
-        "--fit-mode", "fused", "--workers", "2", "--seed", "0",
+        "--fit-mode", "auto", "--workers", "2", "--seed", "0",
     ]) == 0
-    # a removed fit mode still parses for one release: one deprecation
-    # line on stderr, then the auto route
-    err = capsys.readouterr().err
-    assert err.count("deprecated") == 1 and "--fit-mode fused" in err
+    assert capsys.readouterr().err == ""
     from repro.serve.model import RockModel
 
     model = RockModel.load(model_path)

@@ -5,7 +5,9 @@ pausing at ``k'`` clusters depend only on the partition at the pause,
 not on how it was reached.  So resuming via ``initial_clusters`` must
 reproduce the one-shot run **byte for byte** -- same final clusters,
 same merge history (pause prefix + resume suffix), same goodness
-floats bit for bit -- across ``merge_method={heap,fast}``.
+floats bit for bit -- on every merge engine: the reference heap loop,
+the default component engine and its Python inner loop
+(``REPRO_NATIVE=0``).
 
 Merge ids are partition-relative (a resumed run renumbers its starting
 clusters 0..m-1), so histories are compared after canonicalising each
@@ -21,6 +23,7 @@ divergence source, since ties break by heap insertion order --
 astronomically unlikely.
 """
 
+import contextlib
 import random
 
 import numpy as np
@@ -28,12 +31,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.goodness import default_f
+from repro.core.goodness import default_f, goodness
 from repro.core.pipeline import RockPipeline
-from repro.core.rock import cluster_with_links
+from repro.core.rock import cluster_with_links, heap_cluster_with_links
 from tests.linktables import link_table
 
 F_THETA = default_f(0.5)
+
+# the merge engines every resume property runs on
+ENGINES = ("heap", "default", "python")
+
+
+def reference_goodness(count, ni, nj, f_theta):
+    """The built-in measure behind a custom callable: a pipeline given
+    it runs the reference heap loop, with bitwise-equal goodness."""
+    return goodness(count, ni, nj, f_theta)
+
+
+@contextlib.contextmanager
+def engine_context(engine):
+    """Switch the C tier off for the ``python`` engine."""
+    with pytest.MonkeyPatch.context() as mp:
+        if engine == "python":
+            mp.setenv("REPRO_NATIVE", "0")
+        yield
 
 
 def canonical_history(merges, initial_member_sets):
@@ -90,30 +111,27 @@ class TestClusterWithLinksResume:
     @settings(max_examples=60, deadline=None)
     def test_pause_resume_byte_identical_to_one_shot(self, problem):
         n, edges, k_final, k_pause = problem
-        for merge_method in ("heap", "fast"):
+        for engine in ENGINES:
+            run = heap_cluster_with_links if engine == "heap" else cluster_with_links
             links = make_links(n, edges)
-            direct = cluster_with_links(
-                links, k=k_final, f_theta=F_THETA, merge_method=merge_method
-            )
-            paused = cluster_with_links(
-                links, k=k_pause, f_theta=F_THETA, merge_method=merge_method
-            )
-            resumed = cluster_with_links(
-                links,
-                k=k_final,
-                f_theta=F_THETA,
-                initial_clusters=paused.clusters,
-                merge_method=merge_method,
-            )
+            with engine_context(engine):
+                direct = run(links, k=k_final, f_theta=F_THETA)
+                paused = run(links, k=k_pause, f_theta=F_THETA)
+                resumed = run(
+                    links,
+                    k=k_final,
+                    f_theta=F_THETA,
+                    initial_clusters=paused.clusters,
+                )
             assert canonical_clusters(resumed.clusters) == canonical_clusters(
                 direct.clusters
-            ), merge_method
+            ), engine
             singletons = [[i] for i in range(n)]
             want = canonical_history(direct.merges, singletons)
             got = canonical_history(paused.merges, singletons) + canonical_history(
                 resumed.merges, paused.clusters
             )
-            assert got == want, merge_method
+            assert got == want, engine
             assert resumed.stopped_early == direct.stopped_early or (
                 not resumed.merges and paused.stopped_early
             )
@@ -124,30 +142,30 @@ class TestPipelineResumeSeam:
     partition over the same sample equals the one-shot fit, including
     sampling and isolated-point pruning in front of the merge loop."""
 
-    def run_pair(self, seed, merge_method, sample_size=None):
+    def run_pair(self, seed, engine, sample_size=None):
         rng = random.Random(seed)
         vocab_a, vocab_b = list(range(12)), list(range(20, 32))
         points = [
             frozenset(rng.sample(vocab_a if i % 2 else vocab_b, 4))
             for i in range(160)
         ]
-        params = dict(
-            theta=0.3, seed=seed, merge_method=merge_method,
-            sample_size=sample_size,
-        )
-        coarse = RockPipeline(k=8, **params).fit(points)
-        fine_pipeline = RockPipeline(k=2, **params)
-        direct = fine_pipeline.fit(points)
-        resumed = fine_pipeline.fit(
-            points, initial_clusters=coarse.clusters
-        )
+        params = dict(theta=0.3, seed=seed, sample_size=sample_size)
+        if engine == "heap":
+            params["goodness_fn"] = reference_goodness
+        with engine_context(engine):
+            coarse = RockPipeline(k=8, **params).fit(points)
+            fine_pipeline = RockPipeline(k=2, **params)
+            direct = fine_pipeline.fit(points)
+            resumed = fine_pipeline.fit(
+                points, initial_clusters=coarse.clusters
+            )
         return coarse, direct, resumed
 
     def test_refit_byte_identical_across_merge_methods(self):
-        for merge_method in ("heap", "fast"):
+        for engine in ENGINES:
             for seed in (0, 1, 7):
-                coarse, direct, resumed = self.run_pair(seed, merge_method)
-                assert resumed.clusters == direct.clusters, (merge_method, seed)
+                coarse, direct, resumed = self.run_pair(seed, engine)
+                assert resumed.clusters == direct.clusters, (engine, seed)
                 assert np.array_equal(resumed.labels, direct.labels)
                 assert resumed.outlier_indices == direct.outlier_indices
                 # merge history: one-shot == coarse prefix + resumed suffix,
@@ -158,13 +176,13 @@ class TestPipelineResumeSeam:
                         for m in result.rock_result.merges
                     ]
                 assert tail(coarse) + tail(resumed) == tail(direct), (
-                    merge_method, seed,
+                    engine, seed,
                 )
 
     def test_refit_byte_identical_with_sampling_and_pruning(self):
-        for merge_method in ("heap", "fast"):
+        for engine in ENGINES:
             coarse, direct, resumed = self.run_pair(
-                3, merge_method, sample_size=90
+                3, engine, sample_size=90
             )
             assert resumed.clusters == direct.clusters
             assert np.array_equal(resumed.labels, direct.labels)
