@@ -34,6 +34,14 @@ processes are folded in via ``RUSAGE_CHILDREN``.  Three benches:
 
 The variant timings cover the neighbor+link stage only -- the merge
 loop is identical across variants.
+
+``test_neighbor_gate_crossover`` (and its ``smoke`` variant) is the
+sweep behind the planner's in-budget gate
+(``repro.core.pipeline.SHARED_PAIR_RATIO``): planted baskets whose
+shared-item pair work ``S`` spans about 0.1-10 times ``n^2 / 2``, each
+run through ``run_fit_plan`` on the dense route and on the shared-item
+route, on both tiers (native, and the fused kernel under
+``REPRO_NATIVE=0``), with the break-even ``S / (n^2 / 2)`` of each tier.
 """
 
 import json
@@ -66,6 +74,14 @@ WORKER_CURVE = (1, 2, 4)
 SLOW_N_CLUSTERS = 1260  # x24 points/cluster = 30,240 points
 WALL_N_CLUSTERS = 1400  # x24 points/cluster = 33,600 points
 SMOKE_N_CLUSTERS = 30
+
+# the gate sweep: fit-full's 1,680 points in 1..192 planted clusters
+# (S / (n^2 / 2) about 8.3 / clusters), median of GATE_REPS per route
+GATE_N = 1680
+GATE_CLUSTERS = (1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 24, 48, 96, 192)
+GATE_REPS = 5
+SMOKE_GATE_N = 240
+SMOKE_GATE_CLUSTERS = (1, 24)
 
 
 def peak_rss_bytes() -> int:
@@ -161,6 +177,24 @@ def kernels_available() -> list[str]:
     return ["fused"] + (["native"] if native_mod.available_backend() else [])
 
 
+def dense_route_clusters(dataset, k: int) -> list[list[int]]:
+    """The pipeline's clusters, from the dense route run without the planner."""
+    from repro.core.goodness import default_f
+    from repro.core.neighbors import resolve_memory_budget
+    from repro.core.pipeline import FitPlan, run_fit_plan
+    from repro.core.rock import cluster_with_links
+    from repro.obs import Tracer
+
+    plan = FitPlan("dense", "dense", resolve_memory_budget(None), "reference")
+    stages = run_fit_plan(plan, dataset, THETA, tracer=Tracer())
+    result = cluster_with_links(stages.links, k=k, f_theta=default_f(THETA))
+    kept = stages.kept.tolist()
+    return sorted(
+        (sorted(kept[p] for p in cluster) for cluster in result.clusters),
+        key=lambda members: (-len(members), members[0]),
+    )
+
+
 def test_parallel_fit_smoke(benchmark, save_result, save_manifest):
     """Small-n: both one-pass routes label-identical to the dense route."""
     from unittest import mock
@@ -170,8 +204,7 @@ def test_parallel_fit_smoke(benchmark, save_result, save_manifest):
     n_clusters = SMOKE_N_CLUSTERS
     dataset = make_clustered_baskets(n_clusters)
     base = dict(k=n_clusters, theta=THETA, sample_size=None, seed=0)
-    dense = RockPipeline(**base).fit(dataset, label_remaining=False)
-    assert dense.backends["fit"] == "dense"
+    dense = dense_route_clusters(dataset, n_clusters)
     kernels = kernels_available()
     for kernel in kernels:
         with mock.patch.dict(os.environ):
@@ -181,8 +214,7 @@ def test_parallel_fit_smoke(benchmark, save_result, save_manifest):
                 dataset, label_remaining=False
             )
         assert result.backends["fit"].startswith(kernel), result.backends
-        assert np.array_equal(result.labels, dense.labels), kernel
-        assert result.clusters == dense.clusters, kernel
+        assert result.clusters == dense, kernel
 
     tracer = Tracer()
     holder = {}
@@ -363,6 +395,242 @@ def test_fit_past_the_memory_wall(benchmark, save_result):
             "",
             machine_summary(),
         ]),
+    )
+
+
+# -- the planner's shared-item gate --------------------------------------------
+
+
+def gate_baskets(n: int, n_clusters: int, seed: int = 0):
+    """``n`` baskets of 10 items, round-robin over disjoint 12-item pools.
+
+    Each item lands in about ``10 n / (12 n_clusters)`` baskets, so
+    ``S / (n^2 / 2)`` is about ``8.3 / n_clusters``; every in-cluster
+    pair shares at least 8 of 12 items and is a neighbor at theta 0.5.
+    """
+    from repro.data.transactions import TransactionDataset
+
+    rng = np.random.default_rng(seed)
+    return TransactionDataset([
+        frozenset((12 * (i % n_clusters) + rng.choice(12, 10, replace=False)).tolist())
+        for i in range(n)
+    ])
+
+
+def time_gate_routes(points, tier: str, reps: int, tracer) -> dict:
+    """Median neighbors+links seconds of the dense and shared-item routes."""
+    import statistics
+
+    from repro.core.encoding import transaction_csr
+    from repro.core.neighbors import resolve_memory_budget
+    from repro.core.pipeline import FitPlan, plan_fit, run_fit_plan
+    from repro.obs import Tracer
+
+    n = len(points)
+    csr = transaction_csr(points)
+    shared = csr.shared_pairs()
+    budget = resolve_memory_budget(None)
+    shared_route = "native" if tier == "cext" else "fused"
+    plans = {
+        route: FitPlan(route, route, budget, "gate sweep", shared, csr)
+        for route in ("dense", shared_route)
+    }
+    # one untimed pass per route (imports, caches), which also checks
+    # that both routes count the same links
+    tables = {
+        route: run_fit_plan(plan, points, THETA, tracer=Tracer()).links
+        for route, plan in plans.items()
+    }
+    seconds: dict[str, list[float]] = {route: [] for route in plans}
+    for _ in range(reps):
+        for route, plan in plans.items():  # alternate: drift hits both
+            start = time.perf_counter()
+            run_fit_plan(plan, points, THETA, tracer=Tracer())
+            seconds[route].append(time.perf_counter() - start)
+    dense, other = tables["dense"], tables[shared_route]
+    assert np.array_equal(dense.codes, other.codes), tier
+    assert np.array_equal(dense.counts, other.counts), tier
+    row = {
+        "tier": tier,
+        "ratio": shared / (n * n / 2),
+        "dense_ms": 1e3 * statistics.median(seconds["dense"]),
+        "shared_ms": 1e3 * statistics.median(seconds[shared_route]),
+        "planned": plan_fit(points, THETA).route,
+        "links": other.producer,
+    }
+    key = f"bench.gate.{tier}.{row['ratio']:.3f}"
+    tracer.registry.set_gauge(f"{key}.dense_ms", row["dense_ms"])
+    tracer.registry.set_gauge(f"{key}.shared_ms", row["shared_ms"])
+    return row
+
+
+def gate_sweep(n: int, clusters: tuple[int, ...], reps: int, tracer) -> list[dict]:
+    """Every shape on both tiers (the numpy one under ``REPRO_NATIVE=0``)."""
+    from contextlib import nullcontext
+
+    from benchmarks.machine import native_off
+
+    tiers = [("cext", nullcontext)] if kernels_available()[-1] == "native" else []
+    tiers.append(("numpy", native_off))
+    rows = []
+    for tier, context in tiers:
+        with tracer.span(f"gate:{tier}", n=n, reps=reps), context():
+            rows.extend(
+                time_gate_routes(gate_baskets(n, n_clusters), tier, reps, tracer)
+                for n_clusters in clusters
+            )
+    return rows
+
+
+def break_even(rows: list[dict]) -> float | None:
+    """The ``S / (n^2 / 2)`` where the dense route starts winning (log-interpolated)."""
+    rows = sorted(rows, key=lambda row: row["ratio"])
+    gains = [np.log(row["dense_ms"] / row["shared_ms"]) for row in rows]
+    for low, high, g_low, g_high in zip(rows, rows[1:], gains, gains[1:]):
+        if g_low > 0 >= g_high:
+            w = g_low / (g_low - g_high)
+            return float(np.exp(
+                (1 - w) * np.log(low["ratio"]) + w * np.log(high["ratio"])
+            ))
+    return None
+
+
+def routed_ms(rows: list[dict], gate: float) -> float:
+    """Total time when every shape runs the route ``gate`` picks for it."""
+    return sum(
+        row["shared_ms"] if row["ratio"] < gate else row["dense_ms"] for row in rows
+    )
+
+
+def best_gates(rows: list[dict]) -> tuple[float, float]:
+    """The range of single gates (both tiers at once) within 1% of the least total time."""
+    ratios = sorted({row["ratio"] for row in rows})
+    candidates = [ratios[0] / 2, *np.sqrt(np.multiply(ratios[:-1], ratios[1:])),
+                  ratios[-1] * 2]
+    totals = [routed_ms(rows, gate) for gate in candidates]
+    good = [g for g, t in zip(candidates, totals) if t <= 1.01 * min(totals)]
+    return float(min(good)), float(max(good))
+
+
+def format_gate(rows: list[dict], gate: float) -> list[str]:
+    lines = [
+        f"{'tier':<6} {'S/(n^2/2)':>10} {'dense_ms':>9} {'shared_ms':>10} "
+        f"{'dense/shared':>13} {'planned':>8}  links",
+    ]
+    for row in rows:
+        lines.append(
+            f"{row['tier']:<6} {row['ratio']:>10.2f} {row['dense_ms']:>9.1f} "
+            f"{row['shared_ms']:>10.1f} {row['dense_ms'] / row['shared_ms']:>12.2f}x "
+            f"{row['planned']:>8}  {row['links']}"
+        )
+    lines.append("")
+    for tier in sorted({row["tier"] for row in rows}):
+        mine = [row for row in rows if row["tier"] == tier]
+        even = break_even(mine)
+        best = sum(min(row["dense_ms"], row["shared_ms"]) for row in mine)
+        lines.append(
+            f"{tier}: break-even S/(n^2/2) "
+            f"{'none in range' if even is None else f'{even:.2f}'}; "
+            f"routing by the gate ({gate:g}) costs "
+            f"{routed_ms(mine, gate) / best:.3f}x the per-shape best"
+        )
+    low, high = best_gates(rows)
+    lines.append(
+        f"one gate for both tiers: {low:.2f} .. {high:.2f} keep the summed "
+        "time within 1% of its least"
+    )
+    return lines
+
+
+def test_neighbor_gate_crossover_smoke(benchmark, save_result, save_manifest):
+    """Tiny sweep: both routes agree, and the planner routes each end."""
+    from repro.core.pipeline import SHARED_PAIR_RATIO
+    from repro.obs import RunManifest, Tracer
+
+    tracer = Tracer()
+    holder = {}
+    benchmark.pedantic(
+        lambda: holder.setdefault(
+            "rows", gate_sweep(SMOKE_GATE_N, SMOKE_GATE_CLUSTERS, 1, tracer)
+        ),
+        rounds=1,
+        iterations=1,
+    )
+    rows = holder["rows"]
+    for row in rows:
+        below = row["ratio"] < SHARED_PAIR_RATIO
+        shared_route = "native" if row["tier"] == "cext" else "fused"
+        assert row["planned"] == (shared_route if below else "dense"), row
+    save_result(
+        "neighbor_gate_smoke",
+        "\n".join([
+            f"Neighbor gate smoke: n={SMOKE_GATE_N}, theta={THETA}, "
+            f"gate S < {SHARED_PAIR_RATIO:g} n^2/2",
+            "",
+            *format_gate(rows, SHARED_PAIR_RATIO),
+            "",
+            machine_summary(),
+        ]),
+    )
+    save_manifest(
+        "neighbor_gate_smoke",
+        RunManifest.from_tracer(
+            "bench_neighbor_gate_smoke", tracer,
+            config={"n": SMOKE_GATE_N, "clusters": list(SMOKE_GATE_CLUSTERS)},
+        ),
+    )
+
+
+def test_neighbor_gate_crossover(benchmark, save_result, save_manifest):
+    """The sweep behind ``SHARED_PAIR_RATIO``: each end wins on both tiers."""
+    from repro.core.pipeline import SHARED_PAIR_RATIO
+    from repro.obs import RunManifest, Tracer
+
+    tracer = Tracer()
+    holder = {}
+    benchmark.pedantic(
+        lambda: holder.setdefault(
+            "rows", gate_sweep(GATE_N, GATE_CLUSTERS, GATE_REPS, tracer)
+        ),
+        rounds=1,
+        iterations=1,
+    )
+    rows = holder["rows"]
+    for tier in {row["tier"] for row in rows}:
+        mine = sorted(
+            (row for row in rows if row["tier"] == tier),
+            key=lambda row: row["ratio"],
+        )
+        assert mine[0]["ratio"] < 0.15 and mine[-1]["ratio"] > 7
+        assert mine[0]["shared_ms"] < mine[0]["dense_ms"], tier
+        assert mine[-1]["dense_ms"] < mine[-1]["shared_ms"], tier
+    save_result(
+        "neighbor_gate",
+        "\n".join([
+            "Neighbor gate crossover: dense row blocks vs shared-item scoring "
+            "(native, or fused under REPRO_NATIVE=0)",
+            f"n={GATE_N} planted baskets, theta={THETA}; neighbors+links "
+            f"(run_fit_plan), median of {GATE_REPS}, routes alternating",
+            f"planner gate: shared-item scoring while S < {SHARED_PAIR_RATIO:g} "
+            "n^2/2",
+            "",
+            *format_gate(rows, SHARED_PAIR_RATIO),
+            "",
+            machine_summary(),
+        ]),
+    )
+    save_manifest(
+        "neighbor_gate",
+        RunManifest.from_tracer(
+            "bench_neighbor_gate", tracer,
+            config={
+                "n": GATE_N,
+                "clusters": list(GATE_CLUSTERS),
+                "reps": GATE_REPS,
+                "theta": THETA,
+                "gate": SHARED_PAIR_RATIO,
+            },
+        ),
     )
 
 

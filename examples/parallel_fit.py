@@ -5,10 +5,11 @@ cost — O(n²·m) set intersections plus O(Σ mᵢ²) link increments.  The
 paper computes links in one of two ways: square the adjacency, or run
 the Figure 4 neighbor-list loop.  ``repro.core.pipeline.plan_fit``
 picks the route from the input and one memory budget: while the dense
-n x n similarity matrix fits, the dense route; past it, a one-pass
-kernel that folds link counting into the neighbor scan, so the
-neighbor graph never exists in memory (native C kernels, or the scipy
-``fused`` kernel under ``REPRO_NATIVE=0``).
+n x n similarity matrix fits, the dense route (unless the points share
+so few items that scoring only item-sharing pairs is cheaper, as its
+reason line shows); past it, a one-pass kernel that scores only
+item-sharing pairs and never builds a neighbor-graph object (native C
+kernels, or the scipy ``fused`` kernel under ``REPRO_NATIVE=0``).
 
 Every route produces byte-identical clusters; the only differences are
 wall-time and peak memory.  This example fits the same baskets under

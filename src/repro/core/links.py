@@ -15,9 +15,12 @@ strategies:
   ``O(sum_i m_i^2)`` -- implemented by :func:`sparse_link_table` as
   pair-code counting (C ``pair_count_reduce`` or numpy).
 
-Every producer emits the same sorted upper-triangle pair codes
-``i * n + j`` and counts, which :class:`LinkTable` holds as two arrays;
-the equivalence is property-tested.
+Every producer picks between the two by one expected-cost rule
+(:func:`square_pays`): :func:`compute_links` for a graph, and
+:func:`neighbor_list_links` for the neighbor lists the one-pass
+kernels score.  Every producer emits the same sorted upper-triangle
+pair codes ``i * n + j`` and counts, which :class:`LinkTable` holds as
+two arrays; the equivalence is property-tested.
 
 As an extension (the paper's Section 3.2 sketches "alternative
 definitions for links, based on paths of length 3 or more"),
@@ -35,11 +38,11 @@ from repro.core.neighbors import DENSE_BLOCK_ROWS, NeighborGraph
 
 _EMPTY_CODES = np.empty(0, dtype=np.int64)
 
-# ``auto`` counts pair codes while sum_i m_i^2 < SPARSE_LINK_RATIO * n^2
-# and squares the adjacency in row blocks above: the measured crossover
-# (ablation A4) is 1.2-1.5 n^2 for the C count and about n^2 for numpy,
-# and below it the count's ~10 bytes per pair increment stay within
-# twice the dense path's 5 n^2 bytes.
+# Every link producer counts pair codes while sum_i m_i^2 < SPARSE_LINK_RATIO
+# * n^2 and squares the adjacency in row blocks above (when the square
+# fits): the measured crossover (ablation A4) is 1.2-1.5 n^2 for the C
+# count and about n^2 for numpy, and below it the count's ~10 bytes per
+# pair increment stay within twice the square's 5 n^2 bytes.
 SPARSE_LINK_RATIO = 1
 
 
@@ -213,6 +216,40 @@ def _concat(parts: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(parts) if parts else _EMPTY_CODES
 
 
+def square_pays(degrees: np.ndarray, n: int) -> bool:
+    """The Section 4.4 cost rule every link producer follows.
+
+    The Figure 4 count does ``sum_i m_i^2`` pair work; squaring the
+    adjacency costs a fixed ``n^2``-sized product.  Squaring pays from
+    ``SPARSE_LINK_RATIO * n^2`` on.
+    """
+    d = np.asarray(degrees, dtype=np.float64)
+    return bool(d @ d >= SPARSE_LINK_RATIO * n * n)
+
+
+def square_link_bytes(n: int) -> int:
+    """Bytes charged to the row-block square: its ``4 n^2``-byte float32
+    adjacency, plus ``n^2`` for the bool adjacency it is built from on
+    the dense route (room for the block products otherwise)."""
+    return 5 * n * n
+
+
+def _square_table(a: np.ndarray, block_rows: int) -> LinkTable:
+    """Upper-triangle link counts of the float32 0/1 adjacency ``a``."""
+    n = a.shape[0]
+    codes: list[np.ndarray] = []
+    counts: list[np.ndarray] = []
+    for start in range(0, n, block_rows):
+        stop = min(start + block_rows, n)
+        # A is symmetric, so A[:, start:] is the transposed view A[start:].T
+        block = np.triu(a[start:stop] @ a[start:].T, 1)
+        flat = np.flatnonzero(block)
+        rows, cols = np.divmod(flat, n - start)
+        codes.append((rows + start) * n + (cols + start))
+        counts.append(block.reshape(-1)[flat].astype(np.int64))
+    return LinkTable(n, _concat(codes), _concat(counts), "dense-blocks")
+
+
 def blocked_link_table(
     graph: NeighborGraph, block_rows: int = DENSE_BLOCK_ROWS
 ) -> LinkTable:
@@ -225,19 +262,7 @@ def blocked_link_table(
     adjacency, only its ``4 n^2``-byte float32 copy and one block of
     counts exist at a time.
     """
-    n = graph.n
-    a = graph.adjacency.astype(np.float32)
-    codes: list[np.ndarray] = []
-    counts: list[np.ndarray] = []
-    for start in range(0, n, block_rows):
-        stop = min(start + block_rows, n)
-        # A is symmetric, so A[:, start:] is the transposed view A[start:].T
-        block = np.triu(a[start:stop] @ a[start:].T, 1)
-        flat = np.flatnonzero(block)
-        rows, cols = np.divmod(flat, n - start)
-        codes.append((rows + start) * n + (cols + start))
-        counts.append(block.reshape(-1)[flat].astype(np.int64))
-    return LinkTable(n, _concat(codes), _concat(counts), "dense-blocks")
+    return _square_table(graph.adjacency.astype(np.float32), block_rows)
 
 
 def _neighbor_csr(graph: NeighborGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -254,6 +279,44 @@ def _neighbor_csr(graph: NeighborGraph) -> tuple[np.ndarray, np.ndarray]:
     return indptr, indices
 
 
+def pair_count_table(indptr: np.ndarray, indices: np.ndarray, n: int) -> LinkTable:
+    """Figure 4 over neighbor lists held as CSR: pair codes, counted.
+
+    In C (``pair_count_reduce``) when the native tier probed clean, in
+    numpy otherwise; the producer is ``pair-count:<tier>``.
+    """
+    from repro.native import get_kernels
+
+    kernels = get_kernels()
+    if kernels is not None:
+        codes, counts = kernels.pair_count_reduce(indptr, indices, n)
+        tier = kernels.name
+    else:
+        from repro.parallel.links import csr_pair_counts
+
+        codes, counts = csr_pair_counts(indptr, indices, n)
+        tier = "numpy"
+    return LinkTable(n, codes, counts, f"pair-count:{tier}")
+
+
+def neighbor_list_links(
+    indptr: np.ndarray, indices: np.ndarray, n: int, memory_budget: int
+) -> LinkTable:
+    """Links of a neighbor graph held as CSR, by :func:`square_pays`.
+
+    What the one-pass kernels call on the lists they scored: the
+    row-block square when it pays and its :func:`square_link_bytes`
+    fit ``memory_budget``, the pair count otherwise.  Identical counts
+    either way; the table's ``producer`` says which ran.
+    """
+    degrees = np.diff(indptr)
+    if square_pays(degrees, n) and square_link_bytes(n) <= memory_budget:
+        a = np.zeros((n, n), dtype=np.float32)
+        a[np.repeat(np.arange(n), degrees), indices] = 1.0
+        return _square_table(a, DENSE_BLOCK_ROWS)
+    return pair_count_table(indptr, indices, n)
+
+
 def sparse_link_table(graph: NeighborGraph) -> LinkTable:
     """The Figure 4 algorithm: every point links each pair of its neighbors.
 
@@ -261,31 +324,18 @@ def sparse_link_table(graph: NeighborGraph) -> LinkTable:
     count -- the paper's ``O(n * m_m * m_a)`` bound.  Point ``i``
     contributes +1 to every unordered pair drawn from ``nbrlist[i]``;
     the pairs are emitted as codes ``a * n + b`` (``a < b``, lists are
-    ascending) and counted by sort + run-length reduction, in C when
-    the native tier probed clean and in numpy otherwise.
+    ascending) and counted by sort + run-length reduction
+    (:func:`pair_count_table`).
     """
-    from repro.native import get_kernels
-
-    n = graph.n
-    kernels = get_kernels()
-    if kernels is not None:
-        codes, counts = kernels.pair_count_reduce(*_neighbor_csr(graph), n)
-        producer = f"pair-count:{kernels.name}"
-    else:
-        from repro.parallel.links import pair_link_counts
-
-        codes, counts = pair_link_counts(graph.neighbor_lists(), n)
-        producer = "pair-count:numpy"
-    return LinkTable(n, codes, counts, producer)
+    return pair_count_table(*_neighbor_csr(graph), graph.n)
 
 
 def compute_links(graph: NeighborGraph, method: str = "auto") -> LinkTable:
     """Compute the link table, picking dense vs sparse by expected cost.
 
-    ``auto`` counts pair codes (:func:`sparse_link_table`) while the
-    Figure 4 pair work ``sum_i m_i^2`` stays below
-    ``SPARSE_LINK_RATIO * n^2``, and squares the adjacency in row
-    blocks (:func:`blocked_link_table`) above it.  A sparse-backed
+    ``auto`` squares the adjacency in row blocks
+    (:func:`blocked_link_table`) when :func:`square_pays` and counts
+    pair codes (:func:`sparse_link_table`) otherwise.  A sparse-backed
     graph always stays sparse unless ``dense`` is forced, so no
     ``n x n`` array is built for it.  ``dense`` / ``sparse`` force a
     path.  Every path returns identical counts; the table's
@@ -294,12 +344,8 @@ def compute_links(graph: NeighborGraph, method: str = "auto") -> LinkTable:
     if method not in ("auto", "dense", "sparse"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
-        if not graph.has_dense:
-            method = "sparse"
-        else:
-            degrees = graph.degrees().astype(np.float64)
-            pair_work = degrees @ degrees
-            method = "sparse" if pair_work < SPARSE_LINK_RATIO * graph.n**2 else "dense"
+        square = graph.has_dense and square_pays(graph.degrees(), graph.n)
+        method = "dense" if square else "sparse"
     return sparse_link_table(graph) if method == "sparse" else blocked_link_table(graph)
 
 

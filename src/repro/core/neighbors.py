@@ -27,14 +27,15 @@ Two computation paths are provided:
 
 :func:`compute_neighbor_graph` builds the in-memory graph for the
 fit's dense route, DBSCAN and QROCK.  Fits too large for a dense
-adjacency never build a graph: :func:`repro.core.pipeline.plan_fit`
-sends them to the fused neighbor+link kernels
-(:func:`repro.parallel.links.fused_neighbor_links`,
-:func:`repro.native.links.native_neighbor_links`), which share the
-picklable :class:`BlockScorer` objects built here.  Block scoring is
-row-independent and exact (integer intersections below 2**24, one
-float64 division), so every path produces bit-identical graphs for any
-block size or worker count.
+adjacency, and fits whose points share few items
+(:func:`repro.core.pipeline.plan_fit` prices both), run the one-pass
+neighbor+link kernels (:func:`repro.parallel.links.fused_neighbor_links`,
+:func:`repro.native.links.native_neighbor_links`) instead, which share
+the picklable :class:`BlockScorer` objects built here; every
+transaction scorer reads one :class:`~repro.core.encoding.TransactionCSR`.
+Block scoring is row-independent and exact (integer intersections
+below 2**24, one float64 division), so every path produces
+bit-identical graphs for any block size or worker count.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.encoding import TransactionCSR, transaction_csr
 from repro.core.similarity import JaccardSimilarity, OverlapSimilarity, SimilarityFunction
 from repro.data.records import CategoricalDataset, CategoricalRecord
 from repro.data.transactions import TransactionDataset
@@ -270,7 +272,7 @@ def adjacency_from_similarity_matrix(sim: np.ndarray, theta: float) -> np.ndarra
 
 
 def compute_neighbor_graph(
-    points: TransactionDataset | CategoricalDataset | Sequence[Any],
+    points: TransactionDataset | CategoricalDataset | TransactionCSR | Sequence[Any],
     theta: float,
     similarity: SimilarityFunction | None = None,
     method: str = "auto",
@@ -281,7 +283,9 @@ def compute_neighbor_graph(
     ----------
     points:
         A :class:`TransactionDataset`, a :class:`CategoricalDataset`,
-        or any sequence of points the similarity accepts.
+        their :class:`~repro.core.encoding.TransactionCSR` (what the fit
+        planner hands over, so the fit encodes once), or any sequence
+        of points the similarity accepts.
     theta:
         Neighbor threshold in [0, 1].
     similarity:
@@ -323,8 +327,9 @@ def supports_blocked(points: Any, similarity: SimilarityFunction | None = None) 
 
     Block scoring needs a similarity whose row-block can be computed from a
     compact per-point encoding: Jaccard/overlap over transactions (or
-    ``A.v``-encoded categorical records) and the missing-aware Jaccard
-    over records.
+    ``A.v``-encoded categorical records, or their
+    :class:`~repro.core.encoding.TransactionCSR`) and the missing-aware
+    Jaccard over records.
     """
     if similarity is None:
         similarity = JaccardSimilarity()
@@ -332,7 +337,7 @@ def supports_blocked(points: Any, similarity: SimilarityFunction | None = None) 
 
     from repro.data.transactions import Transaction
 
-    if isinstance(points, TransactionDataset):
+    if isinstance(points, (TransactionDataset, TransactionCSR)):
         return isinstance(similarity, (JaccardSimilarity, OverlapSimilarity))
     if isinstance(points, CategoricalDataset):
         return isinstance(similarity, (JaccardSimilarity, MissingAwareJaccard))
@@ -340,8 +345,8 @@ def supports_blocked(points: Any, similarity: SimilarityFunction | None = None) 
         if isinstance(points[0], CategoricalRecord):
             return isinstance(similarity, MissingAwareJaccard)
         if isinstance(points[0], (Transaction, frozenset, set)):
-            # e.g. a sampled subset of a dataset (the pipeline passes
-            # plain lists); wrapped into a TransactionDataset on the fly
+            # e.g. a sampled subset of a dataset passed as a plain list;
+            # transaction_csr encodes it like a TransactionDataset
             return isinstance(similarity, (JaccardSimilarity, OverlapSimilarity))
     return False
 
@@ -401,12 +406,12 @@ class DenseTransactionScorer(BlockScorer):
     below 2**24, so the products are exact integers.
     """
 
-    def __init__(self, dataset: TransactionDataset, overlap: bool) -> None:
-        self.n = len(dataset)
-        m = dataset.indicator_matrix().astype(np.float32)
+    def __init__(self, csr: TransactionCSR, overlap: bool) -> None:
+        self.n = csr.n
+        m = csr.indicator(np.float32)
         self._m = m
         self._mt = np.ascontiguousarray(m.T)
-        self._sizes = m.sum(axis=1, dtype=np.int64)
+        self._sizes = csr.sizes.astype(np.int64)
         self._overlap = overlap
 
     def score_rows(self, start: int, stop: int) -> np.ndarray:
@@ -442,18 +447,17 @@ class SparseTransactionScorer(BlockScorer):
     holds) is answered directly.
     """
 
-    def __init__(self, dataset: TransactionDataset, overlap: bool) -> None:
+    def __init__(self, csr: TransactionCSR, overlap: bool) -> None:
         from scipy import sparse
 
-        self.n = len(dataset)
+        self.n = csr.n
         matrix = sparse.csr_matrix(
-            dataset.indicator_matrix().astype(np.int64)
+            (np.ones(csr.indices.size, dtype=np.int64), csr.indices, csr.indptr),
+            shape=(csr.n, csr.n_items),
         )
         self._s = matrix
         self._st = matrix.T.tocsr()
-        self._sizes = np.asarray(
-            matrix.sum(axis=1), dtype=np.int64
-        ).ravel()
+        self._sizes = csr.sizes.astype(np.int64)
         self._min_size = int(self._sizes.min()) if self.n else 0
         self._overlap = overlap
 
@@ -558,10 +562,12 @@ def build_block_scorer(
 ) -> BlockScorer:
     """Build the block scorer for a supported points/similarity pair.
 
-    ``prefer_sparse`` opts transactions into
+    Transactions (and ``A.v``-encoded records) are scored from their
+    :class:`~repro.core.encoding.TransactionCSR`, which ``points`` may
+    already be.  ``prefer_sparse`` opts them into
     :class:`SparseTransactionScorer` when scipy is importable (the
-    fused kernel does); the dense route keeps the dense matmul scorer.  Raises for combinations
-    :func:`supports_blocked` rejects.
+    fused kernel does); the dense route keeps the dense matmul scorer.
+    Raises for combinations :func:`supports_blocked` rejects.
     """
     if similarity is None:
         similarity = JaccardSimilarity()
@@ -569,25 +575,15 @@ def build_block_scorer(
         raise ValueError(
             "no block scorer for this similarity/dataset combination"
         )
-    from repro.core.similarity import MissingAwareJaccard
-
-    if isinstance(points, CategoricalDataset):
-        if isinstance(similarity, MissingAwareJaccard):
-            return MissingAwareScorer(list(points))
-        from repro.core.encoding import dataset_to_transactions
-
-        points = dataset_to_transactions(points)
-        similarity = JaccardSimilarity()
-    if not isinstance(points, TransactionDataset):
-        pts = list(points)
-        if pts and isinstance(pts[0], CategoricalRecord):
-            return MissingAwareScorer(pts)
-        # plain sequence of Transaction / set-like points
-        points = TransactionDataset(pts)
+    csr = points if isinstance(points, TransactionCSR) else transaction_csr(
+        points, similarity
+    )
+    if csr is None:  # records under the missing-aware Jaccard
+        return MissingAwareScorer(list(points))
     overlap = isinstance(similarity, OverlapSimilarity)
     if prefer_sparse and _scipy_sparse_available():
-        return SparseTransactionScorer(points, overlap)
-    return DenseTransactionScorer(points, overlap)
+        return SparseTransactionScorer(csr, overlap)
+    return DenseTransactionScorer(csr, overlap)
 
 
 def blocked_adjacency(

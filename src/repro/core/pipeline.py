@@ -20,6 +20,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.encoding import TransactionCSR, transaction_csr
 from repro.core.goodness import default_f, goodness as normalized_goodness
 from repro.core.labeling import (
     ClusterLabeler,
@@ -52,6 +53,19 @@ from repro.obs.trace import Tracer
 FIT_MODES = ("auto", "sharded")
 
 
+# The neighbor kernel's price gate.  Shared-item scoring (the native
+# score_block, or the scipy product under REPRO_NATIVE=0) accumulates
+# S = sum_items df (df - 1) / 2 pair increments; the dense route's row
+# blocks score all n^2 / 2 pairs with BLAS.  An in-budget transaction
+# fit runs the shared-item scorer while S < SHARED_PAIR_RATIO * n^2 / 2.
+# The crossover sweep (bench_parallel_fit.py::test_neighbor_gate_crossover,
+# results/neighbor_gate.txt, 2 vCPUs) breaks even near 2.2 on the C tier
+# and 0.57 on numpy; one gate for both is best between about 0.93 and
+# 1.2.  Benchmarked shapes sit well clear: fit-full 0.28, the
+# paper-basket sample 3.8, stream-drift refits 2.3-3.8.
+SHARED_PAIR_RATIO = 1
+
+
 @dataclass(frozen=True)
 class FitPlan:
     """The fit route :func:`plan_fit` chose, and why.
@@ -62,7 +76,7 @@ class FitPlan:
         ``"dense"`` (row-block adjacency, then links by expected cost),
         ``"bruteforce"`` (pairwise similarity calls, for similarities
         without a block scorer), ``"native"`` / ``"fused"`` (the
-        one-pass neighbor+link kernels of :mod:`repro.native.links` and
+        one-pass shared-item kernels of :mod:`repro.native.links` and
         :mod:`repro.parallel.links`), ``"sharded"``
         (:func:`repro.shard.coordinator.shard_fit`) or ``"weighted"``
         (the similarity-weighted links of ablation A7).
@@ -72,13 +86,24 @@ class FitPlan:
     memory_budget:
         Bytes, resolved once; every kernel of the fit gets this number.
     reason:
-        Why the route was chosen, in words.
+        Why the route was chosen, in words: the budget comparison and,
+        for transaction inputs, ``S`` against ``n^2 / 2``.
+    shared_pairs:
+        ``S``, the shared-item pair work of the input
+        (:meth:`~repro.core.encoding.TransactionCSR.shared_pairs`), or
+        ``None`` where the points have no item encoding.
+    encoding:
+        The :class:`~repro.core.encoding.TransactionCSR` ``S`` was
+        counted on; :func:`run_fit_plan` hands it to the kernel, so a
+        fit encodes its points once.  ``None`` makes the kernel encode.
     """
 
     route: str
     backend: str
     memory_budget: int
     reason: str
+    shared_pairs: int | None = None
+    encoding: TransactionCSR | None = field(default=None, compare=False, repr=False)
 
 
 def plan_fit(
@@ -100,7 +125,8 @@ def plan_fit(
     observe: the similarity and point type, ``theta`` and
     ``min_neighbors``, one memory budget (an explicit ``memory_budget``
     or the host-aware default of
-    :func:`~repro.core.neighbors.resolve_memory_budget`), whether the
+    :func:`~repro.core.neighbors.resolve_memory_budget`), the
+    shared-item pair work ``S`` of transaction inputs, whether the
     :mod:`repro.native` C tier probed clean, and whether
     ``fit_mode="sharded"`` was requested.  In order:
 
@@ -111,13 +137,23 @@ def plan_fit(
        (``initial_clusters``) rule it out, as does ``min_neighbors > 1``.
     2. ``weighted_links`` needs the dense similarity matrix.
     3. A similarity without a block scorer runs the pairwise oracle.
-    4. A dense ``8 n^2``-byte similarity matrix that fits the budget
-       runs the dense route.
-    5. Over budget, the native kernels run where they support the
+    4. Transactions (and ``A.v``-encoded records) are encoded once
+       (:func:`~repro.core.encoding.transaction_csr`) and priced:
+       ``S = sum_items df (df - 1) / 2`` pairs share an item, against
+       the ``n^2 / 2`` pairs the dense route scores.
+    5. A dense ``8 n^2``-byte similarity matrix that fits the budget
+       runs the dense route, unless ``theta > 0`` and
+       ``S < SHARED_PAIR_RATIO * n^2 / 2``: then the shared-item
+       scorer runs, as in 6.
+    6. Over budget, the native kernels run where they support the
        input, the fused kernel otherwise (``REPRO_NATIVE=0``,
        ``theta = 0``, missing-aware Jaccard, no compiler).
 
-    Every route produces identical clusters (property-tested).
+    The one-pass kernels count links by the rule
+    :func:`~repro.core.links.compute_links` follows (pair codes below
+    ``SPARSE_LINK_RATIO * n^2`` pair work, the row-block square above
+    it when the square fits the budget).  Every route produces
+    identical clusters (property-tested).
     """
     if fit_mode not in FIT_MODES:
         raise ValueError(f"fit_mode must be one of {FIT_MODES}, got {fit_mode!r}")
@@ -152,17 +188,41 @@ def plan_fit(
             "no block scorer for this similarity and point type",
         )
     n = len(points)
+    encoding = transaction_csr(points, similarity)
+    shared = None if encoding is None else encoding.shared_pairs()
     size = f"the dense {n}x{n} similarity matrix ({dense_similarity_bytes(n)} B)"
     if dense_similarity_bytes(n) <= budget:
-        return FitPlan("dense", "dense", budget, f"{size} fits the {budget} B budget")
-    over = f"{size} exceeds the {budget} B budget"
+        reason = f"{size} fits the {budget} B budget"
+        if shared is None:
+            return FitPlan("dense", "dense", budget, reason)
+        reason += f"; S = {shared} shared-item pairs against n^2/2 = {n * n / 2:g}"
+        if theta <= 0 or shared >= SHARED_PAIR_RATIO * n * n / 2:
+            why = "theta = 0 links every pair" if theta <= 0 else (
+                f"S >= {SHARED_PAIR_RATIO:g} n^2/2"
+            )
+            return FitPlan(
+                "dense", "dense", budget, f"{reason}: {why}, dense scoring",
+                shared, encoding,
+            )
+        reason += f": S < {SHARED_PAIR_RATIO:g} n^2/2, shared-item scoring"
+    else:
+        reason = f"{size} exceeds the {budget} B budget"
+        if shared is not None:
+            reason += f"; S = {shared} shared-item pairs"
     from repro.native import available_backend
     from repro.native.links import native_fit_supported
 
-    supported, why = native_fit_supported(points, theta, similarity)
+    source = points if encoding is None else encoding
+    supported, why = native_fit_supported(source, theta, similarity)
     if supported:
-        return FitPlan("native", f"native:{available_backend()}", budget, over)
-    return FitPlan("fused", "fused", budget, f"{over}; native kernels unavailable ({why})")
+        return FitPlan(
+            "native", f"native:{available_backend()}", budget, reason,
+            shared, encoding,
+        )
+    return FitPlan(
+        "fused", "fused", budget, f"{reason}; native kernels unavailable ({why})",
+        shared, encoding,
+    )
 
 
 @dataclass
@@ -195,7 +255,9 @@ def run_fit_plan(
 
     Points with fewer than ``min_neighbors`` neighbors are discarded
     (Section 4.6; 0 keeps every point) and links are counted over the
-    rest.  The fused and native kernels never build the graph: when
+    rest.  The kernels read the plan's ``encoding`` when it has one, so
+    the points are not encoded twice.  The fused and native kernels
+    never build the graph: when
     only isolated points are dropped, the full link table is subset
     exactly (an isolated point is in no neighbor list); when a point
     with neighbors is dropped, its links change the others', so the
@@ -205,9 +267,14 @@ def run_fit_plan(
     timings: dict[str, float] = {}
     n = len(points)
     fused = None
+    # the planner's encoding, so the kernels do not walk the points again
+    source = points if plan.encoding is None else plan.encoding
     with tracer.span("neighbors", route=plan.route, n=n) as span:
+        if plan.shared_pairs is not None:
+            span.attrs["shared_pairs"] = plan.shared_pairs
+            registry.set_gauge("fit.plan.shared_pairs", plan.shared_pairs)
         if plan.route in ("native", "fused"):
-            fused = _fused_pass(plan, points, theta, similarity, workers, registry)
+            fused = _fused_pass(plan, source, theta, similarity, workers, registry)
             degrees = fused.degrees
         else:
             if plan.route == "weighted":
@@ -218,7 +285,7 @@ def run_fit_plan(
             else:
                 method = "vectorized" if plan.route == "dense" else "bruteforce"
                 graph = compute_neighbor_graph(
-                    points, theta, similarity=similarity, method=method
+                    source, theta, similarity=similarity, method=method
                 )
             degrees = graph.degrees()
         kept = np.flatnonzero(degrees >= min_neighbors)
@@ -230,7 +297,7 @@ def run_fit_plan(
             )
         if fused is not None and degrees[discarded].any():
             fused = _fused_pass(
-                plan, _subset(points, kept), theta, similarity, workers, registry
+                plan, _subset(source, kept), theta, similarity, workers, registry
             )
         elif fused is None and len(kept) < n:
             graph = graph.subgraph(kept)
@@ -311,11 +378,12 @@ class PipelineResult:
         configuration.
     backends:
         Which implementation actually ran each phase, e.g.
-        ``{"fit": "native:cext", "links": "native:cext", "merge":
+        ``{"fit": "native:cext", "links": "pair-count:cext", "merge":
         "native:cext"}`` or ``{"fit": "dense", "links": "dense-blocks",
         "merge": "fast"}`` -- the resolved backends (``fit`` is the
         :class:`FitPlan` backend: ``dense``, ``bruteforce``, ``fused``,
-        ``native:cext`` or ``sharded``),
+        ``native:cext`` or ``sharded``; ``links`` the link kernel, by
+        the same rule on every route),
         not the requested modes, so benchmarks and model metadata can
         tell a silent fallback from the real thing.
     """
@@ -373,8 +441,10 @@ class RockPipeline:
         Bytes of dense intermediates the fit may allocate (default: the
         host-aware :func:`repro.core.neighbors.resolve_memory_budget`).
         :func:`plan_fit` resolves it once and passes the number to
-        every kernel: within it the fit runs the dense route, past it
-        the native or fused one-pass kernels.
+        every kernel: within it the fit runs the dense route unless the
+        points share few items (then the shared-item kernels, see
+        :data:`SHARED_PAIR_RATIO`), past it the native or fused
+        one-pass kernels.
     fit_mode:
         ``"auto"`` (default) lets :func:`plan_fit` pick the route;
         ``"sharded"`` runs the out-of-core coordinator of
@@ -806,7 +876,7 @@ def _map_initial_clusters(
 
 
 def _subset(points: Any, indices: Sequence[int]) -> Any:
-    if isinstance(points, (TransactionDataset, CategoricalDataset)):
+    if isinstance(points, (TransactionDataset, CategoricalDataset, TransactionCSR)):
         return points.subset(indices)
     return [points[i] for i in indices]
 

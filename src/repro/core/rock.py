@@ -260,8 +260,9 @@ def rock(
     The neighbor+link route comes from
     :func:`repro.core.pipeline.plan_fit`, exactly as for
     :class:`~repro.core.pipeline.RockPipeline`: ``memory_budget``
-    (bytes; default host-aware) decides between the dense route and
-    the one-pass native/fused kernels, and ``fit_mode="sharded"`` runs
+    (bytes; default host-aware) and the points' shared-item pair work
+    decide between the dense route and the one-pass native/fused
+    kernels, and ``fit_mode="sharded"`` runs
     the out-of-core coordinator of :mod:`repro.shard` (honouring
     ``shard_block_rows`` / ``spill_dir`` / ``max_retries``), degrading
     to ``"auto"`` with one warning when the input cannot be

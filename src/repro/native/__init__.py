@@ -20,7 +20,8 @@
 
 No caller forces a tier.  The fit planner
 (:func:`repro.core.pipeline.plan_fit`) runs the fused kernel for every
-fit past its memory budget that the kernel supports; the merge engine
+fit the kernel supports that is past its memory budget or whose points
+share few items; the merge engine
 (:func:`repro.core.merge.merge_engine`) and the assignment tier
 (:func:`repro.serve.index.resolve_assign_backend`) run native whenever
 :func:`get_kernels` returns the probed namespace.  All are

@@ -12,14 +12,15 @@ across a process pool:
   :func:`worker_block_size`).  :mod:`repro.serve.parallel` is a thin
   consumer of it.
 * :mod:`repro.parallel.links` -- the **fused** neighbor+link kernel
-  (:func:`~repro.parallel.links.fused_neighbor_links`) that accumulates
-  link counts block by block without keeping the neighbor graph, and
-  the numpy Figure 4 pair counter it shares with
+  (:func:`~repro.parallel.links.fused_neighbor_links`) that scores row
+  blocks into neighbor lists and counts their links by the rule every
+  producer follows, and the numpy Figure 4 pair counter it shares with
   :func:`repro.core.links.sparse_link_table`.
 
 The fit planner (:func:`repro.core.pipeline.plan_fit`) runs the fused
-kernel when the dense ``n x n`` matrix would overflow the memory budget
-and the C tier of :mod:`repro.native` cannot run.  Every kernel here is
+kernel when it plans shared-item scoring (the dense ``n x n`` matrix
+would overflow the memory budget, or the points share few items) and
+the C tier of :mod:`repro.native` cannot run.  Every kernel here is
 a pure optimisation: outputs are exactly equal to the dense path
 (property-tested), and merges preserve block order so runs are
 deterministic for any worker count.

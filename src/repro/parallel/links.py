@@ -9,10 +9,12 @@ run-length reduction.  Partial counts from different chunks merge by
 concatenation + ``np.add.reduceat`` -- integer sums, so the totals are
 exactly the serial table's.
 
-:func:`fused_neighbor_links` is the fused kernel: each row block's
-neighbor lists are scored, converted to pair counts, and discarded, so
-the full neighbor graph never exists in the parent.  Peak memory is one
-block plus the (compacted) running pair counts.
+:func:`fused_neighbor_links` is the fused kernel: workers score row
+blocks into neighbor lists, and the parent counts their links by the
+rule every producer follows (:func:`neighbor_csr_result`): pair codes
+in compacted chunks (:func:`csr_pair_counts` without the C tier), or
+the row-block square where the pair work reaches ``n^2`` and the
+square fits the memory budget.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.links import LinkTable
+from repro.core.links import LinkTable, neighbor_list_links
 from repro.core.neighbors import (
     BlockScorer,
     NeighborGraph,
@@ -41,6 +43,7 @@ from repro.parallel.pool import (
 
 __all__ = [
     "FusedFitResult",
+    "csr_pair_counts",
     "fused_neighbor_links",
     "merge_pair_counts",
     "pair_link_counts",
@@ -112,43 +115,62 @@ def merge_pair_counts(
     return codes[starts], np.add.reduceat(counts, starts)
 
 
+def csr_pair_counts(
+    indptr: np.ndarray, indices: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`pair_link_counts` over neighbor lists held as CSR.
+
+    Counts chunks of rows holding about ``_COMPACT_LIMIT`` pair
+    increments each and compacts the running counts whenever they pass
+    that many codes, so memory stays O(linked pairs), not
+    O(increments).
+    """
+    lengths = np.diff(indptr)
+    work = np.cumsum(lengths * (lengths - 1) // 2)
+    total = int(work[-1]) if work.size else 0
+    cuts = np.searchsorted(work, np.arange(_COMPACT_LIMIT, total, _COMPACT_LIMIT))
+    lists = np.split(np.asarray(indices, dtype=np.int64), indptr[1:-1])
+    pending: list[tuple[np.ndarray, np.ndarray]] = []
+    pending_codes = 0
+    for start, stop in zip([0, *cuts.tolist()], [*cuts.tolist(), len(lists)]):
+        pending.append(pair_link_counts(lists[start:stop], n))
+        pending_codes += pending[-1][0].size
+        if pending_codes > _COMPACT_LIMIT:
+            pending = [merge_pair_counts(pending)]
+            pending_codes = pending[0][0].size
+    return merge_pair_counts(pending)
+
+
 # -- the fused neighbor+link kernel -------------------------------------------
 
 _FUSED_STATE: dict[str, Any] = {}
 
 
-def _init_fused_worker(scorer: BlockScorer, theta: float, keep_graph: bool) -> None:
+def _init_fused_worker(scorer: BlockScorer, theta: float) -> None:
     _FUSED_STATE["scorer"] = scorer
     _FUSED_STATE["theta"] = theta
-    _FUSED_STATE["keep_graph"] = keep_graph
 
 
 def _fused_block(
     task: tuple[int, int],
-) -> tuple[
-    np.ndarray, np.ndarray, np.ndarray, list[np.ndarray] | None, dict[str, Any]
-]:
+) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
+    """Neighbor lists of one row block, as lengths and concatenated indices."""
     start, stop = task
     scorer: BlockScorer = _FUSED_STATE["scorer"]
     t0 = time.perf_counter()
     rows = scorer.neighbor_rows(start, stop, _FUSED_STATE["theta"])
-    codes, counts = pair_link_counts(rows, scorer.n)
-    degrees = np.array([len(r) for r in rows], dtype=np.int64)
+    lengths = np.fromiter((r.size for r in rows), np.int64, len(rows))
+    indices = np.concatenate(rows) if rows else _EMPTY
     local = MetricsRegistry()
     local.inc("fit.fused.blocks")
     local.inc("fit.fused.rows", stop - start)
-    local.inc("fit.fused.pair_increments", int(counts.sum()))
     local.observe("fit.fused.block_seconds", time.perf_counter() - t0)
-    return (
-        codes, counts, degrees,
-        (rows if _FUSED_STATE["keep_graph"] else None),
-        local.snapshot(),
-    )
+    return lengths, indices, local.snapshot()
 
 
 @dataclass
 class FusedFitResult:
-    """Output of the fused kernel: links and degrees, graph optional.
+    """Output of the one-pass kernels: links and degrees, graph optional.
 
     ``links`` is the full Figure 4 link table over all ``n`` points;
     ``degrees[i]`` is point ``i``'s neighbor count (what isolated-point
@@ -166,6 +188,40 @@ class FusedFitResult:
         return self.links.n
 
 
+def neighbor_csr_result(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    theta: float,
+    memory_budget: int,
+    kernel: str,
+    keep_graph: bool,
+    registry: MetricsRegistry | None,
+) -> FusedFitResult:
+    """Count the links of scored neighbor lists and package the result.
+
+    Both one-pass kernels end here: links by
+    :func:`~repro.core.links.neighbor_list_links` (the rule
+    :func:`~repro.core.links.compute_links` follows), degrees from the
+    CSR, and ``fit.<kernel>.pair_increments`` -- the Figure 4 pair work
+    ``sum_i m_i (m_i - 1) / 2``, which the link counts sum to whichever
+    way they were counted.
+    """
+    n = len(indptr) - 1
+    links = neighbor_list_links(indptr, indices, n, memory_budget)
+    if registry is not None:
+        registry.inc(f"fit.{kernel}.pair_increments", int(links.counts.sum()))
+    graph = None
+    if keep_graph:
+        graph = NeighborGraph.from_neighbor_lists(
+            np.split(np.asarray(indices, dtype=np.int64), indptr[1:-1])
+            if n else [],
+            theta=theta, validate=False,
+        )
+    return FusedFitResult(
+        links=links, degrees=np.diff(indptr), theta=theta, graph=graph
+    )
+
+
 def fused_neighbor_links(
     points: Any,
     theta: float,
@@ -177,15 +233,16 @@ def fused_neighbor_links(
     prefer_sparse: bool = True,
     registry: MetricsRegistry | None = None,
 ) -> FusedFitResult:
-    """Score, threshold, and link-count each row block in one pass.
+    """Score each row block's neighbor lists, then count their links.
 
-    Per block: compute its neighbor rows, immediately reduce them to packed pair counts,
-    record the degrees, and discard the rows.  The parent merges the
-    integer pair counts (compacting periodically) and builds one
-    :class:`~repro.core.links.LinkTable` at the end -- bit-identical to
-    ``compute_links(compute_neighbor_graph(...))`` while never holding
-    the neighbor graph (unless ``keep_graph=True``, for tests and
-    callers that want both from a single pass).
+    Workers score row blocks (the scipy shared-item product by
+    default) and ship back each block's neighbor lists; the parent
+    stitches them into one CSR and counts links by the rule every
+    producer follows (:func:`neighbor_csr_result`) -- bit-identical to
+    ``compute_links(compute_neighbor_graph(...))``.  ``points`` may be
+    a :class:`~repro.core.encoding.TransactionCSR`.  The graph object
+    is built only for ``keep_graph=True`` (tests, and callers that
+    want both from a single pass).
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must be in [0, 1], got {theta}")
@@ -193,45 +250,32 @@ def fused_neighbor_links(
         raise ValueError("block_size must be positive")
     count = resolve_workers(workers)
     n = len(points)
+    budget = resolve_memory_budget(memory_budget)
     scorer = build_block_scorer(points, similarity, prefer_sparse=prefer_sparse)
     if block_size is None:
-        block_size = worker_block_size(
-            n, count, resolve_memory_budget(memory_budget)
-        )
+        block_size = worker_block_size(n, count, budget)
 
-    pending: list[tuple[np.ndarray, np.ndarray]] = []
-    pending_codes = 0
-    degree_blocks: list[np.ndarray] = []
-    kept_rows: list[np.ndarray] = []
-    for codes, counts, degrees, rows, delta in imap_chunked(
+    length_blocks: list[np.ndarray] = []
+    index_blocks: list[np.ndarray] = []
+    for lengths, indices, delta in imap_chunked(
         _fused_block,
         block_tasks(n, block_size),
         workers=count,
         initializer=_init_fused_worker,
-        initargs=(scorer, theta, keep_graph),
+        initargs=(scorer, theta),
     ):
         if registry is not None:
             registry.merge(delta)
-        pending.append((codes, counts))
-        pending_codes += codes.size
-        degree_blocks.append(degrees)
-        if rows is not None:
-            kept_rows.extend(rows)
-        if pending_codes > _COMPACT_LIMIT:
-            pending = [merge_pair_counts(pending)]
-            pending_codes = pending[0][0].size
+        length_blocks.append(lengths)
+        index_blocks.append(indices)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    if length_blocks:
+        np.cumsum(np.concatenate(length_blocks), out=indptr[1:])
+    return neighbor_csr_result(
+        indptr, _concat(index_blocks), theta, budget, "fused", keep_graph,
+        registry,
+    )
 
-    links = LinkTable.from_pair_counts(
-        n, *merge_pair_counts(pending), producer="fused"
-    )
-    degrees = (
-        np.concatenate(degree_blocks)
-        if degree_blocks
-        else np.zeros(0, dtype=np.int64)
-    )
-    graph = (
-        NeighborGraph.from_neighbor_lists(kept_rows, theta=theta, validate=False)
-        if keep_graph
-        else None
-    )
-    return FusedFitResult(links=links, degrees=degrees, theta=theta, graph=graph)
+
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(parts) if parts else _EMPTY

@@ -1,25 +1,38 @@
-"""The fit planner: one budget, one recorded route, identical results.
+"""The fit planner: one budget, one price, one recorded route, identical results.
 
 :func:`repro.core.pipeline.plan_fit` picks every fit route.  These tests
 pin that it prices the dense route against the one memory budget it
-hands to the kernels, that ``backends["fit"]`` and the root span name
-the route that ran, and -- property-tested -- that every route
-reproduces the dense route's clusters, merge history, kept points and
-outliers.
+hands to the kernels, that an in-budget transaction fit whose
+shared-item pair work ``S`` stays under ``SHARED_PAIR_RATIO * n^2 / 2``
+runs the shared-item kernels, that ``backends["fit"]`` and the root
+span name the route that ran, and -- property-tested -- that every
+route reproduces the dense route's clusters, merge history, kept points
+and outliers.
 """
 
 import os
 import warnings
 from contextlib import contextmanager
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import repro.parallel.links as parallel_links
-from repro.core.pipeline import RockPipeline, plan_fit
+from repro.core.encoding import transaction_csr
+from repro.core.goodness import default_f
+from repro.core.neighbors import resolve_memory_budget
+from repro.core.pipeline import (
+    SHARED_PAIR_RATIO,
+    FitPlan,
+    RockPipeline,
+    plan_fit,
+    run_fit_plan,
+)
+from repro.core.rock import cluster_with_links
 from repro.core.similarity import (
     JaccardSimilarity,
     MissingAwareJaccard,
@@ -28,6 +41,7 @@ from repro.core.similarity import (
 )
 from repro.data.records import CategoricalRecord, CategoricalSchema
 from repro.data.transactions import Transaction, TransactionDataset
+from repro.datasets import SyntheticBasketConfig, generate_synthetic_basket
 from repro.native import get_kernels
 from repro.obs.trace import Tracer
 
@@ -73,10 +87,36 @@ def fit(points, **kwargs):
     return outcome, result.backends["fit"]
 
 
-def expected_backend(memory_budget, enabled, theta, fit_mode, min_neighbors):
+def dense_reference(points, theta, min_neighbors, k=3):
+    """What :func:`fit` observes, from the dense route run without the planner."""
+    plan = FitPlan("dense", "dense", resolve_memory_budget(None), "reference")
+    try:
+        with native(False):
+            stages = run_fit_plan(
+                plan, points, theta, min_neighbors=min_neighbors, tracer=Tracer()
+            )
+            result = cluster_with_links(stages.links, k=k, f_theta=default_f(theta))
+    except ValueError as exc:
+        return str(exc)
+    kept = stages.kept.tolist()
+    clusters = sorted(
+        (sorted(kept[p] for p in cluster) for cluster in result.clusters),
+        key=lambda members: (-len(members), members[0]),
+    )
+    return clusters, result.merges, kept, stages.discarded.tolist()
+
+
+def below_gate(points, theta):
+    """Whether ``S < SHARED_PAIR_RATIO * n^2 / 2`` sends an in-budget fit to shared-item scoring."""
+    n = len(points)
+    shared = transaction_csr(points).shared_pairs()
+    return theta > 0 and shared < SHARED_PAIR_RATIO * n * n / 2
+
+
+def expected_backend(points, memory_budget, enabled, theta, fit_mode, min_neighbors):
     if fit_mode == "sharded" and min_neighbors <= 1:
         return "sharded"
-    if memory_budget is None:
+    if memory_budget is None and not below_gate(points, theta):
         return "dense"
     if enabled and theta > 0 and get_kernels() is not None:
         return "native:cext"
@@ -129,9 +169,11 @@ class TestRecordedRoute:
     """``backends["fit"]`` and the root span name the route that ran."""
 
     def baskets(self):
+        # every basket holds item 99 as well: S >= n (n - 1) / 2 keeps
+        # the in-budget fit on the dense route
         rng = np.random.default_rng(3)
         return TransactionDataset([
-            Transaction(rng.choice(np.arange(c * 12, c * 12 + 12), 6, replace=False).tolist())
+            Transaction([*rng.choice(np.arange(c * 12, c * 12 + 12), 6, replace=False).tolist(), 99])
             for c in range(3)
             for _ in range(8)
         ])
@@ -170,16 +212,97 @@ class TestRecordedRoute:
         assert plan.route == "dense"
 
 
+class TestSharedItemGate:
+    """In budget, ``S`` against ``n^2 / 2`` picks the neighbor kernel."""
+
+    def fit_full_shaped(self):
+        # 210 planted clusters x 8 baskets of 10 from 14-item pools in a
+        # 400-item vocabulary: S is about 0.28 n^2 / 2
+        rng = np.random.default_rng(41)
+        baskets = []
+        for _ in range(210):
+            pool = rng.choice(400, size=14, replace=False)
+            baskets.extend(
+                frozenset(rng.choice(pool, size=10, replace=False).tolist())
+                for _ in range(8)
+            )
+        return TransactionDataset(baskets)
+
+    def paper_basket_shaped(self):
+        # the Table 5 generator at 2,000 points: S is about 3.8 n^2 / 2
+        config = SyntheticBasketConfig()
+        scale = 2000 / config.n_transactions
+        config = replace(
+            config,
+            cluster_sizes=tuple(round(s * scale) for s in config.cluster_sizes),
+            n_outliers=round(config.n_outliers * scale),
+        )
+        return generate_synthetic_basket(config, seed=0).transactions
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_fit_full_shape_runs_shared_item(self, enabled):
+        points = self.fit_full_shaped()
+        with native(enabled):
+            if enabled and get_kernels() is None:
+                pytest.skip("C tier unavailable")
+            plan = plan_fit(points, 0.5)
+        assert plan.backend == ("native:cext" if enabled else "fused")
+        n = len(points)
+        assert plan.shared_pairs < 0.3 * n * n / 2
+        assert f"S = {plan.shared_pairs}" in plan.reason
+        assert "shared-item scoring" in plan.reason
+        assert plan.encoding is not None and plan.encoding.n == n
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_paper_basket_shape_stays_dense(self, enabled):
+        points = self.paper_basket_shaped()
+        with native(enabled):
+            plan = plan_fit(points, 0.5)
+        assert plan.backend == "dense"
+        n = len(points)
+        assert plan.shared_pairs > 3 * n * n / 2
+        assert "dense scoring" in plan.reason
+
+    def test_theta_zero_stays_dense(self):
+        points = TransactionDataset([Transaction({i, i + 1}) for i in range(40)])
+        assert plan_fit(points, 0.5).route in ("native", "fused")
+        assert plan_fit(points, 0.0).route == "dense"
+
+    def test_over_budget_planning_ignores_the_gate(self):
+        dense_shaped = TransactionDataset([Transaction({0, 1, i}) for i in range(40)])
+        assert not below_gate(dense_shaped, 0.5)
+        assert plan_fit(dense_shaped, 0.5).route == "dense"
+        assert plan_fit(dense_shaped, 0.5, memory_budget=1).route in ("native", "fused")
+
+    def test_shared_pairs_recorded(self):
+        tracer = Tracer()
+        points = TransactionDataset([Transaction({i, i + 1}) for i in range(40)])
+        RockPipeline(k=2, theta=0.3, seed=1).fit(points, tracer=tracer)
+        shared = transaction_csr(points).shared_pairs()
+        assert tracer.registry.snapshot()["gauges"]["fit.plan.shared_pairs"] == shared
+        (neighbors,) = [
+            span for root in tracer.spans() for span in root.iter_spans()
+            if span.name == "neighbors"
+        ]
+        assert neighbors.attrs["shared_pairs"] == shared
+
+
 # -- the identity property ----------------------------------------------------
 
-baskets = st.lists(
-    st.frozensets(st.integers(min_value=0, max_value=9), min_size=1, max_size=5),
-    min_size=2,
-    max_size=30,
+# a small vocabulary packs baskets over the gate (dense), a large one
+# leaves them under it (shared-item scoring)
+baskets = st.integers(min_value=1, max_value=40).flatmap(
+    lambda vocab: st.lists(
+        st.frozensets(
+            st.integers(min_value=0, max_value=vocab - 1), min_size=1, max_size=5
+        ),
+        min_size=2,
+        max_size=30,
+    )
 )
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     sets=baskets,
     theta=st.sampled_from(THETAS),
@@ -192,19 +315,19 @@ def test_every_route_reproduces_the_dense_route(
     sets, theta, min_neighbors, memory_budget, enabled, fit_mode
 ):
     points = TransactionDataset([Transaction(s) for s in sets])
-    common = dict(theta=theta, min_neighbors=min_neighbors)
-    with native(False):
-        reference, reference_backend = fit(points, **common)
+    reference = dense_reference(points, theta, min_neighbors)
     with native(enabled):
         outcome, backend = fit(
-            points, memory_budget=memory_budget, fit_mode=fit_mode, **common
+            points, theta=theta, min_neighbors=min_neighbors,
+            memory_budget=memory_budget, fit_mode=fit_mode,
         )
         expected = expected_backend(
-            memory_budget, enabled, theta, fit_mode, min_neighbors
+            points, memory_budget, enabled, theta, fit_mode, min_neighbors
         )
+    event(f"route {expected}")
     assert outcome == reference
-    if reference_backend is not None:
-        assert (reference_backend, backend) == ("dense", expected)
+    if backend is not None:
+        assert backend == expected
 
 
 @settings(max_examples=30, deadline=None)

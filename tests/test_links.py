@@ -8,15 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.links import (
+    SPARSE_LINK_RATIO,
     LinkTable,
     blocked_link_table,
     compute_links,
     dense_link_matrix,
     path_link_matrix,
     sparse_link_table,
+    square_link_bytes,
 )
 from repro.core.neighbors import NeighborGraph, compute_neighbor_graph
-from repro.core.pipeline import RockPipeline
+from repro.core.pipeline import FitPlan, RockPipeline, plan_fit, run_fit_plan
 from repro.data.transactions import Transaction, TransactionDataset
 from repro.native import get_kernels
 from repro.native.links import native_neighbor_links
@@ -285,10 +287,13 @@ def producer_of(tracer):
 class TestLinkProducerRecorded:
     """The links span and ``backends["links"]`` name the kernel that ran."""
 
-    def baskets(self, per, seed=3):
+    def baskets(self, per, seed=3, background=()):
         rng = np.random.default_rng(seed)
         return TransactionDataset([
-            Transaction(rng.choice(np.arange(c * 12, c * 12 + 12), 6, replace=False).tolist())
+            Transaction([
+                *rng.choice(np.arange(c * 12, c * 12 + 12), 6, replace=False).tolist(),
+                *background,
+            ])
             for c in range(3)
             for _ in range(per)
         ])
@@ -301,10 +306,11 @@ class TestLinkProducerRecorded:
             monkeypatch.delenv("REPRO_NATIVE", raising=False)
             if get_kernels() is None:
                 pytest.skip("C tier unavailable")
-        # 8 baskets per cluster: sum m^2 stays under n^2
+        # 8 baskets per cluster: sum m^2 stays under n^2; the item every
+        # basket holds puts S over the gate, so the dense route runs
         tracer = Tracer()
         result = RockPipeline(k=3, theta=0.5, seed=1).fit(
-            self.baskets(per=8), tracer=tracer
+            self.baskets(per=8, background=[99]), tracer=tracer
         )
         assert result.backends["links"] == f"pair-count:{tier}"
         assert producer_of(tracer) == f"pair-count:{tier}"
@@ -327,13 +333,67 @@ class TestLinkProducerRecorded:
             if get_kernels() is None:
                 pytest.skip("C tier unavailable")
         expected = "fused" if route == "fused" else "native:cext"
+        # the kernels count links by the compute_links rule, so the
+        # links backend names the link kernel: here the pair count
+        counted = "pair-count:numpy" if route == "fused" else "pair-count:cext"
         tracer = Tracer()
         result = RockPipeline(k=3, theta=0.5, memory_budget=1, seed=1).fit(
             self.baskets(per=8), tracer=tracer
         )
         assert result.backends["fit"] == expected
-        assert result.backends["links"] == expected
-        assert producer_of(tracer) == expected
+        assert result.backends["links"] == counted
+        assert producer_of(tracer) == counted
+
+
+class TestLinkRuleSharedByProducers:
+    """The one-pass kernels count links by the rule ``compute_links`` uses."""
+
+    def clumps(self):
+        # 4 clumps of 20 identical 2-item baskets: S is about 0.47 n^2 / 2
+        # (shared-item scoring) while sum m^2 = 80 * 19^2 > n^2 (square)
+        return TransactionDataset(
+            [Transaction({2 * c, 2 * c + 1}) for c in range(4) for _ in range(20)]
+        )
+
+    @pytest.mark.parametrize("route", ["fused", "native"])
+    def test_gate_routed_fit_squares(self, monkeypatch, route):
+        if route == "fused":
+            monkeypatch.setenv("REPRO_NATIVE", "0")
+        else:
+            monkeypatch.delenv("REPRO_NATIVE", raising=False)
+            if get_kernels() is None:
+                pytest.skip("C tier unavailable")
+        points = self.clumps()
+        plan = plan_fit(points, 0.5)
+        assert plan.route == route
+        degrees = compute_neighbor_graph(points, 0.5).degrees()
+        assert degrees @ degrees >= SPARSE_LINK_RATIO * len(points) ** 2
+        tracer = Tracer()
+        links = run_fit_plan(plan, points, 0.5, tracer=tracer).links
+        reference = run_fit_plan(
+            FitPlan("dense", "dense", plan.memory_budget, "reference"),
+            points, 0.5, tracer=Tracer(),
+        ).links
+        assert links.producer == reference.producer == "dense-blocks"
+        assert producer_of(tracer) == "dense-blocks"
+        assert np.array_equal(links.codes, reference.codes)
+        assert np.array_equal(links.counts, reference.counts)
+
+    @pytest.mark.parametrize("route", ["fused", "native"])
+    def test_square_needs_the_budget(self, route):
+        if route == "native" and get_kernels() is None:
+            pytest.skip("C tier unavailable")
+        kernel = native_neighbor_links if route == "native" else fused_neighbor_links
+        points = self.clumps()
+        n = len(points)
+        square = kernel(points, 0.5, workers=1, memory_budget=square_link_bytes(n))
+        counted = kernel(
+            points, 0.5, workers=1, memory_budget=square_link_bytes(n) - 1
+        )
+        assert square.links.producer == "dense-blocks"
+        assert counted.links.producer.startswith("pair-count:")
+        assert np.array_equal(square.links.codes, counted.links.codes)
+        assert np.array_equal(square.links.counts, counted.links.counts)
 
 
 class TestPathLinks:

@@ -126,7 +126,9 @@ class TestProbe:
         assert not missing_compiler.exists()
 
     def test_missing_compiler_fit_is_quiet(self, missing_compiler, monkeypatch):
-        """A default sampled fit runs on fast + dense, without a warning."""
+        """A default sampled fit runs on fast + fused, without a warning
+        (the baskets share few items, so the planner picks shared-item
+        scoring, and without the C tier that is the fused kernel)."""
         dense_scans = count_dense_labeling(monkeypatch)
         data = baskets(per=20)
         with warnings.catch_warnings():
@@ -134,7 +136,7 @@ class TestProbe:
             result = RockPipeline(k=3, theta=0.5, sample_size=30, seed=1).fit(data)
             assert resolve_assign_backend("auto") == ("pruned", None)
         assert result.backends == {
-            "fit": "dense", "links": "pair-count:numpy", "merge": "fast"
+            "fit": "fused", "links": "pair-count:numpy", "merge": "fast"
         }
         assert dense_scans == [1]
         assert len(result.clusters) >= 1
@@ -189,7 +191,7 @@ class TestProbe:
             warnings.simplefilter("error")
             result = RockPipeline(k=3, theta=0.5, seed=1).fit(baskets())
         assert result.backends == {
-            "fit": "dense", "links": "pair-count:numpy", "merge": "fast"
+            "fit": "fused", "links": "pair-count:numpy", "merge": "fast"
         }
 
 
@@ -228,7 +230,7 @@ class TestAutoStaysSilent:
             assert resolve_assign_backend("auto") == ("pruned", None)
             reference = pipeline.fit(data)
             assert reference.backends == {
-                "fit": "dense", "links": "pair-count:numpy", "merge": "fast"
+                "fit": "fused", "links": "pair-count:numpy", "merge": "fast"
             }
             assert dense_scans == [1]
         assert np.array_equal(promoted.labels, reference.labels)
@@ -240,7 +242,7 @@ class TestAutoStaysSilent:
             warnings.simplefilter("error")
             result = RockPipeline(k=3, theta=0.5, seed=1).fit(data)
         assert result.backends == {
-            "fit": "dense", "links": "pair-count:numpy", "merge": "fast"
+            "fit": "fused", "links": "pair-count:numpy", "merge": "fast"
         }
 
 
@@ -253,7 +255,7 @@ class TestObservability:
         assert gauges["fit.backend.native_fit"] == 0
         assert gauges["fit.backend.native_merge"] == 0
         root = next(s for s in tracer.spans() if s.name == "fit")
-        assert root.attrs["fit_backend"] == "dense"
+        assert root.attrs["fit_backend"] == "fused"
         assert root.attrs["merge_backend"] == "fast"
 
     def test_model_metadata_records_backends(self, no_backends):

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.encoding import transaction_csr
 from repro.core.goodness import (
     default_f,
     goodness,
@@ -40,11 +41,7 @@ from repro.core.rock import cluster_with_links, heap_cluster_with_links, rock
 from repro.core.similarity import JaccardSimilarity, OverlapSimilarity
 from repro.data.transactions import Transaction, TransactionDataset
 from repro.native import get_kernels
-from repro.native.links import (
-    native_fit_supported,
-    native_neighbor_links,
-    native_transaction_csr,
-)
+from repro.native.links import native_fit_supported, native_neighbor_links
 from repro.native.merge import native_component_streams
 from repro.obs.registry import MetricsRegistry
 from repro.parallel.links import fused_neighbor_links
@@ -134,7 +131,7 @@ class TestNativeFusedPass:
         dataset = TransactionDataset(
             [Transaction({1, 2, 3}), Transaction({2, 3, 4}), Transaction({9})]
         )
-        csr = native_transaction_csr(dataset)
+        csr = transaction_csr(dataset)
         assert csr is not None and csr.n == 3
         assert np.array_equal(np.diff(csr.indptr), csr.sizes)
         assert csr.t_indices.size == csr.indices.size

@@ -33,7 +33,7 @@ from repro.core.neighbors import (
     compute_neighbor_graph,
 )
 from repro.core.pipeline import RockPipeline
-from repro.core.encoding import dataset_to_transactions
+from repro.core.encoding import dataset_to_transactions, transaction_csr
 from repro.core.similarity import (
     JaccardSimilarity,
     MissingAwareJaccard,
@@ -83,7 +83,9 @@ class TestBlockedAdjacency:
     def test_equals_thresholded_pairwise(self, inputs, theta, similarity):
         sets, block_rows = inputs
         ds = TransactionDataset([Transaction(s) for s in sets])
-        scorer = DenseTransactionScorer(ds, isinstance(similarity, OverlapSimilarity))
+        scorer = DenseTransactionScorer(
+            transaction_csr(ds), isinstance(similarity, OverlapSimilarity)
+        )
         got = blocked_adjacency(scorer, theta, block_rows=block_rows)
         assert got.dtype == bool
         assert np.array_equal(got, oracle_adjacency(ds, similarity, theta))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import RockPipeline, rock
+from repro.core.encoding import transaction_csr
 from repro.core.neighbors import SparseTransactionScorer
 from repro.data.transactions import Transaction, TransactionDataset
 from repro.datasets import small_synthetic_basket, write_basket_file
@@ -119,7 +120,7 @@ class TestTransactionStore:
     def test_scorer_matches_sparse_scorer(self, tmp_path, basket):
         ds = basket.transactions
         store = TransactionStore.write(tmp_path / "store", ds)
-        reference = SparseTransactionScorer(ds, overlap=False)
+        reference = SparseTransactionScorer(transaction_csr(ds), overlap=False)
         sharded = StoreScorer(store)
         for start, stop in [(0, 13), (13, 60), (60, len(ds))]:
             ref_rows = reference.neighbor_rows(start, stop, 0.4)
