@@ -18,13 +18,15 @@ TXN_SIZE = 10
 PER_CLUSTER = 24
 
 
-def make_clustered_baskets(n_clusters: int, seed: int = 0) -> TransactionDataset:
-    """``n_clusters * PER_CLUSTER`` baskets, cluster by cluster in order."""
+def make_clustered_baskets(
+    n_clusters: int, seed: int = 0, per_cluster: int = PER_CLUSTER
+) -> TransactionDataset:
+    """``n_clusters * per_cluster`` baskets, cluster by cluster in order."""
     rng = np.random.default_rng(seed)
     transactions = []
     for _ in range(n_clusters):
         pool = rng.choice(VOCAB, size=POOL_SIZE, replace=False)
-        for _ in range(PER_CLUSTER):
+        for _ in range(per_cluster):
             transactions.append(
                 frozenset(rng.choice(pool, size=TXN_SIZE, replace=False).tolist())
             )

@@ -21,44 +21,53 @@ partition targets):
   with in-bench identity checks at every size.
 
 When a :mod:`repro.native` backend probes, a ``native`` engine row
-(the default engine: the component inner loop on the native kernel)
-joins both benches: identity-checked against the reference, timed
-after an explicit backend warmup so JIT/compile cost never pollutes
-the steady-state numbers.  The curve additionally times the component
-inner loop *in isolation* (Python ``component_merge_stream`` vs the
-native kernel) at the largest ``n``: the surrounding stages -- cross-
-pair aggregation, component partition, k-way replay -- stay in Python
-on both engines, so the engine totals understate the kernel by
-Amdahl's law and the acceptance multiple is taken on the replaced
-stage itself.
+(the default engine: every component's inner loop *and* the k-way
+replay in one ``merge_components`` kernel call) joins both benches:
+identity-checked against the reference, timed after an explicit backend
+warmup so the one-time compile never pollutes the steady-state
+numbers.  Only the cross-pair aggregation, the component partition and
+the ``MergeStep`` list stay in Python, so the curve's acceptance
+multiple (native >= 3x the Python engine at the largest ``n``) is taken
+on the engine totals.
+
+Both benches also carry a **fit-full-shaped row**: 210 planted
+clusters of 8 baskets (``perfbench``'s fit-full input shape, one small
+component per planted cluster), where the cluster phase is dominated by
+per-component glue rather than merging.  It times the cluster phase on the packed
+native call against the Python engine (median of repeats, cyclic GC
+paused), identity-checked against the reference loop.
 
 Links are computed once per size and shared by all engines, so only
 the merge loop is timed.
 """
 
+import gc
+import statistics
 import time
 
-import numpy as np
 import pytest
 
+from benchmarks.baskets import PER_CLUSTER, make_clustered_baskets
 from benchmarks.machine import machine_summary, native_off
 from repro.core.goodness import default_f
 from repro.core.links import sparse_link_table
 from repro.core.merge import fast_cluster_with_links
 from repro.core.neighbors import compute_neighbor_graph
 from repro.core.rock import heap_cluster_with_links
-from repro.obs import RunManifest, Tracer
+from repro.obs import MetricsRegistry, RunManifest, Tracer
 
 THETA = 0.5
 SMOKE_N_CLUSTERS = 12
 CURVE_N_CLUSTERS = (105, 420, 1260)  # n = 2520, 10080, 30240
 SPEEDUP_FLOOR = 3.0
+FIT_FULL_CLUSTERS = 210
+FIT_FULL_PER_CLUSTER = 8
+SMOKE_FIT_FULL_REPEATS = 5
+CURVE_FIT_FULL_REPEATS = 30
 
 
-def build_links(n_clusters: int):
-    from benchmarks.baskets import make_clustered_baskets
-
-    dataset = make_clustered_baskets(n_clusters)
+def build_links(n_clusters: int, per_cluster: int = PER_CLUSTER):
+    dataset = make_clustered_baskets(n_clusters, per_cluster=per_cluster)
     graph = compute_neighbor_graph(dataset, THETA)
     return len(dataset), sparse_link_table(graph)
 
@@ -109,64 +118,72 @@ def run_engines(links, k: int, tracer=None):
     return rows
 
 
-def time_stream_stage(links, repeats=3):
-    """Time just the component inner loop: Python vs native kernel.
+def time_fit_full_shape(repeats: int, tracer=None):
+    """The cluster phase on fit-full's shape, per engine.
 
-    Reproduces the component engine's singleton preamble, then runs
-    the one stage the native kernel replaces -- the per-component
-    agglomeration -- on both implementations, identity-checking every
-    stream.  Takes the best of ``repeats`` per side with the cyclic GC
-    paused: by the time this runs the curve holds every engine's full
-    merge history live, and a gen-2 collection landing inside the
-    short native window can halve a single-sample ratio.  Returns
-    ``(python_s, native_s)`` or ``None`` when no backend probes.
+    Builds 210 planted clusters of 8 baskets, then times
+    :func:`fast_cluster_with_links` on the Python engine
+    (``REPRO_NATIVE=0``) and, when a backend probes, on the packed
+    native call: the median of ``repeats`` runs each, cyclic GC paused.
+    Every engine's result is checked against the reference loop, and
+    both engines must count the same ``fit.cluster.*`` work.  Returns
+    ``(n, components, {engine: seconds})``.
     """
-    import gc
+    import repro.native as native_mod
 
-    from repro.core.goodness import goodness, merge_kernel_for
-    from repro.core.merge import (
-        _cross_pair_arrays,
-        component_merge_stream,
-        partition_components,
-    )
-    from repro.native import get_kernels
-    from repro.native.merge import native_component_streams
+    n, links = build_links(FIT_FULL_CLUSTERS, FIT_FULL_PER_CLUSTER)
+    f_theta = default_f(THETA)
+    k = FIT_FULL_CLUSTERS
+    reference = heap_cluster_with_links(links, k=k, f_theta=f_theta)
 
-    backend = get_kernels()
-    if backend is None:
-        return None
-    n = links.n
-    cluster_list = [[i] for i in range(n)]
-    sizes = np.ones(n, dtype=np.int64)
-    lo, hi, counts = _cross_pair_arrays(links, cluster_list, True)
-    problems = partition_components(n, sizes, lo, hi, counts)
-    kernel = merge_kernel_for(goodness, default_f(THETA), n_max=n)
-
-    gc.collect()
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        python_s = native_s = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            py_streams = [component_merge_stream(p, kernel) for p in problems]
-            python_s = min(python_s, time.perf_counter() - start)
-
-            start = time.perf_counter()
-            nat_streams = native_component_streams(problems, kernel, backend)
-            native_s = min(native_s, time.perf_counter() - start)
-    finally:
-        if gc_was_enabled:
+    def run_engine():
+        registry = MetricsRegistry()
+        result = fast_cluster_with_links(
+            links, k=k, f_theta=f_theta, registry=registry
+        )
+        assert result.clusters == reference.clusters
+        assert result.merges == reference.merges
+        assert result.stopped_early == reference.stopped_early
+        seconds = []
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(repeats):
+                start = time.perf_counter()
+                fast_cluster_with_links(links, k=k, f_theta=f_theta)
+                seconds.append(time.perf_counter() - start)
+        finally:
             gc.enable()
+        return statistics.median(seconds), registry.snapshot()["counters"]
 
-    assert len(py_streams) == len(nat_streams)
-    for py, nat in zip(py_streams, nat_streams):
-        assert np.array_equal(py.left, nat.left)
-        assert np.array_equal(py.right, nat.right)
-        assert py.goodness.tobytes() == nat.goodness.tobytes()
-        assert np.array_equal(py.sizes, nat.sizes)
-        assert py.heap_ops == nat.heap_ops
-    return python_s, native_s
+    with native_off():
+        python_s, python_counts = run_engine()
+    seconds = {"python": python_s}
+    if native_mod.available_backend() is not None:
+        seconds["native"], native_counts = run_engine()
+        assert native_counts == python_counts
+    if tracer is not None:
+        for name, value in seconds.items():
+            tracer.registry.set_gauge(
+                f"bench.merge.fit_full_{name}_seconds", value
+            )
+    return n, int(python_counts["fit.cluster.components"]), seconds
+
+
+def format_fit_full(n, components, seconds, repeats) -> list[str]:
+    python_s = seconds["python"]
+    lines = [
+        f"fit-full shape: n={n} ({FIT_FULL_CLUSTERS} planted clusters of "
+        f"{FIT_FULL_PER_CLUSTER}), k={FIT_FULL_CLUSTERS}, {components} "
+        f"components; median of {repeats}, identical to the heap reference",
+        f"{'engine':<10} {'cluster_ms':>10} {'speedup':>8}",
+    ]
+    for name, value in seconds.items():
+        lines.append(
+            f"{name:<10} {value * 1e3:>10.2f} "
+            f"{python_s / max(value, 1e-9):>7.2f}x"
+        )
+    return lines
 
 
 def assert_engines_identical(rows) -> None:
@@ -207,6 +224,7 @@ def test_merge_phase_smoke(benchmark, save_result, save_manifest):
     counters = tracer.registry.snapshot()["counters"]
     assert counters["fit.cluster.components"] >= SMOKE_N_CLUSTERS
     assert counters["fit.cluster.heap_ops"] > 0
+    fit_full = time_fit_full_shape(SMOKE_FIT_FULL_REPEATS, tracer=tracer)
 
     manifest = RunManifest.from_tracer(
         "bench_merge_phase_smoke", tracer,
@@ -222,6 +240,8 @@ def test_merge_phase_smoke(benchmark, save_result, save_manifest):
             "identical clusters+merges: yes",
             "",
             *format_rows(n, rows),
+            "",
+            *format_fit_full(*fit_full, SMOKE_FIT_FULL_REPEATS),
             "",
             machine_summary(),
         ]),
@@ -244,7 +264,6 @@ def test_merge_phase_curve(benchmark, save_result, save_manifest):
         n, links = build_links(CURVE_N_CLUSTERS[-1])
         rows = run_engines(links, k=CURVE_N_CLUSTERS[-1], tracer=tracer)
         holder["cell"] = (n, rows)
-        holder["links"] = links
 
     benchmark.pedantic(largest, rounds=1, iterations=1)
     n, rows = holder["cell"]
@@ -262,36 +281,21 @@ def test_merge_phase_curve(benchmark, save_result, save_manifest):
     if "native" in rows:
         native_s, _ = rows["native"]
         engine_speedup = fast_s / max(native_s, 1e-9)
-        # the acceptance multiple is taken on the stage the kernel
-        # replaces (the component inner loop), timed in isolation:
-        # cross-pair aggregation, partition, and replay stay in Python
-        # on both engines, so the end-to-end ratio is Amdahl-capped
-        # well below the kernel's own multiple
-        stage = time_stream_stage(holder["links"])
-        assert stage is not None
-        python_s, native_stage_s = stage
-        stage_speedup = python_s / max(native_stage_s, 1e-9)
-        tracer.registry.set_gauge(
-            "bench.merge.stream_stage_python_seconds", python_s
-        )
-        tracer.registry.set_gauge(
-            "bench.merge.stream_stage_native_seconds", native_stage_s
-        )
-        # floor below the steady-state target to absorb machine noise
-        assert stage_speedup >= 3.0, (
-            f"native inner loop {stage_speedup:.2f}x over Python at "
-            f"n={n}, need >= 3x"
+        # the whole cluster phase runs in one kernel call: only the
+        # cross-pair aggregation, the partition and the MergeStep list
+        # stay in Python, so the multiple is taken on the engine totals
+        assert engine_speedup >= SPEEDUP_FLOOR, (
+            f"native engine {engine_speedup:.2f}x over Python at "
+            f"n={n}, need >= {SPEEDUP_FLOOR}x"
         )
         native_note = [
             "",
-            f"component inner loop at n={n}: python {python_s:.3f}s, "
-            f"native {native_stage_s:.3f}s -> {stage_speedup:.2f}x "
-            "(floor: >= 3x, steady-state target: >= 5x)",
-            f"native engine end-to-end vs fast: {engine_speedup:.2f}x "
-            "(Amdahl-capped: cross-pair aggregation, partition and "
-            "replay stay in Python on both engines)",
+            f"native engine vs fast at n={n}: {engine_speedup:.2f}x "
+            f"(floor: >= {SPEEDUP_FLOOR}x; every component's loop and "
+            "the k-way replay in one kernel call)",
             "backend warmup excluded (probed before timing)",
         ]
+    fit_full = time_fit_full_shape(CURVE_FIT_FULL_REPEATS, tracer=tracer)
 
     has_native = any("native" in cell for _, cell in curve)
     header = (
@@ -317,7 +321,13 @@ def test_merge_phase_curve(benchmark, save_result, save_manifest):
             + native_col
             + f"{heap_seconds / max(fast_seconds, 1e-9):>7.2f}x"
         )
-    lines += [*native_note, "", machine_summary()]
+    lines += [
+        *native_note,
+        "",
+        *format_fit_full(*fit_full, CURVE_FIT_FULL_REPEATS),
+        "",
+        machine_summary(),
+    ]
     save_result("merge_phase", "\n".join(lines))
     manifest = RunManifest.from_tracer(
         "bench_merge_phase", tracer,

@@ -16,9 +16,13 @@ is positive only within a component of the *cluster* link graph and
 the greedy loop decomposes exactly: each component is agglomerated
 independently to exhaustion, recording its greedy merge stream, and the
 streams are then k-way **replayed** in descending goodness order until
-``k`` clusters remain.  Each component's inner loop runs on the
-:mod:`repro.native` merge kernel when the C tier probed clean, else on
-:func:`component_merge_stream` in Python; both emit the same stream.
+``k`` clusters remain.  When the C tier probed clean, the whole phase
+-- every component's inner loop and the replay -- is one
+:mod:`repro.native` kernel call over the packed arrays of
+:func:`pack_components`, and the final clusters are grouped in numpy
+from the root label it returns for every initial cluster; otherwise
+:func:`component_merge_stream` and :func:`_replay_streams` run it in
+Python.  Both produce the same result.
 
 *Why the replay equals the global greedy order.*  The reference picks
 ``u`` = the alive cluster with the globally best goodness (ties: the
@@ -75,6 +79,7 @@ import heapq
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -95,9 +100,11 @@ from repro.core.rock import (
 __all__ = [
     "ComponentProblem",
     "MergeStream",
+    "PackedComponents",
     "component_merge_stream",
     "fast_cluster_with_links",
     "merge_engine",
+    "pack_components",
     "partition_components",
 ]
 
@@ -171,17 +178,18 @@ def fast_cluster_with_links(
     :func:`repro.core.rock.heap_cluster_with_links` (same contract, same
     byte-for-byte result) for the built-in goodness measures.
 
-    Each component's inner loop runs on the :mod:`repro.native` merge
-    kernel when :func:`repro.native.get_kernels` probed clean, else in
-    Python (:func:`component_merge_stream`).  A custom goodness
-    callable raises ``ValueError``: :func:`~repro.core.rock.cluster_with_links`
+    The whole phase runs in one :mod:`repro.native` kernel call when
+    :func:`repro.native.get_kernels` probed clean, else in Python
+    (:func:`component_merge_stream` + :func:`_replay_streams`).  A
+    custom goodness callable raises ``ValueError``:
+    :func:`~repro.core.rock.cluster_with_links`
     sends those to the reference loop.  ``registry`` receives
     ``fit.cluster.components`` / ``fit.cluster.heap_ops`` counters.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     n = links.n
-    kernel = merge_kernel_for(goodness_fn, f_theta, n_max=n)
+    kernel = merge_kernel_for(goodness_fn, f_theta)
     if kernel is None:
         raise ValueError(
             "the component merge engine runs the built-in goodness "
@@ -198,26 +206,43 @@ def fast_cluster_with_links(
     m = len(cluster_list)
     sizes = np.fromiter((len(c) for c in cluster_list), np.int64, count=m)
     lo, hi, counts = _cross_pair_arrays(links, cluster_list, singletons)
-    problems = partition_components(m, sizes, lo, hi, counts)
+    packed = pack_components(m, sizes, lo, hi, counts)
     if registry is not None:
-        registry.inc("fit.cluster.components", len(problems))
+        registry.inc("fit.cluster.components", len(packed))
 
     from repro.native import get_kernels
 
     backend = get_kernels()
-    if backend is not None:
-        from repro.native.merge import native_component_streams
-
-        streams = native_component_streams(
-            problems, kernel, backend, registry=registry
-        )
-    else:
+    if backend is None:
+        problems = packed.problems()
         streams = [component_merge_stream(p, kernel) for p in problems]
         if registry is not None:
             registry.inc(
                 "fit.cluster.heap_ops", sum(s.heap_ops for s in streams)
             )
-    return _replay_streams(cluster_list, problems, streams, k, n, registry)
+        return _replay_streams(cluster_list, problems, streams, k, n, registry)
+
+    from repro.native.merge import native_merge_components
+
+    run = native_merge_components(packed, kernel, backend, k, m)
+    if registry is not None:
+        registry.inc("fit.cluster.heap_ops", run.heap_ops)
+    merges = list(
+        map(
+            MergeStep,
+            run.left.tolist(),
+            run.right.tolist(),
+            range(m, m + len(run.left)),
+            run.goodness.tolist(),
+            run.sizes.tolist(),
+        )
+    )
+    return RockResult(
+        clusters=_final_clusters(cluster_list, run.roots),
+        merges=merges,
+        stopped_early=run.stopped_early,
+        n_points=n,
+    )
 
 
 def _cross_pair_arrays(
@@ -252,22 +277,76 @@ def _cross_pair_arrays(
     return codes // m, codes % m, summed
 
 
-def partition_components(
+@dataclass
+class PackedComponents:
+    """Every merge sub-problem of the cluster link graph, concatenated.
+
+    Component ``c`` (ordered by smallest member id) owns slots
+    ``slot_offsets[c]:slot_offsets[c+1]`` of ``global_ids`` (ascending
+    initial cluster ids) and ``sizes``, and pairs
+    ``pair_offsets[c]:pair_offsets[c+1]`` of ``pair_lo`` / ``pair_hi``
+    (local slot ids, ``lo < hi``) and ``pair_count``.  ``index`` holds
+    each component's position among all components, isolated clusters
+    included.  The native engine takes these arrays as they are;
+    :meth:`problems` slices them per component for the Python inner
+    loop and the shard workers.
+    """
+
+    index: np.ndarray
+    slot_offsets: np.ndarray
+    pair_offsets: np.ndarray
+    global_ids: np.ndarray
+    sizes: np.ndarray
+    pair_lo: np.ndarray
+    pair_hi: np.ndarray
+    pair_count: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.index.shape[0])
+
+    def problems(self) -> list[ComponentProblem]:
+        slots = self.slot_offsets.tolist()
+        pairs = self.pair_offsets.tolist()
+        return [
+            ComponentProblem(
+                index=index,
+                global_ids=self.global_ids[slots[c] : slots[c + 1]],
+                sizes=self.sizes[slots[c] : slots[c + 1]],
+                pair_lo=self.pair_lo[pairs[c] : pairs[c + 1]],
+                pair_hi=self.pair_hi[pairs[c] : pairs[c + 1]],
+                pair_count=self.pair_count[pairs[c] : pairs[c + 1]],
+            )
+            for c, index in enumerate(self.index.tolist())
+        ]
+
+
+def pack_components(
     m: int,
     sizes: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
     counts: np.ndarray,
-) -> list[ComponentProblem]:
+) -> PackedComponents:
     """Split the cluster link graph into independent merge sub-problems.
 
     Components are ordered by their smallest member id (a canonical
     order independent of the labeling backend); clusters with no cross
     links form no problem at all -- they can never merge and are carried
-    straight through to the final clustering.
+    straight through to the final clustering.  Pairs keep their input
+    order within a component.
     """
     if m == 0 or lo.size == 0:
-        return []
+        empty = np.zeros(0, dtype=np.int64)
+        return PackedComponents(
+            index=empty,
+            slot_offsets=np.zeros(1, dtype=np.int64),
+            pair_offsets=np.zeros(1, dtype=np.int64),
+            global_ids=empty,
+            sizes=empty,
+            pair_lo=empty,
+            pair_hi=empty,
+            pair_count=np.zeros(0, dtype=np.float64),
+        )
     labels = _component_labels(m, lo, hi)
     # canonicalise: number components by their smallest member id
     _, inverse = np.unique(labels, return_inverse=True)
@@ -281,52 +360,41 @@ def partition_components(
     comp_of = rank[inverse]
 
     member_order = np.argsort(comp_of, kind="stable")  # ascending ids per comp
-    sorted_comp = comp_of[member_order]
-    group_starts = np.flatnonzero(
-        np.r_[True, sorted_comp[1:] != sorted_comp[:-1]]
-    )
-    group_ends = np.r_[group_starts[1:], m]
+    comp_size = np.bincount(comp_of, minlength=n_comp)
+    group_starts = np.r_[0, np.cumsum(comp_size)[:-1]]
     local_of = np.empty(m, dtype=np.int64)
     local_of[member_order] = np.arange(m, dtype=np.int64) - np.repeat(
-        group_starts, group_ends - group_starts
+        group_starts, comp_size
     )
+    # an isolated cluster (a one-member component) has no pairs
+    kept = np.flatnonzero(comp_size >= 2)
+    member_kept = comp_size[comp_of[member_order]] >= 2
+    global_ids = member_order[member_kept]
 
     pair_comp = comp_of[lo]
     pair_order = np.argsort(pair_comp, kind="stable")
-    sorted_pair_comp = pair_comp[pair_order]
-    pair_starts = np.flatnonzero(
-        np.r_[True, sorted_pair_comp[1:] != sorted_pair_comp[:-1]]
+    pair_size = np.bincount(pair_comp, minlength=n_comp)[kept]
+    return PackedComponents(
+        index=kept,
+        slot_offsets=np.r_[0, np.cumsum(comp_size[kept])].astype(np.int64),
+        pair_offsets=np.r_[0, np.cumsum(pair_size)].astype(np.int64),
+        global_ids=global_ids,
+        sizes=sizes[global_ids],
+        pair_lo=local_of[lo][pair_order],
+        pair_hi=local_of[hi][pair_order],
+        pair_count=counts[pair_order],
     )
-    pair_ends = np.r_[pair_starts[1:], lo.size]
-    pair_comp_ids = sorted_pair_comp[pair_starts]
-    lo_local = local_of[lo][pair_order]
-    hi_local = local_of[hi][pair_order]
-    counts_sorted = counts[pair_order]
 
-    pair_slice = {
-        int(comp): (int(start), int(end))
-        for comp, start, end in zip(pair_comp_ids, pair_starts, pair_ends)
-    }
-    problems: list[ComponentProblem] = []
-    for index, (start, end) in enumerate(zip(group_starts, group_ends)):
-        if end - start < 2:
-            continue  # isolated cluster: nothing to merge
-        global_ids = member_order[start:end].copy()
-        span = pair_slice.get(index)
-        if span is None:
-            continue
-        p_start, p_end = span
-        problems.append(
-            ComponentProblem(
-                index=index,
-                global_ids=global_ids,
-                sizes=sizes[global_ids],
-                pair_lo=lo_local[p_start:p_end].copy(),
-                pair_hi=hi_local[p_start:p_end].copy(),
-                pair_count=counts_sorted[p_start:p_end].copy(),
-            )
-        )
-    return problems
+
+def partition_components(
+    m: int,
+    sizes: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    counts: np.ndarray,
+) -> list[ComponentProblem]:
+    """:func:`pack_components`, sliced into one problem per component."""
+    return pack_components(m, sizes, lo, hi, counts).problems()
 
 
 def _component_labels(m: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -591,37 +659,55 @@ def _replay_streams(
     if registry is not None:
         registry.inc("fit.cluster.heap_ops", heap_ops)
 
-    in_problem = np.zeros(m, dtype=bool)
-    final: list[list[int]] = []
-    for comp, (problem, stream) in enumerate(zip(problems, streams)):
-        in_problem[problem.global_ids] = True
-        s = int(problem.global_ids.shape[0])
-        consumed = pointers[comp]
-        if consumed == 0:
-            final.extend(
-                list(cluster_list[int(g)]) for g in problem.global_ids
-            )
-            continue
-        members: dict[int, list[int]] = {
-            i: list(cluster_list[int(problem.global_ids[i])])
-            for i in range(s)
-        }
-        stream_left = stream.left.tolist()
-        stream_right = stream.right.tolist()
-        for t in range(consumed):
-            members[s + t] = members.pop(stream_left[t]) + members.pop(
-                stream_right[t]
-            )
-        final.extend(members.values())
-    final.extend(
-        list(cluster_list[cid]) for cid in np.flatnonzero(~in_problem)
-    )
-
-    final = [sorted(c) for c in final]
-    final.sort(key=lambda c: (-len(c), c[0] if c else -1))
+    merged_left = np.fromiter((s.left for s in merges), np.int64, len(merges))
+    merged_right = np.fromiter((s.right for s in merges), np.int64, len(merges))
     return RockResult(
-        clusters=final,
+        clusters=_final_clusters(
+            cluster_list, _merge_roots(m, merged_left, merged_right)
+        ),
         merges=merges,
         stopped_early=stopped_early,
         n_points=n,
     )
+
+
+def _merge_roots(m: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The final cluster id of each of ``m`` initial clusters after the
+    merges ``left[t] + right[t] -> m + t``, by pointer doubling."""
+    parent = np.arange(m + left.shape[0], dtype=np.int64)
+    merged = np.arange(m, m + left.shape[0], dtype=np.int64)
+    parent[left] = merged
+    parent[right] = merged
+    while True:
+        grand = parent[parent]
+        if np.array_equal(grand, parent):
+            return parent[:m]
+        parent = grand
+
+
+def _final_clusters(
+    cluster_list: list[list[int]], roots: np.ndarray
+) -> list[list[int]]:
+    """Group the initial clusters by final cluster id.
+
+    Each final cluster's members come back sorted, and the clusters
+    ordered by decreasing size, ties by smallest member -- the
+    reference's order.
+    """
+    lengths = np.fromiter(map(len, cluster_list), np.int64, len(cluster_list))
+    points = np.fromiter(
+        chain.from_iterable(cluster_list), np.int64, int(lengths.sum())
+    )
+    if points.size == 0:
+        return []
+    owner = np.repeat(roots, lengths)
+    order = np.lexsort((points, owner))
+    points = points[order]
+    owner = owner[order]
+    starts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+    ends = np.r_[starts[1:], points.size]
+    rank = np.lexsort((points[starts], starts - ends)).tolist()
+    flat = points.tolist()
+    starts_l = starts.tolist()
+    ends_l = ends.tolist()
+    return [flat[starts_l[g] : ends_l[g]] for g in rank]

@@ -601,9 +601,10 @@ class RockPipeline:
         with tracer.span("sample") as span:
             if self.sample_size is not None and self.sample_size < n_total:
                 sampled = sample_indices(n_total, self.sample_size, rng=rng)
+                sample_points = _subset(points, sampled)
             else:
                 sampled = list(range(n_total))
-            sample_points = _subset(points, sampled)
+                sample_points = points
             registry.set_gauge("fit.n_points", n_total)
             registry.set_gauge("fit.n_sampled", len(sampled))
         timings["sample"] = span.wall_seconds
@@ -711,7 +712,6 @@ class RockPipeline:
                         goodness_fn=self.goodness_fn,
                         registry=registry,
                     )
-                registry.inc("fit.cluster.merges", len(result.merges))
             timings["cluster"] = span.wall_seconds
 
         # the fit.backend gauges (numeric) and root-span attrs (strings)

@@ -117,7 +117,9 @@ def cluster_with_links(
         Merge-goodness strategy, ``(cross_links, ni, nj, f_theta) -> float``.
     registry:
         Optional :class:`~repro.obs.registry.MetricsRegistry` receiving
-        ``fit.cluster.*`` counters from the component engine.
+        the ``fit.cluster.merges`` counter from every engine and
+        ``fit.cluster.components`` / ``fit.cluster.heap_ops`` from the
+        component engine.
 
     The engine follows from what the code can observe
     (:func:`repro.core.merge.merge_engine`): a custom goodness callable
@@ -130,12 +132,16 @@ def cluster_with_links(
     from repro.core.merge import fast_cluster_with_links, merge_engine
 
     if merge_engine(goodness_fn) == "heap":
-        return heap_cluster_with_links(
+        result = heap_cluster_with_links(
             links, k, f_theta, initial_clusters, goodness_fn
         )
-    return fast_cluster_with_links(
-        links, k, f_theta, initial_clusters, goodness_fn, registry=registry
-    )
+    else:
+        result = fast_cluster_with_links(
+            links, k, f_theta, initial_clusters, goodness_fn, registry=registry
+        )
+    if registry is not None:
+        registry.inc("fit.cluster.merges", len(result.merges))
+    return result
 
 
 def heap_cluster_with_links(
@@ -314,7 +320,6 @@ def rock(
             links, k=k, f_theta=f(theta), goodness_fn=goodness_fn,
             registry=registry,
         )
-        registry.inc("fit.cluster.merges", len(result.merges))
     return result
 
 

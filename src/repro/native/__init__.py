@@ -7,9 +7,11 @@
   surviving neighbor lists straight to packed Figure 4 pair counts),
   replacing the scipy-product + ``pair_link_counts`` Python loop of
   :mod:`repro.parallel.links`; and
-* the component merge inner loop (the lazy-heap agglomeration of
-  :func:`repro.core.merge.component_merge_stream`) on flat typed
-  arrays with binary heaps instead of ``heapq`` tuples; and
+* the component engine's whole cluster phase: the lazy-heap
+  agglomeration of :func:`repro.core.merge.component_merge_stream` on
+  every component, on flat typed arrays with binary heaps instead of
+  ``heapq`` tuples, and the k-way replay of their streams, in one
+  call; and
 * the §4.6 assignment hot loop (``assign_block``): candidate gather
   over the prefix postings of the
   :class:`repro.serve.index.AssignmentIndex`, exact verification,
@@ -115,22 +117,31 @@ def _smoke_test(kernels: Any) -> None:
     )
     if codes.tolist() != [1, 2, 6] or counts.tolist() != [1, 1, 1]:
         raise RuntimeError("pair_count_reduce smoke test mismatch")
-    # one pair of singletons, naive goodness: a single merge of count 2
-    left, right, goodness, out_sizes, heap_ops = kernels.merge_component(
-        np.array([1, 1], dtype=np.int64),
-        np.array([0], dtype=np.int64),
-        np.array([1], dtype=np.int64),
-        np.array([2.0], dtype=np.float64),
+    # two components, naive goodness.  Component 0 = clusters {0, 3, 4}
+    # (local pairs 0-1 count 2, 1-2 count 1), component 1 = {1, 2}
+    # (count 1).  After 0+3 -> 5, both stream heads have goodness 1:
+    # the replay must take u = 1 (component 1) before u = 4, so 1+2 -> 6
+    # precedes 4+5 -> 7.  k = 1 is out of reach: stopped early.
+    run = kernels.merge_components(
+        np.array([0, 3, 5], dtype=np.int64),          # slot_offsets
+        np.array([0, 2, 3], dtype=np.int64),          # pair_offsets
+        np.ones(5, dtype=np.int64),                   # sizes
+        np.array([0, 3, 4, 1, 2], dtype=np.int64),    # global_ids
+        np.array([0, 1, 0], dtype=np.int64),          # pair_lo
+        np.array([1, 2, 1], dtype=np.int64),          # pair_hi
+        np.array([2.0, 1.0, 1.0], dtype=np.float64),  # pair_count
         np.zeros(1, dtype=np.float64),
-        1,
+        1, 1, 5,
     )
     if (
-        left.tolist() != [0]
-        or right.tolist() != [1]
-        or goodness.tolist() != [2.0]
-        or out_sizes.tolist() != [2]
+        run.left.tolist() != [0, 1, 4]
+        or run.right.tolist() != [3, 2, 5]
+        or run.goodness.tolist() != [2.0, 1.0, 1.0]
+        or run.sizes.tolist() != [2, 2, 3]
+        or run.roots.tolist() != [7, 6, 6, 7, 7]
+        or not run.stopped_early
     ):
-        raise RuntimeError("merge_component smoke test mismatch")
+        raise RuntimeError("merge_components smoke test mismatch")
     # rank-numbered items e=0 < b=1 < c=2 < d=3 at theta 0.6; rep 0 =
     # {e,b,c,d} (cluster 0, prefix {e,b}), rep 1 = {c,d} (cluster 1,
     # prefix {c}).  Point {a,b,c,d} (a out of vocabulary) meets rep 0

@@ -24,7 +24,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -38,6 +38,37 @@ _i64_p = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
 _i32_p = np.ctypeslib.ndpointer(dtype=np.int32, flags="C_CONTIGUOUS")
 _f64_p = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
 _u8_p = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
+
+
+class StreamBuffers(NamedTuple):
+    """Every component's greedy merge stream, concatenated.
+
+    Component ``c``'s stream starts at ``slot_offsets[c] - c`` and holds
+    ``lengths[c]`` entries in local slot ids; ``heap_ops[c]`` is its
+    inner loop's count.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+    goodness: np.ndarray
+    sizes: np.ndarray
+    lengths: np.ndarray
+    heap_ops: np.ndarray
+
+
+class MergeRun(NamedTuple):
+    """One ``merge_components`` call: the replayed merge history in
+    global ids (merged ids are ``m, m+1, ...`` in order), the final
+    cluster id of every initial cluster, and the counters."""
+
+    left: np.ndarray
+    right: np.ndarray
+    goodness: np.ndarray
+    sizes: np.ndarray
+    roots: np.ndarray
+    heap_ops: int
+    stopped_early: bool
+    streams: StreamBuffers
 
 
 def _cache_dir() -> Path:
@@ -119,15 +150,15 @@ def _bind(lib: ctypes.CDLL) -> None:
         _u8_p, _i32_p, _i32_p, _i64_p, _i32_p,
         _i64_p, _f64_p,
     ]
-    lib.merge_component.restype = ctypes.c_longlong
-    lib.merge_component.argtypes = [
-        ctypes.c_int64, _i64_p,
-        ctypes.c_int64, _i64_p, _i64_p, _f64_p,
-        _f64_p, ctypes.c_int64, ctypes.c_int64,
+    lib.merge_components.restype = ctypes.c_longlong
+    lib.merge_components.argtypes = [
+        ctypes.c_int64, _i64_p, _i64_p, _i64_p, _i64_p,
+        _i64_p, _i64_p, _f64_p,
+        _f64_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        _i64_p, _i64_p, _f64_p, _i64_p, _i64_p, _i64_p,
         _i64_p, _i64_p, _f64_p, _i64_p,
-        ctypes.POINTER(ctypes.c_int64),
+        _i64_p, _i64_p,
     ]
-
 
 def _as_i64(a: Any) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int64)
@@ -271,43 +302,71 @@ class _CextKernels:
         )
         return out_labels[:b], out_best[:b], int(verified)
 
-    def merge_component(
+    def merge_components(
         self,
+        slot_offsets: np.ndarray,
+        pair_offsets: np.ndarray,
         sizes: np.ndarray,
+        global_ids: np.ndarray,
         pair_lo: np.ndarray,
         pair_hi: np.ndarray,
         pair_count: np.ndarray,
         ptable: np.ndarray,
         naive: int,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+        k: int,
+        m: int,
+    ) -> "MergeRun":
+        """The cluster phase over packed components in one call.
+
+        Component ``c`` owns slots ``slot_offsets[c]:slot_offsets[c+1]``
+        of ``sizes`` / ``global_ids`` and pairs
+        ``pair_offsets[c]:pair_offsets[c+1]`` of the local pair arrays;
+        ``ptable`` must cover every component's summed size.
+        """
+        slot_offsets = _as_i64(slot_offsets)
+        pair_offsets = _as_i64(pair_offsets)
         sizes = _as_i64(sizes)
+        global_ids = _as_i64(global_ids)
         pair_lo = _as_i64(pair_lo)
         pair_hi = _as_i64(pair_hi)
         pair_count = _as_f64(pair_count)
         ptable = _as_f64(ptable)
-        s = int(sizes.size)
-        cap = max(s - 1, 1)
-        out_left = np.empty(cap, dtype=np.int64)
-        out_right = np.empty(cap, dtype=np.int64)
-        out_goodness = np.empty(cap, dtype=np.float64)
+        n_comp = int(slot_offsets.size) - 1
+        cap = max(int(slot_offsets[-1]) - n_comp, 1)
+        streams = StreamBuffers(
+            left=np.empty(cap, dtype=np.int64),
+            right=np.empty(cap, dtype=np.int64),
+            goodness=np.empty(cap, dtype=np.float64),
+            sizes=np.empty(cap, dtype=np.int64),
+            lengths=np.empty(max(n_comp, 1), dtype=np.int64),
+            heap_ops=np.empty(max(n_comp, 1), dtype=np.int64),
+        )
+        left = np.empty(cap, dtype=np.int64)
+        right = np.empty(cap, dtype=np.int64)
+        goodness = np.empty(cap, dtype=np.float64)
         out_sizes = np.empty(cap, dtype=np.int64)
-        heap_ops = ctypes.c_int64(0)
-        n_merges = self._lib.merge_component(
-            s, sizes, int(pair_lo.size), pair_lo, pair_hi, pair_count,
-            ptable, int(ptable.size), int(naive),
-            out_left, out_right, out_goodness, out_sizes,
-            ctypes.byref(heap_ops),
+        roots = np.empty(max(int(m), 1), dtype=np.int64)
+        stats = np.zeros(2, dtype=np.int64)
+        n_merges = self._lib.merge_components(
+            n_comp, slot_offsets, pair_offsets, sizes, global_ids,
+            pair_lo, pair_hi, pair_count,
+            ptable, int(naive), int(k), int(m),
+            streams.left, streams.right, streams.goodness, streams.sizes,
+            streams.lengths, streams.heap_ops,
+            left, right, goodness, out_sizes, roots, stats,
         )
         if n_merges < 0:
-            raise MemoryError("merge_component: allocation failed")
-        return (
-            out_left[:n_merges].copy(),
-            out_right[:n_merges].copy(),
-            out_goodness[:n_merges].copy(),
-            out_sizes[:n_merges].copy(),
-            int(heap_ops.value),
+            raise MemoryError("merge_components: allocation failed")
+        return MergeRun(
+            left=left[:n_merges],
+            right=right[:n_merges],
+            goodness=goodness[:n_merges],
+            sizes=out_sizes[:n_merges],
+            roots=roots[:m],
+            heap_ops=int(stats[0]),
+            stopped_early=bool(stats[1]),
+            streams=streams,
         )
-
 
 def load_kernels() -> Any:
     """Compile (or reuse) the shared object and bind the kernels.

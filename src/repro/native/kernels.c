@@ -1,5 +1,5 @@
-/* Native kernels for the fused neighbor+link pass and the component
- * merge inner loop.
+/* Native kernels for the fused neighbor+link pass, the component
+ * merge phase and the serving assignment scan.
  *
  * Compiled on demand by repro/native/cext.py with the system C
  * compiler and bound through ctypes.  Every routine mirrors a Python
@@ -17,9 +17,14 @@
  *   pair_count_reduce <-> repro.parallel.links.pair_link_counts
  *                         (integer pair-code counting; sort order is
  *                         value order either way)
- *   merge_component   <-> repro.core.merge.component_merge_stream
- *                         (same lazy-heap selection, same goodness
- *                         arithmetic and association, same heap_ops)
+ *   merge_components  <-> repro.core.merge.component_merge_stream
+ *                         run on every component, then
+ *                         repro.core.merge._replay_streams (same
+ *                         lazy-heap selection, same goodness
+ *                         arithmetic and association, same
+ *                         (-goodness, u id) replay order, same
+ *                         heap_ops) -- the whole cluster phase in one
+ *                         call
  *   assign_block      <-> repro.serve.index.AssignmentIndex
  *                         .assign_with_scores (prefix-filtered
  *                         candidates, exact intersections, same
@@ -715,20 +720,19 @@ static double goodness_eval(double count, i64 ni, i64 nj,
  * (-g, partner) entries, a global token heap, best_token lower
  * bounds), and heap_ops counts exactly what the Python loop counts.
  *
- * Outputs (capacity s-1 each) receive the merge stream; returns the
- * number of merges, or -1 on allocation failure.
+ * Outputs (capacity s-1 each) receive the merge stream in local slot
+ * ids; returns the number of merges, or -1 on allocation failure.
  */
-long long merge_component(
+static long long merge_one(
     i64 s,
     const i64 *sizes_in,
     i64 n_pairs,
     const i64 *pair_lo, const i64 *pair_hi, const double *pair_count,
-    const double *ptable, i64 ptable_len,
+    const double *ptable,
     i64 naive,
     i64 *out_left, i64 *out_right, double *out_goodness, i64 *out_sizes,
     i64 *heap_ops_out)
 {
-    (void)ptable_len;
     i64 n_slots = 2 * s - 1;
     long long result = -1;
     i64 n_merges = 0;
@@ -956,5 +960,151 @@ done:
     free(best_token);
     free(rows);
     free(local);
+    return result;
+}
+
+/* Global id of local slot `local` of component c: an initial cluster
+ * id below the component's slot count s, else the id the replay handed
+ * to the component's (local - s)-th merge. */
+static i64 replay_gid(i64 local, i64 s, const i64 *gids, const i64 *merged)
+{
+    return local < s ? gids[local] : merged[local - s];
+}
+
+/* The whole Figure 3 cluster phase over packed components.
+ *
+ * Component c owns slots [slot_off[c], slot_off[c+1]) of sizes /
+ * global_ids (ascending initial-cluster ids) and pairs
+ * [pair_off[c], pair_off[c+1]) of the local pair arrays.  Each
+ * component runs merge_one to exhaustion into the concatenated stream
+ * buffers (component c's stream starts at slot_off[c] - c, capacity
+ * s - 1), then the streams are replayed in
+ * repro.core.merge._replay_streams order: a heap over stream heads
+ * keyed (-goodness, u global id) -- the reference's selection rule; a
+ * stream's goodness is not monotone, so this cannot be a sort --
+ * handing out merged ids m, m+1, ... in replay order until k of the m
+ * initial clusters remain, or every stream is exhausted
+ * (stats[1] = stopped_early).
+ *
+ * out_left/out_right/out_goodness/out_sizes receive the replayed
+ * merges in global ids, out_root (m entries) the id of the final
+ * cluster holding each initial cluster, stream_len / stream_heap_ops
+ * each component's stream length and inner-loop heap_ops, and
+ * stats[0] the total heap_ops (inner loops plus replay).  Returns the
+ * number of replayed merges, or -1 on allocation failure.
+ */
+long long merge_components(
+    i64 n_comp,
+    const i64 *slot_off, const i64 *pair_off,
+    const i64 *sizes, const i64 *global_ids,
+    const i64 *pair_lo, const i64 *pair_hi, const double *pair_count,
+    const double *ptable, i64 naive, i64 k, i64 m,
+    i64 *stream_left, i64 *stream_right, double *stream_goodness,
+    i64 *stream_sizes, i64 *stream_len, i64 *stream_heap_ops,
+    i64 *out_left, i64 *out_right, double *out_goodness, i64 *out_sizes,
+    i64 *out_root, i64 *stats)
+{
+    long long result = -1;
+    long long heap_ops = 0;
+    i64 cap = slot_off[n_comp] - n_comp; /* most merges any run makes */
+    i64 *merged = (i64 *)malloc((size_t)(cap > 0 ? cap : 1) * sizeof(i64));
+    i64 *pos = (i64 *)calloc((size_t)(n_comp > 0 ? n_comp : 1), sizeof(i64));
+    /* component of every id a stream head can name */
+    i64 *comp_of = (i64 *)malloc((size_t)(m + cap + 1) * sizeof(i64));
+    i64 *parent = (i64 *)malloc((size_t)(m + cap + 1) * sizeof(i64));
+    Heap heap = {NULL, 0, 0};
+    if (!merged || !pos || !comp_of || !parent)
+        goto done;
+
+    for (i64 c = 0; c < n_comp; c++) {
+        i64 base = slot_off[c], s = slot_off[c + 1] - base;
+        i64 so = base - c, p0 = pair_off[c], ops = 0;
+        long long len = merge_one(
+            s, sizes + base, pair_off[c + 1] - p0,
+            pair_lo + p0, pair_hi + p0, pair_count + p0, ptable, naive,
+            stream_left + so, stream_right + so, stream_goodness + so,
+            stream_sizes + so, &ops);
+        if (len < 0)
+            goto done;
+        stream_len[c] = len;
+        stream_heap_ops[c] = ops;
+        heap_ops += ops;
+        for (i64 x = 0; x < s; x++)
+            comp_of[global_ids[base + x]] = c;
+    }
+
+    /* k-way replay: one (-head goodness, head u gid) entry per stream;
+     * u gids are distinct across live heads, so the key is total */
+    heap.cap = n_comp > 0 ? n_comp : 1;
+    heap.e = (HeapEnt *)malloc((size_t)heap.cap * sizeof(HeapEnt));
+    if (!heap.e)
+        goto done;
+    for (i64 c = 0; c < n_comp; c++) {
+        if (stream_len[c] == 0)
+            continue;
+        i64 base = slot_off[c], so = base - c;
+        heap.e[heap.len].neg = -stream_goodness[so];
+        heap.e[heap.len].partner = replay_gid(
+            stream_left[so], slot_off[c + 1] - base, global_ids + base,
+            merged + so);
+        heap.len++;
+    }
+    heap_heapify(&heap);
+    heap_ops += heap.len;
+
+    i64 alive = m, n_out = 0, stopped = 0;
+    while (alive > k) {
+        if (heap.len == 0) {
+            /* no positive-goodness merge remains anywhere */
+            stopped = 1;
+            break;
+        }
+        HeapEnt head = heap_pop(&heap);
+        heap_ops++;
+        i64 c = comp_of[head.partner];
+        i64 base = slot_off[c], s = slot_off[c + 1] - base, so = base - c;
+        i64 t = pos[c], at = so + t;
+        i64 w = m + n_out;
+        merged[at] = w;
+        comp_of[w] = c;
+        out_left[n_out] = head.partner;
+        out_right[n_out] = replay_gid(
+            stream_right[at], s, global_ids + base, merged + so);
+        out_goodness[n_out] = stream_goodness[at];
+        out_sizes[n_out] = stream_sizes[at];
+        n_out++;
+        pos[c] = t + 1;
+        alive--;
+        if (t + 1 < stream_len[c]) {
+            if (heap_push(&heap, -stream_goodness[at + 1],
+                          replay_gid(stream_left[at + 1], s,
+                                     global_ids + base, merged + so)) != 0)
+                goto done;
+            heap_ops++;
+        }
+    }
+
+    /* root labels: merged ids exceed their parts' ids, so one
+     * descending sweep resolves every id to its final cluster */
+    for (i64 x = 0; x < m + n_out; x++)
+        parent[x] = x;
+    for (i64 t = 0; t < n_out; t++) {
+        parent[out_left[t]] = m + t;
+        parent[out_right[t]] = m + t;
+    }
+    for (i64 x = m + n_out - 1; x >= 0; x--)
+        parent[x] = parent[parent[x]];
+    for (i64 x = 0; x < m; x++)
+        out_root[x] = parent[x];
+    stats[0] = heap_ops;
+    stats[1] = stopped;
+    result = n_out;
+
+done:
+    free(heap.e);
+    free(merged);
+    free(pos);
+    free(comp_of);
+    free(parent);
     return result;
 }

@@ -1,16 +1,23 @@
-"""Native component agglomeration: the merge kernel of the component engine.
+"""Native cluster phase: the component engine in one kernel call.
 
-Replaces the per-component Python inner loop
-(:func:`repro.core.merge.component_merge_stream`) with one backend
-kernel call per component: the whole lazy-heap agglomeration runs on
-flat typed arrays and returns the finished
-:class:`~repro.core.merge.MergeStream`, which the unchanged
-``_replay_streams`` consumes.  Bit-identicality carries over because
-the kernel mirrors the Python loop statement for statement -- the same
-``(-goodness, partner)`` tuple order, the same power-table goodness
-arithmetic (the table itself is computed Python-side by the exact
-scalar ``pow`` of :class:`~repro.core.goodness.PowerTable` and handed
-to the kernel), and the same ``heap_ops`` accounting.
+Runs the whole Figure 3 merge phase of the component engine on the C
+tier: every component's lazy-heap agglomeration
+(:func:`repro.core.merge.component_merge_stream`) and the k-way replay
+of their streams (:func:`repro.core.merge._replay_streams`) happen in
+one ``merge_components`` call over the packed arrays of
+:func:`repro.core.merge.pack_components`.  The kernel returns the
+replayed merge history in global ids, the final cluster of every
+initial cluster, ``heap_ops`` and ``stopped_early``;
+:func:`repro.core.merge.fast_cluster_with_links` builds the
+:class:`~repro.core.rock.RockResult` from those arrays.
+
+Bit-identicality carries over because the kernel mirrors the Python
+loops statement for statement -- the same ``(-goodness, partner)``
+tuple order, the same power-table goodness arithmetic (the table itself
+is computed Python-side by the exact scalar ``pow`` of
+:class:`~repro.core.goodness.PowerTable` and handed to the kernel), the
+same ``(-goodness, u id)`` replay order and the same ``heap_ops``
+accounting.
 
 Only the built-in goodness measures are supported; custom callables
 run the reference heap loop (:func:`repro.core.merge.merge_engine`) and
@@ -23,53 +30,60 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.merge import ComponentProblem, MergeStream
+from repro.core.merge import MergeStream, PackedComponents
 
-__all__ = ["native_component_streams"]
+__all__ = ["native_component_streams", "native_merge_components"]
 
 _DUMMY_TABLE = np.zeros(1, dtype=np.float64)
 
 
-def native_component_streams(
-    problems: list[ComponentProblem],
-    kernel: Any,
-    backend: Any,
-    registry: Any | None = None,
-) -> list[MergeStream]:
-    """Agglomerate every component with the native backend.
+def native_merge_components(
+    packed: PackedComponents, kernel: Any, backend: Any, k: int, m: int
+) -> Any:
+    """Agglomerate every component and replay the streams down to ``k``
+    of the ``m`` initial clusters; returns the backend's ``MergeRun``."""
+    if kernel.name == "naive" or len(packed) == 0:
+        ptable = _DUMMY_TABLE
+    else:
+        # every reachable lo+hi size index is within a component's sum
+        largest = np.add.reduceat(packed.sizes, packed.slot_offsets[:-1]).max()
+        ptable = kernel.table.ensure(int(largest)).array()
+    return backend.merge_components(
+        packed.slot_offsets,
+        packed.pair_offsets,
+        packed.sizes,
+        packed.global_ids,
+        packed.pair_lo,
+        packed.pair_hi,
+        packed.pair_count,
+        ptable,
+        int(kernel.name == "naive"),
+        k,
+        m,
+    )
 
-    Streams come back in ``problems`` order, exactly like the Python
-    inner loop, so ``_replay_streams`` sees the same input regardless
-    of engine.
-    """
-    naive = 1 if kernel.name == "naive" else 0
-    streams: list[MergeStream] = []
-    for problem in problems:
-        if naive:
-            ptable = _DUMMY_TABLE
-        else:
-            # same coverage as kernel.bind(sizes.sum()) on the Python
-            # path: every reachable lo+hi index is within 2 * sum
-            ptable = kernel.table.ensure(2 * int(problem.sizes.sum())).array()
-        left, right, goodness, sizes_out, heap_ops = backend.merge_component(
-            problem.sizes,
-            problem.pair_lo,
-            problem.pair_hi,
-            problem.pair_count,
-            ptable,
-            naive,
+
+def native_component_streams(
+    packed: PackedComponents, kernel: Any, backend: Any
+) -> list[MergeStream]:
+    """Each component's stream from the packed call, in
+    :meth:`~repro.core.merge.PackedComponents.problems` order -- the
+    native counterpart of running ``component_merge_stream`` on every
+    problem."""
+    m = int(packed.global_ids.max(initial=-1)) + 1
+    buffers = native_merge_components(packed, kernel, backend, 1, m).streams
+    starts = packed.slot_offsets[:-1] - np.arange(len(packed))
+    return [
+        MergeStream(
+            left=buffers.left[start : start + length],
+            right=buffers.right[start : start + length],
+            goodness=buffers.goodness[start : start + length],
+            sizes=buffers.sizes[start : start + length],
+            heap_ops=heap_ops,
         )
-        streams.append(
-            MergeStream(
-                left=left,
-                right=right,
-                goodness=goodness,
-                sizes=sizes_out,
-                heap_ops=int(heap_ops),
-            )
+        for start, length, heap_ops in zip(
+            starts.tolist(),
+            buffers.lengths[: len(packed)].tolist(),
+            buffers.heap_ops[: len(packed)].tolist(),
         )
-    if registry is not None:
-        registry.inc(
-            "fit.cluster.heap_ops", sum(s.heap_ops for s in streams)
-        )
-    return streams
+    ]

@@ -40,7 +40,7 @@ from repro.core.pipeline import RockPipeline
 from repro.core.rock import cluster_with_links, heap_cluster_with_links, rock
 from repro.data.transactions import Transaction, TransactionDataset
 from repro.obs.registry import MetricsRegistry
-from tests.linktables import link_table
+from tests.linktables import link_table, replicated_components
 
 F_THETAS = [0.0, default_f(0.5)]
 
@@ -140,6 +140,33 @@ class TestMergeHistoryEquivalence:
         ref = heap_cluster_with_links(links, **kwargs)
         for fast in engine_results(cluster_with_links, links, **kwargs):
             assert_identical(ref, fast)
+
+    @settings(max_examples=120, deadline=None)
+    @given(replicated_components())
+    def test_replicated_components(self, problem):
+        """Equal-goodness heads from many components: the replay's
+        ``(-goodness, u id)`` tie rule, resumed partitions, early stops
+        -- and both engines count the same ``fit.cluster.*`` work."""
+        n, triples, k, initial, goodness_fn, f_theta = problem
+        links = link_table(n, triples)
+        kwargs = dict(
+            k=k, f_theta=f_theta, initial_clusters=initial,
+            goodness_fn=goodness_fn,
+        )
+        ref = heap_cluster_with_links(links, **kwargs)
+
+        def counted(**kwargs):
+            registry = MetricsRegistry()
+            result = cluster_with_links(links, registry=registry, **kwargs)
+            return result, registry.snapshot()["counters"]
+
+        (default, default_counts), (python, python_counts) = engine_results(
+            counted, **kwargs
+        )
+        assert_identical(ref, default)
+        assert_identical(ref, python)
+        assert default_counts == python_counts
+        assert default_counts["fit.cluster.merges"] == len(ref.merges)
 
     def test_stopped_early_disconnected(self):
         """Mushroom-style early stop: k below the component count."""
@@ -294,6 +321,31 @@ class TestRegistryCounters:
         counters = registry.snapshot()["counters"]
         assert counters["fit.cluster.components"] == 3
         assert counters["fit.cluster.heap_ops"] > 0
+
+
+    def test_merges_counter_covers_the_weeding_pause(self, monkeypatch):
+        """A weeding fit clusters twice; ``fit.cluster.merges`` counts
+        both calls, like ``heap_ops`` and ``components``."""
+        import repro.core.pipeline as pipeline_mod
+        from repro.obs import Tracer
+
+        calls = []
+        real = pipeline_mod.cluster_with_links
+
+        def spy(*args, **kwargs):
+            result = real(*args, **kwargs)
+            calls.append(len(result.merges))
+            return result
+
+        monkeypatch.setattr(pipeline_mod, "cluster_with_links", spy)
+        data = TestEngineIntegration()._baskets(n_clusters=40, per=8)
+        tracer = Tracer()
+        RockPipeline(k=40, theta=0.5, min_cluster_size=3, seed=1).fit(
+            data, tracer=tracer
+        )
+        counters = tracer.registry.snapshot()["counters"]
+        assert len(calls) == 2 and calls[0] > 0
+        assert counters["fit.cluster.merges"] == sum(calls)
 
 
 class TestEngineIntegration:

@@ -34,7 +34,7 @@ from repro.core.links import LinkTable
 from repro.core.merge import (
     component_merge_stream,
     merge_engine,
-    partition_components,
+    pack_components,
 )
 from repro.core.pipeline import RockPipeline
 from repro.core.rock import cluster_with_links, heap_cluster_with_links, rock
@@ -45,7 +45,7 @@ from repro.native.links import native_fit_supported, native_neighbor_links
 from repro.native.merge import native_component_streams
 from repro.obs.registry import MetricsRegistry
 from repro.parallel.links import fused_neighbor_links
-from tests.linktables import link_table
+from tests.linktables import link_table, replicated_components
 
 # the probed tier; parametrized tests carry its name ("cext") as their id
 KERNELS = get_kernels()
@@ -217,13 +217,10 @@ class TestNativeMergeEngine:
         ])
         sizes = np.ones(90, dtype=np.int64)
         lo, hi, counts = links.pair_arrays()
-        problems = partition_components(90, sizes, lo, hi, counts)
+        packed = pack_components(90, sizes, lo, hi, counts)
         kernel = merge_kernel_for(goodness, default_f(0.5), n_max=90)
-        serial = [component_merge_stream(p, kernel) for p in problems]
-        registry = MetricsRegistry()
-        native = native_component_streams(
-            problems, kernel, KERNELS, registry=registry
-        )
+        serial = [component_merge_stream(p, kernel) for p in packed.problems()]
+        native = native_component_streams(packed, kernel, KERNELS)
         assert len(native) == len(serial)
         for a, b in zip(serial, native):
             assert np.array_equal(a.left, b.left)
@@ -231,10 +228,45 @@ class TestNativeMergeEngine:
             assert a.goodness.tobytes() == b.goodness.tobytes()
             assert np.array_equal(a.sizes, b.sizes)
             assert a.heap_ops == b.heap_ops
-        counters = registry.snapshot()["counters"]
-        assert counters["fit.cluster.heap_ops"] == sum(
-            s.heap_ops for s in serial
+
+    @settings(max_examples=80, deadline=None)
+    @given(problem=replicated_components())
+    def test_packed_call_on_tied_components(self, problem):
+        """One packed call over many tied components: every stream
+        equals the Python inner loop's, and the replayed result and
+        counters equal the reference loop's and the Python engine's."""
+        n, triples, k, initial, goodness_fn, f_theta = problem
+        links = link_table(n, triples)
+        kwargs = dict(
+            k=k, f_theta=f_theta, initial_clusters=initial,
+            goodness_fn=goodness_fn,
         )
+        if initial is None:
+            lo, hi, counts = links.pair_arrays()
+            packed = pack_components(
+                n, np.ones(n, dtype=np.int64), lo, hi, counts
+            )
+            kernel = merge_kernel_for(goodness_fn, f_theta, n_max=n)
+            native = native_component_streams(packed, kernel, KERNELS)
+            serial = [
+                component_merge_stream(p, kernel) for p in packed.problems()
+            ]
+            for a, b in zip(serial, native, strict=True):
+                assert np.array_equal(a.left, b.left)
+                assert np.array_equal(a.right, b.right)
+                assert a.goodness.tobytes() == b.goodness.tobytes()
+                assert np.array_equal(a.sizes, b.sizes)
+                assert a.heap_ops == b.heap_ops
+        ref = heap_cluster_with_links(links, **kwargs)
+        counters = []
+        for env in ("1", "0"):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setenv("REPRO_NATIVE", env)
+                registry = MetricsRegistry()
+                result = cluster_with_links(links, registry=registry, **kwargs)
+            assert_identical(ref, result)
+            counters.append(registry.snapshot()["counters"])
+        assert counters[0] == counters[1]
 
     @pytest.mark.parametrize("backend", AVAILABLE)
     def test_stopped_early_disconnected(self, backend):
@@ -268,7 +300,7 @@ class TestNativeAssignKernel:
         assert KERNELS.name == "cext"
         for fn in (
             "score_block", "mirror_neighbors", "pair_count_reduce",
-            "merge_component", "assign_block",
+            "merge_components", "assign_block",
         ):
             assert callable(getattr(KERNELS, fn)), fn
 
