@@ -36,12 +36,15 @@ The variant timings cover the neighbor+link stage only -- the merge
 loop is identical across variants.
 
 ``test_neighbor_gate_crossover`` (and its ``smoke`` variant) is the
-sweep behind the planner's in-budget gate
-(``repro.core.pipeline.SHARED_PAIR_RATIO``): planted baskets whose
-shared-item pair work ``S`` spans about 0.1-10 times ``n^2 / 2``, each
-run through ``run_fit_plan`` on the dense route and on the shared-item
-route, on both tiers (native, and the fused kernel under
-``REPRO_NATIVE=0``), with the break-even ``S / (n^2 / 2)`` of each tier.
+sweep behind the planner's in-budget gates
+(``repro.core.pipeline.SHARED_PAIR_RATIO``, one per tier): planted
+baskets whose shared-item pair work ``S`` spans about 0.1-10 times
+``n^2 / 2``, plus Table 5 generator baskets at n = 1,000 and 2,000
+(one vocabulary, and two as a stream window holds after a switch),
+each run through ``run_fit_plan`` on the dense route and on the
+shared-item route, on both tiers (native, and the fused kernel under
+``REPRO_NATIVE=0``), with the break-even ``S / (n^2 / 2)`` of each
+tier.
 """
 
 import json
@@ -80,6 +83,8 @@ SMOKE_N_CLUSTERS = 30
 GATE_N = 1680
 GATE_CLUSTERS = (1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 24, 48, 96, 192)
 GATE_REPS = 5
+# the Table 5 generator shapes: the paper-basket sample and stream windows
+GATE_TABLE5_SIZES = (1000, 2000)
 SMOKE_GATE_N = 240
 SMOKE_GATE_CLUSTERS = (1, 24)
 
@@ -417,7 +422,36 @@ def gate_baskets(n: int, n_clusters: int, seed: int = 0):
     ])
 
 
-def time_gate_routes(points, tier: str, reps: int, tracer) -> dict:
+def table5_baskets(n: int, vocabularies: int = 1, seed: int = 0):
+    """``n`` Table 5 generator baskets (Section 5.3 proportions).
+
+    ``vocabularies=2`` draws half of them from a second instance whose
+    items are renamed apart: the mixed window a stream reservoir holds
+    after a vocabulary switch.
+    """
+    from dataclasses import replace
+
+    from repro.data.transactions import TransactionDataset
+    from repro.datasets import SyntheticBasketConfig, generate_synthetic_basket
+
+    baskets = []
+    for part in range(vocabularies):
+        config = SyntheticBasketConfig()
+        scale = n / vocabularies / config.n_transactions
+        config = replace(
+            config,
+            cluster_sizes=tuple(max(1, round(s * scale)) for s in config.cluster_sizes),
+            n_outliers=round(config.n_outliers * scale),
+        )
+        data = generate_synthetic_basket(config, seed=seed + part)
+        baskets += [
+            frozenset(f"{part}:{item}" for item in txn)
+            for txn in data.transactions
+        ]
+    return TransactionDataset(baskets)
+
+
+def time_gate_routes(points, tier: str, reps: int, tracer, shape: str) -> dict:
     """Median neighbors+links seconds of the dense and shared-item routes."""
     import statistics
 
@@ -452,32 +486,45 @@ def time_gate_routes(points, tier: str, reps: int, tracer) -> dict:
     assert np.array_equal(dense.counts, other.counts), tier
     row = {
         "tier": tier,
+        "shape": shape,
+        "n": n,
         "ratio": shared / (n * n / 2),
         "dense_ms": 1e3 * statistics.median(seconds["dense"]),
         "shared_ms": 1e3 * statistics.median(seconds[shared_route]),
         "planned": plan_fit(points, THETA).route,
         "links": other.producer,
     }
-    key = f"bench.gate.{tier}.{row['ratio']:.3f}"
+    key = f"bench.gate.{tier}.{shape}.{n}.{row['ratio']:.3f}"
     tracer.registry.set_gauge(f"{key}.dense_ms", row["dense_ms"])
     tracer.registry.set_gauge(f"{key}.shared_ms", row["shared_ms"])
     return row
 
 
-def gate_sweep(n: int, clusters: tuple[int, ...], reps: int, tracer) -> list[dict]:
-    """Every shape on both tiers (the numpy one under ``REPRO_NATIVE=0``)."""
+def gate_sweep(
+    n: int, clusters: tuple[int, ...], table5_sizes: tuple[int, ...],
+    reps: int, tracer,
+) -> list[dict]:
+    """Every shape on both tiers (the numpy one under ``REPRO_NATIVE=0``):
+    the planted series at ``n``, then the Table 5 shapes (one vocabulary,
+    and the two-vocabulary stream window) at each of ``table5_sizes``."""
     from contextlib import nullcontext
 
     from benchmarks.machine import native_off
 
+    shapes = [("planted", lambda c=c: gate_baskets(n, c)) for c in clusters]
+    shapes += [
+        (f"table5x{v}", lambda size=size, v=v: table5_baskets(size, v))
+        for size in table5_sizes
+        for v in (1, 2)
+    ]
     tiers = [("cext", nullcontext)] if kernels_available()[-1] == "native" else []
     tiers.append(("numpy", native_off))
     rows = []
     for tier, context in tiers:
         with tracer.span(f"gate:{tier}", n=n, reps=reps), context():
             rows.extend(
-                time_gate_routes(gate_baskets(n, n_clusters), tier, reps, tracer)
-                for n_clusters in clusters
+                time_gate_routes(build(), tier, reps, tracer, shape)
+                for shape, build in shapes
             )
     return rows
 
@@ -503,7 +550,7 @@ def routed_ms(rows: list[dict], gate: float) -> float:
 
 
 def best_gates(rows: list[dict]) -> tuple[float, float]:
-    """The range of single gates (both tiers at once) within 1% of the least total time."""
+    """The range of gates within 1% of the least total time over ``rows``."""
     ratios = sorted({row["ratio"] for row in rows})
     candidates = [ratios[0] / 2, *np.sqrt(np.multiply(ratios[:-1], ratios[1:])),
                   ratios[-1] * 2]
@@ -512,33 +559,32 @@ def best_gates(rows: list[dict]) -> tuple[float, float]:
     return float(min(good)), float(max(good))
 
 
-def format_gate(rows: list[dict], gate: float) -> list[str]:
+def format_gate(rows: list[dict], gates: dict[str, float]) -> list[str]:
     lines = [
-        f"{'tier':<6} {'S/(n^2/2)':>10} {'dense_ms':>9} {'shared_ms':>10} "
-        f"{'dense/shared':>13} {'planned':>8}  links",
+        f"{'tier':<6} {'shape':<9} {'n':>5} {'S/(n^2/2)':>10} {'dense_ms':>9} "
+        f"{'shared_ms':>10} {'dense/shared':>13} {'planned':>8}  links",
     ]
     for row in rows:
         lines.append(
-            f"{row['tier']:<6} {row['ratio']:>10.2f} {row['dense_ms']:>9.1f} "
-            f"{row['shared_ms']:>10.1f} {row['dense_ms'] / row['shared_ms']:>12.2f}x "
+            f"{row['tier']:<6} {row['shape']:<9} {row['n']:>5} {row['ratio']:>10.2f} "
+            f"{row['dense_ms']:>9.1f} {row['shared_ms']:>10.1f} "
+            f"{row['dense_ms'] / row['shared_ms']:>12.2f}x "
             f"{row['planned']:>8}  {row['links']}"
         )
     lines.append("")
     for tier in sorted({row["tier"] for row in rows}):
         mine = [row for row in rows if row["tier"] == tier]
-        even = break_even(mine)
+        even = break_even([row for row in mine if row["shape"] == "planted"])
         best = sum(min(row["dense_ms"], row["shared_ms"]) for row in mine)
+        low, high = best_gates(mine)
         lines.append(
-            f"{tier}: break-even S/(n^2/2) "
-            f"{'none in range' if even is None else f'{even:.2f}'}; "
-            f"routing by the gate ({gate:g}) costs "
-            f"{routed_ms(mine, gate) / best:.3f}x the per-shape best"
+            f"{tier}: planted break-even S/(n^2/2) "
+            f"{'none in range' if even is None else f'{even:.2f}'}; gates "
+            f"{low:.2f} .. {high:.2f} keep the summed time over every shape "
+            "within 1% of its least; "
+            f"routing by the gate ({gates[tier]:g}) costs "
+            f"{routed_ms(mine, gates[tier]) / best:.3f}x the per-shape best"
         )
-    low, high = best_gates(rows)
-    lines.append(
-        f"one gate for both tiers: {low:.2f} .. {high:.2f} keep the summed "
-        "time within 1% of its least"
-    )
     return lines
 
 
@@ -551,21 +597,23 @@ def test_neighbor_gate_crossover_smoke(benchmark, save_result, save_manifest):
     holder = {}
     benchmark.pedantic(
         lambda: holder.setdefault(
-            "rows", gate_sweep(SMOKE_GATE_N, SMOKE_GATE_CLUSTERS, 1, tracer)
+            "rows", gate_sweep(
+                SMOKE_GATE_N, SMOKE_GATE_CLUSTERS, (SMOKE_GATE_N,), 1, tracer
+            )
         ),
         rounds=1,
         iterations=1,
     )
     rows = holder["rows"]
     for row in rows:
-        below = row["ratio"] < SHARED_PAIR_RATIO
+        below = row["ratio"] < SHARED_PAIR_RATIO[row["tier"]]
         shared_route = "native" if row["tier"] == "cext" else "fused"
         assert row["planned"] == (shared_route if below else "dense"), row
     save_result(
         "neighbor_gate_smoke",
         "\n".join([
             f"Neighbor gate smoke: n={SMOKE_GATE_N}, theta={THETA}, "
-            f"gate S < {SHARED_PAIR_RATIO:g} n^2/2",
+            f"gates S < {SHARED_PAIR_RATIO} n^2/2",
             "",
             *format_gate(rows, SHARED_PAIR_RATIO),
             "",
@@ -576,7 +624,10 @@ def test_neighbor_gate_crossover_smoke(benchmark, save_result, save_manifest):
         "neighbor_gate_smoke",
         RunManifest.from_tracer(
             "bench_neighbor_gate_smoke", tracer,
-            config={"n": SMOKE_GATE_N, "clusters": list(SMOKE_GATE_CLUSTERS)},
+            config={
+                "n": SMOKE_GATE_N, "clusters": list(SMOKE_GATE_CLUSTERS),
+                "gate": SHARED_PAIR_RATIO,
+            },
         ),
     )
 
@@ -590,7 +641,9 @@ def test_neighbor_gate_crossover(benchmark, save_result, save_manifest):
     holder = {}
     benchmark.pedantic(
         lambda: holder.setdefault(
-            "rows", gate_sweep(GATE_N, GATE_CLUSTERS, GATE_REPS, tracer)
+            "rows", gate_sweep(
+                GATE_N, GATE_CLUSTERS, GATE_TABLE5_SIZES, GATE_REPS, tracer
+            )
         ),
         rounds=1,
         iterations=1,
@@ -598,7 +651,7 @@ def test_neighbor_gate_crossover(benchmark, save_result, save_manifest):
     rows = holder["rows"]
     for tier in {row["tier"] for row in rows}:
         mine = sorted(
-            (row for row in rows if row["tier"] == tier),
+            (row for row in rows if row["tier"] == tier and row["shape"] == "planted"),
             key=lambda row: row["ratio"],
         )
         assert mine[0]["ratio"] < 0.15 and mine[-1]["ratio"] > 7
@@ -609,9 +662,11 @@ def test_neighbor_gate_crossover(benchmark, save_result, save_manifest):
         "\n".join([
             "Neighbor gate crossover: dense row blocks vs shared-item scoring "
             "(native, or fused under REPRO_NATIVE=0)",
-            f"n={GATE_N} planted baskets, theta={THETA}; neighbors+links "
+            f"n={GATE_N} planted baskets and Table 5 generator baskets at "
+            f"n={', '.join(map(str, GATE_TABLE5_SIZES))} (x2: two vocabularies, "
+            f"a stream window across a switch), theta={THETA}; neighbors+links "
             f"(run_fit_plan), median of {GATE_REPS}, routes alternating",
-            f"planner gate: shared-item scoring while S < {SHARED_PAIR_RATIO:g} "
+            f"planner gates: shared-item scoring while S < {SHARED_PAIR_RATIO} "
             "n^2/2",
             "",
             *format_gate(rows, SHARED_PAIR_RATIO),
@@ -626,6 +681,7 @@ def test_neighbor_gate_crossover(benchmark, save_result, save_manifest):
             config={
                 "n": GATE_N,
                 "clusters": list(GATE_CLUSTERS),
+                "table5_sizes": list(GATE_TABLE5_SIZES),
                 "reps": GATE_REPS,
                 "theta": THETA,
                 "gate": SHARED_PAIR_RATIO,

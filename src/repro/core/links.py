@@ -12,8 +12,10 @@ strategies:
   of ``A`` one float32 row block at a time;
 * the sparse neighbor-list algorithm of Figure 4, which for every point
   increments the link count of every pair of its neighbors -- cost
-  ``O(sum_i m_i^2)`` -- implemented by :func:`sparse_link_table` as
-  pair-code counting (C ``pair_count_reduce`` or numpy).
+  ``O(sum_i m_i^2)`` -- implemented by :func:`sparse_link_table` one
+  output row at a time (Gustavson's sparse ``A @ A``): the C
+  ``link_rows`` kernel, or scipy's CSR product without the C tier
+  (:func:`row_link_table`).
 
 Every producer picks between the two by one expected-cost rule
 (:func:`square_pays`): :func:`compute_links` for a graph, and
@@ -38,12 +40,13 @@ from repro.core.neighbors import DENSE_BLOCK_ROWS, NeighborGraph
 
 _EMPTY_CODES = np.empty(0, dtype=np.int64)
 
-# Every link producer counts pair codes while sum_i m_i^2 < SPARSE_LINK_RATIO
-# * n^2 and squares the adjacency in row blocks above (when the square
-# fits): the measured crossover (ablation A4) is 1.2-1.5 n^2 for the C
-# count and about n^2 for numpy, and below it the count's ~10 bytes per
-# pair increment stay within twice the square's 5 n^2 bytes.
-SPARSE_LINK_RATIO = 1
+# Every link producer counts rows while sum_i m_i^2 < SQUARE_LINK_WORK[tier]
+# * n^3 and squares the adjacency in row blocks above (when the square
+# fits).  Rows cost grows with the pair work sum m^2, the BLAS square
+# with n^3, so the crossover ratio sum m^2 / n^2 grows with n.  The
+# constants are the A4 sweep's (bench_ablation_link_impl.py,
+# results/ablation_link_impl.txt, n = 1,000 and 2,000, 2 vCPUs).
+SQUARE_LINK_WORK = {"cext": 0.0125, "numpy": 0.0024}
 
 
 def _as_counts(counts: np.ndarray) -> np.ndarray:
@@ -134,7 +137,7 @@ class LinkTable:
         """Wrap packed pair codes ``i * n + j`` (``i < j``) and counts.
 
         The output format of :func:`repro.parallel.links.pair_link_counts`
-        and the C ``pair_count_reduce``.  Unsorted input is sorted;
+        and the C ``link_rows``.  Unsorted input is sorted;
         duplicate codes and counts ``<= 0`` are rejected, since either
         would silently misstate the links.
         """
@@ -162,11 +165,14 @@ class LinkTable:
         ``subset(kept)`` after isolated-point pruning equals computing
         links on the pruned subgraph *when the dropped points are
         degree-0*: an isolated point appears in no neighbor list, so it
-        participates in no pair increment on either side.
+        participates in no pair increment on either side.  Ascending
+        ``indices`` (the pruning case) keep the codes sorted, so the
+        result is built without re-validation.
         """
         index = np.asarray(indices, dtype=np.int64).reshape(-1)
         m = index.size
-        if np.unique(index).size != m:
+        ascending = bool(np.all(index[1:] > index[:-1]))
+        if not ascending and np.unique(index).size != m:
             raise ValueError("subset indices must be unique")
         remap = np.full(self.n, -1, dtype=np.int64)
         remap[index] = np.arange(m, dtype=np.int64)
@@ -174,6 +180,8 @@ class LinkTable:
         a, b = remap[lo], remap[hi]
         keep = (a >= 0) & (b >= 0)
         a, b = a[keep], b[keep]
+        if ascending:
+            return LinkTable(m, a * m + b, self.counts[keep], self.producer)
         return LinkTable.from_pair_counts(
             m, np.minimum(a, b) * m + np.maximum(a, b), self.counts[keep],
             self.producer,
@@ -216,15 +224,22 @@ def _concat(parts: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(parts) if parts else _EMPTY_CODES
 
 
+def link_tier() -> str:
+    """``"cext"`` when the C tier probed clean, ``"numpy"`` otherwise."""
+    from repro.native import get_kernels
+
+    return "numpy" if get_kernels() is None else "cext"
+
+
 def square_pays(degrees: np.ndarray, n: int) -> bool:
     """The Section 4.4 cost rule every link producer follows.
 
     The Figure 4 count does ``sum_i m_i^2`` pair work; squaring the
-    adjacency costs a fixed ``n^2``-sized product.  Squaring pays from
-    ``SPARSE_LINK_RATIO * n^2`` on.
+    adjacency costs an ``n^3`` product.  Squaring pays from
+    ``SQUARE_LINK_WORK[tier] * n^3`` on.
     """
     d = np.asarray(degrees, dtype=np.float64)
-    return bool(d @ d >= SPARSE_LINK_RATIO * n * n)
+    return bool(d @ d >= SQUARE_LINK_WORK[link_tier()] * float(n) ** 3)
 
 
 def square_link_bytes(n: int) -> int:
@@ -279,24 +294,46 @@ def _neighbor_csr(graph: NeighborGraph) -> tuple[np.ndarray, np.ndarray]:
     return indptr, indices
 
 
-def pair_count_table(indptr: np.ndarray, indices: np.ndarray, n: int) -> LinkTable:
-    """Figure 4 over neighbor lists held as CSR: pair codes, counted.
+def _spgemm_pairs(
+    indptr: np.ndarray, indices: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Upper-triangle codes and counts of ``A @ A`` by scipy's CSR product."""
+    from scipy import sparse
 
-    In C (``pair_count_reduce``) when the native tier probed clean, in
-    numpy otherwise; the producer is ``pair-count:<tier>``.
+    a = sparse.csr_matrix(
+        (np.ones(len(indices), dtype=np.int32), indices, indptr), shape=(n, n)
+    )
+    square = a @ a
+    square.sort_indices()
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(square.indptr))
+    cols = square.indices.astype(np.int64)
+    upper = cols > rows
+    return rows[upper] * n + cols[upper], square.data[upper].astype(np.int64)
+
+
+def row_link_table(indptr: np.ndarray, indices: np.ndarray, n: int) -> LinkTable:
+    """Figure 4 over neighbor lists held as CSR, one output row at a time.
+
+    Gustavson's sparse ``A @ A``: the C ``link_rows`` kernel when the
+    native tier probed clean (producer ``rows:<tier>``), scipy's CSR
+    product otherwise (``spgemm``).  Either does the ``sum_i m_i^2``
+    pair work in O(n + pairs) memory.  Without scipy the lists'
+    pairs are counted by :func:`repro.parallel.links.pair_link_counts`.
     """
     from repro.native import get_kernels
 
     kernels = get_kernels()
     if kernels is not None:
-        codes, counts = kernels.pair_count_reduce(indptr, indices, n)
-        tier = kernels.name
-    else:
-        from repro.parallel.links import csr_pair_counts
+        codes, counts = kernels.link_rows(indptr, indices, n)
+        return LinkTable(n, codes, counts, f"rows:{kernels.name}")
+    try:
+        codes, counts = _spgemm_pairs(indptr, indices, n)
+    except ImportError:
+        from repro.parallel.links import pair_link_counts
 
-        codes, counts = csr_pair_counts(indptr, indices, n)
-        tier = "numpy"
-    return LinkTable(n, codes, counts, f"pair-count:{tier}")
+        lists = np.split(np.asarray(indices, dtype=np.int64), indptr[1:-1])
+        return LinkTable(n, *pair_link_counts(lists, n), "pair-count:numpy")
+    return LinkTable(n, codes, counts, "spgemm")
 
 
 def neighbor_list_links(
@@ -306,28 +343,29 @@ def neighbor_list_links(
 
     What the one-pass kernels call on the lists they scored: the
     row-block square when it pays and its :func:`square_link_bytes`
-    fit ``memory_budget``, the pair count otherwise.  Identical counts
-    either way; the table's ``producer`` says which ran.
+    fit ``memory_budget``, :func:`row_link_table` otherwise.
+    Identical counts either way; the table's ``producer`` says which
+    ran.
     """
     degrees = np.diff(indptr)
     if square_pays(degrees, n) and square_link_bytes(n) <= memory_budget:
         a = np.zeros((n, n), dtype=np.float32)
         a[np.repeat(np.arange(n), degrees), indices] = 1.0
         return _square_table(a, DENSE_BLOCK_ROWS)
-    return pair_count_table(indptr, indices, n)
+    return row_link_table(indptr, indices, n)
 
 
 def sparse_link_table(graph: NeighborGraph) -> LinkTable:
     """The Figure 4 algorithm: every point links each pair of its neighbors.
 
     Cost is ``O(sum_i m_i^2)`` where ``m_i`` is point ``i``'s neighbor
-    count -- the paper's ``O(n * m_m * m_a)`` bound.  Point ``i``
-    contributes +1 to every unordered pair drawn from ``nbrlist[i]``;
-    the pairs are emitted as codes ``a * n + b`` (``a < b``, lists are
-    ascending) and counted by sort + run-length reduction
-    (:func:`pair_count_table`).
+    count -- the paper's ``O(n * m_m * m_a)`` bound.  Point ``j``
+    contributes +1 to every unordered pair drawn from ``nbrlist[j]``;
+    :func:`row_link_table` regroups those increments by the pair's
+    smaller end ``i`` and counts each output row in an ``n``-sized
+    accumulator, emitting the codes ``i * n + l`` (``i < l``) sorted.
     """
-    return pair_count_table(*_neighbor_csr(graph), graph.n)
+    return row_link_table(*_neighbor_csr(graph), graph.n)
 
 
 def compute_links(graph: NeighborGraph, method: str = "auto") -> LinkTable:
@@ -335,7 +373,7 @@ def compute_links(graph: NeighborGraph, method: str = "auto") -> LinkTable:
 
     ``auto`` squares the adjacency in row blocks
     (:func:`blocked_link_table`) when :func:`square_pays` and counts
-    pair codes (:func:`sparse_link_table`) otherwise.  A sparse-backed
+    rows (:func:`sparse_link_table`) otherwise.  A sparse-backed
     graph always stays sparse unless ``dense`` is forced, so no
     ``n x n`` array is built for it.  ``dense`` / ``sparse`` force a
     path.  Every path returns identical counts; the table's

@@ -227,19 +227,11 @@ def fast_cluster_with_links(
     run = native_merge_components(packed, kernel, backend, k, m)
     if registry is not None:
         registry.inc("fit.cluster.heap_ops", run.heap_ops)
-    merges = list(
-        map(
-            MergeStep,
-            run.left.tolist(),
-            run.right.tolist(),
-            range(m, m + len(run.left)),
-            run.goodness.tolist(),
-            run.sizes.tolist(),
-        )
-    )
     return RockResult(
         clusters=_final_clusters(cluster_list, run.roots),
-        merges=merges,
+        merges=MergeStep.from_arrays(
+            run.left, run.right, m, run.goodness, run.sizes
+        ),
         stopped_early=run.stopped_early,
         n_points=n,
     )

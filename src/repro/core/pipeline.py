@@ -27,7 +27,12 @@ from repro.core.labeling import (
     draw_labeling_sets,
     labels_from_clusters,
 )
-from repro.core.links import LinkTable, compute_links, weighted_link_matrix
+from repro.core.links import (
+    LinkTable,
+    compute_links,
+    link_tier,
+    weighted_link_matrix,
+)
 from repro.core.merge import merge_engine
 from repro.core.neighbors import (
     NeighborGraph,
@@ -57,13 +62,17 @@ FIT_MODES = ("auto", "sharded")
 # score_block, or the scipy product under REPRO_NATIVE=0) accumulates
 # S = sum_items df (df - 1) / 2 pair increments; the dense route's row
 # blocks score all n^2 / 2 pairs with BLAS.  An in-budget transaction
-# fit runs the shared-item scorer while S < SHARED_PAIR_RATIO * n^2 / 2.
-# The crossover sweep (bench_parallel_fit.py::test_neighbor_gate_crossover,
-# results/neighbor_gate.txt, 2 vCPUs) breaks even near 2.2 on the C tier
-# and 0.57 on numpy; one gate for both is best between about 0.93 and
-# 1.2.  Benchmarked shapes sit well clear: fit-full 0.28, the
-# paper-basket sample 3.8, stream-drift refits 2.3-3.8.
-SHARED_PAIR_RATIO = 1
+# fit runs the shared-item scorer while S < SHARED_PAIR_RATIO[tier] *
+# n^2 / 2, one gate per link tier (repro.core.links.link_tier): the
+# upper end, over two runs, of the gates that keep the summed time of
+# the crossover sweep (bench_parallel_fit.py::test_neighbor_gate_crossover,
+# results/neighbor_gate.txt, 2 vCPUs) within 1% of its least -- among
+# equally fast gates, the one that builds no n x n matrices more often.
+# The sweep runs planted baskets at n = 1,680 and Table 5 generator
+# baskets at n = 1,000 and 2,000; on the C tier every Table 5 shape
+# (S / (n^2/2) 1.9-3.8) scores faster natively.  Benchmarked shapes:
+# fit-full 0.28, the paper-basket sample 3.8, stream-drift refits 2.3-3.8.
+SHARED_PAIR_RATIO = {"cext": 4.0, "numpy": 0.75}
 
 
 @dataclass(frozen=True)
@@ -143,17 +152,18 @@ def plan_fit(
        the ``n^2 / 2`` pairs the dense route scores.
     5. A dense ``8 n^2``-byte similarity matrix that fits the budget
        runs the dense route, unless ``theta > 0`` and
-       ``S < SHARED_PAIR_RATIO * n^2 / 2``: then the shared-item
-       scorer runs, as in 6.
+       ``S < SHARED_PAIR_RATIO[tier] * n^2 / 2`` (``tier`` is ``cext``
+       when the C tier probed clean, else ``numpy``): then the
+       shared-item scorer runs, as in 6.
     6. Over budget, the native kernels run where they support the
        input, the fused kernel otherwise (``REPRO_NATIVE=0``,
        ``theta = 0``, missing-aware Jaccard, no compiler).
 
     The one-pass kernels count links by the rule
-    :func:`~repro.core.links.compute_links` follows (pair codes below
-    ``SPARSE_LINK_RATIO * n^2`` pair work, the row-block square above
-    it when the square fits the budget).  Every route produces
-    identical clusters (property-tested).
+    :func:`~repro.core.links.compute_links` follows (one output row at
+    a time below ``SQUARE_LINK_WORK[tier] * n^3`` pair work, the
+    row-block square above it when the square fits the budget).  Every
+    route produces identical clusters (property-tested).
     """
     if fit_mode not in FIT_MODES:
         raise ValueError(f"fit_mode must be one of {FIT_MODES}, got {fit_mode!r}")
@@ -196,15 +206,16 @@ def plan_fit(
         if shared is None:
             return FitPlan("dense", "dense", budget, reason)
         reason += f"; S = {shared} shared-item pairs against n^2/2 = {n * n / 2:g}"
-        if theta <= 0 or shared >= SHARED_PAIR_RATIO * n * n / 2:
+        ratio = SHARED_PAIR_RATIO[link_tier()]
+        if theta <= 0 or shared >= ratio * n * n / 2:
             why = "theta = 0 links every pair" if theta <= 0 else (
-                f"S >= {SHARED_PAIR_RATIO:g} n^2/2"
+                f"S >= {ratio:g} n^2/2"
             )
             return FitPlan(
                 "dense", "dense", budget, f"{reason}: {why}, dense scoring",
                 shared, encoding,
             )
-        reason += f": S < {SHARED_PAIR_RATIO:g} n^2/2, shared-item scoring"
+        reason += f": S < {ratio:g} n^2/2, shared-item scoring"
     else:
         reason = f"{size} exceeds the {budget} B budget"
         if shared is not None:
@@ -257,11 +268,12 @@ def run_fit_plan(
     (Section 4.6; 0 keeps every point) and links are counted over the
     rest.  The kernels read the plan's ``encoding`` when it has one, so
     the points are not encoded twice.  The fused and native kernels
-    never build the graph: when
-    only isolated points are dropped, the full link table is subset
-    exactly (an isolated point is in no neighbor list); when a point
-    with neighbors is dropped, its links change the others', so the
-    kernel runs a second pass over the kept points.
+    never build the graph, and the dense route counts on the whole
+    one: when only isolated points are dropped, the full link table is
+    subset exactly (an isolated point is in no neighbor list); when a
+    point with neighbors is dropped, its links change the others', so
+    the kernel runs a second pass over the kept points (the dense and
+    weighted routes take the induced subgraph).
     """
     registry = tracer.registry
     timings: dict[str, float] = {}
@@ -295,11 +307,12 @@ def run_fit_plan(
                 "every sampled point was pruned as an outlier; lower "
                 "theta or min_neighbors"
             )
-        if fused is not None and degrees[discarded].any():
+        strict = degrees[discarded].any()
+        if fused is not None and strict:
             fused = _fused_pass(
                 plan, _subset(source, kept), theta, similarity, workers, registry
             )
-        elif fused is None and len(kept) < n:
+        elif fused is None and len(kept) < n and (strict or plan.route == "weighted"):
             graph = graph.subgraph(kept)
             if plan.route == "weighted":
                 sim = sim[np.ix_(kept, kept)]
@@ -307,11 +320,13 @@ def run_fit_plan(
 
     with tracer.span("links", route=plan.route) as span:
         if fused is not None:
-            links = fused.links if fused.n == len(kept) else fused.links.subset(kept)
+            links = fused.links
         elif plan.route == "weighted":
             links = LinkTable.from_dense(weighted_link_matrix(graph, sim))
         else:
             links = compute_links(graph)
+        if links.n != len(kept):
+            links = links.subset(kept)
         registry.inc("fit.links.pairs", links.nnz_pairs())
         span.attrs["producer"] = links.producer
     timings["links"] = span.wall_seconds
@@ -378,7 +393,7 @@ class PipelineResult:
         configuration.
     backends:
         Which implementation actually ran each phase, e.g.
-        ``{"fit": "native:cext", "links": "pair-count:cext", "merge":
+        ``{"fit": "native:cext", "links": "rows:cext", "merge":
         "native:cext"}`` or ``{"fit": "dense", "links": "dense-blocks",
         "merge": "fast"}`` -- the resolved backends (``fit`` is the
         :class:`FitPlan` backend: ``dense``, ``bruteforce``, ``fused``,

@@ -50,6 +50,30 @@ class MergeStep:
     goodness: float
     size: int
 
+    @classmethod
+    def from_arrays(
+        cls, left: np.ndarray, right: np.ndarray, first_merged: int,
+        goodness: np.ndarray, sizes: np.ndarray,
+    ) -> list["MergeStep"]:
+        """One step per array entry; step ``t`` merges into ``first_merged + t``.
+
+        Fills each new instance's ``__dict__`` directly: the frozen
+        ``__init__`` pays one ``object.__setattr__`` call per field.
+        The steps compare, hash and print as constructed ones, and stay
+        frozen.
+        """
+        new = object.__new__
+        steps = []
+        for u, v, w, g, size in zip(
+            left.tolist(), right.tolist(),
+            range(first_merged, first_merged + len(left)),
+            goodness.tolist(), sizes.tolist(),
+        ):
+            step = new(cls)
+            step.__dict__.update(left=u, right=v, merged=w, goodness=g, size=size)
+            steps.append(step)
+        return steps
+
 
 @dataclass
 class RockResult:

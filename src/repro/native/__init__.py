@@ -3,10 +3,10 @@
 ``repro.native`` provides drop-in native implementations of
 
 * the fused neighbor+link block kernel (score a row block of the
-  transaction similarity matrix, threshold it, and reduce the
-  surviving neighbor lists straight to packed Figure 4 pair counts),
-  replacing the scipy-product + ``pair_link_counts`` Python loop of
-  :mod:`repro.parallel.links`; and
+  transaction similarity matrix and threshold it), replacing the
+  scipy product of :mod:`repro.parallel.links`, and the Figure 4 link
+  count of the resulting neighbor lists, one output row at a time
+  (``link_rows``); and
 * the component engine's whole cluster phase: the lazy-heap
   agglomeration of :func:`repro.core.merge.component_merge_stream` on
   every component, on flat typed arrays with binary heaps instead of
@@ -110,13 +110,15 @@ def _smoke_test(kernels: Any) -> None:
     )
     if full_indptr.tolist() != [0, 1, 2] or full_indices.tolist() != [1, 0]:
         raise RuntimeError("mirror_neighbors smoke test mismatch")
-    codes, counts = kernels.pair_count_reduce(
-        np.array([0, 3], dtype=np.int64),
-        np.array([0, 1, 2], dtype=np.int32),
-        4,
+    # links of 0-1, 0-2, 1-2, 1-3, 2-3 plus the isolated point 4.  Row
+    # 2's cursor over 3's list [1, 2] must skip both entries (l <= 2).
+    codes, counts = kernels.link_rows(
+        np.array([0, 2, 5, 8, 10, 10], dtype=np.int64),
+        np.array([1, 2, 0, 2, 3, 0, 1, 3, 1, 2], dtype=np.int32),
+        5,
     )
-    if codes.tolist() != [1, 2, 6] or counts.tolist() != [1, 1, 1]:
-        raise RuntimeError("pair_count_reduce smoke test mismatch")
+    if codes.tolist() != [1, 2, 3, 7, 8, 13] or counts.tolist() != [1, 1, 2, 2, 1, 1]:
+        raise RuntimeError("link_rows smoke test mismatch")
     # two components, naive goodness.  Component 0 = clusters {0, 3, 4}
     # (local pairs 0-1 count 2, 1-2 count 1), component 1 = {1, 2}
     # (count 1).  After 0+3 -> 5, both stream heads have goodness 1:

@@ -39,6 +39,9 @@ _i32_p = np.ctypeslib.ndpointer(dtype=np.int32, flags="C_CONTIGUOUS")
 _f64_p = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
 _u8_p = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
 
+# link_rows' first output chunk, in pairs (16 MB of codes and counts)
+_LINK_CHUNK = 1 << 20
+
 
 class StreamBuffers(NamedTuple):
     """Every component's greedy merge stream, concatenated.
@@ -137,10 +140,10 @@ def _bind(lib: ctypes.CDLL) -> None:
     lib.mirror_neighbors.argtypes = [
         _i64_p, _i32_p, ctypes.c_int64, _i64_p, _i32_p,
     ]
-    lib.pair_count_reduce.restype = ctypes.c_longlong
-    lib.pair_count_reduce.argtypes = [
-        _i64_p, _i32_p, ctypes.c_int64, ctypes.c_int64,
-        _i64_p, _i64_p, ctypes.c_int64,
+    lib.link_rows.restype = ctypes.c_longlong
+    lib.link_rows.argtypes = [
+        _i64_p, _i32_p, ctypes.c_int64, _i64_p, _i32_p, _i32_p,
+        _i64_p, _i64_p, ctypes.c_int64, _i64_p,
     ]
     lib.assign_block.restype = ctypes.c_longlong
     lib.assign_block.argtypes = [
@@ -234,25 +237,42 @@ class _CextKernels:
             raise MemoryError("mirror_neighbors: allocation failed")
         return full_indptr, full_indices
 
-    def pair_count_reduce(
-        self,
-        list_indptr: np.ndarray,
-        list_indices: np.ndarray,
-        n: int,
+    def link_rows(
+        self, indptr: np.ndarray, indices: np.ndarray, n: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        list_indptr = _as_i64(list_indptr)
-        list_indices = _as_i32(list_indices)
-        lens = np.diff(list_indptr)
-        total = int((lens * (lens - 1) // 2).sum())
-        codes = np.empty(total, dtype=np.int64)
-        counts = np.empty(total, dtype=np.int64)
-        unique = self._lib.pair_count_reduce(
-            list_indptr, list_indices, len(list_indptr) - 1, n,
-            codes, counts, total,
-        )
-        if unique < 0:
-            raise MemoryError("pair_count_reduce: allocation failed")
-        return codes[:unique].copy(), counts[:unique].copy()
+        """Sorted upper-triangle pair codes and link counts of the
+        symmetric neighbor graph held as ascending CSR lists.
+
+        The output grows in chunks the kernel resumes into: the first
+        holds the ``min(n^2 / 2, sum m (m - 1) / 2)`` pair bound or
+        ``_LINK_CHUNK`` pairs, whichever is smaller (but at least
+        ``n``, so every call finishes a row), and each later one
+        doubles, so memory stays O(n + pairs) whatever the pair work.
+        """
+        indptr = _as_i64(indptr)
+        indices = _as_i32(indices)
+        cursor = indptr[:-1].copy()
+        acc = np.zeros(n, dtype=np.int32)
+        touched = np.empty(n + 1, dtype=np.int32)
+        next_row = np.zeros(1, dtype=np.int64)
+        lens = np.diff(indptr)
+        bound = min(n * (n - 1) // 2, int((lens * (lens - 1) // 2).sum()))
+        cap = max(min(bound, _LINK_CHUNK), n)
+        codes: list[np.ndarray] = []
+        counts: list[np.ndarray] = []
+        while not codes or next_row[0] < n:
+            chunk_codes = np.empty(cap, dtype=np.int64)
+            chunk_counts = np.empty(cap, dtype=np.int64)
+            written = self._lib.link_rows(
+                indptr, indices, n, cursor, acc, touched,
+                chunk_codes, chunk_counts, cap, next_row,
+            )
+            codes.append(chunk_codes[:written])
+            counts.append(chunk_counts[:written])
+            cap *= 2
+        if len(codes) == 1:
+            return codes[0], counts[0]
+        return np.concatenate(codes), np.concatenate(counts)
 
     def assign_block(
         self,

@@ -14,9 +14,9 @@
  *                         the full ascending lists afterwards
  *   mirror_neighbors  <-> the trivial "every list contains both
  *                         directions" property of the reference lists
- *   pair_count_reduce <-> repro.parallel.links.pair_link_counts
- *                         (integer pair-code counting; sort order is
- *                         value order either way)
+ *   link_rows         <-> repro.core.links.dense_link_matrix, upper
+ *                         triangle (the same integer counts, emitted
+ *                         as ascending pair codes i*n + l)
  *   merge_components  <-> repro.core.merge.component_merge_stream
  *                         run on every component, then
  *                         repro.core.merge._replay_streams (same
@@ -68,87 +68,6 @@ static i64 upper_bound_i32(const i32 *arr, i64 lo, i64 hi, i32 key)
             hi = mid;
     }
     return lo;
-}
-
-/* LSD radix sort (16-bit digits) for non-negative int64 keys.
- * Returns 0, or -1 on allocation failure (caller falls back). */
-static int radix_sort_i64(i64 *keys, i64 len)
-{
-    if (len < 2)
-        return 0;
-    i64 maxv = 0;
-    for (i64 i = 0; i < len; i++)
-        if (keys[i] > maxv)
-            maxv = keys[i];
-    i64 *tmp = (i64 *)malloc((size_t)len * sizeof(i64));
-    i64 *hist = (i64 *)malloc(65536 * sizeof(i64));
-    if (!tmp || !hist) {
-        free(tmp);
-        free(hist);
-        return -1;
-    }
-    i64 *src = keys, *dst = tmp;
-    for (int shift = 0; shift < 64 && (maxv >> shift) != 0; shift += 16) {
-        memset(hist, 0, 65536 * sizeof(i64));
-        for (i64 i = 0; i < len; i++)
-            hist[(src[i] >> shift) & 0xFFFF]++;
-        i64 pos = 0;
-        for (i64 d = 0; d < 65536; d++) {
-            i64 c = hist[d];
-            hist[d] = pos;
-            pos += c;
-        }
-        for (i64 i = 0; i < len; i++)
-            dst[hist[(src[i] >> shift) & 0xFFFF]++] = src[i];
-        i64 *swap = src;
-        src = dst;
-        dst = swap;
-    }
-    if (src != keys)
-        memcpy(keys, src, (size_t)len * sizeof(i64));
-    free(tmp);
-    free(hist);
-    return 0;
-}
-
-/* i32 twin of radix_sort_i64: half the memory traffic per pass. */
-static int radix_sort_i32(i32 *keys, i64 len)
-{
-    if (len < 2)
-        return 0;
-    i32 maxv = 0;
-    for (i64 i = 0; i < len; i++)
-        if (keys[i] > maxv)
-            maxv = keys[i];
-    i32 *tmp = (i32 *)malloc((size_t)len * sizeof(i32));
-    i64 *hist = (i64 *)malloc(65536 * sizeof(i64));
-    if (!tmp || !hist) {
-        free(tmp);
-        free(hist);
-        return -1;
-    }
-    i32 *src = keys, *dst = tmp;
-    for (int shift = 0; shift < 32 && (maxv >> shift) != 0; shift += 16) {
-        memset(hist, 0, 65536 * sizeof(i64));
-        for (i64 i = 0; i < len; i++)
-            hist[(src[i] >> shift) & 0xFFFF]++;
-        i64 pos = 0;
-        for (i64 d = 0; d < 65536; d++) {
-            i64 c = hist[d];
-            hist[d] = pos;
-            pos += c;
-        }
-        for (i64 i = 0; i < len; i++)
-            dst[hist[(src[i] >> shift) & 0xFFFF]++] = src[i];
-        i32 *swap = src;
-        src = dst;
-        dst = swap;
-    }
-    if (src != keys)
-        memcpy(keys, src, (size_t)len * sizeof(i32));
-    free(tmp);
-    free(hist);
-    return 0;
 }
 
 /* ------------------------------------------------------------------ */
@@ -304,90 +223,76 @@ long long mirror_neighbors(
 }
 
 /* ------------------------------------------------------------------ */
-/* 2. Figure 4 pair-code counting over neighbor lists                  */
+/* 2. Figure 4 links, one output row at a time                         */
 /* ------------------------------------------------------------------ */
 
-/* Emit the pair code i*n+j (i < j) for every unordered pair drawn
- * from each ascending neighbor list, sort the codes, and run-length
- * reduce them in place.  codes/counts have capacity total_pairs
- * (= sum over lists of m*(m-1)/2, computed by the caller from the
- * list lengths); the reduced table occupies their prefix.
+/* Link counts of rows [*next_row, n) of a symmetric neighbor graph
+ * held as ascending CSR lists: Gustavson's sparse A*A, restricted to
+ * the upper triangle.  For row i, every neighbor j of i adds +1 to
+ * acc[l] for each of its own neighbors l > i; the touched columns,
+ * sorted, give the codes i*n + l with their counts acc[l].  The
+ * increments are the Figure 4 pair increments regrouped by the pair's
+ * smaller end, so the counts are exactly dense_link_matrix's.
  *
- * Returns the number of unique codes, or -1 on allocation failure.
+ * cursor[j] (caller int64 workspace, arriving as indptr[j]) skips the
+ * entries l <= i of j's list; rows run ascending, so each cursor only
+ * moves forward and the skips cost O(nnz) over the whole call.
+ * acc (int32, length n) must arrive zeroed and is returned zeroed;
+ * touched is an int32 workspace of length n + 1.
+ *
+ * A row starts only while out_codes / out_counts have room for its
+ * n - 1 - i possible pairs: the call returns the pairs written and
+ * leaves the first row it did not run in *next_row, so the caller
+ * resumes with a fresh buffer (same cursor, acc and touched) and the
+ * memory stays O(n + pairs) rather than O(sum of m^2).
  */
-long long pair_count_reduce(
-    const i64 *list_indptr, const i32 *list_indices,
-    i64 n_lists, i64 n,
-    i64 *codes, i64 *counts, i64 total_pairs)
+long long link_rows(
+    const i64 *indptr, const i32 *indices, i64 n,
+    i64 *cursor, i32 *acc, i32 *touched,
+    i64 *out_codes, i64 *out_counts, i64 cap, i64 *next_row)
 {
-    if (n > 0 && n <= 46340) {
-        /* n*n < 2^31: the codes fit int32, so emit and sort 4-byte
-         * keys -- half the memory traffic of the i64 path through the
-         * dominant (emit + radix) stages -- then widen on reduce.
-         * Same integer values, same ascending order, same counts. */
-        i32 *c32 = (i32 *)malloc(
-            (size_t)(total_pairs > 0 ? total_pairs : 1) * sizeof(i32));
-        if (c32 != NULL) {
-            i64 pos = 0;
-            for (i64 l = 0; l < n_lists; l++) {
-                i64 lo = list_indptr[l], hi = list_indptr[l + 1];
-                for (i64 a = lo; a < hi; a++) {
-                    i32 base = (i32)(list_indices[a] * (i32)n);
-                    for (i64 b = a + 1; b < hi; b++)
-                        c32[pos++] = base + list_indices[b];
+    i64 written = 0;
+    i64 i = *next_row;
+    for (; i < n && cap - written >= n - 1 - i; i++) {
+        i64 n_touched = 0;
+        for (i64 p = indptr[i]; p < indptr[i + 1]; p++) {
+            i32 j = indices[p];
+            i64 q = cursor[j], end = indptr[j + 1];
+            while (q < end && indices[q] <= i)
+                q++;
+            cursor[j] = q;
+            for (; q < end; q++) {
+                i32 l = indices[q];
+                i32 a = acc[l];
+                /* branchless first-touch record, as in score_block */
+                touched[n_touched] = l;
+                n_touched += (a == 0);
+                acc[l] = a + 1;
+            }
+        }
+        i64 base = i * n;
+        if (n_touched * 8 > n - i) {
+            /* a dense row: one scan of its columns beats the sort */
+            for (i64 l = i + 1; l < n; l++) {
+                if (acc[l]) {
+                    out_codes[written] = base + l;
+                    out_counts[written++] = acc[l];
+                    acc[l] = 0;
                 }
             }
-            if (pos == 0) {
-                free(c32);
-                return 0;
-            }
-            if (radix_sort_i32(c32, pos) != 0) {
-                free(c32);
-                return -1;
-            }
-            i64 u = 0, i = 0;
-            while (i < pos) {
-                i32 c = c32[i];
-                i64 j = i + 1;
-                while (j < pos && c32[j] == c)
-                    j++;
-                codes[u] = (i64)c;
-                counts[u] = j - i;
-                u++;
-                i = j;
-            }
-            free(c32);
-            return u;
+            continue;
         }
-        /* allocation failed: fall through to the i64 path */
-    }
-    i64 pos = 0;
-    for (i64 l = 0; l < n_lists; l++) {
-        i64 lo = list_indptr[l], hi = list_indptr[l + 1];
-        for (i64 a = lo; a < hi; a++) {
-            i64 base = (i64)list_indices[a] * n;
-            for (i64 b = a + 1; b < hi; b++)
-                codes[pos++] = base + (i64)list_indices[b];
+        if (n_touched > 1)
+            qsort(touched, (size_t)n_touched, sizeof(i32), i32_cmp);
+        for (i64 t = 0; t < n_touched; t++) {
+            i32 l = touched[t];
+            out_codes[written] = base + l;
+            out_counts[written++] = acc[l];
+            acc[l] = 0;
         }
     }
-    /* pos == total_pairs by construction */
-    (void)total_pairs;
-    if (pos == 0)
-        return 0;
-    if (radix_sort_i64(codes, pos) != 0)
-        return -1;
-    i64 u = 0, i = 0;
-    while (i < pos) {
-        i64 c = codes[i];
-        i64 j = i + 1;
-        while (j < pos && codes[j] == c)
-            j++;
-        codes[u] = c;
-        counts[u] = j - i;
-        u++;
-        i = j;
-    }
-    return u;
+    *next_row = i;
+    return written;
 }
 
 /* ------------------------------------------------------------------ */

@@ -8,8 +8,8 @@ Similarity is symmetric, so the block kernel scores only the upper
 triangle (``j > row``, half the accumulate work of the reference
 product); a linear-time mirror pass rebuilds the full ascending
 neighbor lists, whose links are counted by the rule every producer
-follows (:func:`repro.parallel.links.neighbor_csr_result`: the C pair
-count, or the row-block square where that pays).  Bit-identical by
+follows (:func:`repro.parallel.links.neighbor_csr_result`: the C
+``link_rows`` kernel, or the row-block square where that pays).  Bit-identical by
 construction: intersections are the same integer counts (each shared
 item contributes exactly +1, whichever triangle it is counted in), the
 survivor test is the same exact float64 ``inter / denom >= theta``

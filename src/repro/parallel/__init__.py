@@ -14,8 +14,8 @@ across a process pool:
 * :mod:`repro.parallel.links` -- the **fused** neighbor+link kernel
   (:func:`~repro.parallel.links.fused_neighbor_links`) that scores row
   blocks into neighbor lists and counts their links by the rule every
-  producer follows, and the numpy Figure 4 pair counter it shares with
-  :func:`repro.core.links.sparse_link_table`.
+  producer follows, and the numpy Figure 4 pair counter of the
+  out-of-core shard coordinator.
 
 The fit planner (:func:`repro.core.pipeline.plan_fit`) runs the fused
 kernel when it plans shared-item scoring (the dense ``n x n`` matrix

@@ -1,19 +1,20 @@
-"""Vectorised and fused Figure 4 link counting over the block schedule.
+"""The fused neighbor+link pass, and the vectorised Figure 4 pair count.
 
 The Figure 4 algorithm charges +1 to every unordered pair drawn from
-each point's neighbor list.  Here that inner pair loop becomes array
-arithmetic: the pairs of a list of length ``m`` are the cached
-``np.triu_indices(m, 1)`` gather, each pair is packed into a single
-int64 code ``i * n + j`` (``i < j``), and counting is one sort plus a
-run-length reduction.  Partial counts from different chunks merge by
-concatenation + ``np.add.reduceat`` -- integer sums, so the totals are
-exactly the serial table's.
+each point's neighbor list.  :func:`pair_link_counts` runs that inner
+pair loop as array arithmetic: the pairs of a list of length ``m`` are
+the cached ``np.triu_indices(m, 1)`` gather, each pair is packed into a
+single int64 code ``i * n + j`` (``i < j``), and counting is one sort
+plus a run-length reduction.  Partial counts from different chunks
+merge by concatenation + ``np.add.reduceat`` (:func:`merge_pair_counts`)
+-- integer sums, so the totals are exactly the serial table's.  The
+out-of-core shard coordinator counts its units this way.
 
 :func:`fused_neighbor_links` is the fused kernel: workers score row
 blocks into neighbor lists, and the parent counts their links by the
-rule every producer follows (:func:`neighbor_csr_result`): pair codes
-in compacted chunks (:func:`csr_pair_counts` without the C tier), or
-the row-block square where the pair work reaches ``n^2`` and the
+rule every producer follows (:func:`neighbor_csr_result`): one output
+row at a time (:func:`repro.core.links.row_link_table`), or the
+row-block square where the pair work is large against ``n^2`` and the
 square fits the memory budget.
 """
 
@@ -43,18 +44,12 @@ from repro.parallel.pool import (
 
 __all__ = [
     "FusedFitResult",
-    "csr_pair_counts",
     "fused_neighbor_links",
     "merge_pair_counts",
     "pair_link_counts",
 ]
 
 _EMPTY = np.empty(0, dtype=np.int64)
-
-# Compact the running pair-count chunks whenever their combined length
-# passes this many codes (16 MB of int64 pairs) -- bounds the fused
-# kernel's parent-side memory at O(linked pairs), not O(increments).
-_COMPACT_LIMIT = 1 << 21
 
 # Cache of np.triu_indices(m, 1) keyed by m: neighbor lists repeat the
 # same handful of lengths, and regenerating the index pair per list
@@ -113,32 +108,6 @@ def merge_pair_counts(
     codes, counts = codes[order], counts[order]
     starts = np.concatenate([[0], np.flatnonzero(np.diff(codes)) + 1])
     return codes[starts], np.add.reduceat(counts, starts)
-
-
-def csr_pair_counts(
-    indptr: np.ndarray, indices: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`pair_link_counts` over neighbor lists held as CSR.
-
-    Counts chunks of rows holding about ``_COMPACT_LIMIT`` pair
-    increments each and compacts the running counts whenever they pass
-    that many codes, so memory stays O(linked pairs), not
-    O(increments).
-    """
-    lengths = np.diff(indptr)
-    work = np.cumsum(lengths * (lengths - 1) // 2)
-    total = int(work[-1]) if work.size else 0
-    cuts = np.searchsorted(work, np.arange(_COMPACT_LIMIT, total, _COMPACT_LIMIT))
-    lists = np.split(np.asarray(indices, dtype=np.int64), indptr[1:-1])
-    pending: list[tuple[np.ndarray, np.ndarray]] = []
-    pending_codes = 0
-    for start, stop in zip([0, *cuts.tolist()], [*cuts.tolist(), len(lists)]):
-        pending.append(pair_link_counts(lists[start:stop], n))
-        pending_codes += pending[-1][0].size
-        if pending_codes > _COMPACT_LIMIT:
-            pending = [merge_pair_counts(pending)]
-            pending_codes = pending[0][0].size
-    return merge_pair_counts(pending)
 
 
 # -- the fused neighbor+link kernel -------------------------------------------

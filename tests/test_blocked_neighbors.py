@@ -33,15 +33,19 @@ from repro.parallel.links import fused_neighbor_links
 
 
 class TestAutoSelection:
-    # every basket holds items -1 and -2: S ~ n^2, over the planner's
-    # shared-item gate, so within budget the dense route runs
+    # every basket holds items -1 .. -5: S ~ 5 n^2 / 2, over both tiers'
+    # shared-item gates, so within budget the dense route runs
     def test_auto_blocks_when_budget_exceeded(self):
-        dataset = TransactionDataset([Transaction({-1, -2, i, i + 1}) for i in range(40)])
+        dataset = TransactionDataset(
+            [Transaction({-1, -2, -3, -4, -5, i, i + 1}) for i in range(40)]
+        )
         assert plan_fit(dataset, 0.3, memory_budget=1).route in ("native", "fused")
         assert plan_fit(dataset, 0.3).route == "dense"
 
     def test_auto_stays_dense_within_budget(self):
-        dataset = TransactionDataset([Transaction({-1, -2, i, i + 1}) for i in range(10)])
+        dataset = TransactionDataset(
+            [Transaction({-1, -2, -3, -4, -5, i, i + 1}) for i in range(10)]
+        )
         plan = plan_fit(dataset, 0.3, memory_budget=DEFAULT_MEMORY_BUDGET)
         assert plan.route == "dense"
         assert plan.memory_budget == DEFAULT_MEMORY_BUDGET

@@ -3,9 +3,10 @@
 :func:`repro.core.pipeline.plan_fit` picks every fit route.  These tests
 pin that it prices the dense route against the one memory budget it
 hands to the kernels, that an in-budget transaction fit whose
-shared-item pair work ``S`` stays under ``SHARED_PAIR_RATIO * n^2 / 2``
-runs the shared-item kernels, that ``backends["fit"]`` and the root
-span name the route that ran, and -- property-tested -- that every
+shared-item pair work ``S`` stays under
+``SHARED_PAIR_RATIO[tier] * n^2 / 2`` (one gate per link tier) runs the
+shared-item kernels, that ``backends["fit"]`` and the root span name
+the route that ran, and -- property-tested -- that every
 route reproduces the dense route's clusters, merge history, kept points
 and outliers.
 """
@@ -106,17 +107,19 @@ def dense_reference(points, theta, min_neighbors, k=3):
     return clusters, result.merges, kept, stages.discarded.tolist()
 
 
-def below_gate(points, theta):
-    """Whether ``S < SHARED_PAIR_RATIO * n^2 / 2`` sends an in-budget fit to shared-item scoring."""
+def below_gate(points, theta, tier):
+    """Whether ``S < SHARED_PAIR_RATIO[tier] * n^2 / 2`` sends an in-budget
+    fit to shared-item scoring."""
     n = len(points)
     shared = transaction_csr(points).shared_pairs()
-    return theta > 0 and shared < SHARED_PAIR_RATIO * n * n / 2
+    return theta > 0 and shared < SHARED_PAIR_RATIO[tier] * n * n / 2
 
 
 def expected_backend(points, memory_budget, enabled, theta, fit_mode, min_neighbors):
     if fit_mode == "sharded" and min_neighbors <= 1:
         return "sharded"
-    if memory_budget is None and not below_gate(points, theta):
+    tier = "cext" if enabled and get_kernels() is not None else "numpy"
+    if memory_budget is None and not below_gate(points, theta, tier):
         return "dense"
     if enabled and theta > 0 and get_kernels() is not None:
         return "native:cext"
@@ -137,7 +140,10 @@ class TestOneBudget:
         )
 
     def points(self, n):
-        return TransactionDataset([Transaction({i % 97, 100}) for i in range(n)])
+        # items 100-104 in every basket: S is over both shared-item gates
+        return TransactionDataset(
+            [Transaction({i % 97, *range(100, 105)}) for i in range(n)]
+        )
 
     def test_routes_on_either_side_of_the_wall(self):
         at_wall, past_wall = (
@@ -169,11 +175,14 @@ class TestRecordedRoute:
     """``backends["fit"]`` and the root span name the route that ran."""
 
     def baskets(self):
-        # every basket holds item 99 as well: S >= n (n - 1) / 2 keeps
-        # the in-budget fit on the dense route
+        # every basket holds items 99-104 as well: S >= 6 n (n - 1) / 2
+        # keeps the in-budget fit on the dense route on either tier
         rng = np.random.default_rng(3)
         return TransactionDataset([
-            Transaction([*rng.choice(np.arange(c * 12, c * 12 + 12), 6, replace=False).tolist(), 99])
+            Transaction([
+                *rng.choice(np.arange(c * 12, c * 12 + 12), 6, replace=False).tolist(),
+                *range(99, 105),
+            ])
             for c in range(3)
             for _ in range(8)
         ])
@@ -254,14 +263,22 @@ class TestSharedItemGate:
         assert plan.encoding is not None and plan.encoding.n == n
 
     @pytest.mark.parametrize("enabled", [True, False])
-    def test_paper_basket_shape_stays_dense(self, enabled):
+    def test_paper_basket_shape_routes_by_tier(self, enabled):
+        # S is about 3.8 n^2 / 2: under the C tier's gate (native
+        # scoring wins on Table 5 shapes), over the numpy tier's
         points = self.paper_basket_shaped()
         with native(enabled):
+            if enabled and get_kernels() is None:
+                pytest.skip("C tier unavailable")
             plan = plan_fit(points, 0.5)
-        assert plan.backend == "dense"
         n = len(points)
-        assert plan.shared_pairs > 3 * n * n / 2
-        assert "dense scoring" in plan.reason
+        assert 3 * n * n / 2 < plan.shared_pairs < SHARED_PAIR_RATIO["cext"] * n * n / 2
+        if enabled:
+            assert plan.backend == "native:cext"
+            assert "shared-item scoring" in plan.reason
+        else:
+            assert plan.backend == "dense"
+            assert "dense scoring" in plan.reason
 
     def test_theta_zero_stays_dense(self):
         points = TransactionDataset([Transaction({i, i + 1}) for i in range(40)])
@@ -269,8 +286,10 @@ class TestSharedItemGate:
         assert plan_fit(points, 0.0).route == "dense"
 
     def test_over_budget_planning_ignores_the_gate(self):
-        dense_shaped = TransactionDataset([Transaction({0, 1, i}) for i in range(40)])
-        assert not below_gate(dense_shaped, 0.5)
+        dense_shaped = TransactionDataset(
+            [Transaction({0, 1, 2, 3, 4, i + 5}) for i in range(40)]
+        )
+        assert not below_gate(dense_shaped, 0.5, "cext")
         assert plan_fit(dense_shaped, 0.5).route == "dense"
         assert plan_fit(dense_shaped, 0.5, memory_budget=1).route in ("native", "fused")
 

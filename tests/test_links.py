@@ -1,6 +1,12 @@
 """Tests for link computation (Sections 3.2, 4.4, Figure 4)."""
 
+import os
+import subprocess
+import sys
+from contextlib import contextmanager
 from itertools import combinations
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,19 +14,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.links import (
-    SPARSE_LINK_RATIO,
+    SQUARE_LINK_WORK,
     LinkTable,
     blocked_link_table,
     compute_links,
     dense_link_matrix,
+    link_tier,
+    neighbor_list_links,
     path_link_matrix,
+    row_link_table,
     sparse_link_table,
     square_link_bytes,
+    square_pays,
 )
 from repro.core.neighbors import NeighborGraph, compute_neighbor_graph
 from repro.core.pipeline import FitPlan, RockPipeline, plan_fit, run_fit_plan
 from repro.data.transactions import Transaction, TransactionDataset
-from repro.native import get_kernels
+from repro.native import cext, get_kernels
 from repro.native.links import native_neighbor_links
 from repro.obs.trace import Tracer
 from repro.parallel.links import fused_neighbor_links
@@ -241,12 +251,12 @@ class TestProducerIdentity:
         tables["fused"] = fused_neighbor_links(points, theta, workers=1).links
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv("REPRO_NATIVE", "0")
-            tables["pair-count:numpy"] = sparse_link_table(graph)
-            tables["pair-count:numpy:lists"] = sparse_link_table(listed)
+            tables["spgemm"] = sparse_link_table(graph)
+            tables["spgemm:lists"] = sparse_link_table(listed)
             mp.delenv("REPRO_NATIVE")
             if get_kernels() is not None:
-                tables["pair-count:cext"] = sparse_link_table(graph)
-                tables["pair-count:cext:lists"] = sparse_link_table(listed)
+                tables["rows:cext"] = sparse_link_table(graph)
+                tables["rows:cext:lists"] = sparse_link_table(listed)
                 tables["native"] = native_neighbor_links(
                     points, theta, workers=1
                 ).links
@@ -257,7 +267,7 @@ class TestProducerIdentity:
             lo, hi = np.divmod(table.codes, max(n, 1))
             assert np.all(lo < hi), name
             assert np.array_equal(table.to_dense(), oracle), name
-            if name.startswith("pair-count"):
+            if name.startswith(("spgemm", "rows")):
                 assert name.startswith(table.producer), name
 
         table = tables["blocked:7"]
@@ -274,6 +284,163 @@ class TestProducerIdentity:
             table.subset(kept).to_dense(),
             dense_link_matrix(graph.subgraph(kept)),
         )
+
+
+def csr_of(adjacency):
+    """The ascending neighbor lists of a bool adjacency, as CSR."""
+    n = adjacency.shape[0]
+    rows, indices = np.divmod(np.flatnonzero(adjacency), max(n, 1))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, indices
+
+
+@st.composite
+def row_kernel_graphs(draw):
+    """Symmetric graphs for the row kernel: random ones up to n = 40
+    (empty rows, isolated points, sparse rows that sort their touched
+    columns and dense rows that scan them), n in {0, 1, 2}, complete
+    graphs, and hub-and-chain graphs whose later rows' cursors skip
+    several entries at once."""
+    kind = draw(st.sampled_from(["random", "tiny", "complete", "skips"]))
+    if kind == "tiny":
+        n = draw(st.integers(0, 2))
+        adj = np.zeros((n, n), dtype=bool)
+        if n == 2 and draw(st.booleans()):
+            adj[0, 1] = adj[1, 0] = True
+    elif kind == "complete":
+        n = draw(st.integers(1, 24))
+        adj = ~np.eye(n, dtype=bool)
+    elif kind == "skips":
+        # points 0..h-1 all link to every point >= h, which chain up:
+        # row i >= h skips the h hubs, then reaches the chain's tail
+        h = draw(st.integers(1, 5))
+        n = h + draw(st.integers(2, 20))
+        adj = np.zeros((n, n), dtype=bool)
+        adj[:h, h:] = True
+        adj[np.arange(h, n - 1), np.arange(h + 1, n)] = True
+        adj |= adj.T
+    else:
+        n = draw(st.integers(3, 40))
+        density = draw(st.sampled_from([0.02, 0.1, 0.3, 0.7]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        adj = np.triu(rng.random((n, n)) < density, 1)
+        adj |= adj.T
+        adj[draw(st.integers(0, n - 1))] = False  # one isolated point
+        adj[:, draw(st.integers(0, n - 1))] = False
+        adj &= adj.T
+    return NeighborGraph(adj)
+
+
+class TestRowLinks:
+    """``row_link_table`` -- C ``link_rows`` or scipy SpGEMM -- equals the oracle."""
+
+    @staticmethod
+    @contextmanager
+    def on(tier):
+        """Run with the C tier on (``REPRO_NATIVE`` unset) or off (``=0``)."""
+        with mock.patch.dict(os.environ):
+            if tier == "numpy":
+                os.environ["REPRO_NATIVE"] = "0"
+            else:
+                os.environ.pop("REPRO_NATIVE", None)
+                if get_kernels() is None:
+                    pytest.skip("C tier unavailable")
+            yield
+
+    @pytest.mark.parametrize("tier", ["cext", "numpy"])
+    @settings(max_examples=120, deadline=None)
+    @given(graph=row_kernel_graphs(), chunk=st.sampled_from([1, 7, 1 << 20]))
+    def test_rows_equal_the_oracle(self, tier, graph, chunk):
+        oracle = LinkTable.from_dense(dense_link_matrix(graph))
+        # small output chunks make the C kernel resume mid-graph
+        with self.on(tier), mock.patch.object(cext, "_LINK_CHUNK", chunk):
+            table = row_link_table(*csr_of(graph.adjacency), graph.n)
+            gated = {
+                budget: neighbor_list_links(
+                    *csr_of(graph.adjacency), graph.n, budget
+                )
+                for budget in (-1, square_link_bytes(graph.n))
+            }
+            square = square_pays(graph.degrees(), graph.n)
+        assert table.producer == ("rows:cext" if tier == "cext" else "spgemm")
+        assert table.n == graph.n
+        assert table.codes.dtype == oracle.codes.dtype == np.int64
+        assert table.counts.dtype == oracle.counts.dtype == np.int64
+        assert np.array_equal(table.codes, oracle.codes)
+        assert np.array_equal(table.counts, oracle.counts)
+        # either side of the square gate, every producer agrees
+        for budget, table in gated.items():
+            assert np.array_equal(table.codes, oracle.codes)
+            assert np.array_equal(table.counts, oracle.counts)
+            assert (table.producer == "dense-blocks") == (budget >= 0 and square)
+
+    def test_numpy_tier_without_scipy_counts_pairs(self):
+        graph = graph_from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+
+        def no_scipy(*args):
+            raise ImportError("No module named 'scipy'")
+
+        with self.on("numpy"), mock.patch(
+            "repro.core.links._spgemm_pairs", no_scipy
+        ):
+            table = row_link_table(*csr_of(graph.adjacency), graph.n)
+        oracle = LinkTable.from_dense(dense_link_matrix(graph))
+        assert table.producer == "pair-count:numpy"
+        assert np.array_equal(table.codes, oracle.codes)
+        assert np.array_equal(table.counts, oracle.counts)
+
+    @pytest.mark.parametrize("tier", ["cext", "numpy"])
+    def test_square_gate_is_per_tier(self, tier):
+        n = 100
+        work = SQUARE_LINK_WORK[tier] * n**3
+        below = np.full(n, np.sqrt(0.99 * work / n))
+        above = np.full(n, np.sqrt(1.01 * work / n))
+        with self.on(tier):
+            assert link_tier() == tier
+            assert not square_pays(below, n)
+            assert square_pays(above, n)
+
+
+@pytest.mark.skipif(get_kernels() is None, reason="C tier unavailable")
+def test_row_kernel_memory_is_n_plus_pairs():
+    """A native link count past the budget allocates O(n + pairs).
+
+    Two 300-point cliques: 26.7M Figure 4 pair increments (427 MB at
+    16 bytes each, what counting every increment as a code would take)
+    but only 89,700 linked pairs.  Peak RSS may grow by a few MB of
+    output, never by anything near the increment count.
+    """
+    script = """
+import resource
+import numpy as np
+from repro.core.links import neighbor_list_links
+s, n = 300, 600
+lists = [np.setdiff1d(np.arange(c * s, c * s + s), [i])
+         for c in range(2) for i in range(c * s, c * s + s)]
+indptr = np.zeros(n + 1, dtype=np.int64)
+np.cumsum([len(x) for x in lists], out=indptr[1:])
+indices = np.concatenate(lists).astype(np.int32)
+lens = np.diff(indptr)
+increments = int((lens * (lens - 1) // 2).sum())
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+table = neighbor_list_links(indptr, indices, n, memory_budget=1)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(increments, table.nnz_pairs(), table.producer, (after - before) * 1024)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {
+        **os.environ,
+        "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+    }
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        check=True, env=env,
+    ).stdout.split()
+    increments, pairs, producer, growth = int(out[0]), int(out[1]), out[2], int(out[3])
+    assert increments > 26_000_000 and pairs == 2 * 300 * 299 // 2
+    assert producer == "rows:cext"
+    assert growth < 32 * 2**20  # 16 B per increment would be 427 MB
 
 
 def producer_of(tracer):
@@ -306,14 +473,20 @@ class TestLinkProducerRecorded:
             monkeypatch.delenv("REPRO_NATIVE", raising=False)
             if get_kernels() is None:
                 pytest.skip("C tier unavailable")
-        # 8 baskets per cluster: sum m^2 stays under n^2; the item every
-        # basket holds puts S over the gate, so the dense route runs
+        # 20 triples of identical baskets: every point has 2 neighbors,
+        # so sum m^2 stays far under the square's n^3 work; the 6 items
+        # every basket holds put S over the gate, so the dense route runs
+        points = TransactionDataset([
+            Transaction([*range(100, 106), *range(6 * g, 6 * g + 6)])
+            for g in range(20)
+            for _ in range(3)
+        ])
+        assert plan_fit(points, 0.5).route == "dense"
         tracer = Tracer()
-        result = RockPipeline(k=3, theta=0.5, seed=1).fit(
-            self.baskets(per=8, background=[99]), tracer=tracer
-        )
-        assert result.backends["links"] == f"pair-count:{tier}"
-        assert producer_of(tracer) == f"pair-count:{tier}"
+        result = RockPipeline(k=20, theta=0.5, seed=1).fit(points, tracer=tracer)
+        counted = "rows:cext" if tier == "cext" else "spgemm"
+        assert result.backends["links"] == counted
+        assert producer_of(tracer) == counted
 
     def test_dense_blocks(self):
         # identical baskets: a complete graph, sum m^2 = n (n - 1)^2
@@ -334,8 +507,8 @@ class TestLinkProducerRecorded:
                 pytest.skip("C tier unavailable")
         expected = "fused" if route == "fused" else "native:cext"
         # the kernels count links by the compute_links rule, so the
-        # links backend names the link kernel: here the pair count
-        counted = "pair-count:numpy" if route == "fused" else "pair-count:cext"
+        # links backend names the link kernel: here the row count
+        counted = "spgemm" if route == "fused" else "rows:cext"
         tracer = Tracer()
         result = RockPipeline(k=3, theta=0.5, memory_budget=1, seed=1).fit(
             self.baskets(per=8), tracer=tracer
@@ -350,7 +523,8 @@ class TestLinkRuleSharedByProducers:
 
     def clumps(self):
         # 4 clumps of 20 identical 2-item baskets: S is about 0.47 n^2 / 2
-        # (shared-item scoring) while sum m^2 = 80 * 19^2 > n^2 (square)
+        # (shared-item scoring) while sum m^2 = 80 * 19^2 is past the
+        # square's n^3 work on either tier
         return TransactionDataset(
             [Transaction({2 * c, 2 * c + 1}) for c in range(4) for _ in range(20)]
         )
@@ -367,7 +541,7 @@ class TestLinkRuleSharedByProducers:
         plan = plan_fit(points, 0.5)
         assert plan.route == route
         degrees = compute_neighbor_graph(points, 0.5).degrees()
-        assert degrees @ degrees >= SPARSE_LINK_RATIO * len(points) ** 2
+        assert degrees @ degrees >= SQUARE_LINK_WORK[link_tier()] * len(points) ** 3
         tracer = Tracer()
         links = run_fit_plan(plan, points, 0.5, tracer=tracer).links
         reference = run_fit_plan(
@@ -391,7 +565,9 @@ class TestLinkRuleSharedByProducers:
             points, 0.5, workers=1, memory_budget=square_link_bytes(n) - 1
         )
         assert square.links.producer == "dense-blocks"
-        assert counted.links.producer.startswith("pair-count:")
+        assert counted.links.producer == (
+            "spgemm" if get_kernels() is None else "rows:cext"
+        )
         assert np.array_equal(square.links.codes, counted.links.codes)
         assert np.array_equal(square.links.counts, counted.links.counts)
 

@@ -68,7 +68,9 @@ def c_tier(monkeypatch):
     return native.get_kernels()
 
 
-def baskets(n_clusters: int = 3, per: int = 8, seed: int = 3):
+def baskets(n_clusters: int = 4, per: int = 8, seed: int = 3):
+    # 6 of 12 pool items per basket: S is about 3 / n_clusters * n^2 / 2,
+    # under both tiers' shared-item gates at 4 clusters
     rng = np.random.default_rng(seed)
     txns = []
     for c in range(n_clusters):
@@ -136,7 +138,7 @@ class TestProbe:
             result = RockPipeline(k=3, theta=0.5, sample_size=30, seed=1).fit(data)
             assert resolve_assign_backend("auto") == ("pruned", None)
         assert result.backends == {
-            "fit": "fused", "links": "pair-count:numpy", "merge": "fast"
+            "fit": "fused", "links": "dense-blocks", "merge": "fast"
         }
         assert dense_scans == [1]
         assert len(result.clusters) >= 1
@@ -191,7 +193,7 @@ class TestProbe:
             warnings.simplefilter("error")
             result = RockPipeline(k=3, theta=0.5, seed=1).fit(baskets())
         assert result.backends == {
-            "fit": "fused", "links": "pair-count:numpy", "merge": "fast"
+            "fit": "fused", "links": "dense-blocks", "merge": "fast"
         }
 
 
@@ -222,7 +224,7 @@ class TestAutoStaysSilent:
             assert resolve_assign_backend("auto") == ("native", c_tier)
             promoted = pipeline.fit(data)
             assert promoted.backends["merge"] == "native:cext"
-            assert promoted.backends["links"] == "pair-count:cext"
+            assert promoted.backends["links"] == "rows:cext"
             assert dense_scans == []
 
             monkeypatch.setenv("REPRO_NATIVE", "0")
@@ -230,7 +232,7 @@ class TestAutoStaysSilent:
             assert resolve_assign_backend("auto") == ("pruned", None)
             reference = pipeline.fit(data)
             assert reference.backends == {
-                "fit": "fused", "links": "pair-count:numpy", "merge": "fast"
+                "fit": "fused", "links": "dense-blocks", "merge": "fast"
             }
             assert dense_scans == [1]
         assert np.array_equal(promoted.labels, reference.labels)
@@ -242,7 +244,7 @@ class TestAutoStaysSilent:
             warnings.simplefilter("error")
             result = RockPipeline(k=3, theta=0.5, seed=1).fit(data)
         assert result.backends == {
-            "fit": "fused", "links": "pair-count:numpy", "merge": "fast"
+            "fit": "fused", "links": "dense-blocks", "merge": "fast"
         }
 
 

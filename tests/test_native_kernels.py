@@ -299,7 +299,7 @@ class TestNativeAssignKernel:
         """
         assert KERNELS.name == "cext"
         for fn in (
-            "score_block", "mirror_neighbors", "pair_count_reduce",
+            "score_block", "mirror_neighbors", "link_rows",
             "merge_components", "assign_block",
         ):
             assert callable(getattr(KERNELS, fn)), fn

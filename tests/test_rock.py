@@ -1,5 +1,6 @@
 """Tests for the ROCK clustering loop (Section 4.3, Figure 3)."""
 
+from dataclasses import FrozenInstanceError
 from itertools import combinations
 
 import numpy as np
@@ -8,13 +9,29 @@ import pytest
 from repro.core.goodness import default_f, naive_goodness
 from repro.core.links import LinkTable, compute_links
 from repro.core.neighbors import compute_neighbor_graph
-from repro.core.rock import cluster_with_links, rock
+from repro.core.rock import MergeStep, cluster_with_links, rock
 from repro.data.transactions import Transaction, TransactionDataset
 from tests.linktables import link_table
 
 
 def links_from_pairs(n, pairs):
     return link_table(n, pairs)
+
+
+class TestMergeStepFromArrays:
+    def test_equals_constructed_steps(self):
+        steps = MergeStep.from_arrays(
+            np.array([0, 2]), np.array([1, 5]), 7,
+            np.array([0.5, 1.25]), np.array([2, 3]),
+        )
+        built = [MergeStep(0, 1, 7, 0.5, 2), MergeStep(2, 5, 8, 1.25, 3)]
+        assert steps == built
+        assert list(map(hash, steps)) == list(map(hash, built))
+        assert list(map(repr, steps)) == list(map(repr, built))
+        assert [type(v) for v in vars(steps[0]).values()] == [int, int, int, float, int]
+        with pytest.raises(FrozenInstanceError):
+            steps[0].left = 3
+        assert MergeStep.from_arrays(*[np.empty(0)] * 2, 0, *[np.empty(0)] * 2) == []
 
 
 class TestClusterWithLinks:
