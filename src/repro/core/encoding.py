@@ -11,17 +11,18 @@ Two encodings from the paper live here:
   boolean attribute and euclidean distance is applied to the resulting
   vectors.
 
-plus the kernels' own: :func:`transaction_csr` codes a transaction set
-(or ``A.v``-encoded records) as one item-code CSR, which every
-transaction block scorer, the native fused pass and the fit planner's
-cost estimate read.
+plus the one item encoder, :func:`encode_items`: a
+:class:`~repro.data.transactions.TransactionDataset` runs it once, and
+the fit's :func:`transaction_csr` and the §4.6 label scan's query rows
+(:func:`encode_query`) derive from that CSR; only loose points (plain
+sequences, HTTP, the stream) take the walk again.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Sequence
+from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import Any
 
 import numpy as np
@@ -68,17 +69,14 @@ def dataset_to_boolean_matrix(
 
     Returns the float matrix and the list of ``A.v`` column names.
     """
-    columns: list[tuple[str, Any]] = []
-    for attribute in dataset.schema:
-        for value in dataset.domain(attribute):
-            columns.append((attribute, value))
-    column_index = {col: j for j, col in enumerate(columns)}
-    matrix = np.zeros((len(dataset), len(columns)), dtype=np.float64)
-    for i, record in enumerate(dataset):
-        for attribute, value in record.items():
-            matrix[i, column_index[(attribute, value)]] = 1.0
+    # (attribute, value) keys: pairs whose A.v names collide keep two columns
+    columns = [(a, v) for a in dataset.schema for v in dataset.domain(a)]
+    indptr, codes, _ = encode_items(
+        (frozenset(record.items()) for record in dataset),
+        {column: j for j, column in enumerate(columns)},
+    )
     names = [attribute_item(a, v) for a, v in columns]
-    return matrix, names
+    return indicator(indptr, codes, len(columns), np.float64), names
 
 
 def restrict_to_shared_attributes(
@@ -104,6 +102,115 @@ def restrict_to_shared_attributes(
     return frozenset(items_a), frozenset(items_b)
 
 
+# -- the one item encoder ----------------------------------------------------
+
+def as_item_set(point: Any) -> frozenset[Hashable]:
+    """A transaction's, set's or categorical record's items; else ``TypeError``."""
+    if isinstance(point, Transaction):
+        return point.items
+    if isinstance(point, (frozenset, set)):
+        return frozenset(point)
+    if isinstance(point, CategoricalRecord):
+        return record_to_transaction(point).items
+    raise TypeError(
+        f"cannot interpret {type(point).__name__} as an item set; "
+        "expected Transaction, set, or CategoricalRecord"
+    )
+
+
+def encode_items(
+    points: Iterable[Any], code_of: dict[Any, int], grow: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one item walk: points (read by :func:`as_item_set`) as int64
+    ``indptr``, int32 ``codes`` ascending within each row, and int64 true
+    row ``sizes``.  An item missing from ``code_of`` extends it
+    (first-seen order) when ``grow``; otherwise it gets no code but still
+    counts in its row's size: it enlarges every union, intersecting nothing.
+    """
+    rows = list(map(as_item_set, points))
+    n = len(rows)
+    sizes = np.fromiter(map(len, rows), np.int64, n)
+    if grow:
+        for item in dict.fromkeys(chain.from_iterable(rows)):
+            code_of.setdefault(item, len(code_of))
+    codes = np.fromiter(
+        map(code_of.get, chain.from_iterable(rows), repeat(-1)),
+        np.int32, int(sizes.sum()),
+    )
+    indptr, codes = _drop_uncoded(codes, sizes)
+    _sort_within_rows(indptr, codes)
+    return indptr, codes, sizes
+
+
+def _drop_uncoded(
+    codes: np.ndarray, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR of rows of ``sizes[i]`` codes each, without the ``-1`` codes."""
+    kept = sizes
+    coded = codes >= 0
+    if not coded.all():
+        row_of = np.repeat(np.arange(sizes.size), sizes)
+        kept = np.bincount(row_of[coded], minlength=sizes.size)
+        codes = codes[coded]
+    indptr = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(kept, out=indptr[1:])
+    return indptr, codes
+
+
+SORT_ROWS = 4096  # rows per sort: bounds the temporaries of a dataset-sized walk
+
+
+def _sort_within_rows(indptr: np.ndarray, codes: np.ndarray) -> None:
+    """Sort each CSR row's codes in place, by packed ``(row, code)`` keys."""
+    width = int(codes.max()) + 1 if codes.size else 1
+    for lo in range(0, indptr.size - 1, SORT_ROWS):
+        bounds = indptr[lo : lo + SORT_ROWS + 1]
+        segment = codes[bounds[0] : bounds[-1]]
+        keys = np.repeat(np.arange(bounds.size - 1), np.diff(bounds)) * width
+        keys += segment
+        keys.sort()
+        segment[:] = keys % width
+
+
+def encode_query(
+    points: Iterable[Any], code_of: dict[Any, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`encode_items` without ``grow``; a dataset's CSR is remapped
+    through one ``O(V)`` array instead (row lengths are the true sizes;
+    codes need not ascend within a row)."""
+    if not isinstance(points, TransactionDataset):
+        return encode_items(points, code_of)
+    remap = np.fromiter(
+        map(code_of.get, points.vocabulary, repeat(-1)), np.int32, points.n_items
+    )
+    indptr, codes = points.csr
+    sizes = np.diff(indptr)
+    return (*_drop_uncoded(remap[codes], sizes), sizes)
+
+
+def gather_rows(
+    indptr: np.ndarray, codes: np.ndarray, rows: Any
+) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR of the given rows, in the given order, same codes."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+    starts = indptr[rows]
+    sizes = indptr[rows + 1] - starts
+    out = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=out[1:])
+    gather = np.repeat(starts - out[:-1], sizes) + np.arange(out[-1])
+    return out, codes[gather]
+
+
+def indicator(
+    indptr: np.ndarray, codes: np.ndarray, n_columns: int, dtype: Any
+) -> np.ndarray:
+    """The dense ``(rows, n_columns)`` 0/1 matrix of a code CSR."""
+    n = indptr.size - 1
+    matrix = np.zeros((n, n_columns), dtype=dtype)
+    matrix[np.repeat(np.arange(n), np.diff(indptr)), codes] = 1
+    return matrix
+
+
 # -- the kernels' encoding ---------------------------------------------------
 
 @dataclass
@@ -111,13 +218,14 @@ class TransactionCSR:
     """Item-code CSR of a transaction set, and its transpose.
 
     ``indptr``/``indices`` map each transaction to its ascending item
-    codes (codes number the items in first-seen order; only the shared
-    counts matter to a similarity); ``t_indptr``/``t_indices`` are the
-    transpose (item -> the ascending transactions holding it), which
-    lets a scorer accumulate row intersections by walking only the
-    transactions that share an item.  Ids are int32 (``n < 2**31``);
-    the indptrs stay int64 so totals never overflow.  Plain arrays, so
-    the encoding pickles to pool workers.
+    codes (a dataset's vocabulary order, or first-seen order for loose
+    points; only the shared counts matter to a similarity);
+    ``t_indptr``/``t_indices`` are the transpose (item -> the ascending
+    transactions holding it), which lets a scorer accumulate row
+    intersections by walking only the transactions that share an item.
+    Ids are int32 (``n < 2**31``); the indptrs stay int64 so totals
+    never overflow.  Plain arrays, so the encoding pickles to pool
+    workers.
     """
 
     indptr: np.ndarray
@@ -157,18 +265,13 @@ class TransactionCSR:
 
     def indicator(self, dtype: Any = np.float32) -> np.ndarray:
         """The dense ``(n, n_items)`` 0/1 matrix of the same codes."""
-        matrix = np.zeros((self.n, self.n_items), dtype=dtype)
-        matrix[np.repeat(np.arange(self.n), self.sizes), self.indices] = 1
-        return matrix
+        return indicator(self.indptr, self.indices, self.n_items, dtype)
 
     def subset(self, rows: Sequence[int]) -> "TransactionCSR":
         """The encoding of the given transactions, reindexed, same codes."""
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-        starts, sizes = self.indptr[rows], self.sizes[rows].astype(np.int64)
-        indptr = np.zeros(rows.size + 1, dtype=np.int64)
-        np.cumsum(sizes, out=indptr[1:])
-        gather = np.repeat(starts - indptr[:-1], sizes) + np.arange(indptr[-1])
-        return TransactionCSR.from_rows(indptr, self.indices[gather], self.n_items)
+        indptr, indices = gather_rows(self.indptr, self.indices, rows)
+        return TransactionCSR.from_rows(indptr, indices, self.n_items)
+
 
 
 def transaction_csr_blocker(points: Any, similarity: Any = None) -> str | None:
@@ -201,30 +304,16 @@ def transaction_csr_blocker(points: Any, similarity: Any = None) -> str | None:
 
 
 def transaction_csr(points: Any, similarity: Any = None) -> TransactionCSR | None:
-    """Encode points as a :class:`TransactionCSR`, or ``None`` if unsupported.
-
-    One pass over the points (see :func:`transaction_csr_blocker` for
-    what is supported); records become their ``A.v`` items, exactly the
-    items :func:`record_to_transaction` gives them, so similarities
-    match.
+    """Encode points as a :class:`TransactionCSR`, or ``None`` if
+    :func:`transaction_csr_blocker` objects.  A dataset lends its own CSR;
+    other points take :func:`encode_items` (so a row :func:`as_item_set`
+    rejects raises ``TypeError``, and records give their ``A.v`` items).
     """
     if transaction_csr_blocker(points, similarity) is not None:
         return None
-    if isinstance(points, CategoricalDataset):
-        rows = [
-            [attribute_item(a, v) for a, v in record.items()] for record in points
-        ]
-    else:
-        rows = [t.items if isinstance(t, Transaction) else t for t in points]
-    n = len(rows)
-    items = list(chain.from_iterable(rows))
-    index = {item: code for code, item in enumerate(dict.fromkeys(items))}
-    n_items = len(index)
-    codes = np.fromiter(map(index.__getitem__, items), np.int64, len(items))
-    sizes = np.fromiter(map(len, rows), np.int64, n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(sizes, out=indptr[1:])
-    # ascending codes within each row: one global sort of (row, code)
-    row_ids = np.repeat(np.arange(n, dtype=np.int64), sizes)
-    indices = np.sort(row_ids * max(n_items, 1) + codes) % max(n_items, 1)
-    return TransactionCSR.from_rows(indptr, indices.astype(np.int32), n_items)
+    if isinstance(points, TransactionDataset):
+        indptr, codes = points.csr
+        return TransactionCSR.from_rows(indptr, codes, points.n_items)
+    code_of: dict[Any, int] = {}
+    indptr, codes, _ = encode_items(points, code_of, grow=True)
+    return TransactionCSR.from_rows(indptr, codes, len(code_of))

@@ -23,10 +23,12 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Iterable, Sequence
+from itertools import chain
 from typing import Any
 
 import numpy as np
 
+from repro.core.encoding import encode_items, encode_query, indicator
 from repro.core.goodness import default_f
 from repro.core.similarity import JaccardSimilarity, SimilarityFunction
 from repro.obs.registry import Counter
@@ -89,70 +91,35 @@ class LabelingIndex:
         theta: float,
         f_theta: float,
     ) -> None:
-        from repro.core.similarity import _as_item_set
-
-        rep_sets = [[_as_item_set(rep) for rep in li] for li in labeling_sets]
         self.theta = theta
         self.f_theta = f_theta
         self.normalisers = compute_normalisers(labeling_sets, f_theta)
-        vocabulary: dict[Any, int] = {}
-        for li in rep_sets:
-            for items in li:
-                for item in items:
-                    vocabulary.setdefault(item, len(vocabulary))
-        total = sum(len(li) for li in rep_sets)
-        matrix = np.zeros((total, max(len(vocabulary), 1)), dtype=np.float64)
-        sizes = np.zeros(total, dtype=np.float64)
-        slices: list[tuple[int, int]] = []
-        row = 0
-        for li in rep_sets:
-            start = row
-            for items in li:
-                for item in items:
-                    matrix[row, vocabulary[item]] = 1.0
-                sizes[row] = len(items)
-                row += 1
-            slices.append((start, row))
-        self.vocabulary = vocabulary
-        self.rep_matrix = matrix
-        self.rep_sizes = sizes
-        self.slices = slices
+        # representatives coded in first-seen item order
+        self.vocabulary: dict[Any, int] = {}
+        indptr, codes, sizes = encode_items(
+            chain.from_iterable(labeling_sets), self.vocabulary, grow=True
+        )
+        self.rep_matrix = indicator(
+            indptr, codes, max(len(self.vocabulary), 1), np.float64
+        )
+        self.rep_sizes = sizes.astype(np.float64)
+        bounds = np.cumsum([0] + [len(li) for li in labeling_sets]).tolist()
+        self.slices = list(zip(bounds[:-1], bounds[1:]))
 
     @property
     def n_clusters(self) -> int:
         return len(self.slices)
 
-    def encode(self, points: Sequence[Any]) -> tuple[np.ndarray, np.ndarray]:
-        """Batch of points as a ``(B, vocab)`` 0/1 matrix plus true set sizes.
-
-        Items outside the representative vocabulary cannot intersect any
-        ``L_i`` member, so they contribute no column -- but they still
-        enlarge the union, hence the separately returned exact sizes.
-        """
-        from repro.core.similarity import _as_item_set
-
-        matrix = np.zeros((len(points), self.rep_matrix.shape[1]), dtype=np.float64)
-        sizes = np.zeros(len(points), dtype=np.float64)
-        lookup = self.vocabulary.get
-        rows: list[int] = []
-        columns: list[int] = []
-        for b, point in enumerate(points):
-            items = _as_item_set(point)
-            sizes[b] = len(items)
-            for item in items:
-                column = lookup(item)
-                if column is not None:
-                    rows.append(b)
-                    columns.append(column)
-        # one fancy-index write beats len(rows) scalar __setitem__ calls
-        matrix[rows, columns] = 1.0
-        return matrix, sizes
-
     def neighbor_counts(self, points: Sequence[Any]) -> np.ndarray:
-        """``(B, n_clusters)`` matrix of per-cluster neighbor counts ``N_i``."""
-        matrix, point_sizes = self.encode(points)
+        """``(B, n_clusters)`` matrix of per-cluster neighbor counts ``N_i``.
+
+        Items outside the representative vocabulary get no column but
+        still enlarge the union, through the points' true sizes.
+        """
+        indptr, codes, sizes = encode_query(points, self.vocabulary)
+        matrix = indicator(indptr, codes, self.rep_matrix.shape[1], np.float64)
         inter = matrix @ self.rep_matrix.T
-        union = self.rep_sizes[None, :] + point_sizes[:, None] - inter
+        union = self.rep_sizes[None, :] + sizes[:, None] - inter
         with np.errstate(divide="ignore", invalid="ignore"):
             sim = np.where(union > 0, inter / np.maximum(union, 1e-300), 0.0)
         is_neighbor = sim >= self.theta
@@ -182,9 +149,12 @@ class LabelingIndex:
         materialises more than one block's ``(rows, vocab)`` encoding
         and ``(rows, total_reps)`` scores.  Every row is scored
         independently with exact integer counts, so the labels do not
-        depend on the block size.
+        depend on the block size.  A
+        :class:`~repro.data.transactions.TransactionDataset` stays one:
+        its blocks are slices whose codes are remapped, not walked.
         """
-        points = list(points)
+        if not isinstance(points, Sequence):
+            points = list(points)
         if block_size is None:
             block_size = self.default_block_size()
         elif block_size < 1:
@@ -290,7 +260,8 @@ class ClusterLabeler:
         point/representative pairs scored: the native kernel's verified
         candidates, every pair on the other routes.
         """
-        points = list(points)
+        if not isinstance(points, Sequence):
+            points = list(points)
         if self._index is not None and self.theta > 0.0:
             from repro.native import get_kernels
 

@@ -757,10 +757,9 @@ class RockPipeline:
             labels = labels_from_clusters(clusters_original, n_total)
             labeling_sets: list[list[Any]] | None = None
             if labeled:
-                point_list = _as_list(points)
                 labeling_sets = draw_labeling_sets(
                     clusters_original,
-                    point_list,
+                    points,
                     fraction=self.labeling_fraction,
                     rng=rng,
                 )
@@ -773,9 +772,7 @@ class RockPipeline:
                 unsampled = np.ones(n_total, dtype=bool)
                 unsampled[np.asarray(sampled, dtype=np.int64)] = False
                 rest = np.flatnonzero(unsampled)
-                labels[rest] = labeler.assign_all(
-                    point_list[i] for i in rest.tolist()
-                )
+                labels[rest] = labeler.assign_all(_subset(points, rest))
                 candidates = labeler.candidates
                 registry.inc("fit.label.candidates", candidates)
                 span.attrs["candidates"] = candidates
@@ -895,6 +892,3 @@ def _subset(points: Any, indices: Sequence[int]) -> Any:
         return points.subset(indices)
     return [points[i] for i in indices]
 
-
-def _as_list(points: Any) -> list[Any]:
-    return list(points)

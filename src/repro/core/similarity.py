@@ -19,9 +19,9 @@ from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.core.encoding import record_to_transaction, restrict_to_shared_attributes
+from repro.core.encoding import as_item_set, restrict_to_shared_attributes
 from repro.data.records import CategoricalRecord
-from repro.data.transactions import Transaction, TransactionDataset
+from repro.data.transactions import TransactionDataset
 
 
 @runtime_checkable
@@ -30,19 +30,6 @@ class SimilarityFunction(Protocol):
 
     def __call__(self, a: Any, b: Any) -> float:  # pragma: no cover - protocol
         ...
-
-
-def _as_item_set(point: Any) -> frozenset[Hashable]:
-    if isinstance(point, Transaction):
-        return point.items
-    if isinstance(point, (frozenset, set)):
-        return frozenset(point)
-    if isinstance(point, CategoricalRecord):
-        return record_to_transaction(point).items
-    raise TypeError(
-        f"cannot interpret {type(point).__name__} as an item set; "
-        "expected Transaction, set, or CategoricalRecord"
-    )
 
 
 class JaccardSimilarity:
@@ -54,7 +41,7 @@ class JaccardSimilarity:
     """
 
     def __call__(self, a: Any, b: Any) -> float:
-        sa, sb = _as_item_set(a), _as_item_set(b)
+        sa, sb = as_item_set(a), as_item_set(b)
         union = len(sa | sb)
         if union == 0:
             return 0.0
@@ -107,7 +94,7 @@ class OverlapSimilarity:
     """
 
     def __call__(self, a: Any, b: Any) -> float:
-        sa, sb = _as_item_set(a), _as_item_set(b)
+        sa, sb = as_item_set(a), as_item_set(b)
         smaller = min(len(sa), len(sb))
         if smaller == 0:
             return 0.0

@@ -4,7 +4,7 @@ This subpackage contains the substrate data model:
 
 * :mod:`repro.data.transactions` -- market-basket transactions
   (sets of items) and the :class:`~repro.data.transactions.TransactionDataset`
-  container with its item vocabulary and indicator-matrix view.
+  container with its item vocabulary and item-code CSR.
 * :mod:`repro.data.records` -- fixed-schema categorical records with
   missing values and the :class:`~repro.data.records.CategoricalDataset`
   container.

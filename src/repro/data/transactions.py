@@ -5,8 +5,8 @@ The paper's primary data model (Sections 1 and 3.1.1) is a database of
 represented here as an immutable :class:`Transaction` wrapping a
 ``frozenset`` of hashable items, and a database as a
 :class:`TransactionDataset`, which additionally exposes the item
-vocabulary and a dense 0/1 indicator matrix used by the vectorised
-neighbor computation and by the centroid-based baseline (Section 5:
+vocabulary, the item-code CSR the fit and the label scan read, and a
+dense 0/1 indicator matrix for the centroid-based baseline (Section 5:
 "we handle categorical attributes by converting them to boolean
 attributes with 0/1 values").
 """
@@ -14,6 +14,7 @@ attributes with 0/1 values").
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Iterator, Sequence
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -100,13 +101,15 @@ def _item_set(value: "Transaction | frozenset[Item] | set[Item]") -> frozenset[I
 
 
 class TransactionDataset(Sequence[Transaction]):
-    """An in-memory database of transactions.
+    """An in-memory database of transactions and its item-code CSR.
 
-    The dataset owns its item *vocabulary* (the sorted union of all items,
-    by default) so that every transaction can be embedded as a 0/1 row of
-    an indicator matrix.  The indicator matrix is the substrate both for
-    the vectorised neighbor computation (set intersections become an
-    integer matrix product) and for the euclidean-distance baseline.
+    The dataset owns its item *vocabulary* (the sorted union of all
+    items, by default) and, built once in the constructor, the int32
+    CSR of every transaction's item codes in vocabulary order
+    (:attr:`csr`): the in-memory twin of the on-disk
+    :class:`~repro.shard.store.TransactionStore`.  The fit's encoding,
+    the §4.6 label scan's query rows and the dense indicator matrix of
+    the euclidean-distance baseline all derive from it.
 
     Parameters
     ----------
@@ -124,37 +127,37 @@ class TransactionDataset(Sequence[Transaction]):
         transactions: Iterable[Transaction | Iterable[Item]],
         vocabulary: Sequence[Item] | None = None,
     ) -> None:
+        from repro.core.encoding import encode_items
+
         self._transactions: list[Transaction] = [
             t if isinstance(t, Transaction) else Transaction(t) for t in transactions
         ]
         if vocabulary is None:
-            self._vocabulary = self._derive_vocabulary()
+            vocabulary = list(
+                dict.fromkeys(chain.from_iterable(t.items for t in self._transactions))
+            )
+            try:
+                vocabulary.sort()  # type: ignore[call-arg]
+            except TypeError:
+                pass  # mixed unsortable types: keep insertion order
         else:
-            self._vocabulary = list(vocabulary)
-            if len(set(self._vocabulary)) != len(self._vocabulary):
-                raise ValueError("vocabulary contains duplicate items")
-            universe = set(self._vocabulary)
-            for t in self._transactions:
-                extra = t.items - universe
-                if extra:
-                    raise ValueError(
-                        f"transaction {t!r} contains items outside the "
-                        f"vocabulary: {sorted(map(repr, extra))}"
-                    )
-        self._item_index = {item: i for i, item in enumerate(self._vocabulary)}
+            vocabulary = list(vocabulary)
+        item_index = {item: i for i, item in enumerate(vocabulary)}
+        if len(item_index) != len(vocabulary):
+            raise ValueError("vocabulary contains duplicate items")
+        indptr, codes, sizes = encode_items(self._transactions, item_index)
+        outside = np.flatnonzero(np.diff(indptr) != sizes)
+        if outside.size:
+            t = self._transactions[outside[0]]
+            extra = t.items.difference(item_index)
+            raise ValueError(
+                f"transaction {t!r} contains items outside the "
+                f"vocabulary: {sorted(map(repr, extra))}"
+            )
+        self._vocabulary = vocabulary
+        self._item_index = item_index
+        self._csr = (indptr, codes)
         self._indicator: np.ndarray | None = None
-
-    def _derive_vocabulary(self) -> list[Item]:
-        seen: dict[Item, None] = {}
-        for t in self._transactions:
-            for item in t:
-                seen.setdefault(item, None)
-        items = list(seen)
-        try:
-            items.sort()  # type: ignore[arg-type]
-        except TypeError:
-            pass  # mixed unsortable types: keep insertion order
-        return items
 
     # -- Sequence protocol -------------------------------------------------
     def __len__(self) -> int:
@@ -162,9 +165,7 @@ class TransactionDataset(Sequence[Transaction]):
 
     def __getitem__(self, index):  # type: ignore[override]
         if isinstance(index, slice):
-            return TransactionDataset(
-                self._transactions[index], vocabulary=self._vocabulary
-            )
+            return self.subset(range(len(self._transactions))[index])
         return self._transactions[index]
 
     def __iter__(self) -> Iterator[Transaction]:
@@ -184,30 +185,51 @@ class TransactionDataset(Sequence[Transaction]):
         """Column index of ``item`` in the indicator matrix."""
         return self._item_index[item]
 
+    @property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, codes)``: row ``i``'s item codes are
+        ``codes[indptr[i]:indptr[i + 1]]``, ascending vocabulary
+        positions.  int64 offsets, int32 codes; shared, not to be
+        written."""
+        return self._csr
+
     def indicator_matrix(self) -> np.ndarray:
         """Dense ``(n_transactions, n_items)`` uint8 0/1 matrix.
 
         Row ``i`` has a 1 in column ``j`` iff transaction ``i`` contains
         vocabulary item ``j`` -- exactly the boolean-attribute view the
         paper uses in Example 1.1 and for the traditional baseline.
-        The matrix is computed once and cached.
+        The matrix is scattered from :attr:`csr` once and cached.
         """
         if self._indicator is None:
-            mat = np.zeros((len(self._transactions), len(self._vocabulary)), dtype=np.uint8)
-            for i, t in enumerate(self._transactions):
-                for item in t:
-                    mat[i, self._item_index[item]] = 1
-            self._indicator = mat
+            from repro.core.encoding import indicator
+
+            self._indicator = indicator(*self._csr, self.n_items, np.uint8)
         return self._indicator
 
     def sizes(self) -> np.ndarray:
         """Transaction sizes |T_i| as an int64 vector."""
-        return np.array([len(t) for t in self._transactions], dtype=np.int64)
+        return np.diff(self._csr[0])
 
     def subset(self, indices: Iterable[int]) -> "TransactionDataset":
-        """A new dataset containing the given rows, sharing the vocabulary."""
-        rows = [self._transactions[i] for i in indices]
-        return TransactionDataset(rows, vocabulary=self._vocabulary)
+        """The given rows, sharing the vocabulary: a gather of :attr:`csr`."""
+        from repro.core.encoding import gather_rows
+
+        if not isinstance(indices, (Sequence, np.ndarray)):
+            indices = list(indices)
+        n = len(self._transactions)
+        rows = np.array(indices, dtype=np.int64).reshape(-1)
+        if rows.size and (rows.min() < -n or rows.max() >= n):
+            raise IndexError("transaction index out of range")
+        rows[rows < 0] += n
+        subset = TransactionDataset.__new__(TransactionDataset)
+        subset.__dict__.update(
+            self.__dict__,
+            _transactions=[self._transactions[i] for i in rows.tolist()],
+            _csr=gather_rows(*self._csr, rows),
+            _indicator=None,
+        )
+        return subset
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -35,7 +35,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.similarity import _as_item_set
+from repro.core.encoding import as_item_set
 from repro.serve.index import AssignmentIndex, resolve_assign_backend
 from repro.serve.metrics import ServeMetrics
 from repro.serve.model import RockModel
@@ -243,7 +243,7 @@ class AssignmentEngine:
 
     def _cache_key(self, point: Any) -> Any | None:
         try:
-            return _as_item_set(point)
+            return as_item_set(point)
         except TypeError:
             pass
         try:

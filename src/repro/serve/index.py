@@ -107,6 +107,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.encoding import encode_query
 from repro.core.labeling import LabelingIndex
 from repro.core.neighbors import _scipy_sparse_available
 from repro.obs.registry import Counter
@@ -236,37 +237,6 @@ class AssignmentIndex:
         state["_rep_t"] = None  # rebuilt lazily in the worker
         return state
 
-    # -- sparse query encoding ----------------------------------------------
-
-    def encode_sparse(
-        self, points: Sequence[Any]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR-encode a batch: ``(q_indptr, q_items, q_sizes)``.
-
-        ``q_items[q_indptr[b]:q_indptr[b+1]]`` are the in-vocabulary
-        column ids of point ``b``; ``q_sizes[b]`` is the point's *true*
-        item count -- out-of-vocabulary items intersect nothing but
-        still enlarge every union, exactly as in
-        :meth:`LabelingIndex.encode`.
-        """
-        from repro.core.similarity import _as_item_set
-
-        n = len(points)
-        q_indptr = np.zeros(n + 1, dtype=np.int64)
-        q_sizes = np.zeros(n, dtype=np.int64)
-        columns: list[int] = []
-        lookup = self.vocabulary.get
-        for b, point in enumerate(points):
-            items = _as_item_set(point)
-            q_sizes[b] = len(items)
-            for item in items:
-                column = lookup(item)
-                if column is not None:
-                    columns.append(column)
-            q_indptr[b + 1] = len(columns)
-        q_items = np.asarray(columns, dtype=np.int32)
-        return q_indptr, q_items, q_sizes
-
     # -- candidate scoring ---------------------------------------------------
 
     def _candidates(
@@ -327,9 +297,7 @@ class AssignmentIndex:
 
     def neighbor_counts(self, points: Sequence[Any]) -> np.ndarray:
         """``(B, n_clusters)`` neighbor counts, equal to the dense path's."""
-        points = list(points)
-        q_indptr, q_items, q_sizes = self.encode_sparse(points)
-        return self._block_counts(q_indptr, q_items, q_sizes)[0]
+        return self._block_counts(*encode_query(points, self.vocabulary))[0]
 
     def _block_counts(
         self, q_indptr: np.ndarray, q_items: np.ndarray, q_sizes: np.ndarray
@@ -395,15 +363,17 @@ class AssignmentIndex:
         """
         if block_size < 1:
             raise ValueError("block_size must be positive")
-        points = list(points)
+        if not isinstance(points, Sequence):
+            points = list(points)
         n = len(points)
         labels = np.empty(n, dtype=np.int64)
         best = np.empty(n, dtype=np.float64)
         use_kernel = kernels is not None and self.theta > 0.0
         candidates = 0
         for start in range(0, n, block_size):
+            # a dataset's slice stays a dataset, so its block is remapped
             block = points[start : start + block_size]
-            q_indptr, q_items, q_sizes = self.encode_sparse(block)
+            q_indptr, q_items, q_sizes = encode_query(block, self.vocabulary)
             stop = start + len(block)
             if use_kernel:
                 labels[start:stop], best[start:stop], verified = kernels.assign_block(

@@ -315,13 +315,13 @@ def _encode_labeling_sets(
         ]
         return "records", encoded, {"schema": list(schema.attributes)}
     try:
-        from repro.core.similarity import _as_item_set
+        from repro.core.encoding import as_item_set
 
         encoded = []
         for li in labeling_sets:
             rows = []
             for rep in li:
-                items = sorted(_as_item_set(rep), key=repr)
+                items = sorted(as_item_set(rep), key=repr)
                 for item in items:
                     if not isinstance(item, _SCALAR_TYPES):
                         raise TypeError(

@@ -30,6 +30,7 @@ import json
 import os
 import shutil
 from collections.abc import Iterable, Iterator
+from itertools import islice
 from pathlib import Path
 from typing import Any
 
@@ -82,32 +83,32 @@ class _ChunkWriter:
         return "sha256:" + self._digest.hexdigest()
 
 
-def _encode_rows(
+def _encode_chunks(
     rows: Iterable[Iterable[Any]],
     code_of: dict[Any, int],
-    vocabulary: list[Any] | None,
-) -> Iterator[np.ndarray]:
-    """Yield one sorted int32 code array per row.
+    grow: bool,
+    chunk_rows: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield ``(indptr, codes)`` per ``chunk_rows`` rows (each row its item set).
 
-    When ``vocabulary`` is a list, unseen items extend it (first-seen
-    coding); similarity over transactions is invariant to column order,
-    so a store-local vocabulary yields the same neighbor graph as the
-    dataset's own.
+    When ``grow``, unseen items extend ``code_of`` in first-seen order
+    (column order does not change a similarity); else they are an error.
     """
-    for row in rows:
-        codes = []
-        for item in row:
-            code = code_of.get(item)
-            if code is None:
-                if vocabulary is None:
-                    raise StoreIntegrityError(
-                        f"item {item!r} missing from the fixed vocabulary"
-                    )
-                code = len(vocabulary)
-                code_of[item] = code
-                vocabulary.append(item)
-            codes.append(code)
-        yield np.sort(np.asarray(codes, dtype=np.int32))
+    from repro.core.encoding import encode_items
+
+    rows = iter(rows)
+    while chunk := [
+        row.items if isinstance(row, Transaction) else frozenset(row)
+        for row in islice(rows, chunk_rows)
+    ]:
+        indptr, codes, sizes = encode_items(chunk, code_of, grow=grow)
+        short = np.flatnonzero(np.diff(indptr) != sizes)
+        if short.size:
+            item = next(iter(chunk[short[0]].difference(code_of)))
+            raise StoreIntegrityError(
+                f"item {item!r} missing from the fixed vocabulary"
+            )
+        yield indptr, codes
 
 
 class TransactionStore:
@@ -145,53 +146,38 @@ class TransactionStore:
         """
         if chunk_rows < 1:
             raise ValueError("chunk_rows must be >= 1")
+        if vocabulary is None and isinstance(transactions, TransactionDataset):
+            # the dataset's own CSR, already resident: written as is
+            code_of = {item: i for i, item in enumerate(transactions.vocabulary)}
+            chunks: Iterable[tuple[np.ndarray, np.ndarray]] = [transactions.csr]
+        else:
+            fixed = [] if vocabulary is None else list(vocabulary)
+            code_of = {item: i for i, item in enumerate(fixed)}
+            if len(code_of) != len(fixed):
+                raise ValueError("vocabulary contains duplicate items")
+            chunks = _encode_chunks(
+                transactions, code_of, vocabulary is None, chunk_rows
+            )
         path = Path(path)
         if path.exists():
             shutil.rmtree(path)
         path.mkdir(parents=True)
-
-        if vocabulary is not None:
-            vocab: list[Any] | None = None
-            fixed = list(vocabulary)
-            code_of = {item: i for i, item in enumerate(fixed)}
-            all_items = fixed
-        elif isinstance(transactions, TransactionDataset):
-            vocab = None
-            all_items = list(transactions.vocabulary)
-            code_of = {item: i for i, item in enumerate(all_items)}
-        else:
-            vocab = []
-            all_items = vocab
-            code_of = {}
 
         items_writer = _ChunkWriter(path / ITEMS_NAME)
         indptr_writer = _ChunkWriter(path / INDPTR_NAME)
         indptr_writer.append(np.zeros(1, dtype=np.int64))
         n_rows = 0
         nnz = 0
-        chunk: list[np.ndarray] = []
-        offsets: list[int] = []
-
-        def flush() -> None:
-            nonlocal chunk, offsets
-            if chunk:
-                items_writer.append(np.concatenate(chunk))
-                indptr_writer.append(np.asarray(offsets, dtype=np.int64))
-                chunk = []
-                offsets = []
-
         try:
-            for codes in _encode_rows(transactions, code_of, vocab):
-                chunk.append(codes)
-                n_rows += 1
-                nnz += codes.shape[0]
-                offsets.append(nnz)
-                if len(chunk) >= chunk_rows:
-                    flush()
-            flush()
+            for indptr, codes in chunks:
+                items_writer.append(codes)
+                indptr_writer.append(indptr[1:] + nnz)
+                n_rows += indptr.size - 1
+                nnz += codes.size
         finally:
             items_digest = items_writer.close()
             indptr_digest = indptr_writer.close()
+        all_items = list(code_of)
 
         meta = {
             "format": STORE_FORMAT,

@@ -66,6 +66,19 @@ class TestBooleanMatrix:
         matrix, _ = dataset_to_boolean_matrix(ds)
         assert matrix.sum(axis=1).tolist() == [2.0, 0.0]
 
+    def test_pairs_with_one_name_keep_their_columns(self):
+        # values 1 and "1" both format as "a.1"; "x" = "y.z" and "x.y" = "z"
+        # both as "x.y.z": each (attribute, value) pair keeps its column
+        ds = CategoricalDataset(
+            CategoricalSchema(["a", "x", "x.y"]),
+            [[1, "y.z", MISSING], ["1", MISSING, "z"]],
+        )
+        matrix, names = dataset_to_boolean_matrix(ds)
+        assert sorted(names) == ["a.1", "a.1", "x.y.z", "x.y.z"]
+        assert matrix.shape == (2, 4)
+        assert (matrix.sum(axis=0) == 1.0).all()
+        assert matrix.sum(axis=1).tolist() == [2.0, 2.0]
+
 
 class TestSharedAttributeRestriction:
     def test_only_mutually_present_attributes(self, schema):
