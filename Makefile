@@ -23,7 +23,8 @@ bench:
 # coalesces under concurrent load, that stream mode's warmup -> drift
 # refit -> republish chain runs end to end, that the sharded
 # out-of-core fit is merge-identical to fused, and that the
-# pruned/native assign tiers equal the dense matmul -- fast enough for
+# assign tiers (native, pruned, the index's own choice) equal the
+# dense matmul -- fast enough for
 # CI.  Their tables land in the git-ignored benchmarks/results/smoke/
 bench-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest \
@@ -33,8 +34,9 @@ bench-smoke:
 		benchmarks/bench_shard_fit.py benchmarks/bench_serve_throughput.py \
 		-k smoke --benchmark-disable -s
 
-# the assignment-tier comparison: dense matmul vs inverted-index
-# pruning vs the native fused kernel across a (clusters x vocab) grid
+# the assignment-tier comparison and the sweep behind the no-compiler
+# cut: dense matmul vs inverted-index pruning vs the index's own choice
+# vs the native kernel, on deployment-shaped and Table 5 fit models
 bench-assign:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest \
 		benchmarks/bench_serve_throughput.py::test_assign_tiers \

@@ -68,6 +68,7 @@ from benchmarks.baskets import (  # noqa: E402
     impure_clusters,
     make_clustered_baskets,
     mean_purity,
+    table5_baskets,
 )
 from benchmarks.machine import machine_summary  # noqa: E402
 from repro.core import RockPipeline  # noqa: E402
@@ -420,35 +421,6 @@ def gate_baskets(n: int, n_clusters: int, seed: int = 0):
         frozenset((12 * (i % n_clusters) + rng.choice(12, 10, replace=False)).tolist())
         for i in range(n)
     ])
-
-
-def table5_baskets(n: int, vocabularies: int = 1, seed: int = 0):
-    """``n`` Table 5 generator baskets (Section 5.3 proportions).
-
-    ``vocabularies=2`` draws half of them from a second instance whose
-    items are renamed apart: the mixed window a stream reservoir holds
-    after a vocabulary switch.
-    """
-    from dataclasses import replace
-
-    from repro.data.transactions import TransactionDataset
-    from repro.datasets import SyntheticBasketConfig, generate_synthetic_basket
-
-    baskets = []
-    for part in range(vocabularies):
-        config = SyntheticBasketConfig()
-        scale = n / vocabularies / config.n_transactions
-        config = replace(
-            config,
-            cluster_sizes=tuple(max(1, round(s * scale)) for s in config.cluster_sizes),
-            n_outliers=round(config.n_outliers * scale),
-        )
-        data = generate_synthetic_basket(config, seed=seed + part)
-        baskets += [
-            frozenset(f"{part}:{item}" for item in txn)
-            for txn in data.transactions
-        ]
-    return TransactionDataset(baskets)
 
 
 def time_gate_routes(points, tier: str, reps: int, tracer, shape: str) -> dict:

@@ -236,7 +236,8 @@ def test_serve_http_assign_backends(
     points = [sorted(t.items) for t in tier_points(pools, vocab, 2_000)]
 
     tracer = Tracer()
-    # the probe picks each server's tier: pruned with the C tier off
+    # the index picks each server's tier: pruned with the C tier off,
+    # since this model's posting share is far below the dense cut
     tiers = ["pruned", "native"] if native_available() else ["pruned"]
     rows = []
     results = []

@@ -16,24 +16,42 @@ practice the batch path lands one to two orders of magnitude ahead.
 The serving metrics snapshot for the engine run is appended to the
 saved table.
 
-``test_assign_tiers`` is the backend-tier comparison: on models sized
-like real deployments (hundreds of clusters, thousands of vocabulary
-items) it measures the ``dense`` ``LabelingIndex.assign`` matmul
-(called directly: it is no engine tier) against the engine's ``pruned``
-inverted-index path (built under ``REPRO_NATIVE=0``) and its ``native``
-fused kernel (the default where the C tier probes), reporting RPS and
-per-call p50/p99 per tier, asserting label equality everywhere and
-pruned > dense throughput at every config.  ``test_assign_tiers_smoke``
-is the CI variant: one small model, label equality only.
+``test_assign_tiers`` is the backend-tier comparison and the sweep
+behind :data:`repro.serve.index.DENSE_POSTING_SHARE`.  Its rows are two
+families of models: deployment-shaped ``tier_model`` models (600 or
+more representatives, thousands of vocabulary items down to dense
+40-item pools, queried in batches of 256) and fit-shaped models fitted
+on Table 5 generator baskets from one to eight renamed-apart
+vocabularies (queried with 8,192 points per call, as the fit's label
+scan does).  Every row runs every tier through one engine: ``dense``
+and ``pruned`` forced under ``REPRO_NATIVE=0`` by moving the cut,
+``auto`` under ``REPRO_NATIVE=0`` with the pinned cut, and ``native``
+where the C tier probes.  It asserts label equality everywhere, pruned
+> dense throughput on the four original configs, and ``auto`` within
+10% of the faster numpy tier on every row -- judged on the passes of
+the tier ``auto`` picked, since ``auto`` runs that tier's code and the
+separately timed ``auto`` column differs from it only by host noise --
+and reports where each
+family's pruned/dense ratio crosses 1 (interpolated in log-log between
+the rows that straddle it) and the geometric mean of the crossovers,
+in two statistics of the index: the posting share the rule uses,
+``sum df^2 / (reps * sum df)``, and the pair density ``sum df^2 /
+reps^2``, whose two families cross about 2x apart.
+``test_assign_tiers_smoke`` is the CI variant: one small model, label
+equality only.
 """
 
+import contextlib
 import json
+import math
 import random
 import statistics
 import time
 
 import numpy as np
 
+import repro.serve.index as index_mod
+from benchmarks.baskets import table5_baskets
 from benchmarks.machine import machine_summary, native_off
 from repro.core.labeling import ClusterLabeler
 from repro.data.transactions import Transaction
@@ -51,12 +69,23 @@ SIZES = (10_000, 100_000)
 WORKERS = 4
 
 # (n_clusters, vocab) grid for the tier comparison; every config sits
-# at or past the pruning break-even the issue names (>= 100 clusters,
-# >= 1k vocabulary)
+# past the pruning break-even (>= 100 clusters, >= 1k vocabulary)
 TIER_CONFIGS = ((100, 1_000), (100, 4_000), (200, 2_000), (400, 4_000))
+# (n_clusters, vocab, items_per_rep): 600-rep models whose pools pack
+# ever more representatives onto each item, up to past the crossover
+DENSER_CONFIGS = (
+    (100, 400, 8), (100, 200, 8), (100, 120, 8), (100, 80, 8),
+    (100, 60, 10), (100, 50, 12),
+)
+# (points fitted, vocabularies): Table 5 models -- a stream refit, the
+# paper-basket sample, and mixes of 2-8 renamed-apart vocabularies
+FIT_CONFIGS = ((1_000, 1), (2_000, 1), (2_000, 2), (2_000, 3), (2_000, 4),
+               (2_000, 6), (2_000, 8))
+FIT_QUERIES = 8_192
 TIER_POINTS = 8_192
 TIER_BATCH = 256
-TIER_ROUNDS = 3
+TIER_ROUNDS = 7
+AUTO_SLACK = 0.9  # auto keeps at least this share of the faster numpy tier
 
 
 def _grow_stream(basket, n, seed):
@@ -103,8 +132,7 @@ def test_serve_throughput(benchmark, save_result, save_manifest):
 
         with tracer.span("labeler", n=n):
             start = time.perf_counter()
-            # the per-point ClusterLabeler.assign loop (assign_all now
-            # runs the same index in row blocks)
+            # the per-point ClusterLabeler.assign loop, the oracle
             labels_loop = np.array(
                 [labeler.assign(p) for p in points], dtype=np.int64
             )
@@ -217,114 +245,216 @@ def tier_points(pools, vocab, n, seed=1):
     return points
 
 
-def tier_assigners(model):
-    """``{tier: batch -> labels}``: ``dense`` is ``LabelingIndex.assign``
-    itself; ``pruned`` is an engine built under ``REPRO_NATIVE=0`` and
-    ``native`` the default engine, present when the C tier probed."""
-    tiers = {"dense": model.labeler().index.assign}
-    with native_off():
-        pruned = AssignmentEngine(model, cache_size=0)
-    assert pruned.assign_backend == "pruned"
-    tiers["pruned"] = pruned.assign_batch
-    default = AssignmentEngine(model, cache_size=0)
-    if default.assign_backend == "native":
-        tiers["native"] = default.assign_batch
+@contextlib.contextmanager
+def forced_tier(tier):
+    """Run the block on one tier: ``native`` as probed; ``auto`` under
+    ``REPRO_NATIVE=0`` with the pinned cut; ``dense`` / ``pruned`` under
+    ``REPRO_NATIVE=0`` with the cut moved to 0 / infinity.  The index
+    picks its tier per call, so the calls must run inside the block."""
+    if tier == "native":
+        yield
+        return
+    cut = {"auto": index_mod.DENSE_POSTING_SHARE, "dense": 0.0, "pruned": math.inf}
+    saved = index_mod.DENSE_POSTING_SHARE
+    index_mod.DENSE_POSTING_SHARE = cut[tier]
+    try:
+        with native_off():
+            yield
+    finally:
+        index_mod.DENSE_POSTING_SHARE = saved
+
+
+def available_tiers(engine):
+    """The tiers to time: the numpy three, plus native where it probes."""
+    tiers = ["dense", "pruned", "auto"]
+    if engine.assign_backend == "native":
+        tiers.append("native")
     return tiers
 
 
-def _drive_tier(assign, points, rounds=TIER_ROUNDS, batch=TIER_BATCH):
-    """Per-call latencies + total wall across ``rounds`` full passes."""
-    latencies = []
-    labels = None
-    start = time.perf_counter()
+def time_tiers(engine, points, batch, rounds=TIER_ROUNDS):
+    """``(auto's tier, {tier: stats})``: the tiers take turns, one pass
+    each per round, so host drift hits them alike; rps is from each
+    tier's fastest pass, since noise on a shared host only adds time."""
+    tiers = available_tiers(engine)
+    walls = {tier: [] for tier in tiers}
+    latencies = {tier: [] for tier in tiers}
+    labels = {}
     for _ in range(rounds):
-        got = []
-        for lo in range(0, len(points), batch):
-            t0 = time.perf_counter()
-            part = assign(points[lo : lo + batch])
-            latencies.append(time.perf_counter() - t0)
-            got.append(part)
-        labels = [int(v) for part in got for v in part]
-    wall = time.perf_counter() - start
-    return labels, latencies, wall
+        for tier in tiers:
+            with forced_tier(tier):
+                got = []
+                start = time.perf_counter()
+                for lo in range(0, len(points), batch):
+                    t0 = time.perf_counter()
+                    got.append(engine.assign_batch(points[lo : lo + batch]))
+                    latencies[tier].append(time.perf_counter() - t0)
+                walls[tier].append(time.perf_counter() - start)
+            labels[tier] = np.concatenate(got).tolist()
+    with forced_tier("auto"):
+        picked = engine.assign_backend
+    return picked, {
+        tier: {
+            "labels": labels[tier],
+            "rps": len(points) / min(walls[tier]),
+            "p50_ms": 1000 * _pctl(latencies[tier], 50),
+            "p99_ms": 1000 * _pctl(latencies[tier], 99),
+        }
+        for tier in tiers
+    }
 
 
 def _pctl(values, q):
+    if len(values) < 2:
+        return values[0]
     return statistics.quantiles(sorted(values), n=100)[q - 1]
+
+
+def crossovers(rows, statistic):
+    """Values of ``statistic`` where pruned/dense throughput crosses 1,
+    interpolated in log-log between neighbouring rows of one family."""
+    points = sorted(
+        (math.log(row[statistic]), math.log(row["pruned_vs_dense"]))
+        for row in rows
+    )
+    found = []
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        if (y0 > 0) != (y1 > 0):
+            found.append(math.exp(x0 + (x1 - x0) * y0 / (y0 - y1)))
+    return found
+
+
+def pair_density(index):
+    """``sum df^2 / reps^2``: the statistic the rule does not use."""
+    df = np.diff(index.inv_indptr)
+    return float(df @ df) / max(index.n_reps, 1) ** 2
+
+
+def geometric_mean(values):
+    return math.exp(statistics.fmean(map(math.log, values))) if values else None
+
+
+def tier_shapes():
+    """``(family, name, model, points, batch)`` for every sweep row."""
+    for n_clusters, vocab in TIER_CONFIGS:
+        model, pools = tier_model(n_clusters, vocab)
+        yield ("tier", f"{n_clusters}x{vocab}", model,
+               tier_points(pools, vocab, TIER_POINTS), TIER_BATCH)
+    for n_clusters, vocab, items in DENSER_CONFIGS:
+        model, pools = tier_model(n_clusters, vocab, items_per_rep=items)
+        yield ("tier", f"{n_clusters}x{vocab}/{items}", model,
+               tier_points(pools, vocab, TIER_POINTS), TIER_BATCH)
+    for n, vocabularies in FIT_CONFIGS:
+        pipeline = RockPipeline(
+            k=10 * vocabularies, theta=0.5, seed=1,
+            min_cluster_size=10 if n < 2_000 else 20,
+        )
+        _, model = pipeline.fit_model(table5_baskets(n, vocabularies))
+        queries = list(table5_baskets(FIT_QUERIES, vocabularies, seed=7))
+        yield ("fit", f"table5 {n}x{vocabularies}", model, queries, FIT_QUERIES)
 
 
 def test_assign_tiers(benchmark, save_result, save_manifest):
     from repro.obs import RunManifest, Tracer
 
     tracer = Tracer()
-    tiers: list[str] = []
     rows = []
     results = []
-    for n_clusters, vocab in TIER_CONFIGS:
-        model, pools = tier_model(n_clusters, vocab)
-        points = tier_points(pools, vocab, TIER_POINTS)
-        assigners = tier_assigners(model)
-        tiers = list(assigners)
-        per_tier = {}
-        for backend, assign in assigners.items():
-            with tracer.span(
-                "assign_tier", backend=backend,
-                n_clusters=n_clusters, vocab=vocab,
-            ):
-                labels, latencies, wall = _drive_tier(assign, points)
-            per_tier[backend] = {
-                "labels": labels,
-                "rps": TIER_ROUNDS * len(points) / wall,
-                "p50_ms": 1000 * _pctl(latencies, 50),
-                "p99_ms": 1000 * _pctl(latencies, 99),
-            }
-        dense = per_tier["dense"]
-        for backend in tiers:
-            r = per_tier[backend]
+    for family, name, model, points, batch in tier_shapes():
+        engine = AssignmentEngine(model, cache_size=0)
+        index = engine.fast_index
+        with tracer.span("assign_tiers", shape=name, family=family):
+            picked, per_tier = time_tiers(engine, points, batch)
+        dense, pruned = per_tier["dense"], per_tier["pruned"]
+        for tier, r in per_tier.items():
             # every tier is a pure optimisation, or it is wrong
-            assert r["labels"] == dense["labels"], (
-                f"{backend} labels diverge at {n_clusters}x{vocab}"
-            )
-            rows.append([
-                str(n_clusters), f"{vocab:,}", backend,
-                f"{r['rps']:,.0f}",
-                f"{r['p50_ms']:.2f}", f"{r['p99_ms']:.2f}",
-                f"{r['rps'] / dense['rps']:.1f}x",
-            ])
-            results.append({
-                "n_clusters": n_clusters, "vocab": vocab,
-                "backend": backend, "rps": r["rps"],
-                "p50_ms": r["p50_ms"], "p99_ms": r["p99_ms"],
-            })
-        # the acceptance bar: pruning beats the dense matmul at every
-        # config in the grid (all sit at >= 100 clusters / >= 1k vocab)
-        assert per_tier["pruned"]["rps"] > dense["rps"], (
-            f"pruned lost to dense at {n_clusters} clusters / {vocab} vocab"
+            assert r["labels"] == dense["labels"], f"{tier} labels diverge at {name}"
+        fastest = max(dense["rps"], pruned["rps"])
+        row = {
+            "family": family, "shape": name, "reps": index.n_reps,
+            "vocab": index.vocab_size, "share": index.posting_share,
+            "density": pair_density(index),
+            "picked": picked, "pruned_vs_dense": pruned["rps"] / dense["rps"],
+            "auto_vs_best": per_tier[picked]["rps"] / fastest,
+            **{
+                f"{tier}_{key}": r[key]
+                for tier, r in per_tier.items()
+                for key in ("rps", "p50_ms", "p99_ms")
+            },
+        }
+        results.append(row)
+        rows.append([
+            family, name, f"{index.n_reps:,}", f"{index.vocab_size:,}",
+            f"{index.posting_share:.3f}", f"{row['density']:.3f}",
+            *(f"{per_tier[t]['rps']:,.0f}" if t in per_tier else "-"
+              for t in ("dense", "pruned", "auto", "native")),
+            f"{row['pruned_vs_dense']:.2f}x", picked,
+            f"{row['auto_vs_best']:.2f}",
+        ])
+        if (family, name) in {("tier", f"{c}x{v}") for c, v in TIER_CONFIGS}:
+            # pruning beats the dense matmul on every original config
+            assert pruned["rps"] > dense["rps"], f"pruned lost to dense at {name}"
+            if "native" in per_tier:
+                assert per_tier["native"]["rps"] > dense["rps"], (
+                    f"native lost to dense at {name}"
+                )
+        # the one no-compiler rule routes every measured shape well
+        assert row["auto_vs_best"] >= AUTO_SLACK, (
+            f"auto ({picked}) kept {row['auto_vs_best']:.2f} of the faster "
+            f"numpy tier at {name} (posting share {index.posting_share:.3f})"
         )
-        if "native" in per_tier:
-            assert per_tier["native"]["rps"] > dense["rps"], (
-                f"native lost to dense at {n_clusters} clusters / {vocab} vocab"
-            )
 
-    # pytest-benchmark stats: the pruned tier on the largest config
+    found = {
+        statistic: {
+            family: crossovers(
+                [r for r in results if r["family"] == family], statistic
+            )
+            for family in ("tier", "fit")
+        }
+        for statistic in ("share", "density")
+    }
+    geomeans = {
+        statistic: geometric_mean([c for cs in families.values() for c in cs])
+        for statistic, families in found.items()
+    }
+
+    # pytest-benchmark stats: the default tier on the largest config
     model, pools = tier_model(*TIER_CONFIGS[-1])
     points = tier_points(pools, TIER_CONFIGS[-1][1], TIER_POINTS)
-    bench_assign = tier_assigners(model)["pruned"]
+    bench_engine = AssignmentEngine(model, cache_size=0)
     benchmark.pedantic(
-        lambda: bench_assign(points), rounds=3, iterations=1
+        lambda: bench_engine.assign_batch(points), rounds=3, iterations=1
     )
 
     text = format_table(
-        ["clusters", "vocab", "tier", "points/sec",
-         "p50 ms", "p99 ms", "vs dense"],
+        ["family", "shape", "reps", "vocab", "share", "density", "dense/s",
+         "pruned/s", "auto/s", "native/s", "pruned/dense", "auto picks",
+         "auto/best"],
         rows,
         title=(
-            f"Assignment tiers ({TIER_POINTS:,} points x {TIER_ROUNDS} "
-            f"rounds, batches of {TIER_BATCH}; 6 reps/cluster, theta=0.5)"
+            f"Assignment tiers and the no-compiler cut (points/sec, fastest of "
+            f"{TIER_ROUNDS} alternating passes; tier rows {TIER_POINTS:,} "
+            f"points in batches of {TIER_BATCH}, fit rows {FIT_QUERIES:,} "
+            f"Table 5 points per call; theta=0.5)"
         ),
     )
-    if "native" not in tiers:
-        text += "\n\n(native tier unavailable on this machine: not probed)"
+    text += (
+        "\n\nshare = sum df^2 / (reps * sum df), density = sum df^2 / reps^2"
+        " (df: the representatives holding an item)"
+    )
+    for statistic, families in found.items():
+        for family, cs in families.items():
+            text += f"\n{statistic} crossover(s), {family} rows: " + (
+                ", ".join(f"{c:.3f}" for c in cs) if cs else "none in range"
+            )
+        if geomeans[statistic] is not None:
+            text += (
+                f"\n{statistic}: geometric mean of the crossovers "
+                f"{geomeans[statistic]:.3f}"
+            )
+    text += f"\npinned DENSE_POSTING_SHARE: {index_mod.DENSE_POSTING_SHARE}"
+    if not any("native_rps" in r for r in results):
+        text += "\n(native tier unavailable on this machine: not probed)"
     text += "\n\n" + machine_summary()
     save_result("serve_throughput_tiers", text)
     save_manifest(
@@ -332,11 +462,16 @@ def test_assign_tiers(benchmark, save_result, save_manifest):
         RunManifest.from_tracer(
             "bench_assign_tiers", tracer,
             config={
-                "configs": [list(c) for c in TIER_CONFIGS],
+                "tier_configs": [list(c) for c in TIER_CONFIGS],
+                "denser_configs": [list(c) for c in DENSER_CONFIGS],
+                "fit_configs": [list(c) for c in FIT_CONFIGS],
                 "points": TIER_POINTS,
+                "fit_queries": FIT_QUERIES,
                 "batch": TIER_BATCH,
                 "rounds": TIER_ROUNDS,
-                "tiers": tiers,
+                "crossovers": found,
+                "crossover_geomeans": geomeans,
+                "dense_posting_share": index_mod.DENSE_POSTING_SHARE,
                 "results": results,
             },
         ),
@@ -344,22 +479,18 @@ def test_assign_tiers(benchmark, save_result, save_manifest):
 
 
 def test_assign_tiers_smoke(save_result):
-    """CI-sized: pruned (and native where probed) equal dense on a small
-    model -- no throughput bars."""
+    """CI-sized: every tier (native where probed) equals dense on a
+    small model -- no throughput bars."""
     model, pools = tier_model(20, 200, reps_per_cluster=4, items_per_rep=6)
     points = tier_points(pools, 200, 2_000)
+    engine = AssignmentEngine(model, cache_size=0)
+    picked, per_tier = time_tiers(engine, points, len(points), rounds=1)
     rows = []
-    reference = None
-    for backend, assign in tier_assigners(model).items():
-        start = time.perf_counter()
-        labels = assign(points).tolist()
-        seconds = time.perf_counter() - start
-        if reference is None:
-            reference = labels
-        assert labels == reference, f"{backend} diverges from dense"
-        rows.append([backend, f"{len(points) / seconds:,.0f}"])
+    for tier, r in per_tier.items():
+        assert r["labels"] == per_tier["dense"]["labels"], f"{tier} diverges from dense"
+        rows.append([tier, f"{r['rps']:,.0f}"])
     text = format_table(
         ["tier", "points/sec"], rows,
-        title="Assign tier smoke (label equality only, 20x200 model)",
+        title=f"Assign tier smoke (label equality only, 20x200 model; auto picks {picked})",
     )
     save_result("serve_throughput_tiers_smoke", text)

@@ -118,6 +118,21 @@ def as_item_set(point: Any) -> frozenset[Hashable]:
     )
 
 
+def item_order(items: Iterable[Any]) -> list[Any]:
+    """The distinct items, sorted when they sort, else in first-seen order.
+
+    The one vocabulary order: a sorted vocabulary does not depend on the
+    iteration order of the item sets, which for string items follows
+    ``PYTHONHASHSEED``.
+    """
+    order = list(dict.fromkeys(items))
+    try:
+        order.sort()
+    except TypeError:
+        pass  # mixed unsortable types: keep first-seen order
+    return order
+
+
 def encode_items(
     points: Iterable[Any], code_of: dict[Any, int], grow: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -13,10 +13,14 @@ the discovered clusters:
 A point with zero neighbors in every labeling set is an outlier and
 receives the label ``-1``.
 
-The scoring internals live in :class:`LabelingIndex` so that the batch
-assignment engine (:mod:`repro.serve.engine`) and the per-point
-:class:`ClusterLabeler` share one implementation of the vectorised
-Jaccard path.
+:class:`LabelingIndex` holds the dense indicator-matrix view of the
+labeling sets, the oracle :meth:`ClusterLabeler.assign` scores through.
+Batch calls -- the fit's label scan, the serving engine, the stream
+labeler -- all score through one
+:class:`~repro.serve.index.AssignmentIndex` (the labeler's, or a
+prebuilt copy shipped to pool workers), and that index picks the
+scoring tier.  Custom similarities admit no index: they score per point
+in :meth:`ClusterLabeler.assign_with_scores`.
 """
 
 from __future__ import annotations
@@ -24,20 +28,23 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Iterable, Sequence
 from itertools import chain
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.core.encoding import encode_items, encode_query, indicator
+from repro.core.encoding import (
+    as_item_set,
+    encode_items,
+    encode_query,
+    indicator,
+    item_order,
+)
 from repro.core.goodness import default_f
 from repro.core.similarity import JaccardSimilarity, SimilarityFunction
 from repro.obs.registry import Counter
 
-
-# Byte budget for the widest per-block temporary of LabelingIndex.assign
-# (``rows x max(vocab, total_reps)`` float64): a few hundred rows on a
-# basket-sized vocabulary, fewer on a large one.
-ASSIGN_BLOCK_BYTES = 2 << 20
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.serve.index import AssignmentIndex
 
 
 def labels_from_clusters(
@@ -75,14 +82,14 @@ def compute_normalisers(
 class LabelingIndex:
     """Precomputed indicator-matrix view of the labeling sets (Jaccard path).
 
-    Streaming Jaccard against every representative is the hot loop of
-    the labeling scan; with all representatives encoded once into a
-    ``(total_reps, vocab)`` 0/1 matrix, a batch of ``B`` incoming points
-    costs one ``(B, vocab) @ (vocab, total_reps)`` product instead of
-    ``B * sum |L_i|`` set comparisons.  Only item-set-like points
-    (transactions, sets, categorical records) can be indexed; the
-    constructor raises ``TypeError`` otherwise, and callers fall back to
-    the scalar similarity path.
+    All representatives are encoded once into a ``(total_reps, vocab)``
+    0/1 matrix, so a batch of ``B`` incoming points costs one ``(B,
+    vocab) @ (vocab, total_reps)`` product instead of ``B * sum |L_i|``
+    set comparisons.  It backs the oracle :meth:`ClusterLabeler.assign`
+    and the ``dense`` tier of :class:`~repro.serve.index.AssignmentIndex`.
+    Only item-set-like points (transactions, sets, categorical records)
+    can be indexed; the constructor raises ``TypeError`` otherwise, and
+    callers fall back to the scalar similarity path.
     """
 
     def __init__(
@@ -94,11 +101,13 @@ class LabelingIndex:
         self.theta = theta
         self.f_theta = f_theta
         self.normalisers = compute_normalisers(labeling_sets, f_theta)
-        # representatives coded in first-seen item order
-        self.vocabulary: dict[Any, int] = {}
-        indptr, codes, sizes = encode_items(
-            chain.from_iterable(labeling_sets), self.vocabulary, grow=True
-        )
+        rows = list(map(as_item_set, chain.from_iterable(labeling_sets)))
+        # the dataset's vocabulary order, so no code depends on the hash seed
+        self.vocabulary: dict[Any, int] = {
+            item: code
+            for code, item in enumerate(item_order(chain.from_iterable(rows)))
+        }
+        indptr, codes, sizes = encode_items(rows, self.vocabulary)
         self.rep_matrix = indicator(
             indptr, codes, max(len(self.vocabulary), 1), np.float64
         )
@@ -128,45 +137,6 @@ class LabelingIndex:
             if b > a:
                 counts[:, c] = is_neighbor[:, a:b].sum(axis=1)
         return counts
-
-    def scores(self, points: Sequence[Any]) -> np.ndarray:
-        """Normalised assignment scores ``N_i / (|L_i| + 1)^f`` per point."""
-        return self.neighbor_counts(points) / self.normalisers
-
-    def default_block_size(self) -> int:
-        """Rows per block keeping the widest block temporary -- ``rows x
-        max(vocab, total_reps)`` float64 -- within :data:`ASSIGN_BLOCK_BYTES`."""
-        width = max(self.rep_matrix.shape[0], self.rep_matrix.shape[1])
-        return max(1, ASSIGN_BLOCK_BYTES // (8 * width))
-
-    def assign(
-        self, points: Iterable[Any], block_size: int | None = None
-    ) -> np.ndarray:
-        """Batch-assign; -1 for points with no neighbors in any ``L_i``.
-
-        Work proceeds in blocks of ``block_size`` rows (default:
-        :meth:`default_block_size`), so a disk-scale batch never
-        materialises more than one block's ``(rows, vocab)`` encoding
-        and ``(rows, total_reps)`` scores.  Every row is scored
-        independently with exact integer counts, so the labels do not
-        depend on the block size.  A
-        :class:`~repro.data.transactions.TransactionDataset` stays one:
-        its blocks are slices whose codes are remapped, not walked.
-        """
-        if not isinstance(points, Sequence):
-            points = list(points)
-        if block_size is None:
-            block_size = self.default_block_size()
-        elif block_size < 1:
-            raise ValueError("block_size must be positive")
-        labels = np.empty(len(points), dtype=np.int64)
-        for start in range(0, len(points), block_size):
-            block = points[start : start + block_size]
-            counts = self.neighbor_counts(block)
-            block_labels = np.argmax(counts / self.normalisers, axis=1)
-            block_labels[~counts.any(axis=1)] = -1
-            labels[start : start + block_size] = block_labels
-        return labels
 
 
 class ClusterLabeler:
@@ -207,23 +177,35 @@ class ClusterLabeler:
         self._normalisers = compute_normalisers(self.labeling_sets, self.f_theta)
         # point/representative pairs scored by assign_all so far
         self.candidates = 0
-        self._index = (
-            self._build_index()
-            if isinstance(self.similarity, JaccardSimilarity)
-            else None
-        )
-
-    def _build_index(self) -> LabelingIndex | None:
-        try:
-            return LabelingIndex(self.labeling_sets, self.theta, self.f_theta)
-        except TypeError:
-            # representatives are not item-set-like: use the scalar path
-            return None
+        self._index: LabelingIndex | None = None
+        if isinstance(self.similarity, JaccardSimilarity):
+            try:
+                self._index = LabelingIndex(self.labeling_sets, theta, self.f_theta)
+            except TypeError:
+                pass  # representatives are not item-set-like: the scalar path
+        self._assignment_index: AssignmentIndex | None = None
 
     @property
     def index(self) -> LabelingIndex | None:
         """The vectorised index, when the similarity admits one."""
         return self._index
+
+    @property
+    def assignment_index(self) -> AssignmentIndex | None:
+        """The :class:`~repro.serve.index.AssignmentIndex` every batch
+        call scores through, built on first use and kept; ``None`` where
+        :attr:`index` is (custom similarities)."""
+        if self._assignment_index is None and self._index is not None:
+            from repro.serve.index import AssignmentIndex
+
+            self._assignment_index = AssignmentIndex(self._index)
+        return self._assignment_index
+
+    @property
+    def assign_backend(self) -> str:
+        """The tier a batch call runs: the index's, or ``fallback``."""
+        index = self.assignment_index
+        return "fallback" if index is None else index.tier
 
     def neighbor_counts(self, point: Any) -> np.ndarray:
         """``N_i``: how many members of each ``L_i`` are neighbors of ``point``."""
@@ -247,39 +229,43 @@ class ClusterLabeler:
             return -1
         return int(np.argmax(counts / self._normalisers))
 
+    def assign_with_scores(
+        self, points: Iterable[Any], counter: Counter | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Labels plus each point's winning normalised score (0.0 for
+        an outlier), exactly those of :meth:`assign` and :meth:`scores`.
+
+        Scored through :attr:`assignment_index`, whose tier is chosen
+        there; custom similarities admit no index and score per point
+        here.  ``counter`` is incremented by the point/representative
+        pairs scored (every pair on the scalar path).
+        """
+        index = self.assignment_index
+        if index is not None:
+            return index.assign_with_scores(points, counter=counter)
+        points = list(points)
+        labels = np.full(len(points), -1, dtype=np.int64)
+        best = np.zeros(len(points), dtype=np.float64)
+        for i, point in enumerate(points):
+            counts = self.neighbor_counts(point)
+            if counts.any():
+                scores = counts / self._normalisers
+                labels[i] = np.argmax(scores)
+                best[i] = scores[labels[i]]
+        if counter is not None:
+            counter.inc(len(points) * sum(map(len, self.labeling_sets)))
+        return labels, best
+
     def assign_all(self, points: Iterable[Any]) -> np.ndarray:
         """Label a stream of points (the sequential disk scan of §4.6).
 
-        With an index and ``theta > 0`` the scan runs on the native
-        ``assign_block`` kernel over an
-        :class:`~repro.serve.index.AssignmentIndex` when the
-        :mod:`repro.native` C tier probed clean; otherwise as
-        :meth:`LabelingIndex.assign` row blocks.  Other similarities
-        call :meth:`assign` per point.  All give exactly the labels of
-        :meth:`assign` (property-tested).  :attr:`candidates` counts the
-        point/representative pairs scored: the native kernel's verified
-        candidates, every pair on the other routes.
+        The labels of :meth:`assign_with_scores`; :attr:`candidates`
+        counts the point/representative pairs scored.
         """
-        if not isinstance(points, Sequence):
-            points = list(points)
-        if self._index is not None and self.theta > 0.0:
-            from repro.native import get_kernels
-
-            kernels = get_kernels()
-            if kernels is not None:
-                from repro.serve.index import AssignmentIndex
-
-                verified = Counter()
-                labels = AssignmentIndex(self._index).assign(
-                    points, kernels=kernels, counter=verified
-                )
-                self.candidates += int(verified.value)
-                return labels
-        n_reps = sum(len(li) for li in self.labeling_sets)
-        self.candidates += len(points) * n_reps
-        if self._index is None:
-            return np.array([self.assign(p) for p in points], dtype=np.int64)
-        return self._index.assign(points)
+        scored = Counter()
+        labels = self.assign_with_scores(points, counter=scored)[0]
+        self.candidates += int(scored.value)
+        return labels
 
 
 def draw_labeling_sets(

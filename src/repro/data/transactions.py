@@ -127,19 +127,15 @@ class TransactionDataset(Sequence[Transaction]):
         transactions: Iterable[Transaction | Iterable[Item]],
         vocabulary: Sequence[Item] | None = None,
     ) -> None:
-        from repro.core.encoding import encode_items
+        from repro.core.encoding import encode_items, item_order
 
         self._transactions: list[Transaction] = [
             t if isinstance(t, Transaction) else Transaction(t) for t in transactions
         ]
         if vocabulary is None:
-            vocabulary = list(
-                dict.fromkeys(chain.from_iterable(t.items for t in self._transactions))
+            vocabulary = item_order(
+                chain.from_iterable(t.items for t in self._transactions)
             )
-            try:
-                vocabulary.sort()  # type: ignore[call-arg]
-            except TypeError:
-                pass  # mixed unsortable types: keep insertion order
         else:
             vocabulary = list(vocabulary)
         item_index = {item: i for i, item in enumerate(vocabulary)}

@@ -16,17 +16,20 @@
   over the prefix postings of the
   :class:`repro.serve.index.AssignmentIndex`, exact verification,
   Jaccard threshold test and best-cluster argmax fused into one pass
-  per query point.  It serves the serving engine, the stream labeler
-  and the pipeline's labeling scan
-  (:meth:`repro.core.labeling.ClusterLabeler.assign_all`).
+  per query point.  It is the ``native`` tier of
+  :meth:`repro.serve.index.AssignmentIndex.tier`, which the serving
+  engine, the stream labeler and the pipeline's labeling scan
+  (:meth:`repro.core.labeling.ClusterLabeler.assign_all`) all score
+  through; without it that index picks its ``dense`` or ``pruned``
+  numpy tier.
 
 No caller forces a tier.  The fit planner
 (:func:`repro.core.pipeline.plan_fit`) runs the fused kernel for every
 fit the kernel supports that is past its memory budget or whose points
 share few items; the merge engine
 (:func:`repro.core.merge.merge_engine`) and the assignment tier
-(:func:`repro.serve.index.resolve_assign_backend`) run native whenever
-:func:`get_kernels` returns the probed namespace.  All are
+(:meth:`repro.serve.index.AssignmentIndex.tier`, at ``theta > 0``) run
+native whenever :func:`get_kernels` returns the probed namespace.  All are
 **bit-identical** to the reference
 paths: same survivor sets, same merge history with bitwise equal
 goodness floats, same ``heap_ops`` accounting, same assignment labels

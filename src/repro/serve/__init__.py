@@ -12,9 +12,9 @@ assignment.  This package is that second phase, productionised:
   assignment with an LRU cache, exactly equivalent to
   :class:`~repro.core.labeling.ClusterLabeler`;
 * :class:`~repro.serve.index.AssignmentIndex` -- the item ->
-  representative inverted index behind the ``pruned`` and ``native``
-  fast-assignment tiers (candidate-only scoring, bit-identical to the
-  dense matmul);
+  representative inverted index that picks and runs the assignment
+  tier (``native``, ``dense`` or ``pruned``; all bit-identical to
+  :meth:`~repro.core.labeling.ClusterLabeler.assign`);
 * :func:`~repro.serve.parallel.assign_stream` -- chunked
   multiprocessing for disk-scale labeling runs, order-preserving;
 * :class:`~repro.serve.metrics.ServeMetrics` -- counters / histograms

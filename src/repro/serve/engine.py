@@ -10,13 +10,13 @@ construction -- and adds:
 * an LRU cache keyed on the point's item set, so duplicate and repeated
   points (ubiquitous in categorical data, where the value space is
   small) skip scoring entirely;
-* one scoring tier, picked by the :mod:`repro.native` probe
-  (:func:`~repro.serve.index.resolve_assign_backend`): ``native``, the
-  prefix-filtered ``assign_block`` kernel, wherever the C tier probed
-  clean; ``pruned``, the index's candidate gather in scipy/numpy,
-  otherwise (no compiler, or ``REPRO_NATIVE=0``);
+* the scoring tier its index picks (:attr:`AssignmentIndex.tier`):
+  ``native``, the prefix-filtered ``assign_block`` kernel, wherever the
+  C tier probed clean; otherwise (no compiler, or ``REPRO_NATIVE=0``)
+  ``dense``, the matmul, or ``pruned``, the candidate gather in
+  scipy/numpy, by the index's posting share;
 * the scalar ``fallback`` for custom similarities, which admit no
-  index: it delegates per point to :meth:`ClusterLabeler.assign`;
+  index: :meth:`ClusterLabeler.assign_with_scores` scores per point;
 * metrics (requests, outlier rate, cache hit rate, latency) recorded on
   a shared :class:`~repro.serve.metrics.ServeMetrics`, plus one
   ``serve.assign.backend.<tier>`` gauge marking the active tier.
@@ -36,13 +36,13 @@ from typing import Any
 import numpy as np
 
 from repro.core.encoding import as_item_set
-from repro.serve.index import AssignmentIndex, resolve_assign_backend
+from repro.serve.index import AssignmentIndex
 from repro.serve.metrics import ServeMetrics
 from repro.serve.model import RockModel
 
 # every value engine.assign_backend can take; "fallback" marks the
 # scalar custom-similarity path where no index exists at all
-BACKEND_TIERS = ("pruned", "native", "fallback")
+BACKEND_TIERS = ("dense", "pruned", "native", "fallback")
 
 
 class AssignmentEngine:
@@ -81,20 +81,13 @@ class AssignmentEngine:
         self.metrics = metrics if metrics is not None else ServeMetrics()
         self.block_size = block_size
         self._labeler = model.labeler()
-        # the index exists exactly when the labeler's own vectorised
-        # path does (plain Jaccard over item-set-like points)
-        self._fast_index: AssignmentIndex | None = None
-        self._kernels: Any | None = None
-        if self._labeler.index is None:
-            backend = "fallback"
-        else:
-            backend, self._kernels = resolve_assign_backend()
-            self._fast_index = (
-                prebuilt_index
-                if prebuilt_index is not None
-                else AssignmentIndex(self._labeler.index)
-            )
-        self._backend = backend
+        # the labeler's own index, built here (the engine's set-up), or
+        # the copy a pool payload shipped; None for custom similarities
+        self._fast_index = (
+            prebuilt_index
+            if prebuilt_index is not None
+            else self._labeler.assignment_index
+        )
         registry = self.metrics.registry
         # candidate pairs the index tiers score: the pruning at a glance
         self._candidates = (
@@ -102,6 +95,7 @@ class AssignmentEngine:
             if self._fast_index is not None
             else None
         )
+        backend = self.assign_backend
         for tier in BACKEND_TIERS:
             registry.set_gauge(
                 f"serve.assign.backend.{tier}", int(tier == backend)
@@ -120,8 +114,11 @@ class AssignmentEngine:
 
     @property
     def assign_backend(self) -> str:
-        """The scoring tier the probe picked: pruned / native / fallback."""
-        return self._backend
+        """The scoring tier: the index's (native / dense / pruned), or
+        fallback."""
+        if self._fast_index is None:
+            return "fallback"
+        return self._fast_index.tier
 
     @property
     def fast_index(self) -> AssignmentIndex | None:
@@ -230,15 +227,10 @@ class AssignmentEngine:
     # -- internals ----------------------------------------------------------
 
     def _assign_uncached(self, points: list[Any]) -> np.ndarray:
-        if self._fast_index is not None:
-            return self._fast_index.assign(
-                points,
-                block_size=self.block_size,
-                kernels=self._kernels,
-                counter=self._candidates,
-            )
-        return np.array(
-            [self._labeler.assign(p) for p in points], dtype=np.int64
+        if self._fast_index is None:
+            return self._labeler.assign_with_scores(points)[0]
+        return self._fast_index.assign(
+            points, block_size=self.block_size, counter=self._candidates
         )
 
     def _cache_key(self, point: Any) -> Any | None:

@@ -1,18 +1,16 @@
-"""The inverted-index fast path for §4.6 batch assignment.
+"""§4.6 batch assignment: one index, and the one place its tier is chosen.
 
 :class:`~repro.core.labeling.LabelingIndex` scores a batch against
 *every* representative with one dense ``(B, vocab) @ (vocab, total)``
-matmul.  That is wasteful in exactly the way serving traffic is shaped:
-at ``theta > 0`` a point can only be a neighbor of representatives it
-shares at least one item with, and real categorical points touch a
-handful of the vocabulary.  :class:`AssignmentIndex` therefore builds,
-once per model load and with vectorised numpy only:
+matmul, yet at ``theta > 0`` a point can only be a neighbor of
+representatives it shares an item with.  :class:`AssignmentIndex`
+keeps that dense index and builds, once per model and with vectorised
+numpy only:
 
 * a **rank order** of the vocabulary: columns renumbered by ascending
   representative-side document frequency (how many representatives
   hold the item), ties broken by the old column id, so sorting a row
-  by column id sorts it rarest first.  The vocabulary dict maps items
-  straight to ranks, so every tier shares one encoding;
+  by column id sorts it rarest first;
 * a **rep -> items CSR** (``rep_indptr`` / ``rep_items``), each row in
   rank order, plus exact set sizes and cluster ids;
 * an **item -> representatives inverted index** (the CSC view of the
@@ -20,14 +18,6 @@ once per model load and with vectorised numpy only:
 * **prefix postings** (``pre_indptr`` / ``pre_reps``): item -> the
   representatives whose first ``|r| - o_min(|r|) + 1`` items hold it;
 * the per-cluster ``(|L_i| + 1)^f`` normalisers.
-
-``assign`` then encodes each query block as a sparse CSR (column
-indices only -- the dense ``(B, vocab)`` 0/1 matrix never exists),
-gathers candidate representatives and scores **only candidates**: the
-same integer intersections and the same float64 division as the dense
-path, so labels are bit-for-bit identical to ``ClusterLabeler.assign``
-(property-tested).  Points without a candidate short-circuit straight
-to the outlier label ``-1`` without touching any arithmetic.
 
 The prefix lemma (AllPairs, Bayardo et al. 2007; PPJoin, Xiao et al.
 2008): order every set by one global item order; if ``|q & r| >= o_q``
@@ -48,56 +38,43 @@ in-vocabulary part is the prefix length minus the out-of-vocabulary
 count, and a point whose prefix they fill completely is an outlier
 with no probe at all.
 
-Two scoring tiers share this index, and the :mod:`repro.native` probe
-picks between them (:func:`resolve_assign_backend`):
+:attr:`AssignmentIndex.tier` picks the scoring tier on every call:
 
-``pruned``
-    Candidate gather via a scipy sparse product over the full inverted
-    index (the :class:`~repro.core.neighbors.SparseTransactionScorer`
-    machinery: CSR x CSR intersection counts, ``searchsorted`` row
-    recovery), or a pure-numpy posting-list gather when scipy is
-    unavailable.  Every representative sharing an item is a candidate.
-    The tier wherever the C tier does not probe clean or
-    ``REPRO_NATIVE`` is off.
 ``native``
-    The ``assign_block`` C kernel of :mod:`repro.native`: per point it
-    sorts the row by rank, walks only the prefix items' prefix
+    where the C tier probes clean (:func:`resolve_assign_backend`) and
+    ``theta > 0``: the ``assign_block`` kernel of :mod:`repro.native`
+    sorts each query row by rank, walks only its prefix items' prefix
     postings, verifies each distinct candidate by counting its items
-    in the query, then runs the threshold test and best-cluster argmax;
-    pass the probed kernel namespace into :meth:`assign`.  The default
-    wherever the C tier probes clean, and the route of the pipeline's
-    §4.6 labeling scan
-    (:meth:`~repro.core.labeling.ClusterLabeler.assign_all`).
+    in the query, then runs the threshold test and best-cluster argmax.
+``dense``
+    otherwise, when the index's posting share ``sum_items df^2 /
+    (n_reps * sum_items df)`` (``df``: the representatives holding an
+    item; the share of the representatives a query item's postings
+    hold) reaches :data:`DENSE_POSTING_SHARE`: the ``LabelingIndex``
+    matmul, in row blocks bounded by :data:`ASSIGN_BLOCK_BYTES`.
+``pruned``
+    otherwise: the query block as a sparse CSR, its candidates gathered
+    by a scipy sparse product over the full inverted index (numpy
+    posting lists without scipy), and only candidates scored.
 
-The dense ``LabelingIndex.assign`` matmul is not a tier of this module:
-it backs the oracle ``ClusterLabeler.assign`` and the labeling scan's
-no-compiler route.
+The tiers agree bit for bit (property-tested against
+``ClusterLabeler.assign``): intersections are small integers, exact in
+float64, and a candidate pair has ``inter >= 1`` and hence ``union >=
+1``, so the dense path's guarded ``inter / max(union, 1e-300)`` is the
+plain ``inter / union`` every tier computes; non-candidates fail the
+test in the dense path too.  ``theta == 0`` makes *every*
+representative a neighbor (``sim >= 0`` always holds), so it is
+answered with constant per-cluster counts.  Argmax ties break toward
+the lowest cluster index (``np.argmax``), and a cluster without
+neighbors scores exactly ``0.0``, which lets the native kernel scan
+only the touched clusters.  ``counter`` arguments receive the pairs
+scored: verified candidates, item-sharing pairs, or every pair.
 
-Why the tiers agree bit for bit: intersections are small integers
-(exact in float64), a candidate pair has ``inter >= 1`` and hence
-``union >= 1``, so the dense path's guarded ``inter / max(union,
-1e-300)`` reduces to the plain ``inter / union`` every tier computes;
-non-candidates fail the test in the dense path too.  ``theta == 0``
-makes *every* representative a neighbor of every point (``sim >= 0``
-always holds, matching the dense ``np.where``), so that degenerate
-case is answered with constant per-cluster counts instead of candidate
-pruning.  Ties in the final argmax break toward the lowest cluster
-index in every tier (``np.argmax`` semantics); a cluster without
-neighbors scores exactly ``0.0`` while any neighbor count >= 1 scores
-``> 0``, which is what lets the native kernel scan only the touched
-clusters.
-
-The ``counter`` argument of :meth:`AssignmentIndex.assign` takes a
-:class:`repro.obs.registry.Counter` and adds the number of candidate
-pairs scored: the native kernel's verified candidates, the pruned
-tier's item-sharing pairs (none at ``theta == 0``).
-
-The index is a pure-data object (numpy arrays + the vocabulary dict):
-it pickles cleanly, so :func:`repro.serve.parallel.assign_stream`
-ships one prebuilt copy to every worker through the pool initializer
-instead of rebuilding it per process.  Kernel namespaces hold ctypes
-handles and are deliberately *not* stored on the index -- they are
-resolved per process and passed into ``assign``.
+The index is pure data, so it pickles:
+:func:`repro.serve.parallel.assign_stream` ships one prebuilt copy to
+every worker.  Kernel namespaces (ctypes handles) are never stored on
+it: every call fetches the probed namespace, so a worker whose probe
+fails still picks a correct tier.
 """
 
 from __future__ import annotations
@@ -113,13 +90,25 @@ from repro.core.neighbors import _scipy_sparse_available
 from repro.obs.registry import Counter
 
 
+# Rows of the dense tier's widest block temporary, ``rows x max(vocab,
+# total_reps)`` float64, fit this byte budget: a few hundred rows on a
+# basket-sized vocabulary, fewer on a large one.
+ASSIGN_BLOCK_BYTES = 2 << 20
+
+# Without the C tier, an index at or above this posting share scores on
+# the dense tier, below it on the pruned tier: the geometric mean of the
+# crossovers in bench_serve_throughput.py::test_assign_tiers.
+DENSE_POSTING_SHARE = 0.093
+
+
 def resolve_assign_backend(requested: str = "auto") -> tuple[str, Any | None]:
-    """The index tier the probe picks, as ``(tier, kernels)``.
+    """The probe half of the tier choice, as ``(tier, kernels)``.
 
     ``("native", kernels)`` when :func:`repro.native.get_kernels`
     returns the probed namespace (the probe smoke-tests
-    ``assign_block``), else ``("pruned", None)``.  ``"auto"`` is the
-    only accepted request: no caller forces a tier.
+    ``assign_block``), else ``("numpy", None)``: one of the numpy
+    tiers, which :meth:`AssignmentIndex.tier` picks from the index.
+    ``"auto"`` is the only accepted request: no caller forces a tier.
     """
     if requested != "auto":
         raise ValueError(
@@ -131,7 +120,7 @@ def resolve_assign_backend(requested: str = "auto") -> tuple[str, Any | None]:
     kernels = get_kernels()
     if kernels is not None:
         return "native", kernels
-    return "pruned", None
+    return "numpy", None
 
 
 def min_overlap(sizes: Any, theta: float) -> np.ndarray:
@@ -168,12 +157,12 @@ class AssignmentIndex:
     ----------
     index:
         The dense labeling index to mirror.  All derived arrays are
-        built once here; the source index is not retained.
+        built once here; the source index is kept as the dense tier.
     """
 
     def __init__(self, index: LabelingIndex) -> None:
+        self.dense = index
         self.theta = float(index.theta)
-        self.f_theta = float(index.f_theta)
         self.normalisers = np.ascontiguousarray(index.normalisers, dtype=np.float64)
         n_reps, vocab = index.rep_matrix.shape
         self.n_reps = n_reps
@@ -204,6 +193,9 @@ class AssignmentIndex:
         self.inv_indptr = np.zeros(vocab + 1, dtype=np.int64)
         np.cumsum(np.bincount(items, minlength=vocab), out=self.inv_indptr[1:])
         self.inv_reps = (np.sort(items * stride + entry_rep) % stride).astype(np.int32)
+        # sum df^2 / (n_reps * sum df): the statistic the numpy tiers split on
+        df = np.diff(self.inv_indptr)
+        self.posting_share = float(df @ df) / (stride * max(int(df.sum()), 1))
         # item -> the representatives whose first |r| - o_min(|r|) + 1
         # items hold it: the native tier's candidate gather
         prefix = np.clip(
@@ -295,11 +287,7 @@ class AssignmentIndex:
         codes, inter = np.unique(rows * self.n_reps + reps, return_counts=True)
         return codes // self.n_reps, codes % self.n_reps, inter.astype(np.int64)
 
-    def neighbor_counts(self, points: Sequence[Any]) -> np.ndarray:
-        """``(B, n_clusters)`` neighbor counts, equal to the dense path's."""
-        return self._block_counts(*encode_query(points, self.vocabulary))[0]
-
-    def _block_counts(
+    def _pruned_counts(
         self, q_indptr: np.ndarray, q_items: np.ndarray, q_sizes: np.ndarray
     ) -> tuple[np.ndarray, int]:
         """Neighbor counts plus the number of candidate pairs scored."""
@@ -328,30 +316,45 @@ class AssignmentIndex:
 
     # -- assignment ----------------------------------------------------------
 
+    @property
+    def tier(self) -> str:
+        """The tier the next call runs: ``native``, ``dense`` or ``pruned``."""
+        return self._resolve_tier()[0]
+
+    def _resolve_tier(self) -> tuple[str, Any | None]:
+        """The one §4.6 tier decision, as ``(tier, kernels)``.
+
+        ``native`` when the :mod:`repro.native` probe passes and
+        ``theta > 0``; otherwise ``dense`` for an index whose
+        :attr:`posting_share` reaches :data:`DENSE_POSTING_SHARE`, else
+        ``pruned``.  The kernels are fetched here, on every call.
+        """
+        _, kernels = resolve_assign_backend()
+        if kernels is not None and self.theta > 0.0:
+            return "native", kernels
+        if self.posting_share >= DENSE_POSTING_SHARE:
+            return "dense", None
+        return "pruned", None
+
     def assign(
         self,
         points: Sequence[Any],
         block_size: int = 8192,
-        kernels: Any | None = None,
         counter: Counter | None = None,
     ) -> np.ndarray:
         """Batch-assign; ``-1`` for points with no neighbors anywhere.
 
-        ``kernels`` is a probed :mod:`repro.native` namespace; when it
-        is given (and ``theta > 0``) the fused native kernel runs,
-        otherwise the numpy/scipy pruned path.  ``counter``, when
-        given, is incremented by the number of candidate
-        point/representative pairs scored.
+        ``counter``, when given, is incremented by the number of
+        candidate point/representative pairs scored.
         """
         return self.assign_with_scores(
-            points, block_size=block_size, kernels=kernels, counter=counter
+            points, block_size=block_size, counter=counter
         )[0]
 
     def assign_with_scores(
         self,
         points: Sequence[Any],
         block_size: int = 8192,
-        kernels: Any | None = None,
         counter: Counter | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Labels plus each point's winning normalised score.
@@ -359,27 +362,28 @@ class AssignmentIndex:
         Outliers score ``0.0``.  The score array equals
         ``(counts / normalisers)[arange, labels]`` of the dense path --
         the :class:`~repro.stream.runner.StreamClusterer` confidence
-        values -- bit for bit.
+        values -- bit for bit, on every tier.  The dense tier scores at
+        most the rows :data:`ASSIGN_BLOCK_BYTES` allows per block.
         """
         if block_size < 1:
             raise ValueError("block_size must be positive")
         if not isinstance(points, Sequence):
             points = list(points)
+        tier, kernels = self._resolve_tier()
+        if tier == "dense":
+            width = max(self.n_reps, self.vocab_size)
+            block_size = min(block_size, max(1, ASSIGN_BLOCK_BYTES // (8 * width)))
         n = len(points)
         labels = np.empty(n, dtype=np.int64)
         best = np.empty(n, dtype=np.float64)
-        use_kernel = kernels is not None and self.theta > 0.0
         candidates = 0
         for start in range(0, n, block_size):
             # a dataset's slice stays a dataset, so its block is remapped
             block = points[start : start + block_size]
-            q_indptr, q_items, q_sizes = encode_query(block, self.vocabulary)
             stop = start + len(block)
-            if use_kernel:
+            if tier == "native":
                 labels[start:stop], best[start:stop], verified = kernels.assign_block(
-                    q_indptr,
-                    q_items,
-                    q_sizes,
+                    *encode_query(block, self.vocabulary),
                     self.pre_indptr,
                     self.pre_reps,
                     self.rep_indptr,
@@ -390,7 +394,14 @@ class AssignmentIndex:
                 )
                 candidates += verified
                 continue
-            counts, scored = self._block_counts(q_indptr, q_items, q_sizes)
+            if tier == "dense" and self.theta > 0.0:
+                counts = self.dense.neighbor_counts(block)
+                scored = len(block) * self.n_reps
+            else:
+                # the pruned gather, and the constant counts of theta == 0
+                counts, scored = self._pruned_counts(
+                    *encode_query(block, self.vocabulary)
+                )
             candidates += scored
             scores = counts / self.normalisers
             block_labels = np.argmax(scores, axis=1)

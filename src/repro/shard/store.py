@@ -260,7 +260,12 @@ class TransactionStore:
                     f"{file_path} is {actual} bytes, expected {expected}"
                 )
         indptr = np.memmap(indptr_path, dtype=np.int64, mode="r", shape=(n + 1,))
-        items = np.memmap(items_path, dtype=np.int32, mode="r", shape=(nnz,))
+        # an empty file cannot be memory-mapped: rows holding no items
+        items = (
+            np.memmap(items_path, dtype=np.int32, mode="r", shape=(nnz,))
+            if nnz
+            else np.empty(0, dtype=np.int32)
+        )
         store = cls(path, meta, indptr, items)
         if verify:
             store.verify()

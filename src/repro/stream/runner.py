@@ -40,7 +40,6 @@ import numpy as np
 from repro.core.labeling import ClusterLabeler
 from repro.core.pipeline import PipelineResult, RockPipeline
 from repro.obs.trace import Tracer
-from repro.serve.index import AssignmentIndex, resolve_assign_backend
 from repro.serve.model import CHECKSUM_KEY, RockModel, artifact_checksum
 from repro.stream.drift import DriftDetector
 from repro.stream.reservoir import OnlineReservoir
@@ -115,9 +114,9 @@ class StreamSummary:
 class StreamClusterer:
     """Incremental ROCK over an unbounded stream of records.
 
-    Arrivals are labeled in batches through an
-    :class:`~repro.serve.index.AssignmentIndex` rebuilt once per refit,
-    on the tier the :mod:`repro.native` probe picks.
+    Arrivals are labeled in batches through the model labeler's
+    :class:`~repro.serve.index.AssignmentIndex`, rebuilt once per refit,
+    on the tier that index picks.
 
     Parameters
     ----------
@@ -212,8 +211,6 @@ class StreamClusterer:
         self.version: str | None = None
         self.last_result: PipelineResult | None = None
         self._labeler: ClusterLabeler | None = None
-        self._assign_backend, self._assign_kernels = resolve_assign_backend()
-        self._fast_index: AssignmentIndex | None = None
         self._arrivals_at_last_fit = 0
         self._refit_count = 0
         self._drain = threading.Event()
@@ -232,6 +229,11 @@ class StreamClusterer:
     @property
     def draining(self) -> bool:
         return self._drain.is_set()
+
+    @property
+    def _assign_backend(self) -> str | None:
+        """The tier labeling runs on; ``None`` before the first model."""
+        return None if self._labeler is None else self._labeler.assign_backend
 
     # -- the session --------------------------------------------------------
 
@@ -298,22 +300,8 @@ class StreamClusterer:
 
     def _label_batch(self, batch: list[Any]) -> tuple[np.ndarray, np.ndarray]:
         """Label one batch against the current model: ``(labels, best scores)``."""
-        labeler = self._labeler
-        assert labeler is not None
-        if self._fast_index is not None:
-            return self._fast_index.assign_with_scores(
-                batch, kernels=self._assign_kernels, counter=self._candidates
-            )
-        labels = np.empty(len(batch), dtype=np.int64)
-        best = np.zeros(len(batch), dtype=np.float64)
-        for i, point in enumerate(batch):
-            scores = labeler.scores(point)
-            if labeler.neighbor_counts(point).any():
-                labels[i] = int(np.argmax(scores))
-                best[i] = float(scores[labels[i]])
-            else:
-                labels[i] = -1
-        return labels, best
+        assert self._labeler is not None
+        return self._labeler.assign_with_scores(batch, counter=self._candidates)
 
     def _starting_partition(self, sample: list[Any]) -> list[list[int]] | None:
         """The partition the current model induces on the reservoir sample.
@@ -361,11 +349,7 @@ class StreamClusterer:
         self._labeler = model.labeler()
         # one index build per refit, reused by every labeled batch (and
         # the next refit's resume partition) until the model changes
-        self._fast_index = (
-            AssignmentIndex(self._labeler.index)
-            if self._labeler.index is not None
-            else None
-        )
+        self._labeler.assignment_index
         self._arrivals_at_last_fit = self.reservoir.seen
         self._refit_count += 1
         self._refits.inc()

@@ -1,22 +1,30 @@
-"""AssignmentIndex tiers vs the dense LabelingIndex -- bitwise equivalence.
+"""The §4.6 assignment tiers -- bitwise equivalence through one entry point.
 
-The inverted-index fast path (:mod:`repro.serve.index`) is only
-admissible as a pure optimisation: for every input, every tier --
-``pruned`` (scipy or numpy candidate gather) and ``native`` (the fused
-``assign_block`` kernel) -- must produce the same labels *and* the same
-winning scores, bit for bit, as the dense matmul of
-:class:`~repro.core.labeling.LabelingIndex`.  The hypothesis properties
-drive random labeling sets (including empty clusters and empty
-representative sets), random points (including empty item sets and
-points with zero vocabulary overlap), every interesting theta --
-``0.0`` (the every-rep-is-a-neighbor degenerate case) through ``1.0``
--- and categorical records with missing values through all tiers.
+:class:`~repro.serve.index.AssignmentIndex` picks the tier for every
+batch call (:attr:`~repro.serve.index.AssignmentIndex.tier`): ``native``
+(the fused ``assign_block`` kernel) where the C tier probes and
+``theta > 0``, else ``dense`` (the :class:`LabelingIndex` matmul) or
+``pruned`` (scipy or numpy candidate gather) by the index's posting
+share.  Each tier is only admissible as a pure optimisation: forced
+through :func:`tests.tiers.forced_tier`, every tier -- and the scalar
+path of custom similarities -- must produce the same labels *and* the
+same winning scores, bit for bit, as the oracle
+:meth:`ClusterLabeler.assign`.  The hypothesis properties drive random
+labeling sets (including empty clusters and empty representative
+sets), random points (including empty item sets and points with zero
+vocabulary overlap), every interesting theta -- ``0.0`` (the
+every-rep-is-a-neighbor degenerate case) through ``1.0`` -- and
+categorical records with missing values through all tiers.
 """
 
 import math
+import os
 import pickle
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +33,7 @@ from hypothesis import strategies as st
 
 from repro.core.labeling import ClusterLabeler, LabelingIndex
 from repro.core.pipeline import RockPipeline
-from repro.core.similarity import similarity_levels
+from repro.core.similarity import JaccardSimilarity, similarity_levels
 from repro.data.records import MISSING, CategoricalRecord, CategoricalSchema
 from repro.data.transactions import Transaction
 from repro.datasets.synthetic_basket import (
@@ -42,6 +50,8 @@ from repro.serve import (
     resolve_assign_backend,
 )
 from repro.serve.index import min_overlap
+from repro.stream import StreamClusterer
+from tests.tiers import INDEX_TIERS, forced_tier
 
 # the probed C tier, when it works on this machine; tests loop over
 # this (empty or one-element) list
@@ -59,24 +69,32 @@ def make_model(labeling_sets, theta=0.4, **kwargs):
     )
 
 
-def dense_assign_with_scores(index: LabelingIndex, points):
-    """The dense reference for ``(labels, best scores)``: the
-    ``LabelingIndex`` matmul, argmax and outlier rule -- the contract
-    the index tiers must reproduce bit for bit.
-    """
-    counts = index.neighbor_counts(points)
-    all_scores = counts / index.normalisers
-    labels = np.argmax(all_scores, axis=1)
-    best = all_scores[np.arange(len(points)), labels]
-    outliers = ~counts.any(axis=1)
-    labels[outliers] = -1
-    best[outliers] = 0.0
-    return labels.astype(np.int64), best
+def oracle_assign_with_scores(labeler: ClusterLabeler, points):
+    """``(labels, best scores)`` from the per-point oracle
+    :meth:`ClusterLabeler.assign` and :meth:`ClusterLabeler.scores` --
+    the contract every tier must reproduce bit for bit."""
+    labels = np.array([labeler.assign(p) for p in points], dtype=np.int64)
+    best = np.array(
+        [labeler.scores(p)[c] if c >= 0 else 0.0 for p, c in zip(points, labels)],
+        dtype=np.float64,
+    )
+    return labels, best
 
 
 def assert_bitwise_equal(ref_labels, ref_best, labels, best):
     assert np.array_equal(ref_labels, labels)
     assert ref_best.tobytes() == np.asarray(best, dtype=np.float64).tobytes()
+
+
+def scalar_labeler(labeling_sets, theta, f_theta):
+    """The same labeler on the scalar path: a custom similarity admits
+    no index."""
+    return ClusterLabeler(
+        labeling_sets,
+        theta=theta,
+        similarity=lambda a, b: JaccardSimilarity()(a, b),
+        f=lambda _t: f_theta,
+    )
 
 
 # -- the equivalence property -------------------------------------------------
@@ -106,35 +124,23 @@ class TestTierEquivalence:
         labeling_sets = [[Transaction(s) for s in li] for li in sets]
         batch = [Transaction(p) for p in points]
         f_theta = (1 - theta) / (1 + theta)
-        dense = LabelingIndex(labeling_sets, theta, f_theta)
-        fast = AssignmentIndex(dense)
+        labeler = ClusterLabeler(labeling_sets, theta=theta, f=lambda _t: f_theta)
+        fast = labeler.assignment_index
+        ref_labels, ref_best = oracle_assign_with_scores(labeler, batch)
+        for tier in INDEX_TIERS:
+            with forced_tier(tier):
+                if theta > 0.0 or tier != "native":
+                    assert labeler.assign_backend == tier
+                labels, best = labeler.assign_with_scores(batch)
+                assert_bitwise_equal(ref_labels, ref_best, labels, best)
+                labels, best = fast.assign_with_scores(batch, block_size=block_size)
+                assert_bitwise_equal(ref_labels, ref_best, labels, best)
 
-        # neighbor counts agree exactly (integers, so plain equality)
-        assert np.array_equal(
-            dense.neighbor_counts(batch), fast.neighbor_counts(batch)
-        )
-
-        ref_labels, ref_best = dense_assign_with_scores(dense, batch)
-        assert np.array_equal(dense.assign(batch), ref_labels)
-
-        # pruned tier
-        labels, best = fast.assign_with_scores(batch, block_size=block_size)
+        # the scalar path of a custom similarity agrees too
+        scalar = scalar_labeler(labeling_sets, theta, f_theta)
+        assert scalar.assign_backend == "fallback"
+        labels, best = scalar.assign_with_scores(batch)
         assert_bitwise_equal(ref_labels, ref_best, labels, best)
-
-        # native tier(s)
-        for kernels in ASSIGN_KERNELS:
-            labels, best = fast.assign_with_scores(
-                batch, block_size=block_size, kernels=kernels
-            )
-            assert_bitwise_equal(ref_labels, ref_best, labels, best)
-
-        # the scalar §4.6 labeler agrees point for point
-        labeler = ClusterLabeler(
-            labeling_sets, theta=theta, f=lambda _t: f_theta
-        )
-        assert fast.assign(batch).tolist() == [
-            labeler.assign(p) for p in batch
-        ]
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -164,52 +170,57 @@ class TestTierEquivalence:
         if all(len(li) == 0 for li in labeling_sets):
             return
         f_theta = (1 - theta) / (1 + theta)
-        dense = LabelingIndex(labeling_sets, theta, f_theta)
-        fast = AssignmentIndex(dense)
+        labeler = ClusterLabeler(labeling_sets, theta=theta, f=lambda _t: f_theta)
         # query with the records themselves plus an all-missing one
         batch = records + [CategoricalRecord(schema, [MISSING] * 3)]
-        ref_labels, ref_best = dense_assign_with_scores(dense, batch)
-        labels, best = fast.assign_with_scores(batch)
-        assert_bitwise_equal(ref_labels, ref_best, labels, best)
-        for kernels in ASSIGN_KERNELS:
-            labels, best = fast.assign_with_scores(batch, kernels=kernels)
+        ref_labels, ref_best = oracle_assign_with_scores(labeler, batch)
+        for tier in INDEX_TIERS:
+            with forced_tier(tier):
+                labels, best = labeler.assign_with_scores(batch)
             assert_bitwise_equal(ref_labels, ref_best, labels, best)
 
     def test_outlier_short_circuit(self):
-        """Zero-overlap points label -1 without touching any arithmetic."""
-        dense = LabelingIndex(
-            [[Transaction({1, 2})], [Transaction({3, 4})]], 0.5, 0.4
+        """Zero-overlap points label -1 and score 0.0 on every tier."""
+        labeler = ClusterLabeler(
+            [[Transaction({1, 2})], [Transaction({3, 4})]], 0.5, f=lambda _t: 0.4
         )
-        fast = AssignmentIndex(dense)
         batch = [Transaction({99, 100}), Transaction(set()), Transaction({1, 2})]
-        labels, best = fast.assign_with_scores(batch)
-        assert labels.tolist() == [-1, -1, 0]
-        assert best[:2].tolist() == [0.0, 0.0]
-        assert best[2] > 0.0
+        for tier in INDEX_TIERS:
+            with forced_tier(tier):
+                labels, best = labeler.assign_with_scores(batch)
+            assert labels.tolist() == [-1, -1, 0]
+            assert best[:2].tolist() == [0.0, 0.0]
+            assert best[2] > 0.0
 
     def test_empty_batch_every_tier(self):
-        dense = LabelingIndex([[Transaction({1})]], 0.5, 0.4)
-        fast = AssignmentIndex(dense)
-        assert fast.assign([]).shape == (0,)
-        for kernels in ASSIGN_KERNELS:
-            labels, best = fast.assign_with_scores([], kernels=kernels)
+        labeler = ClusterLabeler([[Transaction({1})]], 0.5, f=lambda _t: 0.4)
+        for tier in INDEX_TIERS:
+            with forced_tier(tier):
+                labels, best = labeler.assign_with_scores([])
+                assert labeler.assign_all([]).shape == (0,)
             assert labels.shape == (0,) and best.shape == (0,)
 
     def test_pickle_roundtrip_preserves_assignments(self):
-        """The index ships through pool payloads; behaviour must survive."""
-        dense = LabelingIndex(
-            [[Transaction({1, 2, 3}), Transaction({2, 3, 4})],
-             [Transaction({7, 8})]],
-            0.4,
-            0.4,
+        """The index ships through pool payloads; behaviour must survive
+        on every tier, and no kernel handle travels with it."""
+        fast = AssignmentIndex(
+            LabelingIndex(
+                [[Transaction({1, 2, 3}), Transaction({2, 3, 4})],
+                 [Transaction({7, 8})]],
+                0.4,
+                0.4,
+            )
         )
-        fast = AssignmentIndex(dense)
         batch = [Transaction({1, 2}), Transaction({7, 8}), Transaction({50})]
         before = fast.assign_with_scores(batch)
         clone = pickle.loads(pickle.dumps(fast))
         assert clone._rep_t is None  # the scipy handle never travels
-        after = clone.assign_with_scores(batch)
-        assert_bitwise_equal(before[0], before[1], after[0], after[1])
+        assert clone.posting_share == fast.posting_share
+        for tier in INDEX_TIERS:
+            with forced_tier(tier):
+                assert clone.tier == tier
+                after = clone.assign_with_scores(batch)
+            assert_bitwise_equal(before[0], before[1], after[0], after[1])
 
 
 # -- backend resolution and engine wiring -------------------------------------
@@ -218,15 +229,33 @@ CLUSTER_A = [Transaction({1, 2, 3}), Transaction({1, 2, 4})]
 CLUSTER_B = [Transaction({7, 8, 9}), Transaction({7, 8, 10})]
 
 
-def engines_per_tier(model, **kwargs):
-    """``{tier: engine}`` for every index tier this machine has: the
-    probe picks the tier, so ``pruned`` is built under ``REPRO_NATIVE=0``."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("REPRO_NATIVE", "0")
-        engines = {"pruned": AssignmentEngine(model, **kwargs)}
-    if ASSIGN_KERNELS:
-        engines["native"] = AssignmentEngine(model, **kwargs)
-    return engines
+def tier_model(n_clusters, vocab, seed=0):
+    """Deployment-shaped labeling sets, as the assignment-tier bench
+    draws them: six 8-item representatives per cluster from per-cluster
+    pools carved out of a ``vocab``-item universe."""
+    import random
+
+    rng = random.Random(seed)
+    width = max(12, vocab // n_clusters)
+    pools = [rng.sample(range(vocab), width) for _ in range(n_clusters)]
+    return [
+        [Transaction(rng.sample(pool, 8)) for _ in range(6)] for pool in pools
+    ]
+
+
+def table5_sample_sets(n=2000, seed=1):
+    """The paper-basket sample's labeling sets: k=10 over ``n`` Table 5
+    baskets, as the benchmark fits its 2,000-point sample."""
+    default = SyntheticBasketConfig()
+    scale = n / default.n_transactions
+    config = replace(
+        default,
+        cluster_sizes=tuple(max(1, round(s * scale)) for s in default.cluster_sizes),
+        n_outliers=round(default.n_outliers * scale),
+    )
+    basket = generate_synthetic_basket(config, seed=seed)
+    pipeline = RockPipeline(k=10, theta=0.5, min_cluster_size=20, seed=seed)
+    return pipeline.fit_model(basket.transactions)[1].labeling_sets
 
 
 class TestBackendResolution:
@@ -248,23 +277,48 @@ class TestBackendResolution:
                 resolve_assign_backend(forced)
 
     def test_auto_resolves_to_fast_tier(self, monkeypatch):
-        """native wherever the C tier probed clean, pruned under the
-        ``REPRO_NATIVE=0`` kill switch -- silently either way."""
+        """The probe half: native wherever the C tier probed clean, the
+        numpy tiers under the ``REPRO_NATIVE=0`` kill switch -- silently
+        either way -- and the index finishes the choice."""
         monkeypatch.delenv("REPRO_NATIVE", raising=False)
         kernels = get_kernels()
-        expected = ("pruned", None) if kernels is None else ("native", kernels)
+        expected = ("numpy", None) if kernels is None else ("native", kernels)
+        index = ClusterLabeler([CLUSTER_A, CLUSTER_B], 0.4).assignment_index
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert resolve_assign_backend("auto") == expected
             assert resolve_assign_backend() == expected
+            if kernels is not None:
+                assert index.tier == "native"
             monkeypatch.setenv("REPRO_NATIVE", "0")
-            assert resolve_assign_backend("auto") == ("pruned", None)
+            assert resolve_assign_backend("auto") == ("numpy", None)
+            assert index.tier == "dense"  # posting share 20 / 48
+            assert index.posting_share == pytest.approx(20 / 48)
 
     @pytest.mark.skipif(not ASSIGN_KERNELS, reason="no native assign kernel")
     def test_native_resolves_when_available(self):
         backend, kernels = resolve_assign_backend("auto")
         assert backend == "native"
         assert hasattr(kernels, "assign_block")
+
+    def test_native_needs_a_positive_theta(self):
+        """theta 0 makes every representative a neighbor: the constant
+        counts answer it on a numpy tier even where the C tier runs."""
+        index = ClusterLabeler([CLUSTER_A, CLUSTER_B], 0.0).assignment_index
+        assert index.tier == "dense"
+        assert index.assign([Transaction({99})]).tolist() == [0]
+
+    def test_no_compiler_rule_on_measured_shapes(self, monkeypatch):
+        """Without the C tier the paper-basket sample's model scores
+        dense and every deployment-shaped model of the tier bench
+        pruned."""
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        sample = ClusterLabeler(table5_sample_sets(), 0.5).assignment_index
+        assert sample.n_reps > 400
+        assert sample.tier == "dense"
+        for n_clusters, vocab in ((100, 1_000), (100, 4_000), (200, 2_000), (400, 4_000)):
+            index = ClusterLabeler(tier_model(n_clusters, vocab), 0.5).assignment_index
+            assert index.tier == "pruned", (n_clusters, vocab, index.posting_share)
 
 
 class TestEngineBackends:
@@ -276,19 +330,22 @@ class TestEngineBackends:
             Transaction({1, 2, 7, 8}), Transaction(set()),
         ]
         expected = [labeler.assign(point) for point in batch]
-        for tier, engine in engines_per_tier(model, cache_size=0).items():
-            assert engine.assign_batch(batch).tolist() == expected
-            assert engine.assign_backend == tier
-            assert engine.fast_index is not None
+        engine = AssignmentEngine(model, cache_size=0)
+        assert engine.fast_index is not None
+        for tier in INDEX_TIERS:
+            with forced_tier(tier):
+                assert engine.assign_batch(batch).tolist() == expected
+                assert engine.assign_backend == tier
 
     def test_backend_gauge_marks_the_active_tier(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "0")
         engine = AssignmentEngine(make_model([CLUSTER_A, CLUSTER_B]))
         gauges = engine.metrics.registry.snapshot()["gauges"]
-        assert gauges["serve.assign.backend.pruned"] == 1
+        assert engine.assign_backend == "dense"
+        assert gauges["serve.assign.backend.dense"] == 1
+        assert gauges["serve.assign.backend.pruned"] == 0
         assert gauges["serve.assign.backend.native"] == 0
         assert gauges["serve.assign.backend.fallback"] == 0
-        assert "serve.assign.backend.dense" not in gauges
 
     def test_fallback_tier_for_custom_similarity(self):
         from repro.core.similarity import SimilarityTable
@@ -298,6 +355,7 @@ class TestEngineBackends:
         engine = AssignmentEngine(model)
         assert engine.assign_backend == "fallback"
         assert engine.fast_index is None
+        assert engine.assign("p") == 0
         gauges = engine.metrics.registry.snapshot()["gauges"]
         assert gauges["serve.assign.backend.fallback"] == 1
 
@@ -318,9 +376,35 @@ class TestEngineBackends:
         labeling_sets = [[Transaction(s) for s in li] for li in sets]
         model = make_model(labeling_sets, theta=theta)
         batch = [Transaction(p) for p in points]
-        dense = model.labeler().index.assign(batch).tolist()
-        for engine in engines_per_tier(model, cache_size=0).values():
-            assert engine.assign_batch(batch).tolist() == dense
+        labeler = model.labeler()
+        expected = [labeler.assign(p) for p in batch]
+        engine = AssignmentEngine(model, cache_size=0)
+        for tier in INDEX_TIERS:
+            with forced_tier(tier):
+                assert engine.assign_batch(batch).tolist() == expected
+
+    @pytest.mark.parametrize("rule", ["default", "numpy", "dense", "pruned"])
+    def test_scan_engine_and_stream_name_one_tier(self, monkeypatch, rule):
+        """The label scan, the engine and the stream labeler ask one
+        index, so one model gets one tier in all three."""
+        if rule != "default":
+            monkeypatch.setenv("REPRO_NATIVE", "0")
+        if rule in ("dense", "pruned"):
+            import repro.serve.index as index_mod
+
+            cut = 0.0 if rule == "dense" else math.inf
+            monkeypatch.setattr(index_mod, "DENSE_POSTING_SHARE", cut)
+        clusterer = StreamClusterer(
+            RockPipeline(k=2, theta=0.4, min_cluster_size=1, seed=0),
+            reservoir_size=8,
+        )
+        clusterer.process((CLUSTER_A + CLUSTER_B) * 2)
+        tier = clusterer._assign_backend
+        assert tier in ("native", "dense", "pruned")
+        assert clusterer.model.labeler().assign_backend == tier
+        assert AssignmentEngine(clusterer.model).assign_backend == tier
+        if rule in ("dense", "pruned"):
+            assert tier == rule
 
 
 # -- the prefix-filtered native kernel ---------------------------------------
@@ -407,20 +491,21 @@ class TestPrefixKernel:
             labeling_sets.append(list(labeling_sets[0]))
         batch = [Transaction(inv | oov) for inv, oov in points]
         f_theta = (1 - theta) / (1 + theta)
-        fast = AssignmentIndex(LabelingIndex(labeling_sets, theta, f_theta))
         labeler = ClusterLabeler(labeling_sets, theta=theta, f=lambda _t: f_theta)
+        fast = labeler.assignment_index
         verified, scored = Counter(), Counter()
-        for kernels in ASSIGN_KERNELS:
+        with forced_tier("native"):
             labels, best = fast.assign_with_scores(
-                batch, block_size=block_size, kernels=kernels, counter=verified
+                batch, block_size=block_size, counter=verified
             )
-            assert labels.tolist() == [labeler.assign(p) for p in batch]
+        assert labels.tolist() == [labeler.assign(p) for p in batch]
+        with forced_tier("pruned"):
             ref_labels, ref_best = fast.assign_with_scores(
                 batch, block_size=block_size, counter=scored
             )
-            assert_bitwise_equal(ref_labels, ref_best, labels, best)
-            # every verified candidate shares an item with its point
-            assert verified.value <= scored.value
+        assert_bitwise_equal(ref_labels, ref_best, labels, best)
+        # every verified candidate shares an item with its point
+        assert verified.value <= scored.value
 
     def test_long_row_is_sorted_before_probing(self):
         """A 36-item point, past the kernel's insertion-sort cutoff.
@@ -438,40 +523,35 @@ class TestPrefixKernel:
             [Transaction(common)],
         ]
         point = Transaction(common + [b])
-        theta, f_theta = 0.6, 0.4
-        fast = AssignmentIndex(LabelingIndex(labeling_sets, theta, f_theta))
-        labeler = ClusterLabeler(labeling_sets, theta=theta, f=lambda _t: f_theta)
+        labeler = ClusterLabeler(labeling_sets, theta=0.6, f=lambda _t: 0.4)
         assert labeler.assign(point) == 0
-        ref_labels, ref_best = fast.assign_with_scores([point])
-        for kernels in ASSIGN_KERNELS:
-            labels, best = fast.assign_with_scores([point], kernels=kernels)
-            assert_bitwise_equal(ref_labels, ref_best, labels, best)
+        with forced_tier("pruned"):
+            ref_labels, ref_best = labeler.assign_with_scores([point])
+        with forced_tier("native"):
+            labels, best = labeler.assign_with_scores([point])
+        assert_bitwise_equal(ref_labels, ref_best, labels, best)
 
     def test_out_of_vocabulary_batch_verifies_nothing(self):
-        fast = AssignmentIndex(LabelingIndex([CLUSTER_A, CLUSTER_B], 0.4, 0.4))
+        labeler = ClusterLabeler([CLUSTER_A, CLUSTER_B], 0.4, f=lambda _t: 0.4)
         batch = [Transaction({90, 91}), Transaction({92}), Transaction(set())]
-        for kernels in ASSIGN_KERNELS:
-            verified = Counter()
-            labels, best = fast.assign_with_scores(
-                batch, kernels=kernels, counter=verified
-            )
-            assert labels.tolist() == [-1, -1, -1]
-            assert best.tolist() == [0.0, 0.0, 0.0]
-            assert verified.value == 0
+        verified = Counter()
+        with forced_tier("native"):
+            labels, best = labeler.assign_with_scores(batch, counter=verified)
+        assert labels.tolist() == [-1, -1, -1]
+        assert best.tolist() == [0.0, 0.0, 0.0]
+        assert verified.value == 0
 
     def test_no_probe_when_oov_items_fill_the_prefix(self):
         """{1, 2} plus four OOV items reaches {1, 2, 3} at 2/7 < 0.5: the
         OOV items rank first and use up the whole prefix, so the point
         is an outlier without a single candidate."""
-        fast = AssignmentIndex(LabelingIndex([CLUSTER_A], 0.5, 0.4))
+        labeler = ClusterLabeler([CLUSTER_A], 0.5, f=lambda _t: 0.4)
         verified = Counter()
-        for kernels in ASSIGN_KERNELS:
-            labels = fast.assign(
-                [Transaction({1, 2, 90, 91, 92, 93})],
-                kernels=kernels,
-                counter=verified,
+        with forced_tier("native"):
+            labels, _ = labeler.assign_with_scores(
+                [Transaction({1, 2, 90, 91, 92, 93})], counter=verified
             )
-            assert labels.tolist() == [-1]
+        assert labels.tolist() == [-1]
         assert verified.value == 0
 
 
@@ -505,35 +585,76 @@ class TestCandidateCounts:
             if span.name == "label"
         )
         assert label_span.attrs["candidates"] == candidates
-        if get_kernels() is not None:
-            assert 0 < candidates < pairs  # the prefix filter prunes
+        tier = ClusterLabeler(result.labeling_sets, 0.5).assign_backend
+        if tier == "dense":
+            assert candidates == pairs  # the matmul scores every pair
         else:
-            assert candidates == pairs  # the dense route scores every pair
+            assert 0 < candidates < pairs  # the prefix filter or gather prunes
 
     def test_engine_records_assign_candidates(self):
         model = make_model([CLUSTER_A, CLUSTER_B])
-        for engine in engines_per_tier(model, cache_size=0).values():
+        for tier in INDEX_TIERS:
+            engine = AssignmentEngine(model, cache_size=0)
             counters = engine.metrics.registry.snapshot
-            engine.assign_batch([Transaction({90, 91}), Transaction({92})])
-            assert counters()["counters"]["serve.assign.candidates"] == 0
-            batch = [Transaction({1, 2}), Transaction({7, 8, 9})]
-            engine.assign_batch(batch)
-            recorded = counters()["counters"]["serve.assign.candidates"]
-            assert 0 < recorded <= len(batch) * 4
+            with forced_tier(tier):
+                engine.assign_batch([Transaction({90, 91}), Transaction({92})])
+                oov = counters()["counters"]["serve.assign.candidates"]
+                batch = [Transaction({1, 2}), Transaction({7, 8, 9})]
+                engine.assign_batch(batch)
+            recorded = counters()["counters"]["serve.assign.candidates"] - oov
+            if tier == "dense":
+                # the matmul scores every pair, shared items or not
+                assert (oov, recorded) == (2 * 4, len(batch) * 4)
+            else:
+                assert oov == 0
+                assert 0 < recorded <= len(batch) * 4
 
 
 class TestBlockSize:
     @pytest.mark.parametrize("block_size", [0, -3])
     def test_non_positive_block_size_rejected(self, block_size):
-        dense = LabelingIndex([CLUSTER_A, CLUSTER_B], 0.4, 0.4)
-        fast = AssignmentIndex(dense)
+        fast = ClusterLabeler([CLUSTER_A, CLUSTER_B], 0.4).assignment_index
         batch = [Transaction({1, 2}), Transaction({7, 8}), Transaction({42})]
-        with pytest.raises(ValueError, match="block_size"):
-            dense.assign(batch, block_size=block_size)
-        for kernels in [None, *ASSIGN_KERNELS]:
-            with pytest.raises(ValueError, match="block_size"):
-                fast.assign(batch, block_size=block_size, kernels=kernels)
-            with pytest.raises(ValueError, match="block_size"):
-                fast.assign_with_scores(
-                    batch, block_size=block_size, kernels=kernels
-                )
+        for tier in INDEX_TIERS:
+            with forced_tier(tier):
+                with pytest.raises(ValueError, match="block_size"):
+                    fast.assign(batch, block_size=block_size)
+                with pytest.raises(ValueError, match="block_size"):
+                    fast.assign_with_scores(batch, block_size=block_size)
+
+
+# the same fit in two interpreters whose string hashes differ
+HASH_SEED_FIT = """
+import hashlib
+from tests.test_assign_index import table5_fit
+from repro.core.labeling import ClusterLabeler
+from repro.obs.trace import Tracer
+
+tracer = Tracer()
+result = table5_fit(tracer)
+index = ClusterLabeler(result.labeling_sets, 0.5).assignment_index
+print(hashlib.sha256(index.pre_reps.tobytes()).hexdigest())
+print(tracer.registry.snapshot()["counters"]["fit.label.candidates"])
+print(hashlib.sha256(result.labels.tobytes()).hexdigest())
+"""
+
+
+class TestHashSeed:
+    def test_prefixes_and_candidates_ignore_the_hash_seed(self):
+        """The representative vocabulary is sorted, as a dataset's is, so
+        the rank order and prefix postings do not follow the iteration
+        order of string item sets, nor does the scan's candidate count."""
+        root = Path(__file__).resolve().parent.parent
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=seed,
+                PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]),
+            )
+            run = subprocess.run(
+                [sys.executable, "-c", HASH_SEED_FIT],
+                env=env, cwd=root, capture_output=True, text=True, check=True,
+            )
+            outputs.append(run.stdout.split())
+        assert outputs[0] == outputs[1]

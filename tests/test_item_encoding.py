@@ -224,7 +224,7 @@ class TestDerivedViews:
         st.lists(
             st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=6),
             min_size=1, max_size=10,
-        ).filter(any)  # a store of no items cannot be memory-mapped
+        )
     )
     def test_store_rows_are_item_sets(self, tmp_path_factory, rows):
         """Store rows read each row as the set of its items, repeats and all."""

@@ -24,13 +24,12 @@ import pytest
 
 import repro.native as native
 from repro.core.goodness import naive_goodness
-from repro.core.labeling import LabelingIndex
 from repro.core.merge import merge_engine
 from repro.core.pipeline import RockPipeline
 from repro.data.transactions import Transaction, TransactionDataset
 from repro.native import cext
 from repro.obs.trace import Tracer
-from repro.serve.index import resolve_assign_backend
+from repro.serve.index import AssignmentIndex, resolve_assign_backend
 
 
 @pytest.fixture(autouse=True)
@@ -80,17 +79,17 @@ def baskets(n_clusters: int = 4, per: int = 8, seed: int = 3):
     return TransactionDataset(txns)
 
 
-def count_dense_labeling(monkeypatch) -> list[int]:
-    """Count the dense ``LabelingIndex.assign`` scans of the next fits."""
-    calls: list[int] = []
-    dense_assign = LabelingIndex.assign
+def record_label_tiers(monkeypatch) -> list[str]:
+    """The tier of every index scan the next fits run, in order."""
+    tiers: list[str] = []
+    scan = AssignmentIndex.assign_with_scores
 
-    def counted(self, points, block_size=None):
-        calls.append(1)
-        return dense_assign(self, points, block_size)
+    def recorded(self, *args, **kwargs):
+        tiers.append(self.tier)
+        return scan(self, *args, **kwargs)
 
-    monkeypatch.setattr(LabelingIndex, "assign", counted)
-    return calls
+    monkeypatch.setattr(AssignmentIndex, "assign_with_scores", recorded)
+    return tiers
 
 
 def compiler_on_path() -> str | None:
@@ -131,16 +130,17 @@ class TestProbe:
         """A default sampled fit runs on fast + fused, without a warning
         (the baskets share few items, so the planner picks shared-item
         scoring, and without the C tier that is the fused kernel)."""
-        dense_scans = count_dense_labeling(monkeypatch)
+        label_tiers = record_label_tiers(monkeypatch)
         data = baskets(per=20)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # any warning fails the test
             result = RockPipeline(k=3, theta=0.5, sample_size=30, seed=1).fit(data)
-            assert resolve_assign_backend("auto") == ("pruned", None)
+            assert resolve_assign_backend("auto") == ("numpy", None)
         assert result.backends == {
             "fit": "fused", "links": "dense-blocks", "merge": "fast"
         }
-        assert dense_scans == [1]
+        # 12-item pools: each item's postings hold many representatives
+        assert label_tiers == ["dense"]
         assert len(result.clusters) >= 1
 
     def test_disabled_env_kills_every_tier(self, no_backends):
@@ -213,9 +213,9 @@ class TestForcedNativeFallsBack:
 class TestAutoStaysSilent:
     def test_auto_without_opt_in_is_quiet(self, c_tier, monkeypatch):
         """No ``REPRO_NATIVE`` set: auto goes native for merge, assign
-        and labeling; under ``REPRO_NATIVE=0`` it stays on fast, pruned
-        and the dense labeling scan.  Neither side warns."""
-        dense_scans = count_dense_labeling(monkeypatch)
+        and labeling; under ``REPRO_NATIVE=0`` it stays on fast and the
+        numpy tier the index picks (dense here).  Neither side warns."""
+        label_tiers = record_label_tiers(monkeypatch)
         data = baskets(per=20)
         pipeline = RockPipeline(k=3, theta=0.5, sample_size=30, seed=1)
         with warnings.catch_warnings():
@@ -225,16 +225,16 @@ class TestAutoStaysSilent:
             promoted = pipeline.fit(data)
             assert promoted.backends["merge"] == "native:cext"
             assert promoted.backends["links"] == "rows:cext"
-            assert dense_scans == []
+            assert label_tiers == ["native"]
 
             monkeypatch.setenv("REPRO_NATIVE", "0")
             assert merge_engine() == "fast"
-            assert resolve_assign_backend("auto") == ("pruned", None)
+            assert resolve_assign_backend("auto") == ("numpy", None)
             reference = pipeline.fit(data)
             assert reference.backends == {
                 "fit": "fused", "links": "dense-blocks", "merge": "fast"
             }
-            assert dense_scans == [1]
+            assert label_tiers == ["native", "dense"]
         assert np.array_equal(promoted.labels, reference.labels)
         assert promoted.clusters == reference.clusters
 

@@ -318,24 +318,24 @@ class TestNativeAssignKernel:
     def test_assign_block_matches_pruned_path(
         self, sets, points, theta, block_size
     ):
-        from repro.core.labeling import LabelingIndex
-        from repro.serve.index import AssignmentIndex
+        from repro.core.labeling import ClusterLabeler
         from repro.data.transactions import Transaction as T
+        from tests.tiers import forced_tier
 
         half = max(1, len(sets) // 2)
         labeling_sets = [
             [T(s) for s in sets[:half]], [T(s) for s in sets[half:]]
         ]
-        dense = LabelingIndex(labeling_sets, theta, 0.4)
-        fast = AssignmentIndex(dense)
+        labeler = ClusterLabeler(labeling_sets, theta, f=lambda _t: 0.4)
+        fast = labeler.assignment_index
         batch = [T(p) for p in points]
-        ref_labels, ref_best = fast.assign_with_scores(
-            batch, block_size=block_size
-        )
-        assert np.array_equal(dense.assign(batch), ref_labels)
-        labels, best = fast.assign_with_scores(
-            batch, block_size=block_size, kernels=KERNELS
-        )
+        with forced_tier("pruned"):
+            ref_labels, ref_best = fast.assign_with_scores(
+                batch, block_size=block_size
+            )
+        assert ref_labels.tolist() == [labeler.assign(p) for p in batch]
+        with forced_tier("native"):
+            labels, best = fast.assign_with_scores(batch, block_size=block_size)
         assert np.array_equal(labels, ref_labels)
         assert best.tobytes() == ref_best.tobytes()
 

@@ -2,8 +2,9 @@
 
 The dense fit path fills its boolean adjacency from row blocks of
 scores, squares it into a :class:`LinkTable` block by block, and labels
-the unsampled points on the native ``assign_block`` kernel, or in
-:class:`LabelingIndex` row blocks under ``REPRO_NATIVE=0``.  Each must
+the unsampled points on the native ``assign_block`` kernel, or under
+``REPRO_NATIVE=0`` on the numpy tier the index picks (the ``dense``
+tier scores :class:`LabelingIndex` row blocks).  Each must
 reproduce its oracle exactly -- thresholded ``pairwise`` similarity,
 ``LinkTable.from_dense(dense_link_matrix(g))``, and the per-point
 ``ClusterLabeler.assign`` loop -- for every block size, including the
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.labeling as labeling_mod
+import repro.serve.index as index_mod
 from repro.core.labeling import ClusterLabeler, LabelingIndex
 from repro.core.links import (
     LinkTable,
@@ -44,6 +45,7 @@ from repro.data.records import CategoricalDataset, CategoricalRecord, Categorica
 from repro.data.transactions import Transaction, TransactionDataset
 from repro.native import get_kernels
 from repro.serve.index import AssignmentIndex
+from tests.tiers import INDEX_TIERS, forced_tier
 
 SIMILARITIES = [JaccardSimilarity(), OverlapSimilarity()]
 
@@ -212,29 +214,31 @@ def _per_point_assign_all(self, points):
 
 def route_labels(make_labels, theta):
     """Labels of ``make_labels()`` after checking that the native route,
-    the ``REPRO_NATIVE=0`` dense route and the per-point loop agree, and
-    that only the native run scanned through the kernel -- once, and
-    only when ``theta > 0`` and the C tier probed clean."""
+    the ``REPRO_NATIVE=0`` route and the per-point loop agree, and that
+    only the native run scanned through the kernel -- once, and only
+    when ``theta > 0`` and the C tier probed clean."""
     labels, scans = [], []
     with pytest.MonkeyPatch.context() as mp:
-        native_assign = AssignmentIndex.assign
+        scan = AssignmentIndex.assign_with_scores
 
-        def counted(self, *args, **kwargs):
-            scans[-1] += 1
-            return native_assign(self, *args, **kwargs)
+        def recorded(self, *args, **kwargs):
+            scans[-1].append(self.tier)
+            return scan(self, *args, **kwargs)
 
-        mp.setattr(AssignmentIndex, "assign", counted)
+        mp.setattr(AssignmentIndex, "assign_with_scores", recorded)
         mp.delenv("REPRO_NATIVE", raising=False)
         kernel_runs = int(get_kernels() is not None and theta > 0.0)
-        for route in ("native", "dense", "per-point"):
-            if route == "dense":
+        for route in ("native", "numpy", "per-point"):
+            if route == "numpy":
                 mp.setenv("REPRO_NATIVE", "0")
             if route == "per-point":
                 mp.setattr(ClusterLabeler, "assign_all", _per_point_assign_all)
-            scans.append(0)
+            scans.append([])
             labels.append(np.asarray(make_labels()).tolist())
     assert labels[0] == labels[1] == labels[2]
-    assert scans == [kernel_runs, 0, 0]
+    native_runs = [scan.count("native") for scan in scans]
+    assert native_runs == [kernel_runs, 0, 0]
+    assert [len(scan) for scan in scans[1:]] == [len(scans[0]), 0]
     return labels[0]
 
 
@@ -277,35 +281,56 @@ class TestAssignAll:
         )
         expected = per_point(labeler, points)
         assert route_labels(lambda: labeler.assign_all(iter(points)), theta) == expected
-        assert labeler.index.assign(points, block_size=block_size).tolist() == expected
+        for tier in INDEX_TIERS:
+            with forced_tier(tier):
+                labels = labeler.assignment_index.assign(points, block_size=block_size)
+            assert labels.tolist() == expected
+
+
+def dense_block_rows(monkeypatch) -> list[int]:
+    """Force the dense tier and record the rows of each matmul block."""
+    monkeypatch.setenv("REPRO_NATIVE", "0")
+    monkeypatch.setattr(index_mod, "DENSE_POSTING_SHARE", 0.0)
+    seen: list[int] = []
+    original = LabelingIndex.neighbor_counts
+
+    def counting(self, points):
+        seen.append(len(points))
+        return original(self, points)
+
+    monkeypatch.setattr(LabelingIndex, "neighbor_counts", counting)
+    return seen
 
 
 class TestAssignBlockBudget:
     def test_default_rows_follow_the_widest_temporary(self, monkeypatch):
-        wide = LabelingIndex([[Transaction(set(range(5000)))]], theta=0.5, f_theta=1.0)
-        tall = LabelingIndex(
-            [[Transaction({i}) for i in range(3000)]], theta=0.5, f_theta=1.0
-        )
-        budget = labeling_mod.ASSIGN_BLOCK_BYTES
-        assert wide.default_block_size() == budget // (8 * 5000)
-        assert tall.default_block_size() == budget // (8 * 3000)
-        monkeypatch.setattr(labeling_mod, "ASSIGN_BLOCK_BYTES", 1)
-        assert wide.default_block_size() == 1
+        """The dense tier's blocks keep ``rows x max(vocab, reps)``
+        float64 within ASSIGN_BLOCK_BYTES, whatever block the caller
+        asks for (the engine asks for 8,192 rows)."""
+        seen = dense_block_rows(monkeypatch)
+        wide = ClusterLabeler([[Transaction(set(range(5000)))]], theta=0.5)
+        tall = ClusterLabeler([[Transaction({i}) for i in range(3000)]], theta=0.5)
+        budget = index_mod.ASSIGN_BLOCK_BYTES
+        queries = [Transaction({i}) for i in range(120)]
+        for labeler, width in ((wide, 5000), (tall, 3000)):
+            rows = budget // (8 * width)
+            seen.clear()
+            labeler.assignment_index.assign(queries, block_size=8192)
+            assert seen == [rows] * (120 // rows) + [120 % rows]
+        monkeypatch.setattr(index_mod, "ASSIGN_BLOCK_BYTES", 1)
+        seen.clear()
+        wide.assignment_index.assign(queries[:3])
+        assert seen == [1, 1, 1]
 
     def test_explicit_block_size_is_honoured(self, monkeypatch):
-        index = ClusterLabeler([CLUSTER_A, CLUSTER_B], theta=0.4).index
-        seen = []
-        original = LabelingIndex.neighbor_counts
-
-        def counting(self, points):
-            seen.append(len(points))
-            return original(self, points)
-
-        monkeypatch.setattr(LabelingIndex, "neighbor_counts", counting)
+        seen = dense_block_rows(monkeypatch)
+        index = ClusterLabeler([CLUSTER_A, CLUSTER_B], theta=0.4).assignment_index
         index.assign(QUERIES, block_size=2)
         assert seen == [2, 2, 1]
         seen.clear()
-        monkeypatch.setattr(labeling_mod, "ASSIGN_BLOCK_BYTES", 8 * index.rep_matrix.shape[1] * 3)
+        monkeypatch.setattr(
+            index_mod, "ASSIGN_BLOCK_BYTES", 8 * index.dense.rep_matrix.shape[1] * 3
+        )
         index.assign(QUERIES)
         assert seen == [3, 2]
 
