@@ -1,20 +1,18 @@
-"""S1 -- serving throughput: labeler loop vs vectorized engine vs parallel.
+"""S1 -- serving throughput: labeler loop vs vectorized engine.
 
 The §4.6 labeling scan is the serve-time hot path: once a sample is
 clustered, every remaining (or future) point flows through per-point
 assignment.  This bench fits one model on a small sample, then labels
-n ∈ {10k, 100k} synthetic market-basket points three ways:
+n ∈ {10k, 100k} synthetic market-basket points two ways:
 
 * ``labeler`` -- the sequential :class:`ClusterLabeler` loop (one
   Python-level matvec per point);
-* ``engine`` -- :class:`AssignmentEngine` batches through its index;
-* ``parallel`` -- :func:`repro.serve.assign_stream` over worker
-  processes.
+* ``engine`` -- :class:`AssignmentEngine` batches through its index.
 
 The acceptance bar is engine >= 5x labeler throughput at n=100k; in
 practice the batch path lands one to two orders of magnitude ahead.
-The serving metrics snapshot for the engine run is appended to the
-saved table.
+The registry snapshot (the fit's ``fit.*`` and the engine runs'
+``serve.*`` metrics) is appended to the saved table.
 
 ``test_assign_tiers`` is the backend-tier comparison and the sweep
 behind :data:`repro.serve.index.DENSE_POSTING_SHARE`.  Its rows are two
@@ -56,17 +54,11 @@ from benchmarks.machine import machine_summary, native_off
 from repro.core.labeling import ClusterLabeler
 from repro.data.transactions import Transaction
 from repro.eval import format_table
-from repro.serve import (
-    AssignmentEngine,
-    RockModel,
-    ServeMetrics,
-    assign_stream,
-)
+from repro.serve import AssignmentEngine, RockModel
 from repro.core.pipeline import RockPipeline
 from repro.datasets import small_synthetic_basket
 
 SIZES = (10_000, 100_000)
-WORKERS = 4
 
 # (n_clusters, vocab) grid for the tier comparison; every config sits
 # past the pruning break-even (>= 100 clusters, >= 1k vocabulary)
@@ -124,9 +116,8 @@ def test_serve_throughput(benchmark, save_result, save_manifest):
 
     rows = []
     rates: dict[tuple[int, str], float] = {}
-    # serving metrics share the tracer's registry, so the saved
+    # the engines record into the tracer's registry, so the saved
     # manifest carries fit spans and serve counters in one artifact
-    engine_metrics = ServeMetrics(registry=tracer.registry)
     for n in SIZES:
         points = _grow_stream(basket, n, seed=n)
 
@@ -138,26 +129,17 @@ def test_serve_throughput(benchmark, save_result, save_manifest):
             )
             loop_seconds = time.perf_counter() - start
 
-        engine = AssignmentEngine(model, metrics=engine_metrics, cache_size=0)
+        engine = AssignmentEngine(model, registry=tracer.registry, cache_size=0)
         with tracer.span("engine", n=n):
             start = time.perf_counter()
             labels_engine = engine.assign_batch(points)
             engine_seconds = time.perf_counter() - start
 
-        with tracer.span("parallel", n=n, workers=WORKERS):
-            start = time.perf_counter()
-            labels_parallel = assign_stream(
-                model, points, workers=WORKERS, chunk_size=8192
-            )
-            parallel_seconds = time.perf_counter() - start
-
         assert labels_engine.tolist() == labels_loop.tolist()
-        assert labels_parallel.tolist() == labels_loop.tolist()
 
         for name, seconds in (
             ("labeler", loop_seconds),
             ("engine", engine_seconds),
-            (f"parallel x{WORKERS}", parallel_seconds),
         ):
             rates[(n, name)] = n / seconds
             rows.append([
@@ -183,8 +165,8 @@ def test_serve_throughput(benchmark, save_result, save_manifest):
         title=f"Serve throughput (model: {model.n_clusters} clusters, "
               f"|L| = {sum(len(li) for li in model.labeling_sets)} reps)",
     )
-    text += "\n\nEngine metrics snapshot:\n"
-    text += json.dumps(engine_metrics.snapshot(), indent=2)
+    text += "\n\nRegistry snapshot (the fit's fit.*, the engines' serve.*):\n"
+    text += json.dumps(tracer.registry.snapshot(), indent=2)
     text += "\n\n" + machine_summary()
     save_result("serve_throughput", text)
     save_manifest(
@@ -193,7 +175,6 @@ def test_serve_throughput(benchmark, save_result, save_manifest):
             "bench_serve_throughput", tracer,
             config={
                 "sizes": list(SIZES),
-                "workers": WORKERS,
                 "theta": 0.45,
                 "k": 4,
             },

@@ -35,7 +35,7 @@ import time
 
 import repro.serve.index as index_mod
 from repro.data.transactions import Transaction
-from repro.serve import AssignmentEngine, RockModel, ServeMetrics
+from repro.serve import AssignmentEngine, RockModel
 
 N_CLUSTERS = 150
 VOCAB = 2_000
@@ -107,7 +107,7 @@ def main() -> None:
     print(f"model: {model.n_clusters} clusters, {n_reps} representatives, "
           f"{VOCAB}-item vocabulary; stream of {len(points):,} points\n")
 
-    default = AssignmentEngine(model, cache_size=0, metrics=ServeMetrics())
+    default = AssignmentEngine(model, cache_size=0)
     share = default.fast_index.posting_share
     with forced_tier("numpy"):
         no_compiler = default.assign_backend
@@ -121,7 +121,7 @@ def main() -> None:
 
     reference = dense_rate = None
     for tier in tiers:
-        engine = AssignmentEngine(model, cache_size=0, metrics=ServeMetrics())
+        engine = AssignmentEngine(model, cache_size=0)
         with forced_tier(tier):
             engine.assign_batch(points[:256])  # warm-up
             start = time.perf_counter()
@@ -132,7 +132,7 @@ def main() -> None:
             reference = labels
         assert (labels == reference).all(), "tiers must agree bit-for-bit"
 
-        snapshot = engine.metrics.registry.snapshot()
+        snapshot = engine.registry.snapshot()
         # pairs scored by the index tier, warm-up included
         candidates = snapshot["counters"]["serve.assign.candidates"]
         rate = len(points) / seconds
@@ -140,7 +140,7 @@ def main() -> None:
         print(f"{active:>6}: {rate:>10,.0f} points/sec  "
               f"({rate / dense_rate:4.1f}x dense)  scored={candidates:,} pairs")
 
-    gauges = default.metrics.registry.snapshot()["gauges"]
+    gauges = default.registry.snapshot()["gauges"]
     active = [
         key.rsplit(".", 1)[1]
         for key, value in gauges.items()

@@ -8,7 +8,9 @@ assigned by counting its neighbors in small per-cluster labeling sets.
 1. ``RockPipeline.fit_model`` clusters and freezes a ``RockModel``;
 2. ``model.save`` writes it as plain JSON (no pickle, versioned);
 3. ``ClusteringService`` / ``AssignmentEngine`` load it back and label
-   fresh batches at matmul speed, with serving metrics.
+   fresh batches at matmul speed, recording ``serve.*`` metrics into a
+   ``MetricsRegistry`` (printed here as the HTTP ``/metrics`` renders
+   them).
 
     python examples/serve_assign.py
 """
@@ -18,7 +20,8 @@ from pathlib import Path
 
 from repro import RockPipeline, Transaction
 from repro.datasets import small_synthetic_basket
-from repro.serve import ClusteringService, RockModel, ServeMetrics
+from repro.obs import metrics_to_prometheus
+from repro.serve import ClusteringService, RockModel
 
 
 def main() -> None:
@@ -39,10 +42,10 @@ def main() -> None:
     print(f"saved {model_path.stat().st_size:,}-byte JSON model\n")
 
     # --- serve day: a different process loads the artifact --------------
-    metrics = ServeMetrics()
-    service = ClusteringService(RockModel.load(model_path), metrics=metrics)
-    print(f"loaded: {service.describe()['n_clusters']} clusters, "
-          f"vectorized={service.describe()['vectorized']}")
+    service = ClusteringService(RockModel.load(model_path))
+    facts = service.describe()
+    print(f"loaded: {facts['n_clusters']} clusters, "
+          f"assign backend {facts['assign_backend']}")
 
     # single points...
     member = next(
@@ -61,11 +64,12 @@ def main() -> None:
     print(f"batch of {len(held_out)}: {agree:.0%} agreement with the "
           f"fit-time labels (sampled points were clustered, not labeled)\n")
 
-    # worker processes for disk-scale streams; order is preserved
-    parallel = service.assign_stream(held_out, workers=2, chunk_size=128)
-    assert (parallel == labels).all()
+    # disk-scale streams run through the same engine in fixed-size
+    # batches, without materialising the input; order is preserved
+    streamed = service.engine.assign_all(iter(held_out), batch_size=128)
+    assert (streamed == labels).all()
 
-    print(metrics.render())
+    print(metrics_to_prometheus(service.metrics_snapshot()), end="")
 
 
 if __name__ == "__main__":

@@ -52,7 +52,6 @@ from repro.serve import (
     AssignmentEngine,
     ClusteringService,
     RockModel,
-    ServeMetrics,
 )
 from repro.data import (
     CategoricalDataset,
@@ -70,7 +69,6 @@ __all__ = [
     "CategoricalDataset",
     "ClusteringService",
     "RockModel",
-    "ServeMetrics",
     "Dendrogram",
     "qrock",
     "CategoricalRecord",

@@ -29,7 +29,7 @@ Examples::
     python -m repro fit-model --input txns.txt --theta 0.5 -k 4 \\
         --sample 500 --model model.json
     python -m repro assign --model model.json --input heldout.txt \\
-        --output labels.txt --workers 4 --show-metrics
+        --output labels.txt --show-metrics
 
 All randomness is seedable; identical invocations reproduce identical
 outputs.
@@ -93,6 +93,13 @@ def _add_fit_memory_args(sub: argparse.ArgumentParser) -> None:
         help="process count for the native/fused kernels: an int, "
         "'auto' (CPU count, capped at 8), or omitted for serial",
     )
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
 
 
 def _add_obs_args(sub: argparse.ArgumentParser) -> None:
@@ -308,11 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", type=Path, default=None,
         help="write per-record labels here (default: stdout summary only)",
     )
-    assign.add_argument("--workers", type=int, default=1)
-    assign.add_argument("--chunk-size", type=int, default=2048)
+    assign.add_argument(
+        "--chunk-size", type=_positive_int, default=2048,
+        help="points per engine batch",
+    )
     assign.add_argument(
         "--show-metrics", action="store_true",
-        help="print the serving metrics snapshot after assignment",
+        help="print the serve.* metrics (Prometheus text) after assignment",
     )
     _add_obs_args(assign)
 
@@ -698,23 +707,19 @@ def cmd_fit_model(args: argparse.Namespace) -> int:
 
 
 def cmd_assign(args: argparse.Namespace) -> int:
-    from repro.obs import Tracer
-    from repro.serve import ClusteringService, ServeMetrics
+    from repro.obs import Tracer, metrics_to_prometheus
+    from repro.serve import ClusteringService
 
     # the service records into the tracer's registry, so serving
     # counters and the assign span land in the same manifest
     tracer = Tracer()
-    metrics = ServeMetrics(registry=tracer.registry)
-    service = ClusteringService.from_file(args.model, metrics=metrics)
+    service = ClusteringService.from_file(args.model, registry=tracer.registry)
     start = time.perf_counter()
-    with tracer.span(
-        "assign", input=str(args.input), workers=args.workers
-    ):
+    with tracer.span("assign", input=str(args.input)):
         labels = service.assign_file(
             args.input,
             output=args.output,
             input_format=args.input_format,
-            workers=args.workers,
             chunk_size=args.chunk_size,
         )
     elapsed = time.perf_counter() - start
@@ -724,7 +729,6 @@ def cmd_assign(args: argparse.Namespace) -> int:
         ["clusters in model", service.n_clusters],
         ["outliers / unassigned", int((labels == -1).sum())],
         ["assign backend", service.engine.assign_backend],
-        ["workers", args.workers],
         ["wall-clock (s)", f"{elapsed:.2f}"],
         ["throughput (points/s)", f"{n / elapsed:,.0f}" if elapsed > 0 else "inf"],
     ]
@@ -732,14 +736,14 @@ def cmd_assign(args: argparse.Namespace) -> int:
     if args.output is not None:
         print(f"labels written to {args.output}")
     if args.show_metrics:
+        # only the engine records into this registry: all serve.*
         print()
-        print(service.metrics.render())
+        print(metrics_to_prometheus(service.metrics_snapshot()), end="")
     _emit_observability(
         args, "assign", tracer,
         config={
             "model": str(args.model),
             "input": str(args.input),
-            "workers": args.workers,
             "chunk_size": args.chunk_size,
             "assign_backend": service.engine.assign_backend,
         },

@@ -7,9 +7,9 @@ instrumentation.  This package is that layer, dependency-free:
 
 * :class:`~repro.obs.registry.MetricsRegistry` -- thread-safe named
   counters / gauges / histograms with ``snapshot()``/``merge()``
-  semantics, so worker processes record locally and ship deltas back
-  (:class:`~repro.serve.metrics.ServeMetrics` is now a thin adapter
-  over it);
+  semantics, so fit worker processes record locally and ship deltas
+  back (the serving engine records its ``serve.*`` metrics into one
+  directly);
 * :class:`~repro.obs.trace.Tracer` -- nestable ``span()`` context
   managers capturing wall time, CPU time, and peak-RSS delta into a
   serialisable span tree;

@@ -1,14 +1,13 @@
 """A thread-safe registry of named counters, gauges, and histograms.
 
-This is the metrics substrate shared by the fit and serve paths.  It
-generalises what used to be hand-rolled inside
-:mod:`repro.serve.metrics` (``_LatencyStat`` and the batch-size bucket
-array): every instrument lives under a dotted name in one
+This is the metrics substrate shared by the fit and serve paths (the
+serving engine records its ``serve.*`` instruments here directly):
+every instrument lives under a dotted name in one
 :class:`MetricsRegistry`, all mutation happens behind a single lock,
 and the whole registry reduces to a plain-dict :meth:`snapshot` that is
-JSON-ready and **mergeable** -- a worker process records into its own
-registry, ships ``snapshot()`` back with its results, and the parent
-folds it in with :meth:`merge`.  Merging is associative and
+JSON-ready and **mergeable** -- a fit worker process records into its
+own registry, ships ``snapshot()`` back with its results, and the
+parent folds it in with :meth:`merge`.  Merging is associative and
 order-independent for counters and histograms (pure addition /
 min-max), which is what makes traces survive the process pool.
 
@@ -20,7 +19,7 @@ Instruments
 * :class:`Histogram` -- observation count / sum / min / max plus
   optional cumulative-style bucket counts over fixed upper edges (the
   last bucket is open-ended).  With ``buckets=()`` it degrades to a
-  summary (exactly the old ``_LatencyStat``).
+  summary (count / sum / min / max only).
 """
 
 from __future__ import annotations
@@ -118,7 +117,7 @@ class Histogram:
     def snapshot(self) -> dict[str, Any]:
         """Plain-dict view (caller holds no lock; registry locks).
 
-        ``min``/``max`` are 0.0 when empty; after merging a legacy
+        ``min``/``max`` are 0.0 when empty; after merging a
         snapshot that never tracked extrema they can be *unknown*
         despite a positive count, in which case the keys are omitted
         (keeping the snapshot finite and re-mergeable).
@@ -144,8 +143,8 @@ class Histogram:
         """Fold another histogram's :meth:`snapshot` into this one.
 
         Missing ``min``/``max`` keys are treated as unknown and leave
-        the running extrema untouched (used by legacy adapters that
-        never tracked them); a zero-count snapshot is a no-op.
+        the running extrema untouched (snapshots that never tracked
+        them); a zero-count snapshot is a no-op.
         """
         count = int(snap.get("count", 0))
         incoming_edges = tuple(float(e) for e in snap.get("edges", ()))

@@ -1,4 +1,4 @@
-"""Shared chunked multi-worker execution for the fit and serve paths.
+"""Chunked multi-worker execution for the fit kernels.
 
 The ROCK cost profile (paper Section 4.4) is dominated by the neighbor
 and link kernels -- ``O(n^2 m)`` set intersections plus ``O(sum m_i^2)``
@@ -9,8 +9,7 @@ across a process pool:
   (order-preserving ``imap`` over a worker pool whose one-time payload
   travels through the pool initializer, with a transparent serial
   fallback) and the row-block schedule (:func:`block_tasks`,
-  :func:`worker_block_size`).  :mod:`repro.serve.parallel` is a thin
-  consumer of it.
+  :func:`worker_block_size`).
 * :mod:`repro.parallel.links` -- the **fused** neighbor+link kernel
   (:func:`~repro.parallel.links.fused_neighbor_links`) that scores row
   blocks into neighbor lists and counts their links by the rule every
@@ -36,8 +35,6 @@ from repro.parallel.pool import (
     block_tasks,
     default_workers,
     imap_chunked,
-    iter_chunks,
-    map_chunked,
     resolve_workers,
     worker_block_size,
 )
@@ -48,8 +45,6 @@ __all__ = [
     "default_workers",
     "fused_neighbor_links",
     "imap_chunked",
-    "iter_chunks",
-    "map_chunked",
     "merge_pair_counts",
     "pair_link_counts",
     "resolve_workers",

@@ -1,14 +1,13 @@
 """The chunked-execution layer: ordered maps over a one-time-init pool.
 
-Extracted and generalised from the serving-side executor
-(:mod:`repro.serve.parallel`, PR 1/2), which is now a thin consumer.
-The pattern both the fit and serve paths share:
+The fit-side kernels (:mod:`repro.parallel.links`,
+:mod:`repro.native.links`) share one pattern:
 
-* a *payload* too big to ship per task (a fitted model, an encoded
-  indicator matrix) travels **once per worker** through the pool
-  initializer and lands in a module global;
-* tasks are small descriptors (row ranges, point chunks) mapped with
-  ``imap``, which yields results in **submission order** -- merges are
+* a *payload* too big to ship per task (an encoded indicator matrix)
+  travels **once per worker** through the pool initializer and lands
+  in a module global;
+* tasks are small descriptors (row ranges) mapped with ``imap``, which
+  yields results in **submission order** -- merges are
   order-preserving by construction, never completion-order, so any
   worker count reproduces the serial output byte for byte;
 * ``workers <= 1`` short-circuits to an in-process loop (the
@@ -26,8 +25,6 @@ __all__ = [
     "block_tasks",
     "default_workers",
     "imap_chunked",
-    "iter_chunks",
-    "map_chunked",
     "resolve_workers",
     "worker_block_size",
 ]
@@ -74,20 +71,6 @@ def worker_block_size(n: int, workers: int, memory_budget: int) -> int:
     return max(16, min(int(per_worker // max(32 * n, 1)), 8192, max(n, 16)))
 
 
-def iter_chunks(items: Iterable[Any], chunk_size: int) -> Iterator[list[Any]]:
-    """Slice any iterable into lists of at most ``chunk_size`` items."""
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
-    chunk: list[Any] = []
-    for item in items:
-        chunk.append(item)
-        if len(chunk) >= chunk_size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
-
-
 def imap_chunked(
     task_fn: Callable[[Any], Any],
     tasks: Iterable[Any],
@@ -114,19 +97,3 @@ def imap_chunked(
     ) as pool:
         yield from pool.imap(task_fn, tasks)
 
-
-def map_chunked(
-    task_fn: Callable[[Any], Any],
-    tasks: Iterable[Any],
-    *,
-    workers: int,
-    initializer: Callable[..., None] | None = None,
-    initargs: tuple[Any, ...] = (),
-) -> list[Any]:
-    """:func:`imap_chunked`, fully collected into a list."""
-    return list(
-        imap_chunked(
-            task_fn, tasks, workers=workers,
-            initializer=initializer, initargs=initargs,
-        )
-    )

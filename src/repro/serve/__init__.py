@@ -15,15 +15,16 @@ assignment.  This package is that second phase, productionised:
   representative inverted index that picks and runs the assignment
   tier (``native``, ``dense`` or ``pruned``; all bit-identical to
   :meth:`~repro.core.labeling.ClusterLabeler.assign`);
-* :func:`~repro.serve.parallel.assign_stream` -- chunked
-  multiprocessing for disk-scale labeling runs, order-preserving;
-* :class:`~repro.serve.metrics.ServeMetrics` -- counters / histograms
-  behind one ``snapshot()`` dict;
 * :class:`~repro.serve.service.ClusteringService` -- the facade tying
   it all together (what ``repro assign`` uses);
 * :mod:`repro.serve.http` -- the async network front-end
   (``repro serve``): request batching, hot model reload,
   backpressure, Prometheus ``/metrics``.
+
+Every engine records its ``serve.*`` counters and histograms straight
+into a :class:`~repro.obs.registry.MetricsRegistry` (its own, or the
+one passed as ``registry=``), so the CLI, the HTTP server and a traced
+run read serving metrics the same way.
 
 Quickstart::
 
@@ -40,9 +41,7 @@ Quickstart::
 
 from repro.serve.engine import AssignmentEngine
 from repro.serve.index import AssignmentIndex, resolve_assign_backend
-from repro.serve.metrics import ServeMetrics
 from repro.serve.model import MODEL_FORMAT, MODEL_VERSION, RockModel, model_from_result
-from repro.serve.parallel import assign_stream, default_workers
 from repro.serve.service import ClusteringService
 
 __all__ = [
@@ -52,9 +51,6 @@ __all__ = [
     "MODEL_FORMAT",
     "MODEL_VERSION",
     "RockModel",
-    "ServeMetrics",
-    "assign_stream",
-    "default_workers",
     "model_from_result",
     "resolve_assign_backend",
 ]

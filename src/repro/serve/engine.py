@@ -17,9 +17,14 @@ construction -- and adds:
   scipy/numpy, by the index's posting share;
 * the scalar ``fallback`` for custom similarities, which admit no
   index: :meth:`ClusterLabeler.assign_with_scores` scores per point;
-* metrics (requests, outlier rate, cache hit rate, latency) recorded on
-  a shared :class:`~repro.serve.metrics.ServeMetrics`, plus one
-  ``serve.assign.backend.<tier>`` gauge marking the active tier.
+* metrics recorded straight into a shared
+  :class:`~repro.obs.registry.MetricsRegistry`: ``serve.requests`` /
+  ``serve.points`` / ``serve.outliers``,
+  ``serve.cache.{hits,misses,uncacheable}``, the ``serve.batch_size``
+  histogram over :data:`BATCH_SIZE_BUCKETS`, one
+  ``serve.latency.assign_batch`` (or ``assign_fallback``) observation
+  per call, and one ``serve.assign.backend.<tier>`` gauge marking the
+  active tier.
 
 Assignments are bit-for-bit identical to ``ClusterLabeler.assign`` --
 the equivalence is property-tested for every tier.
@@ -36,13 +41,17 @@ from typing import Any
 import numpy as np
 
 from repro.core.encoding import as_item_set
+from repro.obs.registry import MetricsRegistry
 from repro.serve.index import AssignmentIndex
-from repro.serve.metrics import ServeMetrics
 from repro.serve.model import RockModel
 
 # every value engine.assign_backend can take; "fallback" marks the
 # scalar custom-similarity path where no index exists at all
 BACKEND_TIERS = ("dense", "pruned", "native", "fallback")
+
+# upper edges of the serve.batch_size histogram; the last bucket is
+# open-ended
+BATCH_SIZE_BUCKETS = (1, 8, 64, 512, 4096)
 
 
 class AssignmentEngine:
@@ -55,40 +64,46 @@ class AssignmentEngine:
     cache_size:
         Maximum number of distinct points remembered by the LRU cache;
         0 disables caching.
-    metrics:
-        Shared metrics sink; a private one is created when omitted.
+    registry:
+        Shared metrics registry; a private one is created when omitted.
     block_size:
         Rows per scoring block, bounding peak memory for huge batches.
-    prebuilt_index:
-        An :class:`AssignmentIndex` built elsewhere for this model --
-        the stream-worker path ships one through the pool payload so
-        every worker skips the build.
     """
 
     def __init__(
         self,
         model: RockModel,
         cache_size: int = 4096,
-        metrics: ServeMetrics | None = None,
+        registry: MetricsRegistry | None = None,
         block_size: int = 8192,
-        prebuilt_index: AssignmentIndex | None = None,
     ) -> None:
         if cache_size < 0:
             raise ValueError("cache_size must be non-negative")
         if block_size < 1:
             raise ValueError("block_size must be positive")
+        if registry is None:
+            registry = MetricsRegistry()
         self.model = model
-        self.metrics = metrics if metrics is not None else ServeMetrics()
+        self.registry = registry
         self.block_size = block_size
         self._labeler = model.labeler()
-        # the labeler's own index, built here (the engine's set-up), or
-        # the copy a pool payload shipped; None for custom similarities
-        self._fast_index = (
-            prebuilt_index
-            if prebuilt_index is not None
-            else self._labeler.assignment_index
+        # the labeler's own index, built here (the engine's set-up);
+        # None for custom similarities
+        self._fast_index = self._labeler.assignment_index
+        self._requests = registry.counter("serve.requests")
+        self._points = registry.counter("serve.points")
+        self._outliers = registry.counter("serve.outliers")
+        self._cache_hits = registry.counter("serve.cache.hits")
+        self._cache_misses = registry.counter("serve.cache.misses")
+        self._uncacheable = registry.counter("serve.cache.uncacheable")
+        self._batch_sizes = registry.histogram(
+            "serve.batch_size", edges=BATCH_SIZE_BUCKETS
         )
-        registry = self.metrics.registry
+        self._latency = registry.histogram(
+            "serve.latency.assign_batch"
+            if self._fast_index is not None
+            else "serve.latency.assign_fallback"
+        )
         # candidate pairs the index tiers score: the pruning at a glance
         self._candidates = (
             registry.counter("serve.assign.candidates")
@@ -129,6 +144,21 @@ class AssignmentEngine:
     def n_clusters(self) -> int:
         return self.model.n_clusters
 
+    def describe(self) -> dict[str, Any]:
+        """Model facts an operator wants at a glance (``/model`` and
+        :meth:`ClusteringService.describe`)."""
+        model = self.model
+        return {
+            "n_clusters": model.n_clusters,
+            "theta": model.theta,
+            "f_theta": model.f_theta,
+            "labeling_set_sizes": [len(li) for li in model.labeling_sets],
+            "cluster_sizes": model.cluster_sizes,
+            "vectorized": self.vectorized,
+            "assign_backend": self.assign_backend,
+            "metadata": dict(model.metadata),
+        }
+
     def assign(self, point: Any) -> int:
         """Cluster index for one point, -1 for an outlier."""
         return int(self.assign_batch([point])[0])
@@ -141,7 +171,7 @@ class AssignmentEngine:
         repeats -- including when ``cache_size=0``, where hashable
         points still dedupe within the batch but bypass the LRU.
         Points that never reach the cache (unhashable, or caching
-        disabled) are reported to the metrics as ``uncacheable`` per
+        disabled) are counted as ``serve.cache.uncacheable`` per
         occurrence, not as cache misses, so the hit rate reflects real
         LRU lookups only.
         """
@@ -182,15 +212,15 @@ class AssignmentEngine:
             offset += len(nocache)
             for j, (i, _) in enumerate(unkeyed):
                 labels[i] = scored[offset + j]
-        self.metrics.record_batch(
-            n_points=len(points),
-            n_outliers=int((labels == -1).sum()),
-            seconds=time.perf_counter() - start,
-            stage="assign_batch" if self.vectorized else "assign_fallback",
-            cache_hits=hits,
-            cache_misses=misses,
-            uncacheable=uncacheable,
-        )
+        elapsed = time.perf_counter() - start
+        self._requests.inc()
+        self._points.inc(len(points))
+        self._outliers.inc(int((labels == -1).sum()))
+        self._cache_hits.inc(hits)
+        self._cache_misses.inc(misses)
+        self._uncacheable.inc(uncacheable)
+        self._batch_sizes.observe(len(points))
+        self._latency.observe(elapsed)
         return labels
 
     def assign_iter(

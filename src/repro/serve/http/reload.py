@@ -44,7 +44,6 @@ from pathlib import Path
 
 from repro.obs.registry import MetricsRegistry
 from repro.serve.engine import AssignmentEngine
-from repro.serve.metrics import ServeMetrics
 from repro.serve.model import RockModel, verify_artifact_checksum
 
 __all__ = ["ModelWatcher", "ServedModel", "load_versioned_model"]
@@ -151,7 +150,7 @@ class ModelWatcher:
         engine = AssignmentEngine(
             model,
             cache_size=self.cache_size,
-            metrics=ServeMetrics(registry=self.registry),
+            registry=self.registry,
         )
         return ServedModel(
             model=model,

@@ -437,16 +437,7 @@ class RockHttpServer:
                 # timestamp is display-only provenance
                 "model_age_seconds": served.age_seconds(),
                 "loaded_unix": served.loaded_unix,
-                "n_clusters": served.model.n_clusters,
-                "theta": served.model.theta,
-                "f_theta": served.model.f_theta,
-                "labeling_set_sizes": [
-                    len(li) for li in served.model.labeling_sets
-                ],
-                "cluster_sizes": served.model.cluster_sizes,
-                "vectorized": served.engine.vectorized,
-                "assign_backend": served.engine.assign_backend,
-                "metadata": served.model.metadata,
+                **served.engine.describe(),
             }
         )
         return 200, body.encode("utf-8"), "application/json", {}

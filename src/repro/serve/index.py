@@ -70,11 +70,10 @@ neighbors scores exactly ``0.0``, which lets the native kernel scan
 only the touched clusters.  ``counter`` arguments receive the pairs
 scored: verified candidates, item-sharing pairs, or every pair.
 
-The index is pure data, so it pickles:
-:func:`repro.serve.parallel.assign_stream` ships one prebuilt copy to
-every worker.  Kernel namespaces (ctypes handles) are never stored on
-it: every call fetches the probed namespace, so a worker whose probe
-fails still picks a correct tier.
+The index is pure data, so it pickles.  Kernel namespaces (ctypes
+handles) are never stored on it: every call fetches the probed
+namespace, so an unpickled copy in a process whose probe fails still
+picks a correct tier.
 """
 
 from __future__ import annotations

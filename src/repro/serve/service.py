@@ -2,8 +2,8 @@
 
 :class:`ClusteringService` ties the serve subsystem together: load a
 persisted :class:`~repro.serve.model.RockModel`, assign single points,
-batches, streams or whole files, and expose one metrics snapshot for
-everything that flowed through.  It is the object an application embeds
+batches or whole files, and expose one metrics snapshot for everything
+that flowed through.  It is the object an application embeds
 (or a future RPC layer wraps) -- the CLI's ``repro assign`` is a thin
 shell around it.
 """
@@ -17,10 +17,9 @@ from typing import Any
 import numpy as np
 
 from repro.data.io import iter_transactions, read_uci_data
+from repro.obs.registry import MetricsRegistry
 from repro.serve.engine import AssignmentEngine
-from repro.serve.metrics import ServeMetrics
 from repro.serve.model import RockModel
-from repro.serve.parallel import assign_stream
 
 
 class ClusteringService:
@@ -32,34 +31,33 @@ class ClusteringService:
         The servable artifact (load one with
         :meth:`ClusteringService.from_file`).
     cache_size:
-        LRU size for the embedded engine (and per worker for parallel
-        streams).
-    metrics:
-        Optional shared sink; a private one is created when omitted.
+        LRU size for the embedded engine.
+    registry:
+        Optional shared metrics registry; a private one is created
+        when omitted.
     """
 
     def __init__(
         self,
         model: RockModel,
         cache_size: int = 4096,
-        metrics: ServeMetrics | None = None,
+        registry: MetricsRegistry | None = None,
     ) -> None:
         self.model = model
-        self.metrics = metrics if metrics is not None else ServeMetrics()
-        self._cache_size = cache_size
         self.engine = AssignmentEngine(
-            model, cache_size=cache_size, metrics=self.metrics
+            model, cache_size=cache_size, registry=registry
         )
+        self.registry = self.engine.registry
 
     @classmethod
     def from_file(
         cls,
         path: str | Path,
         cache_size: int = 4096,
-        metrics: ServeMetrics | None = None,
+        registry: MetricsRegistry | None = None,
     ) -> "ClusteringService":
         """Load a saved model and stand up a service around it."""
-        return cls(RockModel.load(path), cache_size=cache_size, metrics=metrics)
+        return cls(RockModel.load(path), cache_size=cache_size, registry=registry)
 
     @property
     def n_clusters(self) -> int:
@@ -73,31 +71,11 @@ class ClusteringService:
         """Labels for an in-memory batch, in input order."""
         return self.engine.assign_batch(points)
 
-    def assign_stream(
-        self,
-        points: Iterable[Any],
-        workers: int = 1,
-        chunk_size: int = 2048,
-    ) -> np.ndarray:
-        """Labels for an arbitrarily large stream; ``workers > 1`` fans out."""
-        if workers <= 1:
-            return self.engine.assign_all(points, batch_size=chunk_size)
-        return assign_stream(
-            self.model,
-            points,
-            workers=workers,
-            chunk_size=chunk_size,
-            cache_size=self._cache_size,
-            metrics=self.metrics,
-            prebuilt_index=self.engine.fast_index,
-        )
-
     def assign_file(
         self,
         source: str | Path,
         output: str | Path | None = None,
         input_format: str = "transactions",
-        workers: int = 1,
         chunk_size: int = 2048,
     ) -> np.ndarray:
         """Label a data file (the §4.6 "data on disk"), optionally writing labels.
@@ -116,7 +94,7 @@ class ClusteringService:
             points = read_uci_data(source, attributes)
         else:
             raise ValueError(f"unknown input format {input_format!r}")
-        labels = self.assign_stream(points, workers=workers, chunk_size=chunk_size)
+        labels = self.engine.assign_all(points, batch_size=chunk_size)
         if output is not None:
             Path(output).write_text(
                 "\n".join(str(int(l)) for l in labels) + "\n", encoding="utf-8"
@@ -124,18 +102,10 @@ class ClusteringService:
         return labels
 
     def metrics_snapshot(self) -> dict[str, Any]:
-        """The service-wide metrics snapshot (engine + streams)."""
-        return self.metrics.snapshot()
+        """The registry's snapshot: the engine's ``serve.*`` metrics, plus
+        anything else recording into a shared registry."""
+        return self.registry.snapshot()
 
     def describe(self) -> dict[str, Any]:
         """Model facts an operator wants at a glance."""
-        return {
-            "n_clusters": self.model.n_clusters,
-            "theta": self.model.theta,
-            "f_theta": self.model.f_theta,
-            "labeling_set_sizes": [len(li) for li in self.model.labeling_sets],
-            "cluster_sizes": self.model.cluster_sizes,
-            "vectorized": self.engine.vectorized,
-            "assign_backend": self.engine.assign_backend,
-            "metadata": dict(self.model.metadata),
-        }
+        return self.engine.describe()

@@ -340,7 +340,7 @@ class TestEngineBackends:
     def test_backend_gauge_marks_the_active_tier(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "0")
         engine = AssignmentEngine(make_model([CLUSTER_A, CLUSTER_B]))
-        gauges = engine.metrics.registry.snapshot()["gauges"]
+        gauges = engine.registry.snapshot()["gauges"]
         assert engine.assign_backend == "dense"
         assert gauges["serve.assign.backend.dense"] == 1
         assert gauges["serve.assign.backend.pruned"] == 0
@@ -356,15 +356,8 @@ class TestEngineBackends:
         assert engine.assign_backend == "fallback"
         assert engine.fast_index is None
         assert engine.assign("p") == 0
-        gauges = engine.metrics.registry.snapshot()["gauges"]
+        gauges = engine.registry.snapshot()["gauges"]
         assert gauges["serve.assign.backend.fallback"] == 1
-
-    def test_prebuilt_index_is_reused(self):
-        model = make_model([CLUSTER_A, CLUSTER_B])
-        donor = AssignmentEngine(model)
-        engine = AssignmentEngine(model, prebuilt_index=donor.fast_index)
-        assert engine.fast_index is donor.fast_index
-        assert engine.assign(Transaction({1, 2})) == 0
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -595,7 +588,7 @@ class TestCandidateCounts:
         model = make_model([CLUSTER_A, CLUSTER_B])
         for tier in INDEX_TIERS:
             engine = AssignmentEngine(model, cache_size=0)
-            counters = engine.metrics.registry.snapshot
+            counters = engine.registry.snapshot
             with forced_tier(tier):
                 engine.assign_batch([Transaction({90, 91}), Transaction({92})])
                 oov = counters()["counters"]["serve.assign.candidates"]

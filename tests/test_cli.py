@@ -212,7 +212,9 @@ class TestFitModelAssign:
         )
         assert code == 0
         assert "throughput" in stdout
-        assert "requests" in stdout  # the metrics snapshot printed
+        # the serve.* families, printed as Prometheus text
+        assert "# TYPE rock_serve_requests_total counter" in stdout
+        assert "# TYPE rock_serve_batch_size histogram" in stdout
         from repro.serve import RockModel
 
         loaded = RockModel.load(model)
@@ -224,22 +226,6 @@ class TestFitModelAssign:
         # only sampled records may differ (they were clustered directly,
         # not labeled); every labeled record must round-trip exactly
         assert mismatches <= sample_size
-
-    def test_assign_parallel_matches_serial(self, basket_file, tmp_path, capsys):
-        model = tmp_path / "model.json"
-        run(
-            capsys, "fit-model", "--input", str(basket_file),
-            "--theta", "0.45", "-k", "4", "--sample", "300",
-            "--model", str(model),
-        )
-        serial = tmp_path / "serial.txt"
-        parallel = tmp_path / "parallel.txt"
-        run(capsys, "assign", "--model", str(model),
-            "--input", str(basket_file), "--output", str(serial))
-        run(capsys, "assign", "--model", str(model),
-            "--input", str(basket_file), "--output", str(parallel),
-            "--workers", "2", "--chunk-size", "64")
-        assert serial.read_text() == parallel.read_text()
 
     def test_assign_uci(self, tmp_path, capsys):
         data = tmp_path / "votes.data"
@@ -292,9 +278,11 @@ class TestParser:
             ["assign", "--model", "m.json", "--input", "x.txt",
              "--assign-backend", "native"],
             ["serve", "--model", "m.json", "--assign-backend", "dense"],
+            ["assign", "--model", "m.json", "--input", "x.txt",
+             "--workers", "2"],
         ],
         ids=["neighbor-method", "merge-method", "assign-backend",
-             "serve-assign-backend"],
+             "serve-assign-backend", "assign-workers"],
     )
     def test_removed_engine_flags_rejected(self, argv, capsys):
         """The engine follows the probe; no flag forces one."""
@@ -302,6 +290,14 @@ class TestParser:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-3", "many"])
+    def test_assign_chunk_size_must_be_positive(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["assign", "--model", "m.json", "--input", "x.txt",
+                  "--chunk-size", value])
+        assert exc.value.code == 2
+        assert "--chunk-size" in capsys.readouterr().err
 
 
 class TestServe:

@@ -13,9 +13,10 @@ import pytest
 
 from repro.cli import main
 from repro.core.pipeline import RockPipeline
+from repro.data.transactions import Transaction
 from repro.datasets import small_synthetic_basket
 from repro.obs import MetricsRegistry, RunManifest, Tracer
-from repro.serve.metrics import ServeMetrics
+from repro.serve import AssignmentEngine, RockModel
 
 FIT_PHASES = ("sample", "neighbors", "links", "cluster", "label")
 
@@ -206,18 +207,21 @@ class TestCli:
 class TestServeMetricsSharedRegistry:
     def test_records_through_external_registry(self):
         registry = MetricsRegistry()
-        metrics = ServeMetrics(registry=registry)
-        assert metrics.registry is registry
-        metrics.record_batch(
-            n_points=10, n_outliers=1, seconds=0.5,
-            cache_hits=4, cache_misses=6,
+        registry.inc("fit.neighbors.rows", 3)
+        model = RockModel(
+            labeling_sets=[[Transaction({1, 2, 3})], [Transaction({7, 8, 9})]],
+            theta=0.4,
+            f_theta=3 / 7,
         )
+        engine = AssignmentEngine(model, registry=registry)
+        assert engine.registry is registry
+        engine.assign_batch([Transaction({1, 2, 3})] * 4 + [Transaction({99})])
         snap = registry.snapshot()
         assert snap["counters"]["serve.requests"] == 1
-        assert snap["counters"]["serve.points"] == 10
+        assert snap["counters"]["serve.points"] == 5
+        assert snap["counters"]["serve.outliers"] == 1
+        assert snap["counters"]["serve.cache.misses"] == 2
         assert snap["histograms"]["serve.batch_size"]["count"] == 1
-        assert snap["histograms"]["serve.latency.assign"]["count"] == 1
-        # and the legacy view stays intact on top of the same registry
-        legacy = metrics.snapshot()
-        assert legacy["requests"] == 1
-        assert legacy["cache"]["hits"] == 4
+        assert snap["histograms"]["serve.latency.assign_batch"]["count"] == 1
+        # serve metrics sit next to what the registry already held
+        assert snap["counters"]["fit.neighbors.rows"] == 3

@@ -38,7 +38,6 @@ from repro.parallel import (
 from repro.parallel.pool import (
     default_workers,
     imap_chunked,
-    iter_chunks,
     resolve_workers,
 )
 
@@ -211,11 +210,8 @@ def test_resolve_workers():
         resolve_workers("many")
 
 
-def test_iter_chunks():
-    assert list(iter_chunks(range(7), 3)) == [[0, 1, 2], [3, 4, 5], [6]]
-    assert list(iter_chunks([], 3)) == []
-    with pytest.raises(ValueError):
-        list(iter_chunks([1], 0))
+def test_default_workers_bounded():
+    assert 1 <= default_workers() <= 8
 
 
 def test_imap_chunked_serial_runs_initializer_in_process():
@@ -230,15 +226,6 @@ def test_imap_chunked_serial_runs_initializer_in_process():
         )
     )
     assert results == [10, 20, 30]
-
-
-def test_serve_parallel_reexports_pool_layer():
-    # serve.parallel became a thin consumer; its public names survive
-    from repro.parallel.pool import iter_chunks as pool_chunks
-    from repro.serve.parallel import _chunks, default_workers as serve_workers
-
-    assert _chunks is pool_chunks
-    assert serve_workers() == default_workers()
 
 
 # -- pair-count plumbing ------------------------------------------------------

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.core.labeling import ClusterLabeler
 from repro.core.similarity import JaccardSimilarity, SimilarityTable
 from repro.data.transactions import Transaction
-from repro.serve import AssignmentEngine, RockModel, ServeMetrics
+from repro.serve import AssignmentEngine, RockModel
 
 F_THETA = (1 - 0.4) / (1 + 0.4)
 
@@ -30,6 +30,16 @@ def make_model(labeling_sets, theta=0.4, **kwargs):
         f_theta=(1 - theta) / (1 + theta),
         **kwargs,
     )
+
+
+def serve_counters(engine):
+    """The engine's ``serve.*`` counters, keyed without the prefix."""
+    counters = engine.registry.snapshot()["counters"]
+    return {
+        name[len("serve."):]: value
+        for name, value in counters.items()
+        if name.startswith("serve.")
+    }
 
 
 # -- the equivalence property ------------------------------------------------
@@ -85,19 +95,17 @@ def test_all_outlier_batches(points):
 
 
 def test_duplicate_points_consistent_and_cached():
-    metrics = ServeMetrics()
-    engine = AssignmentEngine(make_model([CLUSTER_A, CLUSTER_B]), metrics=metrics)
+    engine = AssignmentEngine(make_model([CLUSTER_A, CLUSTER_B]))
     point = Transaction({1, 2, 3})
     batch = [point] * 10 + [Transaction({7, 8, 9})] * 5 + [Transaction({99})] * 3
     labels = engine.assign_batch(batch)
     assert labels.tolist() == [0] * 10 + [1] * 5 + [-1] * 3
-    snap = metrics.snapshot()
     # 3 distinct points scored, everything else deduplicated in-batch
-    assert snap["cache"]["misses"] == 3
+    assert serve_counters(engine)["cache.misses"] == 3
     # a second pass over the same points is all cache hits
     labels2 = engine.assign_batch(batch)
     assert labels2.tolist() == labels.tolist()
-    assert metrics.snapshot()["cache"]["hits"] >= len(batch)
+    assert serve_counters(engine)["cache.hits"] >= len(batch)
 
 
 def test_empty_labeling_set_never_assigned():
@@ -163,18 +171,20 @@ class TestEngineBehaviours:
         engine = AssignmentEngine(make_model([CLUSTER_A, CLUSTER_B]), cache_size=0)
         labels = engine.assign_batch([Transaction({1, 2, 3})] * 4)
         assert labels.tolist() == [0] * 4
-        assert engine.metrics.snapshot()["cache"]["hits"] == 0
+        assert serve_counters(engine)["cache.hits"] == 0
 
     def test_metrics_record_outliers_and_latency(self):
         engine = AssignmentEngine(make_model([CLUSTER_A, CLUSTER_B]))
         engine.assign_batch([Transaction({1, 2, 3}), Transaction({99})])
-        snap = engine.metrics.snapshot()
-        assert snap["requests"] == 1
-        assert snap["points"] == 2
-        assert snap["outliers"] == 1
-        assert snap["outlier_rate"] == pytest.approx(0.5)
-        assert snap["latency"]["assign_batch"]["count"] == 1
-        assert snap["batch_sizes"]["<=8"] == 1
+        counters = serve_counters(engine)
+        assert counters["requests"] == 1
+        assert counters["points"] == 2
+        assert counters["outliers"] == 1
+        hists = engine.registry.snapshot()["histograms"]
+        assert hists["serve.latency.assign_batch"]["count"] == 1
+        assert engine.registry.histogram("serve.batch_size").labeled_buckets()[
+            "<=8"
+        ] == 1
 
     def test_validation(self):
         model = make_model([CLUSTER_A])
@@ -201,35 +211,29 @@ class TestCacheAccounting:
     """
 
     def test_cache_disabled_reports_zero_lookups(self):
-        metrics = ServeMetrics()
-        engine = AssignmentEngine(
-            make_model([CLUSTER_A, CLUSTER_B]), cache_size=0, metrics=metrics
-        )
+        engine = AssignmentEngine(make_model([CLUSTER_A, CLUSTER_B]), cache_size=0)
         engine.assign_batch([Transaction({1, 2, 3})] * 7)
-        snap = metrics.snapshot()["cache"]
-        assert snap["hits"] == 0
-        assert snap["misses"] == 0
-        assert snap["lookups"] == 0
-        assert snap["hit_rate"] == 0.0
-        assert snap["uncacheable"] == 7
+        counters = serve_counters(engine)
+        assert counters["cache.hits"] == 0
+        assert counters["cache.misses"] == 0
+        assert counters["cache.uncacheable"] == 7
 
     def test_unhashable_points_count_as_uncacheable_not_misses(self):
         table = SimilarityTable(
             {("p", "a1"): 0.9}, key=lambda p: getattr(p, "name", p)
         )
         model = make_model([["a1"], ["b1"]], theta=0.5, similarity=table)
-        metrics = ServeMetrics()
-        engine = AssignmentEngine(model, metrics=metrics)
+        engine = AssignmentEngine(model)
 
         class Unhashable:
             __hash__ = None
             name = "q"
 
         engine.assign_batch(["p", Unhashable(), Unhashable()])
-        snap = metrics.snapshot()["cache"]
-        assert snap["misses"] == 1  # "p" is a real lookup miss
-        assert snap["uncacheable"] == 2
-        assert snap["lookups"] == 1
+        counters = serve_counters(engine)
+        assert counters["cache.misses"] == 1  # "p" is a real lookup miss
+        assert counters["cache.uncacheable"] == 2
+        assert counters["cache.hits"] == 0
 
     def test_cache_disabled_still_dedupes_within_batch(self):
         """cache_size=0 must not re-score duplicates inside one batch.
@@ -239,10 +243,7 @@ class TestCacheAccounting:
         dedupe is in-batch only -- the LRU stays off and the metrics
         still report every occurrence as uncacheable.
         """
-        metrics = ServeMetrics()
-        engine = AssignmentEngine(
-            make_model([CLUSTER_A, CLUSTER_B]), cache_size=0, metrics=metrics
-        )
+        engine = AssignmentEngine(make_model([CLUSTER_A, CLUSTER_B]), cache_size=0)
         scored_sizes = []
         original = engine._assign_uncached
 
@@ -255,23 +256,19 @@ class TestCacheAccounting:
         labels = engine.assign_batch(batch)
         assert labels.tolist() == [0] * 5 + [1] * 3
         assert scored_sizes == [2]  # two distinct keys, scored once each
-        snap = metrics.snapshot()["cache"]
-        assert snap["hits"] == 0 and snap["misses"] == 0
-        assert snap["uncacheable"] == 8
+        counters = serve_counters(engine)
+        assert counters["cache.hits"] == 0 and counters["cache.misses"] == 0
+        assert counters["cache.uncacheable"] == 8
         assert len(engine._cache) == 0  # the LRU really stayed off
 
     def test_hit_rate_is_exact_with_mixed_traffic(self):
-        metrics = ServeMetrics()
-        engine = AssignmentEngine(
-            make_model([CLUSTER_A, CLUSTER_B]), metrics=metrics
-        )
+        engine = AssignmentEngine(make_model([CLUSTER_A, CLUSTER_B]))
         point = Transaction({1, 2, 3})
         engine.assign_batch([point])  # 1 miss
         engine.assign_batch([point, point, point])  # 3 hits
-        snap = metrics.snapshot()["cache"]
-        assert snap["hits"] == 3
-        assert snap["misses"] == 1
-        assert snap["hit_rate"] == pytest.approx(0.75)
+        counters = serve_counters(engine)
+        assert counters["cache.hits"] == 3
+        assert counters["cache.misses"] == 1
 
 
 def test_engine_matches_labeler_on_large_mixed_batch():
@@ -346,11 +343,9 @@ class TestCacheThreadSafety:
             t.join()
 
         assert errors == [], errors[:10]
-        snap = engine.metrics.snapshot()
-        # accounting stayed consistent under contention
-        cache = snap["cache"]
-        assert cache["lookups"] == cache["hits"] + cache["misses"]
-        # duplicates inside one batch share a lookup, so <= not ==
-        assert cache["lookups"] <= snap["points"]
-        assert cache["lookups"] > 0
+        counters = serve_counters(engine)
+        # accounting stayed consistent under contention: duplicates
+        # inside one batch share a lookup, so <= not ==
+        lookups = counters["cache.hits"] + counters["cache.misses"]
+        assert 0 < lookups <= counters["points"]
         assert len(engine._cache) <= 8

@@ -27,7 +27,7 @@ from repro.core.pipeline import RockPipeline
 from repro.data.records import CategoricalRecord, CategoricalSchema
 from repro.datasets import small_synthetic_basket
 from repro.obs.export import prometheus_name
-from repro.serve import RockModel
+from repro.serve import ClusteringService, RockModel
 from repro.serve.http import (
     ProtocolError,
     QueueFull,
@@ -274,6 +274,17 @@ class TestEndpoints:
         assert data["theta"] == model.theta
         assert len(data["model_version"]) == 16
         assert data["vectorized"] is True
+
+    def test_model_body_contains_service_describe(self, running_server):
+        """``/model`` and ``ClusteringService.describe()`` build the
+        model facts in one place, so they agree on the same artifact."""
+        service = ClusteringService.from_file(running_server.server.model_path)
+        expected = json.loads(json.dumps(service.describe()))
+        _, data = request_json(running_server.address, "GET", "/model")
+        assert {key: data[key] for key in expected} == expected
+        assert data.keys() - expected.keys() == {
+            "model_version", "model_age_seconds", "loaded_unix"
+        }
 
     def test_assign_agrees_with_engine(self, running_server, fitted_model):
         basket, model = fitted_model
