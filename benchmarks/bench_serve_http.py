@@ -7,14 +7,17 @@ its own engine dispatch.  This bench stands the real server up on a
 background thread, drives it closed-loop with keep-alive
 ``http.client`` workers at several concurrency levels, and compares
 
-* ``batched``   -- ``batch_max=64, batch_wait_us=2000`` (the default
-  coalescing config), against
+* ``batched``   -- ``batch_max=64`` (the default: the batcher
+  dispatches on idle, so a batch is whatever queued while the previous
+  engine call was in flight), against
 * ``unbatched`` -- ``batch_max=1`` (every request is its own engine
   call; the batcher degenerates to a serialising queue).
 
 The acceptance bar is batched RPS > unbatched RPS at concurrency >= 16
-(at low concurrency there is little to coalesce and the wait deadline
-is pure overhead, so no bar is asserted there).  p50/p99 are reported
+(at low concurrency there is little to coalesce, so no bar is asserted
+there).  Closed-loop runs in one process share the CPU between the
+client threads and the server loop, so the highest level is noisy from
+run to run; the table reports what one run measured.  p50/p99 are reported
 per level; the RunManifest records per-run spans with the measured
 rates plus the batched server's full metrics registry.
 
@@ -138,15 +141,15 @@ def test_serve_http_load(tmp_path, benchmark, save_result, save_manifest):
     model_path, points = build_model(tmp_path)
     tracer = Tracer()
 
-    with tracer.span("batched", batch_max=64, batch_wait_us=2000):
+    with tracer.span("batched", batch_max=64):
         batched, batched_snap = run_config(
             model_path, points, "batched", CONCURRENCY_LEVELS,
-            REQUESTS_PER_WORKER, batch_max=64, batch_wait_us=2000,
+            REQUESTS_PER_WORKER, batch_max=64,
         )
     with tracer.span("unbatched", batch_max=1):
         unbatched, _ = run_config(
             model_path, points, "unbatched", CONCURRENCY_LEVELS,
-            REQUESTS_PER_WORKER, batch_max=1, batch_wait_us=0,
+            REQUESTS_PER_WORKER, batch_max=1,
         )
 
     by_level = {
@@ -213,8 +216,8 @@ def test_serve_http_load(tmp_path, benchmark, save_result, save_manifest):
             config={
                 "concurrency_levels": list(CONCURRENCY_LEVELS),
                 "requests_per_worker": REQUESTS_PER_WORKER,
-                "batched": {"batch_max": 64, "batch_wait_us": 2000},
-                "unbatched": {"batch_max": 1, "batch_wait_us": 0},
+                "batched": {"batch_max": 64},
+                "unbatched": {"batch_max": 1},
                 "results": batched + unbatched,
             },
         ),
@@ -319,7 +322,7 @@ def test_serve_http_smoke(tmp_path, benchmark, save_result):
     the batcher actually coalesces -- no throughput assertions."""
     model_path, points = build_model(tmp_path)
     with serve_in_thread(
-        model_path, poll_seconds=30.0, batch_max=32, batch_wait_us=3000
+        model_path, poll_seconds=30.0, batch_max=32
     ) as handle:
         latencies, wall, failures = benchmark.pedantic(
             lambda: drive(

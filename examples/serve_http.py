@@ -56,7 +56,7 @@ def main() -> None:
 
     # --- serve day: the HTTP front-end ----------------------------------
     with serve_in_thread(
-        model_path, batch_max=32, batch_wait_us=2000, poll_seconds=0.1
+        model_path, batch_max=32, poll_seconds=0.1
     ) as handle:
         host, port = handle.address
         print(f"serving on http://{host}:{port}")
@@ -111,6 +111,7 @@ def main() -> None:
         metrics = get_json(handle.address, "GET", "/metrics")
         wanted = ("rock_http_requests_assign_total",
                   "rock_serve_requests_total",
+                  "rock_http_batcher_queue_wait_seconds_count",
                   "rock_http_reload_count_total")
         print("/metrics excerpt:")
         for line in metrics.splitlines():

@@ -338,11 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--batch-max", type=int, default=64,
-        help="flush coalesced /assign requests at this batch size",
-    )
-    serve.add_argument(
-        "--batch-wait-us", type=int, default=2000,
-        help="flush once the oldest queued point is this old (microseconds)",
+        help="most coalesced /assign requests in one engine call",
     )
     serve.add_argument(
         "--queue-depth", type=int, default=1024,
@@ -766,7 +762,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         batch_max=args.batch_max,
-        batch_wait_us=args.batch_wait_us,
         queue_depth=args.queue_depth,
         cache_size=args.cache_size,
         poll_seconds=args.poll_seconds,
@@ -783,8 +778,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             flush=True,
         )
         print(
-            f"batching: max {args.batch_max} points / "
-            f"{args.batch_wait_us} us wait; queue depth {args.queue_depth}; "
+            f"batching: max {args.batch_max} points, dispatched on idle; "
+            f"queue depth {args.queue_depth}; "
             f"reload poll every {args.poll_seconds:g}s",
             flush=True,
         )
@@ -821,7 +816,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             "host": args.host,
             "port": args.port,
             "batch_max": args.batch_max,
-            "batch_wait_us": args.batch_wait_us,
             "queue_depth": args.queue_depth,
             "poll_seconds": args.poll_seconds,
         },

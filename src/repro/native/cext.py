@@ -24,6 +24,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -34,10 +35,42 @@ _SOURCE = Path(__file__).with_name("kernels.c")
 # with the numpy reference paths and must never appear here.
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-std=c99")
 
-_i64_p = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
-_i32_p = np.ctypeslib.ndpointer(dtype=np.int32, flags="C_CONTIGUOUS")
-_f64_p = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
-_u8_p = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
+# A numpy dtype in a kernel signature marks an array argument, passed
+# to C as a raw address (see _Kernel); anything else is its ctypes type.
+_I64 = np.dtype(np.int64)
+_I32 = np.dtype(np.int32)
+_F64 = np.dtype(np.float64)
+_U8 = np.dtype(np.uint8)
+_INT = ctypes.c_int64
+_DBL = ctypes.c_double
+
+# every kernel returns a long long; these are their parameter lists
+_SIGNATURES = {
+    "score_block": (
+        _I64, _I32, _I64, _I32, _I32,
+        _INT, _INT, _INT, _DBL, _INT,
+        _I32, _I32, _I64, _I32, _INT,
+    ),
+    "mirror_neighbors": (_I64, _I32, _INT, _I64, _I32),
+    "link_rows": (
+        _I64, _I32, _INT, _I64, _I32, _I32, _I64, _I64, _INT, _I64,
+    ),
+    "assign_block": (
+        _I64, _I32, _I64, _INT,
+        _I64, _I32, _I64, _I32,
+        _I32, _F64, _DBL,
+        _U8, _I32, _I32, _I64, _I32,
+        _I64, _F64,
+    ),
+    "merge_components": (
+        _INT, _I64, _I64, _I64, _I64,
+        _I64, _I64, _F64,
+        _F64, _INT, _INT, _INT,
+        _I64, _I64, _F64, _I64, _I64, _I64,
+        _I64, _I64, _F64, _I64,
+        _I64, _I64,
+    ),
+}
 
 # link_rows' first output chunk, in pairs (16 MB of codes and counts)
 _LINK_CHUNK = 1 << 20
@@ -128,51 +161,44 @@ def _build(source: Path, cc: str) -> Path:
     return out
 
 
-def _bind(lib: ctypes.CDLL) -> None:
-    lib.score_block.restype = ctypes.c_longlong
-    lib.score_block.argtypes = [
-        _i64_p, _i32_p, _i64_p, _i32_p, _i32_p,
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        ctypes.c_double, ctypes.c_int64,
-        _i32_p, _i32_p, _i64_p, _i32_p, ctypes.c_int64,
-    ]
-    lib.mirror_neighbors.restype = ctypes.c_longlong
-    lib.mirror_neighbors.argtypes = [
-        _i64_p, _i32_p, ctypes.c_int64, _i64_p, _i32_p,
-    ]
-    lib.link_rows.restype = ctypes.c_longlong
-    lib.link_rows.argtypes = [
-        _i64_p, _i32_p, ctypes.c_int64, _i64_p, _i32_p, _i32_p,
-        _i64_p, _i64_p, ctypes.c_int64, _i64_p,
-    ]
-    lib.assign_block.restype = ctypes.c_longlong
-    lib.assign_block.argtypes = [
-        _i64_p, _i32_p, _i64_p, ctypes.c_int64,
-        _i64_p, _i32_p, _i64_p, _i32_p,
-        _i32_p, _f64_p, ctypes.c_double,
-        _u8_p, _i32_p, _i32_p, _i64_p, _i32_p,
-        _i64_p, _f64_p,
-    ]
-    lib.merge_components.restype = ctypes.c_longlong
-    lib.merge_components.argtypes = [
-        ctypes.c_int64, _i64_p, _i64_p, _i64_p, _i64_p,
-        _i64_p, _i64_p, _f64_p,
-        _f64_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        _i64_p, _i64_p, _f64_p, _i64_p, _i64_p, _i64_p,
-        _i64_p, _i64_p, _f64_p, _i64_p,
-        _i64_p, _i64_p,
-    ]
-
-def _as_i64(a: Any) -> np.ndarray:
-    return np.ascontiguousarray(a, dtype=np.int64)
+def _address(a: np.ndarray) -> int:
+    try:
+        # a writable buffer export is the cheap way to the data pointer
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    except (TypeError, ValueError):  # read-only or empty arrays
+        return a.ctypes.data
 
 
-def _as_i32(a: Any) -> np.ndarray:
-    return np.ascontiguousarray(a, dtype=np.int32)
+class _Kernel:
+    """One C kernel called with raw array addresses.
 
+    ``ndpointer`` argtypes re-check every array in Python on every call,
+    which costs more than a small ``assign_block`` itself.  Here each
+    array argument is converted to its declared dtype, C-contiguous (a
+    no-op for an array that already is), held until the call returns,
+    and passed as a ``void *``.  Output arrays must be allocated with
+    the declared dtype, or the kernel would write into a copy.
+    """
 
-def _as_f64(a: Any) -> np.ndarray:
-    return np.ascontiguousarray(a, dtype=np.float64)
+    __slots__ = ("_fn", "_dtypes")
+
+    def __init__(self, fn: Any, signature: tuple) -> None:
+        fn.restype = ctypes.c_longlong
+        fn.argtypes = [
+            ctypes.c_void_p if isinstance(t, np.dtype) else t for t in signature
+        ]
+        self._fn = fn
+        self._dtypes = [t if isinstance(t, np.dtype) else None for t in signature]
+
+    def __call__(self, *args: Any) -> int:
+        held = [
+            a if dtype is None else np.ascontiguousarray(a, dtype)
+            for a, dtype in zip(args, self._dtypes, strict=True)
+        ]
+        return self._fn(*[
+            a if dtype is None else _address(a)
+            for a, dtype in zip(held, self._dtypes)
+        ])
 
 
 class _CextKernels:
@@ -181,7 +207,10 @@ class _CextKernels:
     name = "cext"
 
     def __init__(self, lib: ctypes.CDLL, so_path: Path, cc: str) -> None:
-        self._lib = lib
+        self._lib = SimpleNamespace(**{
+            name: _Kernel(getattr(lib, name), signature)
+            for name, signature in _SIGNATURES.items()
+        })
         self.info = {"so": str(so_path), "cc": cc}
 
     def score_block(
@@ -197,18 +226,13 @@ class _CextKernels:
         theta: float,
         overlap: int,
     ) -> tuple[np.ndarray, np.ndarray]:
-        indptr = _as_i64(indptr)
-        indices = _as_i32(indices)
-        t_indptr = _as_i64(t_indptr)
-        t_indices = _as_i32(t_indices)
-        sizes = _as_i32(sizes)
         rows = stop - start
         acc = np.zeros(n, dtype=np.int32)
         touched = np.empty(n, dtype=np.int32)
         out_indptr = np.empty(rows + 1, dtype=np.int64)
         # average-degree guess; the kernel reports the exact size when
         # this is short and we retry once
-        cap = max(int(indices.size) * max(rows, 1) // max(n, 1) + 64, 256)
+        cap = max(np.size(indices) * max(rows, 1) // max(n, 1) + 64, 256)
         while True:
             out_indices = np.empty(cap, dtype=np.int32)
             written = self._lib.score_block(
@@ -226,10 +250,8 @@ class _CextKernels:
         upper_indices: np.ndarray,
         n: int,
     ) -> tuple[np.ndarray, np.ndarray]:
-        upper_indptr = _as_i64(upper_indptr)
-        upper_indices = _as_i32(upper_indices)
         full_indptr = np.empty(n + 1, dtype=np.int64)
-        full_indices = np.empty(2 * upper_indices.size, dtype=np.int32)
+        full_indices = np.empty(2 * np.size(upper_indices), dtype=np.int32)
         total = self._lib.mirror_neighbors(
             upper_indptr, upper_indices, n, full_indptr, full_indices,
         )
@@ -249,8 +271,9 @@ class _CextKernels:
         ``n``, so every call finishes a row), and each later one
         doubles, so memory stays O(n + pairs) whatever the pair work.
         """
-        indptr = _as_i64(indptr)
-        indices = _as_i32(indices)
+        # converted once, not per chunk; cursor must be int64 to persist
+        indptr = np.ascontiguousarray(indptr, _I64)
+        indices = np.ascontiguousarray(indices, _I32)
         cursor = indptr[:-1].copy()
         acc = np.zeros(n, dtype=np.int32)
         touched = np.empty(n + 1, dtype=np.int32)
@@ -292,19 +315,11 @@ class _CextKernels:
         ``q_items`` holds rank-numbered item ids; the kernel sorts each
         row in place, so it always receives a private copy.
         """
-        q_indptr = _as_i64(q_indptr)
         q_items = np.array(q_items, dtype=np.int32)
-        q_sizes = _as_i64(q_sizes)
-        pre_indptr = _as_i64(pre_indptr)
-        pre_reps = _as_i32(pre_reps)
-        rep_indptr = _as_i64(rep_indptr)
-        rep_items = _as_i32(rep_items)
-        rep_cluster = _as_i32(rep_cluster)
-        normalisers = _as_f64(normalisers)
-        b = int(q_indptr.size) - 1
-        n_reps = int(rep_indptr.size) - 1
-        n_clusters = max(int(normalisers.size), 1)
-        mark = np.zeros(max(int(pre_indptr.size) - 1, 1), dtype=np.uint8)
+        b = len(q_indptr) - 1
+        n_reps = len(rep_indptr) - 1
+        n_clusters = max(len(normalisers), 1)
+        mark = np.zeros(max(len(pre_indptr) - 1, 1), dtype=np.uint8)
         seen = np.zeros(max(n_reps, 1), dtype=np.int32)
         # one spare slot: the kernel's branchless first-touch write
         # targets touched[n_touched] even for repeat touches
@@ -343,15 +358,7 @@ class _CextKernels:
         ``pair_offsets[c]:pair_offsets[c+1]`` of the local pair arrays;
         ``ptable`` must cover every component's summed size.
         """
-        slot_offsets = _as_i64(slot_offsets)
-        pair_offsets = _as_i64(pair_offsets)
-        sizes = _as_i64(sizes)
-        global_ids = _as_i64(global_ids)
-        pair_lo = _as_i64(pair_lo)
-        pair_hi = _as_i64(pair_hi)
-        pair_count = _as_f64(pair_count)
-        ptable = _as_f64(ptable)
-        n_comp = int(slot_offsets.size) - 1
+        n_comp = len(slot_offsets) - 1
         cap = max(int(slot_offsets[-1]) - n_comp, 1)
         streams = StreamBuffers(
             left=np.empty(cap, dtype=np.int64),
@@ -398,6 +405,4 @@ def load_kernels() -> Any:
         raise RuntimeError("cext tier not supported on Windows")
     cc = _compiler()
     so_path = _build(_SOURCE, cc)
-    lib = ctypes.CDLL(str(so_path))
-    _bind(lib)
-    return _CextKernels(lib, so_path, cc)
+    return _CextKernels(ctypes.CDLL(str(so_path)), so_path, cc)

@@ -10,11 +10,11 @@ coalescing point:
   the queue is **bounded** -- a full queue raises :class:`QueueFull`,
   which the server maps to ``503 Retry-After`` (backpressure instead
   of unbounded memory growth);
-* one flusher task collects a batch and hands it to the ``flush``
-  coroutine, flushing when ``batch_max`` points are waiting **or** the
-  oldest waiting point has been queued for ``batch_wait_us``
-  microseconds, whichever comes first (so the wait bounds queueing
-  delay, measured from arrival, not from when the flusher looked);
+* one flusher task dispatches on idle: it wakes on the first queued
+  point, drains what is queued (up to ``batch_max``), and yields one
+  event-loop pass so requests that are already readable can submit;
+  it hands the batch to the ``flush`` coroutine as soon as a pass adds
+  nothing.  No timer holds a lone point back;
 * while a flush is in flight new submissions pile up in the queue and
   form the next batch -- under closed-loop load the batch size adapts
   to the concurrency automatically.
@@ -26,6 +26,7 @@ no-batching baseline the benchmark compares against).
 from __future__ import annotations
 
 import asyncio
+import time
 from collections.abc import Awaitable, Callable, Sequence
 from typing import Any
 
@@ -35,6 +36,8 @@ __all__ = ["BatcherClosed", "QueueFull", "RequestBatcher"]
 
 # upper edges for the coalesced-batch-size histogram
 BATCH_SIZE_EDGES = (1, 2, 4, 8, 16, 32, 64, 256)
+# upper edges for the submit-to-dispatch wait, in seconds
+QUEUE_WAIT_EDGES = (0.0001, 0.0005, 0.001, 0.002, 0.005, 0.02, 0.1)
 
 
 class QueueFull(RuntimeError):
@@ -55,42 +58,39 @@ class RequestBatcher:
         points, must return one result per point, in order.  Raised
         exceptions propagate to every future of the batch.
     batch_max:
-        Flush as soon as this many points are waiting.
-    batch_wait_us:
-        Flush once the oldest waiting point is this old (microseconds),
-        even if the batch is not full.
+        Most points handed to one flush call.
     queue_depth:
         Bound on points admitted but not yet flushed; beyond it
         :meth:`submit` raises :class:`QueueFull`.
     registry:
         Optional metrics sink; records ``http.batcher.flushes``,
-        ``http.batcher.rejected`` and the ``http.batcher.batch_size``
-        histogram.
+        ``http.batcher.rejected``, the ``http.batcher.batch_size``
+        histogram and, per point, the submit-to-dispatch
+        ``http.batcher.queue_wait_seconds`` histogram.
     """
 
     def __init__(
         self,
         flush: Callable[[list[Any]], Awaitable[Sequence[Any]]],
         batch_max: int = 64,
-        batch_wait_us: int = 2000,
         queue_depth: int = 1024,
         registry: MetricsRegistry | None = None,
     ) -> None:
         if batch_max < 1:
             raise ValueError("batch_max must be positive")
-        if batch_wait_us < 0:
-            raise ValueError("batch_wait_us must be non-negative")
         if queue_depth < 1:
             raise ValueError("queue_depth must be positive")
         self._flush = flush
         self.batch_max = batch_max
-        self.batch_wait = batch_wait_us / 1e6
         self.queue_depth = queue_depth
         registry = registry if registry is not None else MetricsRegistry()
         self._flushes = registry.counter("http.batcher.flushes")
         self._rejected = registry.counter("http.batcher.rejected")
         self._sizes = registry.histogram(
             "http.batcher.batch_size", edges=BATCH_SIZE_EDGES
+        )
+        self._queue_wait = registry.histogram(
+            "http.batcher.queue_wait_seconds", edges=QUEUE_WAIT_EDGES
         )
         self._queue: asyncio.Queue[tuple[Any, asyncio.Future, float] | None] = (
             asyncio.Queue()
@@ -122,10 +122,9 @@ class RequestBatcher:
             raise QueueFull(
                 f"assignment queue at capacity ({self.queue_depth} pending)"
             )
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
+        future = asyncio.get_running_loop().create_future()
         self._pending += 1
-        self._queue.put_nowait((point, future, loop.time()))
+        self._queue.put_nowait((point, future, time.perf_counter()))
         return future
 
     async def aclose(self) -> None:
@@ -141,44 +140,31 @@ class RequestBatcher:
     # -- flusher ------------------------------------------------------------
 
     async def _run(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
             first = await self._queue.get()
             if first is None:
                 return
             batch = [first]
-            # the wait allowance counts from the first point's arrival:
-            # points that queued up during the previous flush have
-            # already served their wait and flush immediately
-            deadline = first[2] + self.batch_wait
-            stop = False
             while len(batch) < self.batch_max:
-                timeout = deadline - loop.time()
-                if timeout <= 0:
-                    try:
-                        item = self._queue.get_nowait()
-                    except asyncio.QueueEmpty:
+                if self._queue.empty():
+                    await asyncio.sleep(0)  # one pass for readable requests
+                    if self._queue.empty():
                         break
-                else:
-                    try:
-                        item = await asyncio.wait_for(
-                            self._queue.get(), timeout
-                        )
-                    except TimeoutError:
-                        break
+                item = self._queue.get_nowait()
                 if item is None:
-                    stop = True
-                    break
+                    await self._dispatch(batch)
+                    return
                 batch.append(item)
             await self._dispatch(batch)
-            if stop:
-                return
 
     async def _dispatch(
         self, batch: list[tuple[Any, asyncio.Future, float]]
     ) -> None:
         self._flushes.inc()
         self._sizes.observe(len(batch))
+        now = time.perf_counter()
+        for _, _, submitted in batch:
+            self._queue_wait.observe(now - submitted)
         try:
             results = await self._flush([point for point, _, _ in batch])
         except Exception as exc:  # propagate to every waiter, keep serving

@@ -132,9 +132,9 @@ class RockHttpServer:
     host / port:
         Bind address; ``port=0`` picks an ephemeral port (read it back
         from :attr:`address` after :meth:`start`).
-    batch_max / batch_wait_us / queue_depth:
-        Batcher tuning -- flush size, max queueing delay in
-        microseconds, and the bounded-queue depth that triggers 503s.
+    batch_max / queue_depth:
+        Batcher tuning -- the largest flush, and the bounded-queue
+        depth that triggers 503s.
     cache_size:
         LRU size for each model generation's engine; the reload watcher
         rebuilds the engine's index once per model generation.
@@ -155,7 +155,6 @@ class RockHttpServer:
         host: str = "127.0.0.1",
         port: int = 0,
         batch_max: int = 64,
-        batch_wait_us: int = 2000,
         queue_depth: int = 1024,
         cache_size: int = 4096,
         poll_seconds: float = 1.0,
@@ -179,7 +178,6 @@ class RockHttpServer:
         self.batcher = RequestBatcher(
             self._flush_assign,
             batch_max=batch_max,
-            batch_wait_us=batch_wait_us,
             queue_depth=queue_depth,
             registry=self.registry,
         )
@@ -191,6 +189,9 @@ class RockHttpServer:
         self._inflight_batch_points = 0
         self._server: asyncio.Server | None = None
         self._closing = False
+        # live connection handlers; writers of those awaiting a request
+        self._handlers: set[asyncio.Task] = set()
+        self._idle: set[asyncio.StreamWriter] = set()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -217,14 +218,21 @@ class RockHttpServer:
         )
 
     async def shutdown(self) -> None:
-        """Graceful stop: close the listener, drain, stop the watcher."""
+        """Graceful stop: close the listener, drain, close idle
+        keep-alive connections, stop the watcher."""
         if self._closing:
             return
         self._closing = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         await self.batcher.aclose()
+        # an idle handler would outlive the loop: closing its connection
+        # ends it on EOF; busy ones answer and close (keep-alive is off)
+        for writer in self._idle:
+            writer.close()
+        await asyncio.gather(*self._handlers, return_exceptions=True)
+        if self._server is not None:
+            await self._server.wait_closed()
         self.watcher.stop()
         if self._root_span is not None:
             wall0, cpu0 = self._span_t0
@@ -245,24 +253,30 @@ class RockHttpServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._handlers.add(task)
+        task.add_done_callback(self._handlers.discard)
         try:
             while True:
+                self._idle.add(writer)
                 try:
                     request = await read_request(reader)
                 except ProtocolError as exc:
                     writer.write(self._error_bytes(exc.status, str(exc), False))
                     await writer.drain()
                     break
+                finally:
+                    self._idle.discard(writer)
                 if request is None:
                     break
-                keep_alive = request.keep_alive and not self._closing
                 payload = await self._dispatch(request)
+                keep_alive = request.keep_alive and not self._closing
                 payload = render_response(
                     payload[0], payload[1], payload[2], payload[3], keep_alive
                 )
                 writer.write(payload)
                 await writer.drain()
-                if not keep_alive:
+                if not keep_alive or self._closing:
                     break
         except (ConnectionResetError, BrokenPipeError):
             pass

@@ -280,9 +280,10 @@ class TestParser:
             ["serve", "--model", "m.json", "--assign-backend", "dense"],
             ["assign", "--model", "m.json", "--input", "x.txt",
              "--workers", "2"],
+            ["serve", "--model", "m.json", "--batch-wait-us", "2000"],
         ],
         ids=["neighbor-method", "merge-method", "assign-backend",
-             "serve-assign-backend", "assign-workers"],
+             "serve-assign-backend", "assign-workers", "serve-batch-wait-us"],
     )
     def test_removed_engine_flags_rejected(self, argv, capsys):
         """The engine follows the probe; no flag forces one."""

@@ -340,6 +340,100 @@ class TestNativeAssignKernel:
         assert best.tobytes() == ref_best.tobytes()
 
 
+def _mismatched(a) -> np.ndarray:
+    """``a`` in the other integer width (float64 stays float64), as a
+    non-contiguous view: a binding must convert it, not misread it."""
+    a = np.asarray(a)
+    other = {np.dtype(np.int64): np.int32, np.dtype(np.int32): np.int64}
+    wide = np.empty((a.size, 2), dtype=other.get(a.dtype, a.dtype))
+    wide[:, 0] = a
+    return wide[:, 0]
+
+
+class TestAddressBindings:
+    """The bindings pass raw addresses; each converts its array
+    arguments to the declared dtype, C-contiguous, before the call."""
+
+    def test_assign_block_converts_its_inputs(self):
+        from repro.core.labeling import ClusterLabeler
+        from repro.serve.index import encode_query
+
+        rng = random.Random(5)
+        labeling_sets = [
+            [Transaction(rng.sample(range(30), rng.randint(1, 8)))
+             for _ in range(6)]
+            for _ in range(3)
+        ]
+        batch = [Transaction(rng.sample(range(36), rng.randint(0, 9)))
+                 for _ in range(40)]
+        labeler = ClusterLabeler(labeling_sets, 0.3, f=lambda _t: 0.4)
+        fast = labeler.assignment_index
+        read_only = np.array(fast.rep_items)
+        read_only.flags.writeable = False
+        labels, best, _ = KERNELS.assign_block(
+            *(_mismatched(a) for a in encode_query(batch, fast.vocabulary)),
+            _mismatched(fast.pre_indptr),
+            _mismatched(fast.pre_reps),
+            _mismatched(fast.rep_indptr),
+            read_only,
+            _mismatched(fast.rep_cluster),
+            _mismatched(fast.normalisers),
+            fast.theta,
+        )
+        expected = [labeler.assign(p) for p in batch]
+        assert labels.tolist() == expected
+        assert 0 < expected.count(-1) < len(batch)
+        expected_best = np.array([
+            0.0 if label < 0 else labeler.scores(p)[label]
+            for p, label in zip(batch, expected)
+        ])
+        assert best.tobytes() == expected_best.tobytes()
+
+    def test_link_rows_converts_its_inputs(self):
+        rng = np.random.default_rng(3)
+        n = 40
+        upper = np.triu(rng.random((n, n)) < 0.2, 1)
+        adjacency = upper | upper.T
+        indptr = np.concatenate([[0], np.cumsum(adjacency.sum(axis=1))])
+        indices = np.flatnonzero(adjacency) % n  # ascending within rows
+        codes, counts = KERNELS.link_rows(
+            _mismatched(indptr.astype(np.int64)),
+            _mismatched(indices.astype(np.int32)),
+            n,
+        )
+        square = adjacency.astype(np.int64) @ adjacency.astype(np.int64)
+        expected = np.flatnonzero(np.triu(square, 1))
+        assert codes.tolist() == expected.tolist()
+        assert counts.tolist() == square.ravel()[expected].tolist()
+
+    def test_merge_components_converts_its_inputs(self):
+        from dataclasses import fields, replace
+
+        from repro.native.merge import native_merge_components
+
+        rng = random.Random(11)
+        links = link_table(60, [
+            (i, j, rng.randint(1, 5))
+            for base in range(0, 60, 6)
+            for i in range(base, base + 6)
+            for j in range(i + 1, base + 6)
+        ])
+        lo, hi, counts = links.pair_arrays()
+        packed = pack_components(60, np.ones(60, dtype=np.int64), lo, hi, counts)
+        kernel = merge_kernel_for(goodness, default_f(0.5), n_max=60)
+        converted = replace(packed, **{
+            f.name: _mismatched(getattr(packed, f.name))
+            for f in fields(packed) if f.name != "index"
+        })
+        ref = native_merge_components(packed, kernel, KERNELS, 4, 60)
+        run = native_merge_components(converted, kernel, KERNELS, 4, 60)
+        assert ref.left.size > 0
+        for name in ("left", "right", "sizes", "roots"):
+            assert np.array_equal(getattr(ref, name), getattr(run, name)), name
+        assert ref.goodness.tobytes() == run.goodness.tobytes()
+        assert (ref.heap_ops, ref.stopped_early) == (run.heap_ops, run.stopped_early)
+
+
 # -- end to end ---------------------------------------------------------------
 
 

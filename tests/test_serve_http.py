@@ -12,16 +12,23 @@ takes.  Acceptance bars covered here:
   queueing unboundedly;
 * ``/metrics`` renders well-formed Prometheus 0.0.4 for the combined
   engine + server registry;
-* shutdown drains admitted requests.
+* the batcher dispatches on idle: a lone point reaches the engine
+  within one loop pass, with no timer;
+* shutdown drains admitted requests and closes idle keep-alive
+  connections before the loop stops.
 """
 
 import asyncio
+import gc
 import http.client
 import json
+import logging
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.pipeline import RockPipeline
 from repro.data.records import CategoricalRecord, CategoricalSchema
@@ -29,11 +36,13 @@ from repro.datasets import small_synthetic_basket
 from repro.obs.export import prometheus_name
 from repro.serve import ClusteringService, RockModel
 from repro.serve.http import (
+    BatcherClosed,
     ProtocolError,
     QueueFull,
     RequestBatcher,
     serve_in_thread,
 )
+from repro.serve.http.batcher import QUEUE_WAIT_EDGES
 from repro.serve.http.protocol import read_request, render_response
 
 
@@ -157,7 +166,7 @@ class TestBatcher:
                 await asyncio.sleep(0.01)  # let submissions pile up
                 return [p * 10 for p in points]
 
-            batcher = RequestBatcher(flush, batch_max=8, batch_wait_us=50_000)
+            batcher = RequestBatcher(flush, batch_max=8)
             batcher.start()
             futures = [batcher.submit(i) for i in range(6)]
             results = await asyncio.gather(*futures)
@@ -178,7 +187,7 @@ class TestBatcher:
                 calls.append(list(points))
                 return points
 
-            batcher = RequestBatcher(flush, batch_max=1, batch_wait_us=50_000)
+            batcher = RequestBatcher(flush, batch_max=1)
             batcher.start()
             results = await asyncio.gather(
                 *[batcher.submit(i) for i in range(5)]
@@ -198,9 +207,7 @@ class TestBatcher:
                 await release.wait()
                 return points
 
-            batcher = RequestBatcher(
-                flush, batch_max=1, batch_wait_us=0, queue_depth=2
-            )
+            batcher = RequestBatcher(flush, batch_max=1, queue_depth=2)
             batcher.start()
             futures = [batcher.submit(i) for i in range(2)]
             with pytest.raises(QueueFull):
@@ -216,7 +223,7 @@ class TestBatcher:
             async def flush(points):
                 raise RuntimeError("engine exploded")
 
-            batcher = RequestBatcher(flush, batch_max=8, batch_wait_us=1000)
+            batcher = RequestBatcher(flush, batch_max=8)
             batcher.start()
             futures = [batcher.submit(i) for i in range(3)]
             results = await asyncio.gather(*futures, return_exceptions=True)
@@ -232,7 +239,7 @@ class TestBatcher:
                 await asyncio.sleep(0.005)
                 return points
 
-            batcher = RequestBatcher(flush, batch_max=4, batch_wait_us=1000)
+            batcher = RequestBatcher(flush, batch_max=4)
             batcher.start()
             futures = [batcher.submit(i) for i in range(10)]
             await batcher.aclose()
@@ -241,6 +248,39 @@ class TestBatcher:
 
         assert asyncio.run(_run()) == list(range(10))
 
+    def test_lone_submit_flushes_within_one_pass_without_a_timer(self):
+        calls = []
+        timers = []
+
+        class RecordingLoop(asyncio.SelectorEventLoop):
+            def call_at(self, when, callback, *args, **kwargs):
+                timers.append(callback)
+                return super().call_at(when, callback, *args, **kwargs)
+
+        async def _run():
+            async def flush(points):
+                calls.append(list(points))
+                return points
+
+            batcher = RequestBatcher(flush)
+            batcher.start()
+            await asyncio.sleep(0)  # the flusher waits on the empty queue
+            future = batcher.submit("p")
+            # pass 1 wakes the flusher, which yields one pass for
+            # readable requests; pass 2 finds nothing new and dispatches
+            await asyncio.sleep(0)
+            await asyncio.sleep(0)
+            assert calls == [["p"]]
+            assert await future == "p"
+            await batcher.aclose()
+
+        loop = RecordingLoop()
+        try:
+            loop.run_until_complete(_run())
+        finally:
+            loop.close()
+        assert timers == []
+
     def test_validates_parameters(self):
         async def flush(points):
             return points
@@ -248,9 +288,92 @@ class TestBatcher:
         with pytest.raises(ValueError):
             RequestBatcher(flush, batch_max=0)
         with pytest.raises(ValueError):
-            RequestBatcher(flush, batch_wait_us=-1)
-        with pytest.raises(ValueError):
             RequestBatcher(flush, queue_depth=0)
+
+
+class FlushFailed(RuntimeError):
+    """Raised by the property test's flush for the batches it fails."""
+
+
+batcher_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("submit"), st.integers(1, 5)),
+        st.tuples(st.just("yield"), st.integers(1, 3)),
+        st.tuples(st.just("close"), st.just(0)),
+    ),
+    max_size=25,
+)
+
+
+@given(
+    steps=batcher_steps,
+    batch_max=st.integers(1, 6),
+    delays=st.lists(st.integers(0, 3), min_size=1, max_size=8),
+    failures=st.lists(st.booleans(), min_size=1, max_size=8),
+)
+@settings(max_examples=80, deadline=None)
+def test_batcher_resolves_every_future_once_in_submission_order(
+    steps, batch_max, delays, failures
+):
+    """Any interleaving of submits, loop passes, slow or failing flushes
+    and ``aclose``: each admitted point lands in exactly one batch, in
+    submission order, and its future resolves exactly once with its own
+    result (or its batch's exception)."""
+    batches = []
+
+    async def flush(points):
+        index = len(batches)
+        batches.append(list(points))
+        for _ in range(delays[index % len(delays)]):
+            await asyncio.sleep(0)
+        if failures[index % len(failures)]:
+            raise FlushFailed(index)
+        return [p * 10 for p in points]
+
+    async def _run():
+        batcher = RequestBatcher(flush, batch_max=batch_max)
+        batcher.start()
+        admitted, futures, resolutions = [], {}, {}
+        closing = None
+        next_point = 0
+        for op, arg in steps:
+            if op == "yield":
+                for _ in range(arg):
+                    await asyncio.sleep(0)
+            elif op == "close" and closing is None:
+                closing = asyncio.ensure_future(batcher.aclose())
+            elif op == "submit":
+                for _ in range(arg):
+                    point, next_point = next_point, next_point + 1
+                    try:
+                        future = batcher.submit(point)
+                    except BatcherClosed:
+                        continue
+                    admitted.append(point)
+                    futures[point] = future
+                    resolutions[point] = 0
+                    future.add_done_callback(
+                        lambda _, p=point: resolutions.__setitem__(
+                            p, resolutions[p] + 1
+                        )
+                    )
+        await (closing if closing is not None else batcher.aclose())
+        await asyncio.sleep(0)  # run the done callbacks
+        return batcher.pending, admitted, futures, resolutions
+
+    pending, admitted, futures, resolutions = asyncio.run(_run())
+    assert pending == 0
+    assert all(1 <= len(batch) <= batch_max for batch in batches)
+    assert [p for batch in batches for p in batch] == admitted
+    assert all(count == 1 for count in resolutions.values())
+    for index, batch in enumerate(batches):
+        for point in batch:
+            future = futures[point]
+            if failures[index % len(failures)]:
+                assert isinstance(future.exception(), FlushFailed)
+                assert future.exception().args == (index,)
+            else:
+                assert future.result() == point * 10
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +550,7 @@ class TestBatchingAndMetrics:
         model.save(path)
         points = [sorted(t.items) for t in basket.transactions[:64]]
         with serve_in_thread(
-            path, poll_seconds=5.0, batch_max=32, batch_wait_us=3000
+            path, poll_seconds=5.0, batch_max=32
         ) as handle:
             statuses = hammer(handle.address, points, n_threads=8, per_thread=20)
             snap = handle.server.registry.snapshot()
@@ -499,8 +622,7 @@ class TestBatchingAndMetrics:
         path = tmp_path / "model.json"
         model.save(path)
         with serve_in_thread(
-            path, poll_seconds=5.0, batch_max=1, batch_wait_us=0,
-            queue_depth=2,
+            path, poll_seconds=5.0, batch_max=1, queue_depth=2,
         ) as handle:
             # make every engine call slow so the bounded queue fills
             engine = handle.server.watcher.current.engine
@@ -576,23 +698,41 @@ class TestBatchingAndMetrics:
         basket, model = fitted_model
         path = tmp_path / "model.json"
         model.save(path)
-        handle = serve_in_thread(path, poll_seconds=5.0, batch_wait_us=20_000)
+        handle = serve_in_thread(path, poll_seconds=5.0)
         address = handle.address
+        # a slow engine holds the first point in flight, so the second
+        # waits in the batcher queue when the stop begins
+        engine = handle.server.watcher.current.engine
+        original = engine.assign_batch
+        entered = threading.Event()
+
+        def slow(points):
+            entered.set()
+            time.sleep(0.2)
+            return original(points)
+
+        engine.assign_batch = slow
         point = sorted(basket.transactions[0].items)
         results = []
 
-        def slow_client():
-            response, data = request_json(
+        def client():
+            response, _ = request_json(
                 address, "POST", "/assign", {"point": point}
             )
             results.append(response.status)
 
-        client = threading.Thread(target=slow_client)
-        client.start()
-        time.sleep(0.01)  # let the request reach the batcher queue
-        handle.stop()
-        client.join(10)
-        assert results == [200], "in-flight request was dropped on shutdown"
+        clients = [threading.Thread(target=client) for _ in range(2)]
+        clients[0].start()
+        assert entered.wait(10)
+        clients[1].start()
+        deadline = time.monotonic() + 10
+        while handle.server.batcher.pending < 2:
+            assert time.monotonic() < deadline, "second request never queued"
+            time.sleep(0.001)
+        handle.stop(timeout=10)
+        for thread in clients:
+            thread.join(10)
+        assert results == [200, 200], "admitted request was dropped on shutdown"
         with pytest.raises(OSError):
             http.client.HTTPConnection(*address, timeout=2).request(
                 "GET", "/healthz"
@@ -602,3 +742,46 @@ class TestBatchingAndMetrics:
             s for s in handle.server.tracer.spans() if s.name == "serve.http"
         )
         assert root.wall_seconds > 0
+
+    @pytest.mark.filterwarnings(
+        "error::pytest.PytestUnraisableExceptionWarning"
+    )
+    def test_stop_closes_idle_keep_alive_connections(
+        self, fitted_model, tmp_path, caplog
+    ):
+        """A handler waiting for a keep-alive client's next request ends
+        inside ``shutdown``, not after the loop is gone (which raised
+        ``Event loop is closed``), and without an asyncio error log."""
+        basket, model = fitted_model
+        path = tmp_path / "model.json"
+        model.save(path)
+        handle = serve_in_thread(path, poll_seconds=5.0)
+        conn = http.client.HTTPConnection(*handle.address, timeout=30)
+        response, _ = request_json(
+            handle.address, "POST", "/assign",
+            {"point": sorted(basket.transactions[0].items)}, conn=conn,
+        )
+        assert response.status == 200
+        handle.stop(timeout=10)
+        conn.close()
+        gc.collect()
+        assert not [
+            r for r in caplog.records
+            if r.name == "asyncio" and r.levelno >= logging.ERROR
+        ]
+
+    def test_queue_wait_histogram_observes_every_point(self, running_server):
+        for _ in range(3):
+            request_json(running_server.address, "POST", "/assign",
+                         {"point": [1, 2, 3]})
+        hist = running_server.server.registry.snapshot()["histograms"][
+            "http.batcher.queue_wait_seconds"
+        ]
+        assert hist["count"] == 3
+        assert hist["edges"] == list(QUEUE_WAIT_EDGES)
+        assert 0.0 <= hist["min"] <= hist["max"] < 1.0
+        _, text = request_json(running_server.address, "GET", "/metrics")
+        lines = text.decode("utf-8").splitlines()
+        assert "# TYPE rock_http_batcher_queue_wait_seconds histogram" in lines
+        assert 'rock_http_batcher_queue_wait_seconds_bucket{le="+Inf"} 3' in lines
+        assert "rock_http_batcher_queue_wait_seconds_count 3" in lines

@@ -127,7 +127,7 @@ class TestAtomicSwap:
         expected = {version_a: 0}
 
         with serve_in_thread(
-            path, poll_seconds=0.02, batch_max=16, batch_wait_us=500,
+            path, poll_seconds=0.02, batch_max=16,
             cache_size=0,
         ) as handle:
             stop = threading.Event()
