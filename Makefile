@@ -16,7 +16,7 @@ bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 # tiny-n proofs that the fit planner's one-pass routes (fused and
-# native, workers=2) equal the dense route, that its shared-item gate
+# native, 2 threads) equal the dense route, that its shared-item gate
 # routes each end of the crossover sweep, that the component merge
 # engine matches the reference loop byte for byte, that a traced fit
 # leaves a complete RunManifest, that the HTTP server answers +

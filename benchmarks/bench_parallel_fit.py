@@ -1,32 +1,36 @@
-"""The fit past the memory wall: the one-pass kernels, per worker count.
+"""The fit past the memory wall: the one-pass kernels, per thread count.
 
 When the dense ``n x n`` similarity matrix would overflow the memory
 budget, the fit planner (:func:`repro.core.pipeline.plan_fit`) runs one
 of two one-pass neighbor+link kernels on the clustered-basket generator
 of :mod:`benchmarks.baskets`:
 
-* ``fused:W`` -- ``fused_neighbor_links`` with W workers (CSR
+* ``fused:T`` -- ``fused_neighbor_links`` on T block threads (CSR
   intersection scorer with integer prefilter, numpy pair counting);
   the route under ``REPRO_NATIVE=0`` or where the C tier is missing.
-* ``native:W`` -- ``native_neighbor_links`` with W workers: the fused
-  pass with the block kernel and pair reduction run in C
+* ``native:T`` -- ``native_neighbor_links`` on T block threads: the
+  fused pass with the block kernel and pair reduction run in C
   (:mod:`repro.native`).  Skipped when no backend probes; the one-time
   backend warmup (C compile + probe) is timed separately and excluded
   from the steady-state numbers.
 
-On hosts exposing a single effective core the worker curve is flat;
-the machine block in the saved results records the core count so the
+Nothing configures the thread count; a variant forces it the way the
+tests do, by replacing :func:`repro.parallel.pool.thread_count`.  The
+curve is 1 thread against the count the host derives (its CPU
+affinity, capped at 8); on a one-CPU host it has the one point, and the
+machine block in the saved results records the CPU count so the
 numbers read honestly either way.
 
 Each variant runs in a **fresh subprocess** (this file doubles as the
-runner: ``python bench_parallel_fit.py --variant fused:4 --n-clusters
-1260``) so ``ru_maxrss`` is a true per-variant high-water mark; worker
-processes are folded in via ``RUSAGE_CHILDREN``.  Three benches:
+runner: ``python bench_parallel_fit.py --variant fused:2 --n-clusters
+1260``) so ``ru_maxrss`` is a true per-variant high-water mark.  Three
+benches:
 
-* the **smoke** test (``make bench-smoke``, workers=2) proves both
+* the **smoke** test (``make bench-smoke``, 2 threads) proves both
   routes label-identical to the dense route end to end;
-* ``test_parallel_fit_scale`` (slow, n >= 30k) records the worker curve
-  and asserts native:1 >= 3x fused:1;
+* ``test_parallel_fit_scale`` (slow, n >= 30k) records the thread
+  curve, the median of ``SCALE_REPS`` fresh processes per variant, and
+  asserts native:1 >= 3x fused:1;
 * ``test_fit_past_the_memory_wall`` (slow, n = 33,600) fits on the
   planner's own route where the dense matrix would take ~9 GB, and
   asserts that nothing densifies, that peak RSS stays under half the
@@ -74,7 +78,7 @@ from benchmarks.machine import machine_summary  # noqa: E402
 from repro.core import RockPipeline  # noqa: E402
 
 THETA = 0.5
-WORKER_CURVE = (1, 2, 4)
+SCALE_REPS = 5
 SLOW_N_CLUSTERS = 1260  # x24 points/cluster = 30,240 points
 WALL_N_CLUSTERS = 1400  # x24 points/cluster = 33,600 points
 SMOKE_N_CLUSTERS = 30
@@ -91,19 +95,25 @@ SMOKE_GATE_CLUSTERS = (1, 24)
 
 
 def peak_rss_bytes() -> int:
-    """High-water RSS of this process plus its (pool) children."""
-    self_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    child_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return (self_kb + child_kb) * 1024
+    """High-water RSS of this process."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+
+def thread_curve() -> tuple[int, ...]:
+    """1 thread, and the count this host derives when that is more."""
+    from repro.parallel.pool import thread_count
+
+    return tuple(sorted({1, thread_count()}))
 
 
 def run_variant(variant: str, n_clusters: int) -> dict:
     """Time one neighbor+link kernel configuration; meant for a fresh process."""
+    import repro.parallel.pool as pool
     from repro.parallel import fused_neighbor_links
 
     dataset = make_clustered_baskets(n_clusters)
     name, _, arg = variant.partition(":")
-    workers = int(arg) if arg else 1
+    threads = int(arg) if arg else 1
     backend = None
     warmup_s = 0.0
 
@@ -123,8 +133,11 @@ def run_variant(variant: str, n_clusters: int) -> dict:
         kernel = native_neighbor_links
     else:
         raise SystemExit(f"unknown variant {variant!r}")
+    # the process runs this one variant, so the forced count needs no
+    # undoing (unittest.mock would add its imports to the peak RSS)
+    pool.thread_count = lambda: threads
     start = time.perf_counter()
-    links = kernel(dataset, THETA, workers=workers).links
+    links = kernel(dataset, THETA).links
     seconds = time.perf_counter() - start
     return {
         "variant": variant,
@@ -177,6 +190,25 @@ def measure_traced(variant: str, n_clusters: int, tracer=None) -> dict:
     return row
 
 
+def median_rows(runs: list[dict]) -> list[dict]:
+    """One row per variant, in first-seen order: the median seconds and
+    peak RSS over its runs, with the runs' seconds kept as ``all_s``."""
+    import statistics
+
+    by_variant: dict[str, list[dict]] = {}
+    for run in runs:
+        by_variant.setdefault(run["variant"], []).append(run)
+    return [
+        {
+            **mine[0],
+            "seconds_total": statistics.median(r["seconds_total"] for r in mine),
+            "peak_rss": statistics.median(r["peak_rss"] for r in mine),
+            "all_s": [r["seconds_total"] for r in mine],
+        }
+        for mine in by_variant.values()
+    ]
+
+
 def kernels_available() -> list[str]:
     import repro.native as native_mod
 
@@ -205,6 +237,7 @@ def test_parallel_fit_smoke(benchmark, save_result, save_manifest):
     """Small-n: both one-pass routes label-identical to the dense route."""
     from unittest import mock
 
+    import repro.parallel.pool as pool
     from repro.obs import RunManifest, Tracer
 
     n_clusters = SMOKE_N_CLUSTERS
@@ -213,10 +246,12 @@ def test_parallel_fit_smoke(benchmark, save_result, save_manifest):
     dense = dense_route_clusters(dataset, n_clusters)
     kernels = kernels_available()
     for kernel in kernels:
-        with mock.patch.dict(os.environ):
+        with mock.patch.dict(os.environ), mock.patch.object(
+            pool, "thread_count", lambda: 2
+        ):
             if kernel == "fused":
                 os.environ["REPRO_NATIVE"] = "0"
-            result = RockPipeline(**base, memory_budget=1, workers=2).fit(
+            result = RockPipeline(**base, memory_budget=1).fit(
                 dataset, label_remaining=False
             )
         assert result.backends["fit"].startswith(kernel), result.backends
@@ -238,7 +273,7 @@ def test_parallel_fit_smoke(benchmark, save_result, save_manifest):
         "parallel_fit_smoke",
         "\n".join([
             "Parallel fit smoke: the one-pass routes equal the dense "
-            "route (workers=2)",
+            "route (2 threads)",
             f"n={len(dataset)}  theta={THETA}",
             "",
             *format_curve(rows, rows[0]),
@@ -250,23 +285,27 @@ def test_parallel_fit_smoke(benchmark, save_result, save_manifest):
         "parallel_fit_smoke",
         RunManifest.from_tracer(
             "bench_parallel_fit_smoke", tracer,
-            config={"n": len(dataset), "theta": THETA, "workers": 2},
+            config={"n": len(dataset), "theta": THETA, "threads": 2},
         ),
     )
 
 
 @pytest.mark.slow
 def test_parallel_fit_scale(benchmark, save_result, save_manifest):
-    """n >= 30k: the worker curve of both kernels, native:1 >= 3x fused:1."""
+    """n >= 30k: the thread curve of both kernels, native:1 >= 3x fused:1."""
     from repro.obs import RunManifest, Tracer
 
     tracer = Tracer()
-    variants = [f"{k}:{w}" for k in kernels_available() for w in WORKER_CURVE]
+    curve = thread_curve()
+    variants = [f"{k}:{t}" for k in kernels_available() for t in curve]
     holder = {}
+    # rounds of every variant in turn, so host drift hits them alike
     benchmark.pedantic(
-        lambda: holder.setdefault(
-            "rows", [measure_traced(v, SLOW_N_CLUSTERS, tracer) for v in variants]
-        ),
+        lambda: holder.setdefault("rows", median_rows([
+            measure_traced(v, SLOW_N_CLUSTERS, tracer)
+            for _ in range(SCALE_REPS)
+            for v in variants
+        ])),
         rounds=1,
         iterations=1,
     )
@@ -280,8 +319,8 @@ def test_parallel_fit_scale(benchmark, save_result, save_manifest):
 
     native_lines = []
     if "native:1" in by_variant:
-        # workers-matched single-core comparison: same schedule, same
-        # pool (none), only the kernels differ
+        # thread-matched single-core comparison: same schedule, no
+        # threads, only the kernels differ
         native_speedup = (
             by_variant["fused:1"]["seconds_total"]
             / max(by_variant["native:1"]["seconds_total"], 1e-9)
@@ -304,12 +343,20 @@ def test_parallel_fit_scale(benchmark, save_result, save_manifest):
     save_result(
         "parallel_fit",
         "\n".join([
-            "Parallel fit at n >= 30k: the one-pass kernels per worker count",
+            "Parallel fit at n >= 30k: the one-pass kernels per thread count",
             "",
             f"points     {n}  ({SLOW_N_CLUSTERS} clusters x 24, theta {THETA})",
-            "each variant in a fresh process; neighbor+link stage only",
+            f"each variant in a fresh process, median of {SCALE_REPS} "
+            "(variants in turn); neighbor+link stage only, wall clock",
             "",
             *format_curve(rows, by_variant["fused:1"]),
+            "",
+            "runs (s):",
+            *(
+                f"  {row['variant']:<10} "
+                + " ".join(f"{s:.2f}" for s in row["all_s"])
+                for row in rows
+            ),
             "",
             *native_lines,
             "",
@@ -324,7 +371,8 @@ def test_parallel_fit_scale(benchmark, save_result, save_manifest):
                 "n": n,
                 "n_clusters": SLOW_N_CLUSTERS,
                 "theta": THETA,
-                "worker_curve": list(WORKER_CURVE),
+                "thread_curve": list(curve),
+                "reps": SCALE_REPS,
             },
         ),
     )

@@ -224,15 +224,16 @@ def test_shard_fit_smoke(benchmark, tmp_path, save_result, save_manifest):
     from repro.core import rock
     from repro.data.io import read_transactions
     from repro.obs import RunManifest, Tracer
+    from repro.shard import shard_fit
 
     data = tmp_path / "baskets.txt"
     n = make_basket_file(data, SMOKE_N_CLUSTERS)
     dataset = read_transactions(data)
     base = rock(dataset, k=SMOKE_N_CLUSTERS, theta=THETA, memory_budget=1)
-    sharded = rock(
-        dataset, k=SMOKE_N_CLUSTERS, theta=THETA, fit_mode="sharded",
-        workers=2, shard_block_rows=64,
-    )
+    sharded = shard_fit(
+        dataset, k=SMOKE_N_CLUSTERS, theta=THETA,
+        f_theta=(1 - THETA) / (1 + THETA), workers=2, block_rows=64,
+    ).result
     assert sharded.clusters == base.clusters
     assert [
         (m.left, m.right, float(m.goodness).hex()) for m in sharded.merges

@@ -1,11 +1,11 @@
 """Trace smoke: a small traced fit leaves one complete RunManifest.
 
 CI-fast proof of the observability wiring end to end: a fit past its
-memory budget (the native or fused route, workers=2) under a
-:class:`~repro.obs.trace.Tracer` must produce a
-manifest that (a) round-trips through JSON, (b) contains a span for
-every fit phase, and (c) carries worker-side kernel counters merged
-back through the process pool.  Runs under ``make bench-smoke``.
+memory budget (the native or fused route) under a
+:class:`~repro.obs.trace.Tracer` must produce a manifest that (a)
+round-trips through JSON, (b) contains a span for every fit phase, and
+(c) carries the kernel counters the block threads recorded and the
+thread count the fit derived.  Runs under ``make bench-smoke``.
 """
 
 import json
@@ -27,7 +27,7 @@ def test_trace_fit_smoke(benchmark, save_result, save_manifest):
     tracer = Tracer()
     pipeline = RockPipeline(
         k=N_CLUSTERS, theta=THETA, sample_size=None, seed=0,
-        memory_budget=1, workers=2,
+        memory_budget=1,
     )
     holder = {}
     benchmark.pedantic(
@@ -41,8 +41,7 @@ def test_trace_fit_smoke(benchmark, save_result, save_manifest):
 
     manifest = RunManifest.from_tracer(
         "bench_trace_fit_smoke", tracer,
-        config={"n": len(dataset), "theta": THETA, "memory_budget": 1,
-                "workers": 2},
+        config={"n": len(dataset), "theta": THETA, "memory_budget": 1},
     )
     save_manifest("trace_fit_smoke", manifest)
 
@@ -54,11 +53,13 @@ def test_trace_fit_smoke(benchmark, save_result, save_manifest):
     for phase in FIT_PHASES:
         assert phase in names, f"missing span {phase!r}"
 
-    # worker-side kernel counters made it back through the pool
+    # every block thread's kernel counters are in the registry
     counters = reloaded.metrics["counters"]
     kernel = "native" if result.backends["fit"].startswith("native") else "fused"
     assert counters[f"fit.{kernel}.rows"] == len(dataset)
     assert counters[f"fit.{kernel}.blocks"] >= 1
+    threads = reloaded.metrics["gauges"]["fit.threads"]
+    assert threads == result.threads == reloaded.find_span("fit")["attrs"]["threads"]
 
     fit_span = reloaded.find_span("fit")
     phase_lines = [
@@ -68,14 +69,15 @@ def test_trace_fit_smoke(benchmark, save_result, save_manifest):
     save_result(
         "trace_fit_smoke",
         "\n".join([
-            f"Trace smoke: {result.backends['fit']} (workers=2) fit under a Tracer",
+            f"Trace smoke: {result.backends['fit']} fit on {threads} "
+            "thread(s) under a Tracer",
             f"n={len(dataset)}  theta={THETA}  "
             f"clusters={result.n_clusters}",
             "",
             "per-phase wall clock (from the span tree):",
             *phase_lines,
             "",
-            "merged worker counters: "
+            "kernel counters: "
             + json.dumps(
                 {k: v for k, v in sorted(counters.items())
                  if k.startswith((f"fit.{kernel}", "fit.links"))},

@@ -41,19 +41,17 @@ def main() -> None:
 
     # --- one pipeline per budget; everything else identical -------------
     results = {}
-    for budget, workers in [
-        (None, None),       # host-aware budget: the dense route
-        (1 << 20, "auto"),  # 1 MiB: past the wall, the one-pass kernel
-    ]:
-        pipeline = RockPipeline(
-            k=4, theta=0.5, seed=0, memory_budget=budget, workers=workers
-        )
+    # the host-aware budget takes the dense route; 1 MiB is past the
+    # wall, where the one-pass kernel scores row blocks on as many
+    # threads as the process has CPUs (result.threads)
+    for budget in (None, 1 << 20):
+        pipeline = RockPipeline(k=4, theta=0.5, seed=0, memory_budget=budget)
         result = pipeline.fit(points, label_remaining=False)
         results[budget] = result
         timings = result.timings
         print(f"fit route {result.backends['fit']:<12} neighbors+links "
               f"{timings['neighbors'] + timings['links']:6.3f}s  "
-              f"-> {result.n_clusters} clusters")
+              f"-> {result.n_clusters} clusters ({result.threads} thread(s))")
 
     # --- both routes agree exactly ----------------------------------------
     dense, over_budget = results.values()
@@ -61,7 +59,7 @@ def main() -> None:
     print("\nboth routes produced byte-identical labels")
 
     # --- the kernels are also usable directly ---------------------------
-    fused = fused_neighbor_links(points, 0.5, workers=2)
+    fused = fused_neighbor_links(points, 0.5)
     print(f"fused: {fused.links.nnz_pairs()} linked pairs, "
           f"degrees via fused.degrees (graph never materialised)")
 

@@ -88,11 +88,6 @@ def _add_fit_memory_args(sub: argparse.ArgumentParser) -> None:
         help="pool rebuilds tolerated after shard worker crashes before "
         "degrading to in-coordinator execution",
     )
-    sub.add_argument(
-        "--workers", default=None,
-        help="process count for the native/fused kernels: an int, "
-        "'auto' (CPU count, capped at 8), or omitted for serial",
-    )
 
 
 def _positive_int(text: str) -> int:
@@ -160,27 +155,11 @@ def _fit_kwargs(args: argparse.Namespace) -> dict[str, Any]:
     return dict(
         memory_budget=_memory_budget_bytes(args),
         fit_mode=args.fit_mode,
-        workers=_fit_workers(args),
         shard_block_rows=args.shard_block_rows,
         spill_dir=args.spill_dir,
         max_retries=args.max_retries,
         seed=args.seed,
     )
-
-
-def _fit_workers(args: argparse.Namespace) -> int | str | None:
-    workers = getattr(args, "workers", None)
-    if workers is None or workers == "auto":
-        return workers
-    try:
-        count = int(workers)
-    except ValueError:
-        raise SystemExit(
-            f"--workers must be a positive int or 'auto', got {workers!r}"
-        ) from None
-    if count < 1:
-        raise SystemExit("--workers must be positive")
-    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -546,7 +525,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             "theta": args.theta,
             "sample": args.sample,
             "fit_mode": pipeline.fit_mode,
-            "workers": getattr(args, "workers", None),
             "seed": args.seed,
         },
     )
@@ -694,7 +672,6 @@ def cmd_fit_model(args: argparse.Namespace) -> int:
             "sample": args.sample,
             "labeling_fraction": args.labeling_fraction,
             "fit_mode": pipeline.fit_mode,
-            "workers": getattr(args, "workers", None),
             "seed": args.seed,
             "model": str(args.model),
         },

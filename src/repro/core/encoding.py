@@ -239,8 +239,8 @@ class TransactionCSR:
     transactions holding it), which lets a scorer accumulate row
     intersections by walking only the transactions that share an item.
     Ids are int32 (``n < 2**31``); the indptrs stay int64 so totals
-    never overflow.  Plain arrays, so the encoding pickles to pool
-    workers.
+    never overflow.  Plain arrays, never written once built, so block
+    threads share one encoding.
     """
 
     indptr: np.ndarray

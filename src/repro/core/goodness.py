@@ -227,7 +227,7 @@ class NaiveGoodnessKernel:
         return np.asarray(counts, dtype=np.float64).copy()
 
 
-# picklable kernel registry: shard workers rebuild kernels from these names
+# picklable kernel registry: shard processes rebuild kernels from these names
 MERGE_KERNELS = {
     "normalized": NormalizedGoodnessKernel,
     "naive": NaiveGoodnessKernel,

@@ -17,8 +17,7 @@ receives the label ``-1``.
 labeling sets, the oracle :meth:`ClusterLabeler.assign` scores through.
 Batch calls -- the fit's label scan, the serving engine, the stream
 labeler -- all score through one
-:class:`~repro.serve.index.AssignmentIndex` (the labeler's, or a
-prebuilt copy shipped to pool workers), and that index picks the
+:class:`~repro.serve.index.AssignmentIndex`, and that index picks the
 scoring tier.  Custom similarities admit no index: they score per point
 in :meth:`ClusterLabeler.assign_with_scores`.
 """

@@ -281,7 +281,7 @@ class PackedComponents:
     each component's position among all components, isolated clusters
     included.  The native engine takes these arrays as they are;
     :meth:`problems` slices them per component for the Python inner
-    loop and the shard workers.
+    loop and the shard's component units.
     """
 
     index: np.ndarray

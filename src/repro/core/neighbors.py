@@ -31,11 +31,11 @@ adjacency, and fits whose points share few items
 (:func:`repro.core.pipeline.plan_fit` prices both), run the one-pass
 neighbor+link kernels (:func:`repro.parallel.links.fused_neighbor_links`,
 :func:`repro.native.links.native_neighbor_links`) instead, which share
-the picklable :class:`BlockScorer` objects built here; every
+the :class:`BlockScorer` objects built here; every
 transaction scorer reads one :class:`~repro.core.encoding.TransactionCSR`.
 Block scoring is row-independent and exact (integer intersections
 below 2**24, one float64 division), so every path produces
-bit-identical graphs for any block size or worker count.
+bit-identical graphs for any block size or thread count.
 """
 
 from __future__ import annotations
@@ -376,8 +376,8 @@ def resolve_memory_budget(memory_budget: int | None = None) -> int:
 #
 # A BlockScorer owns a compact per-point encoding and computes any row
 # range of the pairwise similarity matrix on demand.  Scorers are plain
-# picklable objects (numpy/scipy arrays + flags) so the fused kernels
-# can ship one to each worker through the pool initializer.
+# objects (numpy/scipy arrays + flags), read-only once built, so the
+# fused kernel's block threads share one.
 
 class BlockScorer:
     """Base: compute similarity row blocks and threshold them to neighbors."""
@@ -396,6 +396,15 @@ class BlockScorer:
         rows = np.arange(adj_block.shape[0])
         adj_block[rows, start + rows] = False
         return [np.flatnonzero(row) for row in adj_block]
+
+    def neighbor_block(
+        self, start: int, stop: int, theta: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`neighbor_rows` as one CSR block: ``(row lengths,
+        concatenated indices)``."""
+        rows = self.neighbor_rows(start, stop, theta)
+        lengths = np.fromiter((r.size for r in rows), np.int64, len(rows))
+        return lengths, np.concatenate(rows) if rows else np.empty(0, np.int64)
 
 
 class DenseTransactionScorer(BlockScorer):
@@ -475,13 +484,23 @@ class SparseTransactionScorer(BlockScorer):
         return 2.0 * theta * self._min_size / (1.0 + theta)
 
     def neighbor_rows(self, start: int, stop: int, theta: float) -> list[np.ndarray]:
+        lengths, indices = self.neighbor_block(start, stop, theta)
+        return np.split(indices, np.cumsum(lengths)[:-1])
+
+    def neighbor_block(
+        self, start: int, stop: int, theta: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # array work throughout (no per-row Python), so block threads
+        # overlap on it as well as on the scipy product
         n = self.n
         if theta <= 0.0:
             everyone = np.arange(n, dtype=np.int64)
-            return [
-                np.concatenate([everyone[:i], everyone[i + 1:]])
-                for i in range(start, stop)
+            rows = np.arange(start, stop)
+            # every row lists all n points but itself
+            indices = np.broadcast_to(everyone, (rows.size, n))[
+                everyone[None, :] != rows[:, None]
             ]
+            return np.full(rows.size, n - 1, dtype=np.int64), indices
         inter = (self._s[start:stop] @ self._st).tocsr()
         indptr = inter.indptr
         # prefilter on the raw counts, then gather only the survivors;
@@ -504,9 +523,7 @@ class SparseTransactionScorer(BlockScorer):
         # the product's columns are unsorted within a row; order the
         # survivors so every emitted neighbor list is ascending
         order = np.lexsort((kept_cols, kept_rows))
-        kept_cols = kept_cols[order]
-        per_row = np.bincount(kept_rows, minlength=stop - start)
-        return np.split(kept_cols, np.cumsum(per_row)[:-1])
+        return np.bincount(kept_rows, minlength=stop - start), kept_cols[order]
 
 class MissingAwareScorer(BlockScorer):
     """Per-pair missing-aware Jaccard over categorical records."""

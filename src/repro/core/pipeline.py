@@ -50,6 +50,7 @@ from repro.core.similarity import SimilarityFunction
 from repro.data.records import CategoricalDataset
 from repro.data.transactions import TransactionDataset
 from repro.obs.trace import Tracer
+from repro.parallel import pool
 
 
 # The fit-route switch threaded through rock(), RockPipeline, the
@@ -259,7 +260,6 @@ def run_fit_plan(
     similarity: SimilarityFunction | None = None,
     *,
     min_neighbors: int = 1,
-    workers: int | str | None = None,
     tracer: Tracer,
 ) -> FitStages:
     """Run a non-sharded plan: neighbors, then prune, then links.
@@ -286,7 +286,7 @@ def run_fit_plan(
             span.attrs["shared_pairs"] = plan.shared_pairs
             registry.set_gauge("fit.plan.shared_pairs", plan.shared_pairs)
         if plan.route in ("native", "fused"):
-            fused = _fused_pass(plan, source, theta, similarity, workers, registry)
+            fused = _fused_pass(plan, source, theta, similarity, registry)
             degrees = fused.degrees
         else:
             if plan.route == "weighted":
@@ -310,7 +310,7 @@ def run_fit_plan(
         strict = degrees[discarded].any()
         if fused is not None and strict:
             fused = _fused_pass(
-                plan, _subset(source, kept), theta, similarity, workers, registry
+                plan, _subset(source, kept), theta, similarity, registry
             )
         elif fused is None and len(kept) < n and (strict or plan.route == "weighted"):
             graph = graph.subgraph(kept)
@@ -338,7 +338,6 @@ def _fused_pass(
     points: Any,
     theta: float,
     similarity: SimilarityFunction | None,
-    workers: int | str | None,
     registry: Any,
 ) -> Any:
     """One native or fused neighbor+link pass (looked up at call time)."""
@@ -351,7 +350,7 @@ def _fused_pass(
 
         kernel = kernels.fused_neighbor_links
     return kernel(
-        points, theta, similarity=similarity, workers=workers,
+        points, theta, similarity=similarity,
         memory_budget=plan.memory_budget, registry=registry,
     )
 
@@ -401,6 +400,10 @@ class PipelineResult:
         the same rule on every route),
         not the requested modes, so benchmarks and model metadata can
         tell a silent fallback from the real thing.
+    threads:
+        The thread count the fit's block kernels derived
+        (:func:`~repro.parallel.pool.thread_count`), also the
+        ``fit.threads`` gauge and the root span's ``threads``.
     """
 
     labels: np.ndarray
@@ -412,6 +415,7 @@ class PipelineResult:
     labeling_sets: list[list[Any]] | None = None
     similarity: SimilarityFunction | None = None
     backends: dict[str, str] = field(default_factory=dict)
+    threads: int = 1
 
     @property
     def n_clusters(self) -> int:
@@ -467,12 +471,15 @@ class RockPipeline:
         when it cannot reproduce the fit.  ``backends["fit"]`` records
         the route that ran.  All routes produce identical results
         (property-tested).
-    workers:
-        Process count for the native/fused kernels: an int, ``"auto"``
-        (CPU count capped at 8), or ``None`` for serial.  The merge
-        phase runs :func:`~repro.core.rock.cluster_with_links`, whose
-        engine follows from ``goodness_fn`` and the :mod:`repro.native`
-        probe; ``backends["merge"]`` records the one that ran.
+
+        The native and fused kernels score row blocks on
+        :func:`~repro.parallel.pool.thread_count` threads (the CPUs
+        the process may run on, capped at 8; one inline block below
+        about 2,000 points), recorded as :attr:`PipelineResult.threads`.
+        The merge phase runs :func:`~repro.core.rock.cluster_with_links`,
+        whose engine follows from ``goodness_fn`` and the
+        :mod:`repro.native` probe; ``backends["merge"]`` records the
+        one that ran.
     shard_block_rows / spill_dir / max_retries:
         Sharded-fit knobs (``fit_mode="sharded"``): rows per scoring
         block (default: the fused kernels' budget-aware block
@@ -503,7 +510,6 @@ class RockPipeline:
         goodness_fn: GoodnessFunction = normalized_goodness,
         memory_budget: int | None = None,
         fit_mode: str = "auto",
-        workers: int | str | None = None,
         shard_block_rows: int | None = None,
         spill_dir: "str | None" = None,
         max_retries: int = 2,
@@ -535,7 +541,6 @@ class RockPipeline:
         self.goodness_fn = goodness_fn
         self.memory_budget = memory_budget
         self.fit_mode = fit_mode
-        self.workers = workers
         self.shard_block_rows = shard_block_rows
         self.spill_dir = spill_dir
         self.max_retries = max_retries
@@ -560,9 +565,8 @@ class RockPipeline:
         Every fit mode records one root ``fit`` span with a child span
         per phase (``sample`` / ``neighbors`` / ``links`` / ``cluster``
         / ``label``), and the kernels record counters and histograms
-        into ``tracer.registry`` -- the parallel and fused kernels merge
-        worker-side metric deltas back through the process pool, so the
-        trace survives multiprocessing.  Phase timings land in
+        into ``tracer.registry``, from every block thread.  Phase
+        timings land in
         ``PipelineResult.timings`` either way (they are read off the
         spans), so passing a tracer changes observability only, never
         results.
@@ -583,20 +587,23 @@ class RockPipeline:
         n_total = len(points)
         if n_total == 0:
             raise ValueError("cannot cluster an empty dataset")
-        workers = self.workers
+        threads = pool.thread_count()
+        tracer.registry.set_gauge("fit.threads", threads)
         with tracer.span(
             "fit",
             n_points=n_total,
             fit_mode=self.fit_mode,
             k=self.k,
             theta=self.theta,
-            workers=workers,
+            threads=threads,
             resumed=initial_clusters is not None,
         ) as root_span:
-            return self._fit_phases(
+            result = self._fit_phases(
                 points, n_total, label_remaining, rng, tracer,
                 initial_clusters, root_span,
             )
+        result.threads = threads
+        return result
 
     def _fit_phases(
         self,
@@ -646,7 +653,6 @@ class RockPipeline:
                 similarity=self.similarity,
                 goodness_fn=self.goodness_fn,
                 min_neighbors=min_neighbors,
-                workers=self.workers,
                 block_rows=self.shard_block_rows,
                 spill_dir=self.spill_dir,
                 max_retries=self.max_retries,
@@ -661,17 +667,16 @@ class RockPipeline:
                     "theta or min_neighbors"
                 )
             result = sharded.result
-            backends["links"] = "pair-count:numpy"  # in the shard workers
-            # the coordinator's workers run the PR 5 component streams;
-            # the stitch is the fast engine's k-way replay
+            backends["links"] = "pair-count:numpy"  # in the shard units
+            # the shard's units run the PR 5 component streams; the
+            # stitch is the fast engine's k-way replay
             backends["merge"] = "fast"
             for phase in ("neighbors", "links", "cluster"):
                 timings[phase] = sharded.timings.get(phase, 0.0)
         else:
             stages = run_fit_plan(
                 plan, sample_points, self.theta, self.similarity,
-                min_neighbors=min_neighbors, workers=self.workers,
-                tracer=tracer,
+                min_neighbors=min_neighbors, tracer=tracer,
             )
             kept, links = stages.kept, stages.links
             outlier_sample_positions = list(stages.discarded)

@@ -272,7 +272,6 @@ def rock(
     weighted_links: bool = False,
     memory_budget: int | None = None,
     fit_mode: str = "auto",
-    workers: int | str | None = None,
     shard_block_rows: int | None = None,
     spill_dir: "str | None" = None,
     max_retries: int = 2,
@@ -296,9 +295,7 @@ def rock(
     the out-of-core coordinator of :mod:`repro.shard` (honouring
     ``shard_block_rows`` / ``spill_dir`` / ``max_retries``), degrading
     to ``"auto"`` with one warning when the input cannot be
-    store-encoded.  ``workers`` (int, ``"auto"``, or ``None`` for
-    serial) sets the process count for the kernels.  Every route
-    yields identical clusters.  For the full sample -> prune -> cluster
+    store-encoded.  Every route yields identical clusters.  For the full sample -> prune -> cluster
     -> weed -> label pipeline of Figure 2, use
     :class:`repro.core.pipeline.RockPipeline`.
 
@@ -329,13 +326,12 @@ def rock(
         return shard_fit(
             points, k=k, theta=theta, f_theta=f(theta),
             similarity=similarity, goodness_fn=goodness_fn,
-            workers=workers, block_rows=shard_block_rows,
+            block_rows=shard_block_rows,
             spill_dir=spill_dir, max_retries=max_retries,
             memory_budget=plan.memory_budget, tracer=tracer,
         ).result
     links = run_fit_plan(
-        plan, points, theta, similarity, min_neighbors=0,
-        workers=workers, tracer=tracer,
+        plan, points, theta, similarity, min_neighbors=0, tracer=tracer,
     ).links
     from repro.core.merge import merge_engine
 

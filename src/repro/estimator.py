@@ -62,7 +62,6 @@ class RockClusterer:
         outlier_multiple: float = 3.0,
         labeling_fraction: float = 0.25,
         fit_mode: str = "auto",
-        workers: int | str | None = None,
         shard_block_rows: int | None = None,
         spill_dir: "str | None" = None,
         max_retries: int = 2,
@@ -78,7 +77,6 @@ class RockClusterer:
         self.outlier_multiple = outlier_multiple
         self.labeling_fraction = labeling_fraction
         self.fit_mode = fit_mode
-        self.workers = workers
         self.shard_block_rows = shard_block_rows
         self.spill_dir = spill_dir
         self.max_retries = max_retries
@@ -97,7 +95,6 @@ class RockClusterer:
             "outlier_multiple": self.outlier_multiple,
             "labeling_fraction": self.labeling_fraction,
             "fit_mode": self.fit_mode,
-            "workers": self.workers,
             "shard_block_rows": self.shard_block_rows,
             "spill_dir": self.spill_dir,
             "max_retries": self.max_retries,
@@ -129,7 +126,6 @@ class RockClusterer:
             outlier_multiple=self.outlier_multiple,
             labeling_fraction=self.labeling_fraction,
             fit_mode=self.fit_mode,
-            workers=self.workers,
             shard_block_rows=self.shard_block_rows,
             spill_dir=self.spill_dir,
             max_retries=self.max_retries,

@@ -1,9 +1,10 @@
 """The native fused neighbor+link pass (the planner's ``native`` route).
 
 Same shape as :func:`repro.parallel.links.fused_neighbor_links` -- row
-blocks fanned across :mod:`repro.parallel.pool` workers, one
+blocks mapped over :func:`repro.parallel.pool.map_blocks` threads, one
 :class:`~repro.core.links.LinkTable` at the end -- but each block is
-scored by a native kernel instead of the scipy sparse product.
+scored by a native kernel instead of the scipy sparse product; the
+ctypes call releases the GIL, so blocks score in parallel.
 Similarity is symmetric, so the block kernel scores only the upper
 triangle (``j > row``, half the accumulate work of the reference
 product); a linear-time mirror pass rebuilds the full ascending
@@ -39,13 +40,8 @@ from repro.core.encoding import (
 from repro.core.neighbors import resolve_memory_budget
 from repro.core.similarity import OverlapSimilarity, SimilarityFunction
 from repro.obs.registry import MetricsRegistry
-from repro.parallel.links import FusedFitResult, neighbor_csr_result
-from repro.parallel.pool import (
-    block_tasks,
-    imap_chunked,
-    resolve_workers,
-    worker_block_size,
-)
+from repro.parallel.links import FusedFitResult, neighbor_csr_result, stitch_blocks
+from repro.parallel.pool import block_rows, block_tasks, map_blocks
 
 __all__ = [
     "native_fit_supported",
@@ -75,55 +71,10 @@ def native_fit_supported(
     return blocker is None, blocker
 
 
-# -- worker side --------------------------------------------------------------
-
-_NATIVE_STATE: dict[str, Any] = {}
-
-
-def _init_native_worker(csr: TransactionCSR, theta: float, overlap: int) -> None:
-    from repro.native import get_kernels
-
-    _NATIVE_STATE["csr"] = csr
-    _NATIVE_STATE["theta"] = theta
-    _NATIVE_STATE["overlap"] = overlap
-    # On fork-start platforms the parent's probed kernels (and loaded
-    # shared object) are inherited; on spawn this re-probes in the
-    # child against the on-disk cache the parent's probe warmed.
-    _NATIVE_STATE["kernels"] = get_kernels()
-
-
-def _native_block(
-    task: tuple[int, int],
-) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
-    """Upper-triangle neighbor lists for one row block."""
-    start, stop = task
-    csr: TransactionCSR = _NATIVE_STATE["csr"]
-    kernels = _NATIVE_STATE["kernels"]
-    t0 = time.perf_counter()
-    upper_indptr, upper_indices = kernels.score_block(
-        csr.indptr,
-        csr.indices,
-        csr.t_indptr,
-        csr.t_indices,
-        csr.sizes,
-        csr.n,
-        start,
-        stop,
-        _NATIVE_STATE["theta"],
-        _NATIVE_STATE["overlap"],
-    )
-    local = MetricsRegistry()
-    local.inc("fit.native.blocks")
-    local.inc("fit.native.rows", stop - start)
-    local.observe("fit.native.block_seconds", time.perf_counter() - t0)
-    return upper_indptr, upper_indices, local.snapshot()
-
-
 def native_neighbor_links(
     points: Any,
     theta: float,
     similarity: SimilarityFunction | None = None,
-    workers: int | str | None = "auto",
     block_size: int | None = None,
     memory_budget: int | None = None,
     keep_graph: bool = False,
@@ -146,46 +97,34 @@ def native_neighbor_links(
     ok, reason = native_fit_supported(points, theta, similarity)
     if not ok:
         raise ValueError(f"native fit unsupported: {reason}")
-    # native_fit_supported probed (compiled + dlopen'd) in the parent
-    # before fan-out: forked workers inherit the loaded library,
-    # spawned ones hit a warm on-disk cache
     kernels = get_kernels()
     csr = points if isinstance(points, TransactionCSR) else transaction_csr(
         points, similarity
     )
     overlap = int(isinstance(similarity, OverlapSimilarity))
-    count = resolve_workers(workers)
     n = csr.n
     budget = resolve_memory_budget(memory_budget)
     if block_size is None:
-        block_size = worker_block_size(n, count, budget)
+        block_size = block_rows(n, budget)
 
-    # workers emit per-block upper-triangle lists in task order; stitch
-    # them into one global upper CSR by offsetting each block's indptr
-    upper_len_blocks: list[np.ndarray] = []
-    upper_index_blocks: list[np.ndarray] = []
-    for upper_indptr, upper_indices, delta in imap_chunked(
-        _native_block,
-        block_tasks(n, block_size),
-        workers=count,
-        initializer=_init_native_worker,
-        initargs=(csr, theta, overlap),
-    ):
+    def score(task: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """Upper-triangle neighbor lists for one row block."""
+        start, stop = task
+        t0 = time.perf_counter()
+        upper_indptr, upper_indices = kernels.score_block(
+            csr.indptr, csr.indices, csr.t_indptr, csr.t_indices, csr.sizes,
+            n, start, stop, theta, overlap,
+        )
         if registry is not None:
-            registry.merge(delta)
-        upper_len_blocks.append(np.diff(upper_indptr))
-        upper_index_blocks.append(upper_indices)
+            registry.inc("fit.native.blocks")
+            registry.inc("fit.native.rows", stop - start)
+            registry.observe("fit.native.block_seconds", time.perf_counter() - t0)
+        return np.diff(upper_indptr), upper_indices
 
-    upper_indptr = np.zeros(n + 1, dtype=np.int64)
-    if upper_len_blocks:
-        np.cumsum(np.concatenate(upper_len_blocks), out=upper_indptr[1:])
-    upper_indices = (
-        np.concatenate(upper_index_blocks)
-        if upper_index_blocks
-        else np.empty(0, dtype=np.int32)
-    )
+    # the upper-triangle CSR, stitched in block order, lives only until
+    # the mirror pass has rebuilt the full lists
     full_indptr, full_indices = kernels.mirror_neighbors(
-        upper_indptr, upper_indices, n
+        *stitch_blocks(map_blocks(score, block_tasks(n, block_size)), n), n
     )
     return neighbor_csr_result(
         full_indptr, full_indices, theta, budget, "native", keep_graph, registry

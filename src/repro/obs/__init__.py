@@ -7,9 +7,8 @@ instrumentation.  This package is that layer, dependency-free:
 
 * :class:`~repro.obs.registry.MetricsRegistry` -- thread-safe named
   counters / gauges / histograms with ``snapshot()``/``merge()``
-  semantics, so fit worker processes record locally and ship deltas
-  back (the serving engine records its ``serve.*`` metrics into one
-  directly);
+  semantics; the fit's block threads and the serving engine record
+  into one directly;
 * :class:`~repro.obs.trace.Tracer` -- nestable ``span()`` context
   managers capturing wall time, CPU time, and peak-RSS delta into a
   serialisable span tree;
@@ -24,8 +23,7 @@ Quickstart::
     from repro.obs import RunManifest, Tracer
 
     tracer = Tracer()
-    result = RockPipeline(k=4, theta=0.5, workers=2,
-                          seed=0).fit(points, tracer=tracer)
+    result = RockPipeline(k=4, theta=0.5, seed=0).fit(points, tracer=tracer)
     RunManifest.from_tracer("fit", tracer,
                             config={"k": 4, "theta": 0.5}).save("run.json")
 """

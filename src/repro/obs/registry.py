@@ -5,11 +5,11 @@ serving engine records its ``serve.*`` instruments here directly):
 every instrument lives under a dotted name in one
 :class:`MetricsRegistry`, all mutation happens behind a single lock,
 and the whole registry reduces to a plain-dict :meth:`snapshot` that is
-JSON-ready and **mergeable** -- a fit worker process records into its
-own registry, ships ``snapshot()`` back with its results, and the
-parent folds it in with :meth:`merge`.  Merging is associative and
-order-independent for counters and histograms (pure addition /
-min-max), which is what makes traces survive the process pool.
+JSON-ready and **mergeable**: :meth:`merge` folds one registry's
+snapshot into another.  Merging is associative and order-independent
+for counters and histograms (pure addition / min-max).  The fit's
+block threads record into the caller's registry directly; the lock
+makes that safe.
 
 Instruments
 -----------

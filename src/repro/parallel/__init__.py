@@ -1,15 +1,16 @@
-"""Chunked multi-worker execution for the fit kernels.
+"""Row-block execution for the fit kernels.
 
 The ROCK cost profile (paper Section 4.4) is dominated by the neighbor
 and link kernels -- ``O(n^2 m)`` set intersections plus ``O(sum m_i^2)``
-link increments.  This package runs them as row blocks that fan out
-across a process pool:
+link increments.  Neighbor rows are independent, so this package runs
+them as row blocks mapped over threads:
 
-* :mod:`repro.parallel.pool` -- the generic chunked-execution layer
-  (order-preserving ``imap`` over a worker pool whose one-time payload
-  travels through the pool initializer, with a transparent serial
-  fallback) and the row-block schedule (:func:`block_tasks`,
-  :func:`worker_block_size`).
+* :mod:`repro.parallel.pool` -- the in-process block map
+  (:func:`~repro.parallel.pool.map_blocks`: an order-preserving map
+  over a per-call thread pool, inline below two blocks), the derived
+  :func:`~repro.parallel.pool.thread_count` and the row-block schedule
+  (:func:`block_tasks`, :func:`block_rows`).  The kernels it maps
+  release the GIL (ctypes calls, the scipy sparse product).
 * :mod:`repro.parallel.links` -- the **fused** neighbor+link kernel
   (:func:`~repro.parallel.links.fused_neighbor_links`) that scores row
   blocks into neighbor lists and counts their links by the rule every
@@ -21,8 +22,8 @@ kernel when it plans shared-item scoring (the dense ``n x n`` matrix
 would overflow the memory budget, or the points share few items) and
 the C tier of :mod:`repro.native` cannot run.  Every kernel here is
 a pure optimisation: outputs are exactly equal to the dense path
-(property-tested), and merges preserve block order so runs are
-deterministic for any worker count.
+(property-tested), and blocks are stitched in block order so runs are
+deterministic for any thread count.
 """
 
 from repro.parallel.links import (
@@ -32,21 +33,19 @@ from repro.parallel.links import (
     pair_link_counts,
 )
 from repro.parallel.pool import (
+    block_rows,
     block_tasks,
-    default_workers,
-    imap_chunked,
-    resolve_workers,
-    worker_block_size,
+    map_blocks,
+    thread_count,
 )
 
 __all__ = [
     "FusedFitResult",
+    "block_rows",
     "block_tasks",
-    "default_workers",
     "fused_neighbor_links",
-    "imap_chunked",
+    "map_blocks",
     "merge_pair_counts",
     "pair_link_counts",
-    "resolve_workers",
-    "worker_block_size",
+    "thread_count",
 ]

@@ -10,8 +10,8 @@ merge by concatenation + ``np.add.reduceat`` (:func:`merge_pair_counts`)
 -- integer sums, so the totals are exactly the serial table's.  The
 out-of-core shard coordinator counts its units this way.
 
-:func:`fused_neighbor_links` is the fused kernel: workers score row
-blocks into neighbor lists, and the parent counts their links by the
+:func:`fused_neighbor_links` is the fused kernel: threads score row
+blocks into neighbor lists, and the caller counts their links by the
 rule every producer follows (:func:`neighbor_csr_result`): one output
 row at a time (:func:`repro.core.links.row_link_table`), or the
 row-block square where the pair work is large against ``n^2`` and the
@@ -28,19 +28,13 @@ import numpy as np
 
 from repro.core.links import LinkTable, neighbor_list_links
 from repro.core.neighbors import (
-    BlockScorer,
     NeighborGraph,
     build_block_scorer,
     resolve_memory_budget,
 )
 from repro.core.similarity import SimilarityFunction
 from repro.obs.registry import MetricsRegistry
-from repro.parallel.pool import (
-    block_tasks,
-    imap_chunked,
-    resolve_workers,
-    worker_block_size,
-)
+from repro.parallel.pool import block_rows, block_tasks, map_blocks
 
 __all__ = [
     "FusedFitResult",
@@ -112,30 +106,6 @@ def merge_pair_counts(
 
 # -- the fused neighbor+link kernel -------------------------------------------
 
-_FUSED_STATE: dict[str, Any] = {}
-
-
-def _init_fused_worker(scorer: BlockScorer, theta: float) -> None:
-    _FUSED_STATE["scorer"] = scorer
-    _FUSED_STATE["theta"] = theta
-
-
-def _fused_block(
-    task: tuple[int, int],
-) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
-    """Neighbor lists of one row block, as lengths and concatenated indices."""
-    start, stop = task
-    scorer: BlockScorer = _FUSED_STATE["scorer"]
-    t0 = time.perf_counter()
-    rows = scorer.neighbor_rows(start, stop, _FUSED_STATE["theta"])
-    lengths = np.fromiter((r.size for r in rows), np.int64, len(rows))
-    indices = np.concatenate(rows) if rows else _EMPTY
-    local = MetricsRegistry()
-    local.inc("fit.fused.blocks")
-    local.inc("fit.fused.rows", stop - start)
-    local.observe("fit.fused.block_seconds", time.perf_counter() - t0)
-    return lengths, indices, local.snapshot()
-
 
 @dataclass
 class FusedFitResult:
@@ -195,7 +165,6 @@ def fused_neighbor_links(
     points: Any,
     theta: float,
     similarity: SimilarityFunction | None = None,
-    workers: int | str | None = "auto",
     block_size: int | None = None,
     memory_budget: int | None = None,
     keep_graph: bool = False,
@@ -204,10 +173,11 @@ def fused_neighbor_links(
 ) -> FusedFitResult:
     """Score each row block's neighbor lists, then count their links.
 
-    Workers score row blocks (the scipy shared-item product by
-    default) and ship back each block's neighbor lists; the parent
-    stitches them into one CSR and counts links by the rule every
-    producer follows (:func:`neighbor_csr_result`) -- bit-identical to
+    Row blocks are scored (the scipy shared-item product by default)
+    on :func:`~repro.parallel.pool.map_blocks` threads; their neighbor
+    lists are stitched in block order into one CSR whose links are
+    counted by the rule every producer follows
+    (:func:`neighbor_csr_result`) -- bit-identical to
     ``compute_links(compute_neighbor_graph(...))``.  ``points`` may be
     a :class:`~repro.core.encoding.TransactionCSR`.  The graph object
     is built only for ``keep_graph=True`` (tests, and callers that
@@ -217,34 +187,36 @@ def fused_neighbor_links(
         raise ValueError(f"theta must be in [0, 1], got {theta}")
     if block_size is not None and block_size < 1:
         raise ValueError("block_size must be positive")
-    count = resolve_workers(workers)
     n = len(points)
     budget = resolve_memory_budget(memory_budget)
     scorer = build_block_scorer(points, similarity, prefer_sparse=prefer_sparse)
     if block_size is None:
-        block_size = worker_block_size(n, count, budget)
+        block_size = block_rows(n, budget)
 
-    length_blocks: list[np.ndarray] = []
-    index_blocks: list[np.ndarray] = []
-    for lengths, indices, delta in imap_chunked(
-        _fused_block,
-        block_tasks(n, block_size),
-        workers=count,
-        initializer=_init_fused_worker,
-        initargs=(scorer, theta),
-    ):
+    def score(task: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        start, stop = task
+        t0 = time.perf_counter()
+        block = scorer.neighbor_block(start, stop, theta)
         if registry is not None:
-            registry.merge(delta)
-        length_blocks.append(lengths)
-        index_blocks.append(indices)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    if length_blocks:
-        np.cumsum(np.concatenate(length_blocks), out=indptr[1:])
+            registry.inc("fit.fused.blocks")
+            registry.inc("fit.fused.rows", stop - start)
+            registry.observe("fit.fused.block_seconds", time.perf_counter() - t0)
+        return block
+
+    indptr, indices = stitch_blocks(map_blocks(score, block_tasks(n, block_size)), n)
     return neighbor_csr_result(
-        indptr, _concat(index_blocks), theta, budget, "fused", keep_graph,
-        registry,
+        indptr, indices, theta, budget, "fused", keep_graph, registry
     )
 
 
-def _concat(parts: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate(parts) if parts else _EMPTY
+def stitch_blocks(
+    blocks: list[tuple[np.ndarray, np.ndarray]], n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One CSR over ``n`` rows from per-block ``(row lengths, indices)``,
+    in block order.  The blocks die with the caller's temporary list, so
+    they are not held while the links are counted."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    if not blocks:
+        return indptr, np.empty(0, dtype=np.int32)
+    np.cumsum(np.concatenate([lengths for lengths, _ in blocks]), out=indptr[1:])
+    return indptr, np.concatenate([indices for _, indices in blocks])

@@ -1,56 +1,58 @@
-"""The chunked-execution layer: ordered maps over a one-time-init pool.
+"""The in-process block map: ordered maps over threads.
 
-The fit-side kernels (:mod:`repro.parallel.links`,
-:mod:`repro.native.links`) share one pattern:
+The fit's neighbor kernels and the §4.6 label scan share one pattern:
+independent row blocks, each handed to a kernel that releases the GIL
+(a ctypes ``CDLL`` call, or the scipy sparse product), whose outputs
+are stitched in block order.  :func:`map_blocks` runs that pattern:
 
-* a *payload* too big to ship per task (an encoded indicator matrix)
-  travels **once per worker** through the pool initializer and lands
-  in a module global;
-* tasks are small descriptors (row ranges) mapped with ``imap``, which
-  yields results in **submission order** -- merges are
-  order-preserving by construction, never completion-order, so any
-  worker count reproduces the serial output byte for byte;
-* ``workers <= 1`` short-circuits to an in-process loop (the
-  initializer runs locally), so small inputs never pay process startup.
+* results come back in **submission order**, so stitching is
+  order-preserving by construction and any thread count reproduces the
+  serial output byte for byte;
+* fewer than two blocks, or one usable CPU, run inline: no thread is
+  started;
+* otherwise a :class:`~concurrent.futures.ThreadPoolExecutor` is created
+  for the call and shut down before it returns, so no executor outlives
+  a call (a forked child never inherits one).
+
+The thread count is derived, not configured: :func:`thread_count` reads
+the CPUs this process may run on, capped at :data:`MAX_THREADS`.
+Every block reads shared inputs and allocates its own scratch, so the
+kernels need no locks.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 __all__ = [
+    "MAX_THREADS",
+    "block_rows",
     "block_tasks",
-    "default_workers",
-    "imap_chunked",
-    "resolve_workers",
-    "worker_block_size",
+    "map_blocks",
+    "thread_count",
 ]
 
+MAX_THREADS = 8
+# the upper triangle front-loads the neighbor work (row i scores only
+# j > i), so a thread needs several blocks for the tail to even out
+BLOCKS_PER_THREAD = 8
+# no block is cut smaller than this while the budget allows: a fit of
+# ~2,000 points (a sample, a stream refit) stays one inline block
+MIN_BLOCK_ROWS = 2048
+MAX_BLOCK_ROWS = 8192
 
-def default_workers() -> int:
-    """A sane worker count: the CPU count, capped at 8."""
-    return min(os.cpu_count() or 1, 8)
 
-
-def resolve_workers(workers: int | str | None) -> int:
-    """Normalise a ``workers`` argument to a concrete process count.
-
-    ``None`` means serial (1); ``"auto"`` resolves to
-    :func:`default_workers`; an integer is validated and passed through.
-    """
-    if workers is None:
-        return 1
-    if isinstance(workers, str):
-        if workers == "auto":
-            return default_workers()
-        raise ValueError(f"workers must be a positive int, 'auto' or None, got {workers!r}")
-    count = int(workers)
-    if count < 1:
-        raise ValueError(f"workers must be positive, got {workers!r}")
-    return count
+def thread_count() -> int:
+    """Threads a block map may use: the CPUs this process may run on,
+    capped at :data:`MAX_THREADS`."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - platforms without affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, MAX_THREADS))
 
 
 def block_tasks(n: int, block_size: int) -> list[tuple[int, int]]:
@@ -60,40 +62,34 @@ def block_tasks(n: int, block_size: int) -> list[tuple[int, int]]:
     ]
 
 
-def worker_block_size(n: int, workers: int, memory_budget: int) -> int:
-    """Rows per block so ``workers`` concurrent blocks fit the budget.
+def block_rows(n: int, memory_budget: int) -> int:
+    """Rows per neighbor-scoring block over ``n`` points.
 
-    A block row's working set is about 24 bytes per column (float32
-    intersections, float64 similarities, int64 unions, bool adjacency);
-    32 leaves headroom for temporaries.  Clamped to [16, 8192].
+    Enough blocks that each thread gets :data:`BLOCKS_PER_THREAD` of
+    them, none under :data:`MIN_BLOCK_ROWS` or over
+    :data:`MAX_BLOCK_ROWS` rows, and small enough that one block per
+    thread fits ``memory_budget``: a block row's working set is about
+    24 bytes per column (float32 intersections, float64 similarities,
+    int64 unions, bool adjacency), 32 leaves headroom.  At least 16.
     """
-    per_worker = max(memory_budget // max(workers, 1), 1)
-    return max(16, min(int(per_worker // max(32 * n, 1)), 8192, max(n, 16)))
+    threads = thread_count()
+    rows = max(-(-n // (threads * BLOCKS_PER_THREAD)), MIN_BLOCK_ROWS)
+    budget_rows = memory_budget // max(threads * 32 * n, 1)
+    return max(16, min(rows, MAX_BLOCK_ROWS, budget_rows))
 
 
-def imap_chunked(
-    task_fn: Callable[[Any], Any],
-    tasks: Iterable[Any],
-    *,
-    workers: int,
-    initializer: Callable[..., None] | None = None,
-    initargs: tuple[Any, ...] = (),
-) -> Iterator[Any]:
-    """Yield ``task_fn(task)`` for every task, in submission order.
+def map_blocks(fn: Callable[[Any], Any], tasks: Iterable[Any]) -> list[Any]:
+    """``[fn(task) for task in tasks]``, on threads when that can pay.
 
-    With ``workers > 1`` tasks run on a :class:`multiprocessing.Pool`
-    whose per-worker state is built once by ``initializer(*initargs)``;
-    with ``workers <= 1`` the initializer runs in-process and tasks are
-    mapped inline -- identical results either way.
+    Inline for fewer than two tasks or one thread; otherwise on a
+    per-call pool of ``min(thread_count(), len(tasks))`` threads.
+    Results are in task order either way, and the first exception a
+    task raises propagates.
     """
-    if workers <= 1:
-        if initializer is not None:
-            initializer(*initargs)
-        for task in tasks:
-            yield task_fn(task)
-        return
-    with multiprocessing.Pool(
-        processes=workers, initializer=initializer, initargs=initargs
-    ) as pool:
-        yield from pool.imap(task_fn, tasks)
-
+    tasks = list(tasks)
+    # a one-block call (every served request) skips the affinity query
+    threads = min(thread_count(), len(tasks)) if len(tasks) > 1 else 1
+    if threads < 2:
+        return [fn(task) for task in tasks]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, tasks))

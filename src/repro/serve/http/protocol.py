@@ -14,11 +14,17 @@ raises :class:`ProtocolError`, which the server maps to a 4xx close).
 Chunked request bodies are not supported -- every client the library
 ships (benchmark load generator, examples, tests) sends
 ``Content-Length``, and rejecting chunked keeps parsing exact.
+
+Parsing is strict where leniency would let two parsers disagree on
+where a request ends: the method and every header name must be
+tokens, the target and header values printable, ``Content-Length``
+plain ASCII digits, and no header may repeat.  Anything else is a 400.
 """
 
 from __future__ import annotations
 
 import asyncio
+import re
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -41,6 +47,13 @@ REASONS = {
 
 MAX_HEADER_BYTES = 32 * 1024
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+# RFC 9110 grammar, as far as framing depends on it
+_TOKEN = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
+_TARGET = re.compile(r"[\x21-\x7e]+")
+_VERSION = re.compile(r"HTTP/1\.[0-9]")
+_FIELD_VALUE = re.compile(r"[\t\x20-\x7e\x80-\xff]*")
+_DIGITS = re.compile(r"[0-9]+")
 
 
 class ProtocolError(ValueError):
@@ -74,8 +87,8 @@ async def read_request(
 ) -> HttpRequest | None:
     """Parse one request; ``None`` on a clean EOF before any bytes.
 
-    Raises :class:`ProtocolError` on malformed input, oversized
-    headers/body, or an EOF mid-request.
+    Raises :class:`ProtocolError` on malformed input (400), oversized
+    headers/body (413), or an EOF mid-request (400).
     """
     try:
         head = await reader.readuntil(b"\r\n\r\n")
@@ -88,37 +101,40 @@ async def read_request(
     if len(head) > max_header_bytes:
         raise ProtocolError("request head too large", status=413)
 
-    lines = head.decode("latin-1").split("\r\n")
+    lines = head[:-4].decode("latin-1").split("\r\n")
     parts = lines[0].split(" ")
-    if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
+    if not (
+        len(parts) == 3
+        and _TOKEN.fullmatch(parts[0])
+        and _TARGET.fullmatch(parts[1])
+        and _VERSION.fullmatch(parts[2])
+    ):
         raise ProtocolError(f"malformed request line {lines[0]!r}")
     method, target, _version = parts
     path, _, query = target.partition("?")
 
     headers: dict[str, str] = {}
     for line in lines[1:]:
-        if not line:
-            continue
         name, sep, value = line.partition(":")
-        if not sep:
+        if not (sep and _TOKEN.fullmatch(name) and _FIELD_VALUE.fullmatch(value)):
             raise ProtocolError(f"malformed header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name = name.lower()
+        if name in headers:
+            raise ProtocolError(f"repeated header {name!r}")
+        headers[name] = value.strip(" \t")
 
     if "transfer-encoding" in headers:
         raise ProtocolError("chunked request bodies are not supported")
     body = b""
     length_header = headers.get("content-length")
     if length_header is not None:
-        try:
-            length = int(length_header)
-        except ValueError:
-            raise ProtocolError(
-                f"bad Content-Length {length_header!r}"
-            ) from None
-        if length < 0:
+        if not _DIGITS.fullmatch(length_header):
             raise ProtocolError(f"bad Content-Length {length_header!r}")
-        if length > max_body_bytes:
+        # int() refuses strings of more than 4,300 digits
+        digits = length_header.lstrip("0") or "0"
+        if len(digits) > 18 or int(digits) > max_body_bytes:
             raise ProtocolError("request body too large", status=413)
+        length = int(digits)
         try:
             body = await reader.readexactly(length)
         except asyncio.IncompleteReadError as exc:

@@ -87,6 +87,7 @@ from repro.core.encoding import encode_query
 from repro.core.labeling import LabelingIndex
 from repro.core.neighbors import _scipy_sparse_available
 from repro.obs.registry import Counter
+from repro.parallel.pool import map_blocks
 
 
 # Rows of the dense tier's widest block temporary, ``rows x max(vocab,
@@ -369,6 +370,8 @@ class AssignmentIndex:
         if not isinstance(points, Sequence):
             points = list(points)
         tier, kernels = self._resolve_tier()
+        if tier == "native":
+            return self._assign_native(points, block_size, kernels, counter)
         if tier == "dense":
             width = max(self.n_reps, self.vocab_size)
             block_size = min(block_size, max(1, ASSIGN_BLOCK_BYTES // (8 * width)))
@@ -380,19 +383,6 @@ class AssignmentIndex:
             # a dataset's slice stays a dataset, so its block is remapped
             block = points[start : start + block_size]
             stop = start + len(block)
-            if tier == "native":
-                labels[start:stop], best[start:stop], verified = kernels.assign_block(
-                    *encode_query(block, self.vocabulary),
-                    self.pre_indptr,
-                    self.pre_reps,
-                    self.rep_indptr,
-                    self.rep_items,
-                    self.rep_cluster,
-                    self.normalisers,
-                    self.theta,
-                )
-                candidates += verified
-                continue
             if tier == "dense" and self.theta > 0.0:
                 counts = self.dense.neighbor_counts(block)
                 scored = len(block) * self.n_reps
@@ -413,3 +403,38 @@ class AssignmentIndex:
         if counter is not None:
             counter.inc(candidates)
         return labels, best
+
+    def _assign_native(
+        self,
+        points: Sequence[Any],
+        block_size: int,
+        kernels: Any,
+        counter: Counter | None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The native tier: ``assign_block`` over row blocks, on
+        :func:`~repro.parallel.pool.map_blocks` threads (the ctypes call
+        releases the GIL), stitched in block order."""
+
+        def assign(start: int) -> tuple[np.ndarray, np.ndarray, int]:
+            # a dataset's slice stays a dataset, so its block is remapped
+            block = points[start : start + block_size]
+            return kernels.assign_block(
+                *encode_query(block, self.vocabulary),
+                self.pre_indptr,
+                self.pre_reps,
+                self.rep_indptr,
+                self.rep_items,
+                self.rep_cluster,
+                self.normalisers,
+                self.theta,
+            )
+
+        blocks = map_blocks(assign, range(0, len(points), block_size))
+        if counter is not None:
+            counter.inc(sum(verified for _, _, verified in blocks))
+        if not blocks:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+        return (
+            np.concatenate([labels for labels, _, _ in blocks]),
+            np.concatenate([best for _, best, _ in blocks]),
+        )

@@ -262,7 +262,7 @@ def model_from_result(
         "n_unassigned": int((result.labels == -1).sum()),
         "uses_default_f": pipeline.f is default_f,
         "fit_mode": getattr(pipeline, "fit_mode", "auto"),
-        "workers": getattr(pipeline, "workers", None),
+        "threads": int(getattr(result, "threads", 1)),
         **(
             {
                 "shard_block_rows": getattr(pipeline, "shard_block_rows", None),

@@ -45,6 +45,7 @@ from repro.core.goodness import merge_kernel_by_name, merge_kernel_for
 from repro.core.merge import (
     ComponentProblem,
     MergeStream,
+    _component_labels,
     _replay_streams,
     component_merge_stream,
     partition_components,
@@ -52,9 +53,8 @@ from repro.core.merge import (
 from repro.core.rock import RockResult
 from repro.obs.trace import Tracer, peak_rss_bytes
 from repro.parallel.links import merge_pair_counts, pair_link_counts
-from repro.parallel.pool import resolve_workers
 from repro.shard.checkpoint import RunDirectory, ShardExecutor, maybe_kill_for_test
-from repro.shard.planner import component_chunks, plan_shards
+from repro.shard.planner import component_chunks, plan_shards, resolve_workers
 from repro.shard.store import StoreScorer, TransactionStore
 
 __all__ = ["ShardFitResult", "shard_fit", "shard_supported"]
@@ -219,26 +219,6 @@ def _merge_components(unit: str, payload: list[tuple]) -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 # coordinator side
 # ---------------------------------------------------------------------------
-
-
-def _component_labels_from_edges(
-    n: int, lo: np.ndarray, hi: np.ndarray
-) -> np.ndarray:
-    """Connected-component labels over the streamed neighbor edges."""
-    try:
-        from scipy import sparse
-        from scipy.sparse import csgraph
-    except ImportError:  # pragma: no cover - scipy is a core dependency
-        from repro.core.components import UnionFind
-
-        finder = UnionFind(n)
-        for a, b in zip(lo.tolist(), hi.tolist()):
-            finder.union(a, b)
-        return np.asarray([finder.find(i) for i in range(n)], dtype=np.int64)
-    ones = np.ones(lo.shape[0], dtype=np.int8)
-    matrix = sparse.coo_matrix((ones, (lo, hi)), shape=(n, n))
-    _, labels = csgraph.connected_components(matrix, directed=False)
-    return np.asarray(labels, dtype=np.int64)
 
 
 def _prepare_store(
@@ -449,7 +429,7 @@ def _shard_fit_run(
         edges = (
             np.concatenate(edge_parts) if edge_parts else _EMPTY64
         )
-        labels = _component_labels_from_edges(n, edges // n, edges % n)
+        labels = _component_labels(n, edges // n, edges % n)
 
         if min_neighbors > 0:
             kept = np.flatnonzero(degrees >= min_neighbors)

@@ -15,17 +15,54 @@ the stitched result is identical either way.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.parallel.pool import block_tasks, worker_block_size
+from repro.parallel.pool import MAX_THREADS, block_tasks
 
-__all__ = ["ShardPlan", "component_chunks", "plan_shards"]
+__all__ = [
+    "ShardPlan",
+    "component_chunks",
+    "plan_shards",
+    "resolve_workers",
+    "worker_block_size",
+]
 
 # fixed ceiling on component units: fine enough that retries and resume
 # lose little work, coarse enough that dispatch overhead stays amortised
 MAX_COMPONENT_UNITS = 64
+
+
+def resolve_workers(workers: int | str | None) -> int:
+    """Normalise a ``workers`` argument to a concrete process count.
+
+    ``None`` means serial (1); ``"auto"`` resolves to the CPU count,
+    capped at :data:`~repro.parallel.pool.MAX_THREADS`; an integer is
+    validated and passed through.
+    """
+    if workers is None:
+        return 1
+    if isinstance(workers, str):
+        if workers == "auto":
+            return min(os.cpu_count() or 1, MAX_THREADS)
+        raise ValueError(f"workers must be a positive int, 'auto' or None, got {workers!r}")
+    count = int(workers)
+    if count < 1:
+        raise ValueError(f"workers must be positive, got {workers!r}")
+    return count
+
+
+def worker_block_size(n: int, workers: int, memory_budget: int) -> int:
+    """Rows per block so ``workers`` concurrent blocks fit the budget.
+
+    A block row's working set is about 24 bytes per column (float32
+    intersections, float64 similarities, int64 unions, bool adjacency);
+    32 leaves headroom for temporaries.  Clamped to [16, 8192].
+    """
+    per_worker = max(memory_budget // max(workers, 1), 1)
+    return max(16, min(int(per_worker // max(32 * n, 1)), 8192, max(n, 16)))
 
 
 @dataclass(frozen=True)
@@ -55,10 +92,9 @@ def plan_shards(
 ) -> ShardPlan:
     """Resolve the row-block schedule.
 
-    An explicit ``block_rows`` wins; otherwise the per-worker block
-    size of the parallel kernels (budget-aware, floor 16) is reused so
-    the sharded scorer touches the same-shaped slices the fused path
-    would.  With no explicit budget either, the host-aware default of
+    An explicit ``block_rows`` wins; otherwise
+    :func:`worker_block_size` sizes blocks so ``workers`` of them fit
+    the budget at once.  With no explicit budget either, the host-aware default of
     :func:`repro.core.neighbors.resolve_memory_budget` applies.
     """
     if block_rows is None:

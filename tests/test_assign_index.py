@@ -51,6 +51,7 @@ from repro.serve import (
 )
 from repro.serve.index import min_overlap
 from repro.stream import StreamClusterer
+from tests.threads import THREAD_COUNTS, forced_threads
 from tests.tiers import INDEX_TIERS, forced_tier
 
 # the probed C tier, when it works on this machine; tests loop over
@@ -119,8 +120,11 @@ class TestTierEquivalence:
         points=points_strategy,
         theta=st.sampled_from(THETAS),
         block_size=st.sampled_from([1, 3, 8192]),
+        threads=st.sampled_from(THREAD_COUNTS),
     )
-    def test_all_tiers_bitwise_identical(self, sets, points, theta, block_size):
+    def test_all_tiers_bitwise_identical(
+        self, sets, points, theta, block_size, threads
+    ):
         labeling_sets = [[Transaction(s) for s in li] for li in sets]
         batch = [Transaction(p) for p in points]
         f_theta = (1 - theta) / (1 + theta)
@@ -133,8 +137,16 @@ class TestTierEquivalence:
                     assert labeler.assign_backend == tier
                 labels, best = labeler.assign_with_scores(batch)
                 assert_bitwise_equal(ref_labels, ref_best, labels, best)
-                labels, best = fast.assign_with_scores(batch, block_size=block_size)
+                serial, threaded = Counter(), Counter()
+                fast.assign_with_scores(batch, block_size=1, counter=serial)
+                # the native tier maps its blocks over threads
+                with forced_threads(threads):
+                    labels, best = fast.assign_with_scores(
+                        batch, block_size=block_size, counter=threaded
+                    )
                 assert_bitwise_equal(ref_labels, ref_best, labels, best)
+                if tier == "native":
+                    assert threaded.value == serial.value
 
         # the scalar path of a custom similarity agrees too
         scalar = scalar_labeler(labeling_sets, theta, f_theta)

@@ -281,9 +281,12 @@ class TestParser:
             ["assign", "--model", "m.json", "--input", "x.txt",
              "--workers", "2"],
             ["serve", "--model", "m.json", "--batch-wait-us", "2000"],
+            ["fit-model", "--input", "x.txt", "-k", "2", "--theta", "0.5",
+             "--model", "m.json", "--workers", "2"],
         ],
         ids=["neighbor-method", "merge-method", "assign-backend",
-             "serve-assign-backend", "assign-workers", "serve-batch-wait-us"],
+             "serve-assign-backend", "assign-workers", "serve-batch-wait-us",
+             "fit-workers"],
     )
     def test_removed_engine_flags_rejected(self, argv, capsys):
         """The engine follows the probe; no flag forces one."""

@@ -35,6 +35,7 @@ from repro.native.links import native_neighbor_links
 from repro.obs.trace import Tracer
 from repro.parallel.links import fused_neighbor_links
 from tests.linktables import link_table
+from tests.threads import forced_threads
 
 
 def graph_from_edges(n, edges):
@@ -248,7 +249,12 @@ class TestProducerIdentity:
             for rows in (1, 7, max(n, 1))
         }
         tables["from_dense"] = LinkTable.from_dense(oracle)
-        tables["fused"] = fused_neighbor_links(points, theta, workers=1).links
+        tables["fused"] = fused_neighbor_links(points, theta).links
+        for threads, rows in ((2, 1), (3, 4)):
+            with forced_threads(threads):
+                tables[f"fused:{threads}x{rows}"] = fused_neighbor_links(
+                    points, theta, block_size=rows
+                ).links
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv("REPRO_NATIVE", "0")
             tables["spgemm"] = sparse_link_table(graph)
@@ -257,9 +263,12 @@ class TestProducerIdentity:
             if get_kernels() is not None:
                 tables["rows:cext"] = sparse_link_table(graph)
                 tables["rows:cext:lists"] = sparse_link_table(listed)
-                tables["native"] = native_neighbor_links(
-                    points, theta, workers=1
-                ).links
+                tables["native"] = native_neighbor_links(points, theta).links
+                for threads, rows in ((2, 1), (3, 4)):
+                    with forced_threads(threads):
+                        tables[f"native:{threads}x{rows}"] = native_neighbor_links(
+                            points, theta, block_size=rows
+                        ).links
         for name, table in tables.items():
             assert table.n == n, name
             assert table.codes.dtype == np.int64, name
@@ -560,10 +569,8 @@ class TestLinkRuleSharedByProducers:
         kernel = native_neighbor_links if route == "native" else fused_neighbor_links
         points = self.clumps()
         n = len(points)
-        square = kernel(points, 0.5, workers=1, memory_budget=square_link_bytes(n))
-        counted = kernel(
-            points, 0.5, workers=1, memory_budget=square_link_bytes(n) - 1
-        )
+        square = kernel(points, 0.5, memory_budget=square_link_bytes(n))
+        counted = kernel(points, 0.5, memory_budget=square_link_bytes(n) - 1)
         assert square.links.producer == "dense-blocks"
         assert counted.links.producer == (
             "spgemm" if get_kernels() is None else "rows:cext"

@@ -46,6 +46,7 @@ from repro.native.merge import native_component_streams
 from repro.obs.registry import MetricsRegistry
 from repro.parallel.links import fused_neighbor_links
 from tests.linktables import link_table, replicated_components
+from tests.threads import THREAD_COUNTS, forced_threads
 
 # the probed tier; parametrized tests carry its name ("cext") as their id
 KERNELS = get_kernels()
@@ -91,18 +92,22 @@ class TestNativeFusedPass:
         theta=st.sampled_from(THETAS),
         block_size=st.sampled_from([1, 3, 64]),
         overlap=st.booleans(),
+        threads=st.sampled_from(THREAD_COUNTS),
     )
-    def test_links_degrees_graph_identical(self, sets, theta, block_size, overlap):
+    def test_links_degrees_graph_identical(
+        self, sets, theta, block_size, overlap, threads
+    ):
         dataset = TransactionDataset([Transaction(s) for s in sets])
         similarity = OverlapSimilarity() if overlap else JaccardSimilarity()
         reference = fused_neighbor_links(
-            dataset, theta, similarity=similarity, workers=1,
-            block_size=block_size, keep_graph=True,
+            dataset, theta, similarity=similarity, block_size=len(sets),
+            keep_graph=True,
         )
-        native = native_neighbor_links(
-            dataset, theta, similarity=similarity, workers=1,
-            block_size=block_size, keep_graph=True,
-        )
+        with forced_threads(threads):
+            native = native_neighbor_links(
+                dataset, theta, similarity=similarity,
+                block_size=block_size, keep_graph=True,
+            )
         assert tables_equal(native.links, reference.links)
         assert np.array_equal(native.degrees, reference.degrees)
         for a, b in zip(
@@ -112,6 +117,7 @@ class TestNativeFusedPass:
 
     @pytest.mark.parametrize("backend", AVAILABLE)
     def test_worker_count_invariance(self, backend):
+        """Any count of block threads, any block size: the serial bytes."""
         rng = np.random.default_rng(5)
         dataset = TransactionDataset([
             Transaction(frozenset(
@@ -119,12 +125,25 @@ class TestNativeFusedPass:
             ))
             for _ in range(120)
         ])
-        serial = native_neighbor_links(dataset, 0.4, workers=1, block_size=16)
-        fanned = native_neighbor_links(dataset, 0.4, workers=3, block_size=16)
-        assert tables_equal(serial.links, fanned.links)
-        assert np.array_equal(serial.degrees, fanned.degrees)
-        reference = fused_neighbor_links(dataset, 0.4, workers=1, block_size=16)
+        serial = native_neighbor_links(dataset, 0.4, block_size=120)
+        reference = fused_neighbor_links(dataset, 0.4, block_size=120)
         assert tables_equal(serial.links, reference.links)
+        expected = (
+            serial.links.codes.tobytes(),
+            serial.links.counts.tobytes(),
+            serial.degrees.tobytes(),
+        )
+        for threads in THREAD_COUNTS + [4]:
+            for block_size in (1, 16, 50):
+                with forced_threads(threads):
+                    run = native_neighbor_links(
+                        dataset, 0.4, block_size=block_size
+                    )
+                assert (
+                    run.links.codes.tobytes(),
+                    run.links.counts.tobytes(),
+                    run.degrees.tobytes(),
+                ) == expected
 
     @pytest.mark.parametrize("backend", AVAILABLE)
     def test_csr_roundtrip_and_metrics(self, backend):
@@ -136,7 +155,7 @@ class TestNativeFusedPass:
         assert np.array_equal(np.diff(csr.indptr), csr.sizes)
         assert csr.t_indices.size == csr.indices.size
         registry = MetricsRegistry()
-        native_neighbor_links(dataset, 0.5, workers=1, registry=registry)
+        native_neighbor_links(dataset, 0.5, registry=registry)
         counters = registry.snapshot()["counters"]
         assert counters["fit.native.blocks"] >= 1
         assert counters["fit.native.rows"] == 3

@@ -1,10 +1,10 @@
 """End-to-end observability tests: traced fits, persisted timings, CLI.
 
-A ``workers=2`` fit past its memory budget (the native or fused
-route) under a tracer must leave a single
+A fit past its memory budget (the native or fused route) on two block
+threads under a tracer must leave a single
 :class:`~repro.obs.manifest.RunManifest` whose span tree covers every
-fit phase and whose metrics include worker-side counters merged back
-through the process pool.
+fit phase and whose metrics include the counters every block thread
+recorded into the tracer's registry.
 """
 
 import json
@@ -16,7 +16,9 @@ from repro.core.pipeline import RockPipeline
 from repro.data.transactions import Transaction
 from repro.datasets import small_synthetic_basket
 from repro.obs import MetricsRegistry, RunManifest, Tracer
+from repro.parallel.pool import thread_count
 from repro.serve import AssignmentEngine, RockModel
+from tests.threads import forced_threads
 
 FIT_PHASES = ("sample", "neighbors", "links", "cluster", "label")
 
@@ -27,7 +29,7 @@ def basket():
 
 
 class TestTracedParallelFit:
-    """A traced multi-worker fit leaves one complete manifest."""
+    """A traced threaded fit leaves one complete manifest."""
 
     @pytest.fixture(scope="class")
     def manifest(self):
@@ -36,12 +38,13 @@ class TestTracedParallelFit:
         ).transactions
         tracer = Tracer()
         pipeline = RockPipeline(
-            k=4, theta=0.5, sample_size=200, seed=0,
-            memory_budget=1, workers=2,
+            k=4, theta=0.5, sample_size=200, seed=0, memory_budget=1,
         )
-        pipeline.fit(data, tracer=tracer)
+        # budget 1 cuts the sample into 16-row blocks
+        with forced_threads(2):
+            pipeline.fit(data, tracer=tracer)
         return RunManifest.from_tracer(
-            "fit", tracer, config={"memory_budget": 1, "workers": 2},
+            "fit", tracer, config={"memory_budget": 1},
         ), len(data)
 
     def test_single_root_span_covers_every_phase(self, manifest):
@@ -49,6 +52,7 @@ class TestTracedParallelFit:
         assert len(manifest.spans) == 1
         root = manifest.spans[0]
         assert root["name"] == "fit"
+        assert root["attrs"]["threads"] == 2
         child_names = [c["name"] for c in root["children"]]
         for phase in FIT_PHASES:
             assert phase in child_names, f"missing phase span {phase!r}"
@@ -58,12 +62,15 @@ class TestTracedParallelFit:
     def test_worker_metrics_merged_into_manifest(self, manifest):
         manifest, n = manifest
         counters = manifest.metrics["counters"]
-        # recorded inside pool workers, shipped back as snapshot deltas
+        # recorded by the block threads straight into the registry
         kernel = "native" if "fit.native.rows" in counters else "fused"
         assert counters[f"fit.{kernel}.rows"] == 200  # the sample size
-        assert counters[f"fit.{kernel}.blocks"] >= 1
+        assert counters[f"fit.{kernel}.blocks"] == 13  # 200 rows / 16
+        block_seconds = manifest.metrics["histograms"][f"fit.{kernel}.block_seconds"]
+        assert block_seconds["count"] == 13
         assert counters[f"fit.{kernel}.pair_increments"] > 0
         gauges = manifest.metrics["gauges"]
+        assert gauges["fit.threads"] == 2
         assert gauges["fit.n_points"] == n
         assert gauges["fit.n_sampled"] == 200
         assert gauges["fit.n_clusters"] >= 1
@@ -123,8 +130,7 @@ class TestCli:
         code, stdout = run(
             capsys, "cluster", "--input", str(basket_file),
             "--theta", "0.4", "-k", "4", "--min-cluster-size", "5",
-            "--memory-budget-mb", "1", "--workers", "2",
-            "--trace-out", str(trace),
+            "--memory-budget-mb", "1", "--trace-out", str(trace),
         )
         assert code == 0
         assert "phase seconds" in stdout
@@ -136,7 +142,10 @@ class TestCli:
         assert manifest.metrics["counters"]["fit.links.pairs"] >= 1
         (fit_span,) = [s for s in manifest.spans if s["name"] == "fit"]
         assert fit_span["attrs"]["fit_backend"] in ("native:cext", "fused")
+        assert fit_span["attrs"]["threads"] == thread_count()
+        assert manifest.metrics["gauges"]["fit.threads"] == thread_count()
         assert manifest.config["fit_mode"] == "auto"
+        assert "workers" not in manifest.config
 
     def test_cluster_metrics_format_prom(self, basket_file, capsys):
         code, stdout = run(

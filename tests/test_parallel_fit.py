@@ -1,19 +1,25 @@
-"""The fused fit kernel and its worker pool vs the dense path.
+"""The fused fit kernel and its block threads vs the dense path.
 
-The multi-worker kernels are only admissible as pure optimisations:
+The threaded kernels are only admissible as pure optimisations:
 identical :class:`NeighborGraph`, identical :class:`LinkTable`,
-identical final clusters for every input and worker count, with
-order-preserving (hence byte-deterministic) merges.  The hypothesis
-properties drive randomized baskets and categorical records through
-every path at tiny block/chunk sizes so each run exercises multi-block
-stitching and multi-chunk merging.
+identical final clusters for every input and thread count, with
+block-ordered (hence byte-deterministic) stitching.  The thread count
+is forced through :func:`tests.threads.forced_threads` (nothing
+configures it).  The hypothesis properties drive randomized baskets
+and categorical records through every path at tiny block/chunk sizes
+so each run exercises multi-block stitching and multi-chunk merging.
 """
+
+import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.parallel.pool as pool
 from repro.core.links import LinkTable, compute_links
 from repro.core.neighbors import (
     NeighborGraph,
@@ -30,16 +36,16 @@ from repro.core.similarity import (
 )
 from repro.data.records import CategoricalDataset, CategoricalRecord, CategoricalSchema
 from repro.data.transactions import Transaction, TransactionDataset
+from repro.obs.registry import MetricsRegistry
+from repro.obs.trace import Tracer
 from repro.parallel import (
     fused_neighbor_links,
     merge_pair_counts,
     pair_link_counts,
 )
-from repro.parallel.pool import (
-    default_workers,
-    imap_chunked,
-    resolve_workers,
-)
+from repro.parallel.pool import block_rows, map_blocks, thread_count
+from repro.shard.planner import resolve_workers
+from tests.threads import THREAD_COUNTS, forced_threads
 
 THETAS = [0.0, 0.25, 0.5, 0.75, 1.0]
 
@@ -84,24 +90,24 @@ def make_baskets(n: int, vocab: int = 40, seed: int = 0) -> TransactionDataset:
     theta=st.sampled_from(THETAS),
     block_size=st.sampled_from([1, 2, 3, 7, 64]),
     overlap=st.booleans(),
-    workers=st.sampled_from([1, 3]),
+    threads=st.sampled_from(THREAD_COUNTS),
 )
 def test_parallel_graph_equals_dense_and_blocked(
-    sets, theta, block_size, overlap, workers
+    sets, theta, block_size, overlap, threads
 ):
-    # fanned-out blocks equal the dense graph and the serial block loop
+    # threaded blocks equal the dense graph and the serial block loop
     dataset = TransactionDataset([Transaction(s) for s in sets])
     similarity = OverlapSimilarity() if overlap else JaccardSimilarity()
     dense = compute_neighbor_graph(
         dataset, theta, similarity=similarity, method="vectorized"
     )
-    runs = [
-        fused_neighbor_links(
-            dataset, theta, similarity=similarity, workers=count,
-            block_size=block_size, keep_graph=True,
-        )
-        for count in (1, workers)
-    ]
+    runs = []
+    for count in (1, threads):
+        with forced_threads(count):
+            runs.append(fused_neighbor_links(
+                dataset, theta, similarity=similarity,
+                block_size=block_size, keep_graph=True,
+            ))
     serial, parallel = (run.graph for run in runs)
     assert graphs_equal(parallel, dense)
     assert graphs_equal(parallel, serial)
@@ -113,16 +119,17 @@ def test_parallel_graph_equals_dense_and_blocked(
     sets=item_sets,
     theta=st.sampled_from(THETAS),
     block_size=st.sampled_from([1, 3, 64]),
-    workers=st.sampled_from([1, 3]),
+    threads=st.sampled_from(THREAD_COUNTS),
 )
-def test_fused_links_equal_dense_and_sparse_paths(sets, theta, block_size, workers):
+def test_fused_links_equal_dense_and_sparse_paths(sets, theta, block_size, threads):
     dataset = TransactionDataset([Transaction(s) for s in sets])
     dense = compute_neighbor_graph(dataset, theta, method="vectorized")
     expected_dense = compute_links(dense, method="dense")
     expected_sparse = compute_links(dense, method="sparse")
-    fused = fused_neighbor_links(
-        dataset, theta, workers=workers, block_size=block_size, keep_graph=True,
-    )
+    with forced_threads(threads):
+        fused = fused_neighbor_links(
+            dataset, theta, block_size=block_size, keep_graph=True,
+        )
     assert tables_equal(fused.links, expected_dense)
     assert tables_equal(fused.links, expected_sparse)
     assert graphs_equal(fused.graph, dense)
@@ -153,79 +160,182 @@ def test_parallel_graph_on_missing_aware_records(rows, theta, missing_aware):
     dense = compute_neighbor_graph(
         dataset, theta, similarity=similarity, method="vectorized"
     )
-    fused = fused_neighbor_links(
-        dataset, theta, similarity=similarity, workers=3,
-        block_size=2, keep_graph=True,
-    )
+    with forced_threads(3):
+        fused = fused_neighbor_links(
+            dataset, theta, similarity=similarity, block_size=2,
+            keep_graph=True,
+        )
     assert graphs_equal(fused.graph, dense)
     assert tables_equal(fused.links, compute_links(dense, method="sparse"))
 
 
-# -- determinism: identical bytes across repeated multi-worker runs ----------
+# -- determinism: identical bytes across thread counts and block sizes ------
 
 
-def test_workers4_runs_are_byte_identical():
+def test_threaded_runs_are_byte_identical():
     dataset = make_baskets(400)
-    graphs = [
-        fused_neighbor_links(
-            dataset, 0.4, workers=4, block_size=37, keep_graph=True
-        ).graph
-        for _ in range(2)
-    ]
-    first, second = (
+    graphs = []
+    for threads in THREAD_COUNTS + [4]:
+        for block_size in (37, 400):
+            with forced_threads(threads):
+                graphs.append(fused_neighbor_links(
+                    dataset, 0.4, block_size=block_size, keep_graph=True
+                ).graph)
+    first, *rest = (
         [lst.tobytes() for lst in g.neighbor_lists()] for g in graphs
     )
-    assert first == second
+    assert all(other == first for other in rest)
 
-    fits = [
-        RockPipeline(
-            k=5, theta=0.4, seed=3, memory_budget=budget, workers=4
-        ).fit(dataset, label_remaining=False)
-        for budget in (1, 1, None, None)
-    ]
-    labels = [fit.labels.tobytes() for fit in fits]
-    assert labels[0] == labels[1] == labels[2] == labels[3]
+    # budget 1 routes past the dense path onto 16-row blocks
+    labels = []
+    for threads in (1, 4):
+        with forced_threads(threads):
+            for budget in (1, None):
+                fit = RockPipeline(
+                    k=5, theta=0.4, seed=3, memory_budget=budget
+                ).fit(dataset, label_remaining=False)
+                labels.append(fit.labels.tobytes())
+    assert len(set(labels)) == 1
 
 
 def test_fused_merge_is_submission_ordered():
     # degrees must line up with point order even when later blocks are
     # cheaper than earlier ones (completion order != submission order)
     dataset = make_baskets(300)
-    serial = fused_neighbor_links(dataset, 0.4, workers=1, block_size=17)
-    parallel = fused_neighbor_links(dataset, 0.4, workers=4, block_size=17)
+    serial = fused_neighbor_links(dataset, 0.4, block_size=300)
+    with forced_threads(4):
+        parallel = fused_neighbor_links(dataset, 0.4, block_size=17)
     assert np.array_equal(serial.degrees, parallel.degrees)
     assert tables_equal(serial.links, parallel.links)
 
 
-# -- pool layer ---------------------------------------------------------------
+# -- the block map ------------------------------------------------------------
 
 
 def test_resolve_workers():
+    # the sharded fit's process count; the in-memory kernels take none
     assert resolve_workers(None) == 1
     assert resolve_workers(3) == 3
-    assert resolve_workers("auto") == default_workers()
+    assert 1 <= resolve_workers("auto") <= pool.MAX_THREADS
     with pytest.raises(ValueError):
         resolve_workers(0)
     with pytest.raises(ValueError):
         resolve_workers("many")
 
 
-def test_default_workers_bounded():
-    assert 1 <= default_workers() <= 8
+def test_thread_count_bounded():
+    assert 1 <= thread_count() <= pool.MAX_THREADS
 
 
-def test_imap_chunked_serial_runs_initializer_in_process():
-    state = {}
-    results = list(
-        imap_chunked(
-            lambda x: x * state["factor"],
-            [1, 2, 3],
-            workers=1,
-            initializer=lambda f: state.__setitem__("factor", f),
-            initargs=(10,),
+def test_map_blocks_keeps_task_order():
+    def slow_first(task):
+        threading.Event().wait(0.02 if task == 0 else 0.0)
+        return task * 10
+
+    for threads in THREAD_COUNTS:
+        with forced_threads(threads):
+            assert map_blocks(slow_first, range(5)) == [0, 10, 20, 30, 40]
+            assert map_blocks(slow_first, []) == []
+
+
+def test_map_blocks_raises_the_task_error():
+    def boom(task):
+        if task == 2:
+            raise KeyError(task)
+        return task
+
+    with forced_threads(2), pytest.raises(KeyError):
+        map_blocks(boom, range(4))
+
+
+class _NoThreads:
+    """A stand-in executor that fails the test if a map starts one."""
+
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+
+def test_one_block_call_starts_no_thread(monkeypatch):
+    dataset = make_baskets(120)
+    before = threading.active_count()
+    with forced_threads(4):
+        monkeypatch.setattr(pool, "ThreadPoolExecutor", _NoThreads)
+        # one block: inline, whatever the thread count
+        assert map_blocks(lambda t: t + 1, [1]) == [2]
+        one = fused_neighbor_links(dataset, 0.4, block_size=len(dataset))
+        # the default schedule keeps a fit this small in one block
+        assert block_rows(len(dataset), 1 << 30) >= len(dataset)
+        default = fused_neighbor_links(dataset, 0.4, memory_budget=1 << 30)
+        # two blocks on four threads do start a pool
+        with pytest.raises(AssertionError, match="thread pool"):
+            fused_neighbor_links(dataset, 0.4, block_size=60)
+    assert threading.active_count() == before
+    assert tables_equal(one.links, default.links)
+
+
+def test_block_schedule_gives_each_thread_several_blocks():
+    # a 30,240-point fit on 2 threads: 2,048-row blocks (the floor),
+    # 15 of them, not one per thread
+    with forced_threads(2):
+        assert block_rows(30_240, 4 << 30) == pool.MIN_BLOCK_ROWS
+        # fits of 2,000 points stay one block
+        assert block_rows(2_000, 256 << 20) >= 2_000
+        # the budget caps concurrent blocks: 16-row floor at budget 1
+        assert block_rows(30_240, 1) == 16
+    with forced_threads(8):
+        assert block_rows(200_000, 4 << 30) <= pool.MAX_BLOCK_ROWS
+
+
+def test_block_threads_lose_no_registry_update():
+    # more threads than cores and a short switch interval: every block's
+    # increments of the shared registry must land
+    dataset = make_baskets(300)
+    registry = MetricsRegistry()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with forced_threads(8):
+            for _ in range(3):
+                fused_neighbor_links(dataset, 0.4, block_size=1, registry=registry)
+    finally:
+        sys.setswitchinterval(interval)
+    snapshot = registry.snapshot()
+    assert snapshot["counters"]["fit.fused.blocks"] == 3 * 300
+    assert snapshot["counters"]["fit.fused.rows"] == 3 * 300
+    assert snapshot["histograms"]["fit.fused.block_seconds"]["count"] == 3 * 300
+
+
+def _threaded_fit_in_child(queue):
+    with forced_threads(2):
+        fit = RockPipeline(k=5, theta=0.4, seed=3, memory_budget=1).fit(
+            make_baskets(300), label_remaining=False
         )
-    )
-    assert results == [10, 20, 30]
+    queue.put(fit.labels.tobytes())
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs the fork start method",
+)
+def test_forked_child_runs_a_threaded_fit_after_its_parent():
+    # the parent's threaded fit leaves no executor (and no lock held by
+    # a dead thread) behind for a forked child to inherit
+    with forced_threads(2):
+        parent = RockPipeline(k=5, theta=0.4, seed=3, memory_budget=1).fit(
+            make_baskets(300), label_remaining=False
+        )
+    context = multiprocessing.get_context("fork")
+    queue = context.Queue()
+    child = context.Process(target=_threaded_fit_in_child, args=(queue,))
+    child.start()
+    try:
+        child_labels = queue.get(timeout=120)
+    finally:
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+    assert child_labels == parent.labels.tobytes()
 
 
 # -- pair-count plumbing ------------------------------------------------------
@@ -300,7 +410,7 @@ def test_sparse_scorer_matches_dense_scorer(sets, theta, block_size, overlap):
     similarity = OverlapSimilarity() if overlap else JaccardSimilarity()
     dense_fused, sparse_fused = (
         fused_neighbor_links(
-            dataset, theta, similarity=similarity, workers=2,
+            dataset, theta, similarity=similarity,
             block_size=block_size, prefer_sparse=prefer, keep_graph=True,
         )
         for prefer in (False, True)
@@ -318,9 +428,10 @@ def test_fused_pipeline_with_strict_pruning_falls_back(monkeypatch):
     base = RockPipeline(k=4, theta=0.4, seed=1, min_neighbors=3).fit(
         dataset, label_remaining=False
     )
-    fused = RockPipeline(
-        k=4, theta=0.4, seed=1, min_neighbors=3, memory_budget=1, workers=2
-    ).fit(dataset, label_remaining=False)
+    with forced_threads(2):
+        fused = RockPipeline(
+            k=4, theta=0.4, seed=1, min_neighbors=3, memory_budget=1
+        ).fit(dataset, label_remaining=False)
     assert fused.backends["fit"] == "fused"
     assert base.outlier_indices == fused.outlier_indices
     assert np.array_equal(base.labels, fused.labels)
@@ -336,18 +447,24 @@ def test_fit_mode_validation():
     assert FIT_MODES == ("auto", "sharded")
 
 
-def test_model_metadata_records_fit_mode_and_workers():
+def test_model_metadata_records_fit_mode_and_threads():
     dataset = make_baskets(120)
     pipeline = RockPipeline(
-        k=4, theta=0.4, seed=0, sample_size=80, memory_budget=1, workers=2
+        k=4, theta=0.4, seed=0, sample_size=80, memory_budget=1
     )
-    result, model = pipeline.fit_model(dataset)
+    with forced_threads(3):
+        tracer = Tracer()
+        result, model = pipeline.fit_model(dataset, tracer=tracer)
+    assert result.threads == 3
     assert model.metadata["fit_mode"] == "auto"
-    assert model.metadata["workers"] == 2
+    assert model.metadata["threads"] == 3
+    assert "workers" not in model.metadata
     assert model.metadata["backends"]["fit"] == result.backends["fit"]
+    assert tracer.registry.snapshot()["gauges"]["fit.threads"] == 3
+    assert tracer.spans()[0].attrs["threads"] == 3
 
 
-def test_cli_fit_mode_and_workers(tmp_path, capsys):
+def test_cli_fit_mode_and_threads(tmp_path, capsys):
     from repro.cli import main
 
     lines = [
@@ -360,16 +477,17 @@ def test_cli_fit_mode_and_workers(tmp_path, capsys):
     assert main([
         "fit-model", "--input", str(data), "--format", "transactions",
         "-k", "3", "--theta", "0.4", "--model", str(model_path),
-        "--fit-mode", "auto", "--workers", "2", "--seed", "0",
+        "--fit-mode", "auto", "--seed", "0",
     ]) == 0
     assert capsys.readouterr().err == ""
     from repro.serve.model import RockModel
 
     model = RockModel.load(model_path)
     assert model.metadata["fit_mode"] == "auto"
-    assert model.metadata["workers"] == 2
-    with pytest.raises(SystemExit):
+    assert model.metadata["threads"] == thread_count()
+    with pytest.raises(SystemExit) as exc:
         main([
             "cluster", "--input", str(data), "--format", "transactions",
-            "-k", "3", "--theta", "0.4", "--workers", "nope",
+            "-k", "3", "--theta", "0.4", "--workers", "2",
         ])
+    assert exc.value.code == 2

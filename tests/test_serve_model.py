@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,3 +250,39 @@ class TestArtifactChecksum:
         (tmp_path / "copy.json").write_text(json.dumps(data))
         loaded = RockModel.load(tmp_path / "copy.json")
         assert loaded.theta == model.theta
+
+
+class TestArtifactsWithWorkers:
+    """Artifacts from before the fit derived its thread count carry a
+    ``workers`` metadata key where new ones carry ``threads``."""
+
+    # written by the previous release: RockPipeline(k=4, theta=0.5,
+    # sample_size=80, seed=0, memory_budget=1, workers=2) over the data
+    # below, then RockModel.save
+    ARTIFACT = Path(__file__).parent / "data" / "model_with_workers.json"
+    # what that release served for the same points ("x" is -1)
+    SERVED = (
+        "0123103302x00x10x2032030302230232020130102231330120121x33111120"
+        "221321212x301032313100110311033321010102323003212012002x2231131"
+        "231x321123302303211120103202232130331300"
+    )
+
+    def test_loads_and_serves_identical_labels(self):
+        from repro.datasets import small_synthetic_basket
+
+        points = list(small_synthetic_basket(
+            n_clusters=4, cluster_size=40, n_outliers=6, seed=0
+        ).transactions)
+        legacy = RockModel.load(self.ARTIFACT)
+        assert legacy.metadata["workers"] == 2
+        assert "threads" not in legacy.metadata
+        served = AssignmentEngine(legacy).assign_all(points)
+        assert "".join("x" if v < 0 else str(v) for v in served) == self.SERVED
+
+        _, model = RockPipeline(
+            k=4, theta=0.5, sample_size=80, seed=0, memory_budget=1
+        ).fit_model(points)
+        assert "workers" not in model.metadata
+        assert model.metadata["threads"] >= 1
+        assert model.labeling_sets == legacy.labeling_sets
+        assert np.array_equal(AssignmentEngine(model).assign_all(points), served)

@@ -178,13 +178,15 @@ class TestShardedIdentity:
     @pytest.mark.parametrize("workers", [None, 2, 7])
     @pytest.mark.parametrize("block_rows", [None, 7, 13])
     def test_worker_and_block_invariance(self, basket, workers, block_rows):
+        # the shard's process count is shard_fit's own argument; the
+        # pipeline's sharded route runs serially
         ds = basket.transactions
         fused = rock(ds, k=4, theta=0.5, memory_budget=1)
-        sharded = rock(
-            ds, k=4, theta=0.5, fit_mode="sharded",
-            workers=workers, shard_block_rows=block_rows,
+        sharded = shard_fit(
+            ds, k=4, theta=0.5, f_theta=(1 - 0.5) / (1 + 0.5),
+            workers=workers, block_rows=block_rows,
         )
-        _assert_identical(fused, sharded)
+        _assert_identical(fused, sharded.result)
 
     def test_fit_from_store_only(self, tmp_path, basket):
         ds = basket.transactions
