@@ -12,8 +12,9 @@ Two encodings from the paper live here:
   vectors.
 
 plus the one item encoder, :func:`encode_items`: a
-:class:`~repro.data.transactions.TransactionDataset` runs it once, and
-the fit's :func:`transaction_csr` and the §4.6 label scan's query rows
+:class:`~repro.data.transactions.TransactionDataset` built from rows
+runs it once (the readers build the CSR directly), and the fit's
+:func:`transaction_csr` and the §4.6 label scan's query rows
 (:func:`encode_query`) derive from that CSR; only loose points (plain
 sequences, HTTP, the stream) take the walk again.
 """
@@ -206,12 +207,21 @@ def encode_query(
 def gather_rows(
     indptr: np.ndarray, codes: np.ndarray, rows: Any
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR of the given rows, in the given order, same codes."""
+    """The CSR of the given rows, in the given order, same codes.
+
+    Ascending rows holding more than 1/24 of the codes (the label
+    scan's unsampled rest) gather through a mask of one byte per code;
+    other gathers through three int64 temporaries per gathered code.
+    """
     rows = np.asarray(rows, dtype=np.int64).reshape(-1)
     starts = indptr[rows]
     sizes = indptr[rows + 1] - starts
     out = np.zeros(rows.size + 1, dtype=np.int64)
     np.cumsum(sizes, out=out[1:])
+    if 24 * out[-1] > codes.size and (np.diff(rows) > 0).all():
+        keep = np.zeros(indptr.size - 1, dtype=bool)
+        keep[rows] = True
+        return out, codes[np.repeat(keep, np.diff(indptr))]
     gather = np.repeat(starts - out[:-1], sizes) + np.arange(out[-1])
     return out, codes[gather]
 

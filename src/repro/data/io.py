@@ -16,9 +16,12 @@ Two formats are supported:
 from __future__ import annotations
 
 import io
+from array import array
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import Any, TextIO
+
+import numpy as np
 
 from repro.data.records import MISSING, CategoricalDataset, CategoricalSchema
 from repro.data.transactions import Transaction, TransactionDataset
@@ -122,33 +125,100 @@ def read_transactions(
     source: str | Path | TextIO,
     vocabulary: list[str] | None = None,
 ) -> TransactionDataset:
-    """Read a one-transaction-per-line, whitespace-separated items file."""
+    """Read a one-transaction-per-line, whitespace-separated items file.
+
+    Blank lines and ``#`` lines are skipped; a row's ``tid`` is its
+    0-based line number.  Lines are encoded to item codes as they are
+    read, so no per-row objects are built.  Without a ``vocabulary``
+    the sorted union of the items is used; with one, an item outside it
+    raises ``ValueError``.
+    """
     stream, owned = _open_for_read(source)
     try:
-        transactions = []
+        code_of = _CodeTable(
+            (item, i) for i, item in enumerate(vocabulary or ())
+        )
+        n_fixed = len(code_of)
+        codes = array("i")
+        sizes = array("q")
+        tids = array("q")
         for lineno, line in enumerate(stream):
-            line = line.strip()
-            if not line or line.startswith("#"):
+            items = line.split()
+            if not items or items[0].startswith("#"):
                 continue
-            transactions.append(Transaction(line.split(), tid=lineno))
-        return TransactionDataset(transactions, vocabulary=vocabulary)
+            row = set(items)
+            codes.extend(map(code_of.__getitem__, row))
+            sizes.append(len(row))
+            tids.append(lineno)
     finally:
         if owned:
             stream.close()
+    indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(np.frombuffer(sizes, dtype=np.int64), out=indptr[1:])
+    codes = np.frombuffer(codes, dtype=np.int32)
+    items = list(code_of)
+    if vocabulary is None:
+        from repro.core.encoding import item_order
+
+        vocabulary = item_order(items)
+        position = {item: i for i, item in enumerate(vocabulary)}
+        codes = np.array([position[item] for item in items], np.int32)[codes]
+    elif len(items) > n_fixed:
+        row = int(np.searchsorted(indptr, np.argmax(codes >= n_fixed), "right")) - 1
+        t = Transaction(
+            [items[c] for c in codes[indptr[row] : indptr[row + 1]]],
+            tid=tids[row],
+        )
+        raise ValueError(
+            f"transaction {t!r} contains items outside the vocabulary: "
+            f"{sorted(map(repr, t.items.difference(vocabulary)))}"
+        )
+    return TransactionDataset.from_csr(
+        indptr, codes, vocabulary, tids=np.frombuffer(tids, dtype=np.int64)
+    )
+
+
+class _CodeTable(dict):
+    """Item -> code; an unseen item takes the next code."""
+
+    def __missing__(self, item: Any) -> int:
+        code = self[item] = len(self)
+        return code
 
 
 def write_transactions(
     dataset: Iterable[Transaction],
     target: str | Path | TextIO,
 ) -> None:
-    """Write transactions one per line, items sorted and space-separated."""
+    """Write transactions one per line, items sorted and space-separated.
+
+    Every line reads back as its row: an item starting with ``#`` is
+    never written first (the line would read as a comment), and a row
+    no line can hold -- an empty row, an item whose text is empty or
+    contains whitespace, or only ``#`` items -- raises ``ValueError``.
+    """
     stream, owned = _open_for_write(target)
     try:
         for t in dataset:
-            stream.write(" ".join(sorted(str(i) for i in t)) + "\n")
+            stream.write(_basket_line(t) + "\n")
     finally:
         if owned:
             stream.close()
+
+
+def _basket_line(transaction: Iterable[Any]) -> str:
+    items = sorted(str(i) for i in transaction)
+    plain = [i for i in items if not i.startswith("#")]
+    if not plain or any(i.split() != [i] for i in items):
+        raise ValueError(
+            f"transaction {transaction!r} cannot be written as a basket "
+            "line: it is empty, has only '#' items, or an item is blank "
+            "or holds whitespace"
+        )
+    if plain[0] != items[0]:
+        items.remove(plain[0])
+        items.insert(0, plain[0])
+    return " ".join(items)
 
 
 def iter_transactions(source: str | Path | TextIO) -> Iterator[Transaction]:

@@ -18,9 +18,12 @@ from __future__ import annotations
 
 import os
 import random
+from array import array
 from dataclasses import dataclass, field
 
-from repro.data.transactions import Transaction, TransactionDataset
+import numpy as np
+
+from repro.data.transactions import TransactionDataset
 
 TABLE5_CLUSTER_SIZES = (9736, 13029, 14832, 10893, 13022, 7391, 8564, 11973, 14279, 5411)
 TABLE5_ITEMS_PER_CLUSTER = (19, 20, 19, 19, 22, 19, 19, 21, 22, 19)
@@ -150,19 +153,29 @@ def generate_synthetic_basket(
     order.extend([-1] * config.n_outliers)
     rng.shuffle(order)
 
-    transactions: list[Transaction] = []
-    labels: list[int] = []
-    pools = [sorted(items) for items in cluster_items]
-    for tid, label in enumerate(order):
-        pool = all_items if label == -1 else pools[label]
+    # code pools follow the sorted item pools, so rng.sample draws the
+    # same positions it would from the items themselves
+    code_of = {item: code for code, item in enumerate(all_items)}
+    pools = [[code_of[item] for item in sorted(items)] for items in cluster_items]
+    outlier_pool = list(range(len(all_items)))
+    sizes = array("q")
+    codes = array("i")
+    for label in order:
+        pool = outlier_pool if label == -1 else pools[label]
         size = _draw_size(config, len(pool), rng)
-        transactions.append(Transaction(rng.sample(pool, size), tid=tid))
-        labels.append(label)
-
-    dataset = TransactionDataset(transactions, vocabulary=all_items)
+        codes.extend(rng.sample(pool, size))
+        sizes.append(size)
+    indptr = np.zeros(len(order) + 1, dtype=np.int64)
+    np.cumsum(np.frombuffer(sizes, dtype=np.int64), out=indptr[1:])
+    dataset = TransactionDataset.from_csr(
+        indptr,
+        np.frombuffer(codes, dtype=np.int32),
+        all_items,
+        tids=np.arange(len(order), dtype=np.int64),
+    )
     return SyntheticBasket(
         transactions=dataset,
-        labels=labels,
+        labels=order,
         cluster_items=cluster_items,
         config=config,
     )

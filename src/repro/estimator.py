@@ -157,12 +157,14 @@ def _coerce_points(X: Any):
     if isinstance(X, np.ndarray):
         if X.ndim != 2:
             raise ValueError("array input must be 2-D (samples x features)")
-        return TransactionDataset(
-            [
-                Transaction(np.flatnonzero(row).tolist(), tid=i)
-                for i, row in enumerate(X)
-            ],
-            vocabulary=list(range(X.shape[1])),
+        rows, columns = np.nonzero(X)
+        indptr = np.zeros(X.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=X.shape[0]), out=indptr[1:])
+        return TransactionDataset.from_csr(
+            indptr,
+            columns,
+            list(range(X.shape[1])),
+            tids=np.arange(X.shape[0], dtype=np.int64),
         )
     try:
         rows = list(X)

@@ -314,15 +314,20 @@ class TransactionStore:
         return [self.vocabulary[code] for code in self.row_codes(i)]
 
     def subset_dataset(self, indices: Iterable[int]) -> TransactionDataset:
-        """Decode selected rows into an in-RAM :class:`TransactionDataset`.
+        """Gather selected rows into an in-RAM :class:`TransactionDataset`.
 
         The dataset keeps the *store's* vocabulary so indicator columns
-        line up across subsets.
+        line up across subsets; a row's ``tid`` is its store row.
         """
-        transactions = [
-            Transaction(self.row_items(int(i)), tid=int(i)) for i in indices
-        ]
-        return TransactionDataset(transactions, vocabulary=self.vocabulary)
+        from repro.core.encoding import gather_rows
+
+        rows = np.fromiter(indices, dtype=np.int64)
+        if rows.size and (rows.min() < 0 or rows.max() >= len(self)):
+            raise IndexError("store row index out of range")
+        indptr, codes = gather_rows(self.indptr, self.items, rows)
+        return TransactionDataset.from_csr(
+            indptr, codes, self.vocabulary, tids=rows
+        )
 
     def scorer(self, overlap: bool = False) -> "StoreScorer":
         return StoreScorer(self, overlap=overlap)
