@@ -273,9 +273,11 @@ class TransactionCSR:
         sizes = np.diff(indptr).astype(np.int32)
         t_indptr = np.zeros(n_items + 1, dtype=np.int64)
         np.cumsum(np.bincount(indices, minlength=n_items), out=t_indptr[1:])
-        # stable by item keeps each item's transactions ascending
+        # stable by item keeps each item's transactions ascending; numpy
+        # sorts 16-bit keys stably by radix, several times faster
+        keys = indices.astype(np.uint16) if n_items <= 1 << 16 else indices
         row_ids = np.repeat(np.arange(n, dtype=np.int32), sizes)
-        t_indices = row_ids[np.argsort(indices, kind="stable")]
+        t_indices = row_ids[np.argsort(keys, kind="stable")]
         return cls(indptr, indices, t_indptr, t_indices, sizes, n, n_items)
 
     def shared_pairs(self) -> int:

@@ -64,6 +64,17 @@ def labels_from_clusters(
     return labels
 
 
+def clusters_from_labels(labels: np.ndarray) -> list[list[int]]:
+    """The inverse of :func:`labels_from_clusters`: the ascending
+    member lists of clusters ``0 .. labels.max()``; ``-1`` points are
+    left out."""
+    members = np.flatnonzero(labels >= 0)
+    owner = labels[members]
+    grouped = members[np.argsort(owner, kind="stable")].tolist()
+    bounds = np.cumsum(np.bincount(owner)).tolist()
+    return [grouped[a:b] for a, b in zip([0] + bounds[:-1], bounds)]
+
+
 def compute_normalisers(
     labeling_sets: Sequence[Sequence[Any]], f_theta: float
 ) -> np.ndarray:

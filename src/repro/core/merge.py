@@ -17,12 +17,14 @@ the greedy loop decomposes exactly: each component is agglomerated
 independently to exhaustion, recording its greedy merge stream, and the
 streams are then k-way **replayed** in descending goodness order until
 ``k`` clusters remain.  When the C tier probed clean, the whole phase
--- every component's inner loop and the replay -- is one
-:mod:`repro.native` kernel call over the packed arrays of
-:func:`pack_components`, and the final clusters are grouped in numpy
-from the root label it returns for every initial cluster; otherwise
-:func:`component_merge_stream` and :func:`_replay_streams` run it in
-Python.  Both produce the same result.
+-- the components, every component's inner loop and the replay -- is
+two :mod:`repro.native` kernel calls over the packed arrays of
+:func:`pack_components`; otherwise :func:`_component_labels`' numpy
+path, :func:`component_merge_stream` and :func:`_replay_streams` run
+it.  Both produce the same merge columns and the same final cluster id
+for every initial cluster, and the
+:class:`~repro.core.rock.RockResult` holds those arrays: its
+``MergeStep`` list and cluster lists are built only when read.
 
 *Why the replay equals the global greedy order.*  The reference picks
 ``u`` = the alive cluster with the globally best goodness (ties: the
@@ -84,7 +86,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.components import UnionFind
 from repro.core.goodness import (
     goodness as normalized_goodness,
     merge_kernel_for,
@@ -92,7 +93,7 @@ from repro.core.goodness import (
 from repro.core.links import LinkTable
 from repro.core.rock import (
     GoodnessFunction,
-    MergeStep,
+    MergeArrays,
     RockResult,
     _validate_partition,
 )
@@ -196,16 +197,24 @@ def fast_cluster_with_links(
             "measures only; custom callables run heap_cluster_with_links"
         )
     if initial_clusters is None:
-        cluster_list: list[list[int]] = [[i] for i in range(n)]
-        singletons = True
+        # the default singleton start: cluster p is point p
+        m = n
+        sizes = np.ones(n, dtype=np.int64)
+        point_cluster = None
+        lo, hi, counts = links.pair_arrays()
     else:
         cluster_list = [sorted(int(p) for p in c) for c in initial_clusters]
         _validate_partition(cluster_list, n)
-        singletons = False
+        m = len(cluster_list)
+        sizes = np.fromiter(map(len, cluster_list), np.int64, count=m)
+        point_cluster = np.full(n, -1, dtype=np.int64)
+        point_cluster[
+            np.fromiter(
+                chain.from_iterable(cluster_list), np.int64, int(sizes.sum())
+            )
+        ] = np.repeat(np.arange(m, dtype=np.int64), sizes)
+        lo, hi, counts = _cross_pair_arrays(links, point_cluster, m)
 
-    m = len(cluster_list)
-    sizes = np.fromiter((len(c) for c in cluster_list), np.int64, count=m)
-    lo, hi, counts = _cross_pair_arrays(links, cluster_list, singletons)
     packed = pack_components(m, sizes, lo, hi, counts)
     if registry is not None:
         registry.inc("fit.cluster.components", len(packed))
@@ -220,44 +229,43 @@ def fast_cluster_with_links(
             registry.inc(
                 "fit.cluster.heap_ops", sum(s.heap_ops for s in streams)
             )
-        return _replay_streams(cluster_list, problems, streams, k, n, registry)
+        merges, roots, stopped_early = _replay_streams(
+            problems, streams, k, m, registry
+        )
+    else:
+        from repro.native.merge import native_merge_components
 
-    from repro.native.merge import native_merge_components
+        run = native_merge_components(packed, kernel, backend, k, m)
+        if registry is not None:
+            registry.inc("fit.cluster.heap_ops", run.heap_ops)
+        merges = MergeArrays(run.left, run.right, run.goodness, run.sizes, m)
+        roots, stopped_early = run.roots, run.stopped_early
 
-    run = native_merge_components(packed, kernel, backend, k, m)
-    if registry is not None:
-        registry.inc("fit.cluster.heap_ops", run.heap_ops)
-    return RockResult(
-        clusters=_final_clusters(cluster_list, run.roots),
-        merges=MergeStep.from_arrays(
-            run.left, run.right, m, run.goodness, run.sizes
-        ),
-        stopped_early=run.stopped_early,
-        n_points=n,
-    )
+    if point_cluster is None:
+        point_root = roots
+    else:
+        point_root = np.full(n, -1, dtype=np.int64)
+        covered = point_cluster >= 0
+        point_root[covered] = roots[point_cluster[covered]]
+    return RockResult.from_arrays(merges, point_root, stopped_early)
 
 
 def _cross_pair_arrays(
-    links: LinkTable, cluster_list: list[list[int]], singletons: bool
+    links: LinkTable, cluster_of: np.ndarray, m: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cluster-pair cross-link counts as ``(lo, hi, counts)`` arrays.
+    """Cross-link counts between the ``m`` clusters of a partition, as
+    ``(lo, hi, counts)`` arrays; ``cluster_of[p]`` is point ``p``'s
+    cluster (``-1``: not covered).
 
     The vectorized counterpart of
-    :func:`repro.core.rock._aggregate_cross_links`.  With the default
-    singleton start the link table's pair arrays *are* the answer.
-    With an ``initial_clusters`` partition, ``np.bincount`` sums each
-    cluster pair's counts one at a time in pair-code order -- the same
-    float additions, in the same order, as the reference aggregation,
-    so weighted counts match it bit for bit (integer sums stay exact
-    below ``2**53``).
+    :func:`repro.core.rock._aggregate_cross_links` (with the default
+    singleton start the link table's pair arrays *are* the answer).
+    ``np.bincount`` sums each cluster pair's counts one at a time in
+    pair-code order -- the same float additions, in the same order, as
+    the reference aggregation, so weighted counts match it bit for bit
+    (integer sums stay exact below ``2**53``).
     """
-    if singletons:
-        return links.pair_arrays()
-    m = len(cluster_list)
     i_arr, j_arr, counts = links.pair_arrays()
-    cluster_of = np.full(links.n, -1, dtype=np.int64)
-    for cid, cluster in enumerate(cluster_list):
-        cluster_of[cluster] = cid
     ci = cluster_of[i_arr]
     cj = cluster_of[j_arr]
     keep = (ci >= 0) & (cj >= 0) & (ci != cj)
@@ -339,17 +347,8 @@ def pack_components(
             pair_hi=empty,
             pair_count=np.zeros(0, dtype=np.float64),
         )
-    labels = _component_labels(m, lo, hi)
-    # canonicalise: number components by their smallest member id
-    _, inverse = np.unique(labels, return_inverse=True)
-    n_comp = int(inverse.max()) + 1
-    min_member = np.full(n_comp, m, dtype=np.int64)
-    np.minimum.at(min_member, inverse, np.arange(m, dtype=np.int64))
-    rank = np.empty(n_comp, dtype=np.int64)
-    rank[np.argsort(min_member, kind="stable")] = np.arange(
-        n_comp, dtype=np.int64
-    )
-    comp_of = rank[inverse]
+    comp_of = _component_labels(m, lo, hi)  # numbered by smallest member
+    n_comp = int(comp_of.max()) + 1
 
     member_order = np.argsort(comp_of, kind="stable")  # ascending ids per comp
     comp_size = np.bincount(comp_of, minlength=n_comp)
@@ -390,22 +389,40 @@ def partition_components(
 
 
 def _component_labels(m: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Component label per cluster; scipy's csgraph when importable."""
-    try:
-        from scipy import sparse
-        from scipy.sparse.csgraph import connected_components as _cc
-    except ImportError:
-        uf = UnionFind(m)
-        for a, b in zip(lo.tolist(), hi.tolist()):
-            uf.union(a, b)
-        return np.fromiter(
-            (uf.find(x) for x in range(m)), np.int64, count=m
-        )
-    graph = sparse.coo_matrix(
-        (np.ones(lo.size, dtype=np.int8), (lo, hi)), shape=(m, m)
-    )
-    _, labels = _cc(graph, directed=False)
-    return labels.astype(np.int64)
+    """Connected-component label of each of ``m`` nodes under the
+    undirected edges ``lo[e]-hi[e]``, numbered by smallest member (the
+    numbering of ``scipy.sparse.csgraph.connected_components``).
+
+    The C tier's union-find kernel when it probed clean.  Otherwise
+    numpy label propagation: every round hangs each tree root under
+    the smallest root it shares an edge with, then pointer jumping
+    sends every node to its root.  Roots only ever move to smaller
+    ids, so a root is its tree's smallest member, and the number of
+    trees in a component at least halves per round.
+    """
+    from repro.native import get_kernels
+
+    backend = get_kernels()
+    if backend is not None:
+        return backend.component_labels(m, lo, hi)
+    parent = np.arange(m, dtype=np.int64)
+    lo = np.asarray(lo, dtype=np.int64)
+    hi = np.asarray(hi, dtype=np.int64)
+    while lo.size:
+        a = parent[lo]
+        b = parent[hi]
+        crossing = a != b  # an edge inside one tree stays inside it
+        if not crossing.any():
+            break
+        lo, hi, a, b = lo[crossing], hi[crossing], a[crossing], b[crossing]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    is_root = parent == np.arange(m, dtype=np.int64)
+    return (np.cumsum(is_root) - 1)[parent]
 
 
 def component_merge_stream(
@@ -570,23 +587,22 @@ def component_merge_stream(
 
 
 def _replay_streams(
-    cluster_list: list[list[int]],
     problems: list[ComponentProblem],
     streams: list[MergeStream],
     k: int,
-    n: int,
+    m: int,
     registry: Any | None,
-) -> RockResult:
-    """K-way replay of the per-component streams down to ``k`` clusters.
+) -> tuple[MergeArrays, np.ndarray, bool]:
+    """K-way replay of the per-component streams down to ``k`` of the
+    ``m`` initial clusters: ``(merges, roots, stopped_early)``, with
+    ``roots`` the final cluster id of every initial cluster.
 
     The replay heap holds one entry per non-exhausted stream, keyed
     ``(-head_goodness, head_u_global_id)`` -- exactly the reference's
     selection rule (see module docstring).  Merged global ids are
-    handed out in replay order, so the emitted
-    :class:`~repro.core.rock.MergeStep` list is the reference's, entry
-    for entry.
+    handed out in replay order, so the merge columns are the
+    reference's history, entry for entry.
     """
-    m = len(cluster_list)
     pointers = [0] * len(streams)
     merged_gids: list[list[int]] = [[] for _ in streams]
 
@@ -609,7 +625,10 @@ def _replay_streams(
     heapq.heapify(heap)
     heap_ops = len(heap)
 
-    merges: list[MergeStep] = []
+    left: list[int] = []
+    right: list[int] = []
+    goodness: list[float] = []
+    sizes: list[int] = []
     stopped_early = False
     alive_total = m
     next_id = m
@@ -623,19 +642,12 @@ def _replay_streams(
         heap_ops += 1
         stream = streams[comp]
         t = pointers[comp]
-        v_gid = to_global(comp, int(stream.right[t]))
-        w = next_id
+        merged_gids[comp].append(next_id)
         next_id += 1
-        merged_gids[comp].append(w)
-        merges.append(
-            MergeStep(
-                left=u_gid,
-                right=v_gid,
-                merged=w,
-                goodness=float(stream.goodness[t]),
-                size=int(stream.sizes[t]),
-            )
-        )
+        left.append(u_gid)
+        right.append(to_global(comp, int(stream.right[t])))
+        goodness.append(float(stream.goodness[t]))
+        sizes.append(int(stream.sizes[t]))
         pointers[comp] = t + 1
         alive_total -= 1
         if t + 1 < len(stream):
@@ -651,16 +663,14 @@ def _replay_streams(
     if registry is not None:
         registry.inc("fit.cluster.heap_ops", heap_ops)
 
-    merged_left = np.fromiter((s.left for s in merges), np.int64, len(merges))
-    merged_right = np.fromiter((s.right for s in merges), np.int64, len(merges))
-    return RockResult(
-        clusters=_final_clusters(
-            cluster_list, _merge_roots(m, merged_left, merged_right)
-        ),
-        merges=merges,
-        stopped_early=stopped_early,
-        n_points=n,
+    merges = MergeArrays(
+        left=np.asarray(left, dtype=np.int64),
+        right=np.asarray(right, dtype=np.int64),
+        goodness=np.asarray(goodness, dtype=np.float64),
+        sizes=np.asarray(sizes, dtype=np.int64),
+        first_merged=m,
     )
+    return merges, _merge_roots(m, merges.left, merges.right), stopped_early
 
 
 def _merge_roots(m: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -675,31 +685,3 @@ def _merge_roots(m: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         if np.array_equal(grand, parent):
             return parent[:m]
         parent = grand
-
-
-def _final_clusters(
-    cluster_list: list[list[int]], roots: np.ndarray
-) -> list[list[int]]:
-    """Group the initial clusters by final cluster id.
-
-    Each final cluster's members come back sorted, and the clusters
-    ordered by decreasing size, ties by smallest member -- the
-    reference's order.
-    """
-    lengths = np.fromiter(map(len, cluster_list), np.int64, len(cluster_list))
-    points = np.fromiter(
-        chain.from_iterable(cluster_list), np.int64, int(lengths.sum())
-    )
-    if points.size == 0:
-        return []
-    owner = np.repeat(roots, lengths)
-    order = np.lexsort((points, owner))
-    points = points[order]
-    owner = owner[order]
-    starts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
-    ends = np.r_[starts[1:], points.size]
-    rank = np.lexsort((points[starts], starts - ends)).tolist()
-    flat = points.tolist()
-    starts_l = starts.tolist()
-    ends_l = ends.tolist()
-    return [flat[starts_l[g] : ends_l[g]] for g in rank]

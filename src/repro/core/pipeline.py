@@ -24,8 +24,8 @@ from repro.core.encoding import TransactionCSR, transaction_csr
 from repro.core.goodness import default_f, goodness as normalized_goodness
 from repro.core.labeling import (
     ClusterLabeler,
+    clusters_from_labels,
     draw_labeling_sets,
-    labels_from_clusters,
 )
 from repro.core.links import (
     LinkTable,
@@ -749,21 +749,21 @@ class RockPipeline:
             root_span.attrs["merge_backend"] = backends["merge"]
 
         # translate pruned-graph indices -> original dataset indices
-        clusters_original: list[list[int]] = [
-            sorted(int(sampled[int(kept[p])]) for p in cluster)
-            for cluster in result.clusters
-        ]
+        sampled_arr = np.asarray(sampled, dtype=np.int64)
+        original = sampled_arr[np.asarray(kept, dtype=np.int64)]
         outlier_indices = sorted(int(sampled[p]) for p in outlier_sample_positions)
         registry.set_gauge("fit.n_sample_outliers", len(outlier_indices))
 
         # -- 5. label remaining data ----------------------------------------
         labeled = label_remaining and len(sampled) < n_total
         with tracer.span("label", enabled=labeled) as span:
-            labels = labels_from_clusters(clusters_original, n_total)
+            labels = np.full(n_total, -1, dtype=np.int64)
+            labels[original] = result.labels()
+            n_clusters = int(labels.max(initial=-1)) + 1
             labeling_sets: list[list[Any]] | None = None
             if labeled:
                 labeling_sets = draw_labeling_sets(
-                    clusters_original,
+                    clusters_from_labels(labels),
                     points,
                     fraction=self.labeling_fraction,
                     rng=rng,
@@ -775,7 +775,7 @@ class RockPipeline:
                     f=self.f,
                 )
                 unsampled = np.ones(n_total, dtype=bool)
-                unsampled[np.asarray(sampled, dtype=np.int64)] = False
+                unsampled[sampled_arr] = False
                 rest = np.flatnonzero(unsampled)
                 labels[rest] = labeler.assign_all(_subset(points, rest))
                 candidates = labeler.candidates
@@ -785,7 +785,6 @@ class RockPipeline:
         timings["label"] = span.wall_seconds
 
         # final cluster order: size descending, then first member
-        n_clusters = len(clusters_original)
         members = np.flatnonzero(labels >= 0)
         member_labels = labels[members]
         sizes = np.bincount(member_labels, minlength=n_clusters)
@@ -801,8 +800,11 @@ class RockPipeline:
         new_label[order] = np.arange(n_clusters)
         labels[members] = new_label[member_labels]
         order = order.tolist()
+        grouped_list = grouped.tolist()
+        bounds_list = bounds.tolist()
         full_clusters = [
-            grouped[bounds[old] : bounds[old + 1]].tolist() for old in order
+            grouped_list[bounds_list[old] : bounds_list[old + 1]]
+            for old in order
         ]
         if labeling_sets is not None:
             labeling_sets = [labeling_sets[old] for old in order]
@@ -812,7 +814,7 @@ class RockPipeline:
         return PipelineResult(
             labels=labels,
             clusters=full_clusters,
-            sample_indices=list(map(int, sampled)),
+            sample_indices=sampled_arr.tolist(),
             outlier_indices=outlier_indices,
             rock_result=result,
             timings=timings,

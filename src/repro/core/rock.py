@@ -22,14 +22,14 @@ the identical merge machinery.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as np
 
 from repro.core.goodness import default_f, goodness as normalized_goodness
 from repro.core.heaps import AddressableMaxHeap
-from repro.core.labeling import labels_from_clusters
+from repro.core.labeling import clusters_from_labels, labels_from_clusters
 from repro.core.links import LinkTable
 from repro.core.similarity import SimilarityFunction
 
@@ -75,7 +75,21 @@ class MergeStep:
         return steps
 
 
-@dataclass
+class MergeArrays(NamedTuple):
+    """A merge history as columns, the way the merge kernels emit it.
+
+    Step ``t`` merges ``left[t]`` and ``right[t]`` into cluster
+    ``first_merged + t`` with goodness ``goodness[t]``; the merged
+    cluster has ``sizes[t]`` members.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+    goodness: np.ndarray
+    sizes: np.ndarray
+    first_merged: int
+
+
 class RockResult:
     """Outcome of a ROCK clustering run.
 
@@ -85,31 +99,124 @@ class RockResult:
         Final clusters as sorted lists of point indices, ordered by
         decreasing size (ties: smallest member first).
     merges:
-        The merge history, in order.
+        The merge history, in order, as :class:`MergeStep` objects.
     stopped_early:
         True when merging halted because no cross-links remained before
         reaching ``k`` clusters.
     n_points:
         Number of points that were clustered.
+
+    The component engine builds a result with :meth:`from_arrays`: it
+    then holds the merge kernel's columns and a per-point label array,
+    and builds ``merges`` and ``clusters`` the first time they are read
+    (then caches them).  :attr:`n_merges`, :meth:`labels` and
+    :attr:`merge_arrays` read the arrays without building any Python
+    objects.  Results compare equal by their clusters, merge history,
+    ``stopped_early`` and ``n_points``, whichever way they were built.
     """
 
-    clusters: list[list[int]]
-    merges: list[MergeStep] = field(default_factory=list)
-    stopped_early: bool = False
-    n_points: int = 0
+    def __init__(
+        self,
+        clusters: list[list[int]],
+        merges: Sequence[MergeStep] = (),
+        stopped_early: bool = False,
+        n_points: int = 0,
+    ) -> None:
+        self._clusters: list[list[int]] | None = clusters
+        self._labels: np.ndarray | None = None
+        self._merges: list[MergeStep] | None = list(merges)
+        self._merge_arrays: MergeArrays | None = None
+        self.stopped_early = stopped_early
+        self.n_points = n_points
+
+    @classmethod
+    def from_arrays(
+        cls, merges: MergeArrays, point_root: np.ndarray, stopped_early: bool
+    ) -> "RockResult":
+        """A result from the merge columns and each point's final cluster.
+
+        ``point_root[p]`` is any id naming the final cluster of point
+        ``p`` (``-1``: the point was not clustered); the ids are ranked
+        into the reference cluster order here.
+        """
+        result = cls.__new__(cls)
+        result._clusters = None
+        result._labels = _ranked_labels(point_root)
+        result._merges = None
+        result._merge_arrays = merges
+        result.stopped_early = stopped_early
+        result.n_points = int(point_root.shape[0])
+        return result
+
+    @property
+    def clusters(self) -> list[list[int]]:
+        if self._clusters is None:
+            self._clusters = clusters_from_labels(self._labels)
+        return self._clusters
+
+    @property
+    def merges(self) -> list[MergeStep]:
+        if self._merges is None:
+            a = self._merge_arrays
+            self._merges = MergeStep.from_arrays(
+                a.left, a.right, a.first_merged, a.goodness, a.sizes
+            )
+        return self._merges
+
+    @property
+    def merge_arrays(self) -> MergeArrays | None:
+        """The merge columns the result was built from, or ``None``
+        when it was built from :class:`MergeStep` objects."""
+        return self._merge_arrays
+
+    @property
+    def n_merges(self) -> int:
+        """``len(merges)``, without building the steps."""
+        if self._merges is None:
+            return int(self._merge_arrays.left.shape[0])
+        return len(self._merges)
 
     def labels(self) -> np.ndarray:
         """Per-point cluster index (aligned with ``clusters`` order)."""
-        return labels_from_clusters(self.clusters, self.n_points)
+        if self._labels is None:
+            return labels_from_clusters(self.clusters, self.n_points)
+        return self._labels.copy()
 
     def sizes(self) -> list[int]:
         return [len(c) for c in self.clusters]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.clusters, self.merges, self.stopped_early, self.n_points
+        ) == (other.clusters, other.merges, other.stopped_early, other.n_points)
+
+    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"RockResult(k={len(self.clusters)}, n={self.n_points}, "
             f"stopped_early={self.stopped_early})"
         )
+
+
+def _ranked_labels(point_root: np.ndarray) -> np.ndarray:
+    """Each point's index in the reference cluster order: clusters by
+    decreasing size, ties by smallest member; ``-1`` stays ``-1``."""
+    labels = np.full(point_root.shape[0], -1, dtype=np.int64)
+    members = np.flatnonzero(point_root >= 0)
+    if members.size == 0:
+        return labels
+    _, first, inverse, counts = np.unique(
+        point_root[members],
+        return_index=True, return_inverse=True, return_counts=True,
+    )
+    # members ascend, so a cluster's first position is its smallest member
+    rank = np.empty(counts.size, dtype=np.int64)
+    rank[np.lexsort((first, -counts))] = np.arange(counts.size)
+    labels[members] = rank[inverse]
+    return labels
 
 
 def cluster_with_links(
@@ -164,7 +271,7 @@ def cluster_with_links(
             links, k, f_theta, initial_clusters, goodness_fn, registry=registry
         )
     if registry is not None:
-        registry.inc("fit.cluster.merges", len(result.merges))
+        registry.inc("fit.cluster.merges", result.n_merges)
     return result
 
 

@@ -12,6 +12,7 @@ no pickle, so files are portable and diff-able.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from pathlib import Path
 from typing import Any, TextIO
 
@@ -42,16 +43,31 @@ def rock_result_to_dict(result: RockResult) -> dict[str, Any]:
         "stopped_early": result.stopped_early,
         "clusters": [list(map(int, c)) for c in result.clusters],
         "merges": [
-            {
-                "left": m.left,
-                "right": m.right,
-                "merged": m.merged,
-                "goodness": m.goodness,
-                "size": m.size,
-            }
-            for m in result.merges
+            {"left": u, "right": v, "merged": w, "goodness": g, "size": size}
+            for u, v, w, g, size in _merge_rows(result)
         ],
     }
+
+
+def _merge_rows(
+    result: RockResult,
+) -> Iterator[tuple[int, int, int, float, int]]:
+    """``(left, right, merged, goodness, size)`` per merge, read off the
+    merge columns when the result holds them (no ``MergeStep`` built)."""
+    arrays = result.merge_arrays
+    if arrays is None:
+        return (
+            (m.left, m.right, m.merged, m.goodness, m.size)
+            for m in result.merges
+        )
+    first = arrays.first_merged
+    return zip(
+        arrays.left.tolist(),
+        arrays.right.tolist(),
+        range(first, first + len(arrays.left)),
+        arrays.goodness.tolist(),
+        arrays.sizes.tolist(),
+    )
 
 
 def rock_result_from_dict(data: dict[str, Any]) -> RockResult:

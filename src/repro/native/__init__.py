@@ -7,11 +7,12 @@
   scipy product of :mod:`repro.parallel.links`, and the Figure 4 link
   count of the resulting neighbor lists, one output row at a time
   (``link_rows``); and
-* the component engine's whole cluster phase: the lazy-heap
-  agglomeration of :func:`repro.core.merge.component_merge_stream` on
-  every component, on flat typed arrays with binary heaps instead of
-  ``heapq`` tuples, and the k-way replay of their streams, in one
-  call; and
+* the component engine's whole cluster phase: the connected
+  components of the cluster link graph (``component_labels``, a
+  union-find), then the lazy-heap agglomeration of
+  :func:`repro.core.merge.component_merge_stream` on every component,
+  on flat typed arrays with binary heaps instead of ``heapq`` tuples,
+  and the k-way replay of their streams, in one call; and
 * the §4.6 assignment hot loop (``assign_block``): candidate gather
   over the prefix postings of the
   :class:`repro.serve.index.AssignmentIndex`, exact verification,
@@ -147,6 +148,15 @@ def _smoke_test(kernels: Any) -> None:
         or not run.stopped_early
     ):
         raise RuntimeError("merge_components smoke test mismatch")
+    # components {0}, {1, 3, 4}, {2, 5}, numbered by smallest member;
+    # the edge 4-1 runs high to low
+    components = kernels.component_labels(
+        6,
+        np.array([4, 2, 1], dtype=np.int64),
+        np.array([1, 5, 3], dtype=np.int64),
+    )
+    if components.tolist() != [0, 1, 2, 1, 1, 2]:
+        raise RuntimeError("component_labels smoke test mismatch")
     # rank-numbered items e=0 < b=1 < c=2 < d=3 at theta 0.6; rep 0 =
     # {e,b,c,d} (cluster 0, prefix {e,b}), rep 1 = {c,d} (cluster 1,
     # prefix {c}).  Point {a,b,c,d} (a out of vocabulary) meets rep 0

@@ -70,6 +70,7 @@ _SIGNATURES = {
         _I64, _I64, _F64, _I64,
         _I64, _I64,
     ),
+    "component_labels": (_INT, _INT, _I64, _I64, _I64),
 }
 
 # link_rows' first output chunk, in pairs (16 MB of codes and counts)
@@ -394,6 +395,25 @@ class _CextKernels:
             stopped_early=bool(stats[1]),
             streams=streams,
         )
+
+    def component_labels(
+        self, m: int, lo: np.ndarray, hi: np.ndarray
+    ) -> np.ndarray:
+        """Connected-component label of each of ``m`` nodes under the
+        undirected edges ``lo[e]-hi[e]``, numbered by smallest member."""
+        lo = np.asarray(lo, dtype=_I64)
+        hi = np.asarray(hi, dtype=_I64)
+        n_edges = lo.size
+        if hi.size != n_edges:
+            raise ValueError("component_labels: lo and hi differ in length")
+        if n_edges and (
+            min(lo.min(), hi.min()) < 0 or max(lo.max(), hi.max()) >= m
+        ):
+            raise ValueError(f"component_labels: a node outside [0, {m})")
+        labels = np.empty(m, dtype=np.int64)
+        self._lib.component_labels(m, n_edges, lo, hi, labels)
+        return labels
+
 
 def load_kernels() -> Any:
     """Compile (or reuse) the shared object and bind the kernels.

@@ -1,5 +1,6 @@
 /* Native kernels for the fused neighbor+link pass, the component
- * merge phase and the serving assignment scan.
+ * merge phase (components, then merges) and the serving assignment
+ * scan.
  *
  * Compiled on demand by repro/native/cext.py with the system C
  * compiler and bound through ctypes.  Every routine mirrors a Python
@@ -25,6 +26,9 @@
  *                         (-goodness, u id) replay order, same
  *                         heap_ops) -- the whole cluster phase in one
  *                         call
+ *   component_labels  <-> repro.core.merge._component_labels' numpy
+ *                         path (and scipy's csgraph numbering):
+ *                         components labelled by smallest member
  *   assign_block      <-> repro.serve.index.AssignmentIndex
  *                         .assign_with_scores (prefix-filtered
  *                         candidates, exact intersections, same
@@ -471,7 +475,9 @@ long long assign_block(
 /* Cross-link rows: per-slot arrays of (partner, count), sorted by
  * partner id.  Deletion is lazy -- dead partners are skipped on read --
  * and appends only ever add the freshly created slot id, which exceeds
- * every id already present, so the sorted invariant is append-safe. */
+ * every id already present, so the sorted invariant is append-safe.
+ * A buffer is either a slice of the workspace arena (owned = 0) or its
+ * own allocation (owned = 1); only the latter is ever freed. */
 typedef struct {
     i64 partner;
     double count;
@@ -480,29 +486,8 @@ typedef struct {
 typedef struct {
     Link *e;
     i64 len, cap;
+    int owned;
 } Row;
-
-static int link_cmp(const void *a, const void *b)
-{
-    i64 x = ((const Link *)a)->partner, y = ((const Link *)b)->partner;
-    return (x > y) - (x < y);
-}
-
-static int row_push(Row *r, i64 partner, double count)
-{
-    if (r->len == r->cap) {
-        i64 cap = r->cap ? r->cap * 2 : 4;
-        Link *e = (Link *)realloc(r->e, (size_t)cap * sizeof(Link));
-        if (!e)
-            return -1;
-        r->e = e;
-        r->cap = cap;
-    }
-    r->e[r->len].partner = partner;
-    r->e[r->len].count = count;
-    r->len++;
-    return 0;
-}
 
 /* Binary min-heap of (neg_goodness, partner) entries under the same
  * lexicographic order as Python's (float, int) tuple comparison.  Only
@@ -517,7 +502,116 @@ typedef struct {
 typedef struct {
     HeapEnt *e;
     i64 len, cap;
+    int owned;
 } Heap;
+
+/* One workspace for a whole merge_components call: the per-slot
+ * arrays sized for the largest component, the token heap, and two
+ * arenas that hand out the row and local-heap buffers.  Components
+ * reset it instead of allocating.  Each arena holds 4 entries per pair
+ * of the largest component (plus 2 per slot): its initial rows take 2
+ * and its initial heaps 4, with room to grow in place, and the rest
+ * goes to merged rows and heaps.  A request past that falls back to
+ * malloc, so the arenas never grow however long the merge streams
+ * run. */
+typedef struct {
+    i64 *size;
+    unsigned char *alive;
+    double *best_token;
+    Row *rows;
+    Heap *local;
+    Heap heap;
+    Link *links;
+    HeapEnt *ents;
+    i64 arena_cap, links_used, ents_used;
+} Work;
+
+static int link_cmp(const void *a, const void *b)
+{
+    i64 x = ((const Link *)a)->partner, y = ((const Link *)b)->partner;
+    return (x > y) - (x < y);
+}
+
+static Link *take_links(Work *ws, i64 count, int *owned)
+{
+    *owned = 0;
+    if (count == 0)
+        return NULL;
+    if (ws->links_used + count <= ws->arena_cap) {
+        Link *e = ws->links + ws->links_used;
+        ws->links_used += count;
+        return e;
+    }
+    *owned = 1;
+    return (Link *)malloc((size_t)count * sizeof(Link));
+}
+
+static HeapEnt *take_ents(Work *ws, i64 count, int *owned)
+{
+    *owned = 0;
+    if (count == 0)
+        return NULL;
+    if (ws->ents_used + count <= ws->arena_cap) {
+        HeapEnt *e = ws->ents + ws->ents_used;
+        ws->ents_used += count;
+        return e;
+    }
+    *owned = 1;
+    return (HeapEnt *)malloc((size_t)count * sizeof(HeapEnt));
+}
+
+static void row_release(Row *r)
+{
+    if (r->owned)
+        free(r->e);
+    r->e = NULL;
+    r->len = r->cap = 0;
+    r->owned = 0;
+}
+
+static void heap_release(Heap *h)
+{
+    if (h->owned)
+        free(h->e);
+    h->e = NULL;
+    h->len = h->cap = 0;
+    h->owned = 0;
+}
+
+/* A full row first drops its dead partners, which are never read
+ * again; a row still full doubles, an arena slice moving to its own
+ * allocation. */
+static int row_push(Row *r, i64 partner, double count,
+                    const unsigned char *alive)
+{
+    if (r->len == r->cap) {
+        i64 kept = 0;
+        for (i64 t = 0; t < r->len; t++)
+            if (alive[r->e[t].partner])
+                r->e[kept++] = r->e[t];
+        r->len = kept;
+    }
+    if (r->len == r->cap) {
+        i64 cap = r->cap ? r->cap * 2 : 4;
+        Link *e;
+        if (r->owned)
+            e = (Link *)realloc(r->e, (size_t)cap * sizeof(Link));
+        else {
+            e = (Link *)malloc((size_t)cap * sizeof(Link));
+            if (e && r->len)
+                memcpy(e, r->e, (size_t)r->len * sizeof(Link));
+        }
+        if (!e)
+            return -1;
+        r->e = e;
+        r->cap = cap;
+        r->owned = 1;
+    }
+    r->e[r->len].partner = partner;
+    r->e[r->len].count = count;
+    r->len++;
+    return 0;
+}
 
 static int heap_ent_lt(HeapEnt a, HeapEnt b)
 {
@@ -570,11 +664,19 @@ static int heap_push(Heap *h, double neg, i64 partner)
 {
     if (h->len == h->cap) {
         i64 cap = h->cap ? h->cap * 2 : 8;
-        HeapEnt *e = (HeapEnt *)realloc(h->e, (size_t)cap * sizeof(HeapEnt));
+        HeapEnt *e;
+        if (h->owned)
+            e = (HeapEnt *)realloc(h->e, (size_t)cap * sizeof(HeapEnt));
+        else {
+            e = (HeapEnt *)malloc((size_t)cap * sizeof(HeapEnt));
+            if (e && h->len)
+                memcpy(e, h->e, (size_t)h->len * sizeof(HeapEnt));
+        }
         if (!e)
             return -1;
         h->e = e;
         h->cap = cap;
+        h->owned = 1;
     }
     h->e[h->len].neg = neg;
     h->e[h->len].partner = partner;
@@ -625,10 +727,13 @@ static double goodness_eval(double count, i64 ni, i64 nj,
  * (-g, partner) entries, a global token heap, best_token lower
  * bounds), and heap_ops counts exactly what the Python loop counts.
  *
- * Outputs (capacity s-1 each) receive the merge stream in local slot
- * ids; returns the number of merges, or -1 on allocation failure.
+ * `ws` must hold 2s-1 slots; merge_one leaves it reset for the next
+ * component.  Outputs (capacity s-1 each) receive the merge stream in
+ * local slot ids; returns the number of merges, or -1 on allocation
+ * failure.
  */
 static long long merge_one(
+    Work *ws,
     i64 s,
     const i64 *sizes_in,
     i64 n_pairs,
@@ -642,36 +747,34 @@ static long long merge_one(
     long long result = -1;
     i64 n_merges = 0;
     long long heap_ops = 0;
+    i64 *size = ws->size;
+    unsigned char *alive = ws->alive;
+    double *best_token = ws->best_token;
+    Row *rows = ws->rows;
+    Heap *local = ws->local;
+    Heap *heap = &ws->heap;
 
-    i64 *size = (i64 *)calloc((size_t)n_slots, sizeof(i64));
-    unsigned char *alive = (unsigned char *)calloc((size_t)n_slots, 1);
-    double *best_token = (double *)malloc((size_t)n_slots * sizeof(double));
-    Row *rows = (Row *)calloc((size_t)n_slots, sizeof(Row));
-    Heap *local = (Heap *)calloc((size_t)n_slots, sizeof(Heap));
-    Heap heap = {NULL, 0, 0};
-    if (!size || !alive || !best_token || !rows || !local)
-        goto done;
-    for (i64 x = 0; x < s; x++) {
-        size[x] = sizes_in[x];
-        alive[x] = 1;
-    }
-    for (i64 x = 0; x < n_slots; x++)
+    ws->links_used = ws->ents_used = 0;
+    heap->len = 0;
+    for (i64 x = 0; x < n_slots; x++) {
+        size[x] = x < s ? sizes_in[x] : 0;
+        alive[x] = x < s;
         best_token[x] = -INFINITY;
+    }
 
-    /* initial rows and local heaps, exact-size allocations */
+    /* initial rows and local heaps: exact-size arena slices */
     for (i64 p = 0; p < n_pairs; p++) {
         rows[pair_lo[p]].cap++;
         rows[pair_hi[p]].cap++;
     }
     for (i64 x = 0; x < s; x++) {
-        if (rows[x].cap) {
-            rows[x].e = (Link *)malloc((size_t)rows[x].cap * sizeof(Link));
-            local[x].e =
-                (HeapEnt *)malloc((size_t)rows[x].cap * sizeof(HeapEnt));
-            local[x].cap = rows[x].cap;
-            if (!rows[x].e || !local[x].e)
-                goto done;
-        }
+        i64 deg = rows[x].cap;
+        rows[x].e = take_links(ws, deg, &rows[x].owned);
+        /* room for as many pushes as entries before a heap grows */
+        local[x].e = take_ents(ws, 2 * deg, &local[x].owned);
+        local[x].cap = 2 * deg;
+        if (deg && (!rows[x].e || !local[x].e))
+            goto done;
     }
     for (i64 p = 0; p < n_pairs; p++) {
         i64 a = pair_lo[p], b = pair_hi[p];
@@ -690,15 +793,26 @@ static long long merge_one(
         local[b].e[local[b].len].partner = a;
         local[b].len++;
     }
-    for (i64 x = 0; x < s; x++)
-        if (rows[x].len > 1)
-            qsort(rows[x].e, (size_t)rows[x].len, sizeof(Link), link_cmp);
+    /* pairs in ascending code order leave every row sorted already */
+    for (i64 x = 0; x < s; x++) {
+        Row *r = &rows[x];
+        for (i64 t = 1; t < r->len; t++) {
+            if (r->e[t - 1].partner > r->e[t].partner) {
+                qsort(r->e, (size_t)r->len, sizeof(Link), link_cmp);
+                break;
+            }
+        }
+    }
 
     /* token seeding: one token per slot whose best goodness > 0 */
-    heap.cap = s > 0 ? s : 1;
-    heap.e = (HeapEnt *)malloc((size_t)heap.cap * sizeof(HeapEnt));
-    if (!heap.e)
-        goto done;
+    if (heap->cap < s) {
+        HeapEnt *e = (HeapEnt *)realloc(heap->e, (size_t)s * sizeof(HeapEnt));
+        if (!e)
+            goto done;
+        heap->e = e;
+        heap->cap = s;
+        heap->owned = 1;
+    }
     for (i64 x = 0; x < s; x++) {
         Heap *h = &local[x];
         if (h->len == 0)
@@ -706,19 +820,19 @@ static long long merge_one(
         heap_heapify(h);
         double head_neg = h->e[0].neg;
         if (head_neg < 0.0) {
-            heap.e[heap.len].neg = head_neg;
-            heap.e[heap.len].partner = x;
-            heap.len++;
+            heap->e[heap->len].neg = head_neg;
+            heap->e[heap->len].partner = x;
+            heap->len++;
             best_token[x] = -head_neg;
         }
     }
-    heap_heapify(&heap);
-    heap_ops = heap.len;
+    heap_heapify(heap);
+    heap_ops = heap->len;
 
     i64 alive_count = s;
     i64 next_slot = s;
-    while (alive_count > 1 && heap.len > 0) {
-        HeapEnt tok = heap_pop(&heap);
+    while (alive_count > 1 && heap->len > 0) {
+        HeapEnt tok = heap_pop(heap);
         heap_ops++;
         i64 u = tok.partner;
         double neg_g = tok.neg;
@@ -737,7 +851,7 @@ static long long merge_one(
         if (head_neg != neg_g) {
             /* stale token: u's best changed since the push; re-arm */
             if (head_neg < 0.0) {
-                if (heap_push(&heap, head_neg, u) != 0)
+                if (heap_push(heap, head_neg, u) != 0)
                     goto done;
                 heap_ops++;
                 best_token[u] = -head_neg;
@@ -752,13 +866,11 @@ static long long merge_one(
          * u's contribution first in the float sum -- the reference's
          * dict(row_u)-then-add-row_v order */
         Row *ru = &rows[u], *rv = &rows[v];
-        Row rw = {NULL, 0, 0};
+        Row rw = {NULL, 0, 0, 0};
         rw.cap = ru->len + rv->len;
-        if (rw.cap) {
-            rw.e = (Link *)malloc((size_t)rw.cap * sizeof(Link));
-            if (!rw.e)
-                goto done;
-        }
+        rw.e = take_links(ws, rw.cap, &rw.owned);
+        if (rw.cap && !rw.e)
+            goto done;
         i64 iu = 0, iv = 0;
         for (;;) {
             while (iu < ru->len
@@ -783,19 +895,11 @@ static long long merge_one(
                 iv++;
             }
         }
-        free(ru->e);
-        ru->e = NULL;
-        ru->len = ru->cap = 0;
-        free(rv->e);
-        rv->e = NULL;
-        rv->len = rv->cap = 0;
+        row_release(ru);
+        row_release(rv);
         rows[w] = rw;
-        free(local[u].e);
-        local[u].e = NULL;
-        local[u].len = local[u].cap = 0;
-        free(local[v].e);
-        local[v].e = NULL;
-        local[v].len = local[v].cap = 0;
+        heap_release(&local[u]);
+        heap_release(&local[v]);
         alive[u] = 0;
         alive[v] = 0;
         alive[w] = 1;
@@ -812,16 +916,14 @@ static long long merge_one(
         /* partner updates: x gains w (dead u/v entries stay, skipped
          * lazily); local_w collects (neg, x) then heapifies */
         Heap *hw = &local[w];
-        if (rw.len) {
-            hw->e = (HeapEnt *)malloc((size_t)rw.len * sizeof(HeapEnt));
-            if (!hw->e)
-                goto done;
-            hw->cap = rw.len;
-        }
+        hw->e = take_ents(ws, rw.len, &hw->owned);
+        if (rw.len && !hw->e)
+            goto done;
+        hw->cap = rw.len;
         for (i64 t = 0; t < rows[w].len; t++) {
             i64 x = rows[w].e[t].partner;
             double c = rows[w].e[t].count;
-            if (row_push(&rows[x], w, c) != 0)
+            if (row_push(&rows[x], w, c, alive) != 0)
                 goto done;
             double g = goodness_eval(c, size[x], size_w, ptable, naive);
             double neg = -g;
@@ -831,7 +933,7 @@ static long long merge_one(
             hw->e[hw->len].partner = x;
             hw->len++;
             if (g > best_token[x] && g > 0.0) {
-                if (heap_push(&heap, neg, x) != 0)
+                if (heap_push(heap, neg, x) != 0)
                     goto done;
                 best_token[x] = g;
                 heap_ops++;
@@ -842,7 +944,7 @@ static long long merge_one(
             heap_heapify(hw);
             double hn = hw->e[0].neg;
             if (hn < 0.0) {
-                if (heap_push(&heap, hn, w) != 0)
+                if (heap_push(heap, hn, w) != 0)
                     goto done;
                 best_token[w] = -hn;
                 heap_ops++;
@@ -853,18 +955,10 @@ static long long merge_one(
     result = n_merges;
 
 done:
-    if (rows)
-        for (i64 x = 0; x < n_slots; x++)
-            free(rows[x].e);
-    if (local)
-        for (i64 x = 0; x < n_slots; x++)
-            free(local[x].e);
-    free(heap.e);
-    free(size);
-    free(alive);
-    free(best_token);
-    free(rows);
-    free(local);
+    for (i64 x = 0; x < n_slots; x++) {
+        row_release(&rows[x]);
+        heap_release(&local[x]);
+    }
     return result;
 }
 
@@ -917,15 +1011,34 @@ long long merge_components(
     /* component of every id a stream head can name */
     i64 *comp_of = (i64 *)malloc((size_t)(m + cap + 1) * sizeof(i64));
     i64 *parent = (i64 *)malloc((size_t)(m + cap + 1) * sizeof(i64));
-    Heap heap = {NULL, 0, 0};
-    if (!merged || !pos || !comp_of || !parent)
+    Heap heap = {NULL, 0, 0, 1};
+    /* one workspace for every component, sized for the largest */
+    i64 max_s = 1, max_pairs = 0;
+    for (i64 c = 0; c < n_comp; c++) {
+        if (slot_off[c + 1] - slot_off[c] > max_s)
+            max_s = slot_off[c + 1] - slot_off[c];
+        if (pair_off[c + 1] - pair_off[c] > max_pairs)
+            max_pairs = pair_off[c + 1] - pair_off[c];
+    }
+    size_t n_slots = (size_t)(2 * max_s - 1);
+    Work ws = {NULL, NULL, NULL, NULL, NULL, {NULL, 0, 0, 1}, NULL, NULL,
+               4 * max_pairs + 2 * max_s, 0, 0};
+    ws.size = (i64 *)malloc(n_slots * sizeof(i64));
+    ws.alive = (unsigned char *)malloc(n_slots);
+    ws.best_token = (double *)malloc(n_slots * sizeof(double));
+    ws.rows = (Row *)calloc(n_slots, sizeof(Row));
+    ws.local = (Heap *)calloc(n_slots, sizeof(Heap));
+    ws.links = (Link *)malloc((size_t)ws.arena_cap * sizeof(Link));
+    ws.ents = (HeapEnt *)malloc((size_t)ws.arena_cap * sizeof(HeapEnt));
+    if (!merged || !pos || !comp_of || !parent || !ws.size || !ws.alive
+        || !ws.best_token || !ws.rows || !ws.local || !ws.links || !ws.ents)
         goto done;
 
     for (i64 c = 0; c < n_comp; c++) {
         i64 base = slot_off[c], s = slot_off[c + 1] - base;
         i64 so = base - c, p0 = pair_off[c], ops = 0;
         long long len = merge_one(
-            s, sizes + base, pair_off[c + 1] - p0,
+            &ws, s, sizes + base, pair_off[c + 1] - p0,
             pair_lo + p0, pair_hi + p0, pair_count + p0, ptable, naive,
             stream_left + so, stream_right + so, stream_goodness + so,
             stream_sizes + so, &ops);
@@ -1011,5 +1124,53 @@ done:
     free(pos);
     free(comp_of);
     free(parent);
+    free(ws.size);
+    free(ws.alive);
+    free(ws.best_token);
+    free(ws.rows);
+    free(ws.local);
+    free(ws.heap.e);
+    free(ws.links);
+    free(ws.ents);
     return result;
+}
+
+/* Connected components of the undirected graph on m nodes with edges
+ * lo[e]-hi[e], as labels numbered by smallest member: the first node
+ * is in component 0, the smallest node outside it in component 1, and
+ * so on -- the numbering of scipy.sparse.csgraph.connected_components
+ * and of repro.core.merge._component_labels' numpy path.
+ *
+ * Union-find over out_labels as the parent array: a union hangs the
+ * larger root under the smaller, and finds halve their paths, so
+ * parent[x] <= x always and every root is its tree's smallest member.
+ * One ascending sweep then labels in place: a root takes the next
+ * label, any other node its (already relabelled) parent's.  Returns
+ * the number of components.
+ */
+long long component_labels(
+    i64 m, i64 n_edges, const i64 *lo, const i64 *hi, i64 *out_labels)
+{
+    i64 *parent = out_labels;
+    for (i64 x = 0; x < m; x++)
+        parent[x] = x;
+    for (i64 e = 0; e < n_edges; e++) {
+        i64 a = lo[e], b = hi[e];
+        while (parent[a] != a) {
+            parent[a] = parent[parent[a]];
+            a = parent[a];
+        }
+        while (parent[b] != b) {
+            parent[b] = parent[parent[b]];
+            b = parent[b];
+        }
+        if (a < b)
+            parent[b] = a;
+        else if (b < a)
+            parent[a] = b;
+    }
+    i64 n_comp = 0;
+    for (i64 x = 0; x < m; x++)
+        parent[x] = parent[x] == x ? n_comp++ : parent[parent[x]];
+    return n_comp;
 }

@@ -567,9 +567,11 @@ def _shard_fit_run(
         ]
         streams = [stream for _gids, stream in collected]
         registry.inc("fit.cluster.heap_ops", heap_ops)
-        cluster_list = [[i] for i in range(m)]
-        result = _replay_streams(cluster_list, problems, streams, k, m, registry)
-        registry.inc("fit.cluster.merges", len(result.merges))
+        merges, roots, stopped_early = _replay_streams(
+            problems, streams, k, m, registry
+        )
+        result = RockResult.from_arrays(merges, roots, stopped_early)
+        registry.inc("fit.cluster.merges", result.n_merges)
     timings["cluster"] = cluster_span.wall_seconds or 0.0
 
     # -- observability ----------------------------------------------------

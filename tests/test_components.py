@@ -162,3 +162,74 @@ class TestQrockVsRock:
         assert sorted(map(tuple, result.clusters)) == sorted(
             map(tuple, connected_components(g))
         )
+
+
+def _scipy_labels(m, lo, hi):
+    sparse = pytest.importorskip("scipy.sparse")
+    from scipy.sparse.csgraph import connected_components as scipy_components
+
+    graph = sparse.coo_matrix(
+        (np.ones(len(lo), dtype=np.int8), (lo, hi)), shape=(m, m)
+    )
+    _, labels = scipy_components(graph, directed=False)
+    return labels.astype(np.int64)
+
+
+def _component_label_tiers(m, lo, hi):
+    """``{tier: labels}`` from the merge engine's component labeling:
+    the C union-find where it probes, and the numpy path always."""
+    from repro.core.merge import _component_labels
+    from repro.native import get_kernels
+
+    lo = np.asarray(lo, dtype=np.int64)
+    hi = np.asarray(hi, dtype=np.int64)
+    tiers = {}
+    if get_kernels() is not None:
+        tiers["cext"] = _component_labels(m, lo, hi)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_NATIVE", "0")
+        tiers["numpy"] = _component_labels(m, lo, hi)
+    return tiers
+
+
+@st.composite
+def edge_lists(draw):
+    """Random graphs, plus the shapes that stress one tier or another:
+    no nodes, no edges, chains in either direction, a star."""
+    shape = draw(st.sampled_from(["random", "empty", "isolated", "chain", "star"]))
+    m = 0 if shape == "empty" else draw(st.integers(min_value=1, max_value=40))
+    if shape in ("empty", "isolated"):
+        return m, [], []
+    if shape == "chain":
+        order = draw(st.permutations(range(m)))
+        pairs = list(zip(order[:-1], order[1:]))
+    elif shape == "star":
+        centre = draw(st.integers(min_value=0, max_value=m - 1))
+        pairs = [(x, centre) for x in range(m) if x != centre]
+    else:
+        node = st.integers(min_value=0, max_value=m - 1)
+        pairs = draw(st.lists(st.tuples(node, node), max_size=3 * m))
+    return m, [a for a, _ in pairs], [b for _, b in pairs]
+
+
+class TestComponentLabels:
+    """The merge engine's component labels (C union-find, numpy label
+    propagation) against ``scipy.sparse.csgraph.connected_components``:
+    the same labels, numbered by smallest member."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(edge_lists())
+    def test_tiers_match_scipy(self, graph):
+        m, lo, hi = graph
+        expected = _scipy_labels(m, lo, hi)
+        for tier, labels in _component_label_tiers(m, lo, hi).items():
+            assert labels.dtype == np.int64, tier
+            assert labels.tolist() == expected.tolist(), tier
+
+    def test_long_chain_from_the_top(self):
+        """A chain whose edges arrive from the largest node down: the
+        deepest trees for both tiers."""
+        m = 2_000
+        lo = np.arange(m - 1, 0, -1)
+        for tier, labels in _component_label_tiers(m, lo, lo - 1).items():
+            assert not labels.any(), tier

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core import RockPipeline, rock
 from repro.core.encoding import (
+    TransactionCSR,
     as_item_set,
     encode_items,
     encode_query,
@@ -326,3 +327,31 @@ class TestLabelScanInput:
             assert labels.tolist() == as_list.assign_all(list(rest)).tolist()
             assert as_dataset.candidates == as_list.candidates > 0
             assert labels.tolist() == [as_list.assign(p) for p in rest]
+
+
+class TestTranspose:
+    """``TransactionCSR.from_rows`` sorts 16-bit keys up to 65,536 items
+    and the int32 codes past that; both must give every item's rows in
+    ascending order."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from([1 << 16, (1 << 16) + 1]),
+        st.lists(
+            st.sets(st.sampled_from([0, 1, 255, 256, 65534, 65535, 65536])),
+            min_size=1, max_size=30,
+        ),
+    )
+    def test_transpose_matches_the_rows(self, n_items, rows):
+        rows = [sorted(c for c in row if c < n_items) for row in rows]
+        indptr = np.cumsum([0] + [len(r) for r in rows]).astype(np.int64)
+        codes = np.array([c for r in rows for c in r], dtype=np.int32)
+        csr = TransactionCSR.from_rows(indptr, codes, n_items)
+        expected = {}
+        for i, row in enumerate(rows):
+            for c in row:
+                expected.setdefault(c, []).append(i)
+        for c in (0, 1, 255, 256, 65534, 65535, n_items - 1):
+            got = csr.t_indices[csr.t_indptr[c] : csr.t_indptr[c + 1]]
+            assert got.tolist() == expected.get(c, [])
+        assert csr.t_indices.dtype == np.int32

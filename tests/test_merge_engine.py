@@ -14,6 +14,7 @@ where the C tier probes clean) and the Python inner loop
 {0, default}, and random ``initial_clusters`` partitions.
 """
 
+import io
 import math
 import random
 import warnings
@@ -33,11 +34,12 @@ from repro.core.goodness import (
     merge_kernel_for,
     naive_goodness,
 )
-from repro.core.labeling import labels_from_clusters
+from repro.core.labeling import clusters_from_labels, labels_from_clusters
 from repro.core.links import LinkTable
 from repro.core.merge import fast_cluster_with_links, merge_engine
 from repro.core.pipeline import RockPipeline
 from repro.core.rock import cluster_with_links, heap_cluster_with_links, rock
+from repro.core.serialization import save_result
 from repro.data.transactions import Transaction, TransactionDataset
 from repro.obs.registry import MetricsRegistry
 from tests.linktables import link_table, replicated_components
@@ -69,16 +71,27 @@ def engine_results(run, *args, **kwargs):
 
 
 def assert_identical(ref, fast) -> None:
-    """Byte-for-byte RockResult equality, goodness floats included."""
+    """Byte-for-byte RockResult equality, goodness floats included:
+    the clusters, the merge history, the labels and the saved bytes."""
+    assert fast.n_merges == ref.n_merges
+    assert fast.labels().tolist() == ref.labels().tolist()
+    assert saved_bytes(fast) == saved_bytes(ref)
     assert ref.clusters == fast.clusters
     assert ref.stopped_early == fast.stopped_early
-    assert len(ref.merges) == len(fast.merges)
+    assert ref.merges == fast.merges
+    assert ref == fast
     for a, b in zip(ref.merges, fast.merges):
         assert a == b  # dataclass equality covers the goodness float
         # == treats -0.0/0.0 and nan loosely; pin the exact bits too
         assert math.isclose(a.goodness, b.goodness, rel_tol=0.0, abs_tol=0.0) or (
             np.float64(a.goodness).tobytes() == np.float64(b.goodness).tobytes()
         )
+
+
+def saved_bytes(result) -> bytes:
+    handle = io.StringIO()
+    save_result(result, handle)
+    return handle.getvalue().encode()
 
 
 @st.composite
@@ -179,6 +192,25 @@ class TestMergeHistoryEquivalence:
         ):
             assert fast.stopped_early
             assert_identical(ref, fast)
+
+    def test_partial_initial_clusters(self):
+        """A starting partition that leaves points out: they stay
+        unclustered (label -1) on every engine."""
+        rng = random.Random(11)
+        links = link_table(16, [
+            (*rng.sample(range(16), 2), rng.randint(1, 4)) for _ in range(40)
+        ])
+        initial = [[0, 5], [1, 2, 9], [3], [4, 6], [10, 11, 15], [13]]
+        for f_theta in F_THETAS:
+            ref = heap_cluster_with_links(
+                links, k=2, f_theta=f_theta, initial_clusters=initial
+            )
+            assert (ref.labels() == -1).sum() == 4
+            for fast in engine_results(
+                cluster_with_links, links, k=2, f_theta=f_theta,
+                initial_clusters=initial,
+            ):
+                assert_identical(ref, fast)
 
     def test_initial_clusters_resume(self):
         """Resuming from a partial partition replays identically."""
@@ -412,3 +444,16 @@ class TestLabelsFromClusters:
     def test_empty(self):
         assert labels_from_clusters([], 3).tolist() == [-1, -1, -1]
         assert labels_from_clusters([[]], 0).shape == (0,)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(min_value=-1, max_value=5), max_size=30))
+    def test_clusters_from_labels_inverts_it(self, raw):
+        # relabel so clusters 0..K-1 are all non-empty
+        used = sorted(set(raw) - {-1})
+        labels = np.array(
+            [used.index(x) if x >= 0 else -1 for x in raw], dtype=np.int64
+        )
+        clusters = clusters_from_labels(labels)
+        assert len(clusters) == len(used)
+        assert all(c == sorted(c) and c for c in clusters)
+        assert labels_from_clusters(clusters, len(raw)).tolist() == labels.tolist()

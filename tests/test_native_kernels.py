@@ -15,8 +15,13 @@ off); elsewhere the module skips, and
 fails instead where a compiler exists.
 """
 
+import io
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +43,7 @@ from repro.core.merge import (
 )
 from repro.core.pipeline import RockPipeline
 from repro.core.rock import cluster_with_links, heap_cluster_with_links, rock
+from repro.core.serialization import save_result
 from repro.core.similarity import JaccardSimilarity, OverlapSimilarity
 from repro.data.transactions import Transaction, TransactionDataset
 from repro.native import get_kernels
@@ -70,11 +76,21 @@ def tables_equal(a: LinkTable, b: LinkTable) -> bool:
     return a.n == b.n and sorted(a.pairs()) == sorted(b.pairs())
 
 
+def saved_bytes(result) -> bytes:
+    handle = io.StringIO()
+    save_result(result, handle)
+    return handle.getvalue().encode()
+
+
 def assert_identical(ref, other) -> None:
-    """Byte-for-byte RockResult equality, goodness floats included."""
+    """Byte-for-byte RockResult equality, goodness floats included:
+    the clusters, the merge history, the labels and the saved bytes."""
+    assert other.n_merges == ref.n_merges
+    assert other.labels().tolist() == ref.labels().tolist()
+    assert saved_bytes(other) == saved_bytes(ref)
     assert ref.clusters == other.clusters
     assert ref.stopped_early == other.stopped_early
-    assert len(ref.merges) == len(other.merges)
+    assert ref.merges == other.merges
     for a, b in zip(ref.merges, other.merges):
         assert a == b
         assert math.isclose(a.goodness, b.goodness, rel_tol=0.0, abs_tol=0.0) or (
@@ -500,3 +516,69 @@ class TestNativeEndToEnd:
         assert native.backends["merge"] == f"native:{backend}"
         assert ref.backends["fit"] == "fused"
         assert ref.backends["merge"] == "fast"
+
+
+# -- the cluster phase as arrays ----------------------------------------------
+
+# fit-full's shape: 210 planted clusters x 8 baskets, 10 items each from
+# a 14-item pool of a 400-item vocabulary, fitted whole at k = 210
+_COLD_FIT = """
+import sys
+
+import numpy as np
+
+from repro.core import RockPipeline
+from repro.data.transactions import TransactionDataset
+
+rng = np.random.default_rng(1)
+baskets = []
+for _ in range(210):
+    pool = rng.choice(400, size=14, replace=False)
+    baskets.extend(
+        frozenset(rng.choice(pool, size=10, replace=False).tolist())
+        for _ in range(8)
+    )
+fit = RockPipeline(k=210, theta=0.5, seed=1).fit(TransactionDataset(baskets))
+assert fit.backends["merge"] == "native:cext", fit.backends
+assert fit.n_clusters == 210, fit.n_clusters
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+class TestClusterPhaseArrays:
+    def test_fresh_fit_imports_no_scipy(self):
+        """A C-tier fit in a fresh process loads no scipy module: the
+        component labels come from the union-find kernel."""
+        src = str(Path(__import__("repro").__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src, *filter(None, [env.get("PYTHONPATH")])]
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", _COLD_FIT],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
+
+    def test_component_labels_rejects_outside_nodes(self):
+        for lo, hi in (([0], [3]), ([-1], [1]), ([0, 1], [2])):
+            with pytest.raises(ValueError, match="component_labels"):
+                KERNELS.component_labels(3, np.array(lo), np.array(hi))
+
+    def test_merges_and_clusters_built_on_access(self):
+        """The engine's result holds the kernel's arrays: counting,
+        labels and saving build no MergeStep or cluster list."""
+        links = make_links(
+            12, {(0, 1): 3.0, (1, 2): 2.0, (3, 4): 4.0, (5, 6): 1.0, (6, 7): 2.0}
+        )
+        result = cluster_with_links(links, k=2, f_theta=default_f(0.5))
+        ref = heap_cluster_with_links(links, k=2, f_theta=default_f(0.5))
+        assert result.merge_arrays is not None
+        assert result.n_merges == ref.n_merges == len(ref.merges)
+        assert saved_bytes(result) != b""
+        assert result.labels().tolist() == ref.labels().tolist()
+        assert result._merges is None
+        assert result.merges == ref.merges
+        assert result.clusters == ref.clusters
+        assert result.merges is result.merges  # cached
