@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from typing import Any
 
 import numpy as np
@@ -143,34 +143,40 @@ def encode_items(
     (first-seen order) when ``grow``; otherwise it gets no code but still
     counts in its row's size: it enlarges every union, intersecting nothing.
     """
+    indptr, codes, sizes = _walk_items(points, code_of, grow)
+    _sort_within_rows(indptr, codes)
+    return indptr, codes, sizes
+
+
+def _walk_items(
+    points: Iterable[Any], code_of: dict[Any, int], grow: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`encode_items` with each row's codes in its items' iteration
+    order: three ``fromiter`` passes, and a mask only when items lack a code."""
     rows = list(map(as_item_set, points))
-    n = len(rows)
-    sizes = np.fromiter(map(len, rows), np.int64, n)
+    lens = list(map(len, rows))
     if grow:
         for item in dict.fromkeys(chain.from_iterable(rows)):
             code_of.setdefault(item, len(code_of))
     codes = np.fromiter(
         map(code_of.get, chain.from_iterable(rows), repeat(-1)),
-        np.int32, int(sizes.sum()),
+        np.int32, sum(lens),
     )
-    indptr, codes = _drop_uncoded(codes, sizes)
-    _sort_within_rows(indptr, codes)
-    return indptr, codes, sizes
+    indptr = np.fromiter(accumulate(lens, initial=0), np.int64, len(rows) + 1)
+    return (*_drop_uncoded(indptr, codes), np.diff(indptr))
 
 
 def _drop_uncoded(
-    codes: np.ndarray, sizes: np.ndarray
+    indptr: np.ndarray, codes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR of rows of ``sizes[i]`` codes each, without the ``-1`` codes."""
-    kept = sizes
-    coded = codes >= 0
-    if not coded.all():
-        row_of = np.repeat(np.arange(sizes.size), sizes)
-        kept = np.bincount(row_of[coded], minlength=sizes.size)
-        codes = codes[coded]
-    indptr = np.zeros(sizes.size + 1, dtype=np.int64)
-    np.cumsum(kept, out=indptr[1:])
-    return indptr, codes
+    """The CSR without its ``-1`` codes (row order kept)."""
+    uncoded = codes < 0
+    if not uncoded.any():
+        return indptr, codes
+    # each row start moves back by the uncoded codes before it
+    dropped = np.zeros(codes.size + 1, dtype=np.int64)
+    np.cumsum(uncoded, out=dropped[1:])
+    return indptr - dropped[indptr], codes[~uncoded]
 
 
 SORT_ROWS = 4096  # rows per sort: bounds the temporaries of a dataset-sized walk
@@ -191,17 +197,18 @@ def _sort_within_rows(indptr: np.ndarray, codes: np.ndarray) -> None:
 def encode_query(
     points: Iterable[Any], code_of: dict[Any, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`encode_items` without ``grow``; a dataset's CSR is remapped
-    through one ``O(V)`` array instead (row lengths are the true sizes;
-    codes need not ascend within a row)."""
+    """:func:`encode_items` without ``grow``, and with codes in no
+    particular order within a row: the §4.6 tiers never need them
+    ascending (the native kernel sorts each row itself).  Loose points
+    take the walk; a dataset's CSR is remapped through one ``O(V)``
+    array instead (row lengths are the true sizes)."""
     if not isinstance(points, TransactionDataset):
-        return encode_items(points, code_of)
+        return _walk_items(points, code_of)
     remap = np.fromiter(
         map(code_of.get, points.vocabulary, repeat(-1)), np.int32, points.n_items
     )
     indptr, codes = points.csr
-    sizes = np.diff(indptr)
-    return (*_drop_uncoded(remap[codes], sizes), sizes)
+    return (*_drop_uncoded(indptr, remap[codes]), np.diff(indptr))
 
 
 def gather_rows(

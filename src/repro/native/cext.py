@@ -23,6 +23,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, NamedTuple
@@ -202,6 +203,80 @@ class _Kernel:
         ])
 
 
+class BoundAssign:
+    """``assign_block`` bound to one index: call it with a query block.
+
+    The index's six arrays are converted and their addresses taken
+    once, here.  The five scratch arrays (``mark``, ``seen``,
+    ``touched``, ``ccounts``, ``ctouched``) are allocated once per
+    calling thread and reused: the kernel returns ``mark``, ``seen``
+    and ``ccounts`` zeroed, as it needs them, and overwrites the other
+    two before reading them.  Block-map threads and server threads
+    sharing one index therefore never share scratch.  A call allocates
+    only its two output arrays.
+    """
+
+    __slots__ = ("_fn", "_index", "_args", "_shape", "_local")
+
+    def __init__(self, kernel: _Kernel, index: tuple, theta: float) -> None:
+        dtypes = (_I64, _I32, _I64, _I32, _I32, _F64)
+        # held for the addresses' lifetime
+        self._index = tuple(
+            np.ascontiguousarray(a, dtype) for a, dtype in zip(index, dtypes)
+        )
+        self._fn = kernel._fn
+        self._args = (*map(_address, self._index), float(theta))
+        pre_indptr, _, rep_indptr, _, _, normalisers = self._index
+        self._shape = (
+            max(len(pre_indptr) - 1, 1),
+            max(len(rep_indptr) - 1, 1),
+            max(len(normalisers), 1),
+        )
+        self._local = threading.local()
+
+    def _scratch(self) -> tuple[int, ...]:
+        try:
+            return self._local.addresses
+        except AttributeError:
+            vocab, n_reps, n_clusters = self._shape
+            arrays = (
+                np.zeros(vocab, dtype=_U8),           # mark
+                np.zeros(n_reps, dtype=_I32),         # seen
+                # one spare slot: the kernel's branchless first-touch
+                # write targets touched[n_touched] even for repeat touches
+                np.empty(n_reps + 1, dtype=_I32),     # touched
+                np.zeros(n_clusters, dtype=_I64),     # ccounts
+                np.empty(n_clusters, dtype=_I32),     # ctouched
+            )
+            self._local.arrays = arrays
+            self._local.addresses = tuple(map(_address, arrays))
+            return self._local.addresses
+
+    def __call__(
+        self, q_indptr: np.ndarray, q_items: np.ndarray, q_sizes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """``(labels, best scores, candidates verified)`` for one block.
+
+        The kernel sorts each row of ``q_items`` in place: pass an int32
+        array the caller no longer needs in its order (a read-only one
+        is copied first).
+        """
+        q_indptr = np.ascontiguousarray(q_indptr, _I64)
+        q_items = np.ascontiguousarray(q_items, _I32)
+        if not q_items.flags.writeable:
+            q_items = q_items.copy()
+        q_sizes = np.ascontiguousarray(q_sizes, _I64)
+        b = len(q_indptr) - 1
+        out_labels = np.empty(max(b, 1), dtype=_I64)
+        out_best = np.empty(max(b, 1), dtype=_F64)
+        verified = self._fn(
+            _address(q_indptr), _address(q_items), _address(q_sizes), b,
+            *self._args, *self._scratch(),
+            _address(out_labels), _address(out_best),
+        )
+        return out_labels[:b], out_best[:b], int(verified)
+
+
 class _CextKernels:
     """The uniform kernel interface on top of the bound library."""
 
@@ -314,29 +389,33 @@ class _CextKernels:
         """``(labels, best scores, candidates verified)`` for one block.
 
         ``q_items`` holds rank-numbered item ids; the kernel sorts each
-        row in place, so it always receives a private copy.
+        row in place, so it always receives a private copy.  A caller
+        scoring many blocks against one index binds it once instead
+        (:meth:`bind_assign`).
         """
-        q_items = np.array(q_items, dtype=np.int32)
-        b = len(q_indptr) - 1
-        n_reps = len(rep_indptr) - 1
-        n_clusters = max(len(normalisers), 1)
-        mark = np.zeros(max(len(pre_indptr) - 1, 1), dtype=np.uint8)
-        seen = np.zeros(max(n_reps, 1), dtype=np.int32)
-        # one spare slot: the kernel's branchless first-touch write
-        # targets touched[n_touched] even for repeat touches
-        touched = np.empty(n_reps + 1, dtype=np.int32)
-        ccounts = np.zeros(n_clusters, dtype=np.int64)
-        ctouched = np.empty(n_clusters, dtype=np.int32)
-        out_labels = np.empty(max(b, 1), dtype=np.int64)
-        out_best = np.empty(max(b, 1), dtype=np.float64)
-        verified = self._lib.assign_block(
-            q_indptr, q_items, q_sizes, b,
-            pre_indptr, pre_reps, rep_indptr, rep_items,
-            rep_cluster, normalisers, float(theta),
-            mark, seen, touched, ccounts, ctouched,
-            out_labels, out_best,
+        bound = self.bind_assign(
+            pre_indptr, pre_reps, rep_indptr, rep_items, rep_cluster,
+            normalisers, theta,
         )
-        return out_labels[:b], out_best[:b], int(verified)
+        return bound(q_indptr, np.array(q_items, dtype=_I32), q_sizes)
+
+    def bind_assign(
+        self,
+        pre_indptr: np.ndarray,
+        pre_reps: np.ndarray,
+        rep_indptr: np.ndarray,
+        rep_items: np.ndarray,
+        rep_cluster: np.ndarray,
+        normalisers: np.ndarray,
+        theta: float,
+    ) -> "BoundAssign":
+        """``assign_block`` with one index's arrays bound (see
+        :class:`BoundAssign`)."""
+        return BoundAssign(
+            self._lib.assign_block,
+            (pre_indptr, pre_reps, rep_indptr, rep_items, rep_cluster, normalisers),
+            theta,
+        )
 
     def merge_components(
         self,

@@ -41,10 +41,17 @@ Quickstart::
 
 from repro.serve.engine import AssignmentEngine
 from repro.serve.index import AssignmentIndex, resolve_assign_backend
-from repro.serve.model import MODEL_FORMAT, MODEL_VERSION, RockModel, model_from_result
+from repro.serve.model import (
+    MODEL_FORMAT,
+    MODEL_VERSION,
+    ArtifactIntegrityError,
+    RockModel,
+    model_from_result,
+)
 from repro.serve.service import ClusteringService
 
 __all__ = [
+    "ArtifactIntegrityError",
     "AssignmentEngine",
     "AssignmentIndex",
     "ClusteringService",

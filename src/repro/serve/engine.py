@@ -177,49 +177,53 @@ class AssignmentEngine:
         """
         start = time.perf_counter()
         points = list(points)
-        labels = np.empty(len(points), dtype=np.int64)
-        hits = 0
-        pending: dict[Any, list[int]] = {}  # cache key -> positions (LRU on)
-        nocache: dict[Any, list[int]] = {}  # key -> positions (LRU off)
-        unkeyed: list[tuple[int, Any]] = []  # position, unhashable point
-        for i, point in enumerate(points):
-            key = self._cache_key(point)
-            if key is None:
-                unkeyed.append((i, point))
-                continue
-            if self._cache_size == 0:
-                nocache.setdefault(key, []).append(i)
-                continue
-            cached = self._cache_get(key)
-            if cached is not None:
-                labels[i] = cached
-                hits += 1
-            else:
-                pending.setdefault(key, []).append(i)
-        misses = len(pending)
-        uncacheable = len(unkeyed) + sum(len(v) for v in nocache.values())
-        to_score = [points[positions[0]] for positions in pending.values()]
-        to_score.extend(points[positions[0]] for positions in nocache.values())
-        to_score.extend(point for _, point in unkeyed)
+        n = len(points)
+        cached = self._cache_size > 0
+        labels = np.empty(n, dtype=np.int64)
+        hits = uncacheable = 0
+        to_score: list[Any] = []
+        first: dict[Any, int] = {}  # key -> its row in to_score
+        positions: list[int] = []  # points to score, and their rows
+        rows: list[int] = []
+        # one lock round for the whole batch's lookups
+        with self._cache_lock:
+            for i, point in enumerate(points):
+                key = self._cache_key(point)
+                if key is None:
+                    uncacheable += 1
+                    positions.append(i)
+                    rows.append(len(to_score))
+                    to_score.append(point)
+                    continue
+                if cached:
+                    label = self._cache.get(key)
+                    if label is not None:
+                        self._cache.move_to_end(key)
+                        labels[i] = label
+                        hits += 1
+                        continue
+                else:
+                    uncacheable += 1
+                row = first.get(key)
+                if row is None:
+                    row = first[key] = len(to_score)
+                    to_score.append(point)
+                positions.append(i)
+                rows.append(row)
+        misses = len(first) if cached else 0
         if to_score:
             scored = self._assign_uncached(to_score)
-            for j, (key, positions) in enumerate(pending.items()):
-                labels[positions] = scored[j]
-                self._cache_put(key, int(scored[j]))
-            offset = len(pending)
-            for j, positions in enumerate(nocache.values()):
-                labels[positions] = scored[offset + j]
-            offset += len(nocache)
-            for j, (i, _) in enumerate(unkeyed):
-                labels[i] = scored[offset + j]
+            labels[positions] = scored[rows]
+            if cached:
+                self._cache_put(first, scored.tolist())
         elapsed = time.perf_counter() - start
         self._requests.inc()
-        self._points.inc(len(points))
-        self._outliers.inc(int((labels == -1).sum()))
+        self._points.inc(n)
+        self._outliers.inc(int(np.count_nonzero(labels == -1)))
         self._cache_hits.inc(hits)
         self._cache_misses.inc(misses)
         self._uncacheable.inc(uncacheable)
-        self._batch_sizes.observe(len(points))
+        self._batch_sizes.observe(n)
         self._latency.observe(elapsed)
         return labels
 
@@ -274,16 +278,11 @@ class AssignmentEngine:
             return None
         return point
 
-    def _cache_get(self, key: Any) -> int | None:
+    def _cache_put(self, rows: dict[Any, int], scored: list[int]) -> None:
+        """Remember each key's label (``scored[row]``), evicting LRU-first."""
         with self._cache_lock:
-            label = self._cache.get(key)
-            if label is not None:
+            for key, row in rows.items():
+                self._cache[key] = scored[row]
                 self._cache.move_to_end(key)
-            return label
-
-    def _cache_put(self, key: Any, label: int) -> None:
-        with self._cache_lock:
-            self._cache[key] = label
-            self._cache.move_to_end(key)
             while len(self._cache) > self._cache_size:
                 self._cache.popitem(last=False)

@@ -9,9 +9,9 @@ long-running, zero-dependency async HTTP front-end:
   ``GET /model`` / ``GET /healthz`` / ``GET /metrics``;
 * :class:`~repro.serve.http.batcher.RequestBatcher` -- coalesces
   concurrent single-point requests into shared
-  ``AssignmentEngine.assign_batch`` calls (flush on max batch size or
-  max wait), with a bounded queue that sheds load as ``503 +
-  Retry-After``;
+  ``AssignmentEngine.assign_batch`` calls (the first request of a batch
+  leads it and runs the flush on the event loop, with no timer), with
+  a bounded queue that sheds load as ``503 + Retry-After``;
 * :class:`~repro.serve.http.reload.ModelWatcher` -- hot model reload:
   watches the artifact path, loads + checksum-verifies on a side
   thread, and atomically swaps the served generation while in-flight

@@ -1,25 +1,30 @@
-"""Request coalescing: many concurrent single-point requests, one matmul.
+"""Request coalescing: many concurrent single-point requests, one engine call.
 
 :class:`~repro.serve.engine.AssignmentEngine.assign_batch` amortises
-its fixed per-call cost (executor hop, metrics, the matmul setup) over
-a whole batch, so a serving process wants concurrent ``POST /assign``
+its fixed per-call cost (encoding, metrics, the kernel call) over a
+whole batch, so a serving process wants concurrent ``POST /assign``
 requests to share engine calls.  :class:`RequestBatcher` is that
-coalescing point:
+coalescing point, and it has no task of its own:
 
-* :meth:`submit` enqueues a point and returns a future for its result;
+* ``await submit(point)`` queues a point and returns its flush result;
   the queue is **bounded** -- a full queue raises :class:`QueueFull`,
   which the server maps to ``503 Retry-After`` (backpressure instead
   of unbounded memory growth);
-* one flusher task dispatches on idle: it wakes on the first queued
-  point, drains what is queued (up to ``batch_max``), and yields one
-  event-loop pass so requests that are already readable can submit;
-  it hands the batch to the ``flush`` coroutine as soon as a pass adds
-  nothing.  No timer holds a lone point back;
-* while a flush is in flight new submissions pile up in the queue and
-  form the next batch -- under closed-loop load the batch size adapts
-  to the concurrency automatically.
+* the submission that finds no batch forming becomes the **leader**:
+  it yields one event-loop pass so requests that are already readable
+  can submit (they follow: they only await their results), then takes
+  everything queued and awaits the flush of each ``batch_max`` chunk
+  itself.  No timer holds a lone point back, and a lone point costs
+  one pass, not a hand-off to another task;
+* flushes run one at a time, leaders in arrival order: a leader whose
+  predecessor's flush is still in flight waits for it, and what queues
+  meanwhile joins its batch -- under closed-loop load the batch size
+  adapts to the concurrency automatically.
 
-``batch_max=1`` degrades to one engine call per request (the
+A leader cancelled before its flush hands the queue to a new leader
+task; one cancelled mid-flush fails that chunk's waiters with
+:class:`BatcherClosed` and hands on the rest, so no waiter hangs.
+``batch_max=1`` degrades to one flush call per request (the
 no-batching baseline the benchmark compares against).
 """
 
@@ -56,11 +61,11 @@ class RequestBatcher:
     flush:
         ``async (points) -> results`` -- called with 1..batch_max
         points, must return one result per point, in order.  Raised
-        exceptions propagate to every future of the batch.
+        exceptions propagate to every waiter of the batch.
     batch_max:
         Most points handed to one flush call.
     queue_depth:
-        Bound on points admitted but not yet flushed; beyond it
+        Bound on points admitted but not yet answered; beyond it
         :meth:`submit` raises :class:`QueueFull`.
     registry:
         Optional metrics sink; records ``http.batcher.flushes``,
@@ -92,28 +97,27 @@ class RequestBatcher:
         self._queue_wait = registry.histogram(
             "http.batcher.queue_wait_seconds", edges=QUEUE_WAIT_EDGES
         )
-        self._queue: asyncio.Queue[tuple[Any, asyncio.Future, float] | None] = (
-            asyncio.Queue()
-        )
+        # (point, future, submitted) in submission order, not yet taken
+        self._queue: list[tuple[Any, asyncio.Future, float]] = []
+        self._leading = False  # a leader will take self._queue
+        self._flushing = asyncio.Lock()  # one flush at a time, FIFO
+        self._idle = asyncio.Event()  # set while nothing is pending
+        self._idle.set()
+        self._handoffs: set[asyncio.Task] = set()
         self._pending = 0
         self._closing = False
-        self._task: asyncio.Task | None = None
-
-    def start(self) -> None:
-        """Spawn the flusher task on the running loop (idempotent)."""
-        if self._task is None:
-            self._task = asyncio.get_running_loop().create_task(self._run())
 
     @property
     def pending(self) -> int:
         """Points admitted but not yet answered (queued or in flush)."""
         return self._pending
 
-    def submit(self, point: Any) -> asyncio.Future:
-        """Enqueue one point; resolves to its flush result.
+    async def submit(self, point: Any) -> Any:
+        """Queue one point and return its flush result.
 
         Raises :class:`QueueFull` when ``queue_depth`` points are
-        already pending, :class:`BatcherClosed` during shutdown.
+        already pending, :class:`BatcherClosed` during shutdown, and
+        the flush's exception when the point's batch fails.
         """
         if self._closing:
             raise BatcherClosed("batcher is shutting down")
@@ -124,38 +128,43 @@ class RequestBatcher:
             )
         future = asyncio.get_running_loop().create_future()
         self._pending += 1
-        self._queue.put_nowait((point, future, time.perf_counter()))
-        return future
+        self._idle.clear()
+        self._queue.append((point, future, time.perf_counter()))
+        if not self._leading:
+            self._leading = True
+            await self._lead()
+        return await future
 
     async def aclose(self) -> None:
-        """Stop accepting, flush everything already admitted, stop."""
-        if self._closing:
-            return
+        """Stop accepting; return once everything admitted is answered."""
         self._closing = True
-        if self._task is not None:
-            self._queue.put_nowait(None)
-            await self._task
-            self._task = None
+        await self._idle.wait()
 
-    # -- flusher ------------------------------------------------------------
+    # -- leader -------------------------------------------------------------
 
-    async def _run(self) -> None:
-        while True:
-            first = await self._queue.get()
-            if first is None:
-                return
-            batch = [first]
-            while len(batch) < self.batch_max:
-                if self._queue.empty():
-                    await asyncio.sleep(0)  # one pass for readable requests
-                    if self._queue.empty():
-                        break
-                item = self._queue.get_nowait()
-                if item is None:
-                    await self._dispatch(batch)
-                    return
-                batch.append(item)
-            await self._dispatch(batch)
+    async def _lead(self) -> None:
+        """Let one loop pass of submissions join, then flush the queue."""
+        batch = None
+        try:
+            await asyncio.sleep(0)  # one pass for readable requests
+            async with self._flushing:
+                batch, self._queue, self._leading = self._queue, [], False
+                while batch:
+                    chunk = batch[: self.batch_max]
+                    batch = batch[self.batch_max :]
+                    await self._dispatch(chunk)
+        except asyncio.CancelledError:
+            # the leading request went away; the points it led do not
+            if batch is None:
+                self._leading = False
+            else:
+                self._queue[:0] = batch
+            if self._queue and not self._leading:
+                self._leading = True
+                task = asyncio.get_running_loop().create_task(self._lead())
+                self._handoffs.add(task)
+                task.add_done_callback(self._handoffs.discard)
+            raise
 
     async def _dispatch(
         self, batch: list[tuple[Any, asyncio.Future, float]]
@@ -168,12 +177,23 @@ class RequestBatcher:
         try:
             results = await self._flush([point for point, _, _ in batch])
         except Exception as exc:  # propagate to every waiter, keep serving
-            for _, future, _ in batch:
-                if not future.done():
-                    future.set_exception(exc)
+            self._fail(batch, exc)
+        except asyncio.CancelledError:
+            self._fail(batch, BatcherClosed("the batch's flush was cancelled"))
+            raise
         else:
             for (_, future, _), result in zip(batch, results):
                 if not future.done():
                     future.set_result(result)
         finally:
             self._pending -= len(batch)
+            if not self._pending:
+                self._idle.set()
+
+    @staticmethod
+    def _fail(
+        batch: list[tuple[Any, asyncio.Future, float]], exc: BaseException
+    ) -> None:
+        for _, future, _ in batch:
+            if not future.done():
+                future.set_exception(exc)

@@ -36,7 +36,6 @@ while :attr:`ServedModel.loaded_unix` exists for display only.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from dataclasses import dataclass
@@ -44,24 +43,20 @@ from pathlib import Path
 
 from repro.obs.registry import MetricsRegistry
 from repro.serve.engine import AssignmentEngine
-from repro.serve.model import RockModel, verify_artifact_checksum
+from repro.serve.model import RockModel, read_artifact
 
 __all__ = ["ModelWatcher", "ServedModel", "load_versioned_model"]
 
 
 def _read_artifact(path: str | Path) -> tuple[RockModel, str]:
     """Load and checksum-verify an artifact; returns ``(model, full digest)``."""
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    digest = verify_artifact_checksum(data)
+    data, digest = read_artifact(path)
     return RockModel.from_dict(data), digest
 
 
 def _artifact_digest(path: Path) -> str:
     """The content digest alone (the cheap identity probe for rewrites)."""
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    return verify_artifact_checksum(data)
+    return read_artifact(path)[1]
 
 
 def load_versioned_model(path: str | Path) -> tuple[RockModel, str]:

@@ -3,18 +3,23 @@
 :class:`RockHttpServer` is the long-running network front-end over a
 versioned :class:`~repro.serve.RockModel` artifact -- the §4.5/§4.6
 labeling phase as a service.  One asyncio event loop accepts
-keep-alive HTTP/1.1 connections; CPU-bound engine calls run on the
-default executor so the loop keeps accepting while numpy works.
+keep-alive HTTP/1.1 connections.  A ``/assign`` batch (at most
+``batch_max`` points, tens of microseconds on the native tier) is
+scored inline on the loop thread, so a request costs one loop pass and
+one engine call; an ``/assign_batch`` body (up to ``queue_depth``
+points) runs on the default executor, where the GIL-free kernel
+overlaps the loop's parsing of other requests.
 
 Endpoints
 ---------
 * ``POST /assign`` ``{"point": ...}`` -- single-point assignment,
   coalesced through the :class:`~repro.serve.http.batcher.RequestBatcher`
-  into shared ``assign_batch`` calls; answers ``{"label",
+  into shared ``assign_batch`` calls: the request that finds no batch
+  forming leads it and runs the flush on the loop; answers ``{"label",
   "model_version"}``.
 * ``POST /assign_batch`` ``{"points": [...]}`` -- an explicit batch,
-  sent to the engine directly (it already amortises); answers
-  ``{"labels", "model_version"}``.
+  sent to the engine directly on the executor (it already amortises);
+  answers ``{"labels", "model_version"}``.
 * ``GET /model`` -- the served model's version and facts, read
   atomically from the current generation.
 * ``GET /healthz`` -- liveness plus reload status.
@@ -189,6 +194,7 @@ class RockHttpServer:
         self._inflight_batch_points = 0
         self._server: asyncio.Server | None = None
         self._closing = False
+        self._stopped: asyncio.Future | None = None
         # live connection handlers; writers of those awaiting a request
         self._handlers: set[asyncio.Task] = set()
         self._idle: set[asyncio.StreamWriter] = set()
@@ -203,7 +209,7 @@ class RockHttpServer:
         return self._server.sockets[0].getsockname()[:2]
 
     async def start(self) -> None:
-        """Bind, start the batcher and the reload watcher."""
+        """Bind and start the reload watcher."""
         self._root_span = Span(
             name="serve.http",
             attrs={"model": str(self.model_path)},
@@ -211,7 +217,6 @@ class RockHttpServer:
         self._span_t0 = (time.perf_counter(), time.process_time())
         self.tracer.attach_root(self._root_span)
         self._started_monotonic = time.monotonic()
-        self.batcher.start()
         self.watcher.start()
         self._server = await asyncio.start_server(
             self._handle_connection, host=self.host, port=self.port
@@ -219,10 +224,14 @@ class RockHttpServer:
 
     async def shutdown(self) -> None:
         """Graceful stop: close the listener, drain, close idle
-        keep-alive connections, stop the watcher."""
-        if self._closing:
-            return
-        self._closing = True
+        keep-alive connections, stop the watcher.  Every call returns
+        once the one shutdown is complete."""
+        if self._stopped is None:
+            self._closing = True
+            self._stopped = asyncio.ensure_future(self._drain_and_stop())
+        await asyncio.shield(self._stopped)
+
+    async def _drain_and_stop(self) -> None:
         if self._server is not None:
             self._server.close()
         await self.batcher.aclose()
@@ -379,11 +388,14 @@ class RockHttpServer:
         return data
 
     async def _flush_assign(self, points: list[Any]) -> list[tuple[int, str]]:
-        """Batcher flush: one engine call, one model generation per batch."""
+        """Batcher flush: one engine call, one model generation per batch.
+
+        Runs inline on the loop thread: a batch is at most ``batch_max``
+        points, for which a hop to the executor and back costs more
+        than the engine call itself.
+        """
         served = self.watcher.current
-        labels = await asyncio.get_running_loop().run_in_executor(
-            None, served.engine.assign_batch, points
-        )
+        labels = served.engine.assign_batch(points)
         return [(int(label), served.version) for label in labels]
 
     async def _route_assign(self, request: HttpRequest):
@@ -392,7 +404,7 @@ class RockHttpServer:
             raise _RequestError(400, 'missing "point" in request body')
         point = self._decode(self.watcher.current, data["point"])
         try:
-            future = self.batcher.submit(point)
+            label, version = await self.batcher.submit(point)
         except QueueFull as exc:
             raise _RequestError(
                 503, str(exc), extra_headers={"Retry-After": "1"}
@@ -401,7 +413,6 @@ class RockHttpServer:
             raise _RequestError(
                 503, str(exc), extra_headers={"Retry-After": "2"}
             ) from None
-        label, version = await future
         body = json.dumps({"label": label, "model_version": version})
         return 200, body.encode("utf-8"), "application/json", {}
 

@@ -70,10 +70,12 @@ neighbors scores exactly ``0.0``, which lets the native kernel scan
 only the touched clusters.  ``counter`` arguments receive the pairs
 scored: verified candidates, item-sharing pairs, or every pair.
 
-The index is pure data, so it pickles.  Kernel namespaces (ctypes
-handles) are never stored on it: every call fetches the probed
-namespace, so an unpickled copy in a process whose probe fails still
-picks a correct tier.
+The index is pure data, so it pickles.  Every call fetches the probed
+kernel namespace, so an unpickled copy in a process whose probe fails
+still picks a correct tier.  The native tier binds ``assign_block`` to
+the index's arrays once per namespace (``kernels.bind_assign``:
+addresses taken once, scratch reused per thread); the binding is
+process-local and never pickled.
 """
 
 from __future__ import annotations
@@ -221,12 +223,18 @@ class AssignmentIndex:
             [b - a for a, b in index.slices], dtype=np.int64
         )
         self._rep_t = None  # lazily built scipy CSR of the transpose
+        # (kernels, their assign_block bound to this index's arrays)
+        self._bound: tuple[Any, Any] | None = None
 
-    # -- pickling (pool payloads) -------------------------------------------
+    # -- pickling -------------------------------------------------------------
 
     def __getstate__(self) -> dict[str, Any]:
         state = dict(self.__dict__)
-        state["_rep_t"] = None  # rebuilt lazily in the worker
+        # rebuilt lazily after unpickling: the scipy matrix, and the
+        # bound kernel call, whose addresses and thread-local scratch
+        # belong to this process
+        state["_rep_t"] = None
+        state["_bound"] = None
         return state
 
     # -- candidate scoring ---------------------------------------------------
@@ -414,26 +422,28 @@ class AssignmentIndex:
         """The native tier: ``assign_block`` over row blocks, on
         :func:`~repro.parallel.pool.map_blocks` threads (the ctypes call
         releases the GIL), stitched in block order."""
+        bound = self._bound
+        if bound is None or bound[0] is not kernels:
+            # bound once per kernel namespace; each thread gets its own
+            # scratch from the bound call
+            bound = self._bound = (kernels, kernels.bind_assign(
+                self.pre_indptr, self.pre_reps, self.rep_indptr,
+                self.rep_items, self.rep_cluster, self.normalisers, self.theta,
+            ))
+        call = bound[1]
 
         def assign(start: int) -> tuple[np.ndarray, np.ndarray, int]:
-            # a dataset's slice stays a dataset, so its block is remapped
-            block = points[start : start + block_size]
-            return kernels.assign_block(
-                *encode_query(block, self.vocabulary),
-                self.pre_indptr,
-                self.pre_reps,
-                self.rep_indptr,
-                self.rep_items,
-                self.rep_cluster,
-                self.normalisers,
-                self.theta,
-            )
+            # a dataset's slice stays a dataset, so its block is remapped;
+            # the encoding is fresh, so the kernel may sort its rows
+            return call(*encode_query(points[start : start + block_size], self.vocabulary))
 
         blocks = map_blocks(assign, range(0, len(points), block_size))
         if counter is not None:
             counter.inc(sum(verified for _, _, verified in blocks))
         if not blocks:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+        if len(blocks) == 1:
+            return blocks[0][0], blocks[0][1]
         return (
             np.concatenate([labels for labels, _, _ in blocks]),
             np.concatenate([best for _, best, _ in blocks]),

@@ -27,6 +27,8 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, TextIO
@@ -50,6 +52,24 @@ CHECKSUM_KEY = "checksum"
 _SCALAR_TYPES = (str, int, float, bool)
 
 
+# the keys RockModel.to_dict writes: a payload without a checksum that
+# carries any other key is a damaged artifact, not an old one
+PAYLOAD_KEYS = frozenset({
+    "format", "version", "theta", "f_theta", "similarity", "points",
+    "labeling_sets", "cluster_sizes", "metadata", "schema",
+})
+
+_CHECKSUM_FORMAT = re.compile(r"(sha256:)?[0-9a-f]{64}")
+
+
+class ArtifactIntegrityError(ValueError):
+    """A model artifact is truncated, unparseable or fails its checksum.
+
+    A damaged artifact never loads: not as the model it was, and not as
+    a different one.
+    """
+
+
 def artifact_checksum(payload: dict[str, Any]) -> str:
     """The sha256 hex digest of a model payload's canonical JSON.
 
@@ -63,27 +83,65 @@ def artifact_checksum(payload: dict[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def verify_artifact_checksum(payload: dict[str, Any]) -> str:
+def verify_artifact_checksum(payload: Any) -> str:
     """Check a loaded payload against its recorded checksum.
 
-    Returns the *actual* digest of the payload either way.  Artifacts
-    written before checksums existed (no :data:`CHECKSUM_KEY`) pass
-    untouched; a recorded checksum that does not match raises with a
-    clear corrupt-artifact message instead of letting a bit-flipped
+    Returns the *actual* digest of the payload.  Artifacts written
+    before checksums existed (no :data:`CHECKSUM_KEY`, and only
+    :data:`PAYLOAD_KEYS`) pass untouched.  A payload that is not a JSON
+    object, a malformed recorded checksum, a checksum-less payload with
+    a key no model writes, and a mismatch all raise
+    :class:`ArtifactIntegrityError` instead of letting a bit-flipped
     model silently mis-assign.
     """
+    if not isinstance(payload, dict):
+        raise ArtifactIntegrityError(
+            f"model artifact is a JSON {type(payload).__name__}, not an object"
+        )
     actual = artifact_checksum(payload)
     stored = payload.get(CHECKSUM_KEY)
     if stored is None:
+        unknown = sorted(payload.keys() - PAYLOAD_KEYS)
+        if unknown:
+            raise ArtifactIntegrityError(
+                f"model artifact has no checksum and unknown keys {unknown}: "
+                "it is damaged; refusing to serve it"
+            )
         return actual
-    expected = stored.split(":", 1)[-1] if isinstance(stored, str) else stored
+    if not isinstance(stored, str) or not _CHECKSUM_FORMAT.fullmatch(stored):
+        raise ArtifactIntegrityError(
+            f"model artifact checksum {stored!r} is malformed: the artifact "
+            "is damaged; refusing to serve it"
+        )
+    expected = stored.removeprefix("sha256:")
     if expected != actual:
-        raise ValueError(
+        raise ArtifactIntegrityError(
             f"model artifact checksum mismatch: recorded sha256:{expected} "
             f"but content hashes to sha256:{actual} -- the artifact is "
             "corrupt or truncated; refusing to serve it"
         )
     return actual
+
+
+def read_artifact(source: str | Path | TextIO) -> tuple[dict[str, Any], str]:
+    """Parse and checksum-verify a saved artifact: ``(payload, digest)``.
+
+    Bytes that are not UTF-8 JSON (a truncated or bit-flipped file)
+    raise :class:`ArtifactIntegrityError`, as does every failure of
+    :func:`verify_artifact_checksum`.
+    """
+    try:
+        if isinstance(source, (str, Path)):
+            with open(source, encoding="utf-8") as handle:
+                data = json.load(handle)
+        else:
+            data = json.load(source)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ArtifactIntegrityError(
+            f"model artifact is not valid JSON ({exc}) -- it is corrupt "
+            "or truncated; refusing to serve it"
+        ) from None
+    return data, verify_artifact_checksum(data)
 
 
 @dataclass
@@ -214,14 +272,10 @@ class RockModel:
 
     @classmethod
     def load(cls, source: str | Path | TextIO) -> "RockModel":
-        """Read a model saved by :meth:`save`, verifying its checksum."""
-        if isinstance(source, (str, Path)):
-            with open(source, encoding="utf-8") as handle:
-                data = json.load(handle)
-        else:
-            data = json.load(source)
-        verify_artifact_checksum(data)
-        return cls.from_dict(data)
+        """Read a model saved by :meth:`save`, verifying its checksum
+        (:func:`read_artifact`: a damaged file raises
+        :class:`ArtifactIntegrityError`)."""
+        return cls.from_dict(read_artifact(source)[0])
 
 
 def model_from_result(
@@ -243,10 +297,13 @@ def model_from_result(
                 "this run drew no labeling sets (it clustered every point); "
                 "pass the original points so representatives can be drawn"
             )
-        point_list = list(points)
+        # only sample members are read: a Sequence (a TransactionDataset
+        # decodes a row on access) is indexed as it is
+        if not isinstance(points, Sequence):
+            points = list(points)
         labeling_sets = draw_labeling_sets(
             result.clusters,
-            point_list,
+            points,
             fraction=pipeline.labeling_fraction,
             rng=random.Random(pipeline.seed),
         )

@@ -31,6 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.encoding import encode_query
 from repro.core.labeling import ClusterLabeler, LabelingIndex
 from repro.core.pipeline import RockPipeline
 from repro.core.similarity import JaccardSimilarity, similarity_levels
@@ -558,6 +559,79 @@ class TestPrefixKernel:
             )
         assert labels.tolist() == [-1]
         assert verified.value == 0
+
+
+def table5_baskets(n, seed):
+    """``n`` Table 5 baskets: the generator's shape, scaled."""
+    default = SyntheticBasketConfig()
+    scale = n / default.n_transactions
+    config = replace(
+        default,
+        cluster_sizes=tuple(max(1, round(s * scale)) for s in default.cluster_sizes),
+        n_outliers=round(default.n_outliers * scale),
+    )
+    return generate_synthetic_basket(config, seed=seed).transactions
+
+
+@pytest.mark.skipif(not ASSIGN_KERNELS, reason="no native assign kernel")
+class TestBoundKernel:
+    """The native tier binds ``assign_block`` to its index once and
+    reuses each thread's scratch across calls.  Every call must equal
+    a fresh-scratch call of the unbound kernel and the dense tier, bit
+    for bit, in any order of call sizes and threads."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        labeler = ClusterLabeler(table5_sample_sets(), 0.5, f=lambda _t: 0.4)
+        fast = labeler.assignment_index
+        # fresh Transactions, as HTTP and the stream hand the index
+        batch = [Transaction(t.items) for t in table5_baskets(8300, seed=5)]
+        with forced_tier("dense"):
+            dense = fast.assign_with_scores(batch[:8192])
+        return fast, batch[:8192], dense
+
+    @staticmethod
+    def fresh(fast, points):
+        """The unbound kernel: new scratch for this one call."""
+        labels, best, _ = ASSIGN_KERNELS[0].assign_block(
+            *encode_query(points, fast.vocabulary),
+            fast.pre_indptr, fast.pre_reps, fast.rep_indptr, fast.rep_items,
+            fast.rep_cluster, fast.normalisers, fast.theta,
+        )
+        return labels, best
+
+    def test_one_point_and_full_block_calls_interleaved(self, setup):
+        fast, batch, (dense_labels, dense_best) = setup
+        assert fast.tier == "native"
+        fresh_labels, fresh_best = self.fresh(fast, batch)
+        assert_bitwise_equal(dense_labels, dense_best, fresh_labels, fresh_best)
+        for round_ in range(2):
+            labels, best = fast.assign_with_scores(batch)  # one 8,192-row block
+            assert_bitwise_equal(dense_labels, dense_best, labels, best)
+            for i in range(round_, 400, 2):
+                one = fast.assign_with_scores([batch[i]])
+                assert_bitwise_equal(
+                    dense_labels[i : i + 1], dense_best[i : i + 1], *one
+                )
+        assert fast._bound is not None
+
+    @pytest.mark.parametrize("threads", THREAD_COUNTS)
+    def test_block_map_threads_keep_their_own_scratch(self, setup, threads):
+        fast, batch, (dense_labels, dense_best) = setup
+        with forced_threads(threads):
+            for block_size in (1024, 8192, 97):
+                labels, best = fast.assign_with_scores(batch, block_size=block_size)
+                assert_bitwise_equal(dense_labels, dense_best, labels, best)
+
+    def test_pickled_index_binds_afresh(self, setup):
+        fast, batch, (dense_labels, dense_best) = setup
+        fast.assign_with_scores(batch[:1])  # bound before pickling
+        clone = pickle.loads(pickle.dumps(fast))
+        assert clone._bound is None and clone._rep_t is None
+        labels, best = clone.assign_with_scores(batch)
+        assert_bitwise_equal(dense_labels, dense_best, labels, best)
+        one = clone.assign_with_scores([batch[7]])
+        assert_bitwise_equal(dense_labels[7:8], dense_best[7:8], *one)
 
 
 def table5_fit(tracer):

@@ -34,6 +34,7 @@ from repro.core.pipeline import RockPipeline
 from repro.data.records import CategoricalRecord, CategoricalSchema
 from repro.datasets import small_synthetic_basket
 from repro.obs.export import prometheus_name
+from repro.obs.registry import MetricsRegistry
 from repro.serve import ClusteringService, RockModel
 from repro.serve.http import (
     BatcherClosed,
@@ -156,28 +157,50 @@ class TestProtocol:
 # batcher unit tests
 # ---------------------------------------------------------------------------
 
+def submit_all(batcher, points):
+    """One task per point, as the server's connection handlers submit."""
+    return [asyncio.ensure_future(batcher.submit(p)) for p in points]
+
+
+async def passes(n):
+    for _ in range(n):
+        await asyncio.sleep(0)
+
+
 class TestBatcher:
     def test_coalesces_concurrent_submissions(self):
+        """Submissions made in the leader's one yielded pass join its
+        batch: six concurrent submits, one flush."""
         calls = []
 
         async def _run():
             async def flush(points):
                 calls.append(list(points))
-                await asyncio.sleep(0.01)  # let submissions pile up
                 return [p * 10 for p in points]
 
             batcher = RequestBatcher(flush, batch_max=8)
-            batcher.start()
-            futures = [batcher.submit(i) for i in range(6)]
-            results = await asyncio.gather(*futures)
+            results = await asyncio.gather(*submit_all(batcher, range(6)))
             await batcher.aclose()
             return results
 
-        results = asyncio.run(_run())
-        assert results == [0, 10, 20, 30, 40, 50]
-        # six concurrent submissions, strictly fewer flushes
-        assert len(calls) < 6
-        assert sum(len(c) for c in calls) == 6
+        assert asyncio.run(_run()) == [0, 10, 20, 30, 40, 50]
+        assert calls == [[0, 1, 2, 3, 4, 5]]
+
+    def test_batch_max_chunks_one_leaders_queue(self):
+        calls = []
+
+        async def _run():
+            async def flush(points):
+                calls.append(list(points))
+                return points
+
+            batcher = RequestBatcher(flush, batch_max=2)
+            results = await asyncio.gather(*submit_all(batcher, range(5)))
+            await batcher.aclose()
+            return results
+
+        assert asyncio.run(_run()) == list(range(5))
+        assert calls == [[0, 1], [2, 3], [4]]
 
     def test_batch_max_one_never_coalesces(self):
         calls = []
@@ -188,18 +211,46 @@ class TestBatcher:
                 return points
 
             batcher = RequestBatcher(flush, batch_max=1)
-            batcher.start()
-            results = await asyncio.gather(
-                *[batcher.submit(i) for i in range(5)]
-            )
+            results = await asyncio.gather(*submit_all(batcher, range(5)))
             await batcher.aclose()
             return results
 
         assert asyncio.run(_run()) == list(range(5))
-        assert all(len(c) == 1 for c in calls)
-        assert len(calls) == 5
+        assert calls == [[i] for i in range(5)]
+
+    def test_submissions_during_a_flush_form_the_next_batch(self):
+        """A leader whose predecessor's flush is still in flight waits
+        for it; what queues meanwhile joins the waiting leader's batch."""
+        calls = []
+
+        async def _run():
+            release = asyncio.Event()
+
+            async def flush(points):
+                calls.append(list(points))
+                if len(calls) == 1:
+                    await release.wait()
+                return points
+
+            batcher = RequestBatcher(flush, batch_max=8)
+            first = submit_all(batcher, [0])
+            await passes(3)  # 0 leads and is flushing
+            later = submit_all(batcher, [1, 2])
+            await passes(3)  # 1 leads, waits for the flush; 2 follows
+            later += submit_all(batcher, [3])
+            await passes(1)
+            assert calls == [[0]]
+            release.set()
+            results = await asyncio.gather(*first, *later)
+            await batcher.aclose()
+            return results
+
+        assert asyncio.run(_run()) == [0, 1, 2, 3]
+        assert calls == [[0], [1, 2, 3]]
 
     def test_queue_full_raises_and_counts(self):
+        registry = MetricsRegistry()
+
         async def _run():
             release = asyncio.Event()
 
@@ -207,16 +258,21 @@ class TestBatcher:
                 await release.wait()
                 return points
 
-            batcher = RequestBatcher(flush, batch_max=1, queue_depth=2)
-            batcher.start()
-            futures = [batcher.submit(i) for i in range(2)]
+            batcher = RequestBatcher(
+                flush, batch_max=1, queue_depth=2, registry=registry
+            )
+            admitted = submit_all(batcher, range(2))
+            await passes(2)
+            assert batcher.pending == 2
             with pytest.raises(QueueFull):
-                batcher.submit(99)
+                await batcher.submit(99)
             release.set()
-            await asyncio.gather(*futures)
+            results = await asyncio.gather(*admitted)
             await batcher.aclose()
+            return results
 
-        asyncio.run(_run())
+        assert asyncio.run(_run()) == [0, 1]
+        assert registry.snapshot()["counters"]["http.batcher.rejected"] == 1
 
     def test_flush_exception_propagates_to_every_waiter(self):
         async def _run():
@@ -224,13 +280,14 @@ class TestBatcher:
                 raise RuntimeError("engine exploded")
 
             batcher = RequestBatcher(flush, batch_max=8)
-            batcher.start()
-            futures = [batcher.submit(i) for i in range(3)]
-            results = await asyncio.gather(*futures, return_exceptions=True)
+            results = await asyncio.gather(
+                *submit_all(batcher, range(3)), return_exceptions=True
+            )
             await batcher.aclose()
             return results
 
         results = asyncio.run(_run())
+        assert len(results) == 3
         assert all(isinstance(r, RuntimeError) for r in results)
 
     def test_aclose_drains_admitted_work(self):
@@ -240,15 +297,20 @@ class TestBatcher:
                 return points
 
             batcher = RequestBatcher(flush, batch_max=4)
-            batcher.start()
-            futures = [batcher.submit(i) for i in range(10)]
+            tasks = submit_all(batcher, range(10))
+            await passes(1)  # every submission admitted
             await batcher.aclose()
             assert batcher.pending == 0
-            return await asyncio.gather(*futures)
+            assert all(task.done() for task in tasks)
+            with pytest.raises(BatcherClosed):
+                await batcher.submit(10)
+            return [task.result() for task in tasks]
 
         assert asyncio.run(_run()) == list(range(10))
 
     def test_lone_submit_flushes_within_one_pass_without_a_timer(self):
+        """A lone point costs one loop pass: no timer, and no task but
+        the submitting one."""
         calls = []
         timers = []
 
@@ -260,18 +322,20 @@ class TestBatcher:
         async def _run():
             async def flush(points):
                 calls.append(list(points))
+                flushers.append(asyncio.current_task())
+                assert len(asyncio.all_tasks()) == len(flushers)
                 return points
 
+            flushers = []
             batcher = RequestBatcher(flush)
-            batcher.start()
-            await asyncio.sleep(0)  # the flusher waits on the empty queue
-            future = batcher.submit("p")
-            # pass 1 wakes the flusher, which yields one pass for
-            # readable requests; pass 2 finds nothing new and dispatches
-            await asyncio.sleep(0)
-            await asyncio.sleep(0)
-            assert calls == [["p"]]
-            assert await future == "p"
+            assert await batcher.submit("p") == "p"
+            # from a request's task: pass 1 queues it and yields, pass 2
+            # finds nothing new and flushes
+            task = asyncio.ensure_future(batcher.submit("q"))
+            await passes(2)
+            assert task.result() == "q"
+            assert calls == [["p"], ["q"]]
+            assert flushers == [asyncio.current_task(), task]
             await batcher.aclose()
 
         loop = RecordingLoop()
@@ -280,6 +344,55 @@ class TestBatcher:
         finally:
             loop.close()
         assert timers == []
+
+    def test_leader_cancelled_before_its_flush_hands_the_batch_on(self):
+        calls = []
+
+        async def _run():
+            async def flush(points):
+                calls.append(list(points))
+                return points
+
+            batcher = RequestBatcher(flush, batch_max=8)
+            leader, *followers = submit_all(batcher, range(3))
+            await passes(1)  # all three queued; 0 yielded its pass
+            leader.cancel()
+            results = await asyncio.gather(*followers)
+            await batcher.aclose()
+            assert leader.cancelled()
+            assert batcher.pending == 0
+            return results
+
+        assert asyncio.run(_run()) == [1, 2]
+        assert calls == [[0, 1, 2]]
+
+    def test_leader_cancelled_mid_flush_fails_that_chunk_only(self):
+        calls = []
+
+        async def _run():
+            entered = asyncio.Event()
+
+            async def flush(points):
+                calls.append(list(points))
+                if len(calls) == 1:
+                    entered.set()
+                    await asyncio.Event().wait()  # until cancelled
+                return points
+
+            batcher = RequestBatcher(flush, batch_max=2)
+            leader, *followers = submit_all(batcher, range(5))
+            await entered.wait()
+            leader.cancel()
+            results = await asyncio.gather(*followers, return_exceptions=True)
+            await batcher.aclose()
+            assert batcher.pending == 0
+            return results
+
+        results = asyncio.run(_run())
+        # 1 shared the cancelled flush; 2..4 were handed to a new leader
+        assert isinstance(results[0], BatcherClosed)
+        assert results[1:] == [2, 3, 4]
+        assert calls == [[0, 1], [2, 3], [4]]
 
     def test_validates_parameters(self):
         async def flush(points):
@@ -315,10 +428,11 @@ batcher_steps = st.lists(
 def test_batcher_resolves_every_future_once_in_submission_order(
     steps, batch_max, delays, failures
 ):
-    """Any interleaving of submits, loop passes, slow or failing flushes
-    and ``aclose``: each admitted point lands in exactly one batch, in
-    submission order, and its future resolves exactly once with its own
-    result (or its batch's exception)."""
+    """Any interleaving of submitting requests, loop passes, slow or
+    failing flushes and ``aclose``: each admitted point lands in exactly
+    one batch of at most ``batch_max``, batches in submission order, and
+    its submission returns exactly once with its own result (or raises
+    its batch's exception)."""
     batches = []
 
     async def flush(points):
@@ -332,49 +446,49 @@ def test_batcher_resolves_every_future_once_in_submission_order(
 
     async def _run():
         batcher = RequestBatcher(flush, batch_max=batch_max)
-        batcher.start()
-        admitted, futures, resolutions = [], {}, {}
+        tasks, resolutions = {}, {}
         closing = None
         next_point = 0
         for op, arg in steps:
             if op == "yield":
-                for _ in range(arg):
-                    await asyncio.sleep(0)
+                await passes(arg)
             elif op == "close" and closing is None:
                 closing = asyncio.ensure_future(batcher.aclose())
             elif op == "submit":
                 for _ in range(arg):
                     point, next_point = next_point, next_point + 1
-                    try:
-                        future = batcher.submit(point)
-                    except BatcherClosed:
-                        continue
-                    admitted.append(point)
-                    futures[point] = future
+                    task = tasks[point] = asyncio.ensure_future(
+                        batcher.submit(point)
+                    )
                     resolutions[point] = 0
-                    future.add_done_callback(
+                    task.add_done_callback(
                         lambda _, p=point: resolutions.__setitem__(
                             p, resolutions[p] + 1
                         )
                     )
+        if tasks:
+            await asyncio.wait(tasks.values())
         await (closing if closing is not None else batcher.aclose())
         await asyncio.sleep(0)  # run the done callbacks
-        return batcher.pending, admitted, futures, resolutions
+        return batcher.pending, tasks, resolutions
 
-    pending, admitted, futures, resolutions = asyncio.run(_run())
+    pending, tasks, resolutions = asyncio.run(_run())
+    admitted = [
+        p for p, task in tasks.items()
+        if not isinstance(task.exception(), BatcherClosed)
+    ]
     assert pending == 0
     assert all(1 <= len(batch) <= batch_max for batch in batches)
     assert [p for batch in batches for p in batch] == admitted
     assert all(count == 1 for count in resolutions.values())
     for index, batch in enumerate(batches):
         for point in batch:
-            future = futures[point]
+            task = tasks[point]
             if failures[index % len(failures)]:
-                assert isinstance(future.exception(), FlushFailed)
-                assert future.exception().args == (index,)
+                assert isinstance(task.exception(), FlushFailed)
+                assert task.exception().args == (index,)
             else:
-                assert future.result() == point * 10
-
+                assert task.result() == point * 10
 
 # ---------------------------------------------------------------------------
 # endpoint integration
@@ -569,6 +683,63 @@ class TestBatchingAndMetrics:
             for name in counters
         )
 
+    def test_idle_requests_flush_alone_and_busy_ones_coalesce(
+        self, fitted_model, tmp_path
+    ):
+        """Sequential requests on an idle server make one engine call
+        each; requests that arrive while the loop is inside an engine
+        call share the next one."""
+        basket, model = fitted_model
+        path = tmp_path / "model.json"
+        model.save(path)
+        points = [sorted(t.items) for t in basket.transactions[:11]]
+        with serve_in_thread(path, poll_seconds=5.0) as handle:
+            address = handle.address
+            conn = http.client.HTTPConnection(*address, timeout=30)
+            for point in points[:6]:
+                response, _ = request_json(
+                    address, "POST", "/assign", {"point": point}, conn=conn
+                )
+                assert response.status == 200
+            counters = handle.server.registry.snapshot()["counters"]
+            assert counters["http.batcher.flushes"] == 6
+            assert counters["serve.requests"] == 6
+            # four keep-alive connections, accepted while the loop is idle
+            busy = [
+                http.client.HTTPConnection(*address, timeout=30) for _ in range(4)
+            ]
+            for other in busy:
+                request_json(address, "GET", "/healthz", conn=other)
+            engine = handle.server.watcher.current.engine
+            original = engine.assign_batch
+            entered = threading.Event()
+
+            def slow(batch):
+                if not entered.is_set():
+                    entered.set()
+                    time.sleep(0.3)  # the loop is held here
+                return original(batch)
+
+            engine.assign_batch = slow
+            held = threading.Thread(
+                target=request_json,
+                args=(address, "POST", "/assign", {"point": points[6]}, conn),
+            )
+            held.start()
+            assert entered.wait(10)
+            for other, point in zip(busy, points[7:]):
+                other.request(
+                    "POST", "/assign", body=json.dumps({"point": point})
+                )
+            statuses = [other.getresponse().status for other in busy]
+            held.join(10)
+            snap = handle.server.registry.snapshot()
+        assert statuses == [200] * 4
+        assert snap["counters"]["http.batcher.flushes"] == 8
+        assert snap["counters"]["serve.requests"] == 8
+        assert snap["counters"]["serve.points"] == 11
+        assert snap["histograms"]["http.batcher.batch_size"]["max"] == 4
+
     def test_metrics_endpoint_is_wellformed_prometheus(self, running_server):
         # drive every endpoint so the combined registry is populated
         request_json(running_server.address, "POST", "/assign",
@@ -695,44 +866,33 @@ class TestBatchingAndMetrics:
     def test_graceful_shutdown_completes_inflight_and_stops_accepting(
         self, fitted_model, tmp_path
     ):
+        """A request the batcher admitted before the stop began is
+        answered, and the listener is closed."""
         basket, model = fitted_model
         path = tmp_path / "model.json"
         model.save(path)
         handle = serve_in_thread(path, poll_seconds=5.0)
         address = handle.address
-        # a slow engine holds the first point in flight, so the second
-        # waits in the batcher queue when the stop begins
-        engine = handle.server.watcher.current.engine
-        original = engine.assign_batch
-        entered = threading.Event()
+        batcher = handle.server.batcher
+        submit = batcher.submit
+        stops = []
 
-        def slow(points):
-            entered.set()
-            time.sleep(0.2)
-            return original(points)
+        async def submit_then_stop(point):
+            # the stop begins in the loop pass this point's leader yields,
+            # after the point is admitted and before it is flushed
+            stops.append(asyncio.ensure_future(handle.server.shutdown()))
+            return await submit(point)
 
-        engine.assign_batch = slow
-        point = sorted(basket.transactions[0].items)
-        results = []
-
-        def client():
-            response, _ = request_json(
-                address, "POST", "/assign", {"point": point}
-            )
-            results.append(response.status)
-
-        clients = [threading.Thread(target=client) for _ in range(2)]
-        clients[0].start()
-        assert entered.wait(10)
-        clients[1].start()
-        deadline = time.monotonic() + 10
-        while handle.server.batcher.pending < 2:
-            assert time.monotonic() < deadline, "second request never queued"
-            time.sleep(0.001)
-        handle.stop(timeout=10)
-        for thread in clients:
-            thread.join(10)
-        assert results == [200, 200], "admitted request was dropped on shutdown"
+        batcher.submit = submit_then_stop
+        txn = basket.transactions[0]
+        response, data = request_json(
+            address, "POST", "/assign", {"point": sorted(txn.items)}
+        )
+        assert response.status == 200, "admitted request was dropped on shutdown"
+        assert data["label"] == model.labeler().assign(txn)
+        assert response.headers["Connection"] == "close"
+        handle.stop(timeout=10)  # waits for the stop already under way
+        assert len(stops) == 1 and stops[0].done()
         with pytest.raises(OSError):
             http.client.HTTPConnection(*address, timeout=2).request(
                 "GET", "/healthz"

@@ -22,6 +22,7 @@ import time
 import pytest
 
 from repro.data.transactions import Transaction
+from repro.obs.registry import MetricsRegistry
 from repro.serve import RockModel
 from repro.serve.http import ModelWatcher, load_versioned_model, serve_in_thread
 
@@ -231,6 +232,33 @@ class TestAtomicSwap:
                 time.sleep(0.02)
             assert "checksum mismatch" in (health["last_reload_error"] or "")
             assert health["model_version"] == version_a
+
+
+class TestDamagedArtifact:
+    def test_watcher_keeps_the_old_generation_and_counts_the_failure(
+        self, tmp_path
+    ):
+        """A truncated or bit-flipped rewrite is an integrity error: the
+        watcher keeps serving the generation it has, says why, and
+        counts the failure under ``http.reload.errors``."""
+        path = tmp_path / "model.json"
+        write_model(path, build_model(SETS_A, "a"))
+        registry = MetricsRegistry()
+        watcher = ModelWatcher(path, registry=registry)
+        served = watcher.current
+        raw = path.read_bytes()
+        flipped = bytearray(raw)
+        flipped[len(raw) // 2] ^= 0x04
+        for damaged in (raw[: len(raw) // 2], bytes(flipped)):
+            path.write_bytes(damaged)
+            assert watcher.check_once() is False
+            assert watcher.current is served
+            assert watcher.last_error.startswith("ArtifactIntegrityError")
+            assert served.engine.assign(Transaction(PROBE)) == 0
+        assert registry.snapshot()["counters"]["http.reload.errors"] == 2
+        write_model(path, build_model(SETS_B, "b"))
+        assert watcher.check_once() is True
+        assert watcher.last_error is None
 
 
 class TestRewriteWindow:

@@ -6,13 +6,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.pipeline import RockPipeline
 from repro.core.similarity import LpSimilarity, MissingAwareJaccard, SimilarityTable
 from repro.data.records import MISSING, CategoricalRecord, CategoricalSchema
 from repro.data.transactions import Transaction, TransactionDataset
+from repro.datasets import small_synthetic_basket
 from repro.serve import AssignmentEngine, RockModel
-from repro.serve.model import MODEL_VERSION
+from repro.serve.model import MODEL_VERSION, ArtifactIntegrityError, artifact_checksum
 
 CLUSTER_A = [Transaction({1, 2, 3}), Transaction({1, 2, 4}), Transaction({2, 3, 4})]
 CLUSTER_B = [Transaction({7, 8, 9}), Transaction({7, 8, 10})]
@@ -187,6 +190,36 @@ def result_sizes(dataset, pipeline):
     ).fit(dataset).cluster_sizes()
 
 
+class NoIteration(TransactionDataset):
+    """A dataset that may only be indexed, never walked."""
+
+    def __iter__(self):
+        raise AssertionError("the whole dataset was decoded")
+
+
+class TestSetUpDecode:
+    def test_labeling_sets_drawn_by_index_not_by_walk(self):
+        """``to_model`` after a fit that labeled nothing draws the
+        labeling sets from sample members only: a dataset is indexed,
+        never decoded whole, and the model equals the list-built one."""
+        basket = small_synthetic_basket(
+            n_clusters=3, cluster_size=80, n_outliers=10, seed=1
+        )
+        indptr, codes = basket.transactions.csr
+        dataset = NoIteration.from_csr(
+            indptr, codes, basket.transactions.vocabulary
+        )
+        pipeline = RockPipeline(
+            k=3, theta=0.45, sample_size=100, min_cluster_size=5, seed=1
+        )
+        fit = pipeline.fit(dataset, label_remaining=False)
+        assert fit.labeling_sets is None
+        from_dataset = pipeline.to_model(fit, dataset)
+        from_list = pipeline.to_model(fit, list(basket.transactions))
+        assert from_dataset == from_list
+        assert from_dataset.to_dict() == from_list.to_dict()
+
+
 class TestArtifactChecksum:
     """Content checksums written on save and verified on load."""
 
@@ -250,6 +283,78 @@ class TestArtifactChecksum:
         (tmp_path / "copy.json").write_text(json.dumps(data))
         loaded = RockModel.load(tmp_path / "copy.json")
         assert loaded.theta == model.theta
+
+
+@pytest.fixture(scope="module")
+def saved_artifact(tmp_path_factory):
+    """A fitted model (float metadata included) and its saved bytes."""
+    dataset = TransactionDataset(
+        [{1, 2, 3}, {1, 2, 4}, {1, 3, 4}, {8, 9, 10}, {8, 9, 11}, {8, 10, 11}] * 20
+    )
+    _, model = RockPipeline(
+        k=2, theta=0.5, sample_size=60, min_cluster_size=3, seed=3
+    ).fit_model(dataset)
+    path = tmp_path_factory.mktemp("artifact") / "model.json"
+    model.save(path)
+    return model, path.read_bytes(), path.with_name("damaged.json")
+
+
+class TestArtifactDamage:
+    """Truncated and bit-flipped artifacts raise
+    :class:`ArtifactIntegrityError`; none loads as a different model."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_truncated_artifact_raises(self, saved_artifact, data):
+        model, raw, path = saved_artifact
+        keep = data.draw(st.integers(0, len(raw)))
+        path.write_bytes(raw[:keep])
+        if keep < len(raw.rstrip()):
+            with pytest.raises(ArtifactIntegrityError):
+                RockModel.load(path)
+        else:  # only the trailing newline is gone
+            assert RockModel.load(path) == model
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_bit_flipped_artifact_never_loads_as_another_model(
+        self, saved_artifact, data
+    ):
+        model, raw, path = saved_artifact
+        at = data.draw(st.integers(0, len(raw) - 1))
+        damaged = bytearray(raw)
+        damaged[at] ^= 1 << data.draw(st.integers(0, 7))
+        path.write_bytes(damaged)
+        try:
+            loaded = RockModel.load(path)
+        except ArtifactIntegrityError:
+            return
+        # only a flip the canonical payload cannot see may load (a float
+        # digit past its round-trip precision), and as the same model
+        assert artifact_checksum(json.loads(damaged)) == artifact_checksum(
+            json.loads(raw)
+        )
+        assert loaded.to_dict() == model.to_dict()
+
+    def test_checksum_key_damage_is_not_a_legacy_artifact(self, model, tmp_path):
+        path = tmp_path / "model.json"
+        model.save(path)
+        data = json.loads(path.read_text())
+        data["chdcksum"] = data.pop("checksum")
+        path.write_text(json.dumps(data))
+        with pytest.raises(ArtifactIntegrityError, match="unknown keys"):
+            RockModel.load(path)
+        data["checksum"] = "rha256:" + data.pop("chdcksum").split(":")[1]
+        path.write_text(json.dumps(data))
+        with pytest.raises(ArtifactIntegrityError, match="malformed"):
+            RockModel.load(path)
+
+    def test_non_object_and_undecodable_json_raise(self, tmp_path):
+        path = tmp_path / "model.json"
+        for raw in (b"[1, 2]", b"\xff\xfe", b"", b'{"format": '):
+            path.write_bytes(raw)
+            with pytest.raises(ArtifactIntegrityError):
+                RockModel.load(path)
 
 
 class TestArtifactsWithWorkers:
