@@ -50,7 +50,8 @@ class QueueFull(RuntimeError):
 
 
 class BatcherClosed(RuntimeError):
-    """The batcher is draining or closed; no new work is accepted."""
+    """The batcher is draining or closed, so no new work is accepted;
+    or the flush of a point's batch was cancelled with its leader."""
 
 
 class RequestBatcher:

@@ -618,10 +618,17 @@ class TestBoundKernel:
     @pytest.mark.parametrize("threads", THREAD_COUNTS)
     def test_block_map_threads_keep_their_own_scratch(self, setup, threads):
         fast, batch, (dense_labels, dense_best) = setup
-        with forced_threads(threads):
-            for block_size in (1024, 8192, 97):
-                labels, best = fast.assign_with_scores(batch, block_size=block_size)
-                assert_bitwise_equal(dense_labels, dense_best, labels, best)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads' Python
+        try:
+            with forced_threads(threads):
+                for block_size in (1024, 8192, 97):
+                    labels, best = fast.assign_with_scores(
+                        batch, block_size=block_size
+                    )
+                    assert_bitwise_equal(dense_labels, dense_best, labels, best)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_pickled_index_binds_afresh(self, setup):
         fast, batch, (dense_labels, dense_best) = setup

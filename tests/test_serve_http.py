@@ -733,7 +733,10 @@ class TestBatchingAndMetrics:
                 )
             statuses = [other.getresponse().status for other in busy]
             held.join(10)
+            assert not held.is_alive()
             snap = handle.server.registry.snapshot()
+            for client in (conn, *busy):
+                client.close()
         assert statuses == [200] * 4
         assert snap["counters"]["http.batcher.flushes"] == 8
         assert snap["counters"]["serve.requests"] == 8
