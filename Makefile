@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test test-fast lint bench bench-smoke bench-assign bench-serve bench-serve-http bench-stream bench-shard clean-spill example-fast-assign example-serve example-serve-http example-shard example-stream
+.PHONY: test test-fast lint bench bench-smoke bench-assign bench-serve bench-serve-http bench-stream bench-store example-fast-assign example-serve example-serve-http example-stream
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/ -q
@@ -21,8 +21,8 @@ bench:
 # engine matches the reference loop byte for byte, that a traced fit
 # leaves a complete RunManifest, that the HTTP server answers +
 # coalesces under concurrent load, that stream mode's warmup -> drift
-# refit -> republish chain runs end to end, that the sharded
-# out-of-core fit is merge-identical to fused, and that the
+# refit -> republish chain runs end to end, that a fit from a
+# TransactionStore equals the fit from its text file, and that the
 # assign tiers (native, pruned, the index's own choice) equal the
 # dense matmul -- fast enough for
 # CI.  Their tables land in the git-ignored benchmarks/results/smoke/
@@ -31,7 +31,7 @@ bench-smoke:
 		benchmarks/bench_parallel_fit.py \
 		benchmarks/bench_merge_phase.py benchmarks/bench_trace_fit.py \
 		benchmarks/bench_serve_http.py benchmarks/bench_stream.py \
-		benchmarks/bench_shard_fit.py benchmarks/bench_serve_throughput.py \
+		benchmarks/bench_store_fit.py benchmarks/bench_serve_throughput.py \
 		-k smoke --benchmark-disable -s
 
 # the assignment-tier comparison and the sweep behind the no-compiler
@@ -43,17 +43,12 @@ bench-assign:
 		benchmarks/bench_serve_http.py::test_serve_http_assign_backends \
 		--benchmark-disable -s
 
-# the full sharded-fit bench: 30k overhead/RSS comparison plus the
-# 120k RLIMIT_AS reach demonstration (slow; a few minutes)
-bench-shard:
+# the store-fit bench: text against store at 30k, plus the 120k fit
+# from its store under a 600 MiB RLIMIT_AS (slow; about a minute)
+bench-store:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest \
-		benchmarks/bench_shard_fit.py::test_shard_fit_scale \
+		benchmarks/bench_store_fit.py::test_store_fit_scale \
 		--benchmark-disable -s -m slow
-
-# sharded fits spill per-unit npz checkpoints under a run directory;
-# interrupted runs left behind with --spill-dir land here by default
-clean-spill:
-	rm -rf .rock-spill bench-shard-* /tmp/bench-shard-* 2>/dev/null || true
 
 bench-serve:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest \
@@ -84,6 +79,3 @@ example-serve:
 
 example-serve-http:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/serve_http.py
-
-example-shard:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/shard_fit.py

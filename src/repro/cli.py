@@ -6,7 +6,8 @@ The subcommands cover the end-to-end workflow from the paper:
   market-basket generator or a real-data replica) to disk, with its
   ground-truth labels alongside;
 * ``cluster`` -- run the ROCK pipeline over a transactions or UCI
-  ``.data`` file and write per-record cluster labels;
+  ``.data`` file, or a :class:`~repro.data.store.TransactionStore`
+  directory, and write per-record cluster labels;
 * ``evaluate`` -- score a predicted labeling against ground truth;
 * ``fit-model`` / ``assign`` -- the fit-once / serve-many split of
   Section 4.6: fit on a (sampled) file and persist a JSON
@@ -43,7 +44,7 @@ import time
 from pathlib import Path
 from typing import Any
 
-from repro.core.pipeline import FIT_MODES, RockPipeline
+from repro.core.pipeline import RockPipeline
 from repro.core.similarity import MissingAwareJaccard
 from repro.data.io import read_transactions, read_uci_data, write_transactions, write_uci_data
 from repro.eval.metrics import (
@@ -62,31 +63,6 @@ def _add_fit_memory_args(sub: argparse.ArgumentParser) -> None:
         "its n x n float64 similarity matrix fits, the one-pass native "
         "or fused kernels past it (default: half the available memory, "
         "clamped to 256 MiB - 4 GiB)",
-    )
-    sub.add_argument(
-        "--fit-mode",
-        choices=FIT_MODES,
-        default="auto",
-        help="'auto' lets the fit planner pick the route from the input "
-        "and the memory budget; 'sharded' runs the out-of-core "
-        "coordinator/worker fit over a memory-mapped store (crash-safe, "
-        "resumable); both produce identical clusters",
-    )
-    sub.add_argument(
-        "--shard-block-rows", type=int, default=None,
-        help="rows per sharded scoring unit (fit_mode=sharded; default "
-        "derives from the memory budget)",
-    )
-    sub.add_argument(
-        "--spill-dir", type=Path, default=None,
-        help="sharded-fit run directory; reusing the same path resumes "
-        "an interrupted fit (default: a private temp dir, removed "
-        "after the fit)",
-    )
-    sub.add_argument(
-        "--max-retries", type=int, default=2,
-        help="pool rebuilds tolerated after shard worker crashes before "
-        "degrading to in-coordinator execution",
     )
 
 
@@ -152,14 +128,7 @@ def _memory_budget_bytes(args: argparse.Namespace) -> int | None:
 
 def _fit_kwargs(args: argparse.Namespace) -> dict[str, Any]:
     """The RockPipeline fit options shared by cluster, fit-model and stream."""
-    return dict(
-        memory_budget=_memory_budget_bytes(args),
-        fit_mode=args.fit_mode,
-        shard_block_rows=args.shard_block_rows,
-        spill_dir=args.spill_dir,
-        max_retries=args.max_retries,
-        seed=args.seed,
-    )
+    return dict(memory_budget=_memory_budget_bytes(args), seed=args.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -209,7 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     cluster = sub.add_parser("cluster", help="cluster a data file with ROCK")
-    cluster.add_argument("--input", required=True, type=Path)
+    cluster.add_argument(
+        "--input", required=True, type=Path,
+        help="a transactions or UCI file, or a TransactionStore directory",
+    )
     cluster.add_argument(
         "--format", choices=["transactions", "uci"], default="transactions",
         dest="input_format",
@@ -261,7 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
         "fit-model",
         help="cluster a file and persist a servable JSON RockModel",
     )
-    fit.add_argument("--input", required=True, type=Path)
+    fit.add_argument(
+        "--input", required=True, type=Path,
+        help="a transactions or UCI file, or a TransactionStore directory",
+    )
     fit.add_argument(
         "--format", choices=["transactions", "uci"], default="transactions",
         dest="input_format",
@@ -478,6 +453,10 @@ def _load_points(args: argparse.Namespace):
     if args.input_format == "transactions":
         if args.missing_aware:
             raise SystemExit("--missing-aware applies to UCI input only")
+        if args.input.is_dir():
+            from repro.data.store import TransactionStore
+
+            return TransactionStore.open(args.input)
         return read_transactions(args.input)
     with open(args.input, encoding="utf-8") as handle:
         first = handle.readline()
@@ -524,7 +503,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             "k": args.k,
             "theta": args.theta,
             "sample": args.sample,
-            "fit_mode": pipeline.fit_mode,
             "seed": args.seed,
         },
     )
@@ -671,7 +649,6 @@ def cmd_fit_model(args: argparse.Namespace) -> int:
             "theta": args.theta,
             "sample": args.sample,
             "labeling_fraction": args.labeling_fraction,
-            "fit_mode": pipeline.fit_mode,
             "seed": args.seed,
             "model": str(args.model),
         },

@@ -55,7 +55,6 @@ from repro.core.neighbors import (
 )
 from repro.core.outliers import prune_sparse_points, weed_small_clusters
 from repro.core.pipeline import (
-    FIT_MODES,
     FitPlan,
     PipelineResult,
     RockPipeline,
@@ -116,7 +115,6 @@ __all__ = [
     "SimilarityFunction",
     "SimilarityTable",
     "DEFAULT_MEMORY_BUDGET",
-    "FIT_MODES",
     "attribute_item",
     "cluster_with_links",
     "compute_links",

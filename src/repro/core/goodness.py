@@ -227,13 +227,6 @@ class NaiveGoodnessKernel:
         return np.asarray(counts, dtype=np.float64).copy()
 
 
-# picklable kernel registry: shard processes rebuild kernels from these names
-MERGE_KERNELS = {
-    "normalized": NormalizedGoodnessKernel,
-    "naive": NaiveGoodnessKernel,
-}
-
-
 def merge_kernel_for(
     goodness_fn: Callable[..., float], f_theta: float, n_max: int = 0
 ):
@@ -248,15 +241,6 @@ def merge_kernel_for(
     if goodness_fn is naive_goodness:
         return NaiveGoodnessKernel(f_theta, n_max)
     return None
-
-
-def merge_kernel_by_name(name: str, f_theta: float, n_max: int = 0):
-    """Rebuild a named built-in kernel (the worker-side constructor)."""
-    try:
-        kernel_cls = MERGE_KERNELS[name]
-    except KeyError:
-        raise ValueError(f"unknown merge kernel {name!r}") from None
-    return kernel_cls(f_theta, n_max)
 
 
 def intra_cluster_links(cluster: Sequence[int], links: LinkTable) -> int:

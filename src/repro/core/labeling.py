@@ -80,7 +80,7 @@ def compute_normalisers(
 ) -> np.ndarray:
     """The per-cluster denominators ``(|L_i| + 1)^{f(theta)}``.
 
-    An *empty* labeling set -- legal when a shard or a weeded cluster
+    An *empty* labeling set -- legal when a weeded cluster
     contributed no representatives -- normalises by ``(0+1)^f = 1``; its
     neighbor count is always 0, so its score is always 0 and it can
     never win an assignment (points without neighbors anywhere are

@@ -106,7 +106,6 @@ __all__ = [
     "fast_cluster_with_links",
     "merge_engine",
     "pack_components",
-    "partition_components",
 ]
 
 
@@ -136,8 +135,7 @@ class ComponentProblem:
     ``global_ids`` maps local slot ``0..s-1`` back to the initial
     cluster ids (ascending, so local order is order-isomorphic to
     global order -- the tie-breaking invariant).  Pairs are local and
-    satisfy ``pair_lo < pair_hi``.  Everything is picklable arrays, so
-    a problem ships to a shard worker as-is.
+    satisfy ``pair_lo < pair_hi``.
     """
 
     index: int
@@ -289,7 +287,7 @@ class PackedComponents:
     each component's position among all components, isolated clusters
     included.  The native engine takes these arrays as they are;
     :meth:`problems` slices them per component for the Python inner
-    loop and the shard's component units.
+    loop.
     """
 
     index: np.ndarray
@@ -375,17 +373,6 @@ def pack_components(
         pair_hi=local_of[hi][pair_order],
         pair_count=counts[pair_order],
     )
-
-
-def partition_components(
-    m: int,
-    sizes: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    counts: np.ndarray,
-) -> list[ComponentProblem]:
-    """:func:`pack_components`, sliced into one problem per component."""
-    return pack_components(m, sizes, lo, hi, counts).problems()
 
 
 def _component_labels(m: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -13,7 +13,6 @@ small clusters before resuming to ``k``.
 from __future__ import annotations
 
 import random
-import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
@@ -53,12 +52,6 @@ from repro.obs.trace import Tracer
 from repro.parallel import pool
 
 
-# The fit-route switch threaded through rock(), RockPipeline, the
-# estimator and the CLI: "auto" lets plan_fit pick the route, "sharded"
-# asks for the out-of-core coordinator of repro.shard.
-FIT_MODES = ("auto", "sharded")
-
-
 # The neighbor kernel's price gate.  Shared-item scoring (the native
 # score_block, or the scipy product under REPRO_NATIVE=0) accumulates
 # S = sum_items df (df - 1) / 2 pair increments; the dense route's row
@@ -87,8 +80,7 @@ class FitPlan:
         ``"bruteforce"`` (pairwise similarity calls, for similarities
         without a block scorer), ``"native"`` / ``"fused"`` (the
         one-pass shared-item kernels of :mod:`repro.native.links` and
-        :mod:`repro.parallel.links`), ``"sharded"``
-        (:func:`repro.shard.coordinator.shard_fit`) or ``"weighted"``
+        :mod:`repro.parallel.links`) or ``"weighted"``
         (the similarity-weighted links of ablation A7).
     backend:
         The name ``PipelineResult.backends["fit"]`` records: the route,
@@ -123,11 +115,7 @@ def plan_fit(
     *,
     min_neighbors: int = 1,
     memory_budget: int | None = None,
-    fit_mode: str = "auto",
-    goodness_fn: GoodnessFunction = normalized_goodness,
     weighted_links: bool = False,
-    weeding: bool = False,
-    resume: bool = False,
 ) -> FitPlan:
     """Pick the neighbor+link route of one fit.
 
@@ -137,26 +125,20 @@ def plan_fit(
     or the host-aware default of
     :func:`~repro.core.neighbors.resolve_memory_budget`), the
     shared-item pair work ``S`` of transaction inputs, whether the
-    :mod:`repro.native` C tier probed clean, and whether
-    ``fit_mode="sharded"`` was requested.  In order:
+    :mod:`repro.native` C tier probed clean.  In order:
 
-    1. ``fit_mode="sharded"`` runs the coordinator when it can
-       reproduce the fit bit for bit; otherwise it warns once (the
-       only fallback warning of a fit) and plans as ``"auto"``.
-       ``weeding`` (a ``min_cluster_size`` pause) and ``resume``
-       (``initial_clusters``) rule it out, as does ``min_neighbors > 1``.
-    2. ``weighted_links`` needs the dense similarity matrix.
-    3. A similarity without a block scorer runs the pairwise oracle.
-    4. Transactions (and ``A.v``-encoded records) are encoded once
+    1. ``weighted_links`` needs the dense similarity matrix.
+    2. A similarity without a block scorer runs the pairwise oracle.
+    3. Transactions (and ``A.v``-encoded records) are encoded once
        (:func:`~repro.core.encoding.transaction_csr`) and priced:
        ``S = sum_items df (df - 1) / 2`` pairs share an item, against
        the ``n^2 / 2`` pairs the dense route scores.
-    5. A dense ``8 n^2``-byte similarity matrix that fits the budget
+    4. A dense ``8 n^2``-byte similarity matrix that fits the budget
        runs the dense route, unless ``theta > 0`` and
        ``S < SHARED_PAIR_RATIO[tier] * n^2 / 2`` (``tier`` is ``cext``
        when the C tier probed clean, else ``numpy``): then the
-       shared-item scorer runs, as in 6.
-    6. Over budget, the native kernels run where they support the
+       shared-item scorer runs, as in 5.
+    5. Over budget, the native kernels run where they support the
        input, the fused kernel otherwise (``REPRO_NATIVE=0``,
        ``theta = 0``, missing-aware Jaccard, no compiler).
 
@@ -166,33 +148,12 @@ def plan_fit(
     row-block square above it when the square fits the budget).  Every
     route produces identical clusters (property-tested).
     """
-    if fit_mode not in FIT_MODES:
-        raise ValueError(f"fit_mode must be one of {FIT_MODES}, got {fit_mode!r}")
     budget = resolve_memory_budget(memory_budget)
-    weighted = "weighted links need the dense similarity matrix"
-    if fit_mode == "sharded":
-        if weighted_links:
-            blocker = weighted
-        elif min_neighbors > 1:
-            blocker = "min_neighbors <= 1 required"
-        elif weeding:
-            blocker = "outlier weeding pauses the merge loop"
-        elif resume:
-            blocker = "resume from initial_clusters"
-        else:
-            from repro.shard.coordinator import shard_supported
-
-            blocker = shard_supported(points, similarity, goodness_fn)[1]
-        if not blocker:
-            return FitPlan("sharded", "sharded", budget, "fit_mode='sharded' requested")
-        warnings.warn(
-            f"fit_mode='sharded' unavailable ({blocker}); "
-            "falling back to the auto route",
-            RuntimeWarning,
-            stacklevel=3,
-        )
     if weighted_links:
-        return FitPlan("weighted", "weighted", budget, weighted)
+        return FitPlan(
+            "weighted", "weighted", budget,
+            "weighted links need the dense similarity matrix",
+        )
     if not supports_blocked(points, similarity):
         return FitPlan(
             "bruteforce", "bruteforce", budget,
@@ -262,7 +223,7 @@ def run_fit_plan(
     min_neighbors: int = 1,
     tracer: Tracer,
 ) -> FitStages:
-    """Run a non-sharded plan: neighbors, then prune, then links.
+    """Run a plan: neighbors, then prune, then links.
 
     Points with fewer than ``min_neighbors`` neighbors are discarded
     (Section 4.6; 0 keeps every point) and links are counted over the
@@ -396,7 +357,7 @@ class PipelineResult:
         "native:cext"}`` or ``{"fit": "dense", "links": "dense-blocks",
         "merge": "fast"}`` -- the resolved backends (``fit`` is the
         :class:`FitPlan` backend: ``dense``, ``bruteforce``, ``fused``,
-        ``native:cext`` or ``sharded``; ``links`` the link kernel, by
+        or ``native:cext``; ``links`` the link kernel, by
         the same rule on every route),
         not the requested modes, so benchmarks and model metadata can
         tell a silent fallback from the real thing.
@@ -464,13 +425,8 @@ class RockPipeline:
         points share few items (then the shared-item kernels, see
         :data:`SHARED_PAIR_RATIO`), past it the native or fused
         one-pass kernels.
-    fit_mode:
-        ``"auto"`` (default) lets :func:`plan_fit` pick the route;
-        ``"sharded"`` runs the out-of-core coordinator of
-        :mod:`repro.shard`, degrading to ``"auto"`` with one warning
-        when it cannot reproduce the fit.  ``backends["fit"]`` records
-        the route that ran.  All routes produce identical results
-        (property-tested).
+        ``backends["fit"]`` records the route that ran.  All routes
+        produce identical results (property-tested).
 
         The native and fused kernels score row blocks on
         :func:`~repro.parallel.pool.thread_count` threads (the CPUs
@@ -480,17 +436,6 @@ class RockPipeline:
         whose engine follows from ``goodness_fn`` and the
         :mod:`repro.native` probe; ``backends["merge"]`` records the
         one that ran.
-    shard_block_rows / spill_dir / max_retries:
-        Sharded-fit knobs (``fit_mode="sharded"``): rows per scoring
-        block (default: the fused kernels' budget-aware block
-        size), the crash-safe run directory (default: a temporary
-        directory, no resume), and how many times a died worker pool
-        is rebuilt before the remaining units run in the coordinator.
-        ``fit_mode="sharded"`` requires ``min_neighbors <= 1``, no
-        ``min_cluster_size`` weeding, no ``initial_clusters`` and a
-        built-in goodness measure; anything else degrades to the
-        ``"auto"`` route with one warning.  Results are byte-identical
-        to the other routes (property-tested).
     seed:
         Seed for sampling and labeling-set draws; runs are fully
         deterministic for a fixed seed.
@@ -509,10 +454,6 @@ class RockPipeline:
         labeling_fraction: float = 0.25,
         goodness_fn: GoodnessFunction = normalized_goodness,
         memory_budget: int | None = None,
-        fit_mode: str = "auto",
-        shard_block_rows: int | None = None,
-        spill_dir: "str | None" = None,
-        max_retries: int = 2,
         seed: int | None = None,
     ) -> None:
         if k < 1:
@@ -521,14 +462,6 @@ class RockPipeline:
             raise ValueError(f"theta must be in [0, 1], got {theta}")
         if sample_size is not None and sample_size < 1:
             raise ValueError("sample_size must be positive when given")
-        if fit_mode not in FIT_MODES:
-            raise ValueError(
-                f"fit_mode must be one of {FIT_MODES}, got {fit_mode!r}"
-            )
-        if shard_block_rows is not None and shard_block_rows < 1:
-            raise ValueError("shard_block_rows must be positive when given")
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
         self.k = k
         self.theta = theta
         self.similarity = similarity
@@ -540,10 +473,6 @@ class RockPipeline:
         self.labeling_fraction = labeling_fraction
         self.goodness_fn = goodness_fn
         self.memory_budget = memory_budget
-        self.fit_mode = fit_mode
-        self.shard_block_rows = shard_block_rows
-        self.spill_dir = spill_dir
-        self.max_retries = max_retries
         self.seed = seed
 
     def fit(
@@ -562,7 +491,7 @@ class RockPipeline:
         scalability bench, which excludes labeling).
 
         ``tracer`` is an optional :class:`~repro.obs.trace.Tracer`.
-        Every fit mode records one root ``fit`` span with a child span
+        Every fit records one root ``fit`` span with a child span
         per phase (``sample`` / ``neighbors`` / ``links`` / ``cluster``
         / ``label``), and the kernels record counters and histograms
         into ``tracer.registry``, from every block thread.  Phase
@@ -592,7 +521,6 @@ class RockPipeline:
         with tracer.span(
             "fit",
             n_points=n_total,
-            fit_mode=self.fit_mode,
             k=self.k,
             theta=self.theta,
             threads=threads,
@@ -636,103 +564,61 @@ class RockPipeline:
         plan = plan_fit(
             sample_points, self.theta, self.similarity,
             min_neighbors=min_neighbors, memory_budget=self.memory_budget,
-            fit_mode=self.fit_mode, goodness_fn=self.goodness_fn,
-            weeding=self.min_cluster_size is not None,
-            resume=initial_clusters is not None,
         )
         backends["fit"] = plan.backend
-        if plan.route == "sharded":
-            # the coordinator covers phases 2-4 in one go
-            from repro.shard.coordinator import shard_fit
+        stages = run_fit_plan(
+            plan, sample_points, self.theta, self.similarity,
+            min_neighbors=min_neighbors, tracer=tracer,
+        )
+        kept, links = stages.kept, stages.links
+        outlier_sample_positions = list(stages.discarded)
+        timings.update(stages.timings)
+        backends["links"] = links.producer
 
-            sharded = shard_fit(
-                sample_points,
-                k=self.k,
-                theta=self.theta,
-                f_theta=self.f(self.theta),
-                similarity=self.similarity,
-                goodness_fn=self.goodness_fn,
-                min_neighbors=min_neighbors,
-                block_rows=self.shard_block_rows,
-                spill_dir=self.spill_dir,
-                max_retries=self.max_retries,
-                memory_budget=plan.memory_budget,
-                tracer=tracer,
-            )
-            kept = sharded.kept
-            outlier_sample_positions = list(sharded.discarded)
-            if len(kept) == 0:
-                raise ValueError(
-                    "every sampled point was pruned as an outlier; lower "
-                    "theta or min_neighbors"
+        # -- 4. cluster (with optional pause-and-weed) ----------------------
+        starting_partition = (
+            None
+            if initial_clusters is None
+            else _map_initial_clusters(initial_clusters, sampled, kept, n_total)
+        )
+        backends["merge"] = merge_engine(self.goodness_fn)
+        with tracer.span(
+            "cluster", k=self.k, merge_backend=backends["merge"]
+        ) as span:
+            f_theta = self.f(self.theta)
+            if self.min_cluster_size is not None:
+                pause_at = weeding_stop_count(self.k, self.outlier_multiple)
+                first = cluster_with_links(
+                    links, k=pause_at, f_theta=f_theta,
+                    initial_clusters=starting_partition,
+                    goodness_fn=self.goodness_fn,
+                    registry=registry,
                 )
-            result = sharded.result
-            backends["links"] = "pair-count:numpy"  # in the shard units
-            # the shard's units run the PR 5 component streams; the
-            # stitch is the fast engine's k-way replay
-            backends["merge"] = "fast"
-            for phase in ("neighbors", "links", "cluster"):
-                timings[phase] = sharded.timings.get(phase, 0.0)
-        else:
-            stages = run_fit_plan(
-                plan, sample_points, self.theta, self.similarity,
-                min_neighbors=min_neighbors, tracer=tracer,
-            )
-            kept, links = stages.kept, stages.links
-            outlier_sample_positions = list(stages.discarded)
-            timings.update(stages.timings)
-            backends["links"] = links.producer
-
-            # -- 4. cluster (with optional pause-and-weed) ------------------
-            starting_partition = (
-                None
-                if initial_clusters is None
-                else _map_initial_clusters(
-                    initial_clusters, sampled, kept, n_total
+                survivors, weeded = weed_small_clusters(
+                    first.clusters, self.min_cluster_size
                 )
-            )
-            backends["merge"] = merge_engine(self.goodness_fn)
-            with tracer.span(
-                "cluster", k=self.k, merge_backend=backends["merge"]
-            ) as span:
-                f_theta = self.f(self.theta)
-                if self.min_cluster_size is not None:
-                    pause_at = weeding_stop_count(
-                        self.k, self.outlier_multiple
+                outlier_sample_positions.extend(int(kept[p]) for p in weeded)
+                if not survivors:
+                    raise ValueError(
+                        "outlier weeding removed every cluster; lower "
+                        "min_cluster_size"
                     )
-                    first = cluster_with_links(
-                        links, k=pause_at, f_theta=f_theta,
-                        initial_clusters=starting_partition,
-                        goodness_fn=self.goodness_fn,
-                        registry=registry,
-                    )
-                    survivors, weeded = weed_small_clusters(
-                        first.clusters, self.min_cluster_size
-                    )
-                    outlier_sample_positions.extend(
-                        int(kept[p]) for p in weeded
-                    )
-                    if not survivors:
-                        raise ValueError(
-                            "outlier weeding removed every cluster; lower "
-                            "min_cluster_size"
-                        )
-                    result = cluster_with_links(
-                        links,
-                        k=self.k,
-                        f_theta=f_theta,
-                        initial_clusters=survivors,
-                        goodness_fn=self.goodness_fn,
-                        registry=registry,
-                    )
-                else:
-                    result = cluster_with_links(
-                        links, k=self.k, f_theta=f_theta,
-                        initial_clusters=starting_partition,
-                        goodness_fn=self.goodness_fn,
-                        registry=registry,
-                    )
-            timings["cluster"] = span.wall_seconds
+                result = cluster_with_links(
+                    links,
+                    k=self.k,
+                    f_theta=f_theta,
+                    initial_clusters=survivors,
+                    goodness_fn=self.goodness_fn,
+                    registry=registry,
+                )
+            else:
+                result = cluster_with_links(
+                    links, k=self.k, f_theta=f_theta,
+                    initial_clusters=starting_partition,
+                    goodness_fn=self.goodness_fn,
+                    registry=registry,
+                )
+        timings["cluster"] = span.wall_seconds
 
         # the fit.backend gauges (numeric) and root-span attrs (strings)
         # record which path actually ran, fallbacks included

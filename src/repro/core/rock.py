@@ -378,10 +378,6 @@ def rock(
     goodness_fn: GoodnessFunction = normalized_goodness,
     weighted_links: bool = False,
     memory_budget: int | None = None,
-    fit_mode: str = "auto",
-    shard_block_rows: int | None = None,
-    spill_dir: "str | None" = None,
-    max_retries: int = 2,
     tracer: "Tracer | None" = None,
 ) -> RockResult:
     """Convenience end-to-end run on in-memory points (no sampling/labeling).
@@ -398,13 +394,9 @@ def rock(
     :class:`~repro.core.pipeline.RockPipeline`: ``memory_budget``
     (bytes; default host-aware) and the points' shared-item pair work
     decide between the dense route and the one-pass native/fused
-    kernels, and ``fit_mode="sharded"`` runs
-    the out-of-core coordinator of :mod:`repro.shard` (honouring
-    ``shard_block_rows`` / ``spill_dir`` / ``max_retries``), degrading
-    to ``"auto"`` with one warning when the input cannot be
-    store-encoded.  Every route yields identical clusters.  For the full sample -> prune -> cluster
-    -> weed -> label pipeline of Figure 2, use
-    :class:`repro.core.pipeline.RockPipeline`.
+    kernels.  Every route yields identical clusters.  For the full
+    sample -> prune -> cluster -> weed -> label pipeline of Figure 2,
+    use :class:`repro.core.pipeline.RockPipeline`.
 
     The merge phase runs :func:`cluster_with_links`, which picks its
     engine from the goodness measure and the :mod:`repro.native`
@@ -424,19 +416,8 @@ def rock(
     registry = tracer.registry
     plan = plan_fit(
         points, theta, similarity, min_neighbors=0,
-        memory_budget=memory_budget, fit_mode=fit_mode,
-        goodness_fn=goodness_fn, weighted_links=weighted_links,
+        memory_budget=memory_budget, weighted_links=weighted_links,
     )
-    if plan.route == "sharded":
-        from repro.shard.coordinator import shard_fit
-
-        return shard_fit(
-            points, k=k, theta=theta, f_theta=f(theta),
-            similarity=similarity, goodness_fn=goodness_fn,
-            block_rows=shard_block_rows,
-            spill_dir=spill_dir, max_retries=max_retries,
-            memory_budget=plan.memory_budget, tracer=tracer,
-        ).result
     links = run_fit_plan(
         plan, points, theta, similarity, min_neighbors=0, tracer=tracer,
     ).links

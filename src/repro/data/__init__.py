@@ -13,9 +13,13 @@ This subpackage contains the substrate data model:
   paper (used for the mutual-funds experiment).
 * :mod:`repro.data.io` -- plain-text readers/writers for the UCI
   ``.data`` CSV format and a simple one-transaction-per-line format.
+* :mod:`repro.data.store` -- the checksummed on-disk item-code CSR
+  (:class:`~repro.data.store.TransactionStore`), opened as a
+  :class:`~repro.data.transactions.TransactionDataset` over memory-maps.
 """
 
 from repro.data.records import CategoricalDataset, CategoricalRecord, CategoricalSchema
+from repro.data.store import StoreIntegrityError, TransactionStore
 from repro.data.timeseries import (
     Movement,
     TimeSeries,
@@ -29,9 +33,11 @@ __all__ = [
     "CategoricalRecord",
     "CategoricalSchema",
     "Movement",
+    "StoreIntegrityError",
     "TimeSeries",
     "Transaction",
     "TransactionDataset",
+    "TransactionStore",
     "movements_to_record",
     "series_to_categorical_dataset",
 ]

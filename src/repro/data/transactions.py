@@ -108,7 +108,7 @@ class TransactionDataset(Sequence[Transaction]):
     by default), the int32 CSR of every transaction's item codes in
     vocabulary order (:attr:`csr`) and, where rows carry one, an
     identifier per row: the in-memory twin of the on-disk
-    :class:`~repro.shard.store.TransactionStore`.  No per-row Python
+    :class:`~repro.data.store.TransactionStore`, which opens as one.  No per-row Python
     objects are kept: indexing and iteration decode :class:`Transaction`
     objects on access, and the fit's encoding, the §4.6 label scan's
     query rows and the dense indicator matrix of the euclidean-distance

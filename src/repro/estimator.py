@@ -61,10 +61,6 @@ class RockClusterer:
         min_cluster_size: int | None = None,
         outlier_multiple: float = 3.0,
         labeling_fraction: float = 0.25,
-        fit_mode: str = "auto",
-        shard_block_rows: int | None = None,
-        spill_dir: "str | None" = None,
-        max_retries: int = 2,
         random_state: int | None = None,
     ) -> None:
         self.n_clusters = n_clusters
@@ -76,10 +72,6 @@ class RockClusterer:
         self.min_cluster_size = min_cluster_size
         self.outlier_multiple = outlier_multiple
         self.labeling_fraction = labeling_fraction
-        self.fit_mode = fit_mode
-        self.shard_block_rows = shard_block_rows
-        self.spill_dir = spill_dir
-        self.max_retries = max_retries
         self.random_state = random_state
 
     # -- sklearn protocol ---------------------------------------------------
@@ -94,10 +86,6 @@ class RockClusterer:
             "min_cluster_size": self.min_cluster_size,
             "outlier_multiple": self.outlier_multiple,
             "labeling_fraction": self.labeling_fraction,
-            "fit_mode": self.fit_mode,
-            "shard_block_rows": self.shard_block_rows,
-            "spill_dir": self.spill_dir,
-            "max_retries": self.max_retries,
             "random_state": self.random_state,
         }
 
@@ -125,10 +113,6 @@ class RockClusterer:
             min_cluster_size=self.min_cluster_size,
             outlier_multiple=self.outlier_multiple,
             labeling_fraction=self.labeling_fraction,
-            fit_mode=self.fit_mode,
-            shard_block_rows=self.shard_block_rows,
-            spill_dir=self.spill_dir,
-            max_retries=self.max_retries,
             seed=self.random_state,
         )
         result = pipeline.fit(points)

@@ -74,7 +74,8 @@ def host_memory() -> tuple[int | None, int | None]:
     Parsed from ``/proc/meminfo`` (Linux); on platforms without it --
     or with an unreadable/odd one -- both slots degrade to ``None``
     rather than raising, so manifests stay writable everywhere.  The
-    available figure feeds the sharded fit's default memory budget.
+    available figure feeds the fit's default memory budget
+    (:func:`repro.core.neighbors.resolve_memory_budget`).
     """
     total: int | None = None
     available: int | None = None

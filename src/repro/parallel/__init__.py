@@ -14,8 +14,9 @@ them as row blocks mapped over threads:
 * :mod:`repro.parallel.links` -- the **fused** neighbor+link kernel
   (:func:`~repro.parallel.links.fused_neighbor_links`) that scores row
   blocks into neighbor lists and counts their links by the rule every
-  producer follows, and the numpy Figure 4 pair counter of the
-  out-of-core shard coordinator.
+  producer follows, and the numpy Figure 4 pair counter
+  (:func:`~repro.parallel.links.pair_link_counts`) that counts links
+  where neither the C tier nor scipy is available.
 
 The fit planner (:func:`repro.core.pipeline.plan_fit`) runs the fused
 kernel when it plans shared-item scoring (the dense ``n x n`` matrix
@@ -29,7 +30,6 @@ deterministic for any thread count.
 from repro.parallel.links import (
     FusedFitResult,
     fused_neighbor_links,
-    merge_pair_counts,
     pair_link_counts,
 )
 from repro.parallel.pool import (
@@ -45,7 +45,6 @@ __all__ = [
     "block_tasks",
     "fused_neighbor_links",
     "map_blocks",
-    "merge_pair_counts",
     "pair_link_counts",
     "thread_count",
 ]

@@ -5,10 +5,9 @@ each point's neighbor list.  :func:`pair_link_counts` runs that inner
 pair loop as array arithmetic: the pairs of a list of length ``m`` are
 the cached ``np.triu_indices(m, 1)`` gather, each pair is packed into a
 single int64 code ``i * n + j`` (``i < j``), and counting is one sort
-plus a run-length reduction.  Partial counts from different chunks
-merge by concatenation + ``np.add.reduceat`` (:func:`merge_pair_counts`)
--- integer sums, so the totals are exactly the serial table's.  The
-out-of-core shard coordinator counts its units this way.
+plus a run-length reduction.  It is
+:func:`~repro.core.links.row_link_table`'s path where neither the C
+tier nor scipy is available.
 
 :func:`fused_neighbor_links` is the fused kernel: threads score row
 blocks into neighbor lists, and the caller counts their links by the
@@ -39,7 +38,6 @@ from repro.parallel.pool import block_rows, block_tasks, map_blocks
 __all__ = [
     "FusedFitResult",
     "fused_neighbor_links",
-    "merge_pair_counts",
     "pair_link_counts",
 ]
 
@@ -80,28 +78,6 @@ def pair_link_counts(
     if not chunks:
         return _EMPTY, _EMPTY
     return np.unique(np.concatenate(chunks), return_counts=True)
-
-
-def merge_pair_counts(
-    parts: list[tuple[np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sum per-chunk ``(codes, counts)`` pairs into one sorted table.
-
-    Pure integer addition -- the merged counts equal what a single
-    serial pass over all lists would have produced, independent of how
-    the lists were chunked.
-    """
-    parts = [part for part in parts if part[0].size]
-    if not parts:
-        return _EMPTY, _EMPTY
-    if len(parts) == 1:
-        return parts[0]
-    codes = np.concatenate([codes for codes, _ in parts])
-    counts = np.concatenate([counts for _, counts in parts])
-    order = np.argsort(codes, kind="stable")
-    codes, counts = codes[order], counts[order]
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(codes)) + 1])
-    return codes[starts], np.add.reduceat(counts, starts)
 
 
 # -- the fused neighbor+link kernel -------------------------------------------

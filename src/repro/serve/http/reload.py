@@ -5,9 +5,11 @@ request.  The mechanism:
 
 * :func:`load_versioned_model` reads a :class:`~repro.serve.RockModel`
   artifact, verifies its sha256 content checksum (corrupt files never
-  reach serving), and derives the **model version** from the digest --
-  two artifacts serve under the same version exactly when their
-  content is identical;
+  reach serving), and derives the **model version** from the content
+  (:func:`~repro.serve.model.model_version`) -- two artifacts serve
+  under the same version exactly when they differ at most in their
+  wall-clock fit timings, and the watcher keeps serving the engine it
+  has when a rewrite carries the same version;
 * :class:`ServedModel` is an immutable bundle (model, engine, version,
   load time).  The holder's ``current`` attribute is replaced in a
   single assignment, so any reader -- the batcher snapshotting an
@@ -38,20 +40,20 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.obs.registry import MetricsRegistry
 from repro.serve.engine import AssignmentEngine
-from repro.serve.model import RockModel, read_artifact
+from repro.serve.model import RockModel, model_version, read_artifact
 
 __all__ = ["ModelWatcher", "ServedModel", "load_versioned_model"]
 
 
-def _read_artifact(path: str | Path) -> tuple[RockModel, str]:
-    """Load and checksum-verify an artifact; returns ``(model, full digest)``."""
+def _read_artifact(path: str | Path) -> tuple[RockModel, str, str]:
+    """Load and checksum-verify an artifact: ``(model, version, full digest)``."""
     data, digest = read_artifact(path)
-    return RockModel.from_dict(data), digest
+    return RockModel.from_dict(data), model_version(data), digest
 
 
 def _artifact_digest(path: Path) -> str:
@@ -62,12 +64,12 @@ def _artifact_digest(path: Path) -> str:
 def load_versioned_model(path: str | Path) -> tuple[RockModel, str]:
     """Load and checksum-verify an artifact; returns ``(model, version)``.
 
-    The version is the first 16 hex chars of the content digest --
-    stable across re-saves of identical content, different for any
-    content change.
+    The version is :func:`~repro.serve.model.model_version`: stable
+    across re-saves and refits that differ only in their fit timings,
+    different for any other content change.
     """
-    model, digest = _read_artifact(path)
-    return model, digest[:16]
+    model, version, _digest = _read_artifact(path)
+    return model, version
 
 
 @dataclass(frozen=True)
@@ -132,11 +134,15 @@ class ModelWatcher:
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self.last_error: str | None = None
-        self.current: ServedModel = self._load()
+        self.current: ServedModel = self._load(None)
 
-    def _load(self) -> ServedModel:
+    def _load(self, previous: ServedModel | None) -> ServedModel:
         signature = _file_signature(self.path)
-        model, digest = _read_artifact(self.path)
+        model, version, digest = _read_artifact(self.path)
+        if previous is not None and version == previous.version:
+            # the same model re-saved (a refit's fit timings differ):
+            # keep its engine, note the new file
+            return replace(previous, source_signature=signature, digest=digest)
         # every generation shares the one registry, so serve.* counters
         # keep accumulating across swaps instead of resetting; the
         # engine builds its AssignmentIndex here, once per generation --
@@ -150,7 +156,7 @@ class ModelWatcher:
         return ServedModel(
             model=model,
             engine=engine,
-            version=digest[:16],
+            version=version,
             loaded_unix=time.time(),
             source_signature=signature,
             loaded_monotonic=time.monotonic(),
@@ -190,7 +196,7 @@ class ModelWatcher:
                     self._content_checks.inc()
                     if _artifact_digest(self.path) == self.current.digest:
                         return False
-                served = self._load()
+                served = self._load(self.current)
             except (OSError, ValueError, KeyError) as exc:
                 self.last_error = f"{type(exc).__name__}: {exc}"
                 self._reload_errors.inc()

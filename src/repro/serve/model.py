@@ -83,6 +83,24 @@ def artifact_checksum(payload: dict[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def model_version(payload: dict[str, Any]) -> str:
+    """The served version of a model payload: 16 hex chars of a digest.
+
+    The digest is :func:`artifact_checksum`'s canonical rendering with
+    the wall-clock ``metadata["fit_timings"]`` left out, so two fits
+    that produce the same labeling sets publish one version, and a
+    watcher does not reload unchanged content.  The integrity checksum
+    still covers every key.
+    """
+    metadata = payload.get("metadata")
+    if isinstance(metadata, dict) and "fit_timings" in metadata:
+        payload = dict(payload)
+        payload["metadata"] = {
+            k: v for k, v in metadata.items() if k != "fit_timings"
+        }
+    return artifact_checksum(payload)[:16]
+
+
 def verify_artifact_checksum(payload: Any) -> str:
     """Check a loaded payload against its recorded checksum.
 
@@ -318,21 +336,7 @@ def model_from_result(
         "n_sample_outliers": len(result.outlier_indices),
         "n_unassigned": int((result.labels == -1).sum()),
         "uses_default_f": pipeline.f is default_f,
-        "fit_mode": getattr(pipeline, "fit_mode", "auto"),
         "threads": int(getattr(result, "threads", 1)),
-        **(
-            {
-                "shard_block_rows": getattr(pipeline, "shard_block_rows", None),
-                "spill_dir": (
-                    None
-                    if getattr(pipeline, "spill_dir", None) is None
-                    else str(pipeline.spill_dir)
-                ),
-                "max_retries": getattr(pipeline, "max_retries", 2),
-            }
-            if getattr(pipeline, "fit_mode", "auto") == "sharded"
-            else {}
-        ),
         # the backends that actually ran (fallbacks resolved), e.g.
         # {"fit": "native:cext", "merge": "fast"}
         "backends": dict(getattr(result, "backends", {}) or {}),

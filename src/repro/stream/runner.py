@@ -40,7 +40,7 @@ import numpy as np
 from repro.core.labeling import ClusterLabeler
 from repro.core.pipeline import PipelineResult, RockPipeline
 from repro.obs.trace import Tracer
-from repro.serve.model import CHECKSUM_KEY, RockModel, artifact_checksum
+from repro.serve.model import CHECKSUM_KEY, RockModel, artifact_checksum, model_version
 from repro.stream.drift import DriftDetector
 from repro.stream.reservoir import OnlineReservoir
 
@@ -61,8 +61,9 @@ def publish_model(model: RockModel, path: str | Path) -> str:
     :func:`os.replace`-s it over ``path``, so a concurrently polling
     :class:`~repro.serve.http.reload.ModelWatcher` sees either the old
     artifact or the new one, never a partial write.  The returned
-    version is the digest prefix :func:`load_versioned_model` derives,
-    so publishers and servers agree on generation names.
+    version is :func:`~repro.serve.model.model_version`, which
+    :func:`load_versioned_model` derives too, so publishers and servers
+    agree on generation names.
     """
     path = Path(path)
     payload = model.to_dict()
@@ -73,7 +74,7 @@ def publish_model(model: RockModel, path: str | Path) -> str:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
     os.replace(tmp, path)
-    return digest[:16]
+    return model_version(payload)
 
 
 @dataclass(frozen=True)
@@ -340,7 +341,7 @@ class StreamClusterer:
             if self.publish_to is not None:
                 version = publish_model(model, self.publish_to)
             else:
-                version = artifact_checksum(model.to_dict())[:16]
+                version = model_version(model.to_dict())
             publish_seconds = time.monotonic() - publish_started
 
         self.model = model

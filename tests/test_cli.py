@@ -102,6 +102,30 @@ class TestCluster:
             main(["cluster", "--input", str(empty), "--theta", "0.4", "-k", "2"])
 
 
+class TestGenData:
+    def test_gen_data(self, tmp_path, capsys):
+        out = tmp_path / "big.txt"
+        labels = tmp_path / "big.labels"
+        code, stdout = run(
+            capsys, "gen-data", "--out", str(out), "-n", "500",
+            "--clusters", "4", "--labels", str(labels),
+            "--chunk-rows", "64", "--seed", "9",
+        )
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 500
+        assert len(labels.read_text().splitlines()) == 500
+        assert "500 transactions" in stdout
+
+    def test_gen_data_deterministic_and_chunk_invariant(self, tmp_path):
+        from repro.datasets import write_basket_file
+
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        write_basket_file(a, 400, n_clusters=4, chunk_rows=11, seed=2)
+        write_basket_file(b, 400, n_clusters=4, chunk_rows=4096, seed=2)
+        assert a.read_text() == b.read_text()
+
+
 class TestEvaluate:
     def test_length_mismatch(self, tmp_path):
         a = tmp_path / "a.txt"
@@ -255,10 +279,11 @@ class TestParser:
 
     @pytest.mark.parametrize("command", ["cluster", "fit-model", "stream"])
     @pytest.mark.parametrize(
-        "mode", ["dense", "blocked", "parallel", "fused", "native"]
+        "mode",
+        ["auto", "sharded", "dense", "blocked", "parallel", "fused", "native"],
     )
     def test_removed_fit_modes_rejected(self, command, mode, capsys):
-        """``--fit-mode`` takes only the planner's ``auto`` and ``sharded``."""
+        """There is one fit path: ``--fit-mode`` is gone, whatever its value."""
         argv = [command, "--input", "x.txt", "-k", "2", "--theta", "0.5",
                 "--fit-mode", mode]
         if command == "fit-model":
@@ -266,7 +291,24 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        assert "unrecognized arguments: --fit-mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["cluster", "fit-model", "stream"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--shard-block-rows", "16"), ("--spill-dir", "spill"),
+         ("--max-retries", "3")],
+    )
+    def test_removed_shard_flags_rejected(self, command, flag, value, capsys):
+        """The sharded fit's knobs fail loudly; none is silently ignored."""
+        argv = [command, "--input", "x.txt", "-k", "2", "--theta", "0.5",
+                flag, value]
+        if command == "fit-model":
+            argv += ["--model", "m.json"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

@@ -20,7 +20,7 @@ from repro.datasets.synthetic_basket import (
     generate_synthetic_basket,
 )
 from repro.estimator import RockClusterer, _coerce_points
-from repro.shard import TransactionStore
+from repro.data.store import TransactionStore
 
 
 def _rows(dataset):
@@ -191,20 +191,19 @@ class TestDirectReaders:
         )
         store = TransactionStore.write(tmp_path / "s", basket.transactions)
         picked = [5, 0, 17, 17, 40]
-        sub = store.subset_dataset(picked)
+        sub = store.subset(picked)
         decoded = TransactionDataset(
-            [Transaction(store.row_items(i), tid=i) for i in picked],
+            [basket.transactions[i].items for i in picked],
             vocabulary=store.vocabulary,
         )
         assert sub.vocabulary == store.vocabulary == basket.transactions.vocabulary
-        assert [t.tid for t in sub] == picked
         assert _rows(sub) == _rows(decoded)
         assert sub.csr[0].tolist() == [0, 15, 31, 47, 63, 78]
         assert hashlib.sha1(sub.csr[1].tobytes()).hexdigest() == (
             "1d9f2aefa1e56912fe47a18dde6fbc9848316e0f"
         )
         with pytest.raises(IndexError):
-            store.subset_dataset([len(store)])
+            store.subset([len(store)])
 
     def test_binary_array_coerces_to_its_rows(self):
         basket = small_synthetic_basket(
@@ -274,9 +273,7 @@ def test_basket_text_readers_agree(tmp_path_factory, lines, trailing):
     assert _rows(dataset) == expected
     assert _rows(iter_transactions(path)) == expected
     store = TransactionStore.from_transactions_file(path, work / "store")
-    assert [frozenset(store.row_items(i)) for i in range(len(store))] == [
-        items for items, _ in expected
-    ]
+    assert [t.items for t in store] == [items for items, _ in expected]
 
     write_transactions(dataset, work / "again.txt")
     again = read_transactions(work / "again.txt", vocabulary=dataset.vocabulary)

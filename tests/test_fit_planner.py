@@ -7,12 +7,13 @@ shared-item pair work ``S`` stays under
 ``SHARED_PAIR_RATIO[tier] * n^2 / 2`` (one gate per link tier) runs the
 shared-item kernels, that ``backends["fit"]`` and the root span name
 the route that ran, and -- property-tested -- that every
-route reproduces the dense route's clusters, merge history, kept points
-and outliers.
+route, over in-memory points and over a
+:class:`~repro.data.store.TransactionStore`, reproduces the dense
+route's clusters, merge history, kept points and outliers.
 """
 
 import os
-import warnings
+import tempfile
 from contextlib import contextmanager
 from dataclasses import replace
 from unittest import mock
@@ -41,6 +42,7 @@ from repro.core.similarity import (
     similarity_levels,
 )
 from repro.data.records import CategoricalRecord, CategoricalSchema
+from repro.data.store import TransactionStore
 from repro.data.transactions import Transaction, TransactionDataset
 from repro.datasets import SyntheticBasketConfig, generate_synthetic_basket
 from repro.native import get_kernels
@@ -73,9 +75,7 @@ def fit(points, **kwargs):
     """A full fit's observable outcome, or the error it raised."""
     kwargs.setdefault("k", 3)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            result = RockPipeline(seed=0, **kwargs).fit(points)
+        result = RockPipeline(seed=0, **kwargs).fit(points)
     except ValueError as exc:
         return str(exc), None
     kept = sorted(set(result.sample_indices) - set(result.outlier_indices))
@@ -115,9 +115,7 @@ def below_gate(points, theta, tier):
     return theta > 0 and shared < SHARED_PAIR_RATIO[tier] * n * n / 2
 
 
-def expected_backend(points, memory_budget, enabled, theta, fit_mode, min_neighbors):
-    if fit_mode == "sharded" and min_neighbors <= 1:
-        return "sharded"
+def expected_backend(points, memory_budget, enabled, theta):
     tier = "cext" if enabled and get_kernels() is not None else "numpy"
     if memory_budget is None and not below_gate(points, theta, tier):
         return "dense"
@@ -196,7 +194,6 @@ class TestRecordedRoute:
             ({"memory_budget": 1, "min_neighbors": 2}, False, "fused"),
             ({"memory_budget": 1}, True, "native:cext"),
             ({"memory_budget": 1, "min_neighbors": 2}, True, "native:cext"),
-            ({"fit_mode": "sharded"}, True, "sharded"),
         ],
     )
     def test_every_route(self, kwargs, enabled, backend):
@@ -212,13 +209,18 @@ class TestRecordedRoute:
         assert root.attrs["fit_backend"] == backend
         assert root.attrs["fit_reason"]
 
-    def test_sharded_fallback_warns_once_and_plans_auto(self):
-        with pytest.warns(RuntimeWarning, match="min_neighbors") as caught:
-            plan = plan_fit(
-                self.baskets(), 0.5, fit_mode="sharded", min_neighbors=2
-            )
-        assert len(caught) == 1
-        assert plan.route == "dense"
+
+def test_resolve_memory_budget():
+    from repro.core.neighbors import DEFAULT_MEMORY_BUDGET
+    from repro.obs import host_memory
+
+    assert resolve_memory_budget(12345) == 12345
+    default = resolve_memory_budget()
+    _, available = host_memory()
+    if available is None:
+        assert default == DEFAULT_MEMORY_BUDGET
+    else:
+        assert (256 << 20) <= default <= (4 << 30)
 
 
 class TestSharedItemGate:
@@ -328,21 +330,24 @@ baskets = st.integers(min_value=1, max_value=40).flatmap(
     min_neighbors=st.sampled_from([0, 1, 2, 3]),
     memory_budget=st.sampled_from([None, 1]),
     enabled=st.booleans(),
-    fit_mode=st.sampled_from(["auto", "auto", "sharded"]),
+    stored=st.booleans(),
 )
 def test_every_route_reproduces_the_dense_route(
-    sets, theta, min_neighbors, memory_budget, enabled, fit_mode
+    sets, theta, min_neighbors, memory_budget, enabled, stored
 ):
     points = TransactionDataset([Transaction(s) for s in sets])
     reference = dense_reference(points, theta, min_neighbors)
-    with native(enabled):
+    with native(enabled), tempfile.TemporaryDirectory() as scratch:
+        source = (
+            TransactionStore.write(os.path.join(scratch, "store"), points)
+            if stored
+            else points
+        )
         outcome, backend = fit(
-            points, theta=theta, min_neighbors=min_neighbors,
-            memory_budget=memory_budget, fit_mode=fit_mode,
+            source, theta=theta, min_neighbors=min_neighbors,
+            memory_budget=memory_budget,
         )
-        expected = expected_backend(
-            points, memory_budget, enabled, theta, fit_mode, min_neighbors
-        )
+        expected = expected_backend(points, memory_budget, enabled, theta)
     event(f"route {expected}")
     assert outcome == reference
     if backend is not None:

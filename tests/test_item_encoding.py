@@ -35,7 +35,7 @@ from repro.datasets import small_synthetic_basket
 from repro.native import get_kernels
 from repro.obs.trace import Tracer
 from repro.serve.index import AssignmentIndex
-from repro.shard import TransactionStore, shard_fit
+from repro.data.store import TransactionStore
 
 
 @contextmanager
@@ -235,10 +235,10 @@ class TestDerivedViews:
         whole = TransactionStore.write(path / "dataset", dataset)
         expected = [frozenset(r) for r in rows]
         for store in (loose, whole):
-            assert decode(store.indptr, store.items, store.vocabulary) == expected
+            assert decode(*store.csr, store.vocabulary) == expected
             assert store.sizes().tolist() == [len(s) for s in expected]
-            assert_ascending_rows(store.indptr, store.items)
-        np.testing.assert_array_equal(np.asarray(whole.items), dataset.csr[1])
+            assert_ascending_rows(*store.csr)
+        np.testing.assert_array_equal(whole.csr[1], dataset.csr[1])
 
 
 class TestMixedRowsRaise:
@@ -274,8 +274,8 @@ class TestMixedRowsRaise:
 class TestStoreRepeats:
     def test_repeated_items_are_stored_once(self, tmp_path):
         store = TransactionStore.write(tmp_path / "s", [["a", "a", "b"], ["a", "b"]])
-        assert np.asarray(store.indptr).tolist() == [0, 2, 4]
-        assert np.asarray(store.items).tolist() == [0, 1, 0, 1]
+        assert store.csr[0].tolist() == [0, 2, 4]
+        assert store.csr[1].tolist() == [0, 1, 0, 1]
 
     def test_repeated_vocabulary_item_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="duplicate"):
@@ -294,17 +294,14 @@ class TestStoreRepeats:
         dataset = TransactionDataset(rows)
         from_list = TransactionStore.write(tmp_path / "list", rows, chunk_rows=17)
         from_dataset = TransactionStore.write(tmp_path / "dataset", dataset)
-        np.testing.assert_array_equal(
-            np.asarray(from_list.indptr), np.asarray(from_dataset.indptr)
+        np.testing.assert_array_equal(from_list.csr[0], from_dataset.csr[0])
+        assert decode(*from_list.csr, from_list.vocabulary) == decode(
+            *from_dataset.csr, from_dataset.vocabulary
         )
-        assert decode(
-            from_list.indptr, from_list.items, from_list.vocabulary
-        ) == decode(from_dataset.indptr, from_dataset.items, from_dataset.vocabulary)
-        f_theta = (1 - 0.5) / (1 + 0.5)
-        sharded = shard_fit(store=from_list, k=3, theta=0.5, f_theta=f_theta).result
+        stored = rock(from_list, k=3, theta=0.5)
         in_memory = rock(dataset, k=3, theta=0.5)
-        np.testing.assert_array_equal(sharded.labels(), in_memory.labels())
-        assert sharded.merges == in_memory.merges
+        np.testing.assert_array_equal(stored.labels(), in_memory.labels())
+        assert stored.merges == in_memory.merges
 
 
 class TestLabelScanInput:

@@ -30,7 +30,6 @@ from repro.core.goodness import (
     PowerTable,
     default_f,
     goodness,
-    merge_kernel_by_name,
     merge_kernel_for,
     naive_goodness,
 )
@@ -334,11 +333,6 @@ class TestKernelsBitwise:
         assert merge_kernel_for(goodness, 0.5).name == "normalized"
         assert merge_kernel_for(naive_goodness, 0.5).name == "naive"
         assert merge_kernel_for(lambda c, ni, nj, f: c, 0.5) is None
-        assert isinstance(
-            merge_kernel_by_name("naive", 0.5), NaiveGoodnessKernel
-        )
-        with pytest.raises(ValueError, match="unknown merge kernel"):
-            merge_kernel_by_name("bogus", 0.5)
 
 
 class TestRegistryCounters:
@@ -426,13 +420,14 @@ class TestEngineIntegration:
     def test_estimator_param_roundtrip(self):
         from repro.estimator import RockClusterer
 
-        est = RockClusterer(n_clusters=2, fit_mode="sharded")
-        assert "merge_method" not in est.get_params()
-        assert est.get_params()["fit_mode"] == "sharded"
-        est.set_params(fit_mode="auto")
-        assert est.fit_mode == "auto"
-        with pytest.raises(ValueError, match="merge_method"):
-            est.set_params(merge_method="heap")
+        est = RockClusterer(n_clusters=2)
+        params = est.get_params()
+        for removed in ("merge_method", "fit_mode", "shard_block_rows",
+                        "spill_dir", "max_retries"):
+            assert removed not in params
+            with pytest.raises(ValueError, match=removed):
+                est.set_params(**{removed: None})
+        assert RockClusterer(**params).get_params() == params
 
 
 class TestLabelsFromClusters:

@@ -144,7 +144,7 @@ class TestCli:
         assert fit_span["attrs"]["fit_backend"] in ("native:cext", "fused")
         assert fit_span["attrs"]["threads"] == thread_count()
         assert manifest.metrics["gauges"]["fit.threads"] == thread_count()
-        assert manifest.config["fit_mode"] == "auto"
+        assert "fit_mode" not in manifest.config
         assert "workers" not in manifest.config
 
     def test_cluster_metrics_format_prom(self, basket_file, capsys):

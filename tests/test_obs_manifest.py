@@ -13,6 +13,7 @@ from repro.obs import (
     MANIFEST_VERSION,
     RunManifest,
     Tracer,
+    host_memory,
     host_metadata,
 )
 
@@ -27,6 +28,17 @@ class TestHostMetadata:
         assert isinstance(meta["cpu_count"], int)
         assert meta["native"] == backend_info()
         json.dumps(meta)  # JSON-plain
+
+    def test_host_memory_in_metadata(self):
+        meta = host_metadata()
+        assert "mem_total_bytes" in meta
+        assert "mem_available_bytes" in meta
+        total, available = host_memory()
+        if total is not None:
+            assert total > 0
+            assert meta["mem_total_bytes"] == total
+        if total is not None and available is not None:
+            assert 0 < available <= total
 
 
 class TestFromTracer:

@@ -27,7 +27,8 @@ from repro.core.neighbors import (
     build_block_scorer,
     compute_neighbor_graph,
 )
-from repro.core.pipeline import FIT_MODES, RockPipeline
+import repro.core.pipeline as pipeline_module
+from repro.core.pipeline import RockPipeline
 from repro.core.rock import rock
 from repro.core.similarity import (
     JaccardSimilarity,
@@ -38,13 +39,8 @@ from repro.data.records import CategoricalDataset, CategoricalRecord, Categorica
 from repro.data.transactions import Transaction, TransactionDataset
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.parallel import (
-    fused_neighbor_links,
-    merge_pair_counts,
-    pair_link_counts,
-)
+from repro.parallel import fused_neighbor_links, pair_link_counts
 from repro.parallel.pool import block_rows, map_blocks, thread_count
-from repro.shard.planner import resolve_workers
 from tests.threads import THREAD_COUNTS, forced_threads
 
 THETAS = [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -212,17 +208,6 @@ def test_fused_merge_is_submission_ordered():
 # -- the block map ------------------------------------------------------------
 
 
-def test_resolve_workers():
-    # the sharded fit's process count; the in-memory kernels take none
-    assert resolve_workers(None) == 1
-    assert resolve_workers(3) == 3
-    assert 1 <= resolve_workers("auto") <= pool.MAX_THREADS
-    with pytest.raises(ValueError):
-        resolve_workers(0)
-    with pytest.raises(ValueError):
-        resolve_workers("many")
-
-
 def test_thread_count_bounded():
     assert 1 <= thread_count() <= pool.MAX_THREADS
 
@@ -341,20 +326,13 @@ def test_forked_child_runs_a_threaded_fit_after_its_parent():
 # -- pair-count plumbing ------------------------------------------------------
 
 
-def test_pair_link_counts_and_merge():
+def test_pair_link_counts():
     lists = [np.array([1, 3, 4]), np.array([3, 4]), np.array([], dtype=np.int64)]
     codes, counts = pair_link_counts(lists, n=5)
     # pairs: (1,3), (1,4), (3,4) from the first list; (3,4) again
     assert codes.tolist() == [1 * 5 + 3, 1 * 5 + 4, 3 * 5 + 4]
     assert counts.tolist() == [1, 1, 2]
-
-    merged = merge_pair_counts([
-        (codes, counts),
-        pair_link_counts([np.array([3, 4])], n=5),
-    ])
-    assert merged[0].tolist() == [8, 9, 19]
-    assert merged[1].tolist() == [1, 1, 3]
-    empty = merge_pair_counts([])
+    empty = pair_link_counts([np.array([2])], n=5)
     assert empty[0].size == 0 and empty[1].size == 0
 
 
@@ -438,16 +416,18 @@ def test_fused_pipeline_with_strict_pruning_falls_back(monkeypatch):
 
 
 def test_fit_mode_validation():
-    with pytest.raises(ValueError):
-        RockPipeline(k=2, theta=0.5, fit_mode="warp")
-    with pytest.raises(ValueError):
-        rock(make_baskets(10), k=2, theta=0.5, fit_mode="warp")
-    with pytest.raises(ValueError):
-        RockPipeline(k=2, theta=0.5, fit_mode="fused")
-    assert FIT_MODES == ("auto", "sharded")
+    """There is one fit path: no ``fit_mode`` or sharded-fit knob is taken."""
+    for knob in ("fit_mode", "shard_block_rows", "spill_dir", "max_retries"):
+        with pytest.raises(TypeError, match=knob):
+            RockPipeline(k=2, theta=0.5, **{knob: None})
+        with pytest.raises(TypeError, match=knob):
+            rock(make_baskets(10), k=2, theta=0.5, **{knob: None})
+        with pytest.raises(TypeError, match=knob):
+            pipeline_module.plan_fit(make_baskets(10), 0.5, **{knob: None})
+    assert not hasattr(pipeline_module, "FIT_MODES")
 
 
-def test_model_metadata_records_fit_mode_and_threads():
+def test_model_metadata_records_threads():
     dataset = make_baskets(120)
     pipeline = RockPipeline(
         k=4, theta=0.4, seed=0, sample_size=80, memory_budget=1
@@ -456,7 +436,7 @@ def test_model_metadata_records_fit_mode_and_threads():
         tracer = Tracer()
         result, model = pipeline.fit_model(dataset, tracer=tracer)
     assert result.threads == 3
-    assert model.metadata["fit_mode"] == "auto"
+    assert "fit_mode" not in model.metadata
     assert model.metadata["threads"] == 3
     assert "workers" not in model.metadata
     assert model.metadata["backends"]["fit"] == result.backends["fit"]
@@ -477,13 +457,13 @@ def test_cli_fit_mode_and_threads(tmp_path, capsys):
     assert main([
         "fit-model", "--input", str(data), "--format", "transactions",
         "-k", "3", "--theta", "0.4", "--model", str(model_path),
-        "--fit-mode", "auto", "--seed", "0",
+        "--seed", "0",
     ]) == 0
     assert capsys.readouterr().err == ""
     from repro.serve.model import RockModel
 
     model = RockModel.load(model_path)
-    assert model.metadata["fit_mode"] == "auto"
+    assert "fit_mode" not in model.metadata
     assert model.metadata["threads"] == thread_count()
     with pytest.raises(SystemExit) as exc:
         main([

@@ -391,3 +391,38 @@ class TestArtifactsWithWorkers:
         assert model.metadata["threads"] >= 1
         assert model.labeling_sets == legacy.labeling_sets
         assert np.array_equal(AssignmentEngine(model).assign_all(points), served)
+
+
+class TestArtifactsFromShardedFits:
+    """Artifacts of the deleted sharded fit record its knobs in their
+    metadata; they load and serve as they did."""
+
+    # written by the previous release: RockPipeline(k=4, theta=0.5,
+    # sample_size=80, seed=0, fit_mode="sharded", shard_block_rows=16,
+    # spill_dir="spill", max_retries=3) over the points of
+    # TestArtifactsWithWorkers, then RockModel.save
+    ARTIFACT = Path(__file__).parent / "data" / "model_sharded.json"
+
+    def test_loads_and_serves_identical_labels(self):
+        from repro.datasets import small_synthetic_basket
+
+        points = list(small_synthetic_basket(
+            n_clusters=4, cluster_size=40, n_outliers=6, seed=0
+        ).transactions)
+        legacy = RockModel.load(self.ARTIFACT)
+        assert legacy.metadata["fit_mode"] == "sharded"
+        assert legacy.metadata["shard_block_rows"] == 16
+        assert legacy.metadata["spill_dir"] == "spill"
+        assert legacy.metadata["max_retries"] == 3
+        served = AssignmentEngine(legacy).assign_all(points)
+        # what that release served for the same points ("x" is -1)
+        assert "".join(
+            "x" if v < 0 else str(v) for v in served
+        ) == TestArtifactsWithWorkers.SERVED
+
+        _, model = RockPipeline(
+            k=4, theta=0.5, sample_size=80, seed=0
+        ).fit_model(points)
+        for removed in ("fit_mode", "shard_block_rows", "spill_dir", "max_retries"):
+            assert removed not in model.metadata
+        assert model.labeling_sets == legacy.labeling_sets

@@ -9,7 +9,7 @@ import pytest
 from repro.core.pipeline import RockPipeline
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.serve.http import load_versioned_model
+from repro.serve.http import ModelWatcher, load_versioned_model
 from repro.stream import DriftDetector, StreamClusterer, publish_model
 
 
@@ -103,6 +103,42 @@ class TestPublishModel:
         v2 = publish_model(model, path)
         assert v1 != v2
         assert load_versioned_model(path)[1] == v2
+
+    def test_identical_refits_publish_one_version(self, tmp_path):
+        """Refits that differ only in their fit timings keep the version,
+        and a watcher keeps the engine it has."""
+        pipeline = make_pipeline(sample_size=80)
+        points = make_transactions(A_VOCAB, 120, seed=1)
+        first, second = (
+            pipeline.to_model(pipeline.fit(points), points) for _ in range(2)
+        )
+        assert first.labeling_sets == second.labeling_sets
+        first.metadata["fit_timings"]["cluster"] = 1.0
+        second.metadata["fit_timings"]["cluster"] = 2.0
+        path = tmp_path / "m.json"
+        version = publish_model(first, path)
+        watcher = ModelWatcher(path)
+        engine = watcher.current.engine
+        digest = watcher.current.digest
+        assert publish_model(second, path) == version
+        assert not watcher.check_once()
+        assert watcher.current.engine is engine
+        assert watcher.current.version == version
+        # the integrity checksum still covers the timings
+        assert watcher.current.digest != digest
+        assert watcher.registry.snapshot()["counters"].get("http.reload.count", 0) == 0
+
+    def test_changed_labeling_sets_publish_a_new_version(self, tmp_path):
+        pipeline = make_pipeline(sample_size=80)
+        points = make_transactions(A_VOCAB, 120, seed=1)
+        model = pipeline.to_model(pipeline.fit(points), points)
+        path = tmp_path / "m.json"
+        version = publish_model(model, path)
+        watcher = ModelWatcher(path)
+        model.labeling_sets[0] = model.labeling_sets[0][:-1]
+        assert publish_model(model, path) != version
+        assert watcher.check_once()
+        assert watcher.current.version == load_versioned_model(path)[1]
 
 
 class TestStreamClusterer:
