@@ -129,7 +129,7 @@ def test_serve_throughput(benchmark, save_result, save_manifest):
             )
             loop_seconds = time.perf_counter() - start
 
-        engine = AssignmentEngine(model, registry=tracer.registry, cache_size=0)
+        engine = AssignmentEngine(model, registry=tracer.registry)
         with tracer.span("engine", n=n):
             start = time.perf_counter()
             labels_engine = engine.assign_batch(points)
@@ -154,7 +154,7 @@ def test_serve_throughput(benchmark, save_result, save_manifest):
 
     # record the engine path in pytest-benchmark's stats (one 10k batch)
     points_10k = _grow_stream(basket, 10_000, seed=7)
-    bench_engine = AssignmentEngine(model, cache_size=0)
+    bench_engine = AssignmentEngine(model)
     benchmark.pedantic(
         lambda: bench_engine.assign_batch(points_10k), rounds=3, iterations=1
     )
@@ -342,8 +342,8 @@ def test_assign_tiers(benchmark, save_result, save_manifest):
     rows = []
     results = []
     for family, name, model, points, batch in tier_shapes():
-        engine = AssignmentEngine(model, cache_size=0)
-        index = engine.fast_index
+        engine = AssignmentEngine(model)
+        index = engine.labeler.assignment_index
         with tracer.span("assign_tiers", shape=name, family=family):
             picked, per_tier = time_tiers(engine, points, batch)
         dense, pruned = per_tier["dense"], per_tier["pruned"]
@@ -402,7 +402,7 @@ def test_assign_tiers(benchmark, save_result, save_manifest):
     # pytest-benchmark stats: the default tier on the largest config
     model, pools = tier_model(*TIER_CONFIGS[-1])
     points = tier_points(pools, TIER_CONFIGS[-1][1], TIER_POINTS)
-    bench_engine = AssignmentEngine(model, cache_size=0)
+    bench_engine = AssignmentEngine(model)
     benchmark.pedantic(
         lambda: bench_engine.assign_batch(points), rounds=3, iterations=1
     )
@@ -464,7 +464,7 @@ def test_assign_tiers_smoke(save_result):
     small model -- no throughput bars."""
     model, pools = tier_model(20, 200, reps_per_cluster=4, items_per_rep=6)
     points = tier_points(pools, 200, 2_000)
-    engine = AssignmentEngine(model, cache_size=0)
+    engine = AssignmentEngine(model)
     picked, per_tier = time_tiers(engine, points, len(points), rounds=1)
     rows = []
     for tier, r in per_tier.items():

@@ -107,8 +107,8 @@ def main() -> None:
     print(f"model: {model.n_clusters} clusters, {n_reps} representatives, "
           f"{VOCAB}-item vocabulary; stream of {len(points):,} points\n")
 
-    default = AssignmentEngine(model, cache_size=0)
-    share = default.fast_index.posting_share
+    default = AssignmentEngine(model)
+    share = default.labeler.assignment_index.posting_share
     with forced_tier("numpy"):
         no_compiler = default.assign_backend
     print(f"posting share {share:.4f} (cut {index_mod.DENSE_POSTING_SHARE}): "
@@ -121,7 +121,7 @@ def main() -> None:
 
     reference = dense_rate = None
     for tier in tiers:
-        engine = AssignmentEngine(model, cache_size=0)
+        engine = AssignmentEngine(model)
         with forced_tier(tier):
             engine.assign_batch(points[:256])  # warm-up
             start = time.perf_counter()

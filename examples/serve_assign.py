@@ -7,8 +7,8 @@ assigned by counting its neighbors in small per-cluster labeling sets.
 
 1. ``RockPipeline.fit_model`` clusters and freezes a ``RockModel``;
 2. ``model.save`` writes it as plain JSON (no pickle, versioned);
-3. ``ClusteringService`` / ``AssignmentEngine`` load it back and label
-   fresh batches at matmul speed, recording ``serve.*`` metrics into a
+3. ``AssignmentEngine`` loads it back and labels fresh batches on the
+   fastest tier this machine has, recording ``serve.*`` metrics into a
    ``MetricsRegistry`` (printed here as the HTTP ``/metrics`` renders
    them).
 
@@ -21,7 +21,7 @@ from pathlib import Path
 from repro import RockPipeline, Transaction
 from repro.datasets import small_synthetic_basket
 from repro.obs import metrics_to_prometheus
-from repro.serve import ClusteringService, RockModel
+from repro.serve import AssignmentEngine, RockModel
 
 
 def main() -> None:
@@ -42,8 +42,8 @@ def main() -> None:
     print(f"saved {model_path.stat().st_size:,}-byte JSON model\n")
 
     # --- serve day: a different process loads the artifact --------------
-    service = ClusteringService(RockModel.load(model_path))
-    facts = service.describe()
+    engine = AssignmentEngine(RockModel.load(model_path))
+    facts = engine.describe()
     print(f"loaded: {facts['n_clusters']} clusters, "
           f"assign backend {facts['assign_backend']}")
 
@@ -53,23 +53,23 @@ def main() -> None:
         if label >= 0
     )
     fresh = Transaction(member.items)  # a re-submitted cluster member
-    print(f"assign({sorted(fresh.items)}) -> cluster {service.assign(fresh)}")
+    print(f"assign({sorted(fresh.items)}) -> cluster {engine.assign(fresh)}")
     noise = Transaction(["never", "seen", "items"])
-    print(f"assign({sorted(noise.items)}) -> {service.assign(noise)} (outlier)")
+    print(f"assign({sorted(noise.items)}) -> {engine.assign(noise)} (outlier)")
 
-    # ...and whole batches (the engine's matmul path + LRU cache)
+    # ...and whole batches, scored through the labeler's index
     held_out = list(basket.transactions)
-    labels = service.assign_batch(held_out)
+    labels = engine.assign_batch(held_out)
     agree = (labels == result.labels).mean()
     print(f"batch of {len(held_out)}: {agree:.0%} agreement with the "
           f"fit-time labels (sampled points were clustered, not labeled)\n")
 
     # disk-scale streams run through the same engine in fixed-size
     # batches, without materialising the input; order is preserved
-    streamed = service.engine.assign_all(iter(held_out), batch_size=128)
+    streamed = engine.assign_all(iter(held_out), batch_size=128)
     assert (streamed == labels).all()
 
-    print(metrics_to_prometheus(service.metrics_snapshot()), end="")
+    print(metrics_to_prometheus(engine.registry.snapshot()), end="")
 
 
 if __name__ == "__main__":

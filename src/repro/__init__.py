@@ -48,11 +48,7 @@ from repro.core import (
     rock,
 )
 from repro.estimator import RockClusterer
-from repro.serve import (
-    AssignmentEngine,
-    ClusteringService,
-    RockModel,
-)
+from repro.serve import AssignmentEngine, RockModel
 from repro.data import (
     CategoricalDataset,
     CategoricalRecord,
@@ -67,7 +63,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AssignmentEngine",
     "CategoricalDataset",
-    "ClusteringService",
     "RockModel",
     "Dendrogram",
     "qrock",

@@ -46,7 +46,13 @@ from typing import Any
 
 from repro.core.pipeline import RockPipeline
 from repro.core.similarity import MissingAwareJaccard
-from repro.data.io import read_transactions, read_uci_data, write_transactions, write_uci_data
+from repro.data.io import (
+    iter_transactions,
+    read_transactions,
+    read_uci_data,
+    write_transactions,
+    write_uci_data,
+)
 from repro.eval.metrics import (
     adjusted_rand_index,
     misclassified_count,
@@ -298,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue-depth", type=int, default=1024,
         help="pending-point bound before requests are shed with 503",
     )
-    serve.add_argument("--cache-size", type=int, default=4096)
     serve.add_argument(
         "--poll-seconds", type=float, default=1.0,
         help="how often to poll the model artifact for hot reload",
@@ -449,14 +454,24 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 # cluster
 # ---------------------------------------------------------------------------
 
-def _load_points(args: argparse.Namespace):
+def _input_name(args: argparse.Namespace) -> str:
+    return "<stdin>" if args.input == "-" else str(args.input)
+
+
+def _load_points(args: argparse.Namespace, stream: bool = False):
+    """The records of ``--input``: a transactions file (streamed through
+    :func:`iter_transactions` when ``stream``), a ``TransactionStore``
+    directory, or UCI CSV whose column names are inferred from its first
+    line."""
     if args.input_format == "transactions":
-        if args.missing_aware:
+        if getattr(args, "missing_aware", False):
             raise SystemExit("--missing-aware applies to UCI input only")
         if args.input.is_dir():
             from repro.data.store import TransactionStore
 
             return TransactionStore.open(args.input)
+        if stream:
+            return iter_transactions(args.input)
         return read_transactions(args.input)
     with open(args.input, encoding="utf-8") as handle:
         first = handle.readline()
@@ -658,27 +673,27 @@ def cmd_fit_model(args: argparse.Namespace) -> int:
 
 def cmd_assign(args: argparse.Namespace) -> int:
     from repro.obs import Tracer, metrics_to_prometheus
-    from repro.serve import ClusteringService
+    from repro.serve import AssignmentEngine, RockModel
 
-    # the service records into the tracer's registry, so serving
+    # the engine records into the tracer's registry, so serving
     # counters and the assign span land in the same manifest
     tracer = Tracer()
-    service = ClusteringService.from_file(args.model, registry=tracer.registry)
+    engine = AssignmentEngine(RockModel.load(args.model), registry=tracer.registry)
     start = time.perf_counter()
     with tracer.span("assign", input=str(args.input)):
-        labels = service.assign_file(
-            args.input,
-            output=args.output,
-            input_format=args.input_format,
-            chunk_size=args.chunk_size,
+        # the §4.6 disk scan: transactions stream in chunk-size batches
+        labels = engine.assign_all(
+            _load_points(args, stream=True), batch_size=args.chunk_size
         )
+        if args.output is not None:
+            _write_labels(args.output, labels.tolist())
     elapsed = time.perf_counter() - start
     n = len(labels)
     rows = [
         ["records", n],
-        ["clusters in model", service.n_clusters],
+        ["clusters in model", engine.n_clusters],
         ["outliers / unassigned", int((labels == -1).sum())],
-        ["assign backend", service.engine.assign_backend],
+        ["assign backend", engine.assign_backend],
         ["wall-clock (s)", f"{elapsed:.2f}"],
         ["throughput (points/s)", f"{n / elapsed:,.0f}" if elapsed > 0 else "inf"],
     ]
@@ -688,14 +703,14 @@ def cmd_assign(args: argparse.Namespace) -> int:
     if args.show_metrics:
         # only the engine records into this registry: all serve.*
         print()
-        print(metrics_to_prometheus(service.metrics_snapshot()), end="")
+        print(metrics_to_prometheus(tracer.registry.snapshot()), end="")
     _emit_observability(
         args, "assign", tracer,
         config={
             "model": str(args.model),
             "input": str(args.input),
             "chunk_size": args.chunk_size,
-            "assign_backend": service.engine.assign_backend,
+            "assign_backend": engine.assign_backend,
         },
     )
     return 0
@@ -717,7 +732,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         batch_max=args.batch_max,
         queue_depth=args.queue_depth,
-        cache_size=args.cache_size,
         poll_seconds=args.poll_seconds,
         tracer=tracer,
     )
@@ -781,7 +795,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
     import signal
     from itertools import islice
 
-    from repro.data.io import iter_transactions
     from repro.obs import Tracer
     from repro.stream import DriftDetector, StreamClusterer
 
@@ -836,11 +849,22 @@ def cmd_stream(args: argparse.Namespace) -> int:
         except (ValueError, OSError):  # pragma: no cover - non-main thread
             pass
     try:
-        source = sys.stdin if args.input == "-" else args.input
+        source = args.input
+        if source == "-":
+            # basket text is UTF-8 on stdin as in a file, whatever the locale
+            source = sys.stdin
+            source.reconfigure(encoding="utf-8", errors="strict")
         records = iter_transactions(source)
         if args.max_records is not None:
             records = islice(records, args.max_records)
-        summary = clusterer.process(records)
+        try:
+            summary = clusterer.process(records)
+        except UnicodeDecodeError:
+            raise
+        except ValueError as exc:
+            # a refit the arrivals cannot support (every sampled point
+            # an outlier) ends the run in one line, as bad bytes do
+            raise SystemExit(f"{_input_name(args)}: {exc}") from None
     finally:
         for sig, handler in previous.items():
             signal.signal(sig, handler)
@@ -877,27 +901,31 @@ def cmd_stream(args: argparse.Namespace) -> int:
     return 0
 
 
+COMMANDS = {
+    "generate": cmd_generate,
+    "gen-data": cmd_gen_data,
+    "cluster": cmd_cluster,
+    "evaluate": cmd_evaluate,
+    "suggest-theta": cmd_suggest_theta,
+    "report": cmd_report,
+    "fit-model": cmd_fit_model,
+    "assign": cmd_assign,
+    "serve": cmd_serve,
+    "stream": cmd_stream,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "generate":
-        return cmd_generate(args)
-    if args.command == "gen-data":
-        return cmd_gen_data(args)
-    if args.command == "cluster":
-        return cmd_cluster(args)
-    if args.command == "suggest-theta":
-        return cmd_suggest_theta(args)
-    if args.command == "report":
-        return cmd_report(args)
-    if args.command == "fit-model":
-        return cmd_fit_model(args)
-    if args.command == "assign":
-        return cmd_assign(args)
-    if args.command == "serve":
-        return cmd_serve(args)
-    if args.command == "stream":
-        return cmd_stream(args)
-    return cmd_evaluate(args)
+    try:
+        return COMMANDS[args.command](args)
+    except UnicodeDecodeError as exc:
+        if getattr(args, "input", None) is None:
+            raise
+        raise SystemExit(
+            f"{_input_name(args)}: not UTF-8 text ({exc.reason}: byte "
+            f"0x{exc.object[exc.start]:02x})"
+        ) from None
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -8,15 +8,14 @@ assignment.  This package is that second phase, productionised:
 * :class:`~repro.serve.model.RockModel` -- the versioned JSON artifact
   (labeling sets, theta, ``f(theta)``, similarity config, cluster
   metadata);
-* :class:`~repro.serve.engine.AssignmentEngine` -- vectorised batch
-  assignment with an LRU cache, exactly equivalent to
-  :class:`~repro.core.labeling.ClusterLabeler`;
+* :class:`~repro.serve.engine.AssignmentEngine` -- batch assignment
+  through the model's :class:`~repro.core.labeling.ClusterLabeler`,
+  with ``serve.*`` metrics (what ``repro assign`` and ``repro serve``
+  run);
 * :class:`~repro.serve.index.AssignmentIndex` -- the item ->
   representative inverted index that picks and runs the assignment
   tier (``native``, ``dense`` or ``pruned``; all bit-identical to
   :meth:`~repro.core.labeling.ClusterLabeler.assign`);
-* :class:`~repro.serve.service.ClusteringService` -- the facade tying
-  it all together (what ``repro assign`` uses);
 * :mod:`repro.serve.http` -- the async network front-end
   (``repro serve``): request batching, hot model reload,
   backpressure, Prometheus ``/metrics``.
@@ -29,14 +28,14 @@ run read serving metrics the same way.
 Quickstart::
 
     from repro import RockPipeline
-    from repro.serve import ClusteringService, RockModel
+    from repro.serve import AssignmentEngine, RockModel
 
     result, model = RockPipeline(k=4, theta=0.5, sample_size=500,
                                  seed=0).fit_model(points)
     model.save("model.json")
 
-    service = ClusteringService.from_file("model.json")
-    labels = service.assign_batch(new_points)
+    engine = AssignmentEngine(RockModel.load("model.json"))
+    labels = engine.assign_batch(new_points)
 """
 
 from repro.serve.engine import AssignmentEngine
@@ -48,13 +47,11 @@ from repro.serve.model import (
     RockModel,
     model_from_result,
 )
-from repro.serve.service import ClusteringService
 
 __all__ = [
     "ArtifactIntegrityError",
     "AssignmentEngine",
     "AssignmentIndex",
-    "ClusteringService",
     "MODEL_FORMAT",
     "MODEL_VERSION",
     "RockModel",

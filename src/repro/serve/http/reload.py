@@ -45,15 +45,15 @@ from pathlib import Path
 
 from repro.obs.registry import MetricsRegistry
 from repro.serve.engine import AssignmentEngine
-from repro.serve.model import RockModel, model_version, read_artifact
+from repro.serve.model import RockModel, read_artifact
 
 __all__ = ["ModelWatcher", "ServedModel", "load_versioned_model"]
 
 
 def _read_artifact(path: str | Path) -> tuple[RockModel, str, str]:
     """Load and checksum-verify an artifact: ``(model, version, full digest)``."""
-    data, digest = read_artifact(path)
-    return RockModel.from_dict(data), model_version(data), digest
+    data, digest, version = read_artifact(path)
+    return RockModel.from_dict(data), version, digest
 
 
 def _artifact_digest(path: Path) -> str:
@@ -114,7 +114,6 @@ class ModelWatcher:
         self,
         path: str | Path,
         registry: MetricsRegistry | None = None,
-        cache_size: int = 4096,
         poll_seconds: float = 1.0,
         rewrite_window_seconds: float = 2.0,
     ) -> None:
@@ -124,7 +123,6 @@ class ModelWatcher:
             raise ValueError("rewrite_window_seconds must be non-negative")
         self.path = Path(path)
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.cache_size = cache_size
         self.poll_seconds = poll_seconds
         self.rewrite_window_seconds = rewrite_window_seconds
         self._reloads = self.registry.counter("http.reload.count")
@@ -148,11 +146,7 @@ class ModelWatcher:
         # engine builds its AssignmentIndex here, once per generation --
         # batches snapshot a whole ServedModel, so a flush never mixes
         # an old index with a new model
-        engine = AssignmentEngine(
-            model,
-            cache_size=self.cache_size,
-            registry=self.registry,
-        )
+        engine = AssignmentEngine(model, registry=self.registry)
         return ServedModel(
             model=model,
             engine=engine,

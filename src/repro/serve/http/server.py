@@ -140,9 +140,6 @@ class RockHttpServer:
     batch_max / queue_depth:
         Batcher tuning -- the largest flush, and the bounded-queue
         depth that triggers 503s.
-    cache_size:
-        LRU size for each model generation's engine; the reload watcher
-        rebuilds the engine's index once per model generation.
     poll_seconds:
         Artifact poll interval for hot reload.
     registry / tracer:
@@ -161,7 +158,6 @@ class RockHttpServer:
         port: int = 0,
         batch_max: int = 64,
         queue_depth: int = 1024,
-        cache_size: int = 4096,
         poll_seconds: float = 1.0,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
@@ -177,7 +173,6 @@ class RockHttpServer:
         self.watcher = ModelWatcher(
             self.model_path,
             registry=self.registry,
-            cache_size=cache_size,
             poll_seconds=poll_seconds,
         )
         self.batcher = RequestBatcher(

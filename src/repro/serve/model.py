@@ -70,41 +70,59 @@ class ArtifactIntegrityError(ValueError):
     """
 
 
-def artifact_checksum(payload: dict[str, Any]) -> str:
-    """The sha256 hex digest of a model payload's canonical JSON.
+def _canonical(value: Any) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
-    The digest covers every key except :data:`CHECKSUM_KEY` itself,
-    over a canonical rendering (sorted keys, no whitespace) -- so the
-    on-disk indentation never matters and save/verify agree by
-    construction.
+
+def _digest(members: dict[str, str]) -> str:
+    """The sha256 hex digest of a JSON object assembled from its
+    members' canonical ``"key":value`` renderings, keys sorted."""
+    body = ",".join(members[key] for key in sorted(members))
+    return hashlib.sha256(("{" + body + "}").encode("utf-8")).hexdigest()
+
+
+def artifact_digests(payload: dict[str, Any]) -> tuple[str, str]:
+    """``(checksum, version)`` of a model payload, each top-level member
+    rendered once for both.
+
+    The checksum is the sha256 hex digest of the payload's canonical
+    JSON (sorted keys, no whitespace) over every key except
+    :data:`CHECKSUM_KEY` -- so the on-disk indentation never matters
+    and save/verify agree by construction.  The version is the served
+    name of the model: 16 hex chars of the same digest with the
+    wall-clock ``metadata["fit_timings"]`` left out, so two fits that
+    produce the same labeling sets publish one version, and a watcher
+    does not reload unchanged content.
     """
-    body = {k: v for k, v in payload.items() if k != CHECKSUM_KEY}
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    members = {
+        key: f"{_canonical(key)}:{_canonical(value)}"
+        for key, value in payload.items()
+        if key != CHECKSUM_KEY
+    }
+    checksum = _digest(members)
+    metadata = payload.get("metadata")
+    if not (isinstance(metadata, dict) and "fit_timings" in metadata):
+        return checksum, checksum[:16]
+    untimed = {k: v for k, v in metadata.items() if k != "fit_timings"}
+    members["metadata"] = f"{_canonical('metadata')}:{_canonical(untimed)}"
+    return checksum, _digest(members)[:16]
+
+
+def artifact_checksum(payload: dict[str, Any]) -> str:
+    """The integrity checksum of :func:`artifact_digests`."""
+    return artifact_digests(payload)[0]
 
 
 def model_version(payload: dict[str, Any]) -> str:
-    """The served version of a model payload: 16 hex chars of a digest.
-
-    The digest is :func:`artifact_checksum`'s canonical rendering with
-    the wall-clock ``metadata["fit_timings"]`` left out, so two fits
-    that produce the same labeling sets publish one version, and a
-    watcher does not reload unchanged content.  The integrity checksum
-    still covers every key.
-    """
-    metadata = payload.get("metadata")
-    if isinstance(metadata, dict) and "fit_timings" in metadata:
-        payload = dict(payload)
-        payload["metadata"] = {
-            k: v for k, v in metadata.items() if k != "fit_timings"
-        }
-    return artifact_checksum(payload)[:16]
+    """The served version of :func:`artifact_digests`."""
+    return artifact_digests(payload)[1]
 
 
-def verify_artifact_checksum(payload: Any) -> str:
+def verify_artifact_checksum(payload: Any) -> tuple[str, str]:
     """Check a loaded payload against its recorded checksum.
 
-    Returns the *actual* digest of the payload.  Artifacts written
+    Returns the payload's *actual* ``(checksum, version)``
+    (:func:`artifact_digests`).  Artifacts written
     before checksums existed (no :data:`CHECKSUM_KEY`, and only
     :data:`PAYLOAD_KEYS`) pass untouched.  A payload that is not a JSON
     object, a malformed recorded checksum, a checksum-less payload with
@@ -116,7 +134,8 @@ def verify_artifact_checksum(payload: Any) -> str:
         raise ArtifactIntegrityError(
             f"model artifact is a JSON {type(payload).__name__}, not an object"
         )
-    actual = artifact_checksum(payload)
+    digests = artifact_digests(payload)
+    actual = digests[0]
     stored = payload.get(CHECKSUM_KEY)
     if stored is None:
         unknown = sorted(payload.keys() - PAYLOAD_KEYS)
@@ -125,7 +144,7 @@ def verify_artifact_checksum(payload: Any) -> str:
                 f"model artifact has no checksum and unknown keys {unknown}: "
                 "it is damaged; refusing to serve it"
             )
-        return actual
+        return digests
     if not isinstance(stored, str) or not _CHECKSUM_FORMAT.fullmatch(stored):
         raise ArtifactIntegrityError(
             f"model artifact checksum {stored!r} is malformed: the artifact "
@@ -138,11 +157,14 @@ def verify_artifact_checksum(payload: Any) -> str:
             f"but content hashes to sha256:{actual} -- the artifact is "
             "corrupt or truncated; refusing to serve it"
         )
-    return actual
+    return digests
 
 
-def read_artifact(source: str | Path | TextIO) -> tuple[dict[str, Any], str]:
-    """Parse and checksum-verify a saved artifact: ``(payload, digest)``.
+def read_artifact(
+    source: str | Path | TextIO,
+) -> tuple[dict[str, Any], str, str]:
+    """Parse and checksum-verify a saved artifact: ``(payload, checksum,
+    version)``.
 
     Bytes that are not UTF-8 JSON (a truncated or bit-flipped file)
     raise :class:`ArtifactIntegrityError`, as does every failure of
@@ -159,7 +181,7 @@ def read_artifact(source: str | Path | TextIO) -> tuple[dict[str, Any], str]:
             f"model artifact is not valid JSON ({exc}) -- it is corrupt "
             "or truncated; refusing to serve it"
         ) from None
-    return data, verify_artifact_checksum(data)
+    return (data, *verify_artifact_checksum(data))
 
 
 @dataclass

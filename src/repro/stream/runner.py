@@ -40,7 +40,7 @@ import numpy as np
 from repro.core.labeling import ClusterLabeler
 from repro.core.pipeline import PipelineResult, RockPipeline
 from repro.obs.trace import Tracer
-from repro.serve.model import CHECKSUM_KEY, RockModel, artifact_checksum, model_version
+from repro.serve.model import CHECKSUM_KEY, RockModel, artifact_digests, model_version
 from repro.stream.drift import DriftDetector
 from repro.stream.reservoir import OnlineReservoir
 
@@ -67,14 +67,14 @@ def publish_model(model: RockModel, path: str | Path) -> str:
     """
     path = Path(path)
     payload = model.to_dict()
-    digest = artifact_checksum(payload)
+    digest, version = artifact_digests(payload)
     payload[CHECKSUM_KEY] = "sha256:" + digest
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
     os.replace(tmp, path)
-    return model_version(payload)
+    return version
 
 
 @dataclass(frozen=True)

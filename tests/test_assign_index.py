@@ -343,8 +343,8 @@ class TestEngineBackends:
             Transaction({1, 2, 7, 8}), Transaction(set()),
         ]
         expected = [labeler.assign(point) for point in batch]
-        engine = AssignmentEngine(model, cache_size=0)
-        assert engine.fast_index is not None
+        engine = AssignmentEngine(model)
+        assert engine.vectorized
         for tier in INDEX_TIERS:
             with forced_tier(tier):
                 assert engine.assign_batch(batch).tolist() == expected
@@ -367,7 +367,7 @@ class TestEngineBackends:
         model = make_model([["a1"], ["b1"]], theta=0.5, similarity=table)
         engine = AssignmentEngine(model)
         assert engine.assign_backend == "fallback"
-        assert engine.fast_index is None
+        assert not engine.vectorized
         assert engine.assign("p") == 0
         gauges = engine.registry.snapshot()["gauges"]
         assert gauges["serve.assign.backend.fallback"] == 1
@@ -384,7 +384,7 @@ class TestEngineBackends:
         batch = [Transaction(p) for p in points]
         labeler = model.labeler()
         expected = [labeler.assign(p) for p in batch]
-        engine = AssignmentEngine(model, cache_size=0)
+        engine = AssignmentEngine(model)
         for tier in INDEX_TIERS:
             with forced_tier(tier):
                 assert engine.assign_batch(batch).tolist() == expected
@@ -680,7 +680,7 @@ class TestCandidateCounts:
     def test_engine_records_assign_candidates(self):
         model = make_model([CLUSTER_A, CLUSTER_B])
         for tier in INDEX_TIERS:
-            engine = AssignmentEngine(model, cache_size=0)
+            engine = AssignmentEngine(model)
             counters = engine.registry.snapshot
             with forced_tier(tier):
                 engine.assign_batch([Transaction({90, 91}), Transaction({92})])

@@ -1,8 +1,19 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import io
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.data.io import read_transactions
 
 
 def run(capsys, *argv):
@@ -267,6 +278,28 @@ class TestFitModelAssign:
         assert code == 0
         assert "records" in stdout
 
+    def test_assign_output_on_a_fixture(self, tmp_path, capsys):
+        """The labels and table rows ``repro assign`` printed when it ran
+        through a facade with a point cache; ties go to the lower label."""
+        from repro.serve import AssignmentEngine, RockModel
+
+        model = basket_model(tmp_path / "model.json")
+        data = tmp_path / "held.txt"
+        data.write_text(FIXTURE_BASKETS, encoding="utf-8")
+        labels = tmp_path / "labels.txt"
+        code, stdout = run(
+            capsys, "assign", "--model", str(model), "--input", str(data),
+            "--output", str(labels), "--chunk-size", "3",
+        )
+        assert code == 0
+        assert labels.read_text() == "0\n1\n0\n-1\n1\n0\n-1\n1\n"
+        backend = AssignmentEngine(RockModel.load(model)).assign_backend
+        rows = [" ".join(line.split()) for line in stdout.splitlines()]
+        for row in ("records | 8", "clusters in model | 2",
+                    "outliers / unassigned | 2", f"assign backend | {backend}"):
+            assert row in rows
+        assert f"labels written to {labels}" in rows
+
 
 class TestParser:
     def test_requires_command(self):
@@ -323,12 +356,13 @@ class TestParser:
             ["assign", "--model", "m.json", "--input", "x.txt",
              "--workers", "2"],
             ["serve", "--model", "m.json", "--batch-wait-us", "2000"],
+            ["serve", "--model", "m.json", "--cache-size", "8"],
             ["fit-model", "--input", "x.txt", "-k", "2", "--theta", "0.5",
              "--model", "m.json", "--workers", "2"],
         ],
         ids=["neighbor-method", "merge-method", "assign-backend",
              "serve-assign-backend", "assign-workers", "serve-batch-wait-us",
-             "fit-workers"],
+             "serve-cache-size", "fit-workers"],
     )
     def test_removed_engine_flags_rejected(self, argv, capsys):
         """The engine follows the probe; no flag forces one."""
@@ -420,3 +454,150 @@ class TestServe:
                 "serve", "--model", str(tmp_path / "nope.json"),
                 "--port", "0", "--shutdown-after", "0.1",
             ])
+
+
+# baskets over the items of basket_model's two clusters: a comment and a
+# blank line are skipped, "a b x y" ties and "q", "c d" are outliers
+FIXTURE_BASKETS = "a b c\nx y z\na b d e\nq\n# note\n\nx y w v\na b x y\nc d\ny z w\n"
+
+
+def basket_model(path):
+    from repro.data.transactions import Transaction
+    from repro.serve import RockModel
+
+    theta = 0.4
+    RockModel(
+        labeling_sets=[
+            [Transaction({"a", "b", "c"}), Transaction({"a", "b", "d"})],
+            [Transaction({"x", "y", "z"}), Transaction({"x", "y", "w"})],
+        ],
+        theta=theta,
+        f_theta=(1 - theta) / (1 + theta),
+    ).save(path)
+    return path
+
+
+# basket lines: the model's items, and arbitrary bytes (often not UTF-8)
+basket_bytes = st.lists(
+    st.one_of(
+        st.lists(st.sampled_from([b"a", b"b", b"c", b"x", b"y", b"z", b"#"]),
+                 max_size=4).map(b" ".join),
+        st.binary(max_size=8),
+    ),
+    max_size=12,
+).map(b"\n".join)
+
+
+def run_quietly(argv):
+    """``main(argv)``'s exit: 0, or the ``SystemExit`` it raised."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            return main(argv), None
+        except SystemExit as exc:
+            return exc.code, exc
+
+
+def assert_one_line_error(code, exc, name):
+    assert code not in (0, None)
+    message = str(code)
+    assert message.startswith(f"{name}: ") and "\n" not in message
+    # raised "from None": nothing chained prints under the message
+    assert exc.__cause__ is None and exc.__suppress_context__
+
+
+class TestBasketInputFuzz:
+    """Arbitrary bytes through ``repro assign`` and ``repro stream``: each
+    run either succeeds on exactly what ``read_transactions`` reads from
+    the same text, or fails in one line naming the input."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=basket_bytes)
+    def test_assign_file(self, data):
+        from repro.serve import AssignmentEngine, RockModel
+
+        with tempfile.TemporaryDirectory() as tmp:
+            model = basket_model(Path(tmp) / "model.json")
+            source = Path(tmp) / "held.txt"
+            source.write_bytes(data)
+            output = Path(tmp) / "labels.txt"
+            code, exc = run_quietly([
+                "assign", "--model", str(model), "--input", str(source),
+                "--output", str(output), "--chunk-size", "4",
+            ])
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError:
+                assert_one_line_error(code, exc, str(source))
+                assert "not UTF-8" in str(code)
+                assert not output.exists()
+                return
+            assert code == 0
+            engine = AssignmentEngine(RockModel.load(model))
+            expected = engine.assign_all(list(read_transactions(source)))
+            assert [int(v) for v in output.read_text().split()] == \
+                expected.tolist()
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=basket_bytes, from_stdin=st.booleans())
+    def test_stream(self, data, from_stdin):
+        with tempfile.TemporaryDirectory() as tmp:
+            source = Path(tmp) / "arrivals.txt"
+            source.write_bytes(data)
+            argv = ["stream", "--input", "-" if from_stdin else str(source),
+                    "--theta", "0.3", "-k", "2", "--reservoir", "8",
+                    "--batch-size", "4"]
+            with pytest.MonkeyPatch.context() as mp:
+                # latin-1 decodes any byte: the command itself must insist
+                # on UTF-8, as it does for a file
+                mp.setattr(sys, "stdin", io.TextIOWrapper(
+                    io.BytesIO(data), encoding="latin-1"
+                ))
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    try:
+                        code, exc = main(argv), None
+                    except SystemExit as raised:
+                        code, exc = raised.code, raised
+            name = "<stdin>" if from_stdin else str(source)
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError:
+                assert_one_line_error(code, exc, name)
+                assert "not UTF-8" in str(code)
+                return
+            if code != 0:
+                # arrivals too sparse to cluster: every sampled point
+                # has no neighbor
+                assert_one_line_error(code, exc, name)
+                assert "pruned as an outlier" in str(code)
+                return
+            rows = [" ".join(line.split()) for line in out.getvalue().splitlines()]
+            assert f"arrivals | {len(read_transactions(source))}" in rows
+
+
+@pytest.mark.parametrize("command", ["assign", "stream"])
+def test_non_utf8_input_exits_in_one_line(tmp_path, command):
+    """In a real process: exit status 1, one stderr line, no traceback."""
+    root = Path(__file__).resolve().parent.parent
+    bad = b"a b c\nx \xff y\n"
+    if command == "assign":
+        source = tmp_path / "held.txt"
+        source.write_bytes(bad)
+        argv = ["assign", "--model", str(basket_model(tmp_path / "m.json")),
+                "--input", str(source), "--output", str(tmp_path / "out.txt")]
+        name, stdin = str(source), None
+    else:
+        argv = ["stream", "--input", "-", "--theta", "0.3", "-k", "2"]
+        name, stdin = "<stdin>", bad
+    run = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        input=stdin, capture_output=True, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+    )
+    assert run.returncode == 1
+    assert run.stderr.decode().splitlines() == [
+        f"{name}: not UTF-8 text (invalid start byte: byte 0xff)"
+    ]
+    assert not (tmp_path / "out.txt").exists()

@@ -229,7 +229,6 @@ class TestServeMetricsSharedRegistry:
         assert snap["counters"]["serve.requests"] == 1
         assert snap["counters"]["serve.points"] == 5
         assert snap["counters"]["serve.outliers"] == 1
-        assert snap["counters"]["serve.cache.misses"] == 2
         assert snap["histograms"]["serve.batch_size"]["count"] == 1
         assert snap["histograms"]["serve.latency.assign_batch"]["count"] == 1
         # serve metrics sit next to what the registry already held

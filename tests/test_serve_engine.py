@@ -1,21 +1,33 @@
-"""Engine/labeler equivalence and the AssignmentEngine behaviours.
+"""Engine/labeler equivalence, the AssignmentEngine behaviours and its
+serve metrics.
 
-The acceptance bar for the serve subsystem is that the vectorised batch
-engine is a pure optimisation: point-for-point identical to the §4.6
-``ClusterLabeler`` on any input, including all-outlier batches,
-duplicate points and empty labeling sets.  The property test drives
-randomly generated market-basket data through both paths.
+The acceptance bar for the serve subsystem is that the batch engine is
+point-for-point identical to the §4.6 ``ClusterLabeler`` on any input,
+including all-outlier batches, duplicate points and empty labeling
+sets.  The property test drives randomly generated market-basket data
+through both paths.  The engine records ``serve.*`` instruments straight
+into a :class:`~repro.obs.registry.MetricsRegistry`; the metrics tests
+read them back from the registry snapshot and pin their Prometheus
+rendering.
 """
+
+import itertools
+import threading
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.serve.engine as engine_mod
 from repro.core.labeling import ClusterLabeler
 from repro.core.similarity import JaccardSimilarity, SimilarityTable
 from repro.data.transactions import Transaction
+from repro.obs.export import metrics_to_prometheus
+from repro.obs.registry import MetricsRegistry
 from repro.serve import AssignmentEngine, RockModel
+from repro.serve.engine import BATCH_SIZE_BUCKETS
 
 F_THETA = (1 - 0.4) / (1 + 0.4)
 
@@ -67,16 +79,24 @@ def test_engine_agrees_with_labeler_on_random_baskets(sets_a, sets_b, points, th
     # the lambda forces the labeler onto the scalar similarity path, so
     # this cross-validates the engine's vectorised math against an
     # independent implementation, not against itself
+    scalar = lambda a, b: JaccardSimilarity()(a, b)  # noqa: E731
     labeler = ClusterLabeler(
         labeling_sets,
         theta=theta,
-        similarity=lambda a, b: JaccardSimilarity()(a, b),
+        similarity=scalar,
         f=lambda _t: (1 - theta) / (1 + theta),
     )
     assert labeler.index is None
+    expected = [labeler.assign(point) for point in batch]
     engine = AssignmentEngine(make_model(labeling_sets, theta=theta))
     assert engine.vectorized
-    assert engine.assign_batch(batch).tolist() == labeler.assign_all(batch).tolist()
+    assert engine.assign_batch(batch).tolist() == expected
+    # the same custom similarity puts the engine on its fallback tier
+    fallback = AssignmentEngine(
+        make_model(labeling_sets, theta=theta, similarity=scalar)
+    )
+    assert fallback.assign_backend == "fallback"
+    assert fallback.assign_batch(batch).tolist() == expected
 
 
 @settings(max_examples=20, deadline=None)
@@ -94,18 +114,15 @@ def test_all_outlier_batches(points):
     assert engine.assign_batch(batch).tolist() == [-1] * len(batch)
 
 
-def test_duplicate_points_consistent_and_cached():
+def test_duplicate_points_label_alike():
     engine = AssignmentEngine(make_model([CLUSTER_A, CLUSTER_B]))
     point = Transaction({1, 2, 3})
     batch = [point] * 10 + [Transaction({7, 8, 9})] * 5 + [Transaction({99})] * 3
     labels = engine.assign_batch(batch)
     assert labels.tolist() == [0] * 10 + [1] * 5 + [-1] * 3
-    # 3 distinct points scored, everything else deduplicated in-batch
-    assert serve_counters(engine)["cache.misses"] == 3
-    # a second pass over the same points is all cache hits
-    labels2 = engine.assign_batch(batch)
-    assert labels2.tolist() == labels.tolist()
-    assert serve_counters(engine)["cache.hits"] >= len(batch)
+    assert engine.assign_batch(batch).tolist() == labels.tolist()
+    counters = serve_counters(engine)
+    assert (counters["requests"], counters["points"]) == (2, 2 * len(batch))
 
 
 def test_empty_labeling_set_never_assigned():
@@ -127,13 +144,10 @@ class TestEngineBehaviours:
             assert engine.assign(point) == labeler.assign(point)
 
     def test_blocked_batches_match_unblocked(self):
-        engine_small = AssignmentEngine(
-            make_model([CLUSTER_A, CLUSTER_B]), block_size=3, cache_size=0
-        )
-        engine_big = AssignmentEngine(make_model([CLUSTER_A, CLUSTER_B]))
+        engine = AssignmentEngine(make_model([CLUSTER_A, CLUSTER_B]))
         batch = [Transaction({i % 5, (i * 7) % 11, i % 3}) for i in range(50)]
-        assert engine_small.assign_batch(batch).tolist() == \
-            engine_big.assign_batch(batch).tolist()
+        assert engine.assign_all(batch, batch_size=3).tolist() == \
+            engine.assign_batch(batch).tolist()
 
     def test_assign_iter_streams_in_order(self):
         engine = AssignmentEngine(make_model([CLUSTER_A, CLUSTER_B]))
@@ -158,21 +172,6 @@ class TestEngineBehaviours:
         assert from_gen.tolist() == from_list.tolist()
         assert from_list.dtype == np.int64
 
-    def test_cache_eviction_keeps_results_correct(self):
-        engine = AssignmentEngine(make_model([CLUSTER_A, CLUSTER_B]), cache_size=2)
-        batch = [Transaction({i, i + 1}) for i in range(20)]
-        expected = AssignmentEngine(
-            make_model([CLUSTER_A, CLUSTER_B]), cache_size=0
-        ).assign_batch(batch)
-        assert engine.assign_batch(batch).tolist() == expected.tolist()
-        assert len(engine._cache) <= 2
-
-    def test_cache_disabled(self):
-        engine = AssignmentEngine(make_model([CLUSTER_A, CLUSTER_B]), cache_size=0)
-        labels = engine.assign_batch([Transaction({1, 2, 3})] * 4)
-        assert labels.tolist() == [0] * 4
-        assert serve_counters(engine)["cache.hits"] == 0
-
     def test_metrics_record_outliers_and_latency(self):
         engine = AssignmentEngine(make_model([CLUSTER_A, CLUSTER_B]))
         engine.assign_batch([Transaction({1, 2, 3}), Transaction({99})])
@@ -188,10 +187,10 @@ class TestEngineBehaviours:
 
     def test_validation(self):
         model = make_model([CLUSTER_A])
-        with pytest.raises(ValueError, match="cache_size"):
-            AssignmentEngine(model, cache_size=-1)
-        with pytest.raises(ValueError, match="block_size"):
-            AssignmentEngine(model, block_size=0)
+        # the engine has no knobs: no cache, and the index picks blocks
+        for knob in ("cache_size", "block_size"):
+            with pytest.raises(TypeError, match=knob):
+                AssignmentEngine(model, **{knob: 8})
         engine = AssignmentEngine(model)
         with pytest.raises(ValueError, match="batch_size"):
             list(engine.assign_iter([], batch_size=0))
@@ -201,74 +200,16 @@ class TestEngineBehaviours:
         assert engine.assign_batch([]).shape == (0,)
         assert engine.assign_all([]).shape == (0,)
 
-
-class TestCacheAccounting:
-    """Hit/miss counters reflect real LRU lookups only (regression).
-
-    Previously ``cache_size=0`` reported every point as a miss, so a
-    cacheless engine showed a 0% hit rate over thousands of phantom
-    lookups instead of an empty cache section.
-    """
-
-    def test_cache_disabled_reports_zero_lookups(self):
-        engine = AssignmentEngine(make_model([CLUSTER_A, CLUSTER_B]), cache_size=0)
-        engine.assign_batch([Transaction({1, 2, 3})] * 7)
-        counters = serve_counters(engine)
-        assert counters["cache.hits"] == 0
-        assert counters["cache.misses"] == 0
-        assert counters["cache.uncacheable"] == 7
-
-    def test_unhashable_points_count_as_uncacheable_not_misses(self):
-        table = SimilarityTable(
-            {("p", "a1"): 0.9}, key=lambda p: getattr(p, "name", p)
+    def test_describe(self):
+        engine = AssignmentEngine(
+            make_model([CLUSTER_A, CLUSTER_B], metadata={"k": 2})
         )
-        model = make_model([["a1"], ["b1"]], theta=0.5, similarity=table)
-        engine = AssignmentEngine(model)
-
-        class Unhashable:
-            __hash__ = None
-            name = "q"
-
-        engine.assign_batch(["p", Unhashable(), Unhashable()])
-        counters = serve_counters(engine)
-        assert counters["cache.misses"] == 1  # "p" is a real lookup miss
-        assert counters["cache.uncacheable"] == 2
-        assert counters["cache.hits"] == 0
-
-    def test_cache_disabled_still_dedupes_within_batch(self):
-        """cache_size=0 must not re-score duplicates inside one batch.
-
-        Regression: the cacheless path used to score every occurrence,
-        so a batch of 5000 copies of one point paid 5000 scorings.  The
-        dedupe is in-batch only -- the LRU stays off and the metrics
-        still report every occurrence as uncacheable.
-        """
-        engine = AssignmentEngine(make_model([CLUSTER_A, CLUSTER_B]), cache_size=0)
-        scored_sizes = []
-        original = engine._assign_uncached
-
-        def spy(points):
-            scored_sizes.append(len(points))
-            return original(points)
-
-        engine._assign_uncached = spy
-        batch = [Transaction({1, 2, 3})] * 5 + [Transaction({7, 8, 9})] * 3
-        labels = engine.assign_batch(batch)
-        assert labels.tolist() == [0] * 5 + [1] * 3
-        assert scored_sizes == [2]  # two distinct keys, scored once each
-        counters = serve_counters(engine)
-        assert counters["cache.hits"] == 0 and counters["cache.misses"] == 0
-        assert counters["cache.uncacheable"] == 8
-        assert len(engine._cache) == 0  # the LRU really stayed off
-
-    def test_hit_rate_is_exact_with_mixed_traffic(self):
-        engine = AssignmentEngine(make_model([CLUSTER_A, CLUSTER_B]))
-        point = Transaction({1, 2, 3})
-        engine.assign_batch([point])  # 1 miss
-        engine.assign_batch([point, point, point])  # 3 hits
-        counters = serve_counters(engine)
-        assert counters["cache.hits"] == 3
-        assert counters["cache.misses"] == 1
+        info = engine.describe()
+        assert info["n_clusters"] == 2
+        assert info["vectorized"] is True
+        assert info["assign_backend"] == engine.labeler.assign_backend
+        assert info["labeling_set_sizes"] == [3, 2]
+        assert info["metadata"] == {"k": 2}
 
 
 def test_engine_matches_labeler_on_large_mixed_batch():
@@ -290,12 +231,11 @@ def test_engine_matches_labeler_on_large_mixed_batch():
     assert engine.assign_batch(points).tolist() == labeler.assign_all(points).tolist()
 
 
-class TestCacheThreadSafety:
-    """The HTTP server shares one engine across executor threads."""
+class TestEngineThreadSafety:
+    """The HTTP server shares one engine between the event loop and
+    executor threads; each thread scores with its own scratch."""
 
-    def test_concurrent_hammer_is_correct_and_uncorrupted(self):
-        import threading
-
+    def test_concurrent_hammer_is_correct(self):
         rng = np.random.default_rng(3)
         labeling_sets = [
             [Transaction(set(rng.choice(20, size=4, replace=False)))
@@ -311,11 +251,10 @@ class TestCacheThreadSafety:
         ]
         labeler = ClusterLabeler(labeling_sets, theta=0.3)
         expected = labeler.assign_all(points).tolist()
-        # cache far smaller than the working set: constant concurrent
-        # eviction, the worst case for an unlocked OrderedDict
-        engine = AssignmentEngine(make_model(labeling_sets, theta=0.3),
-                                  cache_size=8)
+        engine = AssignmentEngine(make_model(labeling_sets, theta=0.3))
         errors = []
+        sent = [0] * 8
+        calls = [0] * 8
         barrier = threading.Barrier(8)
 
         def worker(seed):
@@ -325,15 +264,17 @@ class TestCacheThreadSafety:
                 i = int(local.integers(len(points)))
                 if local.integers(2):
                     got = engine.assign(points[i])
-                    want = expected[i]
-                    if got != want:
-                        errors.append((i, got, want))
+                    sent[seed] += 1
+                    if got != expected[i]:
+                        errors.append((i, got, expected[i]))
                 else:
                     idx = local.integers(len(points), size=4).tolist()
                     got = engine.assign_batch([points[j] for j in idx])
+                    sent[seed] += len(idx)
                     for j, g in zip(idx, got.tolist()):
                         if g != expected[j]:
                             errors.append((j, g, expected[j]))
+                calls[seed] += 1
 
         threads = [threading.Thread(target=worker, args=(s,))
                    for s in range(8)]
@@ -344,8 +285,168 @@ class TestCacheThreadSafety:
 
         assert errors == [], errors[:10]
         counters = serve_counters(engine)
-        # accounting stayed consistent under contention: duplicates
-        # inside one batch share a lookup, so <= not ==
-        lookups = counters["cache.hits"] + counters["cache.misses"]
-        assert 0 < lookups <= counters["points"]
-        assert len(engine._cache) <= 8
+        # every call and every point is counted exactly once
+        assert counters["points"] == sum(sent)
+        assert counters["requests"] == sum(calls) == 8 * 150
+
+
+IN_A, IN_B, OUTLIER = Transaction({1, 2, 3}), Transaction({7, 8, 9}), Transaction({99})
+
+
+def fallback_model():
+    """A custom-similarity model: no index, so the engine's fallback tier."""
+    table = SimilarityTable({("p", "a1"): 0.9}, key=lambda p: getattr(p, "name", p))
+    return make_model([["a1"], ["b1"]], theta=0.5, similarity=table)
+
+
+class Unhashable:
+    __hash__ = None
+    name = "q"
+
+
+@pytest.fixture
+def fake_clock(monkeypatch):
+    """Every engine ``perf_counter`` read advances 0.25 s (exact in binary)."""
+    ticks = itertools.count()
+    monkeypatch.setattr(
+        engine_mod, "time",
+        types.SimpleNamespace(perf_counter=lambda: next(ticks) * 0.25),
+    )
+
+
+class TestServeMetrics:
+    def test_snapshot_shape(self):
+        engine = AssignmentEngine(make_model([CLUSTER_A, CLUSTER_B]))
+        engine.assign_batch([IN_A, IN_B])
+        engine.assign_batch([IN_A, IN_B, IN_A, OUTLIER, Transaction({50})])
+        snap = engine.registry.snapshot()
+        counters = snap["counters"]
+        assert counters["serve.requests"] == 2
+        assert counters["serve.points"] == 7
+        assert counters["serve.outliers"] == 2
+        assert not any(name.startswith("serve.cache.") for name in counters)
+        batch = snap["histograms"]["serve.batch_size"]
+        assert batch["edges"] == [float(edge) for edge in BATCH_SIZE_BUCKETS]
+        assert batch["count"] == 2 and batch["sum"] == 7
+        assert snap["histograms"]["serve.latency.assign_batch"]["count"] == 2
+
+    def test_bucketing(self):
+        engine = AssignmentEngine(make_model([CLUSTER_A, CLUSTER_B]))
+        for n in (1, 2, 100, 10_000):
+            engine.assign_batch([IN_A] * n)
+        batch = engine.registry.histogram("serve.batch_size")
+        assert batch.labeled_buckets() == {
+            "<=1": 1, "<=8": 1, "<=64": 0, "<=512": 1, "<=4096": 0,
+            f">{BATCH_SIZE_BUCKETS[-1]}": 1,
+        }
+
+    def test_empty_snapshot(self):
+        snap = AssignmentEngine(make_model([CLUSTER_A])).registry.snapshot()
+        assert snap["counters"]["serve.requests"] == 0
+        assert snap["counters"]["serve.points"] == 0
+        assert snap["histograms"]["serve.batch_size"]["count"] == 0
+        assert snap["histograms"]["serve.latency.assign_batch"] == {
+            "count": 0, "sum": 0.0, "min": 0.0, "max": 0.0,
+        }
+
+    def test_fallback_tier_records_assign_fallback_latency(self):
+        engine = AssignmentEngine(fallback_model())
+        assert engine.assign_backend == "fallback"
+        labels = engine.assign_batch(["p", Unhashable(), Unhashable()])
+        assert labels.tolist() == [0, -1, -1]
+        snap = engine.registry.snapshot()
+        assert snap["counters"]["serve.points"] == 3
+        assert snap["counters"]["serve.outliers"] == 2
+        # the scalar tier scores every point/representative pair
+        assert snap["counters"]["serve.assign.candidates"] == 3 * 2
+        assert snap["histograms"]["serve.latency.assign_fallback"]["count"] == 1
+        assert "serve.latency.assign_batch" not in snap["histograms"]
+
+    def test_merge_is_additive(self, fake_clock):
+        a = AssignmentEngine(make_model([CLUSTER_A, CLUSTER_B]))
+        a.assign_batch([IN_A] * 5)
+        b = AssignmentEngine(make_model([CLUSTER_A, CLUSTER_B]))
+        b.assign_batch([IN_A, IN_B, OUTLIER])
+        b.assign_batch([IN_A] * 100)
+
+        a.registry.merge(b.registry.snapshot())
+        snap = a.registry.snapshot()
+        counters = snap["counters"]
+        assert counters["serve.requests"] == 3
+        assert counters["serve.points"] == 108
+        assert counters["serve.outliers"] == 1
+        assert snap["histograms"]["serve.batch_size"]["bucket_counts"] == [
+            0, 2, 0, 1, 0, 0,
+        ]
+        latency = snap["histograms"]["serve.latency.assign_batch"]
+        assert latency["count"] == 3
+        assert latency["sum"] == 0.75
+
+    def test_merge_empty_snapshot_is_noop(self, fake_clock):
+        engine = AssignmentEngine(make_model([CLUSTER_A, CLUSTER_B]))
+        engine.assign_batch([IN_A])
+        before = engine.registry.snapshot()
+        empty = AssignmentEngine(make_model([CLUSTER_A, CLUSTER_B]))
+        engine.registry.merge(empty.registry.snapshot())
+        after = engine.registry.snapshot()
+        assert after == before
+        # an empty latency snapshot must not clobber an existing min
+        assert after["histograms"]["serve.latency.assign_batch"]["min"] == 0.25
+
+
+# the serve.* lines (minus the tier-dependent serve.assign.* families)
+# of metrics_to_prometheus after the assign_batch sequence below: the
+# exposition /metrics scrapers and perfbench read, which must not move
+PINNED_SERVE_TEXT = """\
+# HELP rock_serve_outliers_total serve.outliers
+# TYPE rock_serve_outliers_total counter
+rock_serve_outliers_total 54
+# HELP rock_serve_points_total serve.points
+# TYPE rock_serve_points_total counter
+rock_serve_points_total 119
+# HELP rock_serve_requests_total serve.requests
+# TYPE rock_serve_requests_total counter
+rock_serve_requests_total 7
+# HELP rock_serve_batch_size serve.batch_size
+# TYPE rock_serve_batch_size histogram
+rock_serve_batch_size_bucket{le="1.0"} 2
+rock_serve_batch_size_bucket{le="8.0"} 5
+rock_serve_batch_size_bucket{le="64.0"} 6
+rock_serve_batch_size_bucket{le="512.0"} 7
+rock_serve_batch_size_bucket{le="4096.0"} 7
+rock_serve_batch_size_bucket{le="+Inf"} 7
+rock_serve_batch_size_sum 119.0
+rock_serve_batch_size_count 7
+# HELP rock_serve_latency_assign_batch serve.latency.assign_batch
+# TYPE rock_serve_latency_assign_batch histogram
+rock_serve_latency_assign_batch_bucket{le="+Inf"} 6
+rock_serve_latency_assign_batch_sum 1.5
+rock_serve_latency_assign_batch_count 6
+# HELP rock_serve_latency_assign_fallback serve.latency.assign_fallback
+# TYPE rock_serve_latency_assign_fallback histogram
+rock_serve_latency_assign_fallback_bucket{le="+Inf"} 1
+rock_serve_latency_assign_fallback_sum 0.25
+rock_serve_latency_assign_fallback_count 1
+"""
+
+
+def test_serve_prometheus_text_is_pinned(fake_clock):
+    """Two index-tier engines and a fallback one on one registry."""
+    registry = MetricsRegistry()
+    first = AssignmentEngine(make_model([CLUSTER_A, CLUSTER_B]), registry=registry)
+    second = AssignmentEngine(make_model([CLUSTER_A, CLUSTER_B]), registry=registry)
+    fallback = AssignmentEngine(fallback_model(), registry=registry)
+    assert first.assign_batch([IN_A, IN_A, IN_B]).tolist() == [0, 0, 1]
+    assert first.assign_batch([IN_A]).tolist() == [0]
+    assert first.assign_batch([OUTLIER] * 3).tolist() == [-1] * 3
+    first.assign_batch([Transaction({i, i + 1}) for i in range(10)] * 10)
+    assert first.assign_batch([]).tolist() == []
+    assert second.assign_batch([IN_A] * 5 + [IN_B] * 4).tolist() == [0] * 5 + [1] * 4
+    assert fallback.assign_batch(["p", Unhashable(), "p"]).tolist() == [0, -1, 0]
+
+    text = metrics_to_prometheus(registry.snapshot())
+    lines = [
+        line for line in text.splitlines()
+        if "rock_serve_" in line and "rock_serve_assign_" not in line
+    ]
+    assert "\n".join(lines) + "\n" == PINNED_SERVE_TEXT

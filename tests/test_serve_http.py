@@ -35,7 +35,7 @@ from repro.data.records import CategoricalRecord, CategoricalSchema
 from repro.datasets import small_synthetic_basket
 from repro.obs.export import prometheus_name
 from repro.obs.registry import MetricsRegistry
-from repro.serve import ClusteringService, RockModel
+from repro.serve import AssignmentEngine, RockModel
 from repro.serve.http import (
     BatcherClosed,
     ProtocolError,
@@ -513,10 +513,10 @@ class TestEndpoints:
         assert data["vectorized"] is True
 
     def test_model_body_contains_service_describe(self, running_server):
-        """``/model`` and ``ClusteringService.describe()`` build the
+        """``/model`` and ``AssignmentEngine.describe()`` build the
         model facts in one place, so they agree on the same artifact."""
-        service = ClusteringService.from_file(running_server.server.model_path)
-        expected = json.loads(json.dumps(service.describe()))
+        engine = AssignmentEngine(RockModel.load(running_server.server.model_path))
+        expected = json.loads(json.dumps(engine.describe()))
         _, data = request_json(running_server.address, "GET", "/model")
         assert {key: data[key] for key in expected} == expected
         assert data.keys() - expected.keys() == {

@@ -129,7 +129,6 @@ class TestAtomicSwap:
 
         with serve_in_thread(
             path, poll_seconds=0.02, batch_max=16,
-            cache_size=0,
         ) as handle:
             stop = threading.Event()
             failures = []

@@ -1,5 +1,6 @@
 """Tests for the servable RockModel artifact and the pipeline bridge."""
 
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -15,7 +16,15 @@ from repro.data.records import MISSING, CategoricalRecord, CategoricalSchema
 from repro.data.transactions import Transaction, TransactionDataset
 from repro.datasets import small_synthetic_basket
 from repro.serve import AssignmentEngine, RockModel
-from repro.serve.model import MODEL_VERSION, ArtifactIntegrityError, artifact_checksum
+from repro.serve.http.reload import load_versioned_model
+from repro.serve.model import (
+    MODEL_VERSION,
+    ArtifactIntegrityError,
+    artifact_checksum,
+    artifact_digests,
+    model_version,
+    read_artifact,
+)
 
 CLUSTER_A = [Transaction({1, 2, 3}), Transaction({1, 2, 4}), Transaction({2, 3, 4})]
 CLUSTER_B = [Transaction({7, 8, 9}), Transaction({7, 8, 10})]
@@ -426,3 +435,75 @@ class TestArtifactsFromShardedFits:
         for removed in ("fit_mode", "shard_block_rows", "spill_dir", "max_retries"):
             assert removed not in model.metadata
         assert model.labeling_sets == legacy.labeling_sets
+
+
+def reference_sha256(payload):
+    """The canonical rendering, done whole, as the artifact format
+    defines it."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=6),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+class TestArtifactDigests:
+    """Both digests come from one rendering of each top-level member;
+    the bytes they hash are the whole payload's canonical JSON."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        payload=st.dictionaries(
+            st.text(max_size=8).filter(lambda k: k not in ("checksum", "metadata")),
+            json_values,
+            max_size=6,
+        ),
+        metadata=st.one_of(
+            st.none(),
+            json_values,
+            st.dictionaries(st.text(max_size=6), json_values, max_size=3),
+        ),
+        timings=st.one_of(st.none(), json_values),
+        checksum=st.one_of(st.none(), st.text(max_size=8)),
+    )
+    def test_digests_match_the_whole_canonical_json(
+        self, payload, metadata, timings, checksum
+    ):
+        if metadata is not None:
+            if isinstance(metadata, dict) and timings is not None:
+                metadata = {**metadata, "fit_timings": timings}
+            payload["metadata"] = metadata
+        body = dict(payload)
+        if checksum is not None:
+            payload["checksum"] = checksum
+        untimed = dict(body)
+        if isinstance(metadata, dict):
+            untimed["metadata"] = {
+                k: v for k, v in metadata.items() if k != "fit_timings"
+            }
+        expected = (reference_sha256(body), reference_sha256(untimed)[:16])
+        assert artifact_digests(payload) == expected
+        assert artifact_checksum(payload) == expected[0]
+        assert model_version(payload) == expected[1]
+
+    @pytest.mark.parametrize("name, version, checksum", [
+        ("model_with_workers.json", "2eda8e1ed42ce925",
+         "4d043f2ea9b086570c4652ee92f21aea47023e50170109a3b4b5411037d03ed1"),
+        ("model_sharded.json", "bc4add6d08cce836",
+         "fd8f4ed495a94a9cb8fb2be49aec3913526e2f500249fe7a00bdd4a6e44896db"),
+    ], ids=["with-workers", "sharded"])
+    def test_checked_in_artifacts_keep_their_digests(self, name, version, checksum):
+        path = Path(__file__).parent / "data" / name
+        payload, digest, served = read_artifact(path)
+        assert (digest, served) == (checksum, version)
+        assert payload["checksum"] == "sha256:" + checksum
+        assert load_versioned_model(path)[1] == version

@@ -90,9 +90,7 @@ def test_drift_refit_republish_hot_swap(tmp_path):
                 return
             engine = engines.get(served_version)
             if engine is None:
-                engine = engines[served_version] = AssignmentEngine(
-                    model, cache_size=0
-                )
+                engine = engines[served_version] = AssignmentEngine(model)
             want = [int(label) for label in engine.assign_batch(points)]
             if data["labels"] != want:
                 failures.append(("mixed", served_version, data["labels"], want))
